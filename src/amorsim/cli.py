@@ -10,10 +10,24 @@ Subcommands map one-to-one to scenario modes::
     amorsim sensitivity-sweep  field sensitivity vs optical power
 
 Every mode writes its data files plus ``manifest.json`` into ``--out``.
-Outputs are deterministic for a fixed ``--seed`` regardless of ``--workers``
-(each grid point draws from its own seed stream). Exit codes: 0 success,
-2 configuration error, 3 numerical failure, 4 I/O error; failures print a
-single JSON object to stderr.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4 I/O
+error; failures print a single JSON object to stderr.
+
+Random streams. Every series is synthesized and detected by ``_chain``,
+which draws the rotation noise from stream ``key + (0,)`` and the detector
+noise from ``key + (1,)``, where ``key = (seed, *point coordinates)``:
+
+    simulate           (seed,)
+    spectrum           (seed, side)                  side 0 on, 1 off resonance
+    noise-scan         (seed, scan, power_index)     scan 1 is the second field
+    sensitivity-sweep  (seed, power_index, trace, side)
+    demod-sweep        (seed, freq_index)            synthesis only, in dsp
+    snl-map            (seed, gain_lane, freq_index) estimator jitter, no chain
+
+Each point owns its streams, so outputs are byte-identical for a fixed
+``--seed`` regardless of ``--workers``. The keys of one run all have the
+same length: numpy pads a short key with zeros, so ``(seed, 0)`` and
+``(seed, 0, 0)`` would name the same stream.
 """
 
 from __future__ import annotations
@@ -55,6 +69,7 @@ from .detector import (
 )
 from .dsp import (
     SweepSynthesis,
+    _pmap,
     peak_and_background,
     psd_estimate,
     resonance_curve_to_csv,
@@ -96,8 +111,7 @@ def _load_config(spec: ScenarioSpec) -> ExperimentConfig:
     return validate_config(cfg)
 
 
-def _center_freq(cfg: ExperimentConfig) -> float:
-    field = cfg.field_cfg
+def _center_freq(field: FieldConfig) -> float:
     return field.modulation_freq - field.detuning_delta / (2.0 * math.pi)
 
 
@@ -148,6 +162,24 @@ def _write_json(path: Path, doc: dict) -> None:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _chain(cfg: ExperimentConfig, res: ResonanceParams, field: FieldConfig,
+           power: float, key: tuple, sample_rate: Optional[float] = None):
+    """Synthesize and detect one series from streams key+(0,) and key+(1,)."""
+    ts = synthesize_rotation(
+        res, field, cfg.sim.duration,
+        cfg.sim.sample_rate if sample_rate is None else sample_rate, power,
+        rng_seed=key + (0,), wavelength=cfg.atom.probe_wavelength,
+        constants=cfg.constants,
+    )
+    det_ts = detect(
+        ts, cfg.detector,
+        coef_elec=cfg.detector.electronic_noise_floor,
+        coef_tech=cfg.detector.technical_noise_coef,
+        rng_seed=key + (1,), constants=cfg.constants,
+    )
+    return ts, det_ts
+
+
 # ---------------------------------------------------------------------------
 # Mode handlers (each returns the list of files it wrote)
 # ---------------------------------------------------------------------------
@@ -155,18 +187,9 @@ def _write_json(path: Path, doc: dict) -> None:
 def _run_simulate(cfg: ExperimentConfig, spec: ScenarioSpec,
                   outdir: Path) -> list[str]:
     res = ResonanceParams(cfg.resonance.phi0, cfg.resonance.gamma_fwhm,
-                          _center_freq(cfg))
-    ts = synthesize_rotation(
-        res, cfg.field_cfg, cfg.sim.duration, cfg.sim.sample_rate,
-        cfg.sim.probe_power, rng_seed=(spec.seed, 0),
-        wavelength=cfg.atom.probe_wavelength, constants=cfg.constants,
-    )
-    det_ts = detect(
-        ts, cfg.detector,
-        coef_elec=cfg.detector.electronic_noise_floor,
-        coef_tech=cfg.detector.technical_noise_coef,
-        rng_seed=(spec.seed, 1), constants=cfg.constants,
-    )
+                          _center_freq(cfg.field_cfg))
+    ts, det_ts = _chain(cfg, res, cfg.field_cfg, cfg.sim.probe_power,
+                        (spec.seed,))
     rotation_to_csv(ts, outdir / "rotation.csv")
     detected_to_csv(det_ts, outdir / "detected.csv")
     return ["rotation.csv", "detected.csv"]
@@ -174,7 +197,7 @@ def _run_simulate(cfg: ExperimentConfig, spec: ScenarioSpec,
 
 def _run_demod_sweep(cfg: ExperimentConfig, spec: ScenarioSpec,
                      outdir: Path) -> list[str]:
-    center = _center_freq(cfg)
+    center = _center_freq(cfg.field_cfg)
     halfspan = cfg.sweep.freq_halfspan_widths * cfg.resonance.gamma_fwhm
     freqs = np.linspace(center - halfspan, center + halfspan,
                         cfg.sweep.freq_points)
@@ -202,28 +225,18 @@ def _run_demod_sweep(cfg: ExperimentConfig, spec: ScenarioSpec,
     return outputs
 
 
-def _spectrum_pair(cfg: ExperimentConfig, seed_lane: tuple,
+def _spectrum_pair(cfg: ExperimentConfig, key: tuple,
                    power: float, phi0: float, gamma_fwhm: float):
     """On/off-resonance analyzer traces around the modulation frequency."""
-    center = _center_freq(cfg)
     field = cfg.field_cfg
+    center = _center_freq(field)
     mod = field.modulation_freq
     sp = cfg.spectrum
     span = (max(mod - sp.span / 2.0, 0.0), mod + sp.span / 2.0)
     series = []
-    for lane, amplitude in enumerate((phi0, 0.0)):
+    for side, amplitude in enumerate((phi0, 0.0)):
         res = ResonanceParams(amplitude, gamma_fwhm, center)
-        ts = synthesize_rotation(
-            res, field, cfg.sim.duration, cfg.sim.sample_rate, power,
-            rng_seed=seed_lane + (lane,), wavelength=cfg.atom.probe_wavelength,
-            constants=cfg.constants,
-        )
-        det_ts = detect(
-            ts, cfg.detector,
-            coef_elec=cfg.detector.electronic_noise_floor,
-            coef_tech=cfg.detector.technical_noise_coef,
-            rng_seed=seed_lane + (lane + 2,), constants=cfg.constants,
-        )
+        _, det_ts = _chain(cfg, res, field, power, key + (side,))
         series.append(psd_estimate(det_ts, sp.rbw, sp.vbw, span=span))
     return series[0], series[1]
 
@@ -262,19 +275,9 @@ def _run_spectrum(cfg: ExperimentConfig, spec: ScenarioSpec,
 
 def _noise_level_point(args) -> float:
     """Measured background density at one optical power (worker task)."""
-    (cfg, power, seed_tuple, sample_rate, field) = args
-    res = ResonanceParams(0.0, cfg.resonance.gamma_fwhm, _center_freq_of(field))
-    ts = synthesize_rotation(
-        res, field, cfg.sim.duration, sample_rate, power,
-        rng_seed=seed_tuple, wavelength=cfg.atom.probe_wavelength,
-        constants=cfg.constants,
-    )
-    det_ts = detect(
-        ts, cfg.detector,
-        coef_elec=cfg.detector.electronic_noise_floor,
-        coef_tech=cfg.detector.technical_noise_coef,
-        rng_seed=seed_tuple + (997,), constants=cfg.constants,
-    )
+    cfg, power, key, sample_rate, field = args
+    res = ResonanceParams(0.0, cfg.resonance.gamma_fwhm, _center_freq(field))
+    _, det_ts = _chain(cfg, res, field, power, key, sample_rate)
     mod = field.modulation_freq
     half = cfg.spectrum.bg_window / 2.0
     trace = psd_estimate(det_ts, cfg.spectrum.rbw, cfg.spectrum.vbw,
@@ -282,23 +285,10 @@ def _noise_level_point(args) -> float:
     return float(trace.psd.mean())
 
 
-def _center_freq_of(field: FieldConfig) -> float:
-    return field.modulation_freq - field.detuning_delta / (2.0 * math.pi)
-
-
-def _pmap(fn, tasks, workers: int) -> list:
-    if workers > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(task) for task in tasks]
-
-
 def _noise_scan_at_field(cfg: ExperimentConfig, spec: ScenarioSpec,
                          field: FieldConfig, scan_index: int):
     """Noise level vs power at one detection frequency, plus budget fit."""
-    mod = field.modulation_freq
-    sample_rate = max(cfg.sim.sample_rate, 4.5 * mod)
+    sample_rate = max(cfg.sim.sample_rate, 4.5 * field.modulation_freq)
     powers = list(_power_grid(cfg))
     include_zero = cfg.noisescan.include_zero
     if include_zero and cfg.detector.electronic_noise_floor <= 0.0:
@@ -316,20 +306,16 @@ def _noise_scan_at_field(cfg: ExperimentConfig, spec: ScenarioSpec,
     levels = _pmap(_noise_level_point, tasks, spec.workers)
     fixed = levels[0] if include_zero else None
     fit = fit_noise_polynomial(powers, levels, fixed_elec=fixed)
-    budget = NoiseBudget(
-        coef_elec=fit.coef_elec, coef_shot=fit.coef_shot,
-        coef_tech=fit.coef_tech, detection_freq=mod,
-    )
-    return powers, levels, fit, budget
+    return powers, levels, fit
 
 
 def _write_noise_scan(outdir: Path, stem: str, fig_name: str, powers, levels,
-                      fit, budget: NoiseBudget, cfg: ExperimentConfig,
+                      fit, detection_freq: float, cfg: ExperimentConfig,
                       spec: ScenarioSpec) -> list[str]:
     scan_csv = f"{stem}.csv"
     with open(outdir / scan_csv, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# seed = {spec.seed}\n")
-        fh.write(f"# detection_freq_hz = {budget.detection_freq!r}\n")
+        fh.write(f"# detection_freq_hz = {detection_freq!r}\n")
         fh.write("power_w,noise_w_per_hz\n")
         for p, n in zip(powers, levels):
             fh.write(f"{float(p)!r},{float(n)!r}\n")
@@ -337,7 +323,7 @@ def _write_noise_scan(outdir: Path, stem: str, fig_name: str, powers, levels,
     doc = json.loads(fit_report(fit))
     doc.update({
         "seed": spec.seed,
-        "detection_freq_hz": budget.detection_freq,
+        "detection_freq_hz": detection_freq,
         "coef_shot_theory": _shot_coef_theory(cfg),
     })
     _write_json(outdir / budget_json, doc)
@@ -352,21 +338,17 @@ def _write_noise_scan(outdir: Path, stem: str, fig_name: str, powers, levels,
 
 def _run_noise_scan(cfg: ExperimentConfig, spec: ScenarioSpec,
                     outdir: Path) -> list[str]:
-    powers, levels, fit, budget = _noise_scan_at_field(
-        cfg, spec, cfg.field_cfg, 0
-    )
-    outputs = _write_noise_scan(outdir, "noise_scan", "fig4a_noise.dat",
-                                powers, levels, fit, budget, cfg, spec)
+    scans = [("noise_scan", "fig4a_noise.dat", cfg.field_cfg)]
     if cfg.noisescan.second_b_field is not None:
         field2 = FieldConfig(b_field=cfg.noisescan.second_b_field).resolve(
             cfg.atom, cfg.constants
         )
-        powers2, levels2, fit2, budget2 = _noise_scan_at_field(
-            cfg, spec, field2, 1
-        )
-        outputs += _write_noise_scan(outdir, "noise_scan_high",
-                                     "fig4b_noise.dat", powers2, levels2,
-                                     fit2, budget2, cfg, spec)
+        scans.append(("noise_scan_high", "fig4b_noise.dat", field2))
+    outputs = []
+    for scan, (stem, fig_name, field) in enumerate(scans):
+        powers, levels, fit = _noise_scan_at_field(cfg, spec, field, scan)
+        outputs += _write_noise_scan(outdir, stem, fig_name, powers, levels,
+                                     fit, field.modulation_freq, cfg, spec)
     return outputs
 
 

@@ -113,13 +113,11 @@ class DetectorConfig:
 
     transimpedance_gain_nominal: float = 1e6    # V/A
     gain_headroom_factor: float = 0.5
-    gain_uncertainty_rel: float = 0.10
     quantum_efficiency: float = 0.88
     analyzer_impedance_r: float = 50.0          # ohm
     electronic_noise_floor: float = 0.0         # W/Hz (A coefficient)
     technical_noise_coef: float = 0.0           # W/(Hz W^2) (C coefficient)
     photocurrent_convention: str = "physical"   # "physical" | "as_printed"
-    electronic_noise_table: Optional[str] = None  # CSV path: freq_hz,a_w_per_hz
 
     @property
     def gain_effective(self) -> float:
@@ -402,13 +400,11 @@ _KEY_TABLE = {
     "atom.probe_wavelength": ("atom", "probe_wavelength", "f"),
     "detector.transimpedance_gain_nominal": ("detector", "transimpedance_gain_nominal", "f"),
     "detector.gain_headroom_factor": ("detector", "gain_headroom_factor", "f"),
-    "detector.gain_uncertainty_rel": ("detector", "gain_uncertainty_rel", "f"),
     "detector.quantum_efficiency": ("detector", "quantum_efficiency", "f"),
     "detector.analyzer_impedance": ("detector", "analyzer_impedance_r", "f"),
     "detector.electronic_noise_floor": ("detector", "electronic_noise_floor", "f"),
     "detector.technical_noise_coef": ("detector", "technical_noise_coef", "f"),
     "detector.photocurrent_convention": ("detector", "photocurrent_convention", "s"),
-    "detector.electronic_noise_table": ("detector", "electronic_noise_table", "s"),
     "field.b_field": ("field_cfg", "b_field", "f?"),
     "field.modulation_freq": ("field_cfg", "modulation_freq", "f?"),
     "field.detuning_delta": ("field_cfg", "detuning_delta", "f?"),

@@ -45,7 +45,6 @@ __all__ = [
     "photocurrent",
     "photocurrent_from_flux",
     "theoretical_shot_noise_level",
-    "noise_budget_eval",
     "angle_gain_from_chain",
     "detect",
     "detected_to_csv",
@@ -76,11 +75,6 @@ class NoiseBudget:
         if power < 0:
             raise ValueError(f"power must be >= 0, got {power!r}")
         return self.coef_elec + self.coef_shot * power + self.coef_tech * power ** 2
-
-
-def noise_budget_eval(budget: NoiseBudget, power: float) -> float:
-    """N(P) = A + B*P + C*P^2 in W/Hz."""
-    return budget.eval(power)
 
 
 @dataclass

@@ -12,6 +12,7 @@ filtering), which preserves flat levels.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -150,6 +151,20 @@ class SweepSynthesis:
     workers: int = 1
 
 
+def _pmap(fn, tasks: list, workers: int) -> list:
+    """``[fn(task) for task in tasks]``, in a process pool when workers > 1.
+
+    The pool never exceeds the task count or the cores: under the fork
+    start method every requested worker is forked up front.
+    """
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        from concurrent import futures
+        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(task) for task in tasks]
+
+
 def _sweep_point(args) -> tuple[float, float]:
     res, freq, center, synth, index = args
     field = FieldConfig(
@@ -157,7 +172,7 @@ def _sweep_point(args) -> tuple[float, float]:
         modulation_freq=freq,
         detuning_delta=2.0 * np.pi * (freq - center),
     )
-    seed = None if synth.seed is None else (int(synth.seed), int(index))
+    seed = None if synth.seed is None else (int(synth.seed), int(index), 0)
     ts = synthesize_rotation(
         res, field, synth.duration, synth.sample_rate, synth.power,
         rng_seed=seed, wavelength=synth.wavelength,
@@ -170,7 +185,7 @@ def sweep_resonance(res: ResonanceParams, mod_freqs: Sequence[float],
                     synth: SweepSynthesis) -> ResonanceCurve:
     """Demodulate one synthesized point per grid frequency.
 
-    Point noise streams derive from (seed, grid index), so results are
+    Point noise streams derive from (seed, grid index, 0), so results are
     identical for any worker count. A grid that does not bracket the
     resonance center yields bracketed=False rather than an error.
     """
@@ -182,12 +197,7 @@ def sweep_resonance(res: ResonanceParams, mod_freqs: Sequence[float],
         raise ValueError("mod_freqs must be strictly increasing")
     tasks = [(res, float(f), res.center_freq, synth, i)
              for i, f in enumerate(freqs)]
-    if synth.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=synth.workers) as pool:
-            results = list(pool.map(_sweep_point, tasks))
-    else:
-        results = [_sweep_point(task) for task in tasks]
+    results = _pmap(_sweep_point, tasks, synth.workers)
     phi_p = np.array([r[0] for r in results])
     phi_q = np.array([r[1] for r in results])
     bracketed = bool(freqs.min() <= res.center_freq <= freqs.max())

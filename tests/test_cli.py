@@ -4,8 +4,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import amorsim.cli
+import amorsim.dsp
 from amorsim.cli import MODES, ScenarioSpec, emit_plotdata, main, run_scenario
 from amorsim.config import ConfigError
 
@@ -182,14 +185,45 @@ def test_same_seed_reproduces_bytes(fast_config, tmp_path):
     assert (out_a / "snr.json").read_bytes() == (out_b / "snr.json").read_bytes()
 
 
-def test_worker_count_does_not_change_outputs(fast_config, tmp_path):
+@pytest.mark.parametrize("mode", ["noise-scan", "demod-sweep",
+                                  "sensitivity-sweep"])
+def test_worker_count_does_not_change_outputs(mode, fast_config, tmp_path):
     serial, pooled = tmp_path / "w1", tmp_path / "w2"
-    assert main(["noise-scan", "--config", fast_config, "--out", str(serial),
+    assert main([mode, "--config", fast_config, "--out", str(serial),
                  "--seed", "3", "--workers", "1"]) == 0
-    assert main(["noise-scan", "--config", fast_config, "--out", str(pooled),
+    assert main([mode, "--config", fast_config, "--out", str(pooled),
                  "--seed", "3", "--workers", "3"]) == 0
-    assert (serial / "noise_scan.csv").read_bytes() == \
-        (pooled / "noise_scan.csv").read_bytes()
+    names = sorted(p.name for p in serial.iterdir() if p.name != "manifest.json")
+    assert names == sorted(p.name for p in pooled.iterdir()
+                           if p.name != "manifest.json")
+    for name in names:
+        assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("mode", ["simulate", "demod-sweep", "spectrum",
+                                  "noise-scan", "sensitivity-sweep"])
+def test_stream_keys_start_with_seed_and_never_repeat(mode, fast_config,
+                                                      tmp_path, monkeypatch):
+    keys = []
+
+    def recording(fn):
+        def wrapped(*args, **kwargs):
+            keys.append(kwargs["rng_seed"])
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module, name in ((amorsim.cli, "synthesize_rotation"),
+                         (amorsim.cli, "detect"),
+                         (amorsim.dsp, "synthesize_rotation")):
+        monkeypatch.setattr(module, name, recording(getattr(module, name)))
+    assert main([mode, "--config", fast_config, "--out", str(tmp_path),
+                 "--seed", "7"]) == 0
+    assert keys
+    assert all(isinstance(k, tuple) and k[0] == 7 for k in keys)
+    assert len(set(keys)) == len(keys)
+    # numpy pads short keys with zeros, so compare the streams themselves too
+    states = {tuple(np.random.SeedSequence(k).generate_state(4)) for k in keys}
+    assert len(states) == len(keys)
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +270,17 @@ def test_missing_config_exits_4(tmp_path, capsys):
     assert err["exit_code"] == 4
 
 
-def test_unknown_config_key_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("key", ["resonance.phi_zero",
+                                 "detector.gain_uncertainty_rel",
+                                 "detector.electronic_noise_table"])
+def test_unknown_config_key_exits_2(key, tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("resonance.phi_zero = 1e-3\n")
+    bad.write_text(f"{key} = 1e-3\n")
     code = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
-    assert "phi_zero" in err["message"]
+    assert key in err["message"]
 
 
 def test_underdetermined_noise_fit_exits_3(fast_config, tmp_path, capsys,

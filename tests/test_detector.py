@@ -13,7 +13,6 @@ from amorsim.detector import (
     angle_gain_from_chain,
     detect,
     detected_to_csv,
-    noise_budget_eval,
     photocurrent,
     photocurrent_from_flux,
     theoretical_shot_noise_level,
@@ -128,7 +127,7 @@ def test_noise_budget_eval_is_quadratic():
     p = 1.3e-4
     assert budget.eval(p) == pytest.approx(
         2e-14 + 9e-10 * p + 1.8e-6 * p * p, rel=1e-14)
-    assert noise_budget_eval(budget, 0.0) == 2e-14
+    assert budget.eval(0.0) == 2e-14
 
 
 @pytest.mark.parametrize("kwargs", [

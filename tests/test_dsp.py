@@ -1,6 +1,8 @@
 """Lock-in demodulation and spectrum-analyzer emulation."""
 
+import concurrent.futures
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from amorsim.dsp import (
     PowerSpectrum,
     ResonanceCurve,
     SweepSynthesis,
+    _pmap,
     lock_in_demodulate,
     peak_and_background,
     psd_estimate,
@@ -140,6 +143,35 @@ def test_sweep_worker_count_does_not_change_results():
     pooled = sweep_resonance(res, grid, SweepSynthesis(workers=2, **kwargs))
     np.testing.assert_array_equal(serial.phi_P_values, pooled.phi_P_values)
     np.testing.assert_array_equal(serial.phi_Q_values, pooled.phi_Q_values)
+
+
+@pytest.mark.parametrize("workers, tasks, cores, expected", [
+    (10000, 22, 2, 2),    # huge request: one worker per core
+    (10000, 3, 64, 3),    # never more workers than tasks
+    (4, 22, 64, 4),       # a modest request is kept
+    (4, 1, 64, None),     # one task runs serially
+    (4, 22, None, None),  # unknown core count counts as one core
+])
+def test_pmap_clamps_pool_size(workers, tasks, cores, expected, monkeypatch):
+    started = []
+
+    class FakeExecutor:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    assert _pmap(abs, list(range(-tasks, 0)), workers) == list(range(tasks, 0, -1))
+    assert started == ([] if expected is None else [expected])
 
 
 def test_sweep_rejects_bad_grids():
