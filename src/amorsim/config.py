@@ -459,6 +459,8 @@ def _parse_number(key: str, text: str) -> float:
         if unit not in UNIT_SCALE:
             raise ConfigError(f"{key}: unknown unit {unit!r}")
         value *= UNIT_SCALE[unit]
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: non-finite value {text!r}")
     return value
 
 

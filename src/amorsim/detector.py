@@ -24,7 +24,7 @@ holds with no gain or bandwidth dependence.
 
 Shot noise enters only through the rotation series (never added here);
 electronic noise (white, PSD = A) and technical noise (white, PSD = C*P^2)
-are injected at the output node.
+are injected at the output node as one white draw of PSD A + C*P^2.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from .config import DetectorConfig
 from .constants import CODATA, PhysicalConstants
-from .signal_model import RotationTimeSeries
+from .signal_model import RotationTimeSeries, Seed
 
 __all__ = [
     "NoiseBudget",
@@ -92,7 +92,7 @@ class DetectedTimeSeries:
     gain_used: float             # V/A, effective transimpedance gain
     mean_power: float            # W, mean optical power on the detector
     angle_gain: float            # amplitude per rad
-    rng_seed: Optional[int] = None
+    rng_seed: Optional[Seed] = None
 
     @property
     def duration(self) -> float:
@@ -165,7 +165,7 @@ def angle_gain_from_chain(det: DetectorConfig, flux: float,
 def detect(rotation: RotationTimeSeries, det: DetectorConfig, *,
            coef_elec: float = 0.0, coef_tech: float = 0.0,
            angle_gain: Optional[float] = None, balance_offset: float = 0.0,
-           rng_seed: Optional[int] = None,
+           rng_seed: Optional[Seed] = None,
            constants: PhysicalConstants = CODATA) -> DetectedTimeSeries:
     """Map a rotation series to the analyzer-referred RF series.
 
@@ -194,13 +194,12 @@ def detect(rotation: RotationTimeSeries, det: DetectorConfig, *,
     fs = rotation.sample_rate
     n = rotation.samples.size
     power = rotation.mean_optical_power
-    tech_psd = coef_tech * power ** 2
-    if coef_elec > 0.0 or tech_psd > 0.0:
+    # Electronic and technical noise are independent white Gaussians, so
+    # their sum is one white Gaussian of PSD A + C*P^2: a single draw.
+    output_psd = coef_elec + coef_tech * power ** 2
+    if output_psd > 0.0:
         rng = np.random.default_rng(rng_seed)
-        if coef_elec > 0.0:
-            signal = signal + rng.normal(0.0, math.sqrt(coef_elec * fs / 2.0), n)
-        if tech_psd > 0.0:
-            signal = signal + rng.normal(0.0, math.sqrt(tech_psd * fs / 2.0), n)
+        signal += rng.normal(0.0, math.sqrt(output_psd * fs / 2.0), n)
 
     return DetectedTimeSeries(
         samples=signal,

@@ -8,15 +8,23 @@ a^2/(2*rbw) at its peak and white noise reads its true density. The video
 bandwidth is emulated as a zero-phase single-pole smoothing across trace
 bins (one resolution bandwidth of trace is treated as one dwell of video
 filtering), which preserves flat levels.
+
+The periodogram is a numpy Welch estimate: 50%-overlapped, undetrended
+segments, one-sided density. The segment length is the 5-smooth length
+(2^a 3^b 5^c) nearest to the one whose flat-top ENBW equals rbw, so every
+FFT is fast; the realized ENBW is reported and stays within 5% of rbw. The
+window and its ENBW are cached per length.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
+from scipy import fft as _fft
 from scipy import signal as _sig
 
 from .config import FieldConfig
@@ -208,16 +216,47 @@ def sweep_resonance(res: ResonanceParams, mod_freqs: Sequence[float],
 # Spectrum-analyzer emulation
 # ---------------------------------------------------------------------------
 
-# ENBW of the flat-top window in bins; nearly independent of window length.
-_FLATTOP_ENBW_BINS = None
+@functools.lru_cache(maxsize=8)
+def _flattop(nperseg: int) -> tuple[np.ndarray, float]:
+    """Read-only flat-top window of nperseg samples and its ENBW in bins."""
+    window = _sig.windows.flattop(nperseg)
+    window.flags.writeable = False
+    return window, nperseg * float(np.sum(window ** 2) / np.sum(window) ** 2)
 
 
-def _flattop_enbw_bins() -> float:
-    global _FLATTOP_ENBW_BINS
-    if _FLATTOP_ENBW_BINS is None:
-        w = _sig.windows.flattop(4096)
-        _FLATTOP_ENBW_BINS = 4096 * float(np.sum(w ** 2) / np.sum(w) ** 2)
-    return _FLATTOP_ENBW_BINS
+def _segment_length(fs: float, rbw: float, n: int) -> int:
+    """Welch segment length whose flat-top ENBW matches rbw.
+
+    The raw length round(ENBW_bins * fs / rbw) is snapped to the nearest
+    5-smooth length (ties go down), where the FFT is fast. The raw length is
+    kept when the snapped one would breach the 5% ENBW gate or outgrow the
+    n-sample series, so snapping never rejects a pair the raw length serves.
+    """
+    raw = int(round(_flattop(4096)[1] * fs / rbw))
+    if raw < 16:  # would snap to < 16 as well (15 is 5-smooth): rejected
+        return raw
+    down = _fft.prev_fast_len(raw, real=True)
+    up = _fft.next_fast_len(raw, real=True)
+    smooth = down if raw - down <= up - raw else up
+    if smooth > n:  # checked first: no window is built for a length never used
+        return raw
+    enbw = fs * _flattop(smooth)[1] / smooth
+    return smooth if abs(enbw - rbw) / rbw <= 0.05 else raw
+
+
+def _welch(x: np.ndarray, fs: float, window: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided Welch density with 50%-overlapped, undetrended segments."""
+    nperseg = window.size
+    step = nperseg - nperseg // 2
+    acc = np.zeros(nperseg // 2 + 1)
+    starts = range(0, x.size - nperseg + 1, step)
+    for start in starts:
+        spec = np.fft.rfft(x[start:start + nperseg] * window)
+        acc += spec.real ** 2 + spec.imag ** 2
+    psd = acc / (len(starts) * fs * float(np.sum(window ** 2)))
+    psd[1:nperseg - nperseg // 2] *= 2.0  # all but DC and an even-length Nyquist
+    return np.fft.rfftfreq(nperseg, 1.0 / fs), psd
 
 
 def _video_smooth(psd: np.ndarray, rbw: float, vbw: float,
@@ -252,7 +291,7 @@ def psd_estimate(ts: AnySeries, rbw: float, vbw: Optional[float] = None,
         raise ValueError(f"vbw must be > 0, got {vbw!r}")
     fs = ts.sample_rate
     x = np.asarray(ts.samples, dtype=float)
-    nperseg = int(round(_flattop_enbw_bins() * fs / rbw))
+    nperseg = _segment_length(fs, rbw, x.size)
     if nperseg < 16:
         raise ValueError(
             f"rbw {rbw!r} too coarse for sample_rate {fs!r} "
@@ -263,16 +302,13 @@ def psd_estimate(ts: AnySeries, rbw: float, vbw: Optional[float] = None,
             f"series of {x.size} samples too short for rbw {rbw!r} "
             f"(needs >= {nperseg} samples)"
         )
-    window = _sig.windows.flattop(nperseg)
-    enbw = fs * float(np.sum(window ** 2) / np.sum(window) ** 2)
+    window, enbw_bins = _flattop(nperseg)
+    enbw = fs * enbw_bins / nperseg
     if abs(enbw - rbw) / rbw > 0.05:
         raise ValueError(
             f"realized ENBW {enbw!r} deviates from rbw {rbw!r} by more than 5%"
         )
-    freqs, psd = _sig.welch(
-        x, fs=fs, window=window, nperseg=nperseg, noverlap=nperseg // 2,
-        detrend=False, scaling="density", return_onesided=True,
-    )
+    freqs, psd = _welch(x, fs, window)
     bin_spacing = fs / nperseg
     if vbw < rbw:
         psd = np.maximum(_video_smooth(psd, rbw, vbw, bin_spacing), 0.0)

@@ -18,9 +18,10 @@ All spectral densities in this package are one-sided.
 
 from __future__ import annotations
 
+import ast
 import io
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -38,6 +39,10 @@ __all__ = [
     "rotation_to_csv",
     "rotation_from_csv",
 ]
+
+# An RNG stream: an int, or a key such as (seed, *point coordinates, lane);
+# numpy's SeedSequence accepts either.
+Seed = Union[int, tuple[int, ...]]
 
 
 @dataclass
@@ -74,7 +79,7 @@ class RotationTimeSeries:
     photon_flux: float           # photons/s
     modulation_freq: Optional[float] = None  # Hz, deterministic carrier
     noise_samples: np.ndarray = dc_field(default_factory=lambda: np.zeros(0))
-    rng_seed: Optional[int] = None
+    rng_seed: Optional[Seed] = None
 
     @property
     def duration(self) -> float:
@@ -148,7 +153,7 @@ def shot_noise_angle_density(flux: float) -> float:
 
 def synthesize_rotation(res: ResonanceParams, field: FieldConfig,
                         duration: float, sample_rate: float, power: float,
-                        rng_seed: Optional[int] = None, *,
+                        rng_seed: Optional[Seed] = None, *,
                         wavelength: float = 795e-9, shot_noise: bool = True,
                         constants: PhysicalConstants = CODATA
                         ) -> RotationTimeSeries:
@@ -182,10 +187,12 @@ def synthesize_rotation(res: ResonanceParams, field: FieldConfig,
             f"duration {duration!r} at sample_rate {sample_rate!r} yields "
             f"fewer than 2 samples"
         )
-    t = np.arange(n) / sample_rate
     phi_p, phi_q = lorentzian_quadratures(field.detuning_delta, res)
-    omega = 2.0 * np.pi * mod_freq
-    deterministic = phi_p * np.cos(omega * t) + phi_q * np.sin(omega * t)
+    carrier = phi_p != 0.0 or phi_q != 0.0
+    if carrier:
+        t = np.arange(n) / sample_rate
+        omega = 2.0 * np.pi * mod_freq
+        deterministic = phi_p * np.cos(omega * t) + phi_q * np.sin(omega * t)
 
     flux = photon_flux(power, wavelength, constants)
     if shot_noise and flux > 0:
@@ -197,7 +204,7 @@ def synthesize_rotation(res: ResonanceParams, field: FieldConfig,
         noise = np.zeros(n)
 
     return RotationTimeSeries(
-        samples=deterministic + noise,
+        samples=deterministic + noise if carrier else noise.copy(),
         sample_rate=sample_rate,
         mean_optical_power=power,
         photon_flux=flux,
@@ -242,12 +249,11 @@ def rotation_from_csv(path) -> RotationTimeSeries:
     def _opt(name):
         raw = meta.get(name, "None")
         return None if raw == "None" else float(raw)
-    seed = meta.get("seed", "None")
     return RotationTimeSeries(
         samples=np.asarray(values),
         sample_rate=float(meta["sample_rate_hz"]),
         mean_optical_power=float(meta["mean_optical_power_w"]),
         photon_flux=float(meta["photon_flux_per_s"]),
         modulation_freq=_opt("modulation_freq_hz"),
-        rng_seed=None if seed == "None" else int(seed),
+        rng_seed=ast.literal_eval(meta.get("seed", "None")),
     )

@@ -11,6 +11,7 @@ import amorsim.cli
 import amorsim.dsp
 from amorsim.cli import MODES, ScenarioSpec, emit_plotdata, main, run_scenario
 from amorsim.config import ConfigError
+from amorsim.signal_model import rotation_from_csv
 
 # A reduced carrier (0.76 uT -> 7.09 kHz) keeps every mode cheap while
 # exercising the full pipeline.
@@ -79,6 +80,13 @@ def test_simulate_outputs(mode_run):
     text = (out / "rotation.csv").read_text()
     assert "# seed = (11, 0)" in text
     assert "np.float64" not in text
+
+
+def test_simulate_rotation_csv_reads_back(mode_run):
+    rot = rotation_from_csv(mode_run("simulate") / "rotation.csv")
+    assert rot.rng_seed == (11, 0)
+    assert rot.sample_rate == 32e3
+    assert rot.samples.size == 7680  # 0.24 s at 32 kHz
 
 
 def test_demod_sweep_outputs(mode_run):
@@ -276,6 +284,19 @@ def test_missing_config_exits_4(tmp_path, capsys):
 def test_unknown_config_key_exits_2(key, tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(f"{key} = 1e-3\n")
+    code = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert key in err["message"]
+
+
+@pytest.mark.parametrize("key, value", [("sim.duration", "inf"),
+                                        ("sim.probe_power", "inf"),
+                                        ("atom.g_f", "nan")])
+def test_non_finite_config_value_exits_2(key, value, tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"{key} = {value}\n")
     code = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 2
     err = json.loads(capsys.readouterr().err)

@@ -17,6 +17,7 @@ from amorsim.detector import (
     photocurrent_from_flux,
     theoretical_shot_noise_level,
 )
+from amorsim.dsp import psd_estimate
 from amorsim.signal_model import (
     ResonanceParams,
     photon_flux,
@@ -245,6 +246,27 @@ def test_detect_seed_determinism():
     c = detect(rot, DetectorConfig(), rng_seed=10, **kwargs)
     np.testing.assert_array_equal(a.samples, b.samples)
     assert not np.array_equal(a.samples, c.samples)
+
+
+def test_detect_single_draw_level_across_seeds():
+    # A dark rotation (no tone, no shot noise) leaves only the detector draw;
+    # its analyzer level must be A + C*P^2 within a 4-sigma interval.
+    power, coef_elec, coef_tech = 100e-6, 1.35e-14, 1.8e-6
+    res = ResonanceParams(phi0=0.0, gamma_fwhm=60.0, center_freq=1000.0)
+    field = FieldConfig(b_field=None, modulation_freq=1000.0, detuning_delta=0.0)
+    rot = synthesize_rotation(res, field, duration=2.0, sample_rate=8000.0,
+                              power=power, shot_noise=False)
+    levels = []
+    for seed in range(20):
+        out = detect(rot, DetectorConfig(), coef_elec=coef_elec,
+                     coef_tech=coef_tech, angle_gain=1.0, rng_seed=(seed, 1))
+        spec = psd_estimate(out, rbw=30.0)
+        sel = (spec.freqs > 100.0) & (spec.freqs < 3900.0)
+        levels.append(float(np.mean(spec.psd[sel])))
+    expected = coef_elec + coef_tech * power ** 2
+    sem = np.std(levels, ddof=1) / math.sqrt(len(levels))
+    assert sem < 0.01 * expected
+    assert abs(np.mean(levels) - expected) < 4.0 * sem
 
 
 @pytest.mark.parametrize("kwargs", [

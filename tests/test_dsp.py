@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy import signal
 
 from amorsim.config import DetectorConfig, FieldConfig
 from amorsim.detector import detect
@@ -13,7 +14,9 @@ from amorsim.dsp import (
     PowerSpectrum,
     ResonanceCurve,
     SweepSynthesis,
+    _flattop,
     _pmap,
+    _video_smooth,
     lock_in_demodulate,
     peak_and_background,
     psd_estimate,
@@ -278,6 +281,73 @@ def test_psd_estimate_needs_enough_samples():
     ts = white_series(duration=0.05)
     with pytest.raises(ValueError, match="too short"):
         psd_estimate(ts, rbw=30.0)
+
+
+def segment_length(spec, fs=FS):
+    return int(round(fs / (spec.freqs[1] - spec.freqs[0])))
+
+
+def scipy_reference(ts, rbw, vbw, span):
+    """psd_estimate rebuilt on scipy.signal.welch with the same window."""
+    fs = ts.sample_rate
+    spec = psd_estimate(ts, rbw, vbw=vbw, span=span)
+    nperseg = segment_length(spec, fs)
+    freqs, psd = signal.welch(
+        ts.samples, fs=fs, window=_flattop(nperseg)[0], nperseg=nperseg,
+        noverlap=nperseg // 2, detrend=False, scaling="density",
+        return_onesided=True)
+    if vbw < rbw:
+        psd = np.maximum(_video_smooth(psd, rbw, vbw, fs / nperseg), 0.0)
+    if span is not None:
+        sel = (freqs >= span[0]) & (freqs <= span[1])
+        freqs, psd = freqs[sel], psd[sel]
+    return spec, freqs, psd
+
+
+# rbw 30 Hz gives a 1000-sample segment at 8 kHz, rbw 26.8 Hz a 1125-sample one
+@pytest.mark.parametrize("rbw, nperseg", [(30.0, 1000), (26.8, 1125)])
+@pytest.mark.parametrize("vbw, span", [
+    (None, None), (None, (500.0, 1500.0)), (3.0, None), (3.0, (500.0, 1500.0)),
+])
+def test_psd_matches_scipy_welch(rbw, nperseg, vbw, span):
+    ts = white_series(duration=2.0)
+    spec, freqs, psd = scipy_reference(ts, rbw, vbw or rbw, span)
+    assert segment_length(spec) == nperseg
+    np.testing.assert_array_equal(spec.freqs, freqs)
+    np.testing.assert_allclose(spec.psd, psd, rtol=1e-12, atol=0.0)
+
+
+def largest_prime_factor(n):
+    factor, largest = 2, 1
+    while factor * factor <= n:
+        while n % factor == 0:
+            n, largest = n // factor, factor
+        factor += 1
+    return max(largest, n)
+
+
+@pytest.mark.parametrize("fs", [320e3, 3.15e6])
+def test_psd_segment_is_5_smooth_near_raw_length(fs):
+    raw = round(_flattop(4096)[1] * fs / 30.0)
+    ts = RotationTimeSeries(
+        samples=np.random.default_rng(3).normal(size=raw + 200),
+        sample_rate=fs, mean_optical_power=1e-4, photon_flux=4e14)
+    spec = psd_estimate(ts, rbw=30.0)
+    nperseg = segment_length(spec, fs)
+    assert largest_prime_factor(nperseg) <= 5
+    assert abs(nperseg - raw) / raw < 0.01
+
+
+@pytest.mark.parametrize("rbw, n, nperseg", [
+    (29.87, 1000, 1000),  # raw 1010 outgrows the series, the snapped 1000 fits
+    (29.576, 1020, 1020),  # the snapped 1024 would outgrow it: keep raw 1020
+    (1800.0, 4000, 17),  # 17 ties 16/18, goes down, and 16 misses by 11%
+])
+def test_psd_segment_snap_edge_cases(rbw, n, nperseg):
+    ts = white_series(duration=n / FS)
+    spec = psd_estimate(ts, rbw=rbw)
+    assert segment_length(spec) == nperseg
+    assert abs(spec.enbw - rbw) / rbw <= 0.05
 
 
 def test_power_spectrum_validation():
