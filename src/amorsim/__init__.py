@@ -60,7 +60,6 @@ from .fitting import (
     FitError,
     LorentzianFit,
     LorentzianGuess,
-    NoisePolyFit,
     auto_initial_guess,
     bin_average,
     fit_lorentzian,
@@ -98,7 +97,7 @@ __all__ = [
     "lock_in_demodulate", "sweep_resonance", "psd_estimate",
     "peak_and_background",
     # fitting
-    "FitError", "LorentzianGuess", "LorentzianFit", "NoisePolyFit",
+    "FitError", "LorentzianGuess", "LorentzianFit",
     "auto_initial_guess", "fit_lorentzian", "fit_noise_polynomial",
     "bin_average",
     # analysis

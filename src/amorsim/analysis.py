@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 from .config import AtomConfig
 from .constants import CODATA, PhysicalConstants
 from .detector import NoiseBudget
+from .tables import write_table
 
 __all__ = [
     "SnlRange",
@@ -87,7 +88,7 @@ class SensitivityReport:
         if not self.snr > 0:
             raise ValueError(f"snr must be > 0, got {self.snr!r}")
 
-    def to_json(self, path=None) -> str:
+    def to_json(self) -> str:
         doc = {
             "gamma_fwhm_hz": self.gamma_fwhm,
             "snr": self.snr,
@@ -99,11 +100,7 @@ class SensitivityReport:
             "detection_freq_hz": self.detection_freq,
             "snl_class": self.snl_class,
         }
-        text = json.dumps(doc, indent=2, sort_keys=True)
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        return text
+        return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def compute_snr(s_sig: float, s_bg: float, rbw: float) -> float:
@@ -282,12 +279,6 @@ def make_sensitivity_report(gamma_fwhm: float, snr: float, atom: AtomConfig,
 
 
 def snl_map_to_csv(rows: Sequence[dict], path, seed=None) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# seed = {seed!r}\n")
-        fh.write("freq_hz,k,p_low_w,p_high_w,nonempty\n")
-        for row in rows:
-            fh.write(
-                f"{float(row['freq_hz'])!r},{float(row['k'])!r},"
-                f"{float(row['p_low_w'])!r},{float(row['p_high_w'])!r},"
-                f"{row['nonempty']}\n"
-            )
+    columns = ["freq_hz", "k", "p_low_w", "p_high_w", "nonempty"]
+    write_table(path, columns,
+                [[row[c] for row in rows] for c in columns], {"seed": seed})

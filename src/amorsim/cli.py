@@ -9,7 +9,9 @@ Subcommands map one-to-one to scenario modes::
     amorsim snl-map            shot-noise-limited windows vs detection freq
     amorsim sensitivity-sweep  field sensitivity vs optical power
 
-Every mode writes its data files plus ``manifest.json`` into ``--out``.
+Every mode writes its data files plus ``manifest.json`` into ``--out``,
+all through ``tables.write_table`` and ``tables.write_json``;
+``tables.read_table`` reads any table back losslessly.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4 I/O
 error; failures print a single JSON object to stderr.
 
@@ -78,6 +80,7 @@ from .dsp import (
 )
 from .fitting import FitError, fit_lorentzian, fit_noise_polynomial, fit_report
 from .signal_model import ResonanceParams, rotation_to_csv, synthesize_rotation
+from .tables import write_json, write_table
 
 MODES = ("simulate", "demod-sweep", "spectrum", "noise-scan", "snl-map",
          "sensitivity-sweep")
@@ -142,26 +145,6 @@ def _config_budget(cfg: ExperimentConfig, detection_freq: float) -> NoiseBudget:
     )
 
 
-def _write_dat(path: Path, columns: list[str], rows, seed: int) -> None:
-    """gnuplot-style whitespace table with a documenting header."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# seed = {seed}\n")
-        fh.write(f"# columns: {' '.join(columns)}\n")
-        for row in rows:
-            fh.write(" ".join(_fmt(v) for v in row) + "\n")
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
-def _write_json(path: Path, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
 def _chain(cfg: ExperimentConfig, res: ResonanceParams, field: FieldConfig,
            power: float, key: tuple, sample_rate: Optional[float] = None):
     """Synthesize and detect one series from streams key+(0,) and key+(1,)."""
@@ -215,12 +198,10 @@ def _run_demod_sweep(cfg: ExperimentConfig, spec: ScenarioSpec,
     fit = fit_lorentzian(curve)
     fit_report(fit, outdir / "resonance_fit.json")
     outputs.append("resonance_fit.json")
-    _write_dat(
-        outdir / "fig2_resonance.dat",
-        ["mod_freq_hz", "phi_p_rad", "phi_q_rad"],
-        zip(curve.mod_freqs, curve.phi_P_values, curve.phi_Q_values),
-        spec.seed,
-    )
+    write_table(outdir / "fig2_resonance.dat",
+                ["mod_freq_hz", "phi_p_rad", "phi_q_rad"],
+                [curve.mod_freqs, curve.phi_P_values, curve.phi_Q_values],
+                {"seed": spec.seed})
     outputs.append("fig2_resonance.dat")
     return outputs
 
@@ -253,7 +234,7 @@ def _run_spectrum(cfg: ExperimentConfig, spec: ScenarioSpec,
     snr = compute_snr(s_sig, s_bg, spec_on.enbw)
     spectrum_to_csv(spec_on, outdir / "spectrum_on.csv", spec.seed)
     spectrum_to_csv(spec_off, outdir / "spectrum_off.csv", spec.seed)
-    _write_json(outdir / "snr.json", {
+    write_json(outdir / "snr.json", {
         "seed": spec.seed,
         "modulation_freq_hz": mod,
         "s_sig_w_per_hz": s_sig,
@@ -265,10 +246,8 @@ def _run_spectrum(cfg: ExperimentConfig, spec: ScenarioSpec,
         "snr_provenance": "derived",
         "snr_convention": "per-sqrt-hz",
     })
-    _write_dat(
-        outdir / "fig3_spectrum.dat", ["freq_hz", "psd_w_per_hz"],
-        zip(spec_on.freqs, spec_on.psd), spec.seed,
-    )
+    write_table(outdir / "fig3_spectrum.dat", ["freq_hz", "psd_w_per_hz"],
+                [spec_on.freqs, spec_on.psd], {"seed": spec.seed})
     return ["spectrum_on.csv", "spectrum_off.csv", "snr.json",
             "fig3_spectrum.dat"]
 
@@ -309,33 +288,6 @@ def _noise_scan_at_field(cfg: ExperimentConfig, spec: ScenarioSpec,
     return powers, levels, fit
 
 
-def _write_noise_scan(outdir: Path, stem: str, fig_name: str, powers, levels,
-                      fit, detection_freq: float, cfg: ExperimentConfig,
-                      spec: ScenarioSpec) -> list[str]:
-    scan_csv = f"{stem}.csv"
-    with open(outdir / scan_csv, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# seed = {spec.seed}\n")
-        fh.write(f"# detection_freq_hz = {detection_freq!r}\n")
-        fh.write("power_w,noise_w_per_hz\n")
-        for p, n in zip(powers, levels):
-            fh.write(f"{float(p)!r},{float(n)!r}\n")
-    budget_json = f"{stem}_budget.json"
-    doc = json.loads(fit_report(fit))
-    doc.update({
-        "seed": spec.seed,
-        "detection_freq_hz": detection_freq,
-        "coef_shot_theory": _shot_coef_theory(cfg),
-    })
-    _write_json(outdir / budget_json, doc)
-    model = [fit.eval(p) for p in powers]
-    _write_dat(
-        outdir / fig_name,
-        ["power_w", "noise_w_per_hz", "model_w_per_hz"],
-        zip(powers, levels, model), spec.seed,
-    )
-    return [scan_csv, budget_json, fig_name]
-
-
 def _run_noise_scan(cfg: ExperimentConfig, spec: ScenarioSpec,
                     outdir: Path) -> list[str]:
     scans = [("noise_scan", "fig4a_noise.dat", cfg.field_cfg)]
@@ -347,8 +299,18 @@ def _run_noise_scan(cfg: ExperimentConfig, spec: ScenarioSpec,
     outputs = []
     for scan, (stem, fig_name, field) in enumerate(scans):
         powers, levels, fit = _noise_scan_at_field(cfg, spec, field, scan)
-        outputs += _write_noise_scan(outdir, stem, fig_name, powers, levels,
-                                     fit, field.modulation_freq, cfg, spec)
+        mod = field.modulation_freq
+        write_table(outdir / f"{stem}.csv", ["power_w", "noise_w_per_hz"],
+                    [powers, levels],
+                    {"seed": spec.seed, "detection_freq_hz": mod})
+        doc = json.loads(fit_report(fit))
+        doc.update({"seed": spec.seed, "detection_freq_hz": mod,
+                    "coef_shot_theory": _shot_coef_theory(cfg)})
+        write_json(outdir / f"{stem}_budget.json", doc)
+        write_table(outdir / fig_name,
+                    ["power_w", "noise_w_per_hz", "model_w_per_hz"],
+                    [powers, levels, fit.eval(powers)], {"seed": spec.seed})
+        outputs += [f"{stem}.csv", f"{stem}_budget.json", fig_name]
     return outputs
 
 
@@ -381,25 +343,19 @@ def _snl_map_rows(cfg: ExperimentConfig, spec: ScenarioSpec, lane: int,
         levels = _synthetic_budget_levels(cfg, float(freq), powers,
                                           shot_coef, tech_coef, rng)
         fit = fit_noise_polynomial(powers, levels, fixed_elec=levels[0])
-        budgets.append(NoiseBudget(
-            coef_elec=fit.coef_elec, coef_shot=fit.coef_shot,
-            coef_tech=fit.coef_tech, detection_freq=float(freq),
-        ))
+        budgets.append(replace(fit, detection_freq=float(freq)))
     return snl_map(budgets, cfg.snlmap.k_list())
 
 
-def _snl_fig_rows(rows: list[dict], k_values: list[float]):
-    by_freq: dict = {}
-    for row in rows:
-        by_freq.setdefault(row["freq_hz"], {})[row["k"]] = row
-    out = []
-    for freq in sorted(by_freq):
-        flat = [freq]
-        for k in k_values:
-            row = by_freq[freq][k]
-            flat += [row["p_low_w"], row["p_high_w"]]
-        out.append(flat)
-    return out
+def _snl_fig_columns(rows: list[dict], k_values: list[float]) -> list:
+    """Frequency, then the (p_low, p_high) pair of every k, as columns."""
+    by_key = {(row["freq_hz"], row["k"]): row for row in rows}
+    freqs = sorted({row["freq_hz"] for row in rows})
+    columns = [freqs]
+    for k in k_values:
+        for bound in ("p_low_w", "p_high_w"):
+            columns.append([by_key[freq, k][bound] for freq in freqs])
+    return columns
 
 
 def _run_snl_map(cfg: ExperimentConfig, spec: ScenarioSpec,
@@ -409,18 +365,18 @@ def _run_snl_map(cfg: ExperimentConfig, spec: ScenarioSpec,
     for k in ks:
         columns += [f"p_low_k{k:g}_w", f"p_high_k{k:g}_w"]
 
-    rows = _snl_map_rows(cfg, spec, 0,
-                         cfg.detector.transimpedance_gain_nominal)
-    snl_map_to_csv(rows, outdir / "snl_map.csv", spec.seed)
-    _write_dat(outdir / "fig6_snl.dat", columns, _snl_fig_rows(rows, ks),
-               spec.seed)
-
-    rows_alt = _snl_map_rows(cfg, spec, 1, cfg.snlmap.second_gain_nominal)
-    snl_map_to_csv(rows_alt, outdir / "snl_map_alt_gain.csv", spec.seed)
-    _write_dat(outdir / "fig7_snl.dat", columns, _snl_fig_rows(rows_alt, ks),
-               spec.seed)
-    return ["snl_map.csv", "fig6_snl.dat", "snl_map_alt_gain.csv",
-            "fig7_snl.dat"]
+    maps = [("snl_map", "fig6_snl.dat",
+             cfg.detector.transimpedance_gain_nominal),
+            ("snl_map_alt_gain", "fig7_snl.dat",
+             cfg.snlmap.second_gain_nominal)]
+    outputs = []
+    for lane, (stem, fig_name, gain_nominal) in enumerate(maps):
+        rows = _snl_map_rows(cfg, spec, lane, gain_nominal)
+        snl_map_to_csv(rows, outdir / f"{stem}.csv", spec.seed)
+        write_table(outdir / fig_name, columns, _snl_fig_columns(rows, ks),
+                    {"seed": spec.seed})
+        outputs += [f"{stem}.csv", fig_name]
+    return outputs
 
 
 def _sweep_point_sensitivity(args):
@@ -463,19 +419,12 @@ def _run_sensitivity_sweep(cfg: ExperimentConfig, spec: ScenarioSpec,
             budget, row["power_w"], cfg.analysis.snl_k
         )
 
-    sweep_csv = outdir / "sensitivity_sweep.csv"
-    with open(sweep_csv, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# seed = {spec.seed}\n")
-        fh.write(f"# detection_freq_hz = {mod!r}\n")
-        fh.write("power_w,phi0_rad,gamma_fwhm_hz,s_sig_w_per_hz,"
-                 "s_bg_w_per_hz,snr,delta_b_t_per_sqrt_hz,snl_class\n")
-        for row in rows:
-            fh.write(
-                f"{row['power_w']!r},{row['phi0_rad']!r},"
-                f"{row['gamma_fwhm_hz']!r},{row['s_sig_w_per_hz']!r},"
-                f"{row['s_bg_w_per_hz']!r},{row['snr']!r},"
-                f"{row['delta_b_t_per_sqrt_hz']!r},{row['snl_class']}\n"
-            )
+    columns = ["power_w", "phi0_rad", "gamma_fwhm_hz", "s_sig_w_per_hz",
+               "s_bg_w_per_hz", "snr", "delta_b_t_per_sqrt_hz", "snl_class"]
+    table = {c: [row[c] for row in rows] for c in columns}
+    write_table(outdir / "sensitivity_sweep.csv", columns,
+                [table[c] for c in columns],
+                {"seed": spec.seed, "detection_freq_hz": mod})
 
     best = min(rows, key=lambda r: r["delta_b_t_per_sqrt_hz"])
     report = make_sensitivity_report(
@@ -486,14 +435,11 @@ def _run_sensitivity_sweep(cfg: ExperimentConfig, spec: ScenarioSpec,
     )
     doc = json.loads(report.to_json())
     doc["seed"] = spec.seed
-    _write_json(outdir / "sensitivity_report.json", doc)
+    write_json(outdir / "sensitivity_report.json", doc)
 
-    _write_dat(
-        outdir / "fig8_sensitivity.dat",
-        ["power_w", "delta_b_t_per_sqrt_hz"],
-        [(row["power_w"], row["delta_b_t_per_sqrt_hz"]) for row in rows],
-        spec.seed,
-    )
+    fig_columns = ["power_w", "delta_b_t_per_sqrt_hz"]
+    write_table(outdir / "fig8_sensitivity.dat", fig_columns,
+                [table[c] for c in fig_columns], {"seed": spec.seed})
     return ["sensitivity_sweep.csv", "sensitivity_report.json",
             "fig8_sensitivity.dat"]
 
@@ -538,7 +484,7 @@ def run_scenario(spec: ScenarioSpec) -> int:
         "wall_time_s": time.monotonic() - started,
         "outputs": outputs,
     }
-    _write_json(outdir / "manifest.json", manifest)
+    write_json(outdir / "manifest.json", manifest)
     return 0
 
 

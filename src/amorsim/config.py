@@ -21,7 +21,6 @@ Any key can also be overridden from the environment with the prefix
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 from dataclasses import dataclass, field
@@ -287,6 +286,11 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
 
     Raises ConfigError naming the first violated field and its value.
     """
+    for key, (section, attr, kind) in _KEY_TABLE.items():
+        value = getattr(getattr(cfg, section), attr)
+        if (kind in ("f", "f?") and value is not None
+                and not math.isfinite(value)):
+            raise ConfigError(f"{key}: non-finite value {value!r}")
     cfg.constants.validate()
     a = cfg.atom
     _require(a.g_f != 0.0, "atom.g_f", a.g_f, "must be nonzero")
@@ -459,8 +463,6 @@ def _parse_number(key: str, text: str) -> float:
         if unit not in UNIT_SCALE:
             raise ConfigError(f"{key}: unknown unit {unit!r}")
         value *= UNIT_SCALE[unit]
-    if not math.isfinite(value):
-        raise ConfigError(f"{key}: non-finite value {text!r}")
     return value
 
 

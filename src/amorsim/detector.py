@@ -38,6 +38,7 @@ import numpy as np
 from .config import DetectorConfig
 from .constants import CODATA, PhysicalConstants
 from .signal_model import RotationTimeSeries, Seed
+from .tables import write_table
 
 __all__ = [
     "NoiseBudget",
@@ -56,13 +57,20 @@ class NoiseBudget:
     """Quadratic noise-vs-power law N(P) = A + B*P + C*P^2 at one frequency.
 
     coef_elec (A): electronic noise, W/Hz. coef_shot (B): photon shot noise,
-    W/(Hz*W). coef_tech (C): technical noise, W/(Hz*W^2).
+    W/(Hz*W). coef_tech (C): technical noise, W/(Hz*W^2). A budget fitted
+    by ``fitting.fit_noise_polynomial`` also carries the fit diagnostics:
+    1-sigma coefficient errors (A, B, C), the relative RMS residual, the
+    number of points and the pinned constant term, if any.
     """
 
     coef_elec: float
     coef_shot: float
     coef_tech: float
     detection_freq: float = 0.0  # Hz
+    coef_errs: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    residual_rel_rms: float = 0.0
+    n_points: int = 0
+    fixed_elec: Optional[float] = None
 
     def validate(self) -> "NoiseBudget":
         for name in ("coef_elec", "coef_shot", "coef_tech"):
@@ -71,10 +79,12 @@ class NoiseBudget:
                 raise ValueError(f"{name} must be >= 0 and finite, got {value!r}")
         return self
 
-    def eval(self, power: float) -> float:
-        if power < 0:
+    def eval(self, power):
+        """N(P) for a power or an array of powers, all >= 0."""
+        p = np.asarray(power, dtype=float)
+        if np.any(p < 0):
             raise ValueError(f"power must be >= 0, got {power!r}")
-        return self.coef_elec + self.coef_shot * power + self.coef_tech * power ** 2
+        return self.coef_elec + self.coef_shot * p + self.coef_tech * p ** 2
 
 
 @dataclass
@@ -213,12 +223,10 @@ def detect(rotation: RotationTimeSeries, det: DetectorConfig, *,
 
 def detected_to_csv(ts: DetectedTimeSeries, path) -> None:
     """Write the detected series with header rows carrying its metadata."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# sample_rate_hz = {float(ts.sample_rate)!r}\n")
-        fh.write(f"# gain_used_v_per_a = {float(ts.gain_used)!r}\n")
-        fh.write(f"# mean_power_w = {float(ts.mean_power)!r}\n")
-        fh.write(f"# angle_gain_sqrtw_per_rad = {float(ts.angle_gain)!r}\n")
-        fh.write(f"# seed = {ts.rng_seed!r}\n")
-        fh.write("sample_sqrtw\n")
-        for value in ts.samples:
-            fh.write(f"{float(value)!r}\n")
+    write_table(path, ["sample_sqrtw"], [ts.samples], {
+        "sample_rate_hz": ts.sample_rate,
+        "gain_used_v_per_a": ts.gain_used,
+        "mean_power_w": ts.mean_power,
+        "angle_gain_sqrtw_per_rad": ts.angle_gain,
+        "seed": ts.rng_seed,
+    })

@@ -30,6 +30,7 @@ from scipy import signal as _sig
 from .config import FieldConfig
 from .detector import DetectedTimeSeries
 from .signal_model import ResonanceParams, RotationTimeSeries, synthesize_rotation
+from .tables import write_table
 
 __all__ = [
     "ResonanceCurve",
@@ -361,21 +362,15 @@ def peak_and_background(spec_on: PowerSpectrum, spec_off: PowerSpectrum,
 # ---------------------------------------------------------------------------
 
 def spectrum_to_csv(spec: PowerSpectrum, path, seed=None) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# rbw_hz = {spec.rbw!r}\n")
-        fh.write(f"# vbw_hz = {spec.vbw!r}\n")
-        fh.write(f"# enbw_hz = {spec.enbw!r}\n")
-        fh.write(f"# seed = {seed!r}\n")
-        fh.write("freq_hz,psd_w_per_hz\n")
-        for f, p in zip(spec.freqs, spec.psd):
-            fh.write(f"{float(f)!r},{float(p)!r}\n")
+    write_table(path, ["freq_hz", "psd_w_per_hz"], [spec.freqs, spec.psd], {
+        "rbw_hz": spec.rbw, "vbw_hz": spec.vbw, "enbw_hz": spec.enbw,
+        "seed": seed,
+    })
 
 
 def resonance_curve_to_csv(curve: ResonanceCurve, path, seed=None) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# bracketed = {curve.bracketed}\n")
-        fh.write(f"# seed = {seed!r}\n")
-        fh.write("mod_freq_hz,phi_p_rad,phi_q_rad\n")
-        for f, p, q in zip(curve.mod_freqs, curve.phi_P_values,
-                           curve.phi_Q_values):
-            fh.write(f"{float(f)!r},{float(p)!r},{float(q)!r}\n")
+    write_table(
+        path, ["mod_freq_hz", "phi_p_rad", "phi_q_rad"],
+        [curve.mod_freqs, curve.phi_P_values, curve.phi_Q_values],
+        {"bracketed": curve.bracketed, "seed": seed},
+    )

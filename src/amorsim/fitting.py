@@ -25,13 +25,14 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import least_squares
 
+from .detector import NoiseBudget
 from .dsp import ResonanceCurve
+from .tables import write_json
 
 __all__ = [
     "FitError",
     "LorentzianGuess",
     "LorentzianFit",
-    "NoisePolyFit",
     "auto_initial_guess",
     "fit_lorentzian",
     "fit_noise_polynomial",
@@ -222,25 +223,8 @@ def fit_lorentzian(curve: ResonanceCurve,
 # Noise-budget polynomial
 # ---------------------------------------------------------------------------
 
-@dataclass
-class NoisePolyFit:
-    """N(P) = coef_elec + coef_shot*P + coef_tech*P^2, all nonnegative."""
-
-    coef_elec: float   # W/Hz
-    coef_shot: float   # W/(Hz W)
-    coef_tech: float   # W/(Hz W^2)
-    coef_errs: tuple[float, float, float]
-    residual_rel_rms: float
-    n_points: int
-    fixed_elec: Optional[float] = None
-
-    def eval(self, power) -> np.ndarray:
-        p = np.asarray(power, dtype=float)
-        return self.coef_elec + self.coef_shot * p + self.coef_tech * p ** 2
-
-
 def fit_noise_polynomial(powers, noise_levels,
-                         fixed_elec: Optional[float] = None) -> NoisePolyFit:
+                         fixed_elec: Optional[float] = None) -> NoiseBudget:
     """Weighted LS fit of the quadratic noise budget versus optical power.
 
     Weights are 1/N^2 (equal relative errors across decades). Negative
@@ -304,7 +288,7 @@ def fit_noise_polynomial(powers, noise_levels,
         except np.linalg.LinAlgError:
             pass
 
-    return NoisePolyFit(
+    return NoiseBudget(
         coef_elec=float(coefs["elec"]),
         coef_shot=float(coefs["shot"]),
         coef_tech=float(coefs["tech"]),
@@ -352,7 +336,7 @@ def fit_report(fit, path=None) -> str:
             "converged": fit.converged,
             "extrapolated": fit.extrapolated,
         }
-    elif isinstance(fit, NoisePolyFit):
+    elif isinstance(fit, NoiseBudget):
         doc = {
             "kind": "noise_polynomial",
             "params": {
@@ -371,8 +355,6 @@ def fit_report(fit, path=None) -> str:
         }
     else:
         raise TypeError(f"unsupported fit object {type(fit).__name__}")
-    text = json.dumps(doc, indent=2, sort_keys=True)
     if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    return text
+        write_json(path, doc)
+    return json.dumps(doc, indent=2, sort_keys=True)

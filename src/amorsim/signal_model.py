@@ -18,8 +18,6 @@ All spectral densities in this package are one-sided.
 
 from __future__ import annotations
 
-import ast
-import io
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Union
 
@@ -27,6 +25,7 @@ import numpy as np
 
 from .config import AtomConfig, ConfigError, FieldConfig
 from .constants import CODATA, PhysicalConstants
+from .tables import read_table, write_table
 
 __all__ = [
     "ResonanceParams",
@@ -220,40 +219,22 @@ def synthesize_rotation(res: ResonanceParams, field: FieldConfig,
 
 def rotation_to_csv(ts: RotationTimeSeries, path) -> None:
     """Write the series with header rows carrying its metadata."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# sample_rate_hz = {float(ts.sample_rate)!r}\n")
-        fh.write(f"# mean_optical_power_w = {float(ts.mean_optical_power)!r}\n")
-        fh.write(f"# photon_flux_per_s = {float(ts.photon_flux)!r}\n")
-        mod = ts.modulation_freq
-        fh.write(f"# modulation_freq_hz = "
-                 f"{None if mod is None else float(mod)!r}\n")
-        fh.write(f"# seed = {ts.rng_seed!r}\n")
-        fh.write("sample_rad\n")
-        for value in ts.samples:
-            fh.write(f"{float(value)!r}\n")
+    write_table(path, ["sample_rad"], [ts.samples], {
+        "sample_rate_hz": ts.sample_rate,
+        "mean_optical_power_w": ts.mean_optical_power,
+        "photon_flux_per_s": ts.photon_flux,
+        "modulation_freq_hz": ts.modulation_freq,
+        "seed": ts.rng_seed,
+    })
 
 
 def rotation_from_csv(path) -> RotationTimeSeries:
-    meta = {}
-    values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line == "sample_rad":
-                continue
-            if line.startswith("#"):
-                key, _, raw = line.lstrip("# ").partition("=")
-                meta[key.strip()] = raw.strip()
-                continue
-            values.append(float(line))
-    def _opt(name):
-        raw = meta.get(name, "None")
-        return None if raw == "None" else float(raw)
+    _columns, (samples,), meta = read_table(path)
     return RotationTimeSeries(
-        samples=np.asarray(values),
-        sample_rate=float(meta["sample_rate_hz"]),
-        mean_optical_power=float(meta["mean_optical_power_w"]),
-        photon_flux=float(meta["photon_flux_per_s"]),
-        modulation_freq=_opt("modulation_freq_hz"),
-        rng_seed=ast.literal_eval(meta.get("seed", "None")),
+        samples=samples,
+        sample_rate=meta["sample_rate_hz"],
+        mean_optical_power=meta["mean_optical_power_w"],
+        photon_flux=meta["photon_flux_per_s"],
+        modulation_freq=meta.get("modulation_freq_hz"),
+        rng_seed=meta.get("seed"),
     )

@@ -164,3 +164,21 @@ def test_k_list_parsing():
     bad = parse_config_text("snlmap.k_values = 1;2\n")
     with pytest.raises(ConfigError):
         bad.snlmap.k_list()
+
+
+@pytest.mark.parametrize("section,attr,key,value", [
+    ("sim", "duration", "sim.duration", math.inf),
+    ("sim", "probe_power", "sim.probe_power", math.inf),
+    ("detector", "electronic_noise_floor", "detector.electronic_noise_floor",
+     math.inf),
+    ("resonance", "phi0", "resonance.phi0", math.inf),
+    ("atom", "g_f", "atom.g_f", math.nan),
+])
+def test_validation_rejects_non_finite_set_through_api(section, attr, key,
+                                                       value):
+    cfg = ExperimentConfig()
+    setattr(getattr(cfg, section), attr, value)
+    with pytest.raises(ConfigError) as err:
+        validate_config(cfg)
+    assert key in str(err.value)
+    assert "non-finite" in str(err.value)

@@ -10,7 +10,6 @@ from amorsim.dsp import ResonanceCurve
 from amorsim.fitting import (
     FitError,
     LorentzianGuess,
-    NoisePolyFit,
     auto_initial_guess,
     bin_average,
     fit_lorentzian,
