@@ -17,7 +17,6 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -88,8 +87,8 @@ class SensitivityReport:
         if not self.snr > 0:
             raise ValueError(f"snr must be > 0, got {self.snr!r}")
 
-    def to_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "gamma_fwhm_hz": self.gamma_fwhm,
             "snr": self.snr,
             "snr_provenance": "derived",
@@ -100,7 +99,6 @@ class SensitivityReport:
             "detection_freq_hz": self.detection_freq,
             "snl_class": self.snl_class,
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def compute_snr(s_sig: float, s_bg: float, rbw: float) -> float:

@@ -145,6 +145,15 @@ def _config_budget(cfg: ExperimentConfig, detection_freq: float) -> NoiseBudget:
     )
 
 
+def _require_dark_floor(cfg: ExperimentConfig, key: str) -> None:
+    """A zero-power trace fixes the electronic term, so it must not be empty."""
+    if cfg.detector.electronic_noise_floor <= 0.0:
+        raise ConfigError(
+            f"{key}: needs a nonzero detector.electronic_noise_floor (the "
+            "zero-power trace would be empty)"
+        )
+
+
 def _chain(cfg: ExperimentConfig, res: ResonanceParams, field: FieldConfig,
            power: float, key: tuple, sample_rate: Optional[float] = None):
     """Synthesize and detect one series from streams key+(0,) and key+(1,)."""
@@ -270,13 +279,8 @@ def _noise_scan_at_field(cfg: ExperimentConfig, spec: ScenarioSpec,
     sample_rate = max(cfg.sim.sample_rate, 4.5 * field.modulation_freq)
     powers = list(_power_grid(cfg))
     include_zero = cfg.noisescan.include_zero
-    if include_zero and cfg.detector.electronic_noise_floor <= 0.0:
-        raise ConfigError(
-            "noisescan.include_zero: needs a nonzero "
-            "detector.electronic_noise_floor (the zero-power trace would "
-            "be empty)"
-        )
     if include_zero:
+        _require_dark_floor(cfg, "noisescan.include_zero")
         powers = [0.0] + powers
     tasks = [
         (cfg, p, (spec.seed, scan_index, i), sample_rate, field)
@@ -303,7 +307,7 @@ def _run_noise_scan(cfg: ExperimentConfig, spec: ScenarioSpec,
         write_table(outdir / f"{stem}.csv", ["power_w", "noise_w_per_hz"],
                     [powers, levels],
                     {"seed": spec.seed, "detection_freq_hz": mod})
-        doc = json.loads(fit_report(fit))
+        doc = fit_report(fit)
         doc.update({"seed": spec.seed, "detection_freq_hz": mod,
                     "coef_shot_theory": _shot_coef_theory(cfg)})
         write_json(outdir / f"{stem}_budget.json", doc)
@@ -360,6 +364,7 @@ def _snl_fig_columns(rows: list[dict], k_values: list[float]) -> list:
 
 def _run_snl_map(cfg: ExperimentConfig, spec: ScenarioSpec,
                  outdir: Path) -> list[str]:
+    _require_dark_floor(cfg, "snl-map")
     ks = sorted(cfg.snlmap.k_list())
     columns = ["freq_hz"]
     for k in ks:
@@ -433,7 +438,7 @@ def _run_sensitivity_sweep(cfg: ExperimentConfig, spec: ScenarioSpec,
         integration_time=cfg.analysis.integration_time,
         constants=cfg.constants,
     )
-    doc = json.loads(report.to_json())
+    doc = report.to_dict()
     doc["seed"] = spec.seed
     write_json(outdir / "sensitivity_report.json", doc)
 

@@ -17,6 +17,10 @@ for non-numeric keys).
 Any key can also be overridden from the environment with the prefix
 ``AMORSIM_`` and the dot replaced by a double underscore, e.g.
 ``AMORSIM_ATOM__DENSITY_N="1.3e16"``.
+
+Each key's type and bound live in its one ``_KEY_TABLE`` row, which drives
+the parser, the environment overrides, ``serialize_config``, the manifest
+and ``validate_config``; only the rules that span keys are written out.
 """
 
 from __future__ import annotations
@@ -282,110 +286,47 @@ def _require(cond: bool, key: str, value, rule: str) -> None:
 
 
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Check every invariant and return the config with derived values filled.
+    """Check each key against its ``_KEY_TABLE`` row, then the cross-key rules.
 
-    Raises ConfigError naming the first violated field and its value.
+    Returns the config with derived values filled; raises ConfigError naming
+    the first violated key and its value.
     """
-    for key, (section, attr, kind) in _KEY_TABLE.items():
+    cfg.constants.validate()
+    for key, (section, attr, kind, bound) in _KEY_TABLE.items():
         value = getattr(getattr(cfg, section), attr)
         if (kind in ("f", "f?") and value is not None
                 and not math.isfinite(value)):
             raise ConfigError(f"{key}: non-finite value {value!r}")
-    cfg.constants.validate()
+        if isinstance(bound, tuple):
+            _require(value in bound, key, value,
+                     "must be " + " or ".join(map(repr, bound)))
+        elif bound is not None:
+            check, rule = _BOUNDS[bound]
+            _require(check(value), key, value, rule)
+
     a = cfg.atom
-    _require(a.g_f != 0.0, "atom.g_f", a.g_f, "must be nonzero")
-    _require(a.density_n > 0, "atom.density_n", a.density_n, "must be > 0")
-    _require(a.cell_radius > 0, "atom.cell_radius", a.cell_radius, "must be > 0")
-    _require(a.relaxation_gamma > 0, "atom.relaxation_gamma",
-             a.relaxation_gamma, "must be > 0")
-    _require(a.probe_wavelength > 0, "atom.probe_wavelength",
-             a.probe_wavelength, "must be > 0")
-    _require(a.atom_number > 0, "atom.density_n", a.density_n,
+    try:
+        n_atoms = a.atom_number
+    except OverflowError:  # cell_radius ** 3
+        n_atoms = math.inf
+    _require(n_atoms > 0, "atom.density_n", a.density_n,
              "derived atom number must be > 0")
+    _require(n_atoms < math.inf, "atom.cell_radius", a.cell_radius,
+             "derived atom number must be finite")
 
-    d = cfg.detector
-    _require(0.0 < d.quantum_efficiency <= 1.0, "detector.quantum_efficiency",
-             d.quantum_efficiency, "out of (0,1]")
-    _require(d.analyzer_impedance_r > 0, "detector.analyzer_impedance",
-             d.analyzer_impedance_r, "must be > 0")
-    _require(d.electronic_noise_floor >= 0, "detector.electronic_noise_floor",
-             d.electronic_noise_floor, "must be >= 0")
-    _require(d.technical_noise_coef >= 0, "detector.technical_noise_coef",
-             d.technical_noise_coef, "must be >= 0")
-    _require(d.transimpedance_gain_nominal > 0,
-             "detector.transimpedance_gain_nominal",
-             d.transimpedance_gain_nominal, "must be > 0")
-    _require(d.gain_headroom_factor > 0, "detector.gain_headroom_factor",
-             d.gain_headroom_factor, "must be > 0")
-    _require(d.photocurrent_convention in ("physical", "as_printed"),
-             "detector.photocurrent_convention", d.photocurrent_convention,
-             "must be 'physical' or 'as_printed'")
-
-    r = cfg.resonance
-    _require(r.phi0 >= 0, "resonance.phi0", r.phi0, "must be >= 0")
-    _require(r.gamma_fwhm > 0, "resonance.gamma_fwhm", r.gamma_fwhm, "must be > 0")
-
-    s = cfg.sim
-    _require(s.sample_rate > 0, "sim.sample_rate", s.sample_rate, "must be > 0")
-    _require(s.duration > 0, "sim.duration", s.duration, "must be > 0")
-    _require(s.probe_power >= 0, "sim.probe_power", s.probe_power, "must be >= 0")
-
-    _require(cfg.lockin.output_bandwidth > 0, "lockin.output_bandwidth",
-             cfg.lockin.output_bandwidth, "must be > 0")
-
-    sp = cfg.spectrum
-    for key, val in (("rbw", sp.rbw), ("vbw", sp.vbw), ("span", sp.span),
-                     ("bg_window", sp.bg_window)):
-        _require(val > 0, f"spectrum.{key}", val, "must be > 0")
-
-    sw = cfg.sweep
+    sw, sm = cfg.sweep, cfg.snlmap
     _require(0 < sw.power_min < sw.power_max, "sweep.power_min", sw.power_min,
              "must satisfy 0 < power_min < power_max")
-    _require(sw.power_points >= 2, "sweep.power_points", sw.power_points,
-             "must be >= 2")
-    _require(sw.power_scale in ("log", "linear"), "sweep.power_scale",
-             sw.power_scale, "must be 'log' or 'linear'")
-    _require(sw.freq_points >= 1, "sweep.freq_points", sw.freq_points,
-             "must be >= 1")
-    _require(sw.freq_halfspan_widths > 0, "sweep.freq_halfspan_widths",
-             sw.freq_halfspan_widths, "must be > 0")
-    _require(sw.trace_avg >= 1, "sweep.trace_avg", sw.trace_avg,
-             "must be >= 1")
-
-    sm = cfg.snlmap
     _require(0 < sm.freq_min < sm.freq_max, "snlmap.freq_min", sm.freq_min,
              "must satisfy 0 < freq_min < freq_max")
-    _require(sm.freq_bins >= 1, "snlmap.freq_bins", sm.freq_bins, "must be >= 1")
-    _require(sm.second_gain_nominal > 0, "snlmap.second_gain_nominal",
-             sm.second_gain_nominal, "must be > 0")
-    _require(sm.jitter_rel >= 0, "snlmap.jitter_rel", sm.jitter_rel,
-             "must be >= 0")
-    _require(sm.elec_knee_freq >= 0, "snlmap.elec_knee_freq",
-             sm.elec_knee_freq, "must be >= 0")
     for k in sm.k_list():
         _require(k >= 1.0, "snlmap.k_values", k, "every k must be >= 1")
-
-    ns = cfg.noisescan
-    if ns.second_b_field is not None:
-        _require(ns.second_b_field > 0, "noisescan.second_b_field",
-                 ns.second_b_field, "must be > 0 (or none)")
-
-    sat = cfg.saturation
-    _require(sat.phi0_scale >= 0, "saturation.phi0_scale", sat.phi0_scale,
-             "must be >= 0")
-    _require(sat.p_sat > 0, "saturation.p_sat", sat.p_sat, "must be > 0")
-    _require(sat.gamma0 > 0, "saturation.gamma0", sat.gamma0, "must be > 0")
-    _require(sat.p_broad > 0, "saturation.p_broad", sat.p_broad, "must be > 0")
-
-    _require(cfg.analysis.snl_k >= 1.0, "analysis.snl_k", cfg.analysis.snl_k,
-             "must be >= 1")
-    _require(cfg.analysis.integration_time > 0, "analysis.integration_time",
-             cfg.analysis.integration_time, "must be > 0")
 
     cfg.field_cfg = cfg.field_cfg.resolve(cfg.atom, cfg.constants)
     mod = cfg.field_cfg.modulation_freq
     if mod is not None and mod > 0:
-        _require(s.sample_rate > 4.0 * mod, "sim.sample_rate", s.sample_rate,
+        _require(cfg.sim.sample_rate > 4.0 * mod, "sim.sample_rate",
+                 cfg.sim.sample_rate,
                  f"must exceed 4x the modulation frequency ({mod!r} Hz)")
     return cfg
 
@@ -394,56 +335,67 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
 # Config file format
 # ---------------------------------------------------------------------------
 
-# key -> (section attr, field attr, type tag). Type tags: "f" float (SI or
-# unit-suffixed), "i" int, "s" string, "b" bool, "f?" optional float.
+# key -> (section attr, field attr, type tag, bound). Type tags: "f" float
+# (SI or unit-suffixed), "i" int, "s" string, "b" bool, "f?" optional float.
+# A bound is None, a tag of _BOUNDS, or a tuple of the allowed strings.
 _KEY_TABLE = {
-    "atom.g_f": ("atom", "g_f", "f"),
-    "atom.density_n": ("atom", "density_n", "f"),
-    "atom.cell_radius": ("atom", "cell_radius", "f"),
-    "atom.relaxation_gamma": ("atom", "relaxation_gamma", "f"),
-    "atom.probe_wavelength": ("atom", "probe_wavelength", "f"),
-    "detector.transimpedance_gain_nominal": ("detector", "transimpedance_gain_nominal", "f"),
-    "detector.gain_headroom_factor": ("detector", "gain_headroom_factor", "f"),
-    "detector.quantum_efficiency": ("detector", "quantum_efficiency", "f"),
-    "detector.analyzer_impedance": ("detector", "analyzer_impedance_r", "f"),
-    "detector.electronic_noise_floor": ("detector", "electronic_noise_floor", "f"),
-    "detector.technical_noise_coef": ("detector", "technical_noise_coef", "f"),
-    "detector.photocurrent_convention": ("detector", "photocurrent_convention", "s"),
-    "field.b_field": ("field_cfg", "b_field", "f?"),
-    "field.modulation_freq": ("field_cfg", "modulation_freq", "f?"),
-    "field.detuning_delta": ("field_cfg", "detuning_delta", "f?"),
-    "resonance.phi0": ("resonance", "phi0", "f"),
-    "resonance.gamma_fwhm": ("resonance", "gamma_fwhm", "f"),
-    "sim.sample_rate": ("sim", "sample_rate", "f"),
-    "sim.duration": ("sim", "duration", "f"),
-    "sim.probe_power": ("sim", "probe_power", "f"),
-    "lockin.output_bandwidth": ("lockin", "output_bandwidth", "f"),
-    "spectrum.rbw": ("spectrum", "rbw", "f"),
-    "spectrum.vbw": ("spectrum", "vbw", "f"),
-    "spectrum.span": ("spectrum", "span", "f"),
-    "spectrum.bg_window": ("spectrum", "bg_window", "f"),
-    "sweep.power_min": ("sweep", "power_min", "f"),
-    "sweep.power_max": ("sweep", "power_max", "f"),
-    "sweep.power_points": ("sweep", "power_points", "i"),
-    "sweep.power_scale": ("sweep", "power_scale", "s"),
-    "sweep.freq_halfspan_widths": ("sweep", "freq_halfspan_widths", "f"),
-    "sweep.freq_points": ("sweep", "freq_points", "i"),
-    "sweep.trace_avg": ("sweep", "trace_avg", "i"),
-    "snlmap.freq_min": ("snlmap", "freq_min", "f"),
-    "snlmap.freq_max": ("snlmap", "freq_max", "f"),
-    "snlmap.freq_bins": ("snlmap", "freq_bins", "i"),
-    "snlmap.k_values": ("snlmap", "k_values", "s"),
-    "snlmap.second_gain_nominal": ("snlmap", "second_gain_nominal", "f"),
-    "snlmap.jitter_rel": ("snlmap", "jitter_rel", "f"),
-    "snlmap.elec_knee_freq": ("snlmap", "elec_knee_freq", "f"),
-    "saturation.phi0_scale": ("saturation", "phi0_scale", "f"),
-    "saturation.p_sat": ("saturation", "p_sat", "f"),
-    "saturation.gamma0": ("saturation", "gamma0", "f"),
-    "saturation.p_broad": ("saturation", "p_broad", "f"),
-    "analysis.snl_k": ("analysis", "snl_k", "f"),
-    "analysis.integration_time": ("analysis", "integration_time", "f"),
-    "noisescan.include_zero": ("noisescan", "include_zero", "b"),
-    "noisescan.second_b_field": ("noisescan", "second_b_field", "f?"),
+    "atom.g_f": ("atom", "g_f", "f", ">0"),
+    "atom.density_n": ("atom", "density_n", "f", ">0"),
+    "atom.cell_radius": ("atom", "cell_radius", "f", ">0"),
+    "atom.relaxation_gamma": ("atom", "relaxation_gamma", "f", ">0"),
+    "atom.probe_wavelength": ("atom", "probe_wavelength", "f", ">0"),
+    "detector.transimpedance_gain_nominal": ("detector", "transimpedance_gain_nominal", "f", ">0"),
+    "detector.gain_headroom_factor": ("detector", "gain_headroom_factor", "f", ">0"),
+    "detector.quantum_efficiency": ("detector", "quantum_efficiency", "f", "(0,1]"),
+    "detector.analyzer_impedance": ("detector", "analyzer_impedance_r", "f", ">0"),
+    "detector.electronic_noise_floor": ("detector", "electronic_noise_floor", "f", ">=0"),
+    "detector.technical_noise_coef": ("detector", "technical_noise_coef", "f", ">=0"),
+    "detector.photocurrent_convention": ("detector", "photocurrent_convention", "s", ("physical", "as_printed")),
+    "field.b_field": ("field_cfg", "b_field", "f?", None),
+    "field.modulation_freq": ("field_cfg", "modulation_freq", "f?", None),
+    "field.detuning_delta": ("field_cfg", "detuning_delta", "f?", None),
+    "resonance.phi0": ("resonance", "phi0", "f", ">=0"),
+    "resonance.gamma_fwhm": ("resonance", "gamma_fwhm", "f", ">0"),
+    "sim.sample_rate": ("sim", "sample_rate", "f", ">0"),
+    "sim.duration": ("sim", "duration", "f", ">0"),
+    "sim.probe_power": ("sim", "probe_power", "f", ">=0"),
+    "lockin.output_bandwidth": ("lockin", "output_bandwidth", "f", ">0"),
+    "spectrum.rbw": ("spectrum", "rbw", "f", ">0"),
+    "spectrum.vbw": ("spectrum", "vbw", "f", ">0"),
+    "spectrum.span": ("spectrum", "span", "f", ">0"),
+    "spectrum.bg_window": ("spectrum", "bg_window", "f", ">0"),
+    "sweep.power_min": ("sweep", "power_min", "f", None),
+    "sweep.power_max": ("sweep", "power_max", "f", None),
+    "sweep.power_points": ("sweep", "power_points", "i", ">=2"),
+    "sweep.power_scale": ("sweep", "power_scale", "s", ("log", "linear")),
+    "sweep.freq_halfspan_widths": ("sweep", "freq_halfspan_widths", "f", ">0"),
+    "sweep.freq_points": ("sweep", "freq_points", "i", ">=1"),
+    "sweep.trace_avg": ("sweep", "trace_avg", "i", ">=1"),
+    "snlmap.freq_min": ("snlmap", "freq_min", "f", None),
+    "snlmap.freq_max": ("snlmap", "freq_max", "f", None),
+    "snlmap.freq_bins": ("snlmap", "freq_bins", "i", ">=1"),
+    "snlmap.k_values": ("snlmap", "k_values", "s", None),
+    "snlmap.second_gain_nominal": ("snlmap", "second_gain_nominal", "f", ">0"),
+    "snlmap.jitter_rel": ("snlmap", "jitter_rel", "f", ">=0"),
+    "snlmap.elec_knee_freq": ("snlmap", "elec_knee_freq", "f", ">=0"),
+    "saturation.phi0_scale": ("saturation", "phi0_scale", "f", ">=0"),
+    "saturation.p_sat": ("saturation", "p_sat", "f", ">0"),
+    "saturation.gamma0": ("saturation", "gamma0", "f", ">0"),
+    "saturation.p_broad": ("saturation", "p_broad", "f", ">0"),
+    "analysis.snl_k": ("analysis", "snl_k", "f", ">=1"),
+    "analysis.integration_time": ("analysis", "integration_time", "f", ">0"),
+    "noisescan.include_zero": ("noisescan", "include_zero", "b", None),
+    "noisescan.second_b_field": ("noisescan", "second_b_field", "f?", ">0|none"),
+}
+
+# bound tag -> (predicate, rule quoted in the error message)
+_BOUNDS = {
+    ">0": (lambda v: v > 0, "must be > 0"),
+    ">=0": (lambda v: v >= 0, "must be >= 0"),
+    ">=1": (lambda v: v >= 1, "must be >= 1"),
+    ">=2": (lambda v: v >= 2, "must be >= 2"),
+    "(0,1]": (lambda v: 0.0 < v <= 1.0, "out of (0,1]"),
+    ">0|none": (lambda v: v is None or v > 0, "must be > 0 (or none)"),
 }
 
 
@@ -469,7 +421,7 @@ def _parse_number(key: str, text: str) -> float:
 def _assign(cfg: ExperimentConfig, key: str, raw: str) -> None:
     if key not in _KEY_TABLE:
         raise ConfigError(f"{key}: unknown configuration key")
-    section, attr, kind = _KEY_TABLE[key]
+    section, attr, kind, _bound = _KEY_TABLE[key]
     raw = raw.strip()
     if kind in ("f", "f?"):
         if kind == "f?" and raw.lower() == "none":
@@ -530,7 +482,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     are written with repr, which round-trips in double precision).
     """
     lines = []
-    for key, (section, attr, kind) in _KEY_TABLE.items():
+    for key, (section, attr, kind, _bound) in _KEY_TABLE.items():
         value = getattr(getattr(cfg, section), attr)
         if value is None:
             if kind == "f?":
@@ -547,7 +499,5 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 def config_as_dict(cfg: ExperimentConfig) -> dict:
     """Flat key -> value mapping (SI) for manifests and reports."""
-    out = {}
-    for key, (section, attr, _kind) in _KEY_TABLE.items():
-        out[key] = getattr(getattr(cfg, section), attr)
-    return out
+    return {key: getattr(getattr(cfg, section), attr)
+            for key, (section, attr, _kind, _bound) in _KEY_TABLE.items()}

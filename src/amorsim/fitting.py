@@ -17,7 +17,6 @@ inverse square of each measured level (equal relative weighting).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -320,8 +319,8 @@ def bin_average(freqs, values, bin_width: float) -> tuple[np.ndarray, np.ndarray
     return np.asarray(centers), np.asarray(means)
 
 
-def fit_report(fit, path=None) -> str:
-    """Serialize a fit result to a JSON document (optionally to a file)."""
+def fit_report(fit, path=None) -> dict:
+    """A fit result as a JSON-ready document (optionally written to a file)."""
     if isinstance(fit, LorentzianFit):
         doc = {
             "kind": "lorentzian",
@@ -357,4 +356,4 @@ def fit_report(fit, path=None) -> str:
         raise TypeError(f"unsupported fit object {type(fit).__name__}")
     if path is not None:
         write_json(path, doc)
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return doc

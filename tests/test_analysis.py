@@ -1,6 +1,5 @@
 """Derived quantities: SNR, slope, sensitivity, projection noise, SNL windows."""
 
-import json
 import math
 
 import numpy as np
@@ -316,7 +315,7 @@ def test_sensitivity_report_composition():
     assert report.delta_B_atomic == pytest.approx(projection_noise(atom, 1.0))
     assert report.snl_class == "SNL(4)"
     assert report.detection_freq == budget.detection_freq
-    doc = json.loads(report.to_json())
+    doc = report.to_dict()
     assert doc["snr_provenance"] == "derived"
     assert doc["snr_convention"] == "per-sqrt-hz"
     assert doc["delta_b_t_per_sqrt_hz"] == report.delta_B

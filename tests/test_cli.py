@@ -12,7 +12,7 @@ import pytest
 import amorsim.cli
 import amorsim.dsp
 from amorsim.cli import MODES, ScenarioSpec, emit_plotdata, main, run_scenario
-from amorsim.config import ConfigError
+from amorsim.config import _KEY_TABLE, ConfigError
 from amorsim.signal_model import rotation_from_csv
 from amorsim.tables import read_table, write_json, write_table
 
@@ -316,6 +316,40 @@ def test_non_finite_config_value_exits_2(key, value, tmp_path, capsys):
     bad.write_text(f"{key} = {value}\n")
     code = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert key in err["message"]
+
+
+FLOAT_KEYS = [key for key, row in _KEY_TABLE.items() if row[2] in ("f", "f?")]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_every_float_key_rejects_non_finite(key, value, tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"{key} = {value}\n")
+    code = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["message"] == f"{key}: non-finite value {float(value)!r}"
+
+
+@pytest.mark.parametrize("mode, config_text, key", [
+    # the default electronic floor is 0, so the dark synthetic level is 0
+    ("snl-map", None, "detector.electronic_noise_floor"),
+    ("simulate", "atom.cell_radius = 1e300\n", "atom.cell_radius"),
+    ("simulate", "atom.g_f = -0.3333333333333333\n", "atom.g_f"),
+])
+def test_config_faults_exit_2_naming_key(mode, config_text, key, tmp_path,
+                                        capsys):
+    argv = [mode, "--out", str(tmp_path / "o")]
+    if config_text is not None:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config_text)
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert key in err["message"]

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from amorsim.config import (
+    _KEY_TABLE,
     AtomConfig,
     ConfigError,
     ExperimentConfig,
@@ -182,3 +183,130 @@ def test_validation_rejects_non_finite_set_through_api(section, attr, key,
         validate_config(cfg)
     assert key in str(err.value)
     assert "non-finite" in str(err.value)
+
+
+# One bad value per bounded key, then every rule that spans keys. The
+# messages are written out so that a change to any rule text shows here.
+BOUND_VIOLATIONS = [
+    ('atom.g_f', '0',
+     'atom.g_f: must be > 0 (got 0.0)'),
+    ('atom.g_f', '-0.3333333333333333',
+     'atom.g_f: must be > 0 (got -0.3333333333333333)'),
+    ('atom.density_n', '-1',
+     'atom.density_n: must be > 0 (got -1.0)'),
+    ('atom.cell_radius', '0',
+     'atom.cell_radius: must be > 0 (got 0.0)'),
+    ('atom.relaxation_gamma', '0 Hz',
+     'atom.relaxation_gamma: must be > 0 (got 0.0)'),
+    ('atom.probe_wavelength', '-795e-9',
+     'atom.probe_wavelength: must be > 0 (got -7.95e-07)'),
+    ('detector.transimpedance_gain_nominal', '0 V/A',
+     'detector.transimpedance_gain_nominal: must be > 0 (got 0.0)'),
+    ('detector.gain_headroom_factor', '0',
+     'detector.gain_headroom_factor: must be > 0 (got 0.0)'),
+    ('detector.quantum_efficiency', '1.5',
+     'detector.quantum_efficiency: out of (0,1] (got 1.5)'),
+    ('detector.quantum_efficiency', '0',
+     'detector.quantum_efficiency: out of (0,1] (got 0.0)'),
+    ('detector.analyzer_impedance', '0 ohm',
+     'detector.analyzer_impedance: must be > 0 (got 0.0)'),
+    ('detector.electronic_noise_floor', '-1e-14',
+     'detector.electronic_noise_floor: must be >= 0 (got -1e-14)'),
+    ('detector.technical_noise_coef', '-1.8e-6',
+     'detector.technical_noise_coef: must be >= 0 (got -1.8e-06)'),
+    ('detector.photocurrent_convention', 'physics',
+     "detector.photocurrent_convention: must be 'physical' or 'as_printed' (got 'physics')"),
+    ('resonance.phi0', '-1e-3',
+     'resonance.phi0: must be >= 0 (got -0.001)'),
+    ('resonance.gamma_fwhm', '0 Hz',
+     'resonance.gamma_fwhm: must be > 0 (got 0.0)'),
+    ('sim.sample_rate', '0',
+     'sim.sample_rate: must be > 0 (got 0.0)'),
+    ('sim.duration', '0',
+     'sim.duration: must be > 0 (got 0.0)'),
+    ('sim.probe_power', '-1 uW',
+     'sim.probe_power: must be >= 0 (got -1e-06)'),
+    ('lockin.output_bandwidth', '0 Hz',
+     'lockin.output_bandwidth: must be > 0 (got 0.0)'),
+    ('spectrum.rbw', '0',
+     'spectrum.rbw: must be > 0 (got 0.0)'),
+    ('spectrum.vbw', '-30 Hz',
+     'spectrum.vbw: must be > 0 (got -30.0)'),
+    ('spectrum.span', '0 kHz',
+     'spectrum.span: must be > 0 (got 0.0)'),
+    ('spectrum.bg_window', '0',
+     'spectrum.bg_window: must be > 0 (got 0.0)'),
+    ('sweep.power_points', '1',
+     'sweep.power_points: must be >= 2 (got 1)'),
+    ('sweep.power_scale', 'cubic',
+     "sweep.power_scale: must be 'log' or 'linear' (got 'cubic')"),
+    ('sweep.freq_halfspan_widths', '0',
+     'sweep.freq_halfspan_widths: must be > 0 (got 0.0)'),
+    ('sweep.freq_points', '0',
+     'sweep.freq_points: must be >= 1 (got 0)'),
+    ('sweep.trace_avg', '0',
+     'sweep.trace_avg: must be >= 1 (got 0)'),
+    ('snlmap.freq_bins', '0',
+     'snlmap.freq_bins: must be >= 1 (got 0)'),
+    ('snlmap.second_gain_nominal', '0 V/A',
+     'snlmap.second_gain_nominal: must be > 0 (got 0.0)'),
+    ('snlmap.jitter_rel', '-0.02',
+     'snlmap.jitter_rel: must be >= 0 (got -0.02)'),
+    ('snlmap.elec_knee_freq', '-1 kHz',
+     'snlmap.elec_knee_freq: must be >= 0 (got -1000.0)'),
+    ('saturation.phi0_scale', '-3e-3',
+     'saturation.phi0_scale: must be >= 0 (got -0.003)'),
+    ('saturation.p_sat', '0 uW',
+     'saturation.p_sat: must be > 0 (got 0.0)'),
+    ('saturation.gamma0', '0 Hz',
+     'saturation.gamma0: must be > 0 (got 0.0)'),
+    ('saturation.p_broad', '0',
+     'saturation.p_broad: must be > 0 (got 0.0)'),
+    ('analysis.snl_k', '0.5',
+     'analysis.snl_k: must be >= 1 (got 0.5)'),
+    ('analysis.integration_time', '0',
+     'analysis.integration_time: must be > 0 (got 0.0)'),
+    ('noisescan.second_b_field', '0 uT',
+     'noisescan.second_b_field: must be > 0 (or none) (got 0.0)'),
+    ('atom.cell_radius', '1e-110',
+     'atom.density_n: derived atom number must be > 0 (got 1.27e+16)'),
+    ('atom.cell_radius', '1e100',
+     'atom.cell_radius: derived atom number must be finite (got 1e+100)'),
+    ('atom.cell_radius', '1e300',
+     'atom.cell_radius: derived atom number must be finite (got 1e+300)'),
+    ('sweep.power_min', '0',
+     'sweep.power_min: must satisfy 0 < power_min < power_max (got 0.0)'),
+    ('sweep.power_max', '5 uW',
+     'sweep.power_min: must satisfy 0 < power_min < power_max (got 1e-05)'),
+    ('snlmap.freq_min', '0',
+     'snlmap.freq_min: must satisfy 0 < freq_min < freq_max (got 0.0)'),
+    ('snlmap.freq_max', '1 kHz',
+     'snlmap.freq_min: must satisfy 0 < freq_min < freq_max (got 5000.0)'),
+    ('snlmap.k_values', '2,0.5',
+     'snlmap.k_values: every k must be >= 1 (got 0.5)'),
+    ('snlmap.k_values', '1;2',
+     "snlmap.k_values: unparseable '1;2'"),
+    ('snlmap.k_values', '',
+     'snlmap.k_values: empty list'),
+    ('field.b_field', '-1 uT',
+     'field.b_field: negative value -1e-06'),
+    ('field.b_field', 'none',
+     'field.b_field: unset; need explicit modulation_freq and detuning_delta instead'),
+    ('field.detuning_delta', '5',
+     'field.detuning_delta: inconsistent with b_field and modulation_freq (given 5.0, derived 0.0)'),
+    ('sim.sample_rate', '100 kHz',
+     'sim.sample_rate: must exceed 4x the modulation frequency (70914.307579755 Hz) (got 100000.0)'),
+]
+
+
+@pytest.mark.parametrize("key,value,message", BOUND_VIOLATIONS)
+def test_every_bound_names_key_and_rule(key, value, message):
+    cfg = parse_config_text(f"{key} = {value}")
+    with pytest.raises(ConfigError) as err:
+        validate_config(cfg)
+    assert str(err.value) == message
+
+
+def test_bound_violations_cover_every_bounded_key():
+    bounded = {key for key, row in _KEY_TABLE.items() if row[3] is not None}
+    assert bounded <= {key for key, _value, _message in BOUND_VIOLATIONS}

@@ -238,9 +238,9 @@ def test_bin_average_validation(freqs, values, width):
 def test_fit_report_lorentzian_round_trip(tmp_path):
     fit = fit_lorentzian(synth_curve())
     path = tmp_path / "fit.json"
-    text = fit_report(fit, path)
+    returned = fit_report(fit, path)
     doc = json.loads(path.read_text())
-    assert doc == json.loads(text)
+    assert doc == returned
     assert doc["kind"] == "lorentzian"
     assert doc["params"]["center_freq"] == fit.center_freq
     assert doc["converged"] is True
@@ -248,7 +248,7 @@ def test_fit_report_lorentzian_round_trip(tmp_path):
 
 def test_fit_report_noise_poly():
     powers, levels = budget_data()
-    doc = json.loads(fit_report(fit_noise_polynomial(powers, levels)))
+    doc = fit_report(fit_noise_polynomial(powers, levels))
     assert doc["kind"] == "noise_polynomial"
     assert doc["params"]["coef_shot"] == pytest.approx(B_TRUE, rel=1e-9)
     assert doc["fixed_elec"] is None
