@@ -13,7 +13,9 @@ import sys
 import time
 from pathlib import Path
 
+from amorsim.analysis import snl_range
 from amorsim.cli import MODES, ScenarioSpec, run_scenario
+from amorsim.detector import NoiseBudget
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_CONFIG = REPO_ROOT / "configs" / "default.cfg"
@@ -63,16 +65,15 @@ def summarize(results: dict) -> None:
           f"(atomic floor "
           f"{report['delta_b_atomic_t_per_sqrt_hz'] * 1e15:.3f} fT/sqrt-Hz)")
 
-    with open(results["noise-scan"]["outdir"] / "noise_scan_budget.json") as fh:
-        budget = json.load(fh)
-    a = budget["params"]["coef_elec"]
-    b = budget["params"]["coef_shot"]
-    c = budget["params"]["coef_tech"]
-    k = 4.0
-    if b > 0 and c > 0:
-        print(f"k=4 SNL window at "
-              f"{budget['detection_freq_hz'] / 1e3:.1f} kHz: "
-              f"{k * a / b * 1e6:.1f} uW .. {b / (k * c) * 1e6:.1f} uW")
+    doc = json.loads(
+        (results["noise-scan"]["outdir"] / "noise_scan_budget.json").read_text()
+    )
+    budget = NoiseBudget(detection_freq=doc["detection_freq_hz"],
+                         **doc["params"])
+    window = snl_range(budget, 4.0)
+    print(f"k=4 SNL window at {budget.detection_freq / 1e3:.1f} kHz: "
+          f"{window.p_low * 1e6:.1f} uW .. {window.p_high * 1e6:.1f} uW"
+          + ("" if window.nonempty else " (empty)"))
 
 
 def main() -> int:

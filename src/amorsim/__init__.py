@@ -50,7 +50,6 @@ from .detector import (
 from .dsp import (
     PowerSpectrum,
     ResonanceCurve,
-    SweepSynthesis,
     lock_in_demodulate,
     peak_and_background,
     psd_estimate,
@@ -61,7 +60,6 @@ from .fitting import (
     LorentzianFit,
     LorentzianGuess,
     auto_initial_guess,
-    bin_average,
     fit_lorentzian,
     fit_noise_polynomial,
 )
@@ -93,13 +91,11 @@ __all__ = [
     "DetectedTimeSeries", "NoiseBudget", "photocurrent",
     "theoretical_shot_noise_level", "angle_gain_from_chain", "detect",
     # dsp
-    "ResonanceCurve", "PowerSpectrum", "SweepSynthesis",
-    "lock_in_demodulate", "sweep_resonance", "psd_estimate",
-    "peak_and_background",
+    "ResonanceCurve", "PowerSpectrum", "lock_in_demodulate",
+    "sweep_resonance", "psd_estimate", "peak_and_background",
     # fitting
     "FitError", "LorentzianGuess", "LorentzianFit",
     "auto_initial_guess", "fit_lorentzian", "fit_noise_polynomial",
-    "bin_average",
     # analysis
     "SnlRange", "SensitivityReport", "compute_snr", "quadrature_slope",
     "sensitivity", "sensitivity_from_noise_density", "projection_noise",

@@ -15,15 +15,16 @@ all through ``tables.write_table`` and ``tables.write_json``;
 Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4 I/O
 error; failures print a single JSON object to stderr.
 
-Random streams. Every series is synthesized and detected by ``_chain``,
-which draws the rotation noise from stream ``key + (0,)`` and the detector
-noise from ``key + (1,)``, where ``key = (seed, *point coordinates)``:
+Random streams. Every series is synthesized by ``_synth``, which draws the
+rotation noise from stream ``key + (0,)``; ``_chain`` adds ``detect``, which
+draws the detector noise from ``key + (1,)``. Here ``key = (seed, *point
+coordinates)``:
 
     simulate           (seed,)
     spectrum           (seed, side)                  side 0 on, 1 off resonance
     noise-scan         (seed, scan, power_index)     scan 1 is the second field
     sensitivity-sweep  (seed, power_index, trace, side)
-    demod-sweep        (seed, freq_index)            synthesis only, in dsp
+    demod-sweep        (seed, freq_index)            ``_synth`` only
     snl-map            (seed, gain_lane, freq_index) estimator jitter, no chain
 
 Each point owns its streams, so outputs are byte-identical for a fixed
@@ -35,6 +36,7 @@ same length: numpy pads a short key with zeros, so ``(seed, 0)`` and
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -70,7 +72,6 @@ from .detector import (
     theoretical_shot_noise_level,
 )
 from .dsp import (
-    SweepSynthesis,
     _pmap,
     peak_and_background,
     psd_estimate,
@@ -154,22 +155,23 @@ def _require_dark_floor(cfg: ExperimentConfig, key: str) -> None:
         )
 
 
-def _chain(cfg: ExperimentConfig, res: ResonanceParams, field: FieldConfig,
+def _synth(cfg: ExperimentConfig, res: ResonanceParams, field: FieldConfig,
            power: float, key: tuple, sample_rate: Optional[float] = None):
-    """Synthesize and detect one series from streams key+(0,) and key+(1,)."""
-    ts = synthesize_rotation(
+    """Synthesize one rotation series from stream key+(0,)."""
+    return synthesize_rotation(
         res, field, cfg.sim.duration,
         cfg.sim.sample_rate if sample_rate is None else sample_rate, power,
         rng_seed=key + (0,), wavelength=cfg.atom.probe_wavelength,
         constants=cfg.constants,
     )
-    det_ts = detect(
-        ts, cfg.detector,
-        coef_elec=cfg.detector.electronic_noise_floor,
-        coef_tech=cfg.detector.technical_noise_coef,
-        rng_seed=key + (1,), constants=cfg.constants,
-    )
-    return ts, det_ts
+
+
+def _chain(cfg: ExperimentConfig, res: ResonanceParams, field: FieldConfig,
+           power: float, key: tuple, sample_rate: Optional[float] = None):
+    """Synthesize and detect one series from streams key+(0,) and key+(1,)."""
+    ts = _synth(cfg, res, field, power, key, sample_rate)
+    return ts, detect(ts, cfg.detector, rng_seed=key + (1,),
+                      constants=cfg.constants)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +189,14 @@ def _run_simulate(cfg: ExperimentConfig, spec: ScenarioSpec,
     return ["rotation.csv", "detected.csv"]
 
 
+def _demod_point(cfg: ExperimentConfig, res: ResonanceParams, seed: int,
+                 index: int, freq: float):
+    """Rotation series modulated at one sweep frequency (worker task)."""
+    field = FieldConfig(b_field=None, modulation_freq=freq,
+                        detuning_delta=2.0 * math.pi * (freq - res.center_freq))
+    return _synth(cfg, res, field, cfg.sim.probe_power, (seed, index))
+
+
 def _run_demod_sweep(cfg: ExperimentConfig, spec: ScenarioSpec,
                      outdir: Path) -> list[str]:
     center = _center_freq(cfg.field_cfg)
@@ -194,25 +204,16 @@ def _run_demod_sweep(cfg: ExperimentConfig, spec: ScenarioSpec,
     freqs = np.linspace(center - halfspan, center + halfspan,
                         cfg.sweep.freq_points)
     res = ResonanceParams(cfg.resonance.phi0, cfg.resonance.gamma_fwhm, center)
-    synth = SweepSynthesis(
-        duration=cfg.sim.duration, sample_rate=cfg.sim.sample_rate,
-        power=cfg.sim.probe_power,
-        output_bandwidth=cfg.lockin.output_bandwidth,
-        wavelength=cfg.atom.probe_wavelength, seed=spec.seed,
-        workers=spec.workers,
-    )
-    curve = sweep_resonance(res, freqs, synth)
+    point = functools.partial(_demod_point, cfg, res, spec.seed)
+    curve = sweep_resonance(res, freqs, point, cfg.lockin.output_bandwidth,
+                            spec.workers)
     resonance_curve_to_csv(curve, outdir / "resonance_curve.csv", spec.seed)
-    outputs = ["resonance_curve.csv"]
-    fit = fit_lorentzian(curve)
-    fit_report(fit, outdir / "resonance_fit.json")
-    outputs.append("resonance_fit.json")
+    write_json(outdir / "resonance_fit.json", fit_report(fit_lorentzian(curve)))
     write_table(outdir / "fig2_resonance.dat",
                 ["mod_freq_hz", "phi_p_rad", "phi_q_rad"],
                 [curve.mod_freqs, curve.phi_P_values, curve.phi_Q_values],
                 {"seed": spec.seed})
-    outputs.append("fig2_resonance.dat")
-    return outputs
+    return ["resonance_curve.csv", "resonance_fit.json", "fig2_resonance.dat"]
 
 
 def _spectrum_pair(cfg: ExperimentConfig, key: tuple,

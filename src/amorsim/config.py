@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .constants import CODATA, PhysicalConstants
@@ -100,9 +100,11 @@ class AtomConfig:
         """Total atoms in the spherical cell, n * (4/3) pi R^3."""
         return self.density_n * (4.0 / 3.0) * math.pi * self.cell_radius ** 3
 
-    def probe_freq(self, constants: PhysicalConstants = CODATA) -> float:
-        """Optical frequency nu = c / lambda in Hz."""
-        return constants.speed_of_light / self.probe_wavelength
+
+def _larmor_doubled(b_field: float, atom: AtomConfig,
+                    constants: PhysicalConstants) -> float:
+    """2 gF muB B / h in Hz; ``signal_model.larmor_doubled_freq`` checks B."""
+    return 2.0 * atom.g_f * constants.bohr_magneton * b_field / constants.planck_h
 
 
 @dataclass
@@ -152,8 +154,7 @@ class FieldConfig:
             return FieldConfig(None, self.modulation_freq, self.detuning_delta)
         if self.b_field < 0:
             raise ConfigError(f"field.b_field: negative value {self.b_field!r}")
-        resonant = (2.0 * atom.g_f * constants.bohr_magneton * self.b_field
-                    / constants.planck_h)
+        resonant = _larmor_doubled(self.b_field, atom, constants)
         mod = self.modulation_freq if self.modulation_freq is not None else resonant
         delta = 2.0 * math.pi * (mod - resonant)
         if self.detuning_delta is not None:
@@ -285,6 +286,14 @@ def _require(cond: bool, key: str, value, rule: str) -> None:
         raise ConfigError(f"{key}: {rule} (got {value!r})")
 
 
+def _or_inf(derive) -> float:
+    """derive(), or inf where Python float arithmetic overflows."""
+    try:
+        return derive()
+    except OverflowError:
+        return math.inf
+
+
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     """Check each key against its ``_KEY_TABLE`` row, then the cross-key rules.
 
@@ -305,10 +314,7 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
             _require(check(value), key, value, rule)
 
     a = cfg.atom
-    try:
-        n_atoms = a.atom_number
-    except OverflowError:  # cell_radius ** 3
-        n_atoms = math.inf
+    n_atoms = _or_inf(lambda: a.atom_number)
     _require(n_atoms > 0, "atom.density_n", a.density_n,
              "derived atom number must be > 0")
     _require(n_atoms < math.inf, "atom.cell_radius", a.cell_radius,
@@ -321,6 +327,19 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
              "must satisfy 0 < freq_min < freq_max")
     for k in sm.k_list():
         _require(k >= 1.0, "snlmap.k_values", k, "every k must be >= 1")
+    knee_floor = _or_inf(lambda: cfg.detector.electronic_noise_floor * (
+        1.0 + (sm.elec_knee_freq / sm.freq_min) ** 2))
+    _require(knee_floor < math.inf, "snlmap.elec_knee_freq", sm.elec_knee_freq,
+             "derived electronic floor at snlmap.freq_min must be finite")
+    from .detector import theoretical_shot_noise_level  # detector imports config
+    for key, gain in (("detector.transimpedance_gain_nominal",
+                       cfg.detector.transimpedance_gain_nominal),
+                      ("snlmap.second_gain_nominal", sm.second_gain_nominal)):
+        det = replace(cfg.detector, transimpedance_gain_nominal=gain)
+        shot = _or_inf(lambda: theoretical_shot_noise_level(
+            1.0, det, a.probe_wavelength, cfg.constants))
+        _require(shot < math.inf, key, gain,
+                 "derived shot-noise level per watt must be finite")
 
     cfg.field_cfg = cfg.field_cfg.resolve(cfg.atom, cfg.constants)
     mod = cfg.field_cfg.modulation_freq

@@ -104,42 +104,36 @@ class DetectedTimeSeries:
     angle_gain: float            # amplitude per rad
     rng_seed: Optional[Seed] = None
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
     def __post_init__(self) -> None:
         self.samples = np.asarray(self.samples, dtype=float)
         if not self.sample_rate > 0:
             raise ValueError(f"sample_rate must be > 0, got {self.sample_rate!r}")
 
 
+def _with_efficiency(current: float, det: DetectorConfig) -> float:
+    """Times eta (physical), or over eta (as_printed, kept for reproducing
+    numbers computed with the efficiency in the denominator)."""
+    if det.photocurrent_convention == "as_printed":
+        return current / det.quantum_efficiency
+    return current * det.quantum_efficiency
+
+
 def photocurrent(power: float, det: DetectorConfig, wavelength: float,
                  constants: PhysicalConstants = CODATA) -> float:
-    """Mean DC photocurrent for optical power P.
-
-    physical convention (default): i = eta * P * e / (h nu).
-    as_printed convention: i = P * e / (h nu * eta), kept for reproducing
-    numbers computed with the efficiency in the denominator.
-    """
+    """Mean DC photocurrent for optical power P: eta * P * e / (h nu)."""
     if power < 0:
         raise ValueError(f"power must be >= 0, got {power!r}")
     nu = constants.speed_of_light / wavelength
-    base = power * constants.electron_charge / (constants.planck_h * nu)
-    if det.photocurrent_convention == "as_printed":
-        return base / det.quantum_efficiency
-    return base * det.quantum_efficiency
+    return _with_efficiency(
+        power * constants.electron_charge / (constants.planck_h * nu), det)
 
 
 def photocurrent_from_flux(flux: float, det: DetectorConfig,
                            constants: PhysicalConstants = CODATA) -> float:
-    """Photocurrent from photon flux: e*eta*Phi (or e*Phi/eta as printed)."""
+    """Photocurrent from photon flux: e * eta * Phi."""
     if flux < 0:
         raise ValueError(f"photon flux must be >= 0, got {flux!r}")
-    base = constants.electron_charge * flux
-    if det.photocurrent_convention == "as_printed":
-        return base / det.quantum_efficiency
-    return base * det.quantum_efficiency
+    return _with_efficiency(constants.electron_charge * flux, det)
 
 
 def theoretical_shot_noise_level(power: float, det: DetectorConfig,
@@ -173,33 +167,33 @@ def angle_gain_from_chain(det: DetectorConfig, flux: float,
 
 
 def detect(rotation: RotationTimeSeries, det: DetectorConfig, *,
-           coef_elec: float = 0.0, coef_tech: float = 0.0,
-           angle_gain: Optional[float] = None, balance_offset: float = 0.0,
+           angle_gain: Optional[float] = None,
            rng_seed: Optional[Seed] = None,
            constants: PhysicalConstants = CODATA) -> DetectedTimeSeries:
     """Map a rotation series to the analyzer-referred RF series.
 
-    output = g * (coherent + offset + stochastic/sqrt(2)) + n_elec + n_tech
+    output = g * (coherent + stochastic/sqrt(2)) + n_elec + n_tech
 
     where ``coherent`` and ``stochastic`` are the deterministic and noise
     parts of the rotation input (see the analyzer background convention in
     the module docstring; series loaded without a separate noise component
-    are treated as fully coherent). ``coef_elec`` is the electronic-noise
-    PSD A in W/Hz; ``coef_tech`` the technical coefficient C in
-    W/(Hz*W^2), entering as white noise of PSD C*P^2. Shot noise is never
-    added here - it arrives via the rotation series. ``angle_gain`` defaults
-    to the chain value for the series' photon flux.
+    are treated as fully coherent). ``det.electronic_noise_floor`` is the
+    electronic-noise PSD A in W/Hz; ``det.technical_noise_coef`` the
+    technical coefficient C in W/(Hz*W^2), entering as white noise of PSD
+    C*P^2. Shot noise is never added here - it arrives via the rotation
+    series. ``angle_gain`` defaults to the chain value for the series'
+    photon flux.
     """
+    coef_elec, coef_tech = det.electronic_noise_floor, det.technical_noise_coef
     if coef_elec < 0:
-        raise ValueError(f"coef_elec must be >= 0, got {coef_elec!r}")
+        raise ValueError(f"electronic_noise_floor must be >= 0, got {coef_elec!r}")
     if coef_tech < 0:
-        raise ValueError(f"coef_tech must be >= 0, got {coef_tech!r}")
+        raise ValueError(f"technical_noise_coef must be >= 0, got {coef_tech!r}")
     if angle_gain is None:
         angle_gain = angle_gain_from_chain(det, rotation.photon_flux, constants)
 
     coherent = rotation.samples - rotation.noise_samples
-    signal = angle_gain * (coherent + balance_offset
-                           + rotation.noise_samples / math.sqrt(2.0))
+    signal = angle_gain * (coherent + rotation.noise_samples / math.sqrt(2.0))
 
     fs = rotation.sample_rate
     n = rotation.samples.size

@@ -21,21 +21,20 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from scipy import fft as _fft
 from scipy import signal as _sig
 
-from .config import FieldConfig
 from .detector import DetectedTimeSeries
-from .signal_model import ResonanceParams, RotationTimeSeries, synthesize_rotation
+from .signal_model import ResonanceParams, RotationTimeSeries
+from .signal_model import synthesize_rotation  # noqa: F401 perfbench wraps it here
 from .tables import write_table
 
 __all__ = [
     "ResonanceCurve",
     "PowerSpectrum",
-    "SweepSynthesis",
     "lock_in_demodulate",
     "sweep_resonance",
     "psd_estimate",
@@ -71,14 +70,6 @@ class ResonanceCurve:
             raise ValueError("curve must contain at least one point")
         if self.mod_freqs.size > 1 and not np.all(np.diff(self.mod_freqs) > 0):
             raise ValueError("mod_freqs must be strictly increasing")
-
-    def validate_for_fit(self, min_points: int = 5) -> "ResonanceCurve":
-        if self.mod_freqs.size < min_points:
-            raise ValueError(
-                f"curve has {self.mod_freqs.size} points; "
-                f"need at least {min_points}"
-            )
-        return self
 
 
 @dataclass
@@ -146,20 +137,6 @@ def lock_in_demodulate(ts: AnySeries, mod_freq: float,
     return float(inphase[settle:].mean()), float(quadrature[settle:].mean())
 
 
-@dataclass
-class SweepSynthesis:
-    """Synthesis settings shared by all points of a resonance sweep."""
-
-    duration: float            # s per point
-    sample_rate: float         # Hz
-    power: float               # W
-    output_bandwidth: float    # Hz lock-in bandwidth
-    wavelength: float = 795e-9
-    shot_noise: bool = True
-    seed: Optional[int] = None
-    workers: int = 1
-
-
 def _pmap(fn, tasks: list, workers: int) -> list:
     """``[fn(task) for task in tasks]``, in a process pool when workers > 1.
 
@@ -175,28 +152,21 @@ def _pmap(fn, tasks: list, workers: int) -> list:
 
 
 def _sweep_point(args) -> tuple[float, float]:
-    res, freq, center, synth, index = args
-    field = FieldConfig(
-        b_field=None,
-        modulation_freq=freq,
-        detuning_delta=2.0 * np.pi * (freq - center),
-    )
-    seed = None if synth.seed is None else (int(synth.seed), int(index), 0)
-    ts = synthesize_rotation(
-        res, field, synth.duration, synth.sample_rate, synth.power,
-        rng_seed=seed, wavelength=synth.wavelength,
-        shot_noise=synth.shot_noise,
-    )
-    return lock_in_demodulate(ts, freq, synth.output_bandwidth)
+    point, index, freq, output_bandwidth = args
+    return lock_in_demodulate(point(index, freq), freq, output_bandwidth)
 
 
 def sweep_resonance(res: ResonanceParams, mod_freqs: Sequence[float],
-                    synth: SweepSynthesis) -> ResonanceCurve:
-    """Demodulate one synthesized point per grid frequency.
+                    point: Callable[[int, float], AnySeries],
+                    output_bandwidth: float, workers: int = 1
+                    ) -> ResonanceCurve:
+    """Lock-in quadratures of ``point(index, freq)`` at each grid frequency.
 
-    Point noise streams derive from (seed, grid index, 0), so results are
-    identical for any worker count. A grid that does not bracket the
-    resonance center yields bracketed=False rather than an error.
+    ``point`` returns the series modulated at the index-th grid frequency
+    and must pickle when workers > 1. Results do not depend on the worker
+    count when each point draws its own stream, as the CLI's ``(seed,
+    index)`` keys do. A grid that does not bracket the resonance center
+    yields bracketed=False rather than an error.
     """
     res.validate()
     freqs = np.asarray(mod_freqs, dtype=float)
@@ -204,9 +174,9 @@ def sweep_resonance(res: ResonanceParams, mod_freqs: Sequence[float],
         raise ValueError("mod_freqs grid is empty")
     if freqs.size > 1 and not np.all(np.diff(freqs) > 0):
         raise ValueError("mod_freqs must be strictly increasing")
-    tasks = [(res, float(f), res.center_freq, synth, i)
+    tasks = [(point, i, float(f), output_bandwidth)
              for i, f in enumerate(freqs)]
-    results = _pmap(_sweep_point, tasks, synth.workers)
+    results = _pmap(_sweep_point, tasks, workers)
     phi_p = np.array([r[0] for r in results])
     phi_q = np.array([r[1] for r in results])
     bracketed = bool(freqs.min() <= res.center_freq <= freqs.max())

@@ -26,7 +26,6 @@ from scipy.optimize import least_squares
 
 from .detector import NoiseBudget
 from .dsp import ResonanceCurve
-from .tables import write_json
 
 __all__ = [
     "FitError",
@@ -35,7 +34,6 @@ __all__ = [
     "auto_initial_guess",
     "fit_lorentzian",
     "fit_noise_polynomial",
-    "bin_average",
     "fit_report",
 ]
 
@@ -298,29 +296,8 @@ def fit_noise_polynomial(powers, noise_levels,
     )
 
 
-def bin_average(freqs, values, bin_width: float) -> tuple[np.ndarray, np.ndarray]:
-    """Average values in contiguous frequency bins of the given width.
-
-    Returns (bin_centers, bin_means) for nonempty bins only; bins start at
-    the lowest frequency present.
-    """
-    f = np.asarray(freqs, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if f.size != v.size or f.size == 0:
-        raise ValueError("freqs and values must be nonempty and equal-length")
-    if not bin_width > 0:
-        raise ValueError(f"bin_width must be > 0, got {bin_width!r}")
-    index = np.floor((f - f.min()) / bin_width).astype(int)
-    centers, means = [], []
-    for k in np.unique(index):
-        sel = index == k
-        centers.append(f.min() + (k + 0.5) * bin_width)
-        means.append(float(v[sel].mean()))
-    return np.asarray(centers), np.asarray(means)
-
-
-def fit_report(fit, path=None) -> dict:
-    """A fit result as a JSON-ready document (optionally written to a file)."""
+def fit_report(fit) -> dict:
+    """A fit result as a JSON-ready document."""
     if isinstance(fit, LorentzianFit):
         doc = {
             "kind": "lorentzian",
@@ -354,6 +331,4 @@ def fit_report(fit, path=None) -> dict:
         }
     else:
         raise TypeError(f"unsupported fit object {type(fit).__name__}")
-    if path is not None:
-        write_json(path, doc)
     return doc

@@ -23,7 +23,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .config import AtomConfig, ConfigError, FieldConfig
+from .config import AtomConfig, ConfigError, FieldConfig, _larmor_doubled
 from .constants import CODATA, PhysicalConstants
 from .tables import read_table, write_table
 
@@ -110,7 +110,7 @@ def larmor_doubled_freq(b_field: float, atom: AtomConfig,
     """
     if b_field < 0:
         raise ValueError(f"b_field must be >= 0 (field magnitude), got {b_field!r}")
-    return 2.0 * atom.g_f * constants.bohr_magneton * b_field / constants.planck_h
+    return _larmor_doubled(b_field, atom, constants)
 
 
 def lorentzian_quadratures(delta, res: ResonanceParams):

@@ -341,6 +341,10 @@ def test_every_float_key_rejects_non_finite(key, value, tmp_path, capsys):
     ("snl-map", None, "detector.electronic_noise_floor"),
     ("simulate", "atom.cell_radius = 1e300\n", "atom.cell_radius"),
     ("simulate", "atom.g_f = -0.3333333333333333\n", "atom.g_f"),
+    # (knee / freq) ** 2 and the squared gain overflow a Python float
+    ("snl-map", "snlmap.elec_knee_freq = 1e300\n", "snlmap.elec_knee_freq"),
+    ("snl-map", "snlmap.second_gain_nominal = 1e200\n",
+     "snlmap.second_gain_nominal"),
 ])
 def test_config_faults_exit_2_naming_key(mode, config_text, key, tmp_path,
                                         capsys):
@@ -353,6 +357,18 @@ def test_config_faults_exit_2_naming_key(mode, config_text, key, tmp_path,
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert key in err["message"]
+
+
+def test_overflowing_gain_exits_2_in_every_mode(fast_config, tmp_path,
+                                                capsys, monkeypatch):
+    key = "detector.transimpedance_gain_nominal"
+    monkeypatch.setenv("AMORSIM_DETECTOR__TRANSIMPEDANCE_GAIN_NOMINAL", "1e200")
+    for mode in MODES:
+        code = main([mode, "--config", fast_config,
+                     "--out", str(tmp_path / mode)])
+        err = json.loads(capsys.readouterr().err)
+        assert (code, err["error"]) == (2, "ConfigError"), mode
+        assert err["message"].startswith(key), mode
 
 
 def test_underdetermined_noise_fit_exits_3(fast_config, tmp_path, capsys,
@@ -397,6 +413,21 @@ def test_module_entry_point(fast_config, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "manifest.json").exists()
+
+
+def test_demo_suite_script_prints_summary(fast_config, tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_demo_suite.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--config", fast_config,
+         "--out", str(tmp_path / "demo")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    summary = proc.stdout.split("\n\n", 1)[1].splitlines()
+    assert [line.split(":")[0] for line in summary] == [
+        "resonance fit", "spectrum", "best sensitivity",
+        "k=4 SNL window at 7.1 kHz"]
+    assert "uW .. " in summary[3] and "(empty)" not in summary[3]
 
 
 def test_traced_import_sites_resolve():

@@ -184,9 +184,8 @@ def test_detect_respects_explicit_angle_gain_and_offset():
     field = FieldConfig(b_field=None, modulation_freq=1000.0, detuning_delta=0.0)
     rot = synthesize_rotation(res, field, duration=0.05, sample_rate=8000.0,
                               power=1e-4, shot_noise=False)
-    out = detect(rot, DetectorConfig(), angle_gain=3.0, balance_offset=2e-3)
-    np.testing.assert_allclose(out.samples, 3.0 * (rot.samples + 2e-3),
-                               rtol=1e-14)
+    out = detect(rot, DetectorConfig(), angle_gain=3.0)
+    np.testing.assert_allclose(out.samples, 3.0 * rot.samples, rtol=1e-14)
     assert out.angle_gain == 3.0
 
 
@@ -210,8 +209,8 @@ def test_detect_background_matches_theoretical_shot_level(power):
 def test_detect_electronic_noise_psd():
     rot = noise_rotation(0.0, duration=8.0)  # dark input
     coef_elec = 1.35e-14
-    out = detect(rot, DetectorConfig(), coef_elec=coef_elec, angle_gain=1.0,
-                 rng_seed=21)
+    out = detect(rot, DetectorConfig(electronic_noise_floor=coef_elec),
+                 angle_gain=1.0, rng_seed=21)
     assert mean_psd(out) == pytest.approx(coef_elec, rel=0.05)
 
 
@@ -221,17 +220,17 @@ def test_detect_technical_noise_psd():
     rot.noise_samples[:] = 0.0
     rot.samples[:] = 0.0
     coef_tech = 1.8e-6
-    out = detect(rot, DetectorConfig(), coef_tech=coef_tech, angle_gain=1.0,
-                 rng_seed=22)
+    out = detect(rot, DetectorConfig(technical_noise_coef=coef_tech),
+                 angle_gain=1.0, rng_seed=22)
     assert mean_psd(out) == pytest.approx(coef_tech * power ** 2, rel=0.05)
 
 
 def test_detect_full_budget_psd():
     power = 100e-6
-    det = DetectorConfig()
     coef_elec, coef_tech = 1.35e-14, 1.8e-6
-    out = detect(noise_rotation(power, duration=8.0), det,
-                 coef_elec=coef_elec, coef_tech=coef_tech, rng_seed=23)
+    det = DetectorConfig(electronic_noise_floor=coef_elec,
+                         technical_noise_coef=coef_tech)
+    out = detect(noise_rotation(power, duration=8.0), det, rng_seed=23)
     expected = (coef_elec
                 + theoretical_shot_noise_level(power, det, WAVELENGTH)
                 + coef_tech * power ** 2)
@@ -240,10 +239,11 @@ def test_detect_full_budget_psd():
 
 def test_detect_seed_determinism():
     rot = noise_rotation(50e-6, duration=0.1)
-    kwargs = dict(coef_elec=1e-14, coef_tech=1e-6)
-    a = detect(rot, DetectorConfig(), rng_seed=9, **kwargs)
-    b = detect(rot, DetectorConfig(), rng_seed=9, **kwargs)
-    c = detect(rot, DetectorConfig(), rng_seed=10, **kwargs)
+    det = DetectorConfig(electronic_noise_floor=1e-14,
+                         technical_noise_coef=1e-6)
+    a = detect(rot, det, rng_seed=9)
+    b = detect(rot, det, rng_seed=9)
+    c = detect(rot, det, rng_seed=10)
     np.testing.assert_array_equal(a.samples, b.samples)
     assert not np.array_equal(a.samples, c.samples)
 
@@ -256,10 +256,11 @@ def test_detect_single_draw_level_across_seeds():
     field = FieldConfig(b_field=None, modulation_freq=1000.0, detuning_delta=0.0)
     rot = synthesize_rotation(res, field, duration=2.0, sample_rate=8000.0,
                               power=power, shot_noise=False)
+    det = DetectorConfig(electronic_noise_floor=coef_elec,
+                         technical_noise_coef=coef_tech)
     levels = []
     for seed in range(20):
-        out = detect(rot, DetectorConfig(), coef_elec=coef_elec,
-                     coef_tech=coef_tech, angle_gain=1.0, rng_seed=(seed, 1))
+        out = detect(rot, det, angle_gain=1.0, rng_seed=(seed, 1))
         spec = psd_estimate(out, rbw=30.0)
         sel = (spec.freqs > 100.0) & (spec.freqs < 3900.0)
         levels.append(float(np.mean(spec.psd[sel])))
@@ -269,13 +270,28 @@ def test_detect_single_draw_level_across_seeds():
     assert abs(np.mean(levels) - expected) < 4.0 * sem
 
 
+def test_detect_reads_noise_terms_from_detector_config():
+    # The config alone sets the background: no other argument repeats A or C.
+    power, coef_elec, coef_tech = 100e-6, 1.35e-14, 1.8e-6
+    rot = noise_rotation(power, duration=8.0)
+    rot.noise_samples[:] = 0.0
+    rot.samples[:] = 0.0
+    det = DetectorConfig(electronic_noise_floor=coef_elec,
+                         technical_noise_coef=coef_tech)
+    out = detect(rot, det, rng_seed=24)
+    # abs=0: pytest.approx's default absolute tolerance (1e-12) would
+    # accept the empty output of a detect that ignored both fields
+    assert mean_psd(out) == pytest.approx(coef_elec + coef_tech * power ** 2,
+                                          rel=0.05, abs=0)
+
+
 @pytest.mark.parametrize("kwargs", [
-    dict(coef_elec=-1e-15), dict(coef_tech=-1e-6),
+    dict(electronic_noise_floor=-1e-15), dict(technical_noise_coef=-1e-6),
 ])
 def test_detect_rejects_negative_coefficients(kwargs):
     rot = noise_rotation(50e-6, duration=0.01)
     with pytest.raises(ValueError):
-        detect(rot, DetectorConfig(), **kwargs)
+        detect(rot, DetectorConfig(**kwargs))
 
 
 def test_detected_csv_headers(tmp_path):

@@ -1,6 +1,7 @@
 """Lock-in demodulation and spectrum-analyzer emulation."""
 
 import concurrent.futures
+import functools
 import math
 import os
 
@@ -13,7 +14,6 @@ from amorsim.detector import detect
 from amorsim.dsp import (
     PowerSpectrum,
     ResonanceCurve,
-    SweepSynthesis,
     _flattop,
     _pmap,
     _video_smooth,
@@ -53,6 +53,15 @@ def white_series(power=80.5e-6, duration=6.0, fs=FS, seed=2):
     res = ResonanceParams(phi0=0.0, gamma_fwhm=60.0, center_freq=1000.0)
     return synthesize_rotation(res, plain_field(), duration=duration,
                                sample_rate=fs, power=power, rng_seed=seed)
+
+
+def sweep_point(res, duration, seed, index, freq):
+    """Series modulated at one sweep frequency; noiseless when seed is None."""
+    field = plain_field(freq, 2 * np.pi * (freq - res.center_freq))
+    return synthesize_rotation(
+        res, field, duration=duration, sample_rate=FS, power=80.5e-6,
+        rng_seed=None if seed is None else (seed, index, 0),
+        shot_noise=seed is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +126,8 @@ def test_lock_in_preconditions(mod_freq, bandwidth, duration):
 def test_sweep_traces_out_both_quadratures():
     res = ResonanceParams(phi0=2.5e-3, gamma_fwhm=60.0, center_freq=1000.0)
     grid = np.linspace(1000.0 - 180.0, 1000.0 + 180.0, 13)
-    synth = SweepSynthesis(duration=0.6, sample_rate=FS, power=80.5e-6,
-                           output_bandwidth=25.0, shot_noise=False)
-    curve = sweep_resonance(res, grid, synth)
+    point = functools.partial(sweep_point, res, 0.6, None)
+    curve = sweep_resonance(res, grid, point, output_bandwidth=25.0)
     assert curve.bracketed
     want_p, want_q = lorentzian_quadratures(
         2 * np.pi * (grid - res.center_freq), res)
@@ -132,18 +140,16 @@ def test_sweep_traces_out_both_quadratures():
 def test_sweep_flags_unbracketed_grid():
     res = ResonanceParams(phi0=1e-3, gamma_fwhm=60.0, center_freq=1000.0)
     grid = np.linspace(1200.0, 1400.0, 5)
-    synth = SweepSynthesis(duration=0.5, sample_rate=FS, power=80.5e-6,
-                           output_bandwidth=25.0, shot_noise=False)
-    assert sweep_resonance(res, grid, synth).bracketed is False
+    point = functools.partial(sweep_point, res, 0.5, None)
+    assert sweep_resonance(res, grid, point, 25.0).bracketed is False
 
 
 def test_sweep_worker_count_does_not_change_results():
     res = ResonanceParams(phi0=2e-3, gamma_fwhm=60.0, center_freq=1000.0)
     grid = np.linspace(940.0, 1060.0, 5)
-    kwargs = dict(duration=0.5, sample_rate=FS, power=80.5e-6,
-                  output_bandwidth=25.0, seed=13)
-    serial = sweep_resonance(res, grid, SweepSynthesis(workers=1, **kwargs))
-    pooled = sweep_resonance(res, grid, SweepSynthesis(workers=2, **kwargs))
+    point = functools.partial(sweep_point, res, 0.5, 13)
+    serial = sweep_resonance(res, grid, point, 25.0, workers=1)
+    pooled = sweep_resonance(res, grid, point, 25.0, workers=2)
     np.testing.assert_array_equal(serial.phi_P_values, pooled.phi_P_values)
     np.testing.assert_array_equal(serial.phi_Q_values, pooled.phi_Q_values)
 
@@ -179,12 +185,11 @@ def test_pmap_clamps_pool_size(workers, tasks, cores, expected, monkeypatch):
 
 def test_sweep_rejects_bad_grids():
     res = ResonanceParams(phi0=1e-3, gamma_fwhm=60.0, center_freq=1000.0)
-    synth = SweepSynthesis(duration=0.5, sample_rate=FS, power=80.5e-6,
-                           output_bandwidth=25.0)
+    point = functools.partial(sweep_point, res, 0.5, None)
     with pytest.raises(ValueError, match="empty"):
-        sweep_resonance(res, [], synth)
+        sweep_resonance(res, [], point, 25.0)
     with pytest.raises(ValueError, match="increasing"):
-        sweep_resonance(res, [1000.0, 990.0, 1010.0], synth)
+        sweep_resonance(res, [1000.0, 990.0, 1010.0], point, 25.0)
 
 
 def test_resonance_curve_validation():
@@ -192,10 +197,6 @@ def test_resonance_curve_validation():
         ResonanceCurve(np.arange(3.0), np.zeros(2), np.zeros(3))
     with pytest.raises(ValueError, match="at least one"):
         ResonanceCurve(np.zeros(0), np.zeros(0), np.zeros(0))
-    curve = ResonanceCurve(np.arange(4.0), np.zeros(4), np.zeros(4))
-    with pytest.raises(ValueError, match="need at least 5"):
-        curve.validate_for_fit()
-    assert curve.validate_for_fit(min_points=4) is curve
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,11 @@ from amorsim.fitting import (
     FitError,
     LorentzianGuess,
     auto_initial_guess,
-    bin_average,
     fit_lorentzian,
     fit_noise_polynomial,
     fit_report,
 )
+from amorsim.tables import write_json
 
 CENTER, GAMMA, PHI0 = 70914.3, 60.0, 2.5e-3
 
@@ -211,34 +211,11 @@ def test_noise_poly_rejects_negative_fixed_elec():
 # Helpers
 # ---------------------------------------------------------------------------
 
-def test_bin_average_groups_contiguous_bins():
-    freqs = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
-    values = np.array([1.0, 3.0, 5.0, 7.0, 9.0, 11.0])
-    centers, means = bin_average(freqs, values, 2.0)
-    np.testing.assert_allclose(centers, [1.0, 3.0, 5.0])
-    np.testing.assert_allclose(means, [2.0, 6.0, 10.0])
-
-
-def test_bin_average_skips_empty_bins():
-    centers, means = bin_average([0.0, 10.0], [1.0, 5.0], 2.0)
-    np.testing.assert_allclose(centers, [1.0, 11.0])
-    np.testing.assert_allclose(means, [1.0, 5.0])
-
-
-@pytest.mark.parametrize("freqs, values, width", [
-    ([], [], 1.0),
-    ([1.0, 2.0], [1.0], 1.0),
-    ([1.0, 2.0], [1.0, 2.0], 0.0),
-])
-def test_bin_average_validation(freqs, values, width):
-    with pytest.raises(ValueError):
-        bin_average(freqs, values, width)
-
-
 def test_fit_report_lorentzian_round_trip(tmp_path):
     fit = fit_lorentzian(synth_curve())
     path = tmp_path / "fit.json"
-    returned = fit_report(fit, path)
+    returned = fit_report(fit)
+    write_json(path, returned)
     doc = json.loads(path.read_text())
     assert doc == returned
     assert doc["kind"] == "lorentzian"
