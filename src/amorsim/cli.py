@@ -31,6 +31,14 @@ Each point owns its streams, so outputs are byte-identical for a fixed
 ``--seed`` regardless of ``--workers``. The keys of one run all have the
 same length: numpy pads a short key with zeros, so ``(seed, 0)`` and
 ``(seed, 0, 0)`` would name the same stream.
+
+Analyzer bands. The modes that read a spectrum pass ``_synth`` the band
+their analyzer reads, and get the complex envelope of that band at a rate
+just above its width (``dsp._envelope_grid``). spectrum reads its
+``spectrum.span``; noise-scan and sensitivity-sweep read
+``spectrum.bg_window`` around the modulation frequency. A band that
+reaches DC falls back to the real series at ``sim.sample_rate``, which
+simulate and demod-sweep always use.
 """
 
 from __future__ import annotations
@@ -72,6 +80,7 @@ from .detector import (
     theoretical_shot_noise_level,
 )
 from .dsp import (
+    _envelope_grid,
     _pmap,
     peak_and_background,
     psd_estimate,
@@ -156,22 +165,33 @@ def _require_dark_floor(cfg: ExperimentConfig, key: str) -> None:
 
 
 def _synth(cfg: ExperimentConfig, res: ResonanceParams, field: FieldConfig,
-           power: float, key: tuple, sample_rate: Optional[float] = None):
-    """Synthesize one rotation series from stream key+(0,)."""
+           power: float, key: tuple, band: Optional[tuple] = None):
+    """Synthesize one rotation series from stream key+(0,).
+
+    With a band (f_lo, f_hi), the complex envelope that covers it, unless
+    the band reaches DC; otherwise the real series at sim.sample_rate.
+    """
+    grid = None if band is None else _envelope_grid(band)
+    center, sample_rate = grid or (None, cfg.sim.sample_rate)
     return synthesize_rotation(
-        res, field, cfg.sim.duration,
-        cfg.sim.sample_rate if sample_rate is None else sample_rate, power,
+        res, field, cfg.sim.duration, sample_rate, power,
         rng_seed=key + (0,), wavelength=cfg.atom.probe_wavelength,
-        constants=cfg.constants,
+        constants=cfg.constants, center_freq=center,
     )
 
 
 def _chain(cfg: ExperimentConfig, res: ResonanceParams, field: FieldConfig,
-           power: float, key: tuple, sample_rate: Optional[float] = None):
+           power: float, key: tuple, band: Optional[tuple] = None):
     """Synthesize and detect one series from streams key+(0,) and key+(1,)."""
-    ts = _synth(cfg, res, field, power, key, sample_rate)
+    ts = _synth(cfg, res, field, power, key, band)
     return ts, detect(ts, cfg.detector, rng_seed=key + (1,),
                       constants=cfg.constants)
+
+
+def _bg_band(cfg: ExperimentConfig, field: FieldConfig) -> tuple:
+    """The background window around the modulation frequency."""
+    half = cfg.spectrum.bg_window / 2.0
+    return (field.modulation_freq - half, field.modulation_freq + half)
 
 
 # ---------------------------------------------------------------------------
@@ -216,18 +236,17 @@ def _run_demod_sweep(cfg: ExperimentConfig, spec: ScenarioSpec,
     return ["resonance_curve.csv", "resonance_fit.json", "fig2_resonance.dat"]
 
 
-def _spectrum_pair(cfg: ExperimentConfig, key: tuple,
-                   power: float, phi0: float, gamma_fwhm: float):
-    """On/off-resonance analyzer traces around the modulation frequency."""
+def _spectrum_pair(cfg: ExperimentConfig, key: tuple, power: float,
+                   phi0: float, gamma_fwhm: float, band: tuple,
+                   span: Optional[tuple] = None):
+    """On/off-resonance analyzer traces of the band, sliced to span."""
     field = cfg.field_cfg
     center = _center_freq(field)
-    mod = field.modulation_freq
     sp = cfg.spectrum
-    span = (max(mod - sp.span / 2.0, 0.0), mod + sp.span / 2.0)
     series = []
     for side, amplitude in enumerate((phi0, 0.0)):
         res = ResonanceParams(amplitude, gamma_fwhm, center)
-        _, det_ts = _chain(cfg, res, field, power, key + (side,))
+        _, det_ts = _chain(cfg, res, field, power, key + (side,), band)
         series.append(psd_estimate(det_ts, sp.rbw, sp.vbw, span=span))
     return series[0], series[1]
 
@@ -235,9 +254,11 @@ def _spectrum_pair(cfg: ExperimentConfig, key: tuple,
 def _run_spectrum(cfg: ExperimentConfig, spec: ScenarioSpec,
                   outdir: Path) -> list[str]:
     mod = cfg.field_cfg.modulation_freq
+    span = (max(mod - cfg.spectrum.span / 2.0, 0.0),
+            mod + cfg.spectrum.span / 2.0)
     spec_on, spec_off = _spectrum_pair(
         cfg, (spec.seed,), cfg.sim.probe_power, cfg.resonance.phi0,
-        cfg.resonance.gamma_fwhm,
+        cfg.resonance.gamma_fwhm, span, span,
     )
     s_sig, s_bg = peak_and_background(spec_on, spec_off, mod,
                                       cfg.spectrum.bg_window)
@@ -264,29 +285,25 @@ def _run_spectrum(cfg: ExperimentConfig, spec: ScenarioSpec,
 
 def _noise_level_point(args) -> float:
     """Measured background density at one optical power (worker task)."""
-    cfg, power, key, sample_rate, field = args
+    cfg, power, key, field = args
     res = ResonanceParams(0.0, cfg.resonance.gamma_fwhm, _center_freq(field))
-    _, det_ts = _chain(cfg, res, field, power, key, sample_rate)
-    mod = field.modulation_freq
-    half = cfg.spectrum.bg_window / 2.0
+    band = _bg_band(cfg, field)
+    _, det_ts = _chain(cfg, res, field, power, key, band)
     trace = psd_estimate(det_ts, cfg.spectrum.rbw, cfg.spectrum.vbw,
-                         span=(mod - half, mod + half))
+                         span=band)
     return float(trace.psd.mean())
 
 
 def _noise_scan_at_field(cfg: ExperimentConfig, spec: ScenarioSpec,
                          field: FieldConfig, scan_index: int):
     """Noise level vs power at one detection frequency, plus budget fit."""
-    sample_rate = max(cfg.sim.sample_rate, 4.5 * field.modulation_freq)
     powers = list(_power_grid(cfg))
     include_zero = cfg.noisescan.include_zero
     if include_zero:
         _require_dark_floor(cfg, "noisescan.include_zero")
         powers = [0.0] + powers
-    tasks = [
-        (cfg, p, (spec.seed, scan_index, i), sample_rate, field)
-        for i, p in enumerate(powers)
-    ]
+    tasks = [(cfg, p, (spec.seed, scan_index, i), field)
+             for i, p in enumerate(powers)]
     levels = _pmap(_noise_level_point, tasks, spec.workers)
     fixed = levels[0] if include_zero else None
     fit = fit_noise_polynomial(powers, levels, fixed_elec=fixed)
@@ -392,11 +409,12 @@ def _sweep_point_sensitivity(args):
     phi0 = sat.phi0_at(power)
     gamma = sat.gamma_at(power)
     mod = cfg.field_cfg.modulation_freq
+    band = _bg_band(cfg, cfg.field_cfg)
     sig_sum = bg_sum = 0.0
     enbw = 0.0
     for trace in range(cfg.sweep.trace_avg):
         spec_on, spec_off = _spectrum_pair(cfg, (spec_seed, index, trace),
-                                           power, phi0, gamma)
+                                           power, phi0, gamma, band)
         part_sig, part_bg = peak_and_background(spec_on, spec_off, mod,
                                                 cfg.spectrum.bg_window)
         sig_sum += part_sig

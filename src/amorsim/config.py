@@ -258,7 +258,8 @@ class AnalysisSettings:
 class NoiseScanSettings:
     include_zero: bool = True
     # Optional second scan at a different static field (hence detection
-    # frequency); none = skip. The sample rate adapts automatically.
+    # frequency); none = skip. Like the first scan, it reads the envelope of
+    # the background window, so no sample rate needs to follow the field.
     second_b_field: Optional[float] = 75e-6  # T
 
 
@@ -287,10 +288,11 @@ def _require(cond: bool, key: str, value, rule: str) -> None:
 
 
 def _or_inf(derive) -> float:
-    """derive(), or inf where Python float arithmetic overflows."""
+    """derive(), or inf where Python float arithmetic overflows or divides
+    by a zero that underflowed."""
     try:
         return derive()
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         return math.inf
 
 
@@ -332,14 +334,32 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     _require(knee_floor < math.inf, "snlmap.elec_knee_freq", sm.elec_knee_freq,
              "derived electronic floor at snlmap.freq_min must be finite")
     from .detector import theoretical_shot_noise_level  # detector imports config
+    primary = cfg.detector
+    shots = []
     for key, gain in (("detector.transimpedance_gain_nominal",
-                       cfg.detector.transimpedance_gain_nominal),
+                       primary.transimpedance_gain_nominal),
                       ("snlmap.second_gain_nominal", sm.second_gain_nominal)):
-        det = replace(cfg.detector, transimpedance_gain_nominal=gain)
+        det = replace(primary, transimpedance_gain_nominal=gain)
         shot = _or_inf(lambda: theoretical_shot_noise_level(
             1.0, det, a.probe_wavelength, cfg.constants))
         _require(shot < math.inf, key, gain,
                  "derived shot-noise level per watt must be finite")
+        shots.append(shot)
+    # snl-map scales the technical term by the squared gain ratio
+    gain_ratio_sq = _or_inf(lambda: (
+        sm.second_gain_nominal * primary.gain_headroom_factor
+        / primary.gain_effective) ** 2)
+    _require(gain_ratio_sq < math.inf, "detector.transimpedance_gain_nominal",
+             primary.transimpedance_gain_nominal,
+             "derived (second gain / primary gain)^2 must be finite")
+    for shot, tech_scale in zip(shots, (1.0, gain_ratio_sq)):
+        top = _or_inf(lambda: primary.electronic_noise_floor
+                      + shot * sw.power_max
+                      + primary.technical_noise_coef * tech_scale
+                      * sw.power_max ** 2)
+        _require(top < math.inf, "sweep.power_max", sw.power_max,
+                 "derived noise budget A + B*P + C*P^2 at power_max must "
+                 "be finite")
 
     cfg.field_cfg = cfg.field_cfg.resolve(cfg.atom, cfg.constants)
     mod = cfg.field_cfg.modulation_freq

@@ -24,7 +24,10 @@ holds with no gain or bandwidth dependence.
 
 Shot noise enters only through the rotation series (never added here);
 electronic noise (white, PSD = A) and technical noise (white, PSD = C*P^2)
-are injected at the output node as one white draw of PSD A + C*P^2.
+are injected at the output node as one white draw of PSD A + C*P^2. On a
+complex envelope (a rotation series with ``center_freq``) that draw is
+circular complex with variance (A + C*P^2) * fs / 4 per component, the
+same one-sided level once the analyzer displays it.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import numpy as np
 
 from .config import DetectorConfig
 from .constants import CODATA, PhysicalConstants
-from .signal_model import RotationTimeSeries, Seed
+from .signal_model import RotationTimeSeries, Seed, white_noise
 from .tables import write_table
 
 __all__ = [
@@ -103,9 +106,11 @@ class DetectedTimeSeries:
     mean_power: float            # W, mean optical power on the detector
     angle_gain: float            # amplitude per rad
     rng_seed: Optional[Seed] = None
+    center_freq: Optional[float] = None  # Hz, envelope centre; None = real
 
     def __post_init__(self) -> None:
-        self.samples = np.asarray(self.samples, dtype=float)
+        self.samples = np.asarray(
+            self.samples, dtype=float if self.center_freq is None else complex)
         if not self.sample_rate > 0:
             raise ValueError(f"sample_rate must be > 0, got {self.sample_rate!r}")
 
@@ -182,7 +187,7 @@ def detect(rotation: RotationTimeSeries, det: DetectorConfig, *,
     technical coefficient C in W/(Hz*W^2), entering as white noise of PSD
     C*P^2. Shot noise is never added here - it arrives via the rotation
     series. ``angle_gain`` defaults to the chain value for the series'
-    photon flux.
+    photon flux. A complex envelope stays one, around the same centre.
     """
     coef_elec, coef_tech = det.electronic_noise_floor, det.technical_noise_coef
     if coef_elec < 0:
@@ -192,8 +197,12 @@ def detect(rotation: RotationTimeSeries, det: DetectorConfig, *,
     if angle_gain is None:
         angle_gain = angle_gain_from_chain(det, rotation.photon_flux, constants)
 
-    coherent = rotation.samples - rotation.noise_samples
-    signal = angle_gain * (coherent + rotation.noise_samples / math.sqrt(2.0))
+    if rotation.samples is rotation.noise_samples:  # no coherent part
+        signal = rotation.noise_samples * (angle_gain / math.sqrt(2.0))
+    else:
+        coherent = rotation.samples - rotation.noise_samples
+        signal = angle_gain * (coherent
+                               + rotation.noise_samples / math.sqrt(2.0))
 
     fs = rotation.sample_rate
     n = rotation.samples.size
@@ -202,8 +211,8 @@ def detect(rotation: RotationTimeSeries, det: DetectorConfig, *,
     # their sum is one white Gaussian of PSD A + C*P^2: a single draw.
     output_psd = coef_elec + coef_tech * power ** 2
     if output_psd > 0.0:
-        rng = np.random.default_rng(rng_seed)
-        signal += rng.normal(0.0, math.sqrt(output_psd * fs / 2.0), n)
+        signal += white_noise(np.random.default_rng(rng_seed), output_psd, fs,
+                              n, rotation.center_freq is not None)
 
     return DetectedTimeSeries(
         samples=signal,
@@ -212,11 +221,15 @@ def detect(rotation: RotationTimeSeries, det: DetectorConfig, *,
         mean_power=power,
         angle_gain=angle_gain,
         rng_seed=rng_seed,
+        center_freq=rotation.center_freq,
     )
 
 
 def detected_to_csv(ts: DetectedTimeSeries, path) -> None:
-    """Write the detected series with header rows carrying its metadata."""
+    """Write a real detected series with header rows carrying its metadata."""
+    if ts.center_freq is not None:
+        raise ValueError("detected_to_csv writes real series only, "
+                         f"not an envelope around {ts.center_freq!r} Hz")
     write_table(path, ["sample_sqrtw"], [ts.samples], {
         "sample_rate_hz": ts.sample_rate,
         "gain_used_v_per_a": ts.gain_used,

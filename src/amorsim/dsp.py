@@ -14,11 +14,21 @@ segments, one-sided density. The segment length is the 5-smooth length
 (2^a 3^b 5^c) nearest to the one whose flat-top ENBW equals rbw, so every
 FFT is fast; the realized ENBW is reported and stays within 5% of rbw. The
 window and its ENBW are cached per length.
+
+Like a swept analyzer, which mixes its input to an IF and filters it at
+the RBW, the estimator also reads complex envelopes (series with a
+``center_freq`` f_c, see signal_model): the same segments and window, a
+full FFT in place of the real one, and a trace at f_c + offset showing
+twice the two-sided density, so one-sided levels read the same on both
+paths. ``_envelope_grid`` picks the envelope for the band a caller reads.
+The analyzer modes (spectrum, noise-scan, sensitivity-sweep) use it; the
+lock-in reads real series only.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -114,6 +124,9 @@ def lock_in_demodulate(ts: AnySeries, mod_freq: float,
     the filter settle region is discarded before averaging. Detected series
     are scaled back to angle units via their recorded gain.
     """
+    if ts.center_freq is not None:
+        raise ValueError("lock_in_demodulate reads real series only, "
+                         f"not an envelope around {ts.center_freq!r} Hz")
     if not output_bandwidth > 0:
         raise ValueError(f"output_bandwidth must be > 0, got {output_bandwidth!r}")
     fs = ts.sample_rate
@@ -187,6 +200,21 @@ def sweep_resonance(res: ResonanceParams, mod_freqs: Sequence[float],
 # Spectrum-analyzer emulation
 # ---------------------------------------------------------------------------
 
+def _envelope_grid(band: tuple[float, float]
+                   ) -> Optional[tuple[float, float]]:
+    """(centre, sample rate) of the complex envelope that covers band.
+
+    The rate is the 5-smooth length just above 1.25 times the band width,
+    so the band sits inside the envelope's +-rate/2 with a margin; None
+    when that envelope would reach DC, where only a real series will do.
+    """
+    f_lo, f_hi = band
+    rate = float(_fft.next_fast_len(math.ceil(1.25 * (f_hi - f_lo)),
+                                    real=True))
+    center = 0.5 * (f_lo + f_hi)
+    return (center, rate) if center - rate / 2.0 > 0.0 else None
+
+
 @functools.lru_cache(maxsize=8)
 def _flattop(nperseg: int) -> tuple[np.ndarray, float]:
     """Read-only flat-top window of nperseg samples and its ENBW in bins."""
@@ -217,15 +245,24 @@ def _segment_length(fs: float, rbw: float, n: int) -> int:
 
 def _welch(x: np.ndarray, fs: float, window: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided Welch density with 50%-overlapped, undetrended segments."""
+    """Welch density with 50%-overlapped, undetrended segments.
+
+    One-sided for a real x. For a complex envelope, twice the two-sided
+    density at offsets from its centre, in increasing order.
+    """
     nperseg = window.size
     step = nperseg - nperseg // 2
-    acc = np.zeros(nperseg // 2 + 1)
+    real = not np.iscomplexobj(x)
+    transform = np.fft.rfft if real else np.fft.fft
+    acc = np.zeros(nperseg // 2 + 1 if real else nperseg)
     starts = range(0, x.size - nperseg + 1, step)
     for start in starts:
-        spec = np.fft.rfft(x[start:start + nperseg] * window)
+        spec = transform(x[start:start + nperseg] * window)
         acc += spec.real ** 2 + spec.imag ** 2
     psd = acc / (len(starts) * fs * float(np.sum(window ** 2)))
+    if not real:
+        return (np.fft.fftshift(np.fft.fftfreq(nperseg, 1.0 / fs)),
+                2.0 * np.fft.fftshift(psd))
     psd[1:nperseg - nperseg // 2] *= 2.0  # all but DC and an even-length Nyquist
     return np.fft.rfftfreq(nperseg, 1.0 / fs), psd
 
@@ -251,8 +288,9 @@ def psd_estimate(ts: AnySeries, rbw: float, vbw: Optional[float] = None,
     """One-sided PSD with the window ENBW calibrated to rbw (within 5%).
 
     vbw defaults to rbw. span, when given, slices the trace to
-    [f_lo, f_hi]. PSD units follow the input series (W/Hz for detected
-    series, rad^2/Hz for rotation series).
+    [f_lo, f_hi]; it must stay below Nyquist, or for a complex envelope
+    inside its centre +- sample_rate/2. PSD units follow the input series
+    (W/Hz for detected series, rad^2/Hz for rotation series).
     """
     if not rbw > 0:
         raise ValueError(f"rbw must be > 0, got {rbw!r}")
@@ -260,8 +298,8 @@ def psd_estimate(ts: AnySeries, rbw: float, vbw: Optional[float] = None,
         vbw = rbw
     if not vbw > 0:
         raise ValueError(f"vbw must be > 0, got {vbw!r}")
-    fs = ts.sample_rate
-    x = np.asarray(ts.samples, dtype=float)
+    fs, center = ts.sample_rate, ts.center_freq
+    x = ts.samples
     nperseg = _segment_length(fs, rbw, x.size)
     if nperseg < 16:
         raise ValueError(
@@ -280,14 +318,22 @@ def psd_estimate(ts: AnySeries, rbw: float, vbw: Optional[float] = None,
             f"realized ENBW {enbw!r} deviates from rbw {rbw!r} by more than 5%"
         )
     freqs, psd = _welch(x, fs, window)
+    if center is not None:
+        freqs += center
     bin_spacing = fs / nperseg
     if vbw < rbw:
         psd = np.maximum(_video_smooth(psd, rbw, vbw, bin_spacing), 0.0)
     if span is not None:
         f_lo, f_hi = span
-        if not f_hi < fs / 2.0:
+        if center is None and not f_hi < fs / 2.0:
             raise ValueError(
                 f"span upper edge {f_hi!r} must stay below Nyquist ({fs / 2.0!r})"
+            )
+        if center is not None and not (center - fs / 2.0 < f_lo
+                                       and f_hi < center + fs / 2.0):
+            raise ValueError(
+                f"span ({f_lo!r}, {f_hi!r}) must stay inside the envelope "
+                f"band {center!r} +- {fs / 2.0!r} Hz"
             )
         if not f_lo < f_hi:
             raise ValueError(f"empty span ({f_lo!r}, {f_hi!r})")

@@ -13,11 +13,19 @@ with Gamma = 2*pi*gamma_fwhm. The stochastic term dphi(t) is white Gaussian
 photon shot noise with one-sided PSD S_phi = 1/(2*Phi_ph), where Phi_ph is
 the photon flux arriving at the detector.
 
+A series is either the real angle at the full rate, or, when it carries a
+``center_freq`` f_c, its complex envelope around f_c: the positive-frequency
+part of phi(t) mixed down by f_c and sampled at a rate that covers only the
+band an analyzer reads. The analyzer modes (spectrum, noise-scan,
+sensitivity-sweep) synthesize envelopes; simulate and demod-sweep the real
+angle.
+
 All spectral densities in this package are one-sided.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Union
 
@@ -34,6 +42,7 @@ __all__ = [
     "lorentzian_quadratures",
     "photon_flux",
     "shot_noise_angle_density",
+    "white_noise",
     "synthesize_rotation",
     "rotation_to_csv",
     "rotation_from_csv",
@@ -69,7 +78,11 @@ class RotationTimeSeries:
     ``noise_samples`` holds the stochastic part of ``samples`` separately so
     downstream stages can apply the analyzer quadrature bookkeeping (see
     detector.detect) without re-deriving it. ``samples`` always equals the
-    deterministic part plus ``noise_samples``.
+    deterministic part plus ``noise_samples``; ``samples is noise_samples``
+    marks a series with no deterministic part.
+
+    With ``center_freq`` set, both arrays are complex: the envelope of the
+    angle around center_freq at ``sample_rate`` (see the module docstring).
     """
 
     samples: np.ndarray          # rad
@@ -79,26 +92,35 @@ class RotationTimeSeries:
     modulation_freq: Optional[float] = None  # Hz, deterministic carrier
     noise_samples: np.ndarray = dc_field(default_factory=lambda: np.zeros(0))
     rng_seed: Optional[Seed] = None
+    center_freq: Optional[float] = None  # Hz, envelope centre; None = real
 
     @property
     def duration(self) -> float:
         return self.samples.size / self.sample_rate
 
     def __post_init__(self) -> None:
-        self.samples = np.asarray(self.samples, dtype=float)
+        dtype = float if self.center_freq is None else complex
+        self.samples = np.asarray(self.samples, dtype=dtype)
         if self.noise_samples is None or np.size(self.noise_samples) == 0:
             self.noise_samples = np.zeros_like(self.samples)
         else:
-            self.noise_samples = np.asarray(self.noise_samples, dtype=float)
+            self.noise_samples = np.asarray(self.noise_samples, dtype=dtype)
         if self.noise_samples.shape != self.samples.shape:
             raise ValueError("noise_samples must match samples shape")
         if not self.sample_rate > 0:
             raise ValueError(f"sample_rate must be > 0, got {self.sample_rate!r}")
-        if (self.modulation_freq is not None
-                and self.sample_rate <= 2.0 * self.modulation_freq):
+        mod, fs, fc = self.modulation_freq, self.sample_rate, self.center_freq
+        if mod is None:
+            return
+        if fc is None and fs <= 2.0 * mod:
             raise ValueError(
-                f"sample_rate {self.sample_rate!r} violates the Nyquist guard "
-                f"for modulation_freq {self.modulation_freq!r}"
+                f"sample_rate {fs!r} violates the Nyquist guard "
+                f"for modulation_freq {mod!r}"
+            )
+        if fc is not None and not abs(mod - fc) < fs / 2.0:
+            raise ValueError(
+                f"modulation_freq {mod!r} lies outside the envelope band "
+                f"{fc!r} +- {fs / 2.0!r} Hz"
             )
 
 
@@ -150,20 +172,40 @@ def shot_noise_angle_density(flux: float) -> float:
     return 1.0 / (2.0 * flux)
 
 
+def white_noise(rng: np.random.Generator, density: float,
+                sample_rate: float, n: int, envelope: bool) -> np.ndarray:
+    """n samples of white Gaussian noise of one-sided PSD density.
+
+    Real with variance density * sample_rate / 2; for an envelope, one draw
+    of 2n values viewed as circular complex noise with variance
+    density * sample_rate / 4 per component (two-sided density density/2).
+    """
+    if envelope:
+        sigma = math.sqrt(density * sample_rate / 4.0)
+        return rng.normal(0.0, sigma, 2 * n).view(complex)
+    return rng.normal(0.0, math.sqrt(density * sample_rate / 2.0), n)
+
+
 def synthesize_rotation(res: ResonanceParams, field: FieldConfig,
                         duration: float, sample_rate: float, power: float,
                         rng_seed: Optional[Seed] = None, *,
                         wavelength: float = 795e-9, shot_noise: bool = True,
-                        constants: PhysicalConstants = CODATA
+                        constants: PhysicalConstants = CODATA,
+                        center_freq: Optional[float] = None
                         ) -> RotationTimeSeries:
     """Synthesize the sampled rotation angle at one operating point.
 
     The deterministic part is phi_P cos(Omega_m t) + phi_Q sin(Omega_m t)
     with (phi_P, phi_Q) evaluated at the field's detuning. When shot noise
     is enabled and power > 0, white Gaussian noise with one-sided PSD
-    1/(2*Phi_ph) is added (per-sample variance S_phi * sample_rate / 2).
-    Zero power means no light: no noise and nothing for the polarimeter to
-    measure downstream.
+    S_phi = 1/(2*Phi_ph) is added (per-sample variance S_phi * sample_rate
+    / 2). Zero power means no light: no noise and nothing for the
+    polarimeter to measure downstream.
+
+    With ``center_freq`` f_c the series is the complex envelope around f_c
+    instead: the tone is (phi_P - i phi_Q)/2 * exp(i 2pi (f_mod - f_c) t),
+    which needs |f_mod - f_c| < sample_rate/2, and the noise is circular
+    complex (see ``white_noise``). The real path needs sample_rate > 4 f_mod.
 
     Deterministic for a fixed rng_seed.
     """
@@ -175,7 +217,8 @@ def synthesize_rotation(res: ResonanceParams, field: FieldConfig,
             "FieldConfig.resolve (or validate_config) first"
         )
     mod_freq = field.modulation_freq
-    if not sample_rate > 4.0 * mod_freq:
+    envelope = center_freq is not None
+    if not envelope and not sample_rate > 4.0 * mod_freq:
         raise ValueError(
             f"sample_rate {sample_rate!r} must exceed 4x modulation_freq "
             f"({mod_freq!r} Hz)"
@@ -190,26 +233,31 @@ def synthesize_rotation(res: ResonanceParams, field: FieldConfig,
     carrier = phi_p != 0.0 or phi_q != 0.0
     if carrier:
         t = np.arange(n) / sample_rate
-        omega = 2.0 * np.pi * mod_freq
-        deterministic = phi_p * np.cos(omega * t) + phi_q * np.sin(omega * t)
+        if envelope:
+            deterministic = 0.5 * (phi_p - 1j * phi_q) * np.exp(
+                2j * np.pi * (mod_freq - center_freq) * t)
+        else:
+            omega = 2.0 * np.pi * mod_freq
+            deterministic = (phi_p * np.cos(omega * t)
+                             + phi_q * np.sin(omega * t))
 
     flux = photon_flux(power, wavelength, constants)
     if shot_noise and flux > 0:
-        s_phi = shot_noise_angle_density(flux)
-        sigma = np.sqrt(s_phi * sample_rate / 2.0)
-        rng = np.random.default_rng(rng_seed)
-        noise = rng.normal(0.0, sigma, n)
+        noise = white_noise(np.random.default_rng(rng_seed),
+                            shot_noise_angle_density(flux), sample_rate, n,
+                            envelope)
     else:
-        noise = np.zeros(n)
+        noise = np.zeros(n, dtype=complex if envelope else float)
 
     return RotationTimeSeries(
-        samples=deterministic + noise if carrier else noise.copy(),
+        samples=deterministic + noise if carrier else noise,
         sample_rate=sample_rate,
         mean_optical_power=power,
         photon_flux=flux,
         modulation_freq=mod_freq,
         noise_samples=noise,
         rng_seed=rng_seed,
+        center_freq=center_freq,
     )
 
 
@@ -218,7 +266,10 @@ def synthesize_rotation(res: ResonanceParams, field: FieldConfig,
 # ---------------------------------------------------------------------------
 
 def rotation_to_csv(ts: RotationTimeSeries, path) -> None:
-    """Write the series with header rows carrying its metadata."""
+    """Write a real series with header rows carrying its metadata."""
+    if ts.center_freq is not None:
+        raise ValueError("rotation_to_csv writes real series only, "
+                         f"not an envelope around {ts.center_freq!r} Hz")
     write_table(path, ["sample_rad"], [ts.samples], {
         "sample_rate_hz": ts.sample_rate,
         "mean_optical_power_w": ts.mean_optical_power,

@@ -345,6 +345,11 @@ def test_every_float_key_rejects_non_finite(key, value, tmp_path, capsys):
     ("snl-map", "snlmap.elec_knee_freq = 1e300\n", "snlmap.elec_knee_freq"),
     ("snl-map", "snlmap.second_gain_nominal = 1e200\n",
      "snlmap.second_gain_nominal"),
+    # powers ** 2 in the budget, and the squared gain ratio, overflow
+    ("snl-map", "sweep.power_max = 1e300\n", "sweep.power_max"),
+    ("sensitivity-sweep", "sweep.power_max = 1e300\n", "sweep.power_max"),
+    ("snl-map", "detector.transimpedance_gain_nominal = 1e-160\n",
+     "detector.transimpedance_gain_nominal"),
 ])
 def test_config_faults_exit_2_naming_key(mode, config_text, key, tmp_path,
                                         capsys):

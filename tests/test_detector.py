@@ -203,7 +203,7 @@ def test_detect_background_matches_theoretical_shot_level(power):
     det = DetectorConfig()
     out = detect(noise_rotation(power, duration=8.0), det)
     assert mean_psd(out) == pytest.approx(
-        theoretical_shot_noise_level(power, det, WAVELENGTH), rel=0.05)
+        theoretical_shot_noise_level(power, det, WAVELENGTH), rel=0.05, abs=0)
 
 
 def test_detect_electronic_noise_psd():
@@ -211,7 +211,7 @@ def test_detect_electronic_noise_psd():
     coef_elec = 1.35e-14
     out = detect(rot, DetectorConfig(electronic_noise_floor=coef_elec),
                  angle_gain=1.0, rng_seed=21)
-    assert mean_psd(out) == pytest.approx(coef_elec, rel=0.05)
+    assert mean_psd(out) == pytest.approx(coef_elec, rel=0.05, abs=0)
 
 
 def test_detect_technical_noise_psd():
@@ -222,7 +222,8 @@ def test_detect_technical_noise_psd():
     coef_tech = 1.8e-6
     out = detect(rot, DetectorConfig(technical_noise_coef=coef_tech),
                  angle_gain=1.0, rng_seed=22)
-    assert mean_psd(out) == pytest.approx(coef_tech * power ** 2, rel=0.05)
+    assert mean_psd(out) == pytest.approx(coef_tech * power ** 2, rel=0.05,
+                                          abs=0)
 
 
 def test_detect_full_budget_psd():
@@ -234,7 +235,7 @@ def test_detect_full_budget_psd():
     expected = (coef_elec
                 + theoretical_shot_noise_level(power, det, WAVELENGTH)
                 + coef_tech * power ** 2)
-    assert mean_psd(out) == pytest.approx(expected, rel=0.05)
+    assert mean_psd(out) == pytest.approx(expected, rel=0.05, abs=0)
 
 
 def test_detect_seed_determinism():

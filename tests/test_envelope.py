@@ -1,0 +1,244 @@
+"""Complex-envelope analyzer path: the band an analyzer mode reads,
+synthesized, detected and transformed around its centre, must read the same
+levels as the real full-rate series."""
+
+import math
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from amorsim import cli
+from amorsim.analysis import compute_snr
+from amorsim.config import (
+    DetectorConfig,
+    ExperimentConfig,
+    FieldConfig,
+    load_config_file,
+    validate_config,
+)
+from amorsim.detector import detect, detected_to_csv
+from amorsim.dsp import (
+    _envelope_grid,
+    lock_in_demodulate,
+    peak_and_background,
+    psd_estimate,
+)
+from amorsim.signal_model import (
+    ResonanceParams,
+    RotationTimeSeries,
+    photon_flux,
+    rotation_to_csv,
+    shot_noise_angle_density,
+    synthesize_rotation,
+)
+
+DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+SEEDS = range(20)
+
+
+def default_config() -> ExperimentConfig:
+    cfg = load_config_file(DEFAULT_CFG, base=ExperimentConfig())
+    return validate_config(cfg)
+
+
+def on_resonance(mod):
+    return FieldConfig(b_field=None, modulation_freq=mod, detuning_delta=0.0)
+
+
+def envelope(phi0=1e-3, power=1e-4, mod=10e3, center=10.3e3, fs=2000.0,
+             duration=1.0, seed=1):
+    res = ResonanceParams(phi0=phi0, gamma_fwhm=60.0, center_freq=mod)
+    return synthesize_rotation(res, on_resonance(mod), duration, fs, power,
+                               rng_seed=seed, center_freq=center)
+
+
+# ---------------------------------------------------------------------------
+# Envelope synthesis, detection and transform
+# ---------------------------------------------------------------------------
+
+def test_envelope_grid_covers_band_with_5_smooth_rate():
+    center, rate = _envelope_grid((68e3, 72e3))
+    assert center == 70e3
+    assert rate == 5000.0  # 1.25 x 4 kHz, already 5-smooth
+    center, rate = _envelope_grid((1000.0, 2001.0))
+    assert rate == 1280.0  # ceil(1251.25) = 1252 -> next 2^a 3^b 5^c
+    # a band whose envelope would reach DC gets no envelope
+    assert _envelope_grid((0.0, 8e3)) is None
+    assert _envelope_grid((5e3, 45e3)) is None  # centre - rate/2 == 0
+
+
+def test_envelope_tone_is_half_the_quadratures_at_the_offset():
+    res = ResonanceParams(phi0=1e-3, gamma_fwhm=60.0, center_freq=10e3)
+    field = FieldConfig(b_field=None, modulation_freq=10.05e3,
+                        detuning_delta=2 * math.pi * 50.0)
+    ts = synthesize_rotation(res, field, 0.1, 2000.0, 1e-4,
+                             shot_noise=False, center_freq=10.3e3)
+    phi_p = 1e-3 * 30.0 ** 2 / (50.0 ** 2 + 30.0 ** 2)
+    phi_q = -1e-3 * 30.0 * 50.0 / (50.0 ** 2 + 30.0 ** 2)
+    t = np.arange(200) / 2000.0
+    want = 0.5 * (phi_p - 1j * phi_q) * np.exp(2j * np.pi * (-250.0) * t)
+    np.testing.assert_allclose(ts.samples, want, rtol=1e-12, atol=1e-18)
+    assert ts.samples.dtype == complex and ts.center_freq == 10.3e3
+    # its real counterpart is the real part of twice the envelope re-mixed
+    real = synthesize_rotation(res, field, 0.1, 2000.0 * 40, 1e-4,
+                               shot_noise=False)
+    remixed = 2.0 * (want * np.exp(2j * np.pi * 10.3e3 * t)).real
+    np.testing.assert_allclose(real.samples[::40], remixed, atol=1e-15)
+
+
+def test_envelope_noise_is_circular_at_a_quarter_density_per_component():
+    power, fs = 1e-4, 2000.0
+    ts = envelope(phi0=0.0, power=power, fs=fs, duration=50.0)
+    s_phi = shot_noise_angle_density(photon_flux(power, 795e-9))
+    x = ts.noise_samples
+    assert ts.samples is x  # noise only: no coherent part
+    # abs=0: every level here is below pytest.approx's default 1e-12
+    assert np.var(x.real) == pytest.approx(s_phi * fs / 4.0, rel=0.03, abs=0)
+    assert np.var(x.imag) == pytest.approx(s_phi * fs / 4.0, rel=0.03, abs=0)
+    assert abs(np.mean(x.real * x.imag)) < 0.03 * s_phi * fs / 4.0
+
+
+def test_envelope_draws_one_stream_per_stage():
+    a, b = envelope(seed=(3, 0)), envelope(seed=(3, 0))
+    np.testing.assert_array_equal(a.samples, b.samples)
+    draw = np.random.default_rng((3, 0)).normal(
+        0.0, 1.0, 2 * a.samples.size)
+    ratio = a.noise_samples.real / draw[0::2]
+    np.testing.assert_allclose(ratio, ratio[0], rtol=1e-12)
+
+
+def test_envelope_band_guards():
+    with pytest.raises(ValueError, match="envelope band"):
+        envelope(mod=10e3, center=11.1e3, fs=2000.0)
+    # the real path's 4x guard does not apply to an envelope
+    ts = envelope(mod=10e3, center=10e3, fs=2000.0)
+    assert ts.sample_rate < 4 * 10e3
+    with pytest.raises(ValueError, match="envelope band"):
+        RotationTimeSeries(samples=np.zeros(4, complex), sample_rate=100.0,
+                           mean_optical_power=1e-4, photon_flux=1e14,
+                           modulation_freq=1e3, center_freq=1.2e3)
+
+
+def test_detect_keeps_envelope_and_its_quadrature_rule():
+    rot = envelope(phi0=0.0, duration=0.1)
+    out = detect(rot, DetectorConfig())
+    assert out.center_freq == rot.center_freq
+    np.testing.assert_allclose(
+        out.samples, out.angle_gain * rot.noise_samples / math.sqrt(2.0),
+        rtol=1e-14)
+    coherent = envelope(phi0=1e-3, power=1e-4, duration=0.1)
+    out = detect(coherent, DetectorConfig())
+    noise = coherent.noise_samples
+    want = out.angle_gain * (coherent.samples - noise + noise / math.sqrt(2))
+    np.testing.assert_allclose(out.samples, want, rtol=1e-12)
+
+
+def test_envelope_psd_reads_the_one_sided_levels():
+    # white detector noise of one-sided PSD A and a tone of amplitude a
+    fs, center, mod, coef_elec = 4000.0, 10e3, 10.4e3, 1e-12
+    rot = envelope(phi0=1e-3, power=0.0, mod=mod, center=center, fs=fs,
+                   duration=4.0)
+    out = detect(rot, DetectorConfig(electronic_noise_floor=coef_elec),
+                 angle_gain=1.0, rng_seed=2)
+    spec = psd_estimate(out, rbw=30.0, span=(center - 1500.0, center + 1500.0))
+    assert center - 1500.0 <= spec.freqs[0] < spec.freqs[-1] <= center + 1500.0
+    sel = np.abs(spec.freqs - mod) > 200.0
+    assert np.mean(spec.psd[sel]) == pytest.approx(coef_elec, rel=0.05, abs=0)
+    peak = spec.psd[np.argmin(np.abs(spec.freqs - mod))]
+    assert peak == pytest.approx(1e-3 ** 2 / (2.0 * spec.enbw), rel=0.01,
+                                 abs=0)
+
+
+def test_envelope_psd_span_stays_inside_the_band():
+    out = detect(envelope(duration=1.0), DetectorConfig(), rng_seed=1)
+    with pytest.raises(ValueError, match="envelope band"):
+        psd_estimate(out, rbw=30.0, span=(10.3e3 - 1100.0, 10.3e3))
+    with pytest.raises(ValueError, match="envelope band"):
+        psd_estimate(out, rbw=30.0, span=(10.3e3, 10.3e3 + 1000.0))
+
+
+def test_real_only_consumers_reject_envelopes(tmp_path):
+    rot = envelope(duration=0.5)
+    with pytest.raises(ValueError, match="real series only"):
+        lock_in_demodulate(rot, 10e3, 25.0)
+    with pytest.raises(ValueError, match="real series only"):
+        rotation_to_csv(rot, tmp_path / "rotation.csv")
+    with pytest.raises(ValueError, match="real series only"):
+        detected_to_csv(detect(rot, DetectorConfig()), tmp_path / "d.csv")
+    assert not list(tmp_path.iterdir())
+
+
+# ---------------------------------------------------------------------------
+# Monte-Carlo gates across seeds
+# ---------------------------------------------------------------------------
+
+def _mean_and_sem(values):
+    values = np.asarray(values)
+    sem = values.std(ddof=1) / math.sqrt(values.size)
+    return float(values.mean()), float(sem)
+
+
+def _peak_and_background(cfg, band, power, phi0):
+    """Mean peak and background over SEEDS of one chain."""
+    mod = cfg.field_cfg.modulation_freq
+    gamma = cfg.resonance.gamma_fwhm
+    peaks, backgrounds = [], []
+    for seed in SEEDS:
+        on, off = cli._spectrum_pair(cfg, (seed,), power, phi0, gamma, band)
+        peak, background = peak_and_background(on, off, mod,
+                                               cfg.spectrum.bg_window)
+        peaks.append(peak)
+        backgrounds.append(background)
+    return _mean_and_sem(peaks), _mean_and_sem(backgrounds)
+
+
+@pytest.mark.parametrize("b_field, power", [
+    (7.6e-6, 10e-6),     # noise-scan field, electronic term dominant
+    (75e-6, 700e-6),     # second noise-scan field, technical term dominant
+    (None, 80.5e-6),     # sensitivity operating point, shot term dominant
+])
+def test_envelope_and_full_rate_agree_across_seeds(b_field, power):
+    cfg = default_config()
+    cfg.sim.duration = 0.2  # two Welch segments at rbw 30 Hz
+    if b_field is not None:
+        field = FieldConfig(b_field=b_field).resolve(cfg.atom, cfg.constants)
+        cfg = replace(cfg, field_cfg=field, sim=replace(
+            cfg.sim, sample_rate=max(cfg.sim.sample_rate,
+                                     4.5 * field.modulation_freq)))
+    band = cli._bg_band(cfg, cfg.field_cfg)
+    assert _envelope_grid(band) is not None
+    # a tone some 100-250x the background, so the peak's scatter is set by
+    # the noise and not by where the tone falls on each bin grid
+    phi0 = 100.0 * math.sqrt(shot_noise_angle_density(
+        photon_flux(power, cfg.atom.probe_wavelength)))
+    real = _peak_and_background(cfg, None, power, phi0)
+    env = _peak_and_background(cfg, band, power, phi0)
+    for (real_mean, real_sem), (env_mean, env_sem) in zip(real, env):
+        sem = math.hypot(real_sem, env_sem)
+        assert sem < 0.05 * real_mean
+        assert abs(env_mean - real_mean) < 4.0 * sem
+
+
+@pytest.mark.parametrize("power", [20e-6, 80.5e-6, 300e-6])
+def test_envelope_snr_estimator_is_unbiased_across_seeds(power):
+    # With no electronic or technical noise the derived SNR per sqrt(Hz) is
+    # phi0 / sqrt(S_phi), whatever the gain or the bandwidth.
+    cfg = default_config()
+    cfg.detector = replace(cfg.detector, electronic_noise_floor=0.0,
+                           technical_noise_coef=0.0)
+    mod = cfg.field_cfg.modulation_freq
+    band = cli._bg_band(cfg, cfg.field_cfg)
+    phi0 = cfg.resonance.phi0
+    snrs = []
+    for seed in SEEDS:
+        on, off = cli._spectrum_pair(cfg, (seed,), power, phi0,
+                                     cfg.resonance.gamma_fwhm, band)
+        s_sig, s_bg = peak_and_background(on, off, mod, cfg.spectrum.bg_window)
+        snrs.append(compute_snr(s_sig, s_bg, on.enbw))
+    mean, sem = _mean_and_sem(snrs)
+    expected = phi0 / math.sqrt(shot_noise_angle_density(
+        photon_flux(power, cfg.atom.probe_wavelength)))
+    assert sem < 0.02 * expected
+    assert abs(mean - expected) < 4.0 * sem
