@@ -55,6 +55,8 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
+import numpy.random  # noqa: F401 numpy 2 loads it lazily; load it here, not mid-run
+import scipy  # the version only, for manifest.json; no subpackage
 
 from .analysis import (
     classify_operating_point,
@@ -164,6 +166,15 @@ def _require_dark_floor(cfg: ExperimentConfig, key: str) -> None:
         )
 
 
+def _require_positive_sweep(center: float, halfspan: float) -> None:
+    """The demod-sweep grid must stay above 0 Hz: it sets the carriers."""
+    if center - halfspan <= 0.0:
+        raise ConfigError(
+            f"sweep.freq_halfspan_widths: the grid {center!r} +- {halfspan!r} "
+            "Hz reaches 0 Hz; narrow the sweep or raise field.b_field"
+        )
+
+
 def _synth(cfg: ExperimentConfig, res: ResonanceParams, field: FieldConfig,
            power: float, key: tuple, band: Optional[tuple] = None):
     """Synthesize one rotation series from stream key+(0,).
@@ -221,6 +232,7 @@ def _run_demod_sweep(cfg: ExperimentConfig, spec: ScenarioSpec,
                      outdir: Path) -> list[str]:
     center = _center_freq(cfg.field_cfg)
     halfspan = cfg.sweep.freq_halfspan_widths * cfg.resonance.gamma_fwhm
+    _require_positive_sweep(center, halfspan)
     freqs = np.linspace(center - halfspan, center + halfspan,
                         cfg.sweep.freq_points)
     res = ResonanceParams(cfg.resonance.phi0, cfg.resonance.gamma_fwhm, center)
@@ -513,8 +525,6 @@ def run_scenario(spec: ScenarioSpec) -> int:
 
 
 def _versions() -> dict:
-    import scipy
-
     from . import __version__
 
     return {

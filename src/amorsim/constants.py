@@ -1,16 +1,15 @@
 """Physical constants shared across the simulator.
 
-All values are SI (CODATA via scipy.constants). ``hbar`` is derived from the
-exact SI Planck constant so that ``planck_h == 2*pi*hbar`` holds to full
-double precision.
+All values are SI, CODATA 2022, written out as literals (they equal
+``scipy.constants`` bit for bit, without importing it). ``hbar`` is the
+exact SI Planck constant over 2*pi, so ``planck_h == 2*pi*hbar`` holds to
+full double precision.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import scipy.constants as _sc
 
 __all__ = ["PhysicalConstants", "CODATA"]
 
@@ -23,11 +22,11 @@ class PhysicalConstants:
     collision with the vacuum permeability).
     """
 
-    hbar: float = _sc.hbar                  # J s
-    planck_h: float = _sc.h                 # J s
-    electron_charge: float = _sc.e          # C
-    bohr_magneton: float = _sc.physical_constants["Bohr magneton"][0]  # J/T
-    speed_of_light: float = _sc.c           # m/s
+    hbar: float = 1.0545718176461565e-34      # J s, h / (2*pi)
+    planck_h: float = 6.62607015e-34          # J s, exact
+    electron_charge: float = 1.602176634e-19  # C, exact
+    bohr_magneton: float = 9.2740100657e-24   # J/T
+    speed_of_light: float = 299792458.0       # m/s, exact
 
     def validate(self) -> "PhysicalConstants":
         for name in ("hbar", "planck_h", "electron_charge",

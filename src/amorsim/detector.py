@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import numpy.random  # noqa: F401 numpy 2 loads it lazily; load it here, not mid-run
 
 from .config import DetectorConfig
 from .constants import CODATA, PhysicalConstants

@@ -23,10 +23,18 @@ twice the two-sided density, so one-sided levels read the same on both
 paths. ``_envelope_grid`` picks the envelope for the band a caller reads.
 The analyzer modes (spectrum, noise-scan, sensitivity-sweep) use it; the
 lock-in reads real series only.
+
+The lock-in's 4th-order Butterworth output filter is linear, so the mean
+of its settled output is a fixed weighting of its input: each point is
+one weighted sum, with weights built once per (rate, bandwidth, length)
+from the filter's closed-form step response. Everything here runs on
+numpy alone; scipy.signal is imported only for video smoothing (vbw <
+rbw).
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import os
@@ -34,8 +42,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy import fft as _fft
-from scipy import signal as _sig
+import numpy.fft  # noqa: F401 numpy 2 loads it lazily; load it here, not mid-run
 
 from .detector import DetectedTimeSeries
 from .signal_model import ResonanceParams, RotationTimeSeries
@@ -115,24 +122,97 @@ def _angle_scale(ts: AnySeries) -> float:
     return 1.0 / gain
 
 
+@functools.lru_cache(maxsize=64)
+def _smooth_bracket(n: int) -> tuple[int, int]:
+    """The 5-smooth lengths (2^a 3^b 5^c) nearest n from below and above.
+
+    Walks the 3^b 5^c products under the upper bound and completes each
+    with the power of two that brings it nearest n, so a call costs a few
+    dozen steps whatever n is. Matches scipy.fft's prev_fast_len and
+    next_fast_len with real=True for n >= 1.
+    """
+    down, up = 1 << (n.bit_length() - 1), 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < up:
+        p = p5
+        while p < up:
+            if p <= n:
+                down = max(down, p << ((n // p).bit_length() - 1))
+            up = min(up, p << ((n - 1) // p).bit_length())
+            p *= 3
+        p5 *= 5
+    return down, up
+
+
+def _butter4_step(fs: float, bw: float, n: int) -> np.ndarray:
+    """First n samples of the step response of butter(4, bw, fs=fs).
+
+    scipy's design: the Butterworth poles pre-warped to bw, mapped by the
+    bilinear transform, unit gain at DC. Each conjugate pole pair is one
+    section with impulse response c0*delta[k] + 2*Re(r p^k); the two
+    sections are convolved by FFT and summed. A partial fraction over all
+    four poles would be ill-conditioned at small bw/fs, where the poles
+    crowd towards z = 1; a pair's two poles stay apart.
+    """
+    warped = 4.0 * math.tan(math.pi * bw / fs)  # analog cutoff, for fs = 2
+    k = np.arange(n)
+    sections = []
+    for m in (-3, -1):  # one pole of each conjugate pair
+        analog = -warped * cmath.exp(1j * math.pi * m / 8.0)
+        pole = (4.0 + analog) / (4.0 - analog)
+        gain = abs(analog) ** 2 / abs(4.0 - analog) ** 2
+        residue = (gain * (1.0 + 1.0 / pole) ** 2
+                   / (1.0 - pole.conjugate() / pole))
+        h = 2.0 * (residue * np.exp(k * np.log(pole))).real
+        h[0] += gain / abs(pole) ** 2
+        sections.append(h)
+    size = _smooth_bracket(2 * n - 1)[1]
+    spectrum = np.fft.rfft(sections[0], size) * np.fft.rfft(sections[1], size)
+    return np.cumsum(np.fft.irfft(spectrum, size)[:n])
+
+
+@functools.lru_cache(maxsize=4)
+def _lock_in_weights(fs: float, bw: float, n: int) -> np.ndarray:
+    """Read-only w with mean(butter4(u)[settle:]) == u @ w for any u.
+
+    The filter is linear, so the mean of its settled tail weighs each
+    input sample j by the step response S: w[j] = (S[n-1-j] -
+    S[settle-1-j]) / (n - settle), with S zero at negative indices.
+    """
+    settle = min(int(6.0 * fs / bw), n // 2)
+    step = _butter4_step(fs, bw, n)
+    weights = step[::-1].copy()
+    weights[:settle] -= step[settle - 1::-1]
+    weights /= n - settle
+    weights.flags.writeable = False
+    return weights
+
+
 def lock_in_demodulate(ts: AnySeries, mod_freq: float,
                        output_bandwidth: float) -> tuple[float, float]:
     """Demodulate at mod_freq: returns (phi_P, phi_Q) in radians.
 
-    phi_P = 2<x cos>, phi_Q = 2<x sin> after a 4th-order low-pass at
-    output_bandwidth (cascade with >60 dB rejection at twice the carrier);
-    the filter settle region is discarded before averaging. Detected series
-    are scaled back to angle units via their recorded gain.
+    phi_P = 2<x cos>, phi_Q = 2<x sin> after a 4th-order Butterworth
+    low-pass at output_bandwidth (cascade with >60 dB rejection at twice
+    the carrier), averaged over the output once the settle region is
+    discarded. That average is linear in x, so each quadrature is one
+    weighted sum, (2 x w) @ cos and (2 x w) @ sin of the carrier, with the
+    weights w of ``_lock_in_weights``. Detected series are scaled back to
+    angle units via their recorded gain.
     """
     if ts.center_freq is not None:
         raise ValueError("lock_in_demodulate reads real series only, "
                          f"not an envelope around {ts.center_freq!r} Hz")
-    if not output_bandwidth > 0:
-        raise ValueError(f"output_bandwidth must be > 0, got {output_bandwidth!r}")
     fs = ts.sample_rate
-    if not mod_freq < fs / 2.0:
+    if not 0.0 < mod_freq < fs / 2.0:
         raise ValueError(
-            f"mod_freq {mod_freq!r} violates Nyquist for sample_rate {fs!r}"
+            f"mod_freq {mod_freq!r} must lie in (0, Nyquist) for "
+            f"sample_rate {fs!r}"
+        )
+    if not 0.0 < output_bandwidth < fs / 2.0:
+        raise ValueError(
+            f"output_bandwidth {output_bandwidth!r} must lie in (0, Nyquist) "
+            f"for sample_rate {fs!r}"
         )
     n = ts.samples.size
     if n / fs < 10.0 / output_bandwidth:
@@ -140,14 +220,10 @@ def lock_in_demodulate(ts: AnySeries, mod_freq: float,
             f"series duration {n / fs!r} s too short for output bandwidth "
             f"{output_bandwidth!r} Hz (need >= {10.0 / output_bandwidth!r} s)"
         )
-    x = ts.samples * _angle_scale(ts)
-    t = np.arange(n) / fs
-    carrier = 2.0 * np.pi * mod_freq * t
-    sos = _sig.butter(4, output_bandwidth, fs=fs, output="sos")
-    inphase = _sig.sosfilt(sos, 2.0 * x * np.cos(carrier))
-    quadrature = _sig.sosfilt(sos, 2.0 * x * np.sin(carrier))
-    settle = min(int(6.0 * fs / output_bandwidth), n // 2)
-    return float(inphase[settle:].mean()), float(quadrature[settle:].mean())
+    weights = _lock_in_weights(float(fs), float(output_bandwidth), n)
+    weighted = ts.samples * (2.0 * _angle_scale(ts)) * weights
+    carrier = 2.0 * np.pi * mod_freq * (np.arange(n) / fs)
+    return float(weighted @ np.cos(carrier)), float(weighted @ np.sin(carrier))
 
 
 def _pmap(fn, tasks: list, workers: int) -> list:
@@ -209,16 +285,26 @@ def _envelope_grid(band: tuple[float, float]
     when that envelope would reach DC, where only a real series will do.
     """
     f_lo, f_hi = band
-    rate = float(_fft.next_fast_len(math.ceil(1.25 * (f_hi - f_lo)),
-                                    real=True))
+    rate = float(_smooth_bracket(math.ceil(1.25 * (f_hi - f_lo)))[1])
     center = 0.5 * (f_lo + f_hi)
     return (center, rate) if center - rate / 2.0 > 0.0 else None
 
 
+_FLATTOP_COEFS = (0.21557895, 0.41663158, 0.277263158, 0.083578947,
+                  0.006947368)
+
+
 @functools.lru_cache(maxsize=8)
 def _flattop(nperseg: int) -> tuple[np.ndarray, float]:
-    """Read-only flat-top window of nperseg samples and its ENBW in bins."""
-    window = _sig.windows.flattop(nperseg)
+    """Read-only flat-top window of nperseg samples and its ENBW in bins.
+
+    scipy.signal.windows.flattop's symmetric 5-term cosine sum for
+    nperseg >= 2, built the same way so the samples agree bit for bit.
+    """
+    phase = np.linspace(-np.pi, np.pi, nperseg)
+    window = np.zeros(nperseg)
+    for k, a in enumerate(_FLATTOP_COEFS):
+        window += a * np.cos(k * phase)
     window.flags.writeable = False
     return window, nperseg * float(np.sum(window ** 2) / np.sum(window) ** 2)
 
@@ -234,8 +320,7 @@ def _segment_length(fs: float, rbw: float, n: int) -> int:
     raw = int(round(_flattop(4096)[1] * fs / rbw))
     if raw < 16:  # would snap to < 16 as well (15 is 5-smooth): rejected
         return raw
-    down = _fft.prev_fast_len(raw, real=True)
-    up = _fft.next_fast_len(raw, real=True)
+    down, up = _smooth_bracket(raw)
     smooth = down if raw - down <= up - raw else up
     if smooth > n:  # checked first: no window is built for a length never used
         return raw
@@ -272,14 +357,17 @@ def _video_smooth(psd: np.ndarray, rbw: float, vbw: float,
     """Zero-phase single-pole smoothing across bins with cutoff vbw.
 
     The trace is treated as sampled at one resolution bandwidth per dwell,
-    i.e. a pseudo sample rate of rbw/bin_spacing bins per dwell.
+    i.e. a pseudo sample rate of rbw/bin_spacing bins per dwell. Only
+    vbw < rbw comes here, so scipy.signal is imported here alone.
     """
+    from scipy.signal import lfilter
+
     alpha = np.exp(-2.0 * np.pi * (vbw / rbw) * (bin_spacing / rbw))
     if alpha <= 0.0:
         return psd
     b, a = [1.0 - alpha], [1.0, -alpha]
-    forward = _sig.lfilter(b, a, psd)
-    backward = _sig.lfilter(b, a, forward[::-1])[::-1]
+    forward = lfilter(b, a, psd)
+    backward = lfilter(b, a, forward[::-1])[::-1]
     return backward
 
 

@@ -10,6 +10,10 @@ realized quadrature frame, plus independent constant baselines:
     model_P = phi0*(L cos(theta) - D sin(theta)) + b_P
     model_Q = phi0*(D cos(theta) + L sin(theta)) + b_Q
 
+It is solved by a numpy Levenberg-Marquardt with the model's analytic
+Jacobian, to MINPACK's stopping tests at 1e-14; the starting point comes
+from |P + iQ|^2 = phi0^2 L, which does not depend on theta.
+
 The noise-budget fit is a weighted least-squares polynomial
 N(P) = A + B*P + C*P^2 with nonnegative coefficients, weighted by the
 inverse square of each measured level (equal relative weighting).
@@ -17,12 +21,12 @@ inverse square of each measured level (equal relative weighting).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .detector import NoiseBudget
 from .dsp import ResonanceCurve
@@ -86,37 +90,53 @@ class LorentzianFit:
         }
 
 
-def _quadrature_model(freqs: np.ndarray, f_c: float, gamma_fwhm: float,
-                      phi0: float, theta: float, b_p: float,
-                      b_q: float) -> tuple[np.ndarray, np.ndarray]:
+def _quadrature_model(freqs: np.ndarray, x: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked model [P; Q] at x = (f_c, gamma_fwhm, phi0, theta, b_P, b_Q),
+    and its Jacobian with respect to x.
+
+    In complex form P + iQ = phi0 e^(i theta) (L + iD) + b_P + i b_Q, where
+    L + iD = h / (h + i delta) and h = gamma/2.
+    """
+    f_c, gamma_fwhm, phi0, theta, b_p, b_q = x
+    half = math.pi * gamma_fwhm
     delta = 2.0 * np.pi * (freqs - f_c)
-    gamma = 2.0 * np.pi * gamma_fwhm
-    denom = delta ** 2 + gamma ** 2 / 4.0
-    absorb = (gamma ** 2 / 4.0) / denom
-    disperse = -(gamma * delta / 2.0) / denom
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    model_p = phi0 * (absorb * cos_t - disperse * sin_t) + b_p
-    model_q = phi0 * (disperse * cos_t + absorb * sin_t) + b_q
-    return model_p, model_q
+    pole = half + 1j * delta
+    unit = cmath.exp(1j * theta)
+    line = half / pole
+    slope = 1j * phi0 * unit / pole ** 2
+    model = phi0 * unit * line + complex(b_p, b_q)
+    jac = np.column_stack([
+        2.0 * np.pi * half * slope,   # d/d f_c
+        math.pi * delta * slope,      # d/d gamma_fwhm
+        unit * line,                  # d/d phi0
+        1j * phi0 * unit * line,      # d/d theta
+        np.ones_like(line),           # d/d b_P
+        np.full_like(line, 1j),       # d/d b_Q
+    ])
+    return (np.concatenate([model.real, model.imag]),
+            np.concatenate([jac.real, jac.imag]))
 
 
 def auto_initial_guess(curve: ResonanceCurve) -> LorentzianGuess:
     """Moment-based starting point for the resonance fit.
 
-    Center from the in-phase maximum bin, width from the half-maximum
-    crossing span, amplitude from the in-phase peak; baselines and phase
-    start at zero. If the half-max span is degenerate (flat or
-    single-sided data) the fallback uses the grid midpoint and a tenth of
-    the grid span, and flags itself.
+    Reads the power |P + iQ|^2, which is phi0^2 L whatever the frame angle:
+    center from its maximum bin, width from its half-maximum crossing span,
+    amplitude from the square root of the maximum and phase from the angle
+    of P + iQ there; baselines start at zero. If the half-max span is
+    degenerate (flat or single-sided data) the fallback uses the grid
+    midpoint and a tenth of the grid span, and flags itself.
     """
     freqs = curve.mod_freqs
-    phi_p = curve.phi_P_values
-    idx_peak = int(np.argmax(phi_p))
-    peak = float(phi_p[idx_peak])
-    floor = float(np.min(phi_p))
-    half = floor + 0.5 * (peak - floor)
-    above = phi_p >= half
+    signal = curve.phi_P_values + 1j * curve.phi_Q_values
+    power = np.abs(signal) ** 2
+    idx_peak = int(np.argmax(power))
+    peak = float(power[idx_peak])
+    floor = float(np.min(power))
+    above = power >= floor + 0.5 * (peak - floor)
     span = float(freqs[-1] - freqs[0]) if freqs.size > 1 else 0.0
+    amp = math.sqrt(peak)
 
     fallback = False
     if peak <= floor or not np.any(above) or span <= 0.0:
@@ -130,21 +150,76 @@ def auto_initial_guess(curve: ResonanceCurve) -> LorentzianGuess:
     if fallback:
         center = float(freqs[0] + span / 2.0)
         width = span / 10.0 if span > 0.0 else 1.0
-        amp = peak if peak != 0.0 else 1.0
-        return LorentzianGuess(center, width, amp, from_fallback=True)
-    return LorentzianGuess(float(freqs[idx_peak]), width, peak)
+        return LorentzianGuess(center, width, amp if amp != 0.0 else 1.0,
+                               from_fallback=True)
+    return LorentzianGuess(float(freqs[idx_peak]), width, amp,
+                           phase_offset=float(np.angle(signal[idx_peak])))
 
 
-def _solve(freqs: np.ndarray, phi_p: np.ndarray, phi_q: np.ndarray,
-           x0: np.ndarray):
-    def residuals(x):
-        mp, mq = _quadrature_model(freqs, *x)
-        return np.concatenate([mp - phi_p, mq - phi_q])
+def _solve(freqs: np.ndarray, data: np.ndarray, x0: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Levenberg-Marquardt fit of the stacked model to the stacked data.
 
-    return least_squares(
-        residuals, x0, method="lm",
-        xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=200 * (x0.size + 1),
-    )
+    Returns the parameters, residuals and Jacobian at the solution. Each
+    step solves the damped problem [J; sqrt(lam) D] step = [-r; 0] by least
+    squares, with D the largest column norms of J seen so far (MINPACK's
+    scaling); lam shrinks after a good step and grows after a rejected one.
+    It stops, as MINPACK's lmder does, once the actual and predicted
+    relative cost reductions fall under ftol, the scaled step under xtol
+    times the scaled parameters, or the cosine between the residuals and
+    every Jacobian column under gtol (all 1e-14). More than 200 (n + 1)
+    model evaluations raise FitError.
+    """
+    tol = 1e-14
+    max_nfev = 200 * (x0.size + 1)
+
+    def evaluate(x):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            model, jac = _quadrature_model(freqs, x)
+        resid = model - data
+        cost = 0.5 * float(resid @ resid)
+        return resid, jac, cost if math.isfinite(cost) else math.inf
+
+    x = np.asarray(x0, dtype=float)
+    resid, jac, cost = evaluate(x)
+    nfev = 1
+    scale = np.zeros(x.size)
+    damping, growth = 1e-3, 2.0
+    while True:
+        norms = np.linalg.norm(jac, axis=0)
+        scale = np.maximum(scale, norms)
+        diag = np.where(scale > 0.0, scale, 1.0)
+        if np.all(np.abs(jac.T @ resid)
+                  <= tol * norms * math.sqrt(2.0 * cost)):
+            return x, resid, jac
+        if nfev >= max_nfev:
+            raise FitError("resonance fit did not converge: the evaluation "
+                           f"cap of {max_nfev} was reached")
+        system = np.vstack([jac / diag, math.sqrt(damping) * np.eye(x.size)])
+        step = np.linalg.lstsq(
+            system, np.concatenate([-resid, np.zeros(x.size)]), rcond=None
+        )[0] / diag
+        linear = resid + jac @ step
+        predicted = cost - 0.5 * float(linear @ linear)
+        trial = x + step
+        resid_t, jac_t, cost_t = evaluate(trial)
+        nfev += 1
+        actual = cost - cost_t
+        ratio = actual / predicted if predicted > 0.0 else 0.0
+        reduced = (abs(actual) <= tol * cost and predicted <= tol * cost
+                   and ratio <= 2.0)
+        small_step = (np.linalg.norm(diag * step)
+                      <= tol * np.linalg.norm(diag * x))
+        if ratio > 1e-4 or reduced:  # a step the cost cannot resolve is
+            # still the quadratic model's better estimate: keep it
+            x, resid, jac, cost = trial, resid_t, jac_t, cost_t
+            damping *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
+            growth = 2.0
+        else:
+            damping *= growth
+            growth *= 2.0
+        if reduced or small_step:
+            return x, resid, jac
 
 
 def fit_lorentzian(curve: ResonanceCurve,
@@ -171,15 +246,14 @@ def fit_lorentzian(curve: ResonanceCurve,
 
     x0 = np.array([guess.center_freq, guess.gamma_fwhm, guess.phi0,
                    guess.phase_offset, guess.baseline_p, guess.baseline_q])
-    result = _solve(freqs, phi_p, phi_q, x0)
-    if result.x[1] < 0.0:
-        restart = result.x.copy()
+    data = np.concatenate([phi_p, phi_q])
+    x, resid, jac = _solve(freqs, data, x0)
+    if x[1] < 0.0:
+        restart = x.copy()
         restart[1] = abs(restart[1])
-        result = _solve(freqs, phi_p, phi_q, restart)
-    if not result.success:
-        raise FitError(f"resonance fit did not converge: {result.message}")
+        x, resid, jac = _solve(freqs, data, restart)
 
-    f_c, gamma_fwhm, phi0, theta, b_p, b_q = result.x
+    f_c, gamma_fwhm, phi0, theta, b_p, b_q = x
     # Gauge fix: a negative amplitude with theta shifted by pi is the same
     # curve; report the positive-amplitude representative.
     if phi0 < 0.0:
@@ -188,13 +262,12 @@ def fit_lorentzian(curve: ResonanceCurve,
     theta = math.atan2(math.sin(theta), math.cos(theta))
     gamma_fwhm = abs(gamma_fwhm)
 
-    m, n = result.fun.size, result.x.size
-    resid_rms = float(np.sqrt(np.mean(result.fun ** 2)))
+    m, n = resid.size, x.size
+    resid_rms = float(np.sqrt(np.mean(resid ** 2)))
     errs = np.zeros(n)
     if m > n:
-        jac = result.jac
         try:
-            cov = np.linalg.pinv(jac.T @ jac) * (2.0 * result.cost / (m - n))
+            cov = np.linalg.pinv(jac.T @ jac) * (float(resid @ resid) / (m - n))
             errs = np.sqrt(np.maximum(np.diag(cov), 0.0))
         except np.linalg.LinAlgError:
             pass
@@ -211,7 +284,7 @@ def fit_lorentzian(curve: ResonanceCurve,
         phi0_err=float(errs[2]),
         residual_rms=resid_rms,
         n_points=int(freqs.size),
-        converged=bool(result.success),
+        converged=True,
         extrapolated=not (freqs[0] <= f_c <= freqs[-1]),
     )
 

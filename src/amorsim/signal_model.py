@@ -30,6 +30,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional, Union
 
 import numpy as np
+import numpy.random  # noqa: F401 numpy 2 loads it lazily; load it here, not mid-run
 
 from .config import AtomConfig, ConfigError, FieldConfig, _larmor_doubled
 from .constants import CODATA, PhysicalConstants

@@ -1,6 +1,7 @@
 """Batch CLI: modes, outputs, manifests, determinism, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 import types
@@ -11,8 +12,9 @@ import pytest
 
 import amorsim.cli
 import amorsim.dsp
+from amorsim.analysis import snl_range
 from amorsim.cli import MODES, ScenarioSpec, emit_plotdata, main, run_scenario
-from amorsim.config import _KEY_TABLE, ConfigError
+from amorsim.config import _KEY_TABLE, ConfigError, FieldConfig
 from amorsim.signal_model import rotation_from_csv
 from amorsim.tables import read_table, write_json, write_table
 
@@ -147,6 +149,27 @@ def test_noise_scan_outputs(mode_run):
     # second-field scan disabled in the fast config
     assert not (out / "noise_scan_high.csv").exists()
     assert emit_plotdata(out) == ["fig4a_noise.dat"]
+
+
+@pytest.mark.parametrize("b_field", [5e-6, 7.6e-6, 20e-6, 40e-6, 75e-6])
+def test_noise_scan_is_shot_noise_limited_from_5_to_75_uT(b_field):
+    # The paper's claim: SNL operation from 5 uT to 75 uT. Over 20 seeds the
+    # fitted shot coefficient agrees with theory within 4 standard errors
+    # of the seed spread, and every fitted budget has a k = 4 window.
+    config = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+    cfg = amorsim.cli._load_config(ScenarioSpec("noise-scan", str(config)))
+    field = FieldConfig(b_field=b_field).resolve(cfg.atom, cfg.constants)
+    lane = int(round(b_field * 1e7))  # each field draws its own streams
+    shots = []
+    for seed in range(20):
+        _, _, fit = amorsim.cli._noise_scan_at_field(
+            cfg, ScenarioSpec("noise-scan", seed=seed), field, lane)
+        shots.append(fit.coef_shot)
+        assert snl_range(fit, 4).nonempty, seed
+    shots = np.array(shots)
+    stderr = shots.std(ddof=1) / math.sqrt(shots.size)
+    theory = amorsim.cli._shot_coef_theory(cfg)
+    assert abs(shots.mean() - theory) < 4.0 * stderr
 
 
 def test_snl_map_outputs(mode_run):
@@ -350,6 +373,8 @@ def test_every_float_key_rejects_non_finite(key, value, tmp_path, capsys):
     ("sensitivity-sweep", "sweep.power_max = 1e300\n", "sweep.power_max"),
     ("snl-map", "detector.transimpedance_gain_nominal = 1e-160\n",
      "detector.transimpedance_gain_nominal"),
+    # a 47 Hz resonance with a +-240 Hz grid would sweep negative carriers
+    ("demod-sweep", "field.b_field = 5 nT\n", "sweep.freq_halfspan_widths"),
 ])
 def test_config_faults_exit_2_naming_key(mode, config_text, key, tmp_path,
                                         capsys):

@@ -112,10 +112,26 @@ def test_lock_in_rejects_zero_angle_gain():
     (4000.0, 25.0, 1.0),    # at Nyquist
     (1000.0, 25.0, 0.2),    # too short for the output bandwidth
     (1000.0, 0.0, 1.0),     # bad bandwidth
+    (0.0, 25.0, 1.0),       # carrier at DC
+    (-1000.0, 25.0, 1.0),   # negative carrier
+    (1000.0, 4000.0, 1.0),  # output bandwidth at Nyquist
+    (1000.0, 5000.0, 1.0),  # output bandwidth past Nyquist
 ])
 def test_lock_in_preconditions(mod_freq, bandwidth, duration):
     ts = tone_series(1e-3, 1000.0, duration=duration)
     with pytest.raises(ValueError):
+        lock_in_demodulate(ts, mod_freq, bandwidth)
+
+
+@pytest.mark.parametrize("mod_freq, bandwidth, name", [
+    (0.0, 25.0, "mod_freq"),
+    (4000.0, 25.0, "mod_freq"),
+    (1000.0, -25.0, "output_bandwidth"),
+    (1000.0, 4000.0, "output_bandwidth"),
+])
+def test_lock_in_range_errors_name_their_argument(mod_freq, bandwidth, name):
+    ts = tone_series(1e-3, 1000.0, duration=1.0)
+    with pytest.raises(ValueError, match=f"^{name} "):
         lock_in_demodulate(ts, mod_freq, bandwidth)
 
 

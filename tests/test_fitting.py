@@ -90,6 +90,16 @@ def test_fit_flags_center_outside_grid():
     assert fit.center_freq == pytest.approx(CENTER, abs=1e-3)
 
 
+def test_fit_reports_non_convergence():
+    # pure noise: the width runs off and the evaluation cap is reached
+    freqs = np.linspace(1000.0, 2000.0, 41)
+    rng = np.random.default_rng(5)
+    curve = ResonanceCurve(freqs, rng.normal(0.0, 1e-3, 41),
+                           rng.normal(0.0, 1e-3, 41))
+    with pytest.raises(FitError, match="did not converge: the evaluation cap"):
+        fit_lorentzian(curve)
+
+
 def test_fit_requires_enough_points():
     curve = synth_curve(freqs=np.linspace(CENTER - 200, CENTER + 200, 6))
     with pytest.raises(FitError, match="at least 7"):
@@ -117,6 +127,24 @@ def test_auto_guess_falls_back_on_flat_curve():
     assert guess.from_fallback
     assert guess.center_freq == pytest.approx(1500.0)
     assert guess.gamma_fwhm == pytest.approx(100.0)
+
+
+@pytest.mark.parametrize("theta", np.linspace(-math.pi, math.pi, 13))
+def test_auto_guess_fits_at_every_frame_angle(theta):
+    # the dispersive quadrature peaks off resonance and the absorptive one
+    # turns into a dip for |theta| > pi/2; |P + iQ|^2 is phi0^2 L at any theta
+    freqs = np.linspace(CENTER - 4 * GAMMA, CENTER + 4 * GAMMA, 61)
+    curve = synth_curve(theta=theta, freqs=freqs)
+    guess = auto_initial_guess(curve)
+    assert not guess.from_fallback
+    assert guess.center_freq == pytest.approx(CENTER, abs=GAMMA / 4)
+    assert guess.phi0 == pytest.approx(PHI0, rel=0.05)
+    fit = fit_lorentzian(curve)
+    assert fit.center_freq == pytest.approx(CENTER, abs=1e-6)
+    assert fit.gamma_fwhm == pytest.approx(GAMMA, rel=1e-8)
+    assert fit.phi0 == pytest.approx(PHI0, rel=1e-8)
+    assert math.remainder(fit.phase_offset - theta, 2 * math.pi) == (
+        pytest.approx(0.0, abs=1e-8))
 
 
 def test_auto_guess_seeds_a_working_fit_from_fallback():
