@@ -32,13 +32,14 @@ Each point owns its streams, so outputs are byte-identical for a fixed
 same length: numpy pads a short key with zeros, so ``(seed, 0)`` and
 ``(seed, 0, 0)`` would name the same stream.
 
-Analyzer bands. The modes that read a spectrum pass ``_synth`` the band
-their analyzer reads, and get the complex envelope of that band at a rate
-just above its width (``dsp._envelope_grid``). spectrum reads its
+Analyzer bands. Every mode but simulate passes ``_synth`` the band its
+analyzer or lock-in reads, and gets the complex envelope of that band at
+a rate just above its width (``dsp._envelope_grid``). spectrum reads its
 ``spectrum.span``; noise-scan and sensitivity-sweep read
-``spectrum.bg_window`` around the modulation frequency. A band that
-reaches DC falls back to the real series at ``sim.sample_rate``, which
-simulate and demod-sweep always use.
+``spectrum.bg_window`` around the modulation frequency; demod-sweep reads
+``_LOCKIN_HALFBAND`` output bandwidths either side of each carrier. A band
+that reaches DC falls back to the real series at ``sim.sample_rate``,
+which simulate always uses.
 """
 
 from __future__ import annotations
@@ -93,6 +94,11 @@ from .dsp import (
 from .fitting import FitError, fit_lorentzian, fit_noise_polynomial, fit_report
 from .signal_model import ResonanceParams, rotation_to_csv, synthesize_rotation
 from .tables import write_json, write_table
+
+# demod-sweep's band: this many lock-in output bandwidths either side of
+# each carrier, where the lock-in's 4th-order filter has left nothing the
+# weighted sum can resolve (its noise and DC gain match the full rate).
+_LOCKIN_HALFBAND = 20.0
 
 MODES = ("simulate", "demod-sweep", "spectrum", "noise-scan", "snl-map",
          "sensitivity-sweep")
@@ -175,6 +181,17 @@ def _require_positive_sweep(center: float, halfspan: float) -> None:
         )
 
 
+def _require_lockin_fits(cfg: ExperimentConfig) -> None:
+    """The lock-in output filter must settle in the series, below Nyquist."""
+    bw, sim = cfg.lockin.output_bandwidth, cfg.sim
+    if sim.duration < 10.0 / bw or bw >= sim.sample_rate / 2.0:
+        raise ConfigError(
+            f"lockin.output_bandwidth: {bw!r} Hz needs sim.duration >= "
+            f"{10.0 / bw!r} s (got {sim.duration!r}) and must stay below "
+            f"sim.sample_rate/2 ({sim.sample_rate / 2.0!r} Hz)"
+        )
+
+
 def _synth(cfg: ExperimentConfig, res: ResonanceParams, field: FieldConfig,
            power: float, key: tuple, band: Optional[tuple] = None):
     """Synthesize one rotation series from stream key+(0,).
@@ -222,20 +239,32 @@ def _run_simulate(cfg: ExperimentConfig, spec: ScenarioSpec,
 
 def _demod_point(cfg: ExperimentConfig, res: ResonanceParams, seed: int,
                  index: int, freq: float):
-    """Rotation series modulated at one sweep frequency (worker task)."""
+    """Rotation series modulated at one sweep frequency (worker task).
+
+    The complex envelope of the lock-in's band around the carrier.
+    """
     field = FieldConfig(b_field=None, modulation_freq=freq,
                         detuning_delta=2.0 * math.pi * (freq - res.center_freq))
-    return _synth(cfg, res, field, cfg.sim.probe_power, (seed, index))
+    half = _LOCKIN_HALFBAND * cfg.lockin.output_bandwidth
+    return _synth(cfg, res, field, cfg.sim.probe_power, (seed, index),
+                  (freq - half, freq + half))
+
+
+def _demod_grid(cfg: ExperimentConfig) -> tuple[ResonanceParams, np.ndarray]:
+    """The resonance demod-sweep measures and its carrier grid."""
+    center = _center_freq(cfg.field_cfg)
+    halfspan = cfg.sweep.freq_halfspan_widths * cfg.resonance.gamma_fwhm
+    _require_positive_sweep(center, halfspan)
+    _require_lockin_fits(cfg)
+    freqs = np.linspace(center - halfspan, center + halfspan,
+                        cfg.sweep.freq_points)
+    res = ResonanceParams(cfg.resonance.phi0, cfg.resonance.gamma_fwhm, center)
+    return res, freqs
 
 
 def _run_demod_sweep(cfg: ExperimentConfig, spec: ScenarioSpec,
                      outdir: Path) -> list[str]:
-    center = _center_freq(cfg.field_cfg)
-    halfspan = cfg.sweep.freq_halfspan_widths * cfg.resonance.gamma_fwhm
-    _require_positive_sweep(center, halfspan)
-    freqs = np.linspace(center - halfspan, center + halfspan,
-                        cfg.sweep.freq_points)
-    res = ResonanceParams(cfg.resonance.phi0, cfg.resonance.gamma_fwhm, center)
+    res, freqs = _demod_grid(cfg)
     point = functools.partial(_demod_point, cfg, res, spec.seed)
     curve = sweep_resonance(res, freqs, point, cfg.lockin.output_bandwidth,
                             spec.workers)

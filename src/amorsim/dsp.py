@@ -21,8 +21,9 @@ the RBW, the estimator also reads complex envelopes (series with a
 full FFT in place of the real one, and a trace at f_c + offset showing
 twice the two-sided density, so one-sided levels read the same on both
 paths. ``_envelope_grid`` picks the envelope for the band a caller reads.
-The analyzer modes (spectrum, noise-scan, sensitivity-sweep) use it; the
-lock-in reads real series only.
+The analyzer modes (spectrum, noise-scan, sensitivity-sweep) use it, and
+so does demod-sweep: the lock-in mixes an envelope down by f_mod - f_c
+with the same weighted sum it runs on a real series.
 
 The lock-in's 4th-order Butterworth output filter is linear, so the mean
 of its settled output is a fixed weighting of its input: each point is
@@ -195,19 +196,23 @@ def lock_in_demodulate(ts: AnySeries, mod_freq: float,
     phi_P = 2<x cos>, phi_Q = 2<x sin> after a 4th-order Butterworth
     low-pass at output_bandwidth (cascade with >60 dB rejection at twice
     the carrier), averaged over the output once the settle region is
-    discarded. That average is linear in x, so each quadrature is one
-    weighted sum, (2 x w) @ cos and (2 x w) @ sin of the carrier, with the
-    weights w of ``_lock_in_weights``. Detected series are scaled back to
-    angle units via their recorded gain.
+    discarded. That average is linear in x, so both quadratures come from
+    one weighted sum, v = (2 x w) @ exp(-i 2pi (f_mod - f_c) t) with the
+    weights w of ``_lock_in_weights`` at the series' own rate: phi_P =
+    Re v, phi_Q = -Im v. f_c is 0 for a real series, whose carrier must lie
+    in (0, fs/2); an envelope's must lie within f_c +- fs/2. Detected
+    series are scaled back to angle units via their recorded gain.
     """
-    if ts.center_freq is not None:
-        raise ValueError("lock_in_demodulate reads real series only, "
-                         f"not an envelope around {ts.center_freq!r} Hz")
-    fs = ts.sample_rate
-    if not 0.0 < mod_freq < fs / 2.0:
+    fs, center = ts.sample_rate, ts.center_freq
+    if center is None and not 0.0 < mod_freq < fs / 2.0:
         raise ValueError(
             f"mod_freq {mod_freq!r} must lie in (0, Nyquist) for "
             f"sample_rate {fs!r}"
+        )
+    if center is not None and not abs(mod_freq - center) < fs / 2.0:
+        raise ValueError(
+            f"mod_freq {mod_freq!r} lies outside the envelope band "
+            f"{center!r} +- {fs / 2.0!r} Hz"
         )
     if not 0.0 < output_bandwidth < fs / 2.0:
         raise ValueError(
@@ -215,15 +220,17 @@ def lock_in_demodulate(ts: AnySeries, mod_freq: float,
             f"for sample_rate {fs!r}"
         )
     n = ts.samples.size
-    if n / fs < 10.0 / output_bandwidth:
+    # synthesis rounds a duration to the nearest sample: allow half of one
+    if (n + 0.5) / fs < 10.0 / output_bandwidth:
         raise ValueError(
             f"series duration {n / fs!r} s too short for output bandwidth "
             f"{output_bandwidth!r} Hz (need >= {10.0 / output_bandwidth!r} s)"
         )
     weights = _lock_in_weights(float(fs), float(output_bandwidth), n)
     weighted = ts.samples * (2.0 * _angle_scale(ts)) * weights
-    carrier = 2.0 * np.pi * mod_freq * (np.arange(n) / fs)
-    return float(weighted @ np.cos(carrier)), float(weighted @ np.sin(carrier))
+    offset = mod_freq - (0.0 if center is None else center)
+    v = weighted @ np.exp(-2j * np.pi * offset * (np.arange(n) / fs))
+    return float(v.real), float(-v.imag)
 
 
 def _pmap(fn, tasks: list, workers: int) -> list:

@@ -16,9 +16,9 @@ the photon flux arriving at the detector.
 A series is either the real angle at the full rate, or, when it carries a
 ``center_freq`` f_c, its complex envelope around f_c: the positive-frequency
 part of phi(t) mixed down by f_c and sampled at a rate that covers only the
-band an analyzer reads. The analyzer modes (spectrum, noise-scan,
-sensitivity-sweep) synthesize envelopes; simulate and demod-sweep the real
-angle.
+band an analyzer or the lock-in reads. Every mode but simulate synthesizes
+envelopes (spectrum, noise-scan and sensitivity-sweep for the analyzer,
+demod-sweep for the lock-in); simulate writes the real angle.
 
 All spectral densities in this package are one-sided.
 """

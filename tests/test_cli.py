@@ -375,6 +375,11 @@ def test_every_float_key_rejects_non_finite(key, value, tmp_path, capsys):
      "detector.transimpedance_gain_nominal"),
     # a 47 Hz resonance with a +-240 Hz grid would sweep negative carriers
     ("demod-sweep", "field.b_field = 5 nT\n", "sweep.freq_halfspan_widths"),
+    # the lock-in filter would not settle in 0.4 s, or sits past Nyquist
+    ("demod-sweep", "lockin.output_bandwidth = 1 Hz\n",
+     "lockin.output_bandwidth"),
+    ("demod-sweep", "lockin.output_bandwidth = 200 kHz\n",
+     "lockin.output_bandwidth"),
 ])
 def test_config_faults_exit_2_naming_key(mode, config_text, key, tmp_path,
                                         capsys):
@@ -387,6 +392,16 @@ def test_config_faults_exit_2_naming_key(mode, config_text, key, tmp_path,
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert key in err["message"]
+
+
+def test_demod_sweep_runs_at_the_lock_in_duration_limit(tmp_path):
+    # 1.4286 s just clears 10/bw = 1.428571 s at bw = 7 Hz, but its envelope
+    # at 360 Hz rounds to 514 samples, 1.42778 s
+    cfg = tmp_path / "limit.cfg"
+    cfg.write_text(FAST_CONFIG + "lockin.output_bandwidth = 7 Hz\n"
+                   "sim.duration = 1.4286\n")
+    assert main(["demod-sweep", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 0
 
 
 def test_overflowing_gain_exits_2_in_every_mode(fast_config, tmp_path,

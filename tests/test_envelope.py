@@ -1,7 +1,8 @@
-"""Complex-envelope analyzer path: the band an analyzer mode reads,
-synthesized, detected and transformed around its centre, must read the same
-levels as the real full-rate series."""
+"""Complex-envelope path: the band an analyzer mode or the lock-in reads,
+synthesized, detected and transformed or demodulated around its centre,
+must read the same levels as the real full-rate series."""
 
+import functools
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -21,13 +22,17 @@ from amorsim.config import (
 from amorsim.detector import detect, detected_to_csv
 from amorsim.dsp import (
     _envelope_grid,
+    _lock_in_weights,
     lock_in_demodulate,
     peak_and_background,
     psd_estimate,
+    sweep_resonance,
 )
+from amorsim.fitting import fit_lorentzian
 from amorsim.signal_model import (
     ResonanceParams,
     RotationTimeSeries,
+    lorentzian_quadratures,
     photon_flux,
     rotation_to_csv,
     shot_noise_angle_density,
@@ -161,8 +166,9 @@ def test_envelope_psd_span_stays_inside_the_band():
 
 def test_real_only_consumers_reject_envelopes(tmp_path):
     rot = envelope(duration=0.5)
-    with pytest.raises(ValueError, match="real series only"):
-        lock_in_demodulate(rot, 10e3, 25.0)
+    # the lock-in reads envelopes, but only carriers inside 10.3 kHz +- 1 kHz
+    with pytest.raises(ValueError, match="envelope band"):
+        lock_in_demodulate(rot, 11.5e3, 25.0)
     with pytest.raises(ValueError, match="real series only"):
         rotation_to_csv(rot, tmp_path / "rotation.csv")
     with pytest.raises(ValueError, match="real series only"):
@@ -242,3 +248,103 @@ def test_envelope_snr_estimator_is_unbiased_across_seeds(power):
         photon_flux(power, cfg.atom.probe_wavelength)))
     assert sem < 0.02 * expected
     assert abs(mean - expected) < 4.0 * sem
+
+
+# ---------------------------------------------------------------------------
+# Lock-in on the envelope of its band (demod-sweep)
+# ---------------------------------------------------------------------------
+
+def demod_setup():
+    cfg = default_config()
+    res, freqs = cli._demod_grid(cfg)
+    return cfg, res, freqs
+
+
+def test_envelope_lock_in_weights_keep_noise_and_dc_gain():
+    # R sum(w_R^2) sets the lock-in's output noise, sum(w) its DC gain
+    cfg, res, _ = demod_setup()
+    bw = cfg.lockin.output_bandwidth
+    ts = cli._demod_point(cfg, res, 1, 0, res.center_freq)
+    rate, n = ts.sample_rate, ts.samples.size
+    assert (ts.center_freq, rate, n) == (res.center_freq, 1250.0, 500)
+    fs = cfg.sim.sample_rate
+    w_env = _lock_in_weights(rate, bw, n)
+    w_full = _lock_in_weights(fs, bw, round(cfg.sim.duration * fs))
+    full_noise = fs * np.sum(w_full ** 2)
+    assert abs(rate * np.sum(w_env ** 2) - full_noise) < 1e-4 * full_noise
+    assert abs(np.sum(w_env) - np.sum(w_full)) < 1e-8
+
+
+def test_envelope_lock_in_mixes_an_offset_carrier_down():
+    # a detuned tone 250 Hz below the envelope centre reads as on the real
+    # path; demod-sweep itself centres every envelope on its carrier
+    res = ResonanceParams(phi0=1e-3, gamma_fwhm=60.0, center_freq=10e3)
+    field = FieldConfig(b_field=None, modulation_freq=10.05e3,
+                        detuning_delta=2 * math.pi * 50.0)
+    env = synthesize_rotation(res, field, 0.6, 2000.0, 1e-4,
+                              shot_noise=False, center_freq=10.3e3)
+    real = synthesize_rotation(res, field, 0.6, 80e3, 1e-4, shot_noise=False)
+    got = lock_in_demodulate(env, 10.05e3, 25.0)
+    np.testing.assert_allclose(got, lock_in_demodulate(real, 10.05e3, 25.0),
+                               rtol=1e-8)
+    np.testing.assert_allclose(
+        got, lorentzian_quadratures(2 * math.pi * 50.0, res), rtol=1e-7)
+    assert max(map(abs, lock_in_demodulate(env, 10.3e3, 25.0))) < 1e-9 * 1e-3
+
+
+def _lock_in_means(cfg, res, freq, index, band):
+    """Mean and standard error of the lock-in P and Q over SEEDS."""
+    field = FieldConfig(b_field=None, modulation_freq=freq,
+                        detuning_delta=2 * math.pi * (freq - res.center_freq))
+    bw = cfg.lockin.output_bandwidth
+    pq = np.array([
+        lock_in_demodulate(cli._synth(cfg, res, field, cfg.sim.probe_power,
+                                      (seed, index), band), freq, bw)
+        for seed in SEEDS])
+    return _mean_and_sem(pq[:, 0]), _mean_and_sem(pq[:, 1])
+
+
+@pytest.mark.parametrize("fwhms", [0.0, 1.0, 3.0])
+def test_envelope_lock_in_agrees_with_full_rate_across_seeds(fwhms):
+    cfg, res, _ = demod_setup()
+    freq = res.center_freq + fwhms * res.gamma_fwhm
+    half = cli._LOCKIN_HALFBAND * cfg.lockin.output_bandwidth
+    env = _lock_in_means(cfg, res, freq, 0, (freq - half, freq + half))
+    real = _lock_in_means(cfg, res, freq, 1, None)
+    truth = lorentzian_quadratures(2 * math.pi * (freq - res.center_freq), res)
+    for (env_mean, env_sem), (real_mean, real_sem), want in zip(env, real,
+                                                                truth):
+        assert 0.0 < env_sem < 1e-4 * res.phi0
+        assert abs(env_mean - real_mean) < 4.0 * math.hypot(env_sem, real_sem)
+        assert abs(env_mean - want) < 4.0 * env_sem
+
+
+def test_envelope_resonance_fit_is_unbiased_across_seeds():
+    cfg, res, freqs = demod_setup()
+    fits = []
+    for seed in SEEDS:
+        point = functools.partial(cli._demod_point, cfg, res, seed)
+        curve = sweep_resonance(res, freqs, point,
+                                cfg.lockin.output_bandwidth)
+        fits.append(fit_lorentzian(curve))
+    for name, truth in (("center_freq", res.center_freq),
+                        ("gamma_fwhm", res.gamma_fwhm), ("phi0", res.phi0)):
+        mean, sem = _mean_and_sem([getattr(fit, name) for fit in fits])
+        assert 0.0 < sem < 1e-4 * truth, name
+        assert abs(mean - truth) < 4.0 * sem, name
+
+
+def test_demod_sweep_falls_back_to_real_series_near_dc():
+    # a 700 Hz resonance: carriers below 1.25 x 500 Hz get no envelope
+    cfg = default_config()
+    cfg.field_cfg = FieldConfig(b_field=75e-9).resolve(cfg.atom, cfg.constants)
+    res, freqs = cli._demod_grid(cfg)
+    points = [cli._demod_point(cfg, res, 1, i, float(f))
+              for i, f in enumerate(freqs)]
+    real = [ts.center_freq is None for ts in points]
+    assert real == [f <= 625.0 for f in freqs] and 0 < sum(real) < len(real)
+    fit = fit_lorentzian(sweep_resonance(res, freqs, lambda i, f: points[i],
+                                         cfg.lockin.output_bandwidth))
+    assert fit.center_freq == pytest.approx(res.center_freq, abs=0.01)
+    assert fit.gamma_fwhm == pytest.approx(res.gamma_fwhm, rel=1e-3)
+    assert fit.phi0 == pytest.approx(res.phi0, rel=1e-3)

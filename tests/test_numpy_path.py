@@ -100,21 +100,50 @@ def sosfilt_lock_in(ts, mod_freq, bw):
                        [settle:].mean()) for f in (np.cos, np.sin))
 
 
-def test_lock_in_matches_sosfilt_on_default_grid():
+def sosfilt_envelope_lock_in(ts, mod_freq, bw):
+    """The same on an envelope: filter 2 z exp(-i 2pi (f - f_c) t)."""
+    fs, n = ts.sample_rate, ts.samples.size
+    offset = 2.0 * np.pi * (mod_freq - ts.center_freq) * (np.arange(n) / fs)
+    sos = signal.butter(4, bw, fs=fs, output="sos")
+    settle = min(int(6.0 * fs / bw), n // 2)
+    mean = signal.sosfilt(sos, 2.0 * ts.samples * np.exp(-1j * offset))[
+        settle:].mean()
+    return float(mean.real), float(-mean.imag)
+
+
+def default_demod_grid():
     cfg = cli._load_config(cli.ScenarioSpec(
         "demod-sweep", str(REPO / "configs" / "default.cfg")))
-    center = cli._center_freq(cfg.field_cfg)
-    halfspan = cfg.sweep.freq_halfspan_widths * cfg.resonance.gamma_fwhm
-    freqs = np.linspace(center - halfspan, center + halfspan,
-                        cfg.sweep.freq_points)
-    res = cli.ResonanceParams(cfg.resonance.phi0, cfg.resonance.gamma_fwhm,
-                              center)
+    return (cfg, *cli._demod_grid(cfg))
+
+
+def test_lock_in_matches_sosfilt_on_default_grid():
+    # the real series at sim.sample_rate, synthesized from each point's
+    # stream, though demod-sweep itself reads envelopes
+    cfg, res, freqs = default_demod_grid()
+    bw = cfg.lockin.output_bandwidth
+    worst = 0.0
+    for i, freq in enumerate(freqs):
+        field = cli.FieldConfig(
+            b_field=None, modulation_freq=float(freq),
+            detuning_delta=2.0 * np.pi * (freq - res.center_freq))
+        ts = cli._synth(cfg, res, field, cfg.sim.probe_power, (1, i))
+        assert ts.center_freq is None and ts.sample_rate == cfg.sim.sample_rate
+        got = lock_in_demodulate(ts, float(freq), bw)
+        want = sosfilt_lock_in(ts, float(freq), bw)
+        worst = max(worst, *(abs(g - w) for g, w in zip(got, want)))
+    assert worst < 1e-9 * cfg.resonance.phi0
+
+
+def test_envelope_lock_in_matches_sosfilt_on_default_grid():
+    cfg, res, freqs = default_demod_grid()
     bw = cfg.lockin.output_bandwidth
     worst = 0.0
     for i, freq in enumerate(freqs):
         ts = cli._demod_point(cfg, res, 1, i, float(freq))
+        assert ts.center_freq == freq and ts.sample_rate == 1250.0
         got = lock_in_demodulate(ts, float(freq), bw)
-        want = sosfilt_lock_in(ts, float(freq), bw)
+        want = sosfilt_envelope_lock_in(ts, float(freq), bw)
         worst = max(worst, *(abs(g - w) for g, w in zip(got, want)))
     assert worst < 1e-9 * cfg.resonance.phi0
 
