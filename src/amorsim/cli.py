@@ -38,8 +38,8 @@ a rate just above its width (``dsp._envelope_grid``). spectrum reads its
 ``spectrum.span``; noise-scan and sensitivity-sweep read
 ``spectrum.bg_window`` around the modulation frequency; demod-sweep reads
 ``_LOCKIN_HALFBAND`` output bandwidths either side of each carrier. A band
-that reaches DC falls back to the real series at ``sim.sample_rate``,
-which simulate always uses.
+whose centred envelope would reach below DC gets one whose lower edge sits
+at 0 Hz. Only simulate builds the real series at ``sim.sample_rate``.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import locale  # noqa: F401 argparse loads it on its first parse; load it here
 import math
 import os
 import sys
@@ -57,8 +58,8 @@ from typing import Optional
 
 import numpy as np
 import numpy.random  # noqa: F401 numpy 2 loads it lazily; load it here, not mid-run
-import scipy  # the version only, for manifest.json; no subpackage
 
+from . import __version__
 from .analysis import (
     classify_operating_point,
     compute_snr,
@@ -196,11 +197,11 @@ def _synth(cfg: ExperimentConfig, res: ResonanceParams, field: FieldConfig,
            power: float, key: tuple, band: Optional[tuple] = None):
     """Synthesize one rotation series from stream key+(0,).
 
-    With a band (f_lo, f_hi), the complex envelope that covers it, unless
-    the band reaches DC; otherwise the real series at sim.sample_rate.
+    With a band (f_lo, f_hi), the complex envelope that covers it;
+    without one, the real series at sim.sample_rate.
     """
-    grid = None if band is None else _envelope_grid(band)
-    center, sample_rate = grid or (None, cfg.sim.sample_rate)
+    center, sample_rate = ((None, cfg.sim.sample_rate) if band is None
+                           else _envelope_grid(band))
     return synthesize_rotation(
         res, field, cfg.sim.duration, sample_rate, power,
         rng_seed=key + (0,), wavelength=cfg.atom.probe_wavelength,
@@ -217,9 +218,13 @@ def _chain(cfg: ExperimentConfig, res: ResonanceParams, field: FieldConfig,
 
 
 def _bg_band(cfg: ExperimentConfig, field: FieldConfig) -> tuple:
-    """The background window around the modulation frequency."""
-    half = cfg.spectrum.bg_window / 2.0
-    return (field.modulation_freq - half, field.modulation_freq + half)
+    """The background window around the modulation frequency, above 0 Hz."""
+    half, mod = cfg.spectrum.bg_window / 2.0, field.modulation_freq
+    if mod - half <= 0.0:
+        raise ConfigError(f"spectrum.bg_window: {2.0 * half!r} Hz around "
+                          f"{mod!r} Hz reaches 0 Hz; narrow it or raise "
+                          "field.b_field")
+    return (mod - half, mod + half)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +300,7 @@ def _spectrum_pair(cfg: ExperimentConfig, key: tuple, power: float,
 def _run_spectrum(cfg: ExperimentConfig, spec: ScenarioSpec,
                   outdir: Path) -> list[str]:
     mod = cfg.field_cfg.modulation_freq
+    _bg_band(cfg, cfg.field_cfg)  # the window peak_and_background averages
     span = (max(mod - cfg.spectrum.span / 2.0, 0.0),
             mod + cfg.spectrum.span / 2.0)
     spec_on, spec_off = _spectrum_pair(
@@ -545,23 +551,13 @@ def run_scenario(spec: ScenarioSpec) -> int:
         "workers": spec.workers,
         "config_path": spec.config_path,
         "config": config_as_dict(cfg),
-        "versions": _versions(),
+        "versions": {"python": sys.version.split()[0],
+                     "numpy": np.__version__, "amorsim": __version__},
         "wall_time_s": time.monotonic() - started,
         "outputs": outputs,
     }
     write_json(outdir / "manifest.json", manifest)
     return 0
-
-
-def _versions() -> dict:
-    from . import __version__
-
-    return {
-        "python": sys.version.split()[0],
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "amorsim": __version__,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,7 @@ The lock-in's 4th-order Butterworth output filter is linear, so the mean
 of its settled output is a fixed weighting of its input: each point is
 one weighted sum, with weights built once per (rate, bandwidth, length)
 from the filter's closed-form step response. Everything here runs on
-numpy alone; scipy.signal is imported only for video smoothing (vbw <
-rbw).
+numpy alone, the video filter included.
 """
 
 from __future__ import annotations
@@ -283,18 +282,18 @@ def sweep_resonance(res: ResonanceParams, mod_freqs: Sequence[float],
 # Spectrum-analyzer emulation
 # ---------------------------------------------------------------------------
 
-def _envelope_grid(band: tuple[float, float]
-                   ) -> Optional[tuple[float, float]]:
+def _envelope_grid(band: tuple[float, float]) -> tuple[float, float]:
     """(centre, sample rate) of the complex envelope that covers band.
 
     The rate is the 5-smooth length just above 1.25 times the band width,
-    so the band sits inside the envelope's +-rate/2 with a margin; None
-    when that envelope would reach DC, where only a real series will do.
+    so the band sits inside the envelope's +-rate/2 with a margin. Where
+    the centred envelope would reach below DC its centre moves up to
+    rate/2, so its lower edge sits at 0 Hz and its 0 Hz bin reads the
+    one-sided level.
     """
     f_lo, f_hi = band
     rate = float(_smooth_bracket(math.ceil(1.25 * (f_hi - f_lo)))[1])
-    center = 0.5 * (f_lo + f_hi)
-    return (center, rate) if center - rate / 2.0 > 0.0 else None
+    return max(0.5 * (f_lo + f_hi), rate / 2.0), rate
 
 
 _FLATTOP_COEFS = (0.21557895, 0.41663158, 0.277263158, 0.083578947,
@@ -364,18 +363,18 @@ def _video_smooth(psd: np.ndarray, rbw: float, vbw: float,
     """Zero-phase single-pole smoothing across bins with cutoff vbw.
 
     The trace is treated as sampled at one resolution bandwidth per dwell,
-    i.e. a pseudo sample rate of rbw/bin_spacing bins per dwell. Only
-    vbw < rbw comes here, so scipy.signal is imported here alone.
+    i.e. a pseudo sample rate of rbw/bin_spacing bins per dwell. The pole
+    y[k] = (1-alpha) x[k] + alpha y[k-1] runs forward, then backward.
     """
-    from scipy.signal import lfilter
-
-    alpha = np.exp(-2.0 * np.pi * (vbw / rbw) * (bin_spacing / rbw))
+    alpha = float(np.exp(-2.0 * np.pi * (vbw / rbw) * (bin_spacing / rbw)))
     if alpha <= 0.0:
         return psd
-    b, a = [1.0 - alpha], [1.0, -alpha]
-    forward = lfilter(b, a, psd)
-    backward = lfilter(b, a, forward[::-1])[::-1]
-    return backward
+    out = psd.tolist()
+    for order in (range(len(out)), reversed(range(len(out)))):
+        y = 0.0  # lfilter's zero initial state
+        for k in order:
+            y = out[k] = (1.0 - alpha) * out[k] + alpha * y
+    return np.array(out)
 
 
 def psd_estimate(ts: AnySeries, rbw: float, vbw: Optional[float] = None,
@@ -424,7 +423,7 @@ def psd_estimate(ts: AnySeries, rbw: float, vbw: Optional[float] = None,
             raise ValueError(
                 f"span upper edge {f_hi!r} must stay below Nyquist ({fs / 2.0!r})"
             )
-        if center is not None and not (center - fs / 2.0 < f_lo
+        if center is not None and not (center - fs / 2.0 <= f_lo
                                        and f_hi < center + fs / 2.0):
             raise ValueError(
                 f"span ({f_lo!r}, {f_hi!r}) must stay inside the envelope "

@@ -18,7 +18,8 @@ A series is either the real angle at the full rate, or, when it carries a
 part of phi(t) mixed down by f_c and sampled at a rate that covers only the
 band an analyzer or the lock-in reads. Every mode but simulate synthesizes
 envelopes (spectrum, noise-scan and sensitivity-sweep for the analyzer,
-demod-sweep for the lock-in); simulate writes the real angle.
+demod-sweep for the lock-in); simulate writes the real angle. A band near
+DC gets an envelope whose lower edge sits at 0 Hz (f_c = sample_rate/2).
 
 All spectral densities in this package are one-sided.
 """

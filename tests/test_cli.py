@@ -380,6 +380,11 @@ def test_every_float_key_rejects_non_finite(key, value, tmp_path, capsys):
      "lockin.output_bandwidth"),
     ("demod-sweep", "lockin.output_bandwidth = 200 kHz\n",
      "lockin.output_bandwidth"),
+    # the 4 kHz background window around a 933 Hz modulation reaches 0 Hz
+    ("spectrum", "field.b_field = 100 nT\n", "spectrum.bg_window"),
+    ("noise-scan", "field.b_field = 100 nT\n"
+     "detector.electronic_noise_floor = 1.35e-14\n", "spectrum.bg_window"),
+    ("sensitivity-sweep", "field.b_field = 100 nT\n", "spectrum.bg_window"),
 ])
 def test_config_faults_exit_2_naming_key(mode, config_text, key, tmp_path,
                                         capsys):
@@ -402,6 +407,23 @@ def test_demod_sweep_runs_at_the_lock_in_duration_limit(tmp_path):
                    "sim.duration = 1.4286\n")
     assert main(["demod-sweep", "--config", str(cfg),
                  "--out", str(tmp_path / "o")]) == 0
+
+
+def test_demod_sweep_runs_with_carriers_near_dc(tmp_path):
+    # a 400 Hz resonance swept over 160-640 Hz at a 1700 Hz sample rate:
+    # every lock-in band reaches below DC, so every envelope sits at 0 Hz
+    cfg = tmp_path / "near_dc.cfg"
+    default = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+    cfg.write_text(default.read_text() + "field.b_field = 42.9 nT\n"
+                   "sim.sample_rate = 1700\n")
+    out = tmp_path / "o"
+    assert main(["demod-sweep", "--config", str(cfg), "--out", str(out),
+                 "--seed", "1"]) == 0
+    _, (freqs, _, _), _ = read_table(out / "resonance_curve.csv")
+    fit = json.loads((out / "resonance_fit.json").read_text())["params"]
+    assert fit["center_freq"] == pytest.approx(
+        0.5 * (freqs[0] + freqs[-1]), abs=2.0)
+    assert fit["phi0"] == pytest.approx(2.5e-3, rel=0.1)
 
 
 def test_overflowing_gain_exits_2_in_every_mode(fast_config, tmp_path,

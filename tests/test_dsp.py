@@ -16,7 +16,6 @@ from amorsim.dsp import (
     ResonanceCurve,
     _flattop,
     _pmap,
-    _video_smooth,
     lock_in_demodulate,
     peak_and_background,
     psd_estimate,
@@ -313,8 +312,11 @@ def scipy_reference(ts, rbw, vbw, span):
         ts.samples, fs=fs, window=_flattop(nperseg)[0], nperseg=nperseg,
         noverlap=nperseg // 2, detrend=False, scaling="density",
         return_onesided=True)
-    if vbw < rbw:
-        psd = np.maximum(_video_smooth(psd, rbw, vbw, fs / nperseg), 0.0)
+    if vbw < rbw:  # the forward-backward single pole of dsp's video filter
+        alpha = np.exp(-2.0 * np.pi * (vbw / rbw) * (fs / nperseg / rbw))
+        b, a = [1.0 - alpha], [1.0, -alpha]
+        psd = signal.lfilter(b, a, signal.lfilter(b, a, psd)[::-1])[::-1]
+        psd = np.maximum(psd, 0.0)
     if span is not None:
         sel = (freqs >= span[0]) & (freqs <= span[1])
         freqs, psd = freqs[sel], psd[sel]

@@ -69,9 +69,10 @@ def test_envelope_grid_covers_band_with_5_smooth_rate():
     assert rate == 5000.0  # 1.25 x 4 kHz, already 5-smooth
     center, rate = _envelope_grid((1000.0, 2001.0))
     assert rate == 1280.0  # ceil(1251.25) = 1252 -> next 2^a 3^b 5^c
-    # a band whose envelope would reach DC gets no envelope
-    assert _envelope_grid((0.0, 8e3)) is None
-    assert _envelope_grid((5e3, 45e3)) is None  # centre - rate/2 == 0
+    # a band whose centred envelope would reach below DC gets one whose
+    # lower edge sits at 0 Hz
+    assert _envelope_grid((0.0, 8e3)) == (5000.0, 10000.0)
+    assert _envelope_grid((5e3, 45e3)) == (25000.0, 50000.0)  # edge at 0 Hz
 
 
 def test_envelope_tone_is_half_the_quadratures_at_the_offset():
@@ -186,18 +187,35 @@ def _mean_and_sem(values):
     return float(values.mean()), float(sem)
 
 
-def _peak_and_background(cfg, band, power, phi0):
-    """Mean peak and background over SEEDS of one chain."""
+def _peak_and_background(cfg, band, power, phi0, span=None, low_band=None):
+    """Mean and standard error over SEEDS of one chain's peak, background
+    and, with low_band (f_lo, f_hi), its off-resonance level there."""
     mod = cfg.field_cfg.modulation_freq
     gamma = cfg.resonance.gamma_fwhm
-    peaks, backgrounds = [], []
+    rows = []
     for seed in SEEDS:
-        on, off = cli._spectrum_pair(cfg, (seed,), power, phi0, gamma, band)
-        peak, background = peak_and_background(on, off, mod,
-                                               cfg.spectrum.bg_window)
-        peaks.append(peak)
-        backgrounds.append(background)
-    return _mean_and_sem(peaks), _mean_and_sem(backgrounds)
+        on, off = cli._spectrum_pair(cfg, (seed,), power, phi0, gamma, band,
+                                     span)
+        row = list(peak_and_background(on, off, mod, cfg.spectrum.bg_window))
+        if low_band is not None:
+            sel = (off.freqs >= low_band[0]) & (off.freqs <= low_band[1])
+            row.append(off.psd[sel].mean())
+        rows.append(row)
+    return [_mean_and_sem(column) for column in zip(*rows)]
+
+
+def _assert_chains_agree(real, env):
+    for (real_mean, real_sem), (env_mean, env_sem) in zip(real, env):
+        sem = math.hypot(real_sem, env_sem)
+        assert sem < 0.05 * real_mean
+        assert abs(env_mean - real_mean) < 4.0 * sem
+
+
+def _tone_phi0(cfg, power):
+    """A tone some 100-250x the background, so the peak's scatter is set by
+    the noise and not by where the tone falls on each bin grid."""
+    return 100.0 * math.sqrt(shot_noise_angle_density(
+        photon_flux(power, cfg.atom.probe_wavelength)))
 
 
 @pytest.mark.parametrize("b_field, power", [
@@ -214,17 +232,27 @@ def test_envelope_and_full_rate_agree_across_seeds(b_field, power):
             cfg.sim, sample_rate=max(cfg.sim.sample_rate,
                                      4.5 * field.modulation_freq)))
     band = cli._bg_band(cfg, cfg.field_cfg)
-    assert _envelope_grid(band) is not None
-    # a tone some 100-250x the background, so the peak's scatter is set by
-    # the noise and not by where the tone falls on each bin grid
-    phi0 = 100.0 * math.sqrt(shot_noise_angle_density(
-        photon_flux(power, cfg.atom.probe_wavelength)))
-    real = _peak_and_background(cfg, None, power, phi0)
-    env = _peak_and_background(cfg, band, power, phi0)
-    for (real_mean, real_sem), (env_mean, env_sem) in zip(real, env):
-        sem = math.hypot(real_sem, env_sem)
-        assert sem < 0.05 * real_mean
-        assert abs(env_mean - real_mean) < 4.0 * sem
+    assert _envelope_grid(band)[0] == cfg.field_cfg.modulation_freq
+    phi0 = _tone_phi0(cfg, power)
+    _assert_chains_agree(_peak_and_background(cfg, None, power, phi0),
+                         _peak_and_background(cfg, band, power, phi0))
+
+
+def test_spectrum_envelope_at_dc_agrees_with_full_rate_across_seeds():
+    # at 1 uT spectrum's span is (0, 29.3 kHz): its envelope's lower edge
+    # sits at 0 Hz, where the off-resonance level must stay unbiased
+    cfg = default_config()
+    cfg.sim.duration = 0.2
+    cfg.field_cfg = FieldConfig(b_field=1e-6).resolve(cfg.atom, cfg.constants)
+    mod = cfg.field_cfg.modulation_freq
+    span = (max(mod - cfg.spectrum.span / 2.0, 0.0),
+            mod + cfg.spectrum.span / 2.0)
+    assert span[0] == 0.0 and _envelope_grid(span) == (18432.0, 36864.0)
+    power = cfg.sim.probe_power
+    phi0 = _tone_phi0(cfg, power)
+    real = _peak_and_background(cfg, None, power, phi0, span, (10.0, 1e3))
+    env = _peak_and_background(cfg, span, power, phi0, span, (10.0, 1e3))
+    _assert_chains_agree(real, env)
 
 
 @pytest.mark.parametrize("power", [20e-6, 80.5e-6, 300e-6])
@@ -277,7 +305,8 @@ def test_envelope_lock_in_weights_keep_noise_and_dc_gain():
 
 def test_envelope_lock_in_mixes_an_offset_carrier_down():
     # a detuned tone 250 Hz below the envelope centre reads as on the real
-    # path; demod-sweep itself centres every envelope on its carrier
+    # path; demod-sweep centres each envelope on its carrier, or near DC
+    # on rate/2
     res = ResonanceParams(phi0=1e-3, gamma_fwhm=60.0, center_freq=10e3)
     field = FieldConfig(b_field=None, modulation_freq=10.05e3,
                         detuning_delta=2 * math.pi * 50.0)
@@ -304,12 +333,9 @@ def _lock_in_means(cfg, res, freq, index, band):
     return _mean_and_sem(pq[:, 0]), _mean_and_sem(pq[:, 1])
 
 
-@pytest.mark.parametrize("fwhms", [0.0, 1.0, 3.0])
-def test_envelope_lock_in_agrees_with_full_rate_across_seeds(fwhms):
-    cfg, res, _ = demod_setup()
-    freq = res.center_freq + fwhms * res.gamma_fwhm
-    half = cli._LOCKIN_HALFBAND * cfg.lockin.output_bandwidth
-    env = _lock_in_means(cfg, res, freq, 0, (freq - half, freq + half))
+def _assert_lock_in_agrees(cfg, res, freq, band):
+    """The envelope P and Q match the full rate's and the Lorentzian's."""
+    env = _lock_in_means(cfg, res, freq, 0, band)
     real = _lock_in_means(cfg, res, freq, 1, None)
     truth = lorentzian_quadratures(2 * math.pi * (freq - res.center_freq), res)
     for (env_mean, env_sem), (real_mean, real_sem), want in zip(env, real,
@@ -317,6 +343,24 @@ def test_envelope_lock_in_agrees_with_full_rate_across_seeds(fwhms):
         assert 0.0 < env_sem < 1e-4 * res.phi0
         assert abs(env_mean - real_mean) < 4.0 * math.hypot(env_sem, real_sem)
         assert abs(env_mean - want) < 4.0 * env_sem
+
+
+@pytest.mark.parametrize("fwhms", [0.0, 1.0, 3.0])
+def test_envelope_lock_in_agrees_with_full_rate_across_seeds(fwhms):
+    cfg, res, _ = demod_setup()
+    freq = res.center_freq + fwhms * res.gamma_fwhm
+    half = cli._LOCKIN_HALFBAND * cfg.lockin.output_bandwidth
+    _assert_lock_in_agrees(cfg, res, freq, (freq - half, freq + half))
+
+
+def test_envelope_lock_in_at_dc_agrees_with_full_rate_across_seeds():
+    # a 300 Hz carrier: the +-500 Hz band's envelope moves up to 625 Hz
+    cfg, res, _ = demod_setup()
+    res = replace(res, center_freq=320.0)
+    half = cli._LOCKIN_HALFBAND * cfg.lockin.output_bandwidth
+    band = (300.0 - half, 300.0 + half)
+    assert _envelope_grid(band) == (625.0, 1250.0)
+    _assert_lock_in_agrees(cfg, res, 300.0, band)
 
 
 def test_envelope_resonance_fit_is_unbiased_across_seeds():
@@ -334,15 +378,18 @@ def test_envelope_resonance_fit_is_unbiased_across_seeds():
         assert abs(mean - truth) < 4.0 * sem, name
 
 
-def test_demod_sweep_falls_back_to_real_series_near_dc():
-    # a 700 Hz resonance: carriers below 1.25 x 500 Hz get no envelope
+def test_demod_sweep_reads_envelopes_near_dc():
+    # a 700 Hz resonance: every point is a 1250 Hz envelope, and those of
+    # carriers at or below 1250/2 Hz sit with their lower edge at 0 Hz
     cfg = default_config()
     cfg.field_cfg = FieldConfig(b_field=75e-9).resolve(cfg.atom, cfg.constants)
     res, freqs = cli._demod_grid(cfg)
     points = [cli._demod_point(cfg, res, 1, i, float(f))
               for i, f in enumerate(freqs)]
-    real = [ts.center_freq is None for ts in points]
-    assert real == [f <= 625.0 for f in freqs] and 0 < sum(real) < len(real)
+    assert all(ts.sample_rate == 1250.0 for ts in points)
+    centers = [ts.center_freq for ts in points]
+    assert centers == [max(float(f), 625.0) for f in freqs]
+    assert 0 < sum(c == 625.0 for c in centers) < len(centers)
     fit = fit_lorentzian(sweep_resonance(res, freqs, lambda i, f: points[i],
                                          cfg.lockin.output_bandwidth))
     assert fit.center_freq == pytest.approx(res.center_freq, abs=0.01)
