@@ -46,6 +46,7 @@ from .detector import (
     detect,
     photocurrent,
     theoretical_shot_noise_level,
+    theory_budget,
 )
 from .dsp import (
     PowerSpectrum,
@@ -88,7 +89,7 @@ __all__ = [
     "lorentzian_quadratures", "photon_flux", "shot_noise_angle_density",
     "synthesize_rotation",
     # detector
-    "DetectedTimeSeries", "NoiseBudget", "photocurrent",
+    "DetectedTimeSeries", "NoiseBudget", "photocurrent", "theory_budget",
     "theoretical_shot_noise_level", "angle_gain_from_chain", "detect",
     # dsp
     "ResonanceCurve", "PowerSpectrum", "lock_in_demodulate",

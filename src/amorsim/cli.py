@@ -81,7 +81,7 @@ from .detector import (
     NoiseBudget,
     detect,
     detected_to_csv,
-    theoretical_shot_noise_level,
+    theory_budget,
 )
 from .dsp import (
     _envelope_grid,
@@ -144,24 +144,10 @@ def _power_grid(cfg: ExperimentConfig) -> np.ndarray:
     else:
         grid = np.linspace(sw.power_min, sw.power_max, sw.power_points)
     if not np.all(np.diff(grid) > 0):
-        raise ConfigError("sweep power grid is not strictly increasing")
+        raise ConfigError(f"sweep.power_points: {sw.power_points!r} points "
+                          f"from {sw.power_min!r} W (sweep.power_min) to "
+                          f"{sw.power_max!r} W (sweep.power_max) do not increase")
     return grid
-
-
-def _shot_coef_theory(cfg: ExperimentConfig) -> float:
-    """Analyzer-level shot coefficient B in W/Hz per watt of optical power."""
-    return theoretical_shot_noise_level(
-        1.0, cfg.detector, cfg.atom.probe_wavelength, cfg.constants
-    )
-
-
-def _config_budget(cfg: ExperimentConfig, detection_freq: float) -> NoiseBudget:
-    return NoiseBudget(
-        coef_elec=cfg.detector.electronic_noise_floor,
-        coef_shot=_shot_coef_theory(cfg),
-        coef_tech=cfg.detector.technical_noise_coef,
-        detection_freq=detection_freq,
-    )
 
 
 def _require_dark_floor(cfg: ExperimentConfig, key: str) -> None:
@@ -233,6 +219,10 @@ def _bg_band(cfg: ExperimentConfig, field: FieldConfig) -> tuple:
 
 def _run_simulate(cfg: ExperimentConfig, spec: ScenarioSpec,
                   outdir: Path) -> list[str]:
+    rate, mod = cfg.sim.sample_rate, cfg.field_cfg.modulation_freq
+    if mod > 0 and not rate > 4.0 * mod:  # the real series must resolve it
+        raise ConfigError(f"sim.sample_rate: must exceed 4x the modulation "
+                          f"frequency ({mod!r} Hz) (got {rate!r})")
     res = ResonanceParams(cfg.resonance.phi0, cfg.resonance.gamma_fwhm,
                           _center_freq(cfg.field_cfg))
     ts, det_ts = _chain(cfg, res, cfg.field_cfg, cfg.sim.probe_power,
@@ -299,16 +289,19 @@ def _spectrum_pair(cfg: ExperimentConfig, key: tuple, power: float,
 
 def _run_spectrum(cfg: ExperimentConfig, spec: ScenarioSpec,
                   outdir: Path) -> list[str]:
-    mod = cfg.field_cfg.modulation_freq
+    mod, sp = cfg.field_cfg.modulation_freq, cfg.spectrum
     _bg_band(cfg, cfg.field_cfg)  # the window peak_and_background averages
-    span = (max(mod - cfg.spectrum.span / 2.0, 0.0),
-            mod + cfg.spectrum.span / 2.0)
+    span = (max(mod - sp.span / 2.0, 0.0), mod + sp.span / 2.0)
     spec_on, spec_off = _spectrum_pair(
         cfg, (spec.seed,), cfg.sim.probe_power, cfg.resonance.phi0,
         cfg.resonance.gamma_fwhm, span, span,
     )
-    s_sig, s_bg = peak_and_background(spec_on, spec_off, mod,
-                                      cfg.spectrum.bg_window)
+    try:
+        s_sig, s_bg = peak_and_background(spec_on, spec_off, mod, sp.bg_window)
+    except ValueError as exc:  # the trace's bins stop inside the window
+        raise ConfigError(f"spectrum.span: {sp.span!r} Hz must reach a trace "
+                          "bin past each edge of spectrum.bg_window "
+                          f"({sp.bg_window!r} Hz)") from exc
     snr = compute_snr(s_sig, s_bg, spec_on.enbw)
     spectrum_to_csv(spec_on, outdir / "spectrum_on.csv", spec.seed)
     spectrum_to_csv(spec_off, outdir / "spectrum_off.csv", spec.seed)
@@ -374,7 +367,7 @@ def _run_noise_scan(cfg: ExperimentConfig, spec: ScenarioSpec,
                     {"seed": spec.seed, "detection_freq_hz": mod})
         doc = fit_report(fit)
         doc.update({"seed": spec.seed, "detection_freq_hz": mod,
-                    "coef_shot_theory": _shot_coef_theory(cfg)})
+                    "coef_shot_theory": theory_budget(cfg).coef_shot})
         write_json(outdir / f"{stem}_budget.json", doc)
         write_table(outdir / fig_name,
                     ["power_w", "noise_w_per_hz", "model_w_per_hz"],
@@ -383,14 +376,13 @@ def _run_noise_scan(cfg: ExperimentConfig, spec: ScenarioSpec,
     return outputs
 
 
-def _synthetic_budget_levels(cfg: ExperimentConfig, freq: float,
-                             powers: np.ndarray, shot_coef: float,
-                             tech_coef: float, rng) -> np.ndarray:
-    """PSD levels a real scan would measure, with estimator scatter."""
-    knee = cfg.snlmap.elec_knee_freq
-    floor = cfg.detector.electronic_noise_floor
+def _synthetic_budget_levels(cfg: ExperimentConfig, budget: NoiseBudget,
+                             freq: float, powers: np.ndarray, rng) -> np.ndarray:
+    """PSD levels a real scan would measure at freq, with estimator scatter;
+    the electronic floor rises below snlmap.elec_knee_freq as A(f)."""
+    knee, floor = cfg.snlmap.elec_knee_freq, budget.coef_elec
     a_of_f = floor * (1.0 + (knee / freq) ** 2) if knee > 0.0 else floor
-    truth = a_of_f + shot_coef * powers + tech_coef * powers ** 2
+    truth = replace(budget, coef_elec=a_of_f).eval(powers)
     jitter = cfg.snlmap.jitter_rel
     factors = np.maximum(1.0 + jitter * rng.standard_normal(powers.size), 0.01)
     return truth * factors
@@ -398,19 +390,15 @@ def _synthetic_budget_levels(cfg: ExperimentConfig, freq: float,
 
 def _snl_map_rows(cfg: ExperimentConfig, spec: ScenarioSpec, lane: int,
                   gain_nominal: float) -> list[dict]:
-    det = replace(cfg.detector, transimpedance_gain_nominal=gain_nominal)
-    scale_cfg = replace(cfg, detector=det)
-    shot_coef = _shot_coef_theory(scale_cfg)
-    gain_ratio_sq = (det.gain_effective / cfg.detector.gain_effective) ** 2
-    tech_coef = cfg.detector.technical_noise_coef * gain_ratio_sq
+    budget = theory_budget(cfg, gain_nominal)
     freqs = np.linspace(cfg.snlmap.freq_min, cfg.snlmap.freq_max,
                         cfg.snlmap.freq_bins)
     powers = np.concatenate([[0.0], _power_grid(cfg)])
     budgets = []
     for fi, freq in enumerate(freqs):
         rng = np.random.default_rng((spec.seed, lane, fi))
-        levels = _synthetic_budget_levels(cfg, float(freq), powers,
-                                          shot_coef, tech_coef, rng)
+        levels = _synthetic_budget_levels(cfg, budget, float(freq), powers,
+                                          rng)
         fit = fit_noise_polynomial(powers, levels, fixed_elec=levels[0])
         budgets.append(replace(fit, detection_freq=float(freq)))
     return snl_map(budgets, cfg.snlmap.k_list())
@@ -482,7 +470,7 @@ def _run_sensitivity_sweep(cfg: ExperimentConfig, spec: ScenarioSpec,
                            outdir: Path) -> list[str]:
     powers = _power_grid(cfg)
     mod = cfg.field_cfg.modulation_freq
-    budget = _config_budget(cfg, mod)
+    budget = theory_budget(cfg, detection_freq=mod)
     tasks = [(cfg, spec.seed, i, float(p)) for i, p in enumerate(powers)]
     rows = _pmap(_sweep_point_sensitivity, tasks, spec.workers)
     for row in rows:

@@ -27,8 +27,10 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 from .constants import CODATA, PhysicalConstants
 
@@ -333,40 +335,25 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         1.0 + (sm.elec_knee_freq / sm.freq_min) ** 2))
     _require(knee_floor < math.inf, "snlmap.elec_knee_freq", sm.elec_knee_freq,
              "derived electronic floor at snlmap.freq_min must be finite")
-    from .detector import theoretical_shot_noise_level  # detector imports config
-    primary = cfg.detector
-    shots = []
+    from .detector import theory_budget  # detector imports config
     for key, gain in (("detector.transimpedance_gain_nominal",
-                       primary.transimpedance_gain_nominal),
+                       cfg.detector.transimpedance_gain_nominal),
                       ("snlmap.second_gain_nominal", sm.second_gain_nominal)):
-        det = replace(primary, transimpedance_gain_nominal=gain)
-        shot = _or_inf(lambda: theoretical_shot_noise_level(
-            1.0, det, a.probe_wavelength, cfg.constants))
-        _require(shot < math.inf, key, gain,
-                 "derived shot-noise level per watt must be finite")
-        shots.append(shot)
-    # snl-map scales the technical term by the squared gain ratio
-    gain_ratio_sq = _or_inf(lambda: (
-        sm.second_gain_nominal * primary.gain_headroom_factor
-        / primary.gain_effective) ** 2)
-    _require(gain_ratio_sq < math.inf, "detector.transimpedance_gain_nominal",
-             primary.transimpedance_gain_nominal,
-             "derived (second gain / primary gain)^2 must be finite")
-    for shot, tech_scale in zip(shots, (1.0, gain_ratio_sq)):
-        top = _or_inf(lambda: primary.electronic_noise_floor
-                      + shot * sw.power_max
-                      + primary.technical_noise_coef * tech_scale
-                      * sw.power_max ** 2)
+        try:  # snl-map reads the budget at both gains
+            budget = theory_budget(cfg, gain)
+            per_watt = budget.coef_shot + budget.coef_tech
+        except (OverflowError, ZeroDivisionError):
+            per_watt = math.inf
+        _require(per_watt < math.inf, key, gain, "derived shot and technical "
+                 "terms, relative to detector.transimpedance_gain_nominal, "
+                 "must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            top = float(budget.eval(sw.power_max))
         _require(top < math.inf, "sweep.power_max", sw.power_max,
                  "derived noise budget A + B*P + C*P^2 at power_max must "
                  "be finite")
 
     cfg.field_cfg = cfg.field_cfg.resolve(cfg.atom, cfg.constants)
-    mod = cfg.field_cfg.modulation_freq
-    if mod is not None and mod > 0:
-        _require(cfg.sim.sample_rate > 4.0 * mod, "sim.sample_rate",
-                 cfg.sim.sample_rate,
-                 f"must exceed 4x the modulation frequency ({mod!r} Hz)")
     return cfg
 
 

@@ -33,13 +33,13 @@ same one-sided level once the analyzer displays it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 import numpy.random  # noqa: F401 numpy 2 loads it lazily; load it here, not mid-run
 
-from .config import DetectorConfig
+from .config import DetectorConfig, ExperimentConfig
 from .constants import CODATA, PhysicalConstants
 from .signal_model import RotationTimeSeries, Seed, white_noise
 from .tables import write_table
@@ -50,6 +50,7 @@ __all__ = [
     "photocurrent",
     "photocurrent_from_flux",
     "theoretical_shot_noise_level",
+    "theory_budget",
     "angle_gain_from_chain",
     "detect",
     "detected_to_csv",
@@ -154,6 +155,21 @@ def theoretical_shot_noise_level(power: float, det: DetectorConfig,
     g_eff = det.gain_effective
     return (g_eff ** 2) * 2.0 * current * constants.electron_charge \
         / det.analyzer_impedance_r
+
+
+def theory_budget(cfg: ExperimentConfig, gain_nominal: Optional[float] = None,
+                  detection_freq: float = 0.0) -> NoiseBudget:
+    """The configured A + B*P + C*P^2 at one transimpedance gain (default:
+    the configured one). A is flat; B and C scale as the effective gain
+    squared. Python floats, so a term that overflows raises OverflowError."""
+    base = cfg.detector
+    det = base if gain_nominal is None else replace(
+        base, transimpedance_gain_nominal=gain_nominal)
+    ratio = det.gain_effective / base.gain_effective
+    shot = theoretical_shot_noise_level(1.0, det, cfg.atom.probe_wavelength,
+                                        cfg.constants)
+    return NoiseBudget(base.electronic_noise_floor, shot,
+                       base.technical_noise_coef * ratio ** 2, detection_freq)
 
 
 def angle_gain_from_chain(det: DetectorConfig, flux: float,

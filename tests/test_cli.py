@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,10 @@ import pytest
 
 import amorsim.cli
 import amorsim.dsp
-from amorsim.analysis import snl_range
+from amorsim.analysis import snl_map, snl_range
 from amorsim.cli import MODES, ScenarioSpec, emit_plotdata, main, run_scenario
 from amorsim.config import _KEY_TABLE, ConfigError, FieldConfig
+from amorsim.detector import theory_budget
 from amorsim.signal_model import rotation_from_csv
 from amorsim.tables import read_table, write_json, write_table
 
@@ -168,8 +170,38 @@ def test_noise_scan_is_shot_noise_limited_from_5_to_75_uT(b_field):
         assert snl_range(fit, 4).nonempty, seed
     shots = np.array(shots)
     stderr = shots.std(ddof=1) / math.sqrt(shots.size)
-    theory = amorsim.cli._shot_coef_theory(cfg)
+    theory = theory_budget(cfg).coef_shot
     assert abs(shots.mean() - theory) < 4.0 * stderr
+
+
+def test_noise_scan_writes_the_theory_shot_coefficient(mode_run,
+                                                       fast_config):
+    out = mode_run("noise-scan")
+    doc = json.loads((out / "noise_scan_budget.json").read_text())
+    cfg = amorsim.cli._load_config(ScenarioSpec("noise-scan", fast_config))
+    assert doc["coef_shot_theory"] == theory_budget(cfg).coef_shot
+
+
+def test_snl_map_rows_are_the_theory_budget_with_the_knee(fast_config,
+                                                         monkeypatch):
+    # without estimator scatter the fitted map is the theory map, A(f) at
+    # each bin and B, C at each gain
+    monkeypatch.setenv("AMORSIM_SNLMAP__JITTER_REL", "0")
+    cfg = amorsim.cli._load_config(ScenarioSpec("snl-map", fast_config))
+    sm = cfg.snlmap
+    freqs = np.linspace(sm.freq_min, sm.freq_max, sm.freq_bins)
+    for lane, gain in enumerate((cfg.detector.transimpedance_gain_nominal,
+                                 sm.second_gain_nominal)):
+        rows = amorsim.cli._snl_map_rows(cfg, ScenarioSpec("snl-map"), lane,
+                                         gain)
+        budget = theory_budget(cfg, gain)
+        expected = snl_map([replace(
+            budget, detection_freq=float(f), coef_elec=budget.coef_elec
+            * (1.0 + (sm.elec_knee_freq / f) ** 2)) for f in freqs],
+            sm.k_list())
+        assert len(rows) == len(expected) == sm.freq_bins * len(sm.k_list())
+        for row, want in zip(rows, expected):
+            assert row == pytest.approx(want, rel=1e-12), lane
 
 
 def test_snl_map_outputs(mode_run):
@@ -385,6 +417,14 @@ def test_every_float_key_rejects_non_finite(key, value, tmp_path, capsys):
     ("noise-scan", "field.b_field = 100 nT\n"
      "detector.electronic_noise_floor = 1.35e-14\n", "spectrum.bg_window"),
     ("sensitivity-sweep", "field.b_field = 100 nT\n", "spectrum.bg_window"),
+    # the off-resonance trace would stop inside the background window
+    *[("spectrum", "spectrum.span = 2000\n", key)
+      for key in ("spectrum.span", "spectrum.bg_window")],
+    # a log grid one ulp wide repeats a power
+    *[("sensitivity-sweep", "sweep.power_min = 1e-5\n"
+       "sweep.power_max = 1.0000000000000002e-05\nsweep.power_points = 3\n",
+       key) for key in ("sweep.power_points", "sweep.power_min",
+                        "sweep.power_max")],
 ])
 def test_config_faults_exit_2_naming_key(mode, config_text, key, tmp_path,
                                         capsys):
@@ -397,6 +437,36 @@ def test_config_faults_exit_2_naming_key(mode, config_text, key, tmp_path,
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert key in err["message"]
+
+
+def test_sample_rate_must_clear_modulation(tmp_path, capsys):
+    # only simulate samples the real series at sim.sample_rate, and
+    # 4x 70.9 kHz > 100 kHz
+    cfg = tmp_path / "slow.cfg"
+    cfg.write_text("sim.sample_rate = 100 kHz\n")
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["message"] == (
+        "sim.sample_rate: must exceed 4x the modulation frequency "
+        "(70914.307579755 Hz) (got 100000.0)")
+
+
+def test_modes_reading_a_band_run_at_75_uT(tmp_path, monkeypatch):
+    # 75 uT puts the carrier at 699.8 kHz, past sim.sample_rate/4 on
+    # configs/default.cfg: only simulate samples at that rate
+    config = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+    monkeypatch.setenv("AMORSIM_FIELD__B_FIELD", "75e-6")
+    for mode in MODES:
+        if mode != "simulate":
+            assert main([mode, "--config", str(config), "--out",
+                         str(tmp_path / mode), "--seed", "1"]) == 0, mode
+    fit = json.loads((tmp_path / "demod-sweep" / "resonance_fit.json")
+                     .read_text())["params"]
+    center = amorsim.cli._load_config(ScenarioSpec(
+        "demod-sweep", str(config))).field_cfg.modulation_freq
+    assert fit["center_freq"] == pytest.approx(center, abs=0.01)
 
 
 def test_demod_sweep_runs_at_the_lock_in_duration_limit(tmp_path):

@@ -1,13 +1,14 @@
 """Polarimeter/electronics model: photocurrent, noise budget, detection."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.signal import periodogram
 
-from amorsim.config import DetectorConfig, FieldConfig
+from amorsim.config import DetectorConfig, ExperimentConfig, FieldConfig
 from amorsim.detector import (
     NoiseBudget,
     angle_gain_from_chain,
@@ -16,6 +17,7 @@ from amorsim.detector import (
     photocurrent,
     photocurrent_from_flux,
     theoretical_shot_noise_level,
+    theory_budget,
 )
 from amorsim.dsp import psd_estimate
 from amorsim.signal_model import (
@@ -158,6 +160,42 @@ def test_noise_budget_monotone_in_power(a, b, c, p1, p2):
     lo, hi = sorted((p1, p2))
     assert budget.eval(lo) <= budget.eval(hi)
     assert budget.eval(lo) >= a
+
+
+@given(
+    primary=st.floats(1e2, 1e9),
+    gain=st.floats(1e2, 1e9),
+    headroom=st.floats(0.05, 1.0),
+    freq=st.floats(0.0, 2e6),
+)
+def test_theory_budget_at_any_gain(primary, gain, headroom, freq):
+    # A stays put; B and C both scale as the squared effective gain
+    det = DetectorConfig(transimpedance_gain_nominal=primary,
+                         gain_headroom_factor=headroom,
+                         electronic_noise_floor=1.35e-14,
+                         technical_noise_coef=1.8e-6)
+    cfg = ExperimentConfig(detector=det)
+    at_gain = replace(det, transimpedance_gain_nominal=gain)
+    budget = theory_budget(cfg, gain, detection_freq=freq)
+    assert budget.coef_elec == 1.35e-14
+    assert budget.coef_shot == theoretical_shot_noise_level(
+        1.0, at_gain, cfg.atom.probe_wavelength, cfg.constants)
+    assert budget.coef_tech == 1.8e-6 * (
+        at_gain.gain_effective / det.gain_effective) ** 2
+    assert budget.detection_freq == freq
+    scale = (gain / primary) ** 2
+    assert budget.coef_tech == pytest.approx(1.8e-6 * scale, rel=1e-12)
+    assert budget.coef_shot == pytest.approx(
+        theory_budget(cfg).coef_shot * scale, rel=1e-12)
+
+
+def test_theory_budget_defaults_to_the_configured_gain():
+    cfg = ExperimentConfig(detector=DetectorConfig(
+        electronic_noise_floor=1.35e-14, technical_noise_coef=1.8e-6))
+    budget = theory_budget(cfg)
+    assert (budget.coef_elec, budget.coef_tech) == (1.35e-14, 1.8e-6)
+    assert budget.coef_shot == pytest.approx(9.040529255430119e-10, rel=1e-12)
+    assert budget.detection_freq == 0.0
 
 
 # ---------------------------------------------------------------------------
