@@ -298,11 +298,14 @@ def _or_inf(derive) -> float:
         return math.inf
 
 
-def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
+def validate_config(cfg: ExperimentConfig,
+                    mode: Optional[str] = None) -> ExperimentConfig:
     """Check each key against its ``_KEY_TABLE`` row, then the cross-key rules.
 
-    Returns the config with derived values filled; raises ConfigError naming
-    the first violated key and its value.
+    ``mode`` adds the rules of one scenario: simulate, the only mode that
+    samples the real series at ``sim.sample_rate``, needs that rate above 4x
+    the modulation frequency. Returns the config with derived values filled;
+    raises ConfigError naming the first violated key and its value.
     """
     cfg.constants.validate()
     for key, (section, attr, kind, bound) in _KEY_TABLE.items():
@@ -354,6 +357,11 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
                  "be finite")
 
     cfg.field_cfg = cfg.field_cfg.resolve(cfg.atom, cfg.constants)
+    mod = cfg.field_cfg.modulation_freq
+    if mode == "simulate" and mod is not None and mod > 0:
+        _require(cfg.sim.sample_rate > 4.0 * mod, "sim.sample_rate",
+                 cfg.sim.sample_rate,
+                 f"must exceed 4x the modulation frequency ({mod!r} Hz)")
     return cfg
 
 

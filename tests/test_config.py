@@ -140,6 +140,14 @@ def test_field_resolution_rejects_negative_field():
         FieldConfig(b_field=-1e-6).resolve(AtomConfig())
 
 
+def test_sample_rate_must_clear_modulation():
+    cfg = parse_config_text("sim.sample_rate = 100 kHz")  # 4x 70.9 kHz > 100k
+    validate_config(cfg)  # only simulate samples the real series
+    with pytest.raises(ConfigError, match="sim.sample_rate"):
+        validate_config(parse_config_text("sim.sample_rate = 100 kHz"),
+                        "simulate")
+
+
 def test_load_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("resonance.phi0 = 1.5e-3\n")
@@ -288,14 +296,16 @@ BOUND_VIOLATIONS = [
      'field.b_field: unset; need explicit modulation_freq and detuning_delta instead'),
     ('field.detuning_delta', '5',
      'field.detuning_delta: inconsistent with b_field and modulation_freq (given 5.0, derived 0.0)'),
+    ('sim.sample_rate', '100 kHz',
+     'sim.sample_rate: must exceed 4x the modulation frequency (70914.307579755 Hz) (got 100000.0)'),
 ]
 
 
 @pytest.mark.parametrize("key,value,message", BOUND_VIOLATIONS)
 def test_every_bound_names_key_and_rule(key, value, message):
     cfg = parse_config_text(f"{key} = {value}")
-    with pytest.raises(ConfigError) as err:
-        validate_config(cfg)
+    with pytest.raises(ConfigError) as err:  # simulate binds every rule
+        validate_config(cfg, "simulate")
     assert str(err.value) == message
 
 
