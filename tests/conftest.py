@@ -1,3 +1,5 @@
+import os
+
 import hypothesis
 
 # Numeric property tests run whole simulations inside hypothesis examples;
@@ -8,4 +10,6 @@ hypothesis.settings.register_profile(
 hypothesis.settings.register_profile(
     "thorough", max_examples=500, deadline=None,
 )
-hypothesis.settings.load_profile("default")
+# HYPOTHESIS_PROFILE=thorough selects the longer run.
+hypothesis.settings.load_profile(
+    os.environ.get("HYPOTHESIS_PROFILE", "default"))

@@ -110,6 +110,19 @@ def test_every_output_reads_back_losslessly(mode, mode_run, tmp_path):
         assert copy.read_bytes() == f.read_bytes(), f.name
 
 
+@pytest.mark.parametrize("mode", ["simulate", "spectrum"])
+def test_every_float_cell_is_repr_of_its_value(mode, mode_run):
+    tables = [f for f in sorted(mode_run(mode).iterdir())
+              if f.suffix in (".csv", ".dat")]
+    assert tables
+    for f in tables:
+        _columns, data, _meta = read_table(f)
+        sep = " " if f.suffix == ".dat" else ","
+        rows = f.read_text().splitlines()[-len(data[0]):]
+        assert rows == [sep.join(map(repr, row))
+                        for row in zip(*(col.tolist() for col in data))], f
+
+
 def test_demod_sweep_outputs(mode_run):
     out = mode_run("demod-sweep")
     curve = (out / "resonance_curve.csv").read_text()

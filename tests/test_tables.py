@@ -1,11 +1,25 @@
 """The shared table writer and reader."""
 
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from amorsim.tables import read_table, write_json, write_table
+from amorsim.tables import (
+    _CHUNK_ROWS,
+    _FIRST_DECADE,
+    _LAST_DECADE,
+    _decade_start,
+    _float_cells,
+    _rows_bytes,
+    read_table,
+    write_json,
+    write_table,
+)
 
 
 def test_csv_layout_and_read_back(tmp_path):
@@ -83,3 +97,146 @@ def test_write_json_format(tmp_path):
     assert path.read_text() == (
         '{\n  "a": [\n    1,\n    2\n  ],\n  "b": 1.0\n}\n'
     )
+
+
+# ---------------------------------------------------------------------------
+# The vectorized float formatter
+# ---------------------------------------------------------------------------
+
+def formatted(values) -> bytes:
+    """Newline-ended rows of ``values`` as the fast path writes them."""
+    return _rows_bytes([_float_cells(np.asarray(values, float))], ",")
+
+
+def reprs(values) -> bytes:
+    return ("".join(repr(v) + "\n" for v in np.asarray(values, float)
+                    .tolist())).encode()
+
+
+def near_power_of_ten(e, ulps):
+    """``ulps`` doubles away from the double nearest 10**e."""
+    return (np.array([float(f"1e{e}")]).view(np.int64) + ulps).view(
+        np.float64)[0]
+
+
+@given(arrays(np.float64, st.integers(0, 40), elements=st.floats()))
+def test_float_cells_are_repr_for_any_float(values):
+    assert formatted(values) == reprs(values)
+
+
+@given(arrays(np.float64, st.integers(1, 40),
+              elements=st.floats(1e-12, 2e15) | st.floats(-2e15, -1e-12)))
+def test_float_cells_are_repr_in_the_exact_range(values):
+    assert formatted(values) == reprs(values)
+
+
+@given(st.lists(st.builds(near_power_of_ten, st.integers(-14, 18),
+                          st.integers(-3, 3)), max_size=20))
+def test_float_cells_are_repr_next_to_powers_of_ten(values):
+    values = np.array(values + [-v for v in values])
+    assert formatted(values) == reprs(values)
+
+
+def test_float_cells_are_repr_at_the_edges():
+    values = [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan,
+              1e-4, 9.999999999999999e-05, 1e-05, 1e16, 1e22, 1e23, 1e15,
+              999999999999999.9, 1e-11, 9.999999999999999e-12, 0.1, 0.5,
+              1 / 3, 2.2250738585072014e-308, 1.7976931348623157e308]
+    values += [2.0**k for k in range(-60, 60)]
+    values += [near_power_of_ten(e, u) for e in range(-13, 18)
+               for u in (-1, 0, 1)]
+    values += [float(i) for i in range(-1000, 1001, 7)]
+    values += [float(10**k + 1) for k in range(16)]
+    values = np.array(values + [-v for v in values])
+    assert formatted(values) == reprs(values)
+
+
+def test_decades_start_at_the_smallest_double_not_below_the_power():
+    for e in range(_FIRST_DECADE, _LAST_DECADE + 2):
+        start = _decade_start(e)
+        assert Fraction(start) >= Fraction(10) ** e
+        assert Fraction(math.nextafter(start, 0)) < Fraction(10) ** e
+
+
+def test_float_cells_are_repr_for_random_bit_patterns():
+    rng = np.random.default_rng(7)
+    bits = rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64)
+    scaled = rng.standard_normal(20_000) * 10.0 ** rng.integers(-12, 16,
+                                                               20_000)
+    for values in (bits, scaled):
+        assert formatted(values) == reprs(values)
+
+
+@pytest.mark.parametrize("rows", [_CHUNK_ROWS - 1, _CHUNK_ROWS,
+                                  _CHUNK_ROWS + 1])
+@pytest.mark.parametrize("name", ["t.csv", "t.dat"])
+def test_chunk_lengths_and_mixed_columns(tmp_path, rows, name):
+    rng = np.random.default_rng(rows)
+    floats = rng.standard_normal(rows) * 1e-3
+    floats[:4] = [0.0, -0.0, math.inf, 1e-300]
+    labels = np.array([f"L{i}" for i in range(rows)])
+    flags = np.arange(rows) % 3 == 0
+    path = tmp_path / name
+    write_table(path, ["x", "label", "flag", "i"],
+                [floats, labels, flags, np.arange(rows)], {"seed": (1, 2)})
+    sep = " " if name.endswith(".dat") else ","
+    title = "# columns: x label flag i" if sep == " " else "x,label,flag,i"
+    body = "".join(f"{x!r}{sep}{s}{sep}{f}{sep}{i}\n" for x, s, f, i in zip(
+        floats.tolist(), labels.tolist(), flags.tolist(), range(rows)))
+    assert path.read_text() == "# seed = (1, 2)\n" + title + "\n" + body
+    _, data, _ = read_table(path)
+    assert data[0].tobytes() == floats.tobytes()
+    assert data[1].tolist() == labels.tolist()
+
+
+def test_long_floats_round_trip_bit_exactly(tmp_path):
+    rng = np.random.default_rng(3)
+    values = rng.integers(0, 2**64, 3 * _CHUNK_ROWS, dtype=np.uint64).view(
+        np.float64)
+    values = values[np.isfinite(values)]
+    path = tmp_path / "bits.csv"
+    write_table(path, ["v"], [values])
+    _, (back,), _ = read_table(path)
+    assert back.tobytes() == values.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Refused tables and header values
+# ---------------------------------------------------------------------------
+
+def test_columns_of_unequal_length_are_refused(tmp_path):
+    with pytest.raises(ValueError, match=r"a=5, b=3"):
+        write_table(tmp_path / "t.csv", ["a", "b"],
+                    [np.arange(5.0), np.arange(3.0)])
+    with pytest.raises(ValueError, match="2 column names for 1 columns"):
+        write_table(tmp_path / "t.csv", ["a", "b"], [np.arange(5.0)])
+
+
+@pytest.mark.parametrize("name, column, cell", [
+    ("t.csv", "x,y", "a"),
+    ("t.csv", "a", "x,y"),
+    ("t.csv", "a", "x\ny"),
+    ("t.csv", "a", "x\ry"),
+    ("t.csv", "a", "x\0y"),
+    ("t.dat", "a b", "a"),
+    ("t.dat", "a", "x y"),
+    ("t.dat", "a\n", "x"),
+    ("t.dat", "a\tb", "x"),
+])
+def test_separator_or_line_break_in_text_is_refused(tmp_path, name, column,
+                                                    cell):
+    for rows in (1, _CHUNK_ROWS):
+        with pytest.raises(ValueError, match=re.escape(repr(column))):
+            write_table(tmp_path / name, [column], [[cell] * rows])
+
+
+def test_numpy_scalar_header_values_read_back(tmp_path):
+    path = tmp_path / "t.csv"
+    meta = {"f": np.float32(0.5), "i": np.int64(3), "b": np.bool_(True),
+            "seed": (np.int64(4), (1, np.uint8(2))), "g": np.float64(0.1)}
+    write_table(path, ["a"], [[1.0]], meta)
+    assert "np." not in path.read_text()
+    _, _, back = read_table(path)
+    assert back == {"f": 0.5, "i": 3, "b": True, "seed": (4, (1, 2)),
+                    "g": 0.1}
+    assert type(back["i"]) is int and type(back["f"]) is float
