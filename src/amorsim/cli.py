@@ -32,6 +32,13 @@ Each point owns its streams, so outputs are byte-identical for a fixed
 same length: numpy pads a short key with zeros, so ``(seed, 0)`` and
 ``(seed, 0, 0)`` would name the same stream.
 
+The analyzer modes stack their detected series, each still drawn from its
+own streams, as the rows of one array (``_stack``) and pass each stack to
+one ``psd_estimate``: spectrum its on/off pair, sensitivity-sweep the
+``trace_avg`` on/off pairs of one power, noise-scan a contiguous chunk of
+one scan's powers, one chunk per worker. A row's trace does not depend on
+the other rows, so the chunking leaves the bytes as they are.
+
 Analyzer bands. Every mode but simulate passes ``_synth`` the band its
 analyzer or lock-in reads, and gets the complex envelope of that band at
 a rate just above its width (``dsp._envelope_grid``). spectrum reads its
@@ -78,14 +85,17 @@ from .config import (
     validate_config,
 )
 from .detector import (
+    DetectedTimeSeries,
     NoiseBudget,
     detect,
     detected_to_csv,
     theory_budget,
 )
 from .dsp import (
+    _analyzer_window,
     _envelope_grid,
     _pmap,
+    _segment_length,
     peak_and_background,
     psd_estimate,
     resonance_curve_to_csv,
@@ -179,6 +189,30 @@ def _require_lockin_fits(cfg: ExperimentConfig) -> None:
         )
 
 
+def _require_analyzer_fits(cfg: ExperimentConfig, band: tuple,
+                           band_key: str) -> None:
+    """The analyzer's flat-top segment must fit band's envelope and series.
+
+    band_key names the config key that sets the band's width.
+    """
+    rbw, duration = cfg.spectrum.rbw, cfg.sim.duration
+    rate = _envelope_grid(band)[1]
+    n = int(round(duration * rate))  # synthesize_rotation's sample count
+    try:
+        _analyzer_window(rate, rbw, n)
+    except ValueError as exc:
+        nperseg = _segment_length(rate, rbw, n)
+        if nperseg >= 16 and nperseg > n:
+            raise ConfigError(
+                f"spectrum.rbw: {rbw!r} Hz needs sim.duration >= "
+                f"{nperseg / rate!r} s for one analyzer segment (got "
+                f"{duration!r})") from exc
+        width = getattr(cfg.spectrum, band_key.partition(".")[2])
+        raise ConfigError(
+            f"spectrum.rbw: {rbw!r} Hz is too coarse for {band_key} = "
+            f"{width!r} Hz; lower spectrum.rbw or widen {band_key}") from exc
+
+
 def _synth(cfg: ExperimentConfig, res: ResonanceParams, field: FieldConfig,
            power: float, key: tuple, band: Optional[tuple] = None):
     """Synthesize one rotation series from stream key+(0,).
@@ -201,6 +235,22 @@ def _chain(cfg: ExperimentConfig, res: ResonanceParams, field: FieldConfig,
     ts = _synth(cfg, res, field, power, key, band)
     return ts, detect(ts, cfg.detector, rng_seed=key + (1,),
                       constants=cfg.constants)
+
+
+def _stack(series, rows: int) -> DetectedTimeSeries:
+    """The first ``rows`` detected series of an iterable as one stack.
+
+    Each series is copied into one preallocated (rows, n) array as it is
+    made, so the stack costs that array alone. The rows share the first
+    series' sample rate and centre; its other scalar fields describe the
+    first row only.
+    """
+    for row, ts in enumerate(series):
+        if row == 0:
+            first = ts
+            samples = np.empty((rows, ts.samples.size), ts.samples.dtype)
+        samples[row] = ts.samples
+    return replace(first, samples=samples)
 
 
 def _bg_band(cfg: ExperimentConfig, field: FieldConfig) -> tuple:
@@ -268,19 +318,20 @@ def _run_demod_sweep(cfg: ExperimentConfig, spec: ScenarioSpec,
     return ["resonance_curve.csv", "resonance_fit.json", "fig2_resonance.dat"]
 
 
-def _spectrum_pair(cfg: ExperimentConfig, key: tuple, power: float,
-                   phi0: float, gamma_fwhm: float, band: tuple,
-                   span: Optional[tuple] = None):
-    """On/off-resonance analyzer traces of the band, sliced to span."""
+def _spectrum_pairs(cfg: ExperimentConfig, keys: list, power: float,
+                    phi0: float, gamma_fwhm: float, band: Optional[tuple],
+                    span: Optional[tuple] = None) -> list:
+    """(on, off)-resonance analyzer traces of the band, sliced to span,
+    for each key: all of them rows of one stacked estimate."""
     field = cfg.field_cfg
     center = _center_freq(field)
-    sp = cfg.spectrum
-    series = []
-    for side, amplitude in enumerate((phi0, 0.0)):
-        res = ResonanceParams(amplitude, gamma_fwhm, center)
-        _, det_ts = _chain(cfg, res, field, power, key + (side,), band)
-        series.append(psd_estimate(det_ts, sp.rbw, sp.vbw, span=span))
-    return series[0], series[1]
+    sides = [ResonanceParams(amplitude, gamma_fwhm, center)
+             for amplitude in (phi0, 0.0)]
+    series = (_chain(cfg, res, field, power, key + (side,), band)[1]
+              for key in keys for side, res in enumerate(sides))
+    traces = psd_estimate(_stack(series, 2 * len(keys)), cfg.spectrum.rbw,
+                          cfg.spectrum.vbw, span=span).rows()
+    return list(zip(traces[0::2], traces[1::2]))
 
 
 def _run_spectrum(cfg: ExperimentConfig, spec: ScenarioSpec,
@@ -288,16 +339,18 @@ def _run_spectrum(cfg: ExperimentConfig, spec: ScenarioSpec,
     mod, sp = cfg.field_cfg.modulation_freq, cfg.spectrum
     _bg_band(cfg, cfg.field_cfg)  # the window peak_and_background averages
     span = (max(mod - sp.span / 2.0, 0.0), mod + sp.span / 2.0)
-    spec_on, spec_off = _spectrum_pair(
-        cfg, (spec.seed,), cfg.sim.probe_power, cfg.resonance.phi0,
+    _require_analyzer_fits(cfg, span, "spectrum.span")
+    [(spec_on, spec_off)] = _spectrum_pairs(
+        cfg, [(spec.seed,)], cfg.sim.probe_power, cfg.resonance.phi0,
         cfg.resonance.gamma_fwhm, span, span,
     )
     try:
         s_sig, s_bg = peak_and_background(spec_on, spec_off, mod, sp.bg_window)
-    except ValueError as exc:  # the trace's bins stop inside the window
+    except ValueError as exc:  # the window overruns the trace or skips its bins
         raise ConfigError(f"spectrum.span: {sp.span!r} Hz must reach a trace "
                           "bin past each edge of spectrum.bg_window "
-                          f"({sp.bg_window!r} Hz)") from exc
+                          f"({sp.bg_window!r} Hz), and the window must hold "
+                          "a trace bin") from exc
     snr = compute_snr(s_sig, s_bg, spec_on.enbw)
     spectrum_to_csv(spec_on, outdir / "spectrum_on.csv", spec.seed)
     spectrum_to_csv(spec_off, outdir / "spectrum_off.csv", spec.seed)
@@ -319,15 +372,17 @@ def _run_spectrum(cfg: ExperimentConfig, spec: ScenarioSpec,
             "fig3_spectrum.dat"]
 
 
-def _noise_level_point(args) -> float:
-    """Measured background density at one optical power (worker task)."""
-    cfg, power, key, field = args
+def _noise_levels(args) -> list[float]:
+    """Measured background densities at a chunk of (index, power) pairs of
+    one scan (worker task): one stacked estimate."""
+    cfg, key, field, chunk = args
     res = ResonanceParams(0.0, cfg.resonance.gamma_fwhm, _center_freq(field))
     band = _bg_band(cfg, field)
-    _, det_ts = _chain(cfg, res, field, power, key, band)
-    trace = psd_estimate(det_ts, cfg.spectrum.rbw, cfg.spectrum.vbw,
-                         span=band)
-    return float(trace.psd.mean())
+    series = (_chain(cfg, res, field, power, key + (index,), band)[1]
+              for index, power in chunk)
+    traces = psd_estimate(_stack(series, len(chunk)), cfg.spectrum.rbw,
+                          cfg.spectrum.vbw, span=band)
+    return [float(trace.mean()) for trace in traces.psd]
 
 
 def _noise_scan_at_field(cfg: ExperimentConfig, spec: ScenarioSpec,
@@ -338,9 +393,13 @@ def _noise_scan_at_field(cfg: ExperimentConfig, spec: ScenarioSpec,
     if include_zero:
         _require_dark_floor(cfg, "noisescan.include_zero")
         powers = [0.0] + powers
-    tasks = [(cfg, p, (spec.seed, scan_index, i), field)
-             for i, p in enumerate(powers)]
-    levels = _pmap(_noise_level_point, tasks, spec.workers)
+    points = list(enumerate(powers))
+    chunks = min(spec.workers, len(points))
+    edges = [len(points) * c // chunks for c in range(chunks + 1)]
+    tasks = [(cfg, (spec.seed, scan_index), field, points[lo:hi])
+             for lo, hi in zip(edges, edges[1:])]
+    levels = [level for chunk in _pmap(_noise_levels, tasks, spec.workers)
+              for level in chunk]
     fixed = levels[0] if include_zero else None
     fit = fit_noise_polynomial(powers, levels, fixed_elec=fixed)
     return powers, levels, fit
@@ -354,6 +413,8 @@ def _run_noise_scan(cfg: ExperimentConfig, spec: ScenarioSpec,
             cfg.atom, cfg.constants
         )
         scans.append(("noise_scan_high", "fig4b_noise.dat", field2))
+    for _, _, field in scans:
+        _require_analyzer_fits(cfg, _bg_band(cfg, field), "spectrum.bg_window")
     outputs = []
     for scan, (stem, fig_name, field) in enumerate(scans):
         powers, levels, fit = _noise_scan_at_field(cfg, spec, field, scan)
@@ -441,19 +502,17 @@ def _sweep_point_sensitivity(args):
     gamma = sat.gamma_at(power)
     mod = cfg.field_cfg.modulation_freq
     band = _bg_band(cfg, cfg.field_cfg)
+    keys = [(spec_seed, index, trace) for trace in range(cfg.sweep.trace_avg)]
+    pairs = _spectrum_pairs(cfg, keys, power, phi0, gamma, band)
     sig_sum = bg_sum = 0.0
-    enbw = 0.0
-    for trace in range(cfg.sweep.trace_avg):
-        spec_on, spec_off = _spectrum_pair(cfg, (spec_seed, index, trace),
-                                           power, phi0, gamma, band)
+    for spec_on, spec_off in pairs:
         part_sig, part_bg = peak_and_background(spec_on, spec_off, mod,
                                                 cfg.spectrum.bg_window)
         sig_sum += part_sig
         bg_sum += part_bg
-        enbw = spec_on.enbw
     s_sig = sig_sum / cfg.sweep.trace_avg
     s_bg = bg_sum / cfg.sweep.trace_avg
-    snr = compute_snr(s_sig, s_bg, enbw)
+    snr = compute_snr(s_sig, s_bg, pairs[0][0].enbw)
     delta_b = sensitivity(gamma, snr, cfg.atom.g_f, constants=cfg.constants)
     return {
         "power_w": power, "phi0_rad": phi0, "gamma_fwhm_hz": gamma,
@@ -465,6 +524,8 @@ def _sweep_point_sensitivity(args):
 def _run_sensitivity_sweep(cfg: ExperimentConfig, spec: ScenarioSpec,
                            outdir: Path) -> list[str]:
     powers = _power_grid(cfg)
+    _require_analyzer_fits(cfg, _bg_band(cfg, cfg.field_cfg),
+                           "spectrum.bg_window")
     mod = cfg.field_cfg.modulation_freq
     budget = theory_budget(cfg, detection_freq=mod)
     tasks = [(cfg, spec.seed, i, float(p)) for i, p in enumerate(powers)]

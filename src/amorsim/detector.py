@@ -100,6 +100,11 @@ class DetectedTimeSeries:
     units; the analyzer impedance is absorbed into ``angle_gain``).
     ``gain_used`` records the effective transimpedance gain of the chain,
     ``angle_gain`` the rad -> amplitude scalar actually applied.
+
+    ``samples`` may also be a (rows, n) stack of series on one
+    ``sample_rate`` and ``center_freq``, as ``dsp.psd_estimate`` reads it.
+    The other scalar fields are then not per row: they describe the series
+    the stack was started from.
     """
 
     samples: np.ndarray

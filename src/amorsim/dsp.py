@@ -25,6 +25,12 @@ The analyzer modes (spectrum, noise-scan, sensitivity-sweep) use it, and
 so does demod-sweep: the lock-in mixes an envelope down by f_mod - f_c
 with the same weighted sum it runs on a real series.
 
+The estimator also reads a stack, a series whose samples are (rows, n) on
+its one rate and centre: each Welch segment is one FFT over all rows, and
+the PowerSpectrum holds a trace per row on one grid (``rows`` splits it),
+each with the bits of a call on that row alone. A single series is the
+one-row case. The analyzer modes pay the per-call cost once per stack.
+
 The lock-in's 4th-order Butterworth output filter is linear, so the mean
 of its settled output is a fixed weighting of its input: each point is
 one weighted sum, with weights built once per (rate, bandwidth, length)
@@ -35,6 +41,7 @@ numpy alone, the video filter included.
 from __future__ import annotations
 
 import cmath
+import copy
 import functools
 import math
 import os
@@ -91,7 +98,12 @@ class ResonanceCurve:
 
 @dataclass
 class PowerSpectrum:
-    """One-sided PSD trace with analyzer bandwidth metadata."""
+    """One-sided PSD trace with analyzer bandwidth metadata.
+
+    ``psd`` is one trace, or a (rows, bins) stack of traces that share
+    ``freqs`` and the bandwidths, as ``psd_estimate`` returns for a stacked
+    series.
+    """
 
     freqs: np.ndarray  # Hz, strictly increasing
     psd: np.ndarray    # input-units^2 per Hz (W/Hz for detected series)
@@ -102,14 +114,29 @@ class PowerSpectrum:
     def __post_init__(self) -> None:
         self.freqs = np.asarray(self.freqs, dtype=float)
         self.psd = np.asarray(self.psd, dtype=float)
-        if self.freqs.size != self.psd.size:
+        if self.freqs.ndim != 1 or self.freqs.size != self.psd.shape[-1]:
             raise ValueError("freqs and psd must have equal length")
         if self.freqs.size > 1 and not np.all(np.diff(self.freqs) > 0):
             raise ValueError("freqs must be strictly increasing")
+        if not np.all(np.isfinite(self.psd)):
+            raise ValueError("psd must be finite")
         if np.any(self.psd < 0):
             raise ValueError("psd must be nonnegative")
         if not self.rbw > 0 or not self.vbw > 0:
             raise ValueError(f"rbw and vbw must be > 0, got {self.rbw!r}, {self.vbw!r}")
+
+    def rows(self) -> list["PowerSpectrum"]:
+        """One PowerSpectrum per trace of the psd.
+
+        Each row passed the checks above as part of the stack, so the rows
+        are copies made without running them again.
+        """
+        traces = []
+        for row in np.atleast_2d(self.psd):
+            trace = copy.copy(self)
+            trace.psd = row
+            traces.append(trace)
+        return traces
 
 
 def _angle_scale(ts: AnySeries) -> float:
@@ -334,27 +361,57 @@ def _segment_length(fs: float, rbw: float, n: int) -> int:
     return smooth if abs(enbw - rbw) / rbw <= 0.05 else raw
 
 
+def _analyzer_window(fs: float, rbw: float, n: int
+                     ) -> tuple[np.ndarray, float]:
+    """Flat-top window for rbw on n-sample series at fs, and its ENBW in Hz.
+
+    Raises ValueError when rbw is too coarse for fs (a window under 16
+    samples, or an ENBW off rbw by more than 5%) or n is shorter than
+    the window.
+    """
+    nperseg = _segment_length(fs, rbw, n)
+    if nperseg < 16:
+        raise ValueError(
+            f"rbw {rbw!r} too coarse for sample_rate {fs!r} "
+            f"(window of {nperseg} samples)"
+        )
+    if nperseg > n:
+        raise ValueError(
+            f"series of {n} samples too short for rbw {rbw!r} "
+            f"(needs >= {nperseg} samples)"
+        )
+    window, enbw_bins = _flattop(nperseg)
+    enbw = fs * enbw_bins / nperseg
+    if abs(enbw - rbw) / rbw > 0.05:
+        raise ValueError(
+            f"realized ENBW {enbw!r} deviates from rbw {rbw!r} by more than 5%"
+        )
+    return window, enbw
+
+
 def _welch(x: np.ndarray, fs: float, window: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray]:
     """Welch density with 50%-overlapped, undetrended segments.
 
     One-sided for a real x. For a complex envelope, twice the two-sided
-    density at offsets from its centre, in increasing order.
+    density at offsets from its centre, in increasing order. Works along
+    the last axis: a (rows, n) x gives one density per row, each segment
+    one FFT over all rows.
     """
     nperseg = window.size
     step = nperseg - nperseg // 2
     real = not np.iscomplexobj(x)
     transform = np.fft.rfft if real else np.fft.fft
-    acc = np.zeros(nperseg // 2 + 1 if real else nperseg)
-    starts = range(0, x.size - nperseg + 1, step)
+    acc = np.zeros(x.shape[:-1] + (nperseg // 2 + 1 if real else nperseg,))
+    starts = range(0, x.shape[-1] - nperseg + 1, step)
     for start in starts:
-        spec = transform(x[start:start + nperseg] * window)
+        spec = transform(x[..., start:start + nperseg] * window)
         acc += spec.real ** 2 + spec.imag ** 2
     psd = acc / (len(starts) * fs * float(np.sum(window ** 2)))
     if not real:
         return (np.fft.fftshift(np.fft.fftfreq(nperseg, 1.0 / fs)),
-                2.0 * np.fft.fftshift(psd))
-    psd[1:nperseg - nperseg // 2] *= 2.0  # all but DC and an even-length Nyquist
+                2.0 * np.fft.fftshift(psd, axes=-1))
+    psd[..., 1:nperseg - nperseg // 2] *= 2.0  # all but DC and an even-length Nyquist
     return np.fft.rfftfreq(nperseg, 1.0 / fs), psd
 
 
@@ -364,16 +421,18 @@ def _video_smooth(psd: np.ndarray, rbw: float, vbw: float,
 
     The trace is treated as sampled at one resolution bandwidth per dwell,
     i.e. a pseudo sample rate of rbw/bin_spacing bins per dwell. The pole
-    y[k] = (1-alpha) x[k] + alpha y[k-1] runs forward, then backward.
+    y[k] = (1-alpha) x[k] + alpha y[k-1] runs forward, then backward, over
+    each row of a stack of traces.
     """
     alpha = float(np.exp(-2.0 * np.pi * (vbw / rbw) * (bin_spacing / rbw)))
     if alpha <= 0.0:
         return psd
     out = psd.tolist()
-    for order in (range(len(out)), reversed(range(len(out)))):
-        y = 0.0  # lfilter's zero initial state
-        for k in order:
-            y = out[k] = (1.0 - alpha) * out[k] + alpha * y
+    for trace in out if psd.ndim > 1 else [out]:
+        for order in (range(len(trace)), reversed(range(len(trace)))):
+            y = 0.0  # lfilter's zero initial state
+            for k in order:
+                y = trace[k] = (1.0 - alpha) * trace[k] + alpha * y
     return np.array(out)
 
 
@@ -384,7 +443,9 @@ def psd_estimate(ts: AnySeries, rbw: float, vbw: Optional[float] = None,
     vbw defaults to rbw. span, when given, slices the trace to
     [f_lo, f_hi]; it must stay below Nyquist, or for a complex envelope
     inside its centre +- sample_rate/2. PSD units follow the input series
-    (W/Hz for detected series, rad^2/Hz for rotation series).
+    (W/Hz for detected series, rad^2/Hz for rotation series). A series
+    whose samples are a (rows, n) stack gives a (rows, bins) psd, row by
+    row the trace of that row alone.
     """
     if not rbw > 0:
         raise ValueError(f"rbw must be > 0, got {rbw!r}")
@@ -394,29 +455,12 @@ def psd_estimate(ts: AnySeries, rbw: float, vbw: Optional[float] = None,
         raise ValueError(f"vbw must be > 0, got {vbw!r}")
     fs, center = ts.sample_rate, ts.center_freq
     x = ts.samples
-    nperseg = _segment_length(fs, rbw, x.size)
-    if nperseg < 16:
-        raise ValueError(
-            f"rbw {rbw!r} too coarse for sample_rate {fs!r} "
-            f"(window of {nperseg} samples)"
-        )
-    if nperseg > x.size:
-        raise ValueError(
-            f"series of {x.size} samples too short for rbw {rbw!r} "
-            f"(needs >= {nperseg} samples)"
-        )
-    window, enbw_bins = _flattop(nperseg)
-    enbw = fs * enbw_bins / nperseg
-    if abs(enbw - rbw) / rbw > 0.05:
-        raise ValueError(
-            f"realized ENBW {enbw!r} deviates from rbw {rbw!r} by more than 5%"
-        )
+    window, enbw = _analyzer_window(fs, rbw, x.shape[-1])
     freqs, psd = _welch(x, fs, window)
     if center is not None:
         freqs += center
-    bin_spacing = fs / nperseg
     if vbw < rbw:
-        psd = np.maximum(_video_smooth(psd, rbw, vbw, bin_spacing), 0.0)
+        psd = np.maximum(_video_smooth(psd, rbw, vbw, fs / window.size), 0.0)
     if span is not None:
         f_lo, f_hi = span
         if center is None and not f_hi < fs / 2.0:
@@ -434,7 +478,7 @@ def psd_estimate(ts: AnySeries, rbw: float, vbw: Optional[float] = None,
         sel = (freqs >= f_lo) & (freqs <= f_hi)
         if not np.any(sel):
             raise ValueError(f"span ({f_lo!r}, {f_hi!r}) contains no trace bins")
-        freqs, psd = freqs[sel], psd[sel]
+        freqs, psd = freqs[sel], psd[..., sel]
     return PowerSpectrum(freqs=freqs, psd=psd, rbw=rbw, vbw=vbw, enbw=enbw)
 
 
@@ -463,6 +507,12 @@ def peak_and_background(spec_on: PowerSpectrum, spec_off: PowerSpectrum,
     idx = int(np.argmin(np.abs(spec_on.freqs - mod_freq)))
     s_sig = float(spec_on.psd[idx])
     sel = np.abs(spec_off.freqs - mod_freq) <= bg_window / 2.0
+    if not np.any(sel):
+        raise ValueError(
+            f"bg_window {bg_window!r} around mod_freq {mod_freq!r} holds no "
+            f"spec_off bin (bins {spec_off.freqs[1] - spec_off.freqs[0]!r} "
+            "Hz apart)"
+        )
     s_bg = float(spec_off.psd[sel].mean())
     return s_sig, s_bg
 

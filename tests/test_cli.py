@@ -17,7 +17,8 @@ from amorsim.analysis import snl_map, snl_range
 from amorsim.cli import MODES, ScenarioSpec, emit_plotdata, main, run_scenario
 from amorsim.config import _KEY_TABLE, ConfigError, FieldConfig
 from amorsim.detector import theory_budget
-from amorsim.signal_model import rotation_from_csv
+from amorsim.dsp import peak_and_background, psd_estimate
+from amorsim.signal_model import ResonanceParams, rotation_from_csv
 from amorsim.tables import read_table, write_json, write_table
 
 # A reduced carrier (0.76 uT -> 7.09 kHz) keeps every mode cheap while
@@ -185,6 +186,45 @@ def test_noise_scan_is_shot_noise_limited_from_5_to_75_uT(b_field):
     stderr = shots.std(ddof=1) / math.sqrt(shots.size)
     theory = theory_budget(cfg).coef_shot
     assert abs(shots.mean() - theory) < 4.0 * stderr
+
+
+def test_stacked_analyzer_matches_per_point_estimates(mode_run, fast_config):
+    # the levels and the s_sig/s_bg that one psd_estimate call per trace,
+    # each on its own (seed, *point, side) streams, would give
+    seed = 11
+    cfg = amorsim.cli._load_config(ScenarioSpec("noise-scan", fast_config))
+    field, sp = cfg.field_cfg, cfg.spectrum
+    band = amorsim.cli._bg_band(cfg, field)
+    center = amorsim.cli._center_freq(field)
+
+    def trace(res, power, key, span=None):
+        _, det = amorsim.cli._chain(cfg, res, field, power, key, band)
+        return psd_estimate(det, sp.rbw, sp.vbw, span=span)
+
+    dark = ResonanceParams(0.0, cfg.resonance.gamma_fwhm, center)
+    powers = [0.0, *amorsim.cli._power_grid(cfg)]
+    levels = [float(trace(dark, p, (seed, 0, i), band).psd.mean())
+              for i, p in enumerate(powers)]
+    _, (_, written), _ = read_table(mode_run("noise-scan", seed)
+                                    / "noise_scan.csv")
+    assert written.tolist() == levels
+
+    sat = cfg.saturation
+    s_sig, s_bg = [], []
+    for i, p in enumerate(amorsim.cli._power_grid(cfg)):
+        sides = [ResonanceParams(phi0, sat.gamma_at(p), center)
+                 for phi0 in (sat.phi0_at(p), 0.0)]
+        parts = [peak_and_background(
+            *(trace(res, p, (seed, i, t, side)) for side, res in enumerate(sides)),
+            field.modulation_freq, sp.bg_window)
+            for t in range(cfg.sweep.trace_avg)]
+        s_sig.append(sum(part[0] for part in parts) / cfg.sweep.trace_avg)
+        s_bg.append(sum(part[1] for part in parts) / cfg.sweep.trace_avg)
+    columns, data, _ = read_table(mode_run("sensitivity-sweep", seed)
+                                  / "sensitivity_sweep.csv")
+    table = dict(zip(columns, data))
+    assert table["s_sig_w_per_hz"].tolist() == s_sig
+    assert table["s_bg_w_per_hz"].tolist() == s_bg
 
 
 def test_noise_scan_writes_the_theory_shot_coefficient(mode_run,
@@ -433,6 +473,18 @@ def test_every_float_key_rejects_non_finite(key, value, tmp_path, capsys):
     # the off-resonance trace would stop inside the background window
     *[("spectrum", "spectrum.span = 2000\n", key)
       for key in ("spectrum.span", "spectrum.bg_window")],
+    # the analyzer's flat-top segment would not fit the band's envelope
+    # (rbw too coarse for it) or the series (sim.duration too short)
+    *[(mode, f"{setting}\ndetector.electronic_noise_floor = 1.35e-14\n", key)
+      for mode, setting, band_key in (
+          ("noise-scan", "spectrum.bg_window = 20", "spectrum.bg_window"),
+          ("sensitivity-sweep", "spectrum.bg_window = 20",
+           "spectrum.bg_window"),
+          ("spectrum", "spectrum.span = 20", "spectrum.span"),
+          ("noise-scan", "spectrum.rbw = 1", "sim.duration"),
+          ("sensitivity-sweep", "spectrum.rbw = 1", "sim.duration"),
+          ("spectrum", "spectrum.rbw = 1", "sim.duration"))
+      for key in ("spectrum.rbw", band_key)],
     # a log grid one ulp wide repeats a power
     *[("sensitivity-sweep", "sweep.power_min = 1e-5\n"
        "sweep.power_max = 1.0000000000000002e-05\nsweep.power_points = 3\n",
@@ -450,6 +502,45 @@ def test_config_faults_exit_2_naming_key(mode, config_text, key, tmp_path,
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert key in err["message"]
+
+
+@pytest.mark.parametrize("mode, setting, message", [
+    ("noise-scan", "spectrum.bg_window = 20",
+     "spectrum.rbw: 30.0 Hz is too coarse for spectrum.bg_window = 20.0 Hz; "
+     "lower spectrum.rbw or widen spectrum.bg_window"),
+    ("spectrum", "spectrum.span = 20",
+     "spectrum.rbw: 30.0 Hz is too coarse for spectrum.span = 20.0 Hz; "
+     "lower spectrum.rbw or widen spectrum.span"),
+    # a 18856-sample segment at the 4 kHz window's 5 kHz envelope rate
+    ("sensitivity-sweep", "spectrum.rbw = 1",
+     "spectrum.rbw: 1.0 Hz needs sim.duration >= 3.7712 s for one analyzer "
+     "segment (got 0.4)"),
+])
+def test_analyzer_misfits_exit_2_before_synthesis(mode, setting, message,
+                                                  tmp_path, capsys,
+                                                  monkeypatch):
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("synthesized before the analyzer check")
+
+    monkeypatch.setattr(amorsim.cli, "synthesize_rotation", no_synthesis)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{setting}\ndetector.electronic_noise_floor = 1.35e-14\n")
+    assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ConfigError", "message": message, "exit_code": 2}
+
+
+def test_spectrum_background_window_between_bins_exits_2(tmp_path, capsys):
+    # at 1 uT the span's envelope sits at 0 Hz, off the modulation
+    # frequency, and no 8 Hz-spaced bin falls within +-0.25 Hz of it
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text("field.b_field = 1 uT\nspectrum.bg_window = 0.5\n")
+    assert main(["spectrum", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "spectrum.bg_window" in err["message"]
+    assert "must hold a trace bin" in err["message"]
 
 
 def test_sample_rate_must_clear_modulation(tmp_path, capsys):

@@ -7,10 +7,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import signal
 
 from amorsim.config import DetectorConfig, FieldConfig
-from amorsim.detector import detect
+from amorsim.detector import DetectedTimeSeries, detect
 from amorsim.dsp import (
     PowerSpectrum,
     ResonanceCurve,
@@ -336,6 +337,41 @@ def test_psd_matches_scipy_welch(rbw, nperseg, vbw, span):
     np.testing.assert_allclose(spec.psd, psd, rtol=1e-12, atol=0.0)
 
 
+@given(
+    rows=st.integers(1, 9),
+    envelope=st.booleans(),
+    rbw=st.sampled_from([30.0, 26.8]),
+    vbw=st.sampled_from([None, 3.0]),
+    sliced=st.booleans(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_psd_of_a_stack_is_each_row_bit_for_bit(rows, envelope, rbw, vbw,
+                                                sliced, seed):
+    rng = np.random.default_rng(seed)
+    center = 3000.0 if envelope else None
+    samples = rng.standard_normal((rows, 2500))
+    if envelope:
+        samples = samples + 1j * rng.standard_normal((rows, 2500))
+    offset = center or 0.0
+    span = (offset + 500.0, offset + 1500.0) if sliced else None
+
+    def series(x):
+        return DetectedTimeSeries(x, FS, gain_used=1e6, mean_power=1e-4,
+                                  angle_gain=1.0, center_freq=center)
+
+    stacked = psd_estimate(series(samples), rbw, vbw, span=span)
+    # an even segment at rbw 30 Hz, an odd one at 26.8 Hz
+    assert segment_length(stacked) == {30.0: 1000, 26.8: 1125}[rbw]
+    traces = stacked.rows()
+    assert stacked.psd.shape == (rows, stacked.freqs.size) and len(traces) == rows
+    for row, trace in zip(samples, traces):
+        single = psd_estimate(series(row), rbw, vbw, span=span)
+        assert trace.psd.tobytes() == single.psd.tobytes()
+        assert trace.freqs.tobytes() == single.freqs.tobytes()
+        assert (trace.rbw, trace.vbw, trace.enbw) == (single.rbw, single.vbw,
+                                                      single.enbw)
+
+
 def largest_prime_factor(n):
     factor, largest = 2, 1
     while factor * factor <= n:
@@ -374,6 +410,14 @@ def test_power_spectrum_validation():
         PowerSpectrum(np.array([1.0, 1.0]), np.array([1.0, 1.0]), 30.0, 30.0)
     with pytest.raises(ValueError, match="nonnegative"):
         PowerSpectrum(np.array([1.0, 2.0]), np.array([1.0, -1.0]), 30.0, 30.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            PowerSpectrum(np.array([1.0, 2.0]), np.array([bad, 1.0]), 30.0, 30.0)
+        with pytest.raises(ValueError, match="finite"):
+            PowerSpectrum(np.array([1.0, 2.0]), np.array([[1.0, 1.0], [1.0, bad]]),
+                          30.0, 30.0)
+    with pytest.raises(ValueError, match="equal length"):
+        PowerSpectrum(np.array([1.0, 2.0]), np.ones((2, 3)), 30.0, 30.0)
     with pytest.raises(ValueError, match="rbw"):
         PowerSpectrum(np.array([1.0, 2.0]), np.array([1.0, 1.0]), 0.0, 30.0)
 
@@ -420,6 +464,16 @@ def test_peak_and_background_rejects(mod, bg_window):
     off = flat_spectrum(1e-13)
     with pytest.raises(ValueError):
         peak_and_background(on, off, mod, bg_window=bg_window)
+
+
+def test_peak_and_background_rejects_a_window_between_bins():
+    # bins 8 Hz apart: +-1 Hz around a mid-bin frequency holds none of them
+    freqs = 70e3 + 8.0 * np.arange(-100, 101)
+    spec = PowerSpectrum(freqs, np.full(freqs.size, 1e-13), 30.0, 30.0)
+    with pytest.raises(ValueError, match=r"bg_window 2\.0 .* holds no"):
+        peak_and_background(spec, spec, 70e3 + 4.0, bg_window=2.0)
+    assert peak_and_background(spec, spec, 70e3 + 4.0, bg_window=8.0) == (
+        1e-13, 1e-13)
 
 
 # ---------------------------------------------------------------------------

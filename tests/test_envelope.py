@@ -194,8 +194,8 @@ def _peak_and_background(cfg, band, power, phi0, span=None, low_band=None):
     gamma = cfg.resonance.gamma_fwhm
     rows = []
     for seed in SEEDS:
-        on, off = cli._spectrum_pair(cfg, (seed,), power, phi0, gamma, band,
-                                     span)
+        [(on, off)] = cli._spectrum_pairs(cfg, [(seed,)], power, phi0, gamma,
+                                          band, span)
         row = list(peak_and_background(on, off, mod, cfg.spectrum.bg_window))
         if low_band is not None:
             sel = (off.freqs >= low_band[0]) & (off.freqs <= low_band[1])
@@ -267,8 +267,8 @@ def test_envelope_snr_estimator_is_unbiased_across_seeds(power):
     phi0 = cfg.resonance.phi0
     snrs = []
     for seed in SEEDS:
-        on, off = cli._spectrum_pair(cfg, (seed,), power, phi0,
-                                     cfg.resonance.gamma_fwhm, band)
+        [(on, off)] = cli._spectrum_pairs(cfg, [(seed,)], power, phi0,
+                                          cfg.resonance.gamma_fwhm, band)
         s_sig, s_bg = peak_and_background(on, off, mod, cfg.spectrum.bg_window)
         snrs.append(compute_snr(s_sig, s_bg, on.enbw))
     mean, sem = _mean_and_sem(snrs)
