@@ -33,8 +33,9 @@ same length: numpy pads a short key with zeros, so ``(seed, 0)`` and
 ``(seed, 0, 0)`` would name the same stream.
 
 The analyzer modes stack their detected series, each still drawn from its
-own streams, as the rows of one array (``_stack``) and pass each stack to
-one ``psd_estimate``: spectrum its on/off pair, sensitivity-sweep the
+own streams, as the rows of one array: ``_detected_stack`` allocates it
+before the first row, and ``detect`` writes each row in place. Each stack
+goes to one ``psd_estimate``: spectrum its on/off pair, sensitivity-sweep the
 ``trace_avg`` on/off pairs of one power, noise-scan a contiguous chunk of
 one scan's powers, one chunk per worker. A row's trace does not depend on
 the other rows, so the chunking leaves the bytes as they are.
@@ -133,6 +134,8 @@ class ScenarioSpec:
         if self.workers < 1:
             raise ConfigError(f"workers: must be >= 1, got {self.workers!r}")
         self.seed = int(self.seed)
+        if self.seed < 0:  # numpy's SeedSequence takes no negative entropy
+            raise ConfigError(f"seed: must be >= 0, got {self.seed!r}")
 
 
 def _load_config(spec: ScenarioSpec) -> ExperimentConfig:
@@ -237,19 +240,26 @@ def _chain(cfg: ExperimentConfig, res: ResonanceParams, field: FieldConfig,
                       constants=cfg.constants)
 
 
-def _stack(series, rows: int) -> DetectedTimeSeries:
-    """The first ``rows`` detected series of an iterable as one stack.
+def _detected_stack(cfg: ExperimentConfig, field: FieldConfig,
+                    band: Optional[tuple], rows: list) -> DetectedTimeSeries:
+    """Each (res, power, key) row synthesized and detected as in ``_chain``,
+    its samples written by ``detect`` straight into one (rows, n) stack.
 
-    Each series is copied into one preallocated (rows, n) array as it is
-    made, so the stack costs that array alone. The rows share the first
-    series' sample rate and centre; its other scalar fields describe the
+    The stack is allocated before the first row, real without a band and
+    complex with one, so it costs that array alone. The rows share the
+    band's sample rate and centre; the other scalar fields describe the
     first row only.
     """
-    for row, ts in enumerate(series):
+    center, rate = ((None, cfg.sim.sample_rate) if band is None
+                    else _envelope_grid(band))
+    n = int(round(cfg.sim.duration * rate))  # synthesize_rotation's count
+    samples = np.empty((len(rows), n), float if center is None else complex)
+    for row, (res, power, key) in enumerate(rows):
+        ts = _synth(cfg, res, field, power, key, band)
+        det = detect(ts, cfg.detector, rng_seed=key + (1,),
+                     constants=cfg.constants, out=samples[row])
         if row == 0:
-            first = ts
-            samples = np.empty((rows, ts.samples.size), ts.samples.dtype)
-        samples[row] = ts.samples
+            first = det
     return replace(first, samples=samples)
 
 
@@ -327,10 +337,10 @@ def _spectrum_pairs(cfg: ExperimentConfig, keys: list, power: float,
     center = _center_freq(field)
     sides = [ResonanceParams(amplitude, gamma_fwhm, center)
              for amplitude in (phi0, 0.0)]
-    series = (_chain(cfg, res, field, power, key + (side,), band)[1]
-              for key in keys for side, res in enumerate(sides))
-    traces = psd_estimate(_stack(series, 2 * len(keys)), cfg.spectrum.rbw,
-                          cfg.spectrum.vbw, span=span).rows()
+    rows = [(res, power, key + (side,))
+            for key in keys for side, res in enumerate(sides)]
+    traces = psd_estimate(_detected_stack(cfg, field, band, rows),
+                          cfg.spectrum.rbw, cfg.spectrum.vbw, span=span).rows()
     return list(zip(traces[0::2], traces[1::2]))
 
 
@@ -378,10 +388,9 @@ def _noise_levels(args) -> list[float]:
     cfg, key, field, chunk = args
     res = ResonanceParams(0.0, cfg.resonance.gamma_fwhm, _center_freq(field))
     band = _bg_band(cfg, field)
-    series = (_chain(cfg, res, field, power, key + (index,), band)[1]
-              for index, power in chunk)
-    traces = psd_estimate(_stack(series, len(chunk)), cfg.spectrum.rbw,
-                          cfg.spectrum.vbw, span=band)
+    rows = [(res, power, key + (index,)) for index, power in chunk]
+    traces = psd_estimate(_detected_stack(cfg, field, band, rows),
+                          cfg.spectrum.rbw, cfg.spectrum.vbw, span=band)
     return [float(trace.mean()) for trace in traces.psd]
 
 

@@ -304,8 +304,10 @@ def validate_config(cfg: ExperimentConfig,
 
     ``mode`` adds the rules of one scenario: simulate, the only mode that
     samples the real series at ``sim.sample_rate``, needs that rate above 4x
-    the modulation frequency. Returns the config with derived values filled;
-    raises ConfigError naming the first violated key and its value.
+    the modulation frequency; noise-scan and snl-map need 4 points for their
+    3-term noise fits, demod-sweep 7 for its Lorentzian fit. Returns the
+    config with derived values filled; raises ConfigError naming the first
+    violated key and its value.
     """
     cfg.constants.validate()
     for key, (section, attr, kind, bound) in _KEY_TABLE.items():
@@ -355,6 +357,20 @@ def validate_config(cfg: ExperimentConfig,
         _require(top < math.inf, "sweep.power_max", sw.power_max,
                  "derived noise budget A + B*P + C*P^2 at power_max must "
                  "be finite")
+
+    dark = cfg.noisescan.include_zero
+    if mode == "noise-scan":
+        _require(sw.power_points + dark >= 4, "sweep.power_points",
+                 sw.power_points, f"must be >= {4 - dark} with "
+                 f"noisescan.include_zero = {str(dark).lower()}: the 3-term "
+                 "noise fit needs 4 points")
+    if mode == "snl-map":
+        _require(sw.power_points >= 3, "sweep.power_points", sw.power_points,
+                 "must be >= 3: each snl-map bin fits 3 terms to the dark "
+                 "point and the power grid")
+    if mode == "demod-sweep":
+        _require(sw.freq_points >= 7, "sweep.freq_points", sw.freq_points,
+                 "must be >= 7 for the Lorentzian fit")
 
     cfg.field_cfg = cfg.field_cfg.resolve(cfg.atom, cfg.constants)
     mod = cfg.field_cfg.modulation_freq

@@ -196,7 +196,8 @@ def angle_gain_from_chain(det: DetectorConfig, flux: float,
 def detect(rotation: RotationTimeSeries, det: DetectorConfig, *,
            angle_gain: Optional[float] = None,
            rng_seed: Optional[Seed] = None,
-           constants: PhysicalConstants = CODATA) -> DetectedTimeSeries:
+           constants: PhysicalConstants = CODATA,
+           out: Optional[np.ndarray] = None) -> DetectedTimeSeries:
     """Map a rotation series to the analyzer-referred RF series.
 
     output = g * (coherent + stochastic/sqrt(2)) + n_elec + n_tech
@@ -210,6 +211,10 @@ def detect(rotation: RotationTimeSeries, det: DetectorConfig, *,
     C*P^2. Shot noise is never added here - it arrives via the rotation
     series. ``angle_gain`` defaults to the chain value for the series'
     photon flux. A complex envelope stays one, around the same centre.
+
+    ``out``, an array of the rotation samples' shape and dtype (such as a
+    row of a stack), receives the output samples and becomes the returned
+    series' ``samples``; by default a new array does.
     """
     coef_elec, coef_tech = det.electronic_noise_floor, det.technical_noise_coef
     if coef_elec < 0:
@@ -219,12 +224,20 @@ def detect(rotation: RotationTimeSeries, det: DetectorConfig, *,
     if angle_gain is None:
         angle_gain = angle_gain_from_chain(det, rotation.photon_flux, constants)
 
-    if rotation.samples is rotation.noise_samples:  # no coherent part
-        signal = rotation.noise_samples * (angle_gain / math.sqrt(2.0))
+    samples, noise = rotation.samples, rotation.noise_samples
+    if out is None:
+        signal = np.empty_like(samples)
+    elif out.shape != samples.shape or out.dtype != samples.dtype:
+        raise ValueError(f"out must be a {samples.dtype} array of shape "
+                         f"{samples.shape}, got {out.dtype} {out.shape}")
     else:
-        coherent = rotation.samples - rotation.noise_samples
-        signal = angle_gain * (coherent
-                               + rotation.noise_samples / math.sqrt(2.0))
+        signal = out
+    if samples is noise:  # no coherent part
+        np.multiply(noise, angle_gain / math.sqrt(2.0), out=signal)
+    else:  # g * ((samples - noise) + noise/sqrt(2))
+        np.subtract(samples, noise, out=signal)
+        signal += noise / math.sqrt(2.0)
+        signal *= angle_gain
 
     fs = rotation.sample_rate
     n = rotation.samples.size

@@ -26,6 +26,7 @@ All spectral densities in this package are one-sided.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Union
@@ -188,6 +189,16 @@ def white_noise(rng: np.random.Generator, density: float,
     return rng.normal(0.0, math.sqrt(density * sample_rate / 2.0), n)
 
 
+@functools.lru_cache(maxsize=8)
+def _tone(offset: float, sample_rate: float, n: int) -> np.ndarray:
+    """exp(i 2pi offset t) at t = k/sample_rate, k < n: an envelope's unit
+    tone, shared by every series on one grid, so read-only."""
+    t = np.arange(n) / sample_rate
+    tone = np.exp(2j * np.pi * offset * t)
+    tone.flags.writeable = False
+    return tone
+
+
 def synthesize_rotation(res: ResonanceParams, field: FieldConfig,
                         duration: float, sample_rate: float, power: float,
                         rng_seed: Optional[Seed] = None, *,
@@ -233,15 +244,18 @@ def synthesize_rotation(res: ResonanceParams, field: FieldConfig,
         )
     phi_p, phi_q = lorentzian_quadratures(field.detuning_delta, res)
     carrier = phi_p != 0.0 or phi_q != 0.0
-    if carrier:
-        t = np.arange(n) / sample_rate
-        if envelope:
-            deterministic = 0.5 * (phi_p - 1j * phi_q) * np.exp(
-                2j * np.pi * (mod_freq - center_freq) * t)
-        else:
-            omega = 2.0 * np.pi * mod_freq
-            deterministic = (phi_p * np.cos(omega * t)
-                             + phi_q * np.sin(omega * t))
+    if carrier and envelope:
+        deterministic = 0.5 * (phi_p - 1j * phi_q) * _tone(
+            mod_freq - center_freq, sample_rate, n)
+    elif carrier:
+        # phi_P cos(omega t) + phi_Q sin(omega t), in place
+        deterministic = np.arange(n) / sample_rate
+        deterministic *= 2.0 * np.pi * mod_freq
+        quadrature = np.sin(deterministic)
+        quadrature *= phi_q
+        np.cos(deterministic, out=deterministic)
+        deterministic *= phi_p
+        deterministic += quadrature
 
     flux = photon_flux(power, wavelength, constants)
     if shot_noise and flux > 0:
@@ -250,9 +264,11 @@ def synthesize_rotation(res: ResonanceParams, field: FieldConfig,
                             envelope)
     else:
         noise = np.zeros(n, dtype=complex if envelope else float)
+    if carrier:
+        deterministic += noise
 
     return RotationTimeSeries(
-        samples=deterministic + noise if carrier else noise,
+        samples=deterministic if carrier else noise,
         sample_rate=sample_rate,
         mean_optical_power=power,
         photon_flux=flux,

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import amorsim.cli
 import amorsim.dsp
@@ -225,6 +226,35 @@ def test_stacked_analyzer_matches_per_point_estimates(mode_run, fast_config):
     table = dict(zip(columns, data))
     assert table["s_sig_w_per_hz"].tolist() == s_sig
     assert table["s_bg_w_per_hz"].tolist() == s_bg
+
+
+@given(sides=st.lists(st.sampled_from([0, 1]), min_size=1, max_size=9),
+       powers=st.lists(st.sampled_from([0.0, 20e-6, 80.5e-6, 200e-6]),
+                       min_size=9, max_size=9),
+       band=st.sampled_from(["real", "bg_window", "offset"]))
+def test_detected_stack_rows_are_chain_series_bit_for_bit(fast_config, sides,
+                                                         powers, band):
+    # each row written in place equals the series _chain returns on its own
+    # streams: real and envelope stacks, on and off resonance, dark rows
+    cfg = amorsim.cli._load_config(ScenarioSpec("sensitivity-sweep",
+                                                fast_config))
+    field = cfg.field_cfg
+    mod = field.modulation_freq
+    band = {"real": None, "bg_window": amorsim.cli._bg_band(cfg, field),
+            "offset": (mod - 1500.0, mod + 2500.0)}[band]  # tone off centre
+    center = amorsim.cli._center_freq(field)
+    rows = [(ResonanceParams(cfg.resonance.phi0 if side == 0 else 0.0,
+                             cfg.resonance.gamma_fwhm, center),
+             power, (3, row, side))
+            for row, (side, power) in enumerate(zip(sides, powers))]
+    stack = amorsim.cli._detected_stack(cfg, field, band, rows)
+    assert stack.samples.shape[0] == len(rows)
+    for row, (res, power, key) in enumerate(rows):
+        _, det = amorsim.cli._chain(cfg, res, field, power, key, band)
+        assert stack.samples[row].tobytes() == det.samples.tobytes(), row
+        assert stack.samples.dtype == det.samples.dtype
+        assert (stack.sample_rate, stack.center_freq) == (det.sample_rate,
+                                                          det.center_freq)
 
 
 def test_noise_scan_writes_the_theory_shot_coefficient(mode_run,
@@ -490,6 +520,15 @@ def test_every_float_key_rejects_non_finite(key, value, tmp_path, capsys):
        "sweep.power_max = 1.0000000000000002e-05\nsweep.power_points = 3\n",
        key) for key in ("sweep.power_points", "sweep.power_min",
                         "sweep.power_max")],
+    # too few points for the 3-term noise fit (4, counting the dark point)
+    # or the Lorentzian fit (7)
+    *[("noise-scan", setting, key)
+      for setting in ("sweep.power_points = 2\n",
+                      "noisescan.include_zero = false\n"
+                      "sweep.power_points = 3\n")
+      for key in ("sweep.power_points", "noisescan.include_zero")],
+    ("snl-map", "sweep.power_points = 2\n", "sweep.power_points"),
+    ("demod-sweep", "sweep.freq_points = 5\n", "sweep.freq_points"),
 ])
 def test_config_faults_exit_2_naming_key(mode, config_text, key, tmp_path,
                                         capsys):
@@ -612,23 +651,23 @@ def test_overflowing_gain_exits_2_in_every_mode(fast_config, tmp_path,
         assert err["message"].startswith(key), mode
 
 
-def test_underdetermined_noise_fit_exits_3(fast_config, tmp_path, capsys,
-                                           monkeypatch):
-    # two sweep powers plus the dark point is one short of the three-term fit
-    monkeypatch.setenv("AMORSIM_SWEEP__POWER_POINTS", "2")
-    code = main(["noise-scan", "--config", fast_config,
-                 "--out", str(tmp_path / "o")])
-    assert code == 3
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "FitError"
-    assert "at least 4" in err["message"]
-
-
 def test_scenario_spec_validation():
     with pytest.raises(ConfigError, match="mode"):
         ScenarioSpec(mode="frequency-comb")
     with pytest.raises(ConfigError, match="workers"):
         ScenarioSpec(mode="simulate", workers=0)
+    with pytest.raises(ConfigError, match="^seed: "):
+        ScenarioSpec(mode="simulate", seed=-1)
+
+
+@pytest.mark.parametrize("mode", ["simulate", "snl-map"])
+def test_negative_seed_exits_2_naming_the_key(mode, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main([mode, "--seed", "-1", "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["message"] == "seed: must be >= 0, got -1"
+    assert not out.exists()  # rejected before the run starts
 
 
 def test_emit_plotdata_requires_files(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from amorsim import signal_model
 from amorsim.config import AtomConfig, ConfigError, FieldConfig
 from amorsim.signal_model import (
     ResonanceParams,
@@ -190,6 +191,52 @@ def test_synthesize_deterministic_part_detuned():
     expected = (phi_p * np.cos(2 * np.pi * 1000.0 * t)
                 + phi_q * np.sin(2 * np.pi * 1000.0 * t))
     np.testing.assert_allclose(ts.samples, expected, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("offset, sample_rate, n", [
+    (0.0, 5000.0, 2000), (1234.5, 8192.0, 1001), (-371.25, 4096.0, 7)])
+def test_envelope_tone_is_cached_read_only_and_exact(offset, sample_rate, n):
+    tone = signal_model._tone(offset, sample_rate, n)
+    t = np.arange(n) / sample_rate
+    assert tone.tobytes() == np.exp(2j * np.pi * offset * t).tobytes()
+    assert signal_model._tone(offset, sample_rate, n) is tone
+    with pytest.raises(ValueError):
+        tone[0] = 0.0
+
+
+@pytest.mark.parametrize("center_freq, sample_rate", [
+    (None, 8000.0), (1000.0, 500.0), (1100.0, 500.0), (850.0, 400.0)])
+def test_synthesized_tone_is_its_formula_bit_for_bit(center_freq,
+                                                     sample_rate):
+    # the in-place real path and the cached envelope tone compute the
+    # module docstring's expressions, in the same order, to the last bit
+    res = ResonanceParams(phi0=2.5e-3, gamma_fwhm=60.0, center_freq=1000.0)
+    field = quick_field(delta=2 * np.pi * 30.0)
+    ts = synthesize_rotation(res, field, duration=0.25,
+                             sample_rate=sample_rate, power=1e-4,
+                             rng_seed=8, center_freq=center_freq)
+    phi_p, phi_q = lorentzian_quadratures(field.detuning_delta, res)
+    t = np.arange(ts.samples.size) / sample_rate
+    if center_freq is None:
+        omega = 2.0 * np.pi * 1000.0
+        tone = phi_p * np.cos(omega * t) + phi_q * np.sin(omega * t)
+    else:
+        tone = 0.5 * (phi_p - 1j * phi_q) * np.exp(
+            2j * np.pi * (1000.0 - center_freq) * t)
+    assert ts.samples.tobytes() == (tone + ts.noise_samples).tobytes()
+
+
+def test_envelope_series_own_their_samples():
+    # a caller writing into one envelope leaves the shared tone, and so the
+    # next series on the same grid, as they were
+    res = ResonanceParams(phi0=2.5e-3, gamma_fwhm=60.0, center_freq=1000.0)
+    kwargs = dict(duration=0.5, sample_rate=500.0, power=1e-4,
+                  center_freq=1100.0, shot_noise=False)
+    first = synthesize_rotation(res, quick_field(), **kwargs)
+    expected = first.samples.tobytes()
+    first.samples[:] = 0.0
+    again = synthesize_rotation(res, quick_field(), **kwargs)
+    assert again.samples.tobytes() == expected
 
 
 def test_synthesize_is_seed_deterministic():
