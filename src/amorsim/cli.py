@@ -199,8 +199,7 @@ def _require_analyzer_fits(cfg: ExperimentConfig, band: tuple,
     band_key names the config key that sets the band's width.
     """
     rbw, duration = cfg.spectrum.rbw, cfg.sim.duration
-    rate = _envelope_grid(band)[1]
-    n = int(round(duration * rate))  # synthesize_rotation's sample count
+    _, rate, n = _series_grid(cfg, band)
     try:
         _analyzer_window(rate, rbw, n)
     except ValueError as exc:
@@ -216,6 +215,15 @@ def _require_analyzer_fits(cfg: ExperimentConfig, band: tuple,
             f"{width!r} Hz; lower spectrum.rbw or widen {band_key}") from exc
 
 
+def _series_grid(cfg: ExperimentConfig, band: Optional[tuple]) -> tuple:
+    """(centre, sample rate, sample count) of the series ``_synth`` makes:
+    the envelope of a band (f_lo, f_hi), or without one the real series
+    (centre None) at sim.sample_rate."""
+    center, rate = ((None, cfg.sim.sample_rate) if band is None
+                    else _envelope_grid(band))
+    return center, rate, int(round(cfg.sim.duration * rate))
+
+
 def _synth(cfg: ExperimentConfig, res: ResonanceParams, field: FieldConfig,
            power: float, key: tuple, band: Optional[tuple] = None):
     """Synthesize one rotation series from stream key+(0,).
@@ -223,8 +231,7 @@ def _synth(cfg: ExperimentConfig, res: ResonanceParams, field: FieldConfig,
     With a band (f_lo, f_hi), the complex envelope that covers it;
     without one, the real series at sim.sample_rate.
     """
-    center, sample_rate = ((None, cfg.sim.sample_rate) if band is None
-                           else _envelope_grid(band))
+    center, sample_rate, _ = _series_grid(cfg, band)
     return synthesize_rotation(
         res, field, cfg.sim.duration, sample_rate, power,
         rng_seed=key + (0,), wavelength=cfg.atom.probe_wavelength,
@@ -233,31 +240,29 @@ def _synth(cfg: ExperimentConfig, res: ResonanceParams, field: FieldConfig,
 
 
 def _chain(cfg: ExperimentConfig, res: ResonanceParams, field: FieldConfig,
-           power: float, key: tuple, band: Optional[tuple] = None):
-    """Synthesize and detect one series from streams key+(0,) and key+(1,)."""
+           power: float, key: tuple, band: Optional[tuple] = None,
+           out: Optional[np.ndarray] = None):
+    """Synthesize and detect one series from streams key+(0,) and key+(1,);
+    ``out``, if given, receives the detected samples (see ``detect``)."""
     ts = _synth(cfg, res, field, power, key, band)
     return ts, detect(ts, cfg.detector, rng_seed=key + (1,),
-                      constants=cfg.constants)
+                      constants=cfg.constants, out=out)
 
 
 def _detected_stack(cfg: ExperimentConfig, field: FieldConfig,
                     band: Optional[tuple], rows: list) -> DetectedTimeSeries:
-    """Each (res, power, key) row synthesized and detected as in ``_chain``,
-    its samples written by ``detect`` straight into one (rows, n) stack.
+    """Each (res, power, key) row through ``_chain``, its detected samples
+    written straight into one (rows, n) stack.
 
     The stack is allocated before the first row, real without a band and
     complex with one, so it costs that array alone. The rows share the
     band's sample rate and centre; the other scalar fields describe the
     first row only.
     """
-    center, rate = ((None, cfg.sim.sample_rate) if band is None
-                    else _envelope_grid(band))
-    n = int(round(cfg.sim.duration * rate))  # synthesize_rotation's count
+    center, _, n = _series_grid(cfg, band)
     samples = np.empty((len(rows), n), float if center is None else complex)
     for row, (res, power, key) in enumerate(rows):
-        ts = _synth(cfg, res, field, power, key, band)
-        det = detect(ts, cfg.detector, rng_seed=key + (1,),
-                     constants=cfg.constants, out=samples[row])
+        det = _chain(cfg, res, field, power, key, band, samples[row])[1]
         if row == 0:
             first = det
     return replace(first, samples=samples)
