@@ -15,30 +15,33 @@ all through ``tables.write_table`` and ``tables.write_json``;
 Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4 I/O
 error; failures print a single JSON object to stderr.
 
-Random streams. Every series is synthesized by ``_synth``, which draws the
-rotation noise from stream ``key + (0,)``; ``_chain`` adds ``detect``, which
-draws the detector noise from ``key + (1,)``. Here ``key = (seed, *point
-coordinates)``:
+Random streams. Every draw comes from stream ``key + (lane,)``, where ``key
+= (seed, *point coordinates)``:
 
-    simulate           (seed,)
+    simulate           (seed,)                       lane 0 shot, 1 detector
     spectrum           (seed, side)                  side 0 on, 1 off resonance
     noise-scan         (seed, scan, power_index)     scan 1 is the second field
     sensitivity-sweep  (seed, power_index, trace, side)
-    demod-sweep        (seed, freq_index)            ``_synth`` only
-    snl-map            (seed, gain_lane, freq_index) estimator jitter, no chain
+    demod-sweep        (seed, freq_index)            shot noise, no detection
+    snl-map            (seed, gain_lane, freq_index) estimator jitter, no lane
 
-Each point owns its streams, so outputs are byte-identical for a fixed
+simulate synthesizes its series with ``_synth`` (shot noise, lane 0) and
+detects it with ``detect`` (detector noise, lane 1), so ``rotation.csv``
+and ``detected.csv`` share one shot draw. Each analyzer row of spectrum,
+noise-scan and sensitivity-sweep is one draw on lane 0, at the density
+``theory_budget`` predicts for its power (see ``_detected_stack``). Each
+point owns its streams, so outputs are byte-identical for a fixed
 ``--seed`` regardless of ``--workers``. The keys of one run all have the
 same length: numpy pads a short key with zeros, so ``(seed, 0)`` and
 ``(seed, 0, 0)`` would name the same stream.
 
-The analyzer modes stack their detected series, each still drawn from its
-own streams, as the rows of one array: ``_detected_stack`` allocates it
-before the first row, and ``detect`` writes each row in place. Each stack
-goes to one ``psd_estimate``: spectrum its on/off pair, sensitivity-sweep the
-``trace_avg`` on/off pairs of one power, noise-scan a contiguous chunk of
-one scan's powers, one chunk per worker. A row's trace does not depend on
-the other rows, so the chunking leaves the bytes as they are.
+The analyzer modes build their series as the rows of one array, each row
+on its own stream: ``_detected_stack`` allocates it before the first row
+and writes each row in place. Each stack goes to one ``psd_estimate``:
+spectrum its on/off pair, sensitivity-sweep the ``trace_avg`` on/off pairs
+of one power, noise-scan a contiguous chunk of one scan's powers, one chunk
+per worker. A row's trace does not depend on the other rows, so the
+chunking leaves the bytes as they are.
 
 Analyzer bands. Every mode but simulate passes ``_synth`` the band its
 analyzer or lock-in reads, and gets the complex envelope of that band at
@@ -88,6 +91,7 @@ from .config import (
 from .detector import (
     DetectedTimeSeries,
     NoiseBudget,
+    angle_gain_from_chain,
     detect,
     detected_to_csv,
     theory_budget,
@@ -104,7 +108,12 @@ from .dsp import (
     sweep_resonance,
 )
 from .fitting import FitError, fit_lorentzian, fit_noise_polynomial, fit_report
-from .signal_model import ResonanceParams, rotation_to_csv, synthesize_rotation
+from .signal_model import (
+    ResonanceParams,
+    rotation_to_csv,
+    synthesize_rotation,
+    white_noise,
+)
 from .tables import write_json, write_table
 
 # demod-sweep's band: this many lock-in output bandwidths either side of
@@ -225,8 +234,9 @@ def _series_grid(cfg: ExperimentConfig, band: Optional[tuple]) -> tuple:
 
 
 def _synth(cfg: ExperimentConfig, res: ResonanceParams, field: FieldConfig,
-           power: float, key: tuple, band: Optional[tuple] = None):
-    """Synthesize one rotation series from stream key+(0,).
+           power: float, key: tuple, band: Optional[tuple] = None,
+           shot_noise: bool = True):
+    """Synthesize one rotation series, its shot noise from stream key+(0,).
 
     With a band (f_lo, f_hi), the complex envelope that covers it;
     without one, the real series at sim.sample_rate.
@@ -235,37 +245,37 @@ def _synth(cfg: ExperimentConfig, res: ResonanceParams, field: FieldConfig,
     return synthesize_rotation(
         res, field, cfg.sim.duration, sample_rate, power,
         rng_seed=key + (0,), wavelength=cfg.atom.probe_wavelength,
-        constants=cfg.constants, center_freq=center,
+        shot_noise=shot_noise, constants=cfg.constants, center_freq=center,
     )
-
-
-def _chain(cfg: ExperimentConfig, res: ResonanceParams, field: FieldConfig,
-           power: float, key: tuple, band: Optional[tuple] = None,
-           out: Optional[np.ndarray] = None):
-    """Synthesize and detect one series from streams key+(0,) and key+(1,);
-    ``out``, if given, receives the detected samples (see ``detect``)."""
-    ts = _synth(cfg, res, field, power, key, band)
-    return ts, detect(ts, cfg.detector, rng_seed=key + (1,),
-                      constants=cfg.constants, out=out)
 
 
 def _detected_stack(cfg: ExperimentConfig, field: FieldConfig,
                     band: Optional[tuple], rows: list) -> DetectedTimeSeries:
-    """Each (res, power, key) row through ``_chain``, its detected samples
-    written straight into one (rows, n) stack.
+    """Each (res, power, key) row as the analyzer input, written straight
+    into one (rows, n) stack.
 
-    The stack is allocated before the first row, real without a band and
-    complex with one, so it costs that array alone. The rows share the
-    band's sample rate and centre; the other scalar fields describe the
-    first row only.
+    A row is the coherent rotation at the chain's angle gain plus one white
+    draw from stream key+(0,) at ``theory_budget(cfg).eval(power)``: shot,
+    electronic and technical noise at once (see the ``detector``
+    docstring). The stack is allocated before the first row, real without
+    a band and complex with one, so it costs that array alone. The rows
+    share the band's sample rate and centre; the other scalar fields
+    describe the first row only.
     """
-    center, _, n = _series_grid(cfg, band)
+    center, rate, n = _series_grid(cfg, band)
+    budget, det = theory_budget(cfg), cfg.detector
     samples = np.empty((len(rows), n), float if center is None else complex)
     for row, (res, power, key) in enumerate(rows):
-        det = _chain(cfg, res, field, power, key, band, samples[row])[1]
+        coherent = _synth(cfg, res, field, power, key, band, shot_noise=False)
+        gain = angle_gain_from_chain(det, coherent.photon_flux, cfg.constants)
+        np.multiply(coherent.samples, gain, out=samples[row])
+        samples[row] += white_noise(np.random.default_rng(key + (0,)),
+                                    budget.eval(power), rate, n,
+                                    center is not None)
         if row == 0:
-            first = det
-    return replace(first, samples=samples)
+            first = DetectedTimeSeries(samples, rate, det.gain_effective,
+                                       power, gain, key + (0,), center)
+    return first
 
 
 def _bg_band(cfg: ExperimentConfig, field: FieldConfig) -> tuple:
@@ -286,8 +296,9 @@ def _run_simulate(cfg: ExperimentConfig, spec: ScenarioSpec,
                   outdir: Path) -> list[str]:
     res = ResonanceParams(cfg.resonance.phi0, cfg.resonance.gamma_fwhm,
                           _center_freq(cfg.field_cfg))
-    ts, det_ts = _chain(cfg, res, cfg.field_cfg, cfg.sim.probe_power,
-                        (spec.seed,))
+    ts = _synth(cfg, res, cfg.field_cfg, cfg.sim.probe_power, (spec.seed,))
+    det_ts = detect(ts, cfg.detector, rng_seed=(spec.seed, 1),
+                    constants=cfg.constants)
     rotation_to_csv(ts, outdir / "rotation.csv")
     detected_to_csv(det_ts, outdir / "detected.csv")
     return ["rotation.csv", "detected.csv"]

@@ -16,7 +16,8 @@ for non-numeric keys).
 
 Any key can also be overridden from the environment with the prefix
 ``AMORSIM_`` and the dot replaced by a double underscore, e.g.
-``AMORSIM_ATOM__DENSITY_N="1.3e16"``.
+``AMORSIM_ATOM__DENSITY_N="1.3e16"``; a variable with that prefix that
+names no key is an unknown key too.
 
 Each key's type and bound live in its one ``_KEY_TABLE`` row, which drives
 the parser, the environment overrides, ``serialize_config``, the manifest
@@ -124,7 +125,6 @@ class DetectorConfig:
     analyzer_impedance_r: float = 50.0          # ohm
     electronic_noise_floor: float = 0.0         # W/Hz (A coefficient)
     technical_noise_coef: float = 0.0           # W/(Hz W^2) (C coefficient)
-    photocurrent_convention: str = "physical"   # "physical" | "as_printed"
 
     @property
     def gain_effective(self) -> float:
@@ -204,7 +204,7 @@ class SweepSettings:
     power_max: float = 700e-6   # W
     power_points: int = 15
     power_scale: str = "log"    # "log" | "linear"
-    freq_halfspan_widths: float = 4.0  # sweep +- this many FWHM around center
+    freq_halfspan_widths: float = 4.0  # sweep +- this many FWHM (>= 1) around center
     freq_points: int = 61
     trace_avg: int = 4  # spectrum pairs averaged per sensitivity-sweep point
 
@@ -400,7 +400,6 @@ _KEY_TABLE = {
     "detector.analyzer_impedance": ("detector", "analyzer_impedance_r", "f", ">0"),
     "detector.electronic_noise_floor": ("detector", "electronic_noise_floor", "f", ">=0"),
     "detector.technical_noise_coef": ("detector", "technical_noise_coef", "f", ">=0"),
-    "detector.photocurrent_convention": ("detector", "photocurrent_convention", "s", ("physical", "as_printed")),
     "field.b_field": ("field_cfg", "b_field", "f?", None),
     "field.modulation_freq": ("field_cfg", "modulation_freq", "f?", None),
     "field.detuning_delta": ("field_cfg", "detuning_delta", "f?", None),
@@ -418,7 +417,7 @@ _KEY_TABLE = {
     "sweep.power_max": ("sweep", "power_max", "f", None),
     "sweep.power_points": ("sweep", "power_points", "i", ">=2"),
     "sweep.power_scale": ("sweep", "power_scale", "s", ("log", "linear")),
-    "sweep.freq_halfspan_widths": ("sweep", "freq_halfspan_widths", "f", ">0"),
+    "sweep.freq_halfspan_widths": ("sweep", "freq_halfspan_widths", "f", ">=1"),
     "sweep.freq_points": ("sweep", "freq_points", "i", ">=1"),
     "sweep.trace_avg": ("sweep", "trace_avg", "i", ">=1"),
     "snlmap.freq_min": ("snlmap", "freq_min", "f", None),
@@ -518,10 +517,10 @@ def apply_env_overrides(cfg: ExperimentConfig,
                         environ: Optional[dict] = None) -> ExperimentConfig:
     """Apply AMORSIM_SECTION__KEY environment overrides in place."""
     env = os.environ if environ is None else environ
-    for key in _KEY_TABLE:
-        env_name = ENV_PREFIX + key.replace(".", "__").upper()
-        if env_name in env:
-            _assign(cfg, key, env[env_name])
+    for name in sorted(env):
+        if name.startswith(ENV_PREFIX):
+            key = name[len(ENV_PREFIX):].replace("__", ".").lower()
+            _assign(cfg, key, env[name])
     return cfg
 
 

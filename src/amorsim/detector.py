@@ -22,12 +22,19 @@ noise of density S_phi again, so the SNR chain
 
 holds with no gain or bandwidth dependence.
 
-Shot noise enters only through the rotation series (never added here);
+``detect`` takes the shot noise from the rotation series and injects
 electronic noise (white, PSD = A) and technical noise (white, PSD = C*P^2)
-are injected at the output node as one white draw of PSD A + C*P^2. On a
-complex envelope (a rotation series with ``center_freq``) that draw is
-circular complex with variance (A + C*P^2) * fs / 4 per component, the
-same one-sided level once the analyzer displays it.
+at the output node as one white draw of PSD A + C*P^2. simulate detects
+this way, so that its rotation and detected files share one shot draw.
+
+The analyzer rows of the other modes (``cli._detected_stack``) draw all
+three terms at once. They are white and independent, and the shot term
+angle_gain^2 * S_phi / 2 equals B*P of ``theory_budget``, so a row is its
+coherent part at the chain's angle gain plus one white draw of PSD
+``theory_budget(cfg).eval(P)`` = A + B*P + C*P^2. On a complex envelope (a
+series with ``center_freq``) a draw is circular complex with variance
+PSD * fs / 4 per component, the same one-sided level once the analyzer
+displays it.
 """
 
 from __future__ import annotations
@@ -122,22 +129,14 @@ class DetectedTimeSeries:
             raise ValueError(f"sample_rate must be > 0, got {self.sample_rate!r}")
 
 
-def _with_efficiency(current: float, det: DetectorConfig) -> float:
-    """Times eta (physical), or over eta (as_printed, kept for reproducing
-    numbers computed with the efficiency in the denominator)."""
-    if det.photocurrent_convention == "as_printed":
-        return current / det.quantum_efficiency
-    return current * det.quantum_efficiency
-
-
 def photocurrent(power: float, det: DetectorConfig, wavelength: float,
                  constants: PhysicalConstants = CODATA) -> float:
     """Mean DC photocurrent for optical power P: eta * P * e / (h nu)."""
     if power < 0:
         raise ValueError(f"power must be >= 0, got {power!r}")
     nu = constants.speed_of_light / wavelength
-    return _with_efficiency(
-        power * constants.electron_charge / (constants.planck_h * nu), det)
+    return power * constants.electron_charge / (constants.planck_h * nu) \
+        * det.quantum_efficiency
 
 
 def photocurrent_from_flux(flux: float, det: DetectorConfig,
@@ -145,7 +144,7 @@ def photocurrent_from_flux(flux: float, det: DetectorConfig,
     """Photocurrent from photon flux: e * eta * Phi."""
     if flux < 0:
         raise ValueError(f"photon flux must be >= 0, got {flux!r}")
-    return _with_efficiency(constants.electron_charge * flux, det)
+    return constants.electron_charge * flux * det.quantum_efficiency
 
 
 def theoretical_shot_noise_level(power: float, det: DetectorConfig,
@@ -185,8 +184,7 @@ def angle_gain_from_chain(det: DetectorConfig, flux: float,
     small-angle differential transimpedance response, 1/sqrt(R) refers
     volts to sqrt(W) at the analyzer input, and sqrt(2/eta) makes the
     displayed shot background (angle_gain^2 / (4*Phi), see module docstring)
-    coincide with the current-noise form G_eff^2 * 2*i*e/R under the
-    physical photocurrent convention.
+    coincide with the current-noise form G_eff^2 * 2*i*e/R.
     """
     current = photocurrent_from_flux(flux, det, constants)
     return 2.0 * det.gain_effective * current * math.sqrt(
@@ -196,8 +194,7 @@ def angle_gain_from_chain(det: DetectorConfig, flux: float,
 def detect(rotation: RotationTimeSeries, det: DetectorConfig, *,
            angle_gain: Optional[float] = None,
            rng_seed: Optional[Seed] = None,
-           constants: PhysicalConstants = CODATA,
-           out: Optional[np.ndarray] = None) -> DetectedTimeSeries:
+           constants: PhysicalConstants = CODATA) -> DetectedTimeSeries:
     """Map a rotation series to the analyzer-referred RF series.
 
     output = g * (coherent + stochastic/sqrt(2)) + n_elec + n_tech
@@ -211,10 +208,6 @@ def detect(rotation: RotationTimeSeries, det: DetectorConfig, *,
     C*P^2. Shot noise is never added here - it arrives via the rotation
     series. ``angle_gain`` defaults to the chain value for the series'
     photon flux. A complex envelope stays one, around the same centre.
-
-    ``out``, an array of the rotation samples' shape and dtype (such as a
-    row of a stack), receives the output samples and becomes the returned
-    series' ``samples``; by default a new array does.
     """
     coef_elec, coef_tech = det.electronic_noise_floor, det.technical_noise_coef
     if coef_elec < 0:
@@ -225,17 +218,10 @@ def detect(rotation: RotationTimeSeries, det: DetectorConfig, *,
         angle_gain = angle_gain_from_chain(det, rotation.photon_flux, constants)
 
     samples, noise = rotation.samples, rotation.noise_samples
-    if out is None:
-        signal = np.empty_like(samples)
-    elif out.shape != samples.shape or out.dtype != samples.dtype:
-        raise ValueError(f"out must be a {samples.dtype} array of shape "
-                         f"{samples.shape}, got {out.dtype} {out.shape}")
-    else:
-        signal = out
     if samples is noise:  # no coherent part
-        np.multiply(noise, angle_gain / math.sqrt(2.0), out=signal)
+        signal = noise * (angle_gain / math.sqrt(2.0))
     else:  # g * ((samples - noise) + noise/sqrt(2))
-        np.subtract(samples, noise, out=signal)
+        signal = samples - noise
         signal += noise / math.sqrt(2.0)
         signal *= angle_gain
 

@@ -17,9 +17,14 @@ import amorsim.dsp
 from amorsim.analysis import snl_map, snl_range
 from amorsim.cli import MODES, ScenarioSpec, emit_plotdata, main, run_scenario
 from amorsim.config import _KEY_TABLE, ConfigError, FieldConfig
-from amorsim.detector import theory_budget
+from amorsim.detector import angle_gain_from_chain, theory_budget
 from amorsim.dsp import peak_and_background, psd_estimate
-from amorsim.signal_model import ResonanceParams, rotation_from_csv
+from amorsim.signal_model import (
+    ResonanceParams,
+    rotation_from_csv,
+    synthesize_rotation,
+    white_noise,
+)
 from amorsim.tables import read_table, write_json, write_table
 
 # A reduced carrier (0.76 uT -> 7.09 kHz) keeps every mode cheap while
@@ -189,9 +194,29 @@ def test_noise_scan_is_shot_noise_limited_from_5_to_75_uT(b_field):
     assert abs(shots.mean() - theory) < 4.0 * stderr
 
 
+def test_noise_scan_background_matches_the_budget_across_seeds():
+    # Each row is drawn at theory_budget(cfg).eval(P): over 20 seeds the
+    # measured level at the dark point, a mid power and the top power lies
+    # within 4 standard errors of it.
+    config = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+    cfg = amorsim.cli._load_config(ScenarioSpec("noise-scan", str(config)))
+    runs = [amorsim.cli._noise_scan_at_field(
+        cfg, ScenarioSpec("noise-scan", seed=seed), cfg.field_cfg, 0)
+        for seed in range(20)]
+    powers = runs[0][0]
+    levels = np.array([levels for _, levels, _ in runs])
+    budget = theory_budget(cfg)
+    assert powers[0] == 0.0
+    for i in (0, len(powers) // 2, len(powers) - 1):
+        stderr = levels[:, i].std(ddof=1) / math.sqrt(len(runs))
+        assert abs(levels[:, i].mean() - budget.eval(powers[i])) \
+            < 4.0 * stderr, powers[i]
+
+
 def test_stacked_analyzer_matches_per_point_estimates(mode_run, fast_config):
     # the levels and the s_sig/s_bg that one psd_estimate call per trace,
-    # each on its own (seed, *point, side) streams, would give
+    # each a stack of one row on its own (seed, *point, side) stream,
+    # would give
     seed = 11
     cfg = amorsim.cli._load_config(ScenarioSpec("noise-scan", fast_config))
     field, sp = cfg.field_cfg, cfg.spectrum
@@ -199,8 +224,10 @@ def test_stacked_analyzer_matches_per_point_estimates(mode_run, fast_config):
     center = amorsim.cli._center_freq(field)
 
     def trace(res, power, key, span=None):
-        _, det = amorsim.cli._chain(cfg, res, field, power, key, band)
-        return psd_estimate(det, sp.rbw, sp.vbw, span=span)
+        alone = amorsim.cli._detected_stack(cfg, field, band,
+                                            [(res, power, key)])
+        return psd_estimate(replace(alone, samples=alone.samples[0]),
+                            sp.rbw, sp.vbw, span=span)
 
     dark = ResonanceParams(0.0, cfg.resonance.gamma_fwhm, center)
     powers = [0.0, *amorsim.cli._power_grid(cfg)]
@@ -234,8 +261,10 @@ def test_stacked_analyzer_matches_per_point_estimates(mode_run, fast_config):
        band=st.sampled_from(["real", "bg_window", "offset"]))
 def test_detected_stack_rows_are_chain_series_bit_for_bit(fast_config, sides,
                                                          powers, band):
-    # each row written in place equals the series _chain returns on its own
-    # streams: real and envelope stacks, on and off resonance, dark rows
+    # each row written in place equals the row built alone: the coherent
+    # rotation at the chain's angle gain plus one draw from stream key+(0,)
+    # at the budget's density; real and envelope stacks, on and off
+    # resonance, dark rows
     cfg = amorsim.cli._load_config(ScenarioSpec("sensitivity-sweep",
                                                 fast_config))
     field = cfg.field_cfg
@@ -248,13 +277,23 @@ def test_detected_stack_rows_are_chain_series_bit_for_bit(fast_config, sides,
              power, (3, row, side))
             for row, (side, power) in enumerate(zip(sides, powers))]
     stack = amorsim.cli._detected_stack(cfg, field, band, rows)
-    assert stack.samples.shape[0] == len(rows)
+    center, rate, n = amorsim.cli._series_grid(cfg, band)
+    assert stack.samples.shape == (len(rows), n)
+    assert (stack.sample_rate, stack.center_freq) == (rate, center)
+    budget = theory_budget(cfg)
     for row, (res, power, key) in enumerate(rows):
-        _, det = amorsim.cli._chain(cfg, res, field, power, key, band)
-        assert stack.samples[row].tobytes() == det.samples.tobytes(), row
-        assert stack.samples.dtype == det.samples.dtype
-        assert (stack.sample_rate, stack.center_freq) == (det.sample_rate,
-                                                          det.center_freq)
+        coherent = synthesize_rotation(
+            res, field, cfg.sim.duration, rate, power, shot_noise=False,
+            wavelength=cfg.atom.probe_wavelength, constants=cfg.constants,
+            center_freq=center)
+        gain = angle_gain_from_chain(cfg.detector, coherent.photon_flux,
+                                     cfg.constants)
+        expected = coherent.samples * gain + white_noise(
+            np.random.default_rng(key + (0,)), budget.eval(power), rate, n,
+            center is not None)
+        assert stack.samples[row].tobytes() == expected.tobytes(), row
+        alone = amorsim.cli._detected_stack(cfg, field, band, [rows[row]])
+        assert alone.samples.tobytes() == expected.tobytes(), row
 
 
 def test_noise_scan_writes_the_theory_shot_coefficient(mode_run,
@@ -363,30 +402,51 @@ def test_worker_count_does_not_change_outputs(mode, fast_config, tmp_path):
         assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("mode", ["simulate", "demod-sweep", "spectrum",
-                                  "noise-scan", "sensitivity-sweep"])
+def _generator_keys(argv, monkeypatch):
+    """The seed of every numpy generator a run of argv builds, in order."""
+    keys = []
+    default_rng = np.random.default_rng
+
+    def recording(seed=None):
+        keys.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    assert main(argv) == 0
+    return keys
+
+
+# generators a fast-config run builds: simulate one for the shot and one
+# for the detector noise, demod-sweep one per carrier, snl-map one per gain
+# and frequency bin, and each analyzer row one
+FAST_GENERATORS = {"simulate": 2, "demod-sweep": 9, "spectrum": 2,
+                   "noise-scan": 5, "snl-map": 8, "sensitivity-sweep": 8}
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_stream_keys_start_with_seed_and_never_repeat(mode, fast_config,
                                                       tmp_path, monkeypatch):
-    keys = []
-
-    def recording(fn):
-        def wrapped(*args, **kwargs):
-            keys.append(kwargs["rng_seed"])
-            return fn(*args, **kwargs)
-        return wrapped
-
-    for module, name in ((amorsim.cli, "synthesize_rotation"),
-                         (amorsim.cli, "detect"),
-                         (amorsim.dsp, "synthesize_rotation")):
-        monkeypatch.setattr(module, name, recording(getattr(module, name)))
-    assert main([mode, "--config", fast_config, "--out", str(tmp_path),
-                 "--seed", "7"]) == 0
-    assert keys
+    keys = _generator_keys([mode, "--config", fast_config, "--out",
+                            str(tmp_path), "--seed", "7"], monkeypatch)
+    assert len(keys) == FAST_GENERATORS[mode]
     assert all(isinstance(k, tuple) and k[0] == 7 for k in keys)
+    # numpy pads short keys with zeros, so one run keeps one key length
+    assert len({len(k) for k in keys}) == 1
     assert len(set(keys)) == len(keys)
-    # numpy pads short keys with zeros, so compare the streams themselves too
     states = {tuple(np.random.SeedSequence(k).generate_state(4)) for k in keys}
     assert len(states) == len(keys)
+
+
+def test_default_sensitivity_sweep_builds_one_generator_per_row(tmp_path,
+                                                                monkeypatch):
+    config = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+    cfg = amorsim.cli._load_config(ScenarioSpec("sensitivity-sweep",
+                                                str(config)))
+    keys = _generator_keys(["sensitivity-sweep", "--config", str(config),
+                            "--out", str(tmp_path), "--seed", "7"],
+                           monkeypatch)
+    rows = cfg.sweep.power_points * cfg.sweep.trace_avg * 2  # on and off
+    assert len(keys) == rows == 168
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +459,18 @@ def test_env_override_reaches_manifest(fast_config, tmp_path, monkeypatch):
     assert main(["simulate", "--config", fast_config, "--out", str(out)]) == 0
     doc = json.loads((out / "manifest.json").read_text())
     assert doc["config"]["resonance.phi0"] == 3.1e-3
+
+
+def test_unknown_env_override_exits_2(fast_config, tmp_path, monkeypatch,
+                                     capsys):
+    monkeypatch.setenv("AMORSIM_DETECTOR__PHOTOCURRENT_CONVENTION",
+                       "as_printed")
+    code = main(["simulate", "--config", fast_config,
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "detector.photocurrent_convention" in err["message"]
 
 
 def test_bad_env_override_exits_2(fast_config, tmp_path, monkeypatch, capsys):
@@ -435,7 +507,8 @@ def test_missing_config_exits_4(tmp_path, capsys):
 
 @pytest.mark.parametrize("key", ["resonance.phi_zero",
                                  "detector.gain_uncertainty_rel",
-                                 "detector.electronic_noise_table"])
+                                 "detector.electronic_noise_table",
+                                 "detector.photocurrent_convention"])
 def test_unknown_config_key_exits_2(key, tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(f"{key} = 1e-3\n")
@@ -490,6 +563,9 @@ def test_every_float_key_rejects_non_finite(key, value, tmp_path, capsys):
      "detector.transimpedance_gain_nominal"),
     # a 47 Hz resonance with a +-240 Hz grid would sweep negative carriers
     ("demod-sweep", "field.b_field = 5 nT\n", "sweep.freq_halfspan_widths"),
+    # a grid under two linewidths left the Lorentzian fit to exit 3
+    ("demod-sweep", "sweep.freq_halfspan_widths = 0.5\n",
+     "sweep.freq_halfspan_widths"),
     # the lock-in filter would not settle in 0.4 s, or sits past Nyquist
     ("demod-sweep", "lockin.output_bandwidth = 1 Hz\n",
      "lockin.output_bandwidth"),
@@ -620,6 +696,17 @@ def test_demod_sweep_runs_at_the_lock_in_duration_limit(tmp_path):
                    "sim.duration = 1.4286\n")
     assert main(["demod-sweep", "--config", str(cfg),
                  "--out", str(tmp_path / "o")]) == 0
+
+
+def test_demod_sweep_fits_at_the_narrowest_grid_across_seeds(tmp_path):
+    # sweep.freq_halfspan_widths >= 1 spans the two linewidths the
+    # Lorentzian fit needs; at exactly 1 no seed raises FitError
+    default = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text(default.read_text() + "sweep.freq_halfspan_widths = 1\n")
+    for seed in range(20):
+        assert run_scenario(ScenarioSpec("demod-sweep", str(cfg),
+                                         str(tmp_path / "o"), seed)) == 0
 
 
 def test_demod_sweep_runs_with_carriers_near_dc(tmp_path):

@@ -216,8 +216,6 @@ BOUND_VIOLATIONS = [
      'detector.electronic_noise_floor: must be >= 0 (got -1e-14)'),
     ('detector.technical_noise_coef', '-1.8e-6',
      'detector.technical_noise_coef: must be >= 0 (got -1.8e-06)'),
-    ('detector.photocurrent_convention', 'physics',
-     "detector.photocurrent_convention: must be 'physical' or 'as_printed' (got 'physics')"),
     ('resonance.phi0', '-1e-3',
      'resonance.phi0: must be >= 0 (got -0.001)'),
     ('resonance.gamma_fwhm', '0 Hz',
@@ -243,7 +241,9 @@ BOUND_VIOLATIONS = [
     ('sweep.power_scale', 'cubic',
      "sweep.power_scale: must be 'log' or 'linear' (got 'cubic')"),
     ('sweep.freq_halfspan_widths', '0',
-     'sweep.freq_halfspan_widths: must be > 0 (got 0.0)'),
+     'sweep.freq_halfspan_widths: must be >= 1 (got 0.0)'),
+    ('sweep.freq_halfspan_widths', '0.5',
+     'sweep.freq_halfspan_widths: must be >= 1 (got 0.5)'),
     ('sweep.freq_points', '0',
      'sweep.freq_points: must be >= 1 (got 0)'),
     ('sweep.trace_avg', '0',
