@@ -23,7 +23,8 @@ Random streams. Every draw comes from stream ``key + (lane,)``, where ``key
     noise-scan         (seed, scan, power_index)     scan 1 is the second field
     sensitivity-sweep  (seed, power_index, trace, side)
     demod-sweep        (seed, freq_index)            shot noise, no detection
-    snl-map            (seed, gain_lane, freq_index) estimator jitter, no lane
+
+snl-map draws nothing: its rows are the theory budget at each bin.
 
 simulate synthesizes its series with ``_synth`` (shot noise, lane 0) and
 detects it with ``detect`` (detector noise, lane 1), so ``rotation.csv``
@@ -90,7 +91,6 @@ from .config import (
 )
 from .detector import (
     DetectedTimeSeries,
-    NoiseBudget,
     angle_gain_from_chain,
     detect,
     detected_to_csv,
@@ -99,7 +99,6 @@ from .detector import (
 from .dsp import (
     _analyzer_window,
     _envelope_grid,
-    _pmap,
     _segment_length,
     peak_and_background,
     psd_estimate,
@@ -145,6 +144,20 @@ class ScenarioSpec:
         self.seed = int(self.seed)
         if self.seed < 0:  # numpy's SeedSequence takes no negative entropy
             raise ConfigError(f"seed: must be >= 0, got {self.seed!r}")
+
+
+def _pmap(fn, tasks: list, workers: int) -> list:
+    """``[fn(task) for task in tasks]``, in a process pool when workers > 1.
+
+    The pool never exceeds the task count or the cores: under the fork
+    start method every requested worker is forked up front.
+    """
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        from concurrent import futures
+        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(task) for task in tasks]
 
 
 def _load_config(spec: ScenarioSpec) -> ExperimentConfig:
@@ -306,7 +319,7 @@ def _run_simulate(cfg: ExperimentConfig, spec: ScenarioSpec,
 
 def _demod_point(cfg: ExperimentConfig, res: ResonanceParams, seed: int,
                  index: int, freq: float):
-    """Rotation series modulated at one sweep frequency (worker task).
+    """Rotation series modulated at one sweep frequency.
 
     The complex envelope of the lock-in's band around the carrier.
     """
@@ -333,8 +346,7 @@ def _run_demod_sweep(cfg: ExperimentConfig, spec: ScenarioSpec,
                      outdir: Path) -> list[str]:
     res, freqs = _demod_grid(cfg)
     point = functools.partial(_demod_point, cfg, res, spec.seed)
-    curve = sweep_resonance(res, freqs, point, cfg.lockin.output_bandwidth,
-                            spec.workers)
+    curve = sweep_resonance(res, freqs, point, cfg.lockin.output_bandwidth)
     resonance_curve_to_csv(curve, outdir / "resonance_curve.csv", spec.seed)
     write_json(outdir / "resonance_fit.json", fit_report(fit_lorentzian(curve)))
     write_table(outdir / "fig2_resonance.dat",
@@ -458,32 +470,15 @@ def _run_noise_scan(cfg: ExperimentConfig, spec: ScenarioSpec,
     return outputs
 
 
-def _synthetic_budget_levels(cfg: ExperimentConfig, budget: NoiseBudget,
-                             freq: float, powers: np.ndarray, rng) -> np.ndarray:
-    """PSD levels a real scan would measure at freq, with estimator scatter;
-    the electronic floor rises below snlmap.elec_knee_freq as A(f)."""
-    knee, floor = cfg.snlmap.elec_knee_freq, budget.coef_elec
-    a_of_f = floor * (1.0 + (knee / freq) ** 2) if knee > 0.0 else floor
-    truth = replace(budget, coef_elec=a_of_f).eval(powers)
-    jitter = cfg.snlmap.jitter_rel
-    factors = np.maximum(1.0 + jitter * rng.standard_normal(powers.size), 0.01)
-    return truth * factors
-
-
-def _snl_map_rows(cfg: ExperimentConfig, spec: ScenarioSpec, lane: int,
-                  gain_nominal: float) -> list[dict]:
+def _snl_map_rows(cfg: ExperimentConfig, gain_nominal: float) -> list[dict]:
+    """SNL windows of the theory budget at one gain, at each frequency bin,
+    its electronic floor raised to A(f) below snlmap.elec_knee_freq."""
+    sm = cfg.snlmap
     budget = theory_budget(cfg, gain_nominal)
-    freqs = np.linspace(cfg.snlmap.freq_min, cfg.snlmap.freq_max,
-                        cfg.snlmap.freq_bins)
-    powers = np.concatenate([[0.0], _power_grid(cfg)])
-    budgets = []
-    for fi, freq in enumerate(freqs):
-        rng = np.random.default_rng((spec.seed, lane, fi))
-        levels = _synthetic_budget_levels(cfg, budget, float(freq), powers,
-                                          rng)
-        fit = fit_noise_polynomial(powers, levels, fixed_elec=levels[0])
-        budgets.append(replace(fit, detection_freq=float(freq)))
-    return snl_map(budgets, cfg.snlmap.k_list())
+    freqs = np.linspace(sm.freq_min, sm.freq_max, sm.freq_bins).tolist()
+    return snl_map([replace(budget, detection_freq=freq,
+                            coef_elec=sm.elec_floor_at(budget.coef_elec, freq))
+                    for freq in freqs], sm.k_list())
 
 
 def _snl_fig_columns(rows: list[dict], k_values: list[float]) -> list:
@@ -499,7 +494,6 @@ def _snl_fig_columns(rows: list[dict], k_values: list[float]) -> list:
 
 def _run_snl_map(cfg: ExperimentConfig, spec: ScenarioSpec,
                  outdir: Path) -> list[str]:
-    _require_dark_floor(cfg, "snl-map")
     ks = sorted(cfg.snlmap.k_list())
     columns = ["freq_hz"]
     for k in ks:
@@ -510,8 +504,8 @@ def _run_snl_map(cfg: ExperimentConfig, spec: ScenarioSpec,
             ("snl_map_alt_gain", "fig7_snl.dat",
              cfg.snlmap.second_gain_nominal)]
     outputs = []
-    for lane, (stem, fig_name, gain_nominal) in enumerate(maps):
-        rows = _snl_map_rows(cfg, spec, lane, gain_nominal)
+    for stem, fig_name, gain_nominal in maps:
+        rows = _snl_map_rows(cfg, gain_nominal)
         snl_map_to_csv(rows, outdir / f"{stem}.csv", spec.seed)
         write_table(outdir / fig_name, columns, _snl_fig_columns(rows, ks),
                     {"seed": spec.seed})

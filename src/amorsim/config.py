@@ -21,7 +21,8 @@ names no key is an unknown key too.
 
 Each key's type and bound live in its one ``_KEY_TABLE`` row, which drives
 the parser, the environment overrides, ``serialize_config``, the manifest
-and ``validate_config``; only the rules that span keys are written out.
+and ``validate_config``; only the rules that span keys, and the
+small-angle ceiling on the two rotation amplitudes, are written out.
 """
 
 from __future__ import annotations
@@ -216,8 +217,14 @@ class SnlMapSettings:
     freq_bins: int = 11
     k_values: str = "1,2,4"
     second_gain_nominal: float = 5e5  # V/A, alternate detector setting
-    jitter_rel: float = 0.02          # synthetic PSD estimator scatter
     elec_knee_freq: float = 20e3      # Hz; A(f) rises below this, 0 = flat
+
+    def elec_floor_at(self, floor: float, freq: float) -> float:
+        """The electronic floor A(f) = floor * (1 + (elec_knee_freq/f)^2).
+
+        Python floats, so a knee far above freq raises OverflowError.
+        """
+        return floor * (1.0 + (self.elec_knee_freq / freq) ** 2)
 
     def k_list(self) -> list[float]:
         try:
@@ -304,10 +311,10 @@ def validate_config(cfg: ExperimentConfig,
 
     ``mode`` adds the rules of one scenario: simulate, the only mode that
     samples the real series at ``sim.sample_rate``, needs that rate above 4x
-    the modulation frequency; noise-scan and snl-map need 4 points for their
-    3-term noise fits, demod-sweep 7 for its Lorentzian fit. Returns the
-    config with derived values filled; raises ConfigError naming the first
-    violated key and its value.
+    the modulation frequency; noise-scan needs 4 points for its 3-term noise
+    fit, demod-sweep 7 points and a resonance (phi0 > 0) for its Lorentzian
+    fit. Returns the config with derived values filled; raises ConfigError
+    naming the first violated key and its value.
     """
     cfg.constants.validate()
     for key, (section, attr, kind, bound) in _KEY_TABLE.items():
@@ -321,6 +328,12 @@ def validate_config(cfg: ExperimentConfig,
         elif bound is not None:
             check, rule = _BOUNDS[bound]
             _require(check(value), key, value, rule)
+
+    # the polarimeter reads rotations in its small-angle range, where the
+    # chain's gain is linear; far past it the synthesized series overflows
+    for key, phi in (("resonance.phi0", cfg.resonance.phi0),
+                     ("saturation.phi0_scale", cfg.saturation.phi0_scale)):
+        _require(phi < 1.0, key, phi, "must be < 1 rad (small-angle rotation)")
 
     a = cfg.atom
     n_atoms = _or_inf(lambda: a.atom_number)
@@ -336,8 +349,8 @@ def validate_config(cfg: ExperimentConfig,
              "must satisfy 0 < freq_min < freq_max")
     for k in sm.k_list():
         _require(k >= 1.0, "snlmap.k_values", k, "every k must be >= 1")
-    knee_floor = _or_inf(lambda: cfg.detector.electronic_noise_floor * (
-        1.0 + (sm.elec_knee_freq / sm.freq_min) ** 2))
+    knee_floor = _or_inf(lambda: sm.elec_floor_at(
+        cfg.detector.electronic_noise_floor, sm.freq_min))
     _require(knee_floor < math.inf, "snlmap.elec_knee_freq", sm.elec_knee_freq,
              "derived electronic floor at snlmap.freq_min must be finite")
     from .detector import theory_budget  # detector imports config
@@ -364,13 +377,11 @@ def validate_config(cfg: ExperimentConfig,
                  sw.power_points, f"must be >= {4 - dark} with "
                  f"noisescan.include_zero = {str(dark).lower()}: the 3-term "
                  "noise fit needs 4 points")
-    if mode == "snl-map":
-        _require(sw.power_points >= 3, "sweep.power_points", sw.power_points,
-                 "must be >= 3: each snl-map bin fits 3 terms to the dark "
-                 "point and the power grid")
     if mode == "demod-sweep":
         _require(sw.freq_points >= 7, "sweep.freq_points", sw.freq_points,
                  "must be >= 7 for the Lorentzian fit")
+        _require(cfg.resonance.phi0 > 0, "resonance.phi0", cfg.resonance.phi0,
+                 "must be > 0: demod-sweep fits a Lorentzian to the resonance")
 
     cfg.field_cfg = cfg.field_cfg.resolve(cfg.atom, cfg.constants)
     mod = cfg.field_cfg.modulation_freq
@@ -425,7 +436,6 @@ _KEY_TABLE = {
     "snlmap.freq_bins": ("snlmap", "freq_bins", "i", ">=1"),
     "snlmap.k_values": ("snlmap", "k_values", "s", None),
     "snlmap.second_gain_nominal": ("snlmap", "second_gain_nominal", "f", ">0"),
-    "snlmap.jitter_rel": ("snlmap", "jitter_rel", "f", ">=0"),
     "snlmap.elec_knee_freq": ("snlmap", "elec_knee_freq", "f", ">=0"),
     "saturation.phi0_scale": ("saturation", "phi0_scale", "f", ">=0"),
     "saturation.p_sat": ("saturation", "p_sat", "f", ">0"),

@@ -44,7 +44,6 @@ import cmath
 import copy
 import functools
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -259,36 +258,15 @@ def lock_in_demodulate(ts: AnySeries, mod_freq: float,
     return float(v.real), float(-v.imag)
 
 
-def _pmap(fn, tasks: list, workers: int) -> list:
-    """``[fn(task) for task in tasks]``, in a process pool when workers > 1.
-
-    The pool never exceeds the task count or the cores: under the fork
-    start method every requested worker is forked up front.
-    """
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent import futures
-        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(task) for task in tasks]
-
-
-def _sweep_point(args) -> tuple[float, float]:
-    point, index, freq, output_bandwidth = args
-    return lock_in_demodulate(point(index, freq), freq, output_bandwidth)
-
-
 def sweep_resonance(res: ResonanceParams, mod_freqs: Sequence[float],
                     point: Callable[[int, float], AnySeries],
-                    output_bandwidth: float, workers: int = 1
-                    ) -> ResonanceCurve:
+                    output_bandwidth: float) -> ResonanceCurve:
     """Lock-in quadratures of ``point(index, freq)`` at each grid frequency.
 
-    ``point`` returns the series modulated at the index-th grid frequency
-    and must pickle when workers > 1. Results do not depend on the worker
-    count when each point draws its own stream, as the CLI's ``(seed,
-    index)`` keys do. A grid that does not bracket the resonance center
-    yields bracketed=False rather than an error.
+    ``point`` returns the series modulated at the index-th grid frequency;
+    the points are demodulated one after another. A grid that does not
+    bracket the resonance center yields bracketed=False rather than an
+    error.
     """
     res.validate()
     freqs = np.asarray(mod_freqs, dtype=float)
@@ -296,9 +274,8 @@ def sweep_resonance(res: ResonanceParams, mod_freqs: Sequence[float],
         raise ValueError("mod_freqs grid is empty")
     if freqs.size > 1 and not np.all(np.diff(freqs) > 0):
         raise ValueError("mod_freqs must be strictly increasing")
-    tasks = [(point, i, float(f), output_bandwidth)
-             for i, f in enumerate(freqs)]
-    results = _pmap(_sweep_point, tasks, workers)
+    results = [lock_in_demodulate(point(i, f), f, output_bandwidth)
+               for i, f in enumerate(freqs.tolist())]
     phi_p = np.array([r[0] for r in results])
     phi_q = np.array([r[1] for r in results])
     bracketed = bool(freqs.min() <= res.center_freq <= freqs.max())

@@ -16,6 +16,7 @@ from amorsim.analysis import (
     sensitivity_from_noise_density,
     snl_range,
 )
+from amorsim import cli
 from amorsim.cli import ScenarioSpec, emit_plotdata, run_scenario
 from amorsim.config import AtomConfig, DetectorConfig, FieldConfig
 from amorsim.constants import CODATA
@@ -294,3 +295,22 @@ def test_criterion_8_figure_analog_scenarios(tmp_path):
             f"all plot files emitted; best {best * 1e15:.1f} fT at "
             f"{powers[int(np.argmin(delta_b))] * 1e6:.1f} uW, +-10% plateau "
             f"spans x{plateau_factor:.2f} in power ({elapsed:.1f}s)")
+
+
+def test_plateau_factor_median_over_seeds():
+    # the +-10% plateau takes only the grid's discrete steps, so one seed
+    # can land a step low; the median over 20 seeds holds the bound
+    config = str(REPO / "configs" / "default.cfg")
+    cfg = cli._load_config(ScenarioSpec("sensitivity-sweep", config))
+    powers = cli._power_grid(cfg)
+    factors = []
+    for seed in range(20):
+        delta_b = np.array([cli._sweep_point_sensitivity(
+            (cfg, seed, i, float(p)))["delta_b_t_per_sqrt_hz"]
+            for i, p in enumerate(powers)])
+        plateau = powers[delta_b <= 1.1 * delta_b.min()]
+        factors.append(float(plateau.max() / plateau.min()))
+    median = float(np.median(factors))
+    print(f"plateau factor over seeds 0-19: min {min(factors):.2f}, "
+          f"median {median:.2f}, max {max(factors):.2f}")
+    assert median >= 2.0, factors

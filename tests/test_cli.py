@@ -304,18 +304,14 @@ def test_noise_scan_writes_the_theory_shot_coefficient(mode_run,
     assert doc["coef_shot_theory"] == theory_budget(cfg).coef_shot
 
 
-def test_snl_map_rows_are_the_theory_budget_with_the_knee(fast_config,
-                                                         monkeypatch):
-    # without estimator scatter the fitted map is the theory map, A(f) at
-    # each bin and B, C at each gain
-    monkeypatch.setenv("AMORSIM_SNLMAP__JITTER_REL", "0")
+def test_snl_map_rows_are_the_theory_budget_with_the_knee(fast_config):
+    # the map is the theory map, A(f) at each bin and B, C at each gain
     cfg = amorsim.cli._load_config(ScenarioSpec("snl-map", fast_config))
     sm = cfg.snlmap
     freqs = np.linspace(sm.freq_min, sm.freq_max, sm.freq_bins)
-    for lane, gain in enumerate((cfg.detector.transimpedance_gain_nominal,
-                                 sm.second_gain_nominal)):
-        rows = amorsim.cli._snl_map_rows(cfg, ScenarioSpec("snl-map"), lane,
-                                         gain)
+    for gain in (cfg.detector.transimpedance_gain_nominal,
+                 sm.second_gain_nominal):
+        rows = amorsim.cli._snl_map_rows(cfg, gain)
         budget = theory_budget(cfg, gain)
         expected = snl_map([replace(
             budget, detection_freq=float(f), coef_elec=budget.coef_elec
@@ -323,7 +319,28 @@ def test_snl_map_rows_are_the_theory_budget_with_the_knee(fast_config,
             sm.k_list())
         assert len(rows) == len(expected) == sm.freq_bins * len(sm.k_list())
         for row, want in zip(rows, expected):
-            assert row == pytest.approx(want, rel=1e-12), lane
+            assert row == pytest.approx(want, rel=1e-12), gain
+
+
+def test_snl_map_tables_do_not_depend_on_the_seed(mode_run):
+    one, two = mode_run("snl-map", seed=1), mode_run("snl-map", seed=2)
+    for name in ("snl_map.csv", "snl_map_alt_gain.csv", "fig6_snl.dat",
+                 "fig7_snl.dat"):
+        bodies = [[line for line in (out / name).read_text().splitlines()
+                   if not line.startswith("#")] for out in (one, two)]
+        assert bodies[0] == bodies[1], name
+        assert len(bodies[0]) > 1, name
+
+
+def test_snl_map_without_an_electronic_floor_opens_at_zero_power(
+        fast_config, tmp_path, monkeypatch):
+    monkeypatch.setenv("AMORSIM_DETECTOR__ELECTRONIC_NOISE_FLOOR", "0")
+    assert main(["snl-map", "--config", fast_config,
+                 "--out", str(tmp_path)]) == 0
+    for name in ("snl_map.csv", "snl_map_alt_gain.csv"):
+        columns, data, _meta = read_table(tmp_path / name)
+        p_low = data[columns.index("p_low_w")]
+        assert p_low.size == 4 * 2 and np.all(p_low == 0.0), name
 
 
 def test_snl_map_outputs(mode_run):
@@ -387,8 +404,7 @@ def test_same_seed_reproduces_bytes(fast_config, tmp_path):
     assert (out_a / "snr.json").read_bytes() == (out_b / "snr.json").read_bytes()
 
 
-@pytest.mark.parametrize("mode", ["noise-scan", "demod-sweep",
-                                  "sensitivity-sweep"])
+@pytest.mark.parametrize("mode", MODES)
 def test_worker_count_does_not_change_outputs(mode, fast_config, tmp_path):
     serial, pooled = tmp_path / "w1", tmp_path / "w2"
     assert main([mode, "--config", fast_config, "--out", str(serial),
@@ -417,10 +433,10 @@ def _generator_keys(argv, monkeypatch):
 
 
 # generators a fast-config run builds: simulate one for the shot and one
-# for the detector noise, demod-sweep one per carrier, snl-map one per gain
-# and frequency bin, and each analyzer row one
+# for the detector noise, demod-sweep one per carrier, each analyzer row
+# one, and snl-map, which maps the theory budget, none
 FAST_GENERATORS = {"simulate": 2, "demod-sweep": 9, "spectrum": 2,
-                   "noise-scan": 5, "snl-map": 8, "sensitivity-sweep": 8}
+                   "noise-scan": 5, "snl-map": 0, "sensitivity-sweep": 8}
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -429,6 +445,9 @@ def test_stream_keys_start_with_seed_and_never_repeat(mode, fast_config,
     keys = _generator_keys([mode, "--config", fast_config, "--out",
                             str(tmp_path), "--seed", "7"], monkeypatch)
     assert len(keys) == FAST_GENERATORS[mode]
+    if mode == "snl-map":
+        assert keys == []
+        return
     assert all(isinstance(k, tuple) and k[0] == 7 for k in keys)
     # numpy pads short keys with zeros, so one run keeps one key length
     assert len({len(k) for k in keys}) == 1
@@ -508,7 +527,8 @@ def test_missing_config_exits_4(tmp_path, capsys):
 @pytest.mark.parametrize("key", ["resonance.phi_zero",
                                  "detector.gain_uncertainty_rel",
                                  "detector.electronic_noise_table",
-                                 "detector.photocurrent_convention"])
+                                 "detector.photocurrent_convention",
+                                 "snlmap.jitter_rel"])
 def test_unknown_config_key_exits_2(key, tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(f"{key} = 1e-3\n")
@@ -548,8 +568,6 @@ def test_every_float_key_rejects_non_finite(key, value, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("mode, config_text, key", [
-    # the default electronic floor is 0, so the dark synthetic level is 0
-    ("snl-map", None, "detector.electronic_noise_floor"),
     ("simulate", "atom.cell_radius = 1e300\n", "atom.cell_radius"),
     ("simulate", "atom.g_f = -0.3333333333333333\n", "atom.g_f"),
     # (knee / freq) ** 2 and the squared gain overflow a Python float
@@ -603,8 +621,13 @@ def test_every_float_key_rejects_non_finite(key, value, tmp_path, capsys):
                       "noisescan.include_zero = false\n"
                       "sweep.power_points = 3\n")
       for key in ("sweep.power_points", "noisescan.include_zero")],
-    ("snl-map", "sweep.power_points = 2\n", "sweep.power_points"),
     ("demod-sweep", "sweep.freq_points = 5\n", "sweep.freq_points"),
+    # no resonance to fit: the fit blamed the sweep and exited 3
+    ("demod-sweep", "resonance.phi0 = 0\n", "resonance.phi0"),
+    # far past the small-angle range the analyzer's square overflowed
+    ("spectrum", "resonance.phi0 = 1e300\n", "resonance.phi0"),
+    ("sensitivity-sweep", "saturation.phi0_scale = 1e300\n",
+     "saturation.phi0_scale"),
 ])
 def test_config_faults_exit_2_naming_key(mode, config_text, key, tmp_path,
                                         capsys):

@@ -252,8 +252,6 @@ BOUND_VIOLATIONS = [
      'snlmap.freq_bins: must be >= 1 (got 0)'),
     ('snlmap.second_gain_nominal', '0 V/A',
      'snlmap.second_gain_nominal: must be > 0 (got 0.0)'),
-    ('snlmap.jitter_rel', '-0.02',
-     'snlmap.jitter_rel: must be >= 0 (got -0.02)'),
     ('snlmap.elec_knee_freq', '-1 kHz',
      'snlmap.elec_knee_freq: must be >= 0 (got -1000.0)'),
     ('saturation.phi0_scale', '-3e-3',
@@ -270,6 +268,11 @@ BOUND_VIOLATIONS = [
      'analysis.integration_time: must be > 0 (got 0.0)'),
     ('noisescan.second_b_field', '0 uT',
      'noisescan.second_b_field: must be > 0 (or none) (got 0.0)'),
+    ('resonance.phi0', '1',
+     'resonance.phi0: must be < 1 rad (small-angle rotation) (got 1.0)'),
+    ('saturation.phi0_scale', '1e300',
+     'saturation.phi0_scale: must be < 1 rad (small-angle rotation) '
+     '(got 1e+300)'),
     ('atom.cell_radius', '1e-110',
      'atom.density_n: derived atom number must be > 0 (got 1.27e+16)'),
     ('atom.cell_radius', '1e100',

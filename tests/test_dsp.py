@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import signal
 
+from amorsim.cli import _pmap
 from amorsim.config import DetectorConfig, FieldConfig
 from amorsim.detector import DetectedTimeSeries, detect
 from amorsim.dsp import (
     PowerSpectrum,
     ResonanceCurve,
     _flattop,
-    _pmap,
     lock_in_demodulate,
     peak_and_background,
     psd_estimate,
@@ -55,13 +55,12 @@ def white_series(power=80.5e-6, duration=6.0, fs=FS, seed=2):
                                sample_rate=fs, power=power, rng_seed=seed)
 
 
-def sweep_point(res, duration, seed, index, freq):
-    """Series modulated at one sweep frequency; noiseless when seed is None."""
+def sweep_point(res, duration, index, freq):
+    """Noiseless series modulated at one sweep frequency."""
     field = plain_field(freq, 2 * np.pi * (freq - res.center_freq))
     return synthesize_rotation(
         res, field, duration=duration, sample_rate=FS, power=80.5e-6,
-        rng_seed=None if seed is None else (seed, index, 0),
-        shot_noise=seed is not None)
+        shot_noise=False)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +141,7 @@ def test_lock_in_range_errors_name_their_argument(mod_freq, bandwidth, name):
 def test_sweep_traces_out_both_quadratures():
     res = ResonanceParams(phi0=2.5e-3, gamma_fwhm=60.0, center_freq=1000.0)
     grid = np.linspace(1000.0 - 180.0, 1000.0 + 180.0, 13)
-    point = functools.partial(sweep_point, res, 0.6, None)
+    point = functools.partial(sweep_point, res, 0.6)
     curve = sweep_resonance(res, grid, point, output_bandwidth=25.0)
     assert curve.bracketed
     want_p, want_q = lorentzian_quadratures(
@@ -156,18 +155,8 @@ def test_sweep_traces_out_both_quadratures():
 def test_sweep_flags_unbracketed_grid():
     res = ResonanceParams(phi0=1e-3, gamma_fwhm=60.0, center_freq=1000.0)
     grid = np.linspace(1200.0, 1400.0, 5)
-    point = functools.partial(sweep_point, res, 0.5, None)
+    point = functools.partial(sweep_point, res, 0.5)
     assert sweep_resonance(res, grid, point, 25.0).bracketed is False
-
-
-def test_sweep_worker_count_does_not_change_results():
-    res = ResonanceParams(phi0=2e-3, gamma_fwhm=60.0, center_freq=1000.0)
-    grid = np.linspace(940.0, 1060.0, 5)
-    point = functools.partial(sweep_point, res, 0.5, 13)
-    serial = sweep_resonance(res, grid, point, 25.0, workers=1)
-    pooled = sweep_resonance(res, grid, point, 25.0, workers=2)
-    np.testing.assert_array_equal(serial.phi_P_values, pooled.phi_P_values)
-    np.testing.assert_array_equal(serial.phi_Q_values, pooled.phi_Q_values)
 
 
 @pytest.mark.parametrize("workers, tasks, cores, expected", [
@@ -201,7 +190,7 @@ def test_pmap_clamps_pool_size(workers, tasks, cores, expected, monkeypatch):
 
 def test_sweep_rejects_bad_grids():
     res = ResonanceParams(phi0=1e-3, gamma_fwhm=60.0, center_freq=1000.0)
-    point = functools.partial(sweep_point, res, 0.5, None)
+    point = functools.partial(sweep_point, res, 0.5)
     with pytest.raises(ValueError, match="empty"):
         sweep_resonance(res, [], point, 25.0)
     with pytest.raises(ValueError, match="increasing"):
