@@ -38,7 +38,7 @@ from .config import (
     serialize_config,
     validate_config,
 )
-from .constants import CODATA, PhysicalConstants
+from .constants import CODATA
 from .detector import (
     DetectedTimeSeries,
     NoiseBudget,
@@ -77,7 +77,7 @@ from .signal_model import (
 __all__ = [
     "__version__",
     # constants / config
-    "CODATA", "PhysicalConstants",
+    "CODATA",
     "AtomConfig", "DetectorConfig", "FieldConfig", "ResonanceSettings",
     "SimSettings", "LockinSettings", "SpectrumSettings", "SweepSettings",
     "SnlMapSettings", "SaturationModel", "AnalysisSettings",

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .config import AtomConfig
-from .constants import CODATA, PhysicalConstants
+from .constants import CODATA
 from .detector import NoiseBudget
 from .tables import write_table
 
@@ -118,8 +118,7 @@ def compute_snr(s_sig: float, s_bg: float, rbw: float) -> float:
 
 
 def quadrature_slope(phi0: float, gamma_fwhm: float, g_f: float,
-                     convention: str = "larmor",
-                     constants: PhysicalConstants = CODATA) -> float:
+                     convention: str = "larmor") -> float:
     """On-resonance slope of the dispersive quadrature against field, rad/T.
 
     "larmor" references the slope to the Larmor frequency; "doubled"
@@ -129,7 +128,7 @@ def quadrature_slope(phi0: float, gamma_fwhm: float, g_f: float,
         raise ValueError(f"gamma_fwhm must be > 0, got {gamma_fwhm!r}")
     if not g_f > 0:
         raise ValueError(f"g_f must be > 0, got {g_f!r}")
-    base = (g_f * constants.bohr_magneton / (math.pi * constants.hbar)
+    base = (g_f * CODATA.bohr_magneton / (math.pi * CODATA.hbar)
             * phi0 / gamma_fwhm)
     if convention == "larmor":
         return base
@@ -138,8 +137,7 @@ def quadrature_slope(phi0: float, gamma_fwhm: float, g_f: float,
     raise ValueError(f"unknown slope convention {convention!r}")
 
 
-def sensitivity(gamma_fwhm: float, snr: float, g_f: float,
-                constants: PhysicalConstants = CODATA) -> float:
+def sensitivity(gamma_fwhm: float, snr: float, g_f: float) -> float:
     """Field sensitivity delta_B = (pi*hbar/(g_F*mu_B)) * gamma/SNR."""
     if not snr > 0:
         raise ValueError(f"snr must be > 0, got {snr!r}")
@@ -147,15 +145,13 @@ def sensitivity(gamma_fwhm: float, snr: float, g_f: float,
         raise ValueError(f"gamma_fwhm must be > 0, got {gamma_fwhm!r}")
     if not g_f > 0:
         raise ValueError(f"g_f must be > 0, got {g_f!r}")
-    return (math.pi * constants.hbar / (g_f * constants.bohr_magneton)
+    return (math.pi * CODATA.hbar / (g_f * CODATA.bohr_magneton)
             * gamma_fwhm / snr)
 
 
 def sensitivity_from_noise_density(noise_angle_density: float, phi0: float,
                                    gamma_fwhm: float, g_f: float,
-                                   convention: str = "larmor",
-                                   constants: PhysicalConstants = CODATA
-                                   ) -> float:
+                                   convention: str = "larmor") -> float:
     """Sensitivity as rotation-noise density over the quadrature slope.
 
     With SNR = phi0/noise_angle_density this is algebraically identical to
@@ -165,15 +161,13 @@ def sensitivity_from_noise_density(noise_angle_density: float, phi0: float,
         raise ValueError(
             f"noise_angle_density must be > 0, got {noise_angle_density!r}"
         )
-    slope = quadrature_slope(phi0, gamma_fwhm, g_f, convention=convention,
-                             constants=constants)
+    slope = quadrature_slope(phi0, gamma_fwhm, g_f, convention=convention)
     if not slope > 0:
         raise ValueError(f"slope must be > 0 to invert, got {slope!r}")
     return noise_angle_density / slope
 
 
-def projection_noise(atom: AtomConfig, integration_time: float,
-                     constants: PhysicalConstants = CODATA) -> float:
+def projection_noise(atom: AtomConfig, integration_time: float) -> float:
     """Atomic projection-noise floor in T/sqrt(Hz).
 
     delta_B_at = (hbar*pi/(g_F*mu_B)) * sqrt(gamma / (N_at * tau)); quoted
@@ -186,7 +180,7 @@ def projection_noise(atom: AtomConfig, integration_time: float,
     n_atoms = atom.atom_number
     if not n_atoms > 0:
         raise ValueError(f"atom number must be > 0, got {n_atoms!r}")
-    return (constants.hbar * math.pi / (atom.g_f * constants.bohr_magneton)
+    return (CODATA.hbar * math.pi / (atom.g_f * CODATA.bohr_magneton)
             * math.sqrt(atom.relaxation_gamma / (n_atoms * integration_time)))
 
 
@@ -260,16 +254,14 @@ def classify_operating_point(budget: NoiseBudget, power: float,
 
 def make_sensitivity_report(gamma_fwhm: float, snr: float, atom: AtomConfig,
                             budget: NoiseBudget, power: float, k: float,
-                            integration_time: float = 1.0,
-                            constants: PhysicalConstants = CODATA
+                            integration_time: float = 1.0
                             ) -> SensitivityReport:
     """Bundle the derived quantities for one operating point."""
     return SensitivityReport(
         gamma_fwhm=gamma_fwhm,
         snr=snr,
-        delta_B=sensitivity(gamma_fwhm, snr, atom.g_f, constants=constants),
-        delta_B_atomic=projection_noise(atom, integration_time,
-                                        constants=constants),
+        delta_B=sensitivity(gamma_fwhm, snr, atom.g_f),
+        delta_B_atomic=projection_noise(atom, integration_time),
         operating_power=power,
         detection_freq=budget.detection_freq,
         snl_class=classify_operating_point(budget, power, k),

@@ -12,8 +12,9 @@ Subcommands map one-to-one to scenario modes::
 Every mode writes its data files plus ``manifest.json`` into ``--out``,
 all through ``tables.write_table`` and ``tables.write_json``;
 ``tables.read_table`` reads any table back losslessly.
-Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4 I/O
-error; failures print a single JSON object to stderr.
+Exit codes: 0 success, 2 configuration error (a series too long to
+allocate counts as one, blamed on ``sim.duration``), 3 numerical failure,
+4 I/O error; failures print a single JSON object to stderr.
 
 Random streams. Every draw comes from stream ``key + (lane,)``, where ``key
 = (seed, *point coordinates)``:
@@ -258,7 +259,7 @@ def _synth(cfg: ExperimentConfig, res: ResonanceParams, field: FieldConfig,
     return synthesize_rotation(
         res, field, cfg.sim.duration, sample_rate, power,
         rng_seed=key + (0,), wavelength=cfg.atom.probe_wavelength,
-        shot_noise=shot_noise, constants=cfg.constants, center_freq=center,
+        shot_noise=shot_noise, center_freq=center,
     )
 
 
@@ -280,7 +281,7 @@ def _detected_stack(cfg: ExperimentConfig, field: FieldConfig,
     samples = np.empty((len(rows), n), float if center is None else complex)
     for row, (res, power, key) in enumerate(rows):
         coherent = _synth(cfg, res, field, power, key, band, shot_noise=False)
-        gain = angle_gain_from_chain(det, coherent.photon_flux, cfg.constants)
+        gain = angle_gain_from_chain(det, coherent.photon_flux)
         np.multiply(coherent.samples, gain, out=samples[row])
         samples[row] += white_noise(np.random.default_rng(key + (0,)),
                                     budget.eval(power), rate, n,
@@ -310,8 +311,7 @@ def _run_simulate(cfg: ExperimentConfig, spec: ScenarioSpec,
     res = ResonanceParams(cfg.resonance.phi0, cfg.resonance.gamma_fwhm,
                           _center_freq(cfg.field_cfg))
     ts = _synth(cfg, res, cfg.field_cfg, cfg.sim.probe_power, (spec.seed,))
-    det_ts = detect(ts, cfg.detector, rng_seed=(spec.seed, 1),
-                    constants=cfg.constants)
+    det_ts = detect(ts, cfg.detector, rng_seed=(spec.seed, 1))
     rotation_to_csv(ts, outdir / "rotation.csv")
     detected_to_csv(det_ts, outdir / "detected.csv")
     return ["rotation.csv", "detected.csv"]
@@ -446,9 +446,8 @@ def _run_noise_scan(cfg: ExperimentConfig, spec: ScenarioSpec,
                     outdir: Path) -> list[str]:
     scans = [("noise_scan", "fig4a_noise.dat", cfg.field_cfg)]
     if cfg.noisescan.second_b_field is not None:
-        field2 = FieldConfig(b_field=cfg.noisescan.second_b_field).resolve(
-            cfg.atom, cfg.constants
-        )
+        field2 = FieldConfig(
+            b_field=cfg.noisescan.second_b_field).resolve(cfg.atom)
         scans.append(("noise_scan_high", "fig4b_noise.dat", field2))
     for _, _, field in scans:
         _require_analyzer_fits(cfg, _bg_band(cfg, field), "spectrum.bg_window")
@@ -532,7 +531,7 @@ def _sweep_point_sensitivity(args):
     s_sig = sig_sum / cfg.sweep.trace_avg
     s_bg = bg_sum / cfg.sweep.trace_avg
     snr = compute_snr(s_sig, s_bg, pairs[0][0].enbw)
-    delta_b = sensitivity(gamma, snr, cfg.atom.g_f, constants=cfg.constants)
+    delta_b = sensitivity(gamma, snr, cfg.atom.g_f)
     return {
         "power_w": power, "phi0_rad": phi0, "gamma_fwhm_hz": gamma,
         "s_sig_w_per_hz": s_sig, "s_bg_w_per_hz": s_bg, "snr": snr,
@@ -566,7 +565,6 @@ def _run_sensitivity_sweep(cfg: ExperimentConfig, spec: ScenarioSpec,
         gamma_fwhm=best["gamma_fwhm_hz"], snr=best["snr"], atom=cfg.atom,
         budget=budget, power=best["power_w"], k=cfg.analysis.snl_k,
         integration_time=cfg.analysis.integration_time,
-        constants=cfg.constants,
     )
     doc = report.to_dict()
     doc["seed"] = spec.seed
@@ -675,6 +673,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return run_scenario(spec)
     except ConfigError as exc:
         return _fail(2, exc)
+    except MemoryError as exc:  # sim.duration sets every series' length
+        return _fail(2, ConfigError(f"sim.duration: a series this long does "
+                                    f"not fit in memory ({exc})"))
     except FitError as exc:
         return _fail(3, exc)
     except (FloatingPointError, np.linalg.LinAlgError, ArithmeticError) as exc:

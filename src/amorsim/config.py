@@ -23,6 +23,11 @@ Each key's type and bound live in its one ``_KEY_TABLE`` row, which drives
 the parser, the environment overrides, ``serialize_config``, the manifest
 and ``validate_config``; only the rules that span keys, and the
 small-angle ceiling on the two rotation amplitudes, are written out.
+
+Physical constants are not configuration: every module reads the one
+frozen ``constants.CODATA``. The field-to-frequency map
+``larmor_doubled_freq`` lives here because ``FieldConfig.resolve`` derives
+the resonant modulation frequency from it; ``signal_model`` re-exports it.
 """
 
 from __future__ import annotations
@@ -34,13 +39,14 @@ from typing import Optional
 
 import numpy as np
 
-from .constants import CODATA, PhysicalConstants
+from .constants import CODATA
 
 __all__ = [
     "ConfigError",
     "AtomConfig",
     "DetectorConfig",
     "FieldConfig",
+    "larmor_doubled_freq",
     "ResonanceSettings",
     "SimSettings",
     "LockinSettings",
@@ -105,10 +111,14 @@ class AtomConfig:
         return self.density_n * (4.0 / 3.0) * math.pi * self.cell_radius ** 3
 
 
-def _larmor_doubled(b_field: float, atom: AtomConfig,
-                    constants: PhysicalConstants) -> float:
-    """2 gF muB B / h in Hz; ``signal_model.larmor_doubled_freq`` checks B."""
-    return 2.0 * atom.g_f * constants.bohr_magneton * b_field / constants.planck_h
+def larmor_doubled_freq(b_field: float, atom: AtomConfig) -> float:
+    """Resonant modulation frequency 2*Omega_L/2pi = 2 gF muB B / h, in Hz.
+
+    Negative fields are rejected; the field magnitude is expected.
+    """
+    if b_field < 0:
+        raise ValueError(f"b_field must be >= 0 (field magnitude), got {b_field!r}")
+    return 2.0 * atom.g_f * CODATA.bohr_magneton * b_field / CODATA.planck_h
 
 
 @dataclass
@@ -145,8 +155,7 @@ class FieldConfig:
     modulation_freq: Optional[float] = None  # Hz
     detuning_delta: Optional[float] = None   # rad/s
 
-    def resolve(self, atom: AtomConfig,
-                constants: PhysicalConstants = CODATA) -> "FieldConfig":
+    def resolve(self, atom: AtomConfig) -> "FieldConfig":
         """Return a copy with modulation_freq and detuning_delta populated."""
         if self.b_field is None:
             if self.modulation_freq is None or self.detuning_delta is None:
@@ -157,7 +166,7 @@ class FieldConfig:
             return FieldConfig(None, self.modulation_freq, self.detuning_delta)
         if self.b_field < 0:
             raise ConfigError(f"field.b_field: negative value {self.b_field!r}")
-        resonant = _larmor_doubled(self.b_field, atom, constants)
+        resonant = larmor_doubled_freq(self.b_field, atom)
         mod = self.modulation_freq if self.modulation_freq is not None else resonant
         delta = 2.0 * math.pi * (mod - resonant)
         if self.detuning_delta is not None:
@@ -288,7 +297,6 @@ class ExperimentConfig:
     saturation: SaturationModel = field(default_factory=SaturationModel)
     analysis: AnalysisSettings = field(default_factory=AnalysisSettings)
     noisescan: NoiseScanSettings = field(default_factory=NoiseScanSettings)
-    constants: PhysicalConstants = field(default_factory=lambda: CODATA)
 
 
 def _require(cond: bool, key: str, value, rule: str) -> None:
@@ -316,7 +324,6 @@ def validate_config(cfg: ExperimentConfig,
     fit. Returns the config with derived values filled; raises ConfigError
     naming the first violated key and its value.
     """
-    cfg.constants.validate()
     for key, (section, attr, kind, bound) in _KEY_TABLE.items():
         value = getattr(getattr(cfg, section), attr)
         if (kind in ("f", "f?") and value is not None
@@ -348,6 +355,8 @@ def validate_config(cfg: ExperimentConfig,
     _require(0 < sm.freq_min < sm.freq_max, "snlmap.freq_min", sm.freq_min,
              "must satisfy 0 < freq_min < freq_max")
     for k in sm.k_list():
+        _require(math.isfinite(k), "snlmap.k_values", k,
+                 "every k must be finite")
         _require(k >= 1.0, "snlmap.k_values", k, "every k must be >= 1")
     knee_floor = _or_inf(lambda: sm.elec_floor_at(
         cfg.detector.electronic_noise_floor, sm.freq_min))
@@ -383,7 +392,7 @@ def validate_config(cfg: ExperimentConfig,
         _require(cfg.resonance.phi0 > 0, "resonance.phi0", cfg.resonance.phi0,
                  "must be > 0: demod-sweep fits a Lorentzian to the resonance")
 
-    cfg.field_cfg = cfg.field_cfg.resolve(cfg.atom, cfg.constants)
+    cfg.field_cfg = cfg.field_cfg.resolve(cfg.atom)
     mod = cfg.field_cfg.modulation_freq
     if mode == "simulate" and mod is not None and mod > 0:
         _require(cfg.sim.sample_rate > 4.0 * mod, "sim.sample_rate",

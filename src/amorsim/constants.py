@@ -3,12 +3,12 @@
 All values are SI, CODATA 2022, written out as literals (they equal
 ``scipy.constants`` bit for bit, without importing it). ``hbar`` is the
 exact SI Planck constant over 2*pi, so ``planck_h == 2*pi*hbar`` holds to
-full double precision.
+full double precision. ``CODATA`` is the one frozen instance every module
+reads.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 __all__ = ["PhysicalConstants", "CODATA"]
@@ -28,20 +28,5 @@ class PhysicalConstants:
     bohr_magneton: float = 9.2740100657e-24   # J/T
     speed_of_light: float = 299792458.0       # m/s, exact
 
-    def validate(self) -> "PhysicalConstants":
-        for name in ("hbar", "planck_h", "electron_charge",
-                     "bohr_magneton", "speed_of_light"):
-            value = getattr(self, name)
-            if not (value > 0.0) or not math.isfinite(value):
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
-        rel = abs(self.planck_h - 2.0 * math.pi * self.hbar) / self.planck_h
-        if rel > 1e-12:
-            raise ValueError(
-                f"planck_h and 2*pi*hbar disagree (relative {rel:.3e}, "
-                f"planck_h={self.planck_h!r})"
-            )
-        return self
 
-
-#: Default constant set.
-CODATA = PhysicalConstants().validate()
+CODATA = PhysicalConstants()

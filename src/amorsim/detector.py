@@ -47,7 +47,7 @@ import numpy as np
 import numpy.random  # noqa: F401 numpy 2 loads it lazily; load it here, not mid-run
 
 from .config import DetectorConfig, ExperimentConfig
-from .constants import CODATA, PhysicalConstants
+from .constants import CODATA
 from .signal_model import RotationTimeSeries, Seed, white_noise
 from .tables import write_table
 
@@ -129,35 +129,32 @@ class DetectedTimeSeries:
             raise ValueError(f"sample_rate must be > 0, got {self.sample_rate!r}")
 
 
-def photocurrent(power: float, det: DetectorConfig, wavelength: float,
-                 constants: PhysicalConstants = CODATA) -> float:
+def photocurrent(power: float, det: DetectorConfig, wavelength: float) -> float:
     """Mean DC photocurrent for optical power P: eta * P * e / (h nu)."""
     if power < 0:
         raise ValueError(f"power must be >= 0, got {power!r}")
-    nu = constants.speed_of_light / wavelength
-    return power * constants.electron_charge / (constants.planck_h * nu) \
+    nu = CODATA.speed_of_light / wavelength
+    return power * CODATA.electron_charge / (CODATA.planck_h * nu) \
         * det.quantum_efficiency
 
 
-def photocurrent_from_flux(flux: float, det: DetectorConfig,
-                           constants: PhysicalConstants = CODATA) -> float:
+def photocurrent_from_flux(flux: float, det: DetectorConfig) -> float:
     """Photocurrent from photon flux: e * eta * Phi."""
     if flux < 0:
         raise ValueError(f"photon flux must be >= 0, got {flux!r}")
-    return constants.electron_charge * flux * det.quantum_efficiency
+    return CODATA.electron_charge * flux * det.quantum_efficiency
 
 
 def theoretical_shot_noise_level(power: float, det: DetectorConfig,
-                                 wavelength: float,
-                                 constants: PhysicalConstants = CODATA) -> float:
+                                 wavelength: float) -> float:
     """Shot-noise PSD at the analyzer: G_eff^2 * 2 * i * e / R, in W/Hz.
 
     Gain frequency dependence is neglected (flat well below the detector
     bandwidth).
     """
-    current = photocurrent(power, det, wavelength, constants)
+    current = photocurrent(power, det, wavelength)
     g_eff = det.gain_effective
-    return (g_eff ** 2) * 2.0 * current * constants.electron_charge \
+    return (g_eff ** 2) * 2.0 * current * CODATA.electron_charge \
         / det.analyzer_impedance_r
 
 
@@ -170,14 +167,12 @@ def theory_budget(cfg: ExperimentConfig, gain_nominal: Optional[float] = None,
     det = base if gain_nominal is None else replace(
         base, transimpedance_gain_nominal=gain_nominal)
     ratio = det.gain_effective / base.gain_effective
-    shot = theoretical_shot_noise_level(1.0, det, cfg.atom.probe_wavelength,
-                                        cfg.constants)
+    shot = theoretical_shot_noise_level(1.0, det, cfg.atom.probe_wavelength)
     return NoiseBudget(base.electronic_noise_floor, shot,
                        base.technical_noise_coef * ratio ** 2, detection_freq)
 
 
-def angle_gain_from_chain(det: DetectorConfig, flux: float,
-                          constants: PhysicalConstants = CODATA) -> float:
+def angle_gain_from_chain(det: DetectorConfig, flux: float) -> float:
     """Angle-to-amplitude gain implied by the electronics chain.
 
     g = 2 * G_eff * i * sqrt(2 / (eta * R)): the factor 2*G_eff*i is the
@@ -186,15 +181,14 @@ def angle_gain_from_chain(det: DetectorConfig, flux: float,
     displayed shot background (angle_gain^2 / (4*Phi), see module docstring)
     coincide with the current-noise form G_eff^2 * 2*i*e/R.
     """
-    current = photocurrent_from_flux(flux, det, constants)
+    current = photocurrent_from_flux(flux, det)
     return 2.0 * det.gain_effective * current * math.sqrt(
         2.0 / (det.quantum_efficiency * det.analyzer_impedance_r))
 
 
 def detect(rotation: RotationTimeSeries, det: DetectorConfig, *,
            angle_gain: Optional[float] = None,
-           rng_seed: Optional[Seed] = None,
-           constants: PhysicalConstants = CODATA) -> DetectedTimeSeries:
+           rng_seed: Optional[Seed] = None) -> DetectedTimeSeries:
     """Map a rotation series to the analyzer-referred RF series.
 
     output = g * (coherent + stochastic/sqrt(2)) + n_elec + n_tech
@@ -215,7 +209,7 @@ def detect(rotation: RotationTimeSeries, det: DetectorConfig, *,
     if coef_tech < 0:
         raise ValueError(f"technical_noise_coef must be >= 0, got {coef_tech!r}")
     if angle_gain is None:
-        angle_gain = angle_gain_from_chain(det, rotation.photon_flux, constants)
+        angle_gain = angle_gain_from_chain(det, rotation.photon_flux)
 
     samples, noise = rotation.samples, rotation.noise_samples
     if samples is noise:  # no coherent part

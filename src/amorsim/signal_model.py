@@ -21,6 +21,11 @@ envelopes (spectrum, noise-scan and sensitivity-sweep for the analyzer,
 demod-sweep for the lock-in); simulate writes the real angle. A band near
 DC gets an envelope whose lower edge sits at 0 Hz (f_c = sample_rate/2).
 
+The resonance sits at the doubled Larmor frequency 2 g_F mu_B B / h
+(``larmor_doubled_freq``, defined in ``config`` next to the field it
+resolves and re-exported here). The constants come from
+``constants.CODATA``.
+
 All spectral densities in this package are one-sided.
 """
 
@@ -34,8 +39,8 @@ from typing import Optional, Union
 import numpy as np
 import numpy.random  # noqa: F401 numpy 2 loads it lazily; load it here, not mid-run
 
-from .config import AtomConfig, ConfigError, FieldConfig, _larmor_doubled
-from .constants import CODATA, PhysicalConstants
+from .config import ConfigError, FieldConfig, larmor_doubled_freq
+from .constants import CODATA
 from .tables import read_table, write_table
 
 __all__ = [
@@ -127,17 +132,6 @@ class RotationTimeSeries:
             )
 
 
-def larmor_doubled_freq(b_field: float, atom: AtomConfig,
-                        constants: PhysicalConstants = CODATA) -> float:
-    """Resonant modulation frequency 2*Omega_L/2pi = 2 gF muB B / h, in Hz.
-
-    Negative fields are rejected; the field magnitude is expected.
-    """
-    if b_field < 0:
-        raise ValueError(f"b_field must be >= 0 (field magnitude), got {b_field!r}")
-    return _larmor_doubled(b_field, atom, constants)
-
-
 def lorentzian_quadratures(delta, res: ResonanceParams):
     """In-phase and quadrature amplitudes (phi_P, phi_Q) at detuning delta.
 
@@ -157,15 +151,14 @@ def lorentzian_quadratures(delta, res: ResonanceParams):
     return phi_p, phi_q
 
 
-def photon_flux(power: float, wavelength: float,
-                constants: PhysicalConstants = CODATA) -> float:
+def photon_flux(power: float, wavelength: float) -> float:
     """Photon flux Phi = P/(h nu) for optical power P at the given wavelength."""
     if power < 0:
         raise ValueError(f"power must be >= 0, got {power!r}")
     if not wavelength > 0:
         raise ValueError(f"wavelength must be > 0, got {wavelength!r}")
-    nu = constants.speed_of_light / wavelength
-    return power / (constants.planck_h * nu)
+    nu = CODATA.speed_of_light / wavelength
+    return power / (CODATA.planck_h * nu)
 
 
 def shot_noise_angle_density(flux: float) -> float:
@@ -203,7 +196,6 @@ def synthesize_rotation(res: ResonanceParams, field: FieldConfig,
                         duration: float, sample_rate: float, power: float,
                         rng_seed: Optional[Seed] = None, *,
                         wavelength: float = 795e-9, shot_noise: bool = True,
-                        constants: PhysicalConstants = CODATA,
                         center_freq: Optional[float] = None
                         ) -> RotationTimeSeries:
     """Synthesize the sampled rotation angle at one operating point.
@@ -257,7 +249,7 @@ def synthesize_rotation(res: ResonanceParams, field: FieldConfig,
         deterministic *= phi_p
         deterministic += quadrature
 
-    flux = photon_flux(power, wavelength, constants)
+    flux = photon_flux(power, wavelength)
     if shot_noise and flux > 0:
         noise = white_noise(np.random.default_rng(rng_seed),
                             shot_noise_angle_density(flux), sample_rate, n,

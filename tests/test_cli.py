@@ -180,7 +180,7 @@ def test_noise_scan_is_shot_noise_limited_from_5_to_75_uT(b_field):
     # of the seed spread, and every fitted budget has a k = 4 window.
     config = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
     cfg = amorsim.cli._load_config(ScenarioSpec("noise-scan", str(config)))
-    field = FieldConfig(b_field=b_field).resolve(cfg.atom, cfg.constants)
+    field = FieldConfig(b_field=b_field).resolve(cfg.atom)
     lane = int(round(b_field * 1e7))  # each field draws its own streams
     shots = []
     for seed in range(20):
@@ -284,10 +284,8 @@ def test_detected_stack_rows_are_chain_series_bit_for_bit(fast_config, sides,
     for row, (res, power, key) in enumerate(rows):
         coherent = synthesize_rotation(
             res, field, cfg.sim.duration, rate, power, shot_noise=False,
-            wavelength=cfg.atom.probe_wavelength, constants=cfg.constants,
-            center_freq=center)
-        gain = angle_gain_from_chain(cfg.detector, coherent.photon_flux,
-                                     cfg.constants)
+            wavelength=cfg.atom.probe_wavelength, center_freq=center)
+        gain = angle_gain_from_chain(cfg.detector, coherent.photon_flux)
         expected = coherent.samples * gain + white_noise(
             np.random.default_rng(key + (0,)), budget.eval(power), rate, n,
             center is not None)
@@ -579,6 +577,10 @@ def test_every_float_key_rejects_non_finite(key, value, tmp_path, capsys):
     ("sensitivity-sweep", "sweep.power_max = 1e300\n", "sweep.power_max"),
     ("snl-map", "detector.transimpedance_gain_nominal = 1e-160\n",
      "detector.transimpedance_gain_nominal"),
+    # an infinite margin wrote nan p_low cells at a zero electronic floor
+    *[("snl-map", f"snlmap.k_values = 1,{k}\n"
+       "detector.electronic_noise_floor = 0\n", "snlmap.k_values")
+      for k in ("inf", "1e400")],
     # a 47 Hz resonance with a +-240 Hz grid would sweep negative carriers
     ("demod-sweep", "field.b_field = 5 nT\n", "sweep.freq_halfspan_widths"),
     # a grid under two linewidths left the Lorentzian fit to exit 3
@@ -628,6 +630,11 @@ def test_every_float_key_rejects_non_finite(key, value, tmp_path, capsys):
     ("spectrum", "resonance.phi0 = 1e300\n", "resonance.phi0"),
     ("sensitivity-sweep", "saturation.phi0_scale = 1e300\n",
      "saturation.phi0_scale"),
+    # a series of 1e12 s is exabytes: numpy refuses it at allocation
+    *[(mode, "sim.duration = 1e12\n"
+       "detector.electronic_noise_floor = 1.35e-14\n", "sim.duration")
+      for mode in ("simulate", "spectrum", "noise-scan", "sensitivity-sweep",
+                   "demod-sweep")],
 ])
 def test_config_faults_exit_2_naming_key(mode, config_text, key, tmp_path,
                                         capsys):

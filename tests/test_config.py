@@ -289,6 +289,10 @@ BOUND_VIOLATIONS = [
      'snlmap.freq_min: must satisfy 0 < freq_min < freq_max (got 5000.0)'),
     ('snlmap.k_values', '2,0.5',
      'snlmap.k_values: every k must be >= 1 (got 0.5)'),
+    ('snlmap.k_values', '1,inf',
+     'snlmap.k_values: every k must be finite (got inf)'),
+    ('snlmap.k_values', '1,1e400',
+     'snlmap.k_values: every k must be finite (got inf)'),
     ('snlmap.k_values', '1;2',
      "snlmap.k_values: unparseable '1;2'"),
     ('snlmap.k_values', '',

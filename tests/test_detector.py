@@ -170,7 +170,7 @@ def test_theory_budget_at_any_gain(primary, gain, headroom, freq):
     budget = theory_budget(cfg, gain, detection_freq=freq)
     assert budget.coef_elec == 1.35e-14
     assert budget.coef_shot == theoretical_shot_noise_level(
-        1.0, at_gain, cfg.atom.probe_wavelength, cfg.constants)
+        1.0, at_gain, cfg.atom.probe_wavelength)
     assert budget.coef_tech == 1.8e-6 * (
         at_gain.gain_effective / det.gain_effective) ** 2
     assert budget.detection_freq == freq

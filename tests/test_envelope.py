@@ -227,7 +227,7 @@ def test_envelope_and_full_rate_agree_across_seeds(b_field, power):
     cfg = default_config()
     cfg.sim.duration = 0.2  # two Welch segments at rbw 30 Hz
     if b_field is not None:
-        field = FieldConfig(b_field=b_field).resolve(cfg.atom, cfg.constants)
+        field = FieldConfig(b_field=b_field).resolve(cfg.atom)
         cfg = replace(cfg, field_cfg=field, sim=replace(
             cfg.sim, sample_rate=max(cfg.sim.sample_rate,
                                      4.5 * field.modulation_freq)))
@@ -243,7 +243,7 @@ def test_spectrum_envelope_at_dc_agrees_with_full_rate_across_seeds():
     # sits at 0 Hz, where the off-resonance level must stay unbiased
     cfg = default_config()
     cfg.sim.duration = 0.2
-    cfg.field_cfg = FieldConfig(b_field=1e-6).resolve(cfg.atom, cfg.constants)
+    cfg.field_cfg = FieldConfig(b_field=1e-6).resolve(cfg.atom)
     mod = cfg.field_cfg.modulation_freq
     span = (max(mod - cfg.spectrum.span / 2.0, 0.0),
             mod + cfg.spectrum.span / 2.0)
@@ -382,7 +382,7 @@ def test_demod_sweep_reads_envelopes_near_dc():
     # a 700 Hz resonance: every point is a 1250 Hz envelope, and those of
     # carriers at or below 1250/2 Hz sit with their lower edge at 0 Hz
     cfg = default_config()
-    cfg.field_cfg = FieldConfig(b_field=75e-9).resolve(cfg.atom, cfg.constants)
+    cfg.field_cfg = FieldConfig(b_field=75e-9).resolve(cfg.atom)
     res, freqs = cli._demod_grid(cfg)
     points = [cli._demod_point(cfg, res, 1, i, float(f))
               for i, f in enumerate(freqs)]

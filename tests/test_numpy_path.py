@@ -4,7 +4,9 @@ mpmath) routine it stands in for, and a guard that no mode loads scipy.
 scipy and mpmath are imported here, inside the tests, as references only.
 """
 
+import dataclasses
 import functools
+import inspect
 import json
 import math
 import os
@@ -18,7 +20,8 @@ import scipy.constants
 from scipy import fft, signal
 from scipy.optimize import least_squares
 
-from amorsim import cli
+import amorsim
+from amorsim import analysis, cli, detector, signal_model
 from amorsim.constants import CODATA
 from amorsim.dsp import (
     ResonanceCurve,
@@ -41,6 +44,28 @@ def test_codata_matches_scipy_constants():
     assert CODATA.bohr_magneton == scipy.constants.physical_constants[
         "Bohr magneton"][0]
     assert CODATA.speed_of_light == scipy.constants.c
+    for value in dataclasses.astuple(CODATA):
+        assert value > 0.0 and math.isfinite(value)
+    assert CODATA.planck_h == pytest.approx(2.0 * math.pi * CODATA.hbar,
+                                            rel=1e-12)
+
+
+def test_no_public_callable_takes_a_constants_parameter():
+    # every module reads CODATA; no caller can pass another constant set
+    for module in (amorsim, signal_model, detector, analysis):
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if not callable(obj) or (inspect.isclass(obj)
+                                     and issubclass(obj, Exception)):
+                continue
+            members = [obj]
+            if inspect.isclass(obj):
+                members += [m for _n, m in inspect.getmembers(
+                    obj, inspect.isfunction)]
+            for member in members:
+                params = inspect.signature(member).parameters
+                assert "constants" not in params, (module.__name__, name,
+                                                   member.__qualname__)
 
 
 @pytest.mark.parametrize("n", [17, 1000, 4096, 3200, 40000, 393660])
