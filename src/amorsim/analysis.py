@@ -7,12 +7,10 @@ Conventions used throughout:
   resolution bandwidth cancels, as does any common detection gain.
 * Sensitivity delta_B = (pi*hbar/(g_F*mu_B)) * gamma / SNR carries units of
   T/sqrt(Hz) under that convention.
-* The quadrature slope against field comes in two conventions: "larmor"
-  references the dispersive slope to the Larmor frequency shift and gives
-  (g_F*mu_B/(pi*hbar)) * phi0/gamma; "doubled" references it to the
-  doubled-frequency resonance that is actually swept, which is exactly
-  twice that. Sensitivities quoted from the two differ by the same factor
-  2, so anything that consumes a slope names the convention in use.
+* The quadrature slope against field is referenced to the Larmor
+  frequency shift: (g_F*mu_B/(pi*hbar)) * phi0/gamma. The derivative of
+  the doubled-frequency resonance that is actually swept is exactly twice
+  that.
 """
 
 from __future__ import annotations
@@ -117,24 +115,15 @@ def compute_snr(s_sig: float, s_bg: float, rbw: float) -> float:
     return math.sqrt(rbw * s_sig / s_bg)
 
 
-def quadrature_slope(phi0: float, gamma_fwhm: float, g_f: float,
-                     convention: str = "larmor") -> float:
-    """On-resonance slope of the dispersive quadrature against field, rad/T.
-
-    "larmor" references the slope to the Larmor frequency; "doubled"
-    references it to the doubled-frequency resonance and is exactly 2x.
-    """
+def quadrature_slope(phi0: float, gamma_fwhm: float, g_f: float) -> float:
+    """On-resonance slope of the dispersive quadrature against field, rad/T,
+    referenced to the Larmor frequency (half the swept resonance's)."""
     if not gamma_fwhm > 0:
         raise ValueError(f"gamma_fwhm must be > 0, got {gamma_fwhm!r}")
     if not g_f > 0:
         raise ValueError(f"g_f must be > 0, got {g_f!r}")
-    base = (g_f * CODATA.bohr_magneton / (math.pi * CODATA.hbar)
+    return (g_f * CODATA.bohr_magneton / (math.pi * CODATA.hbar)
             * phi0 / gamma_fwhm)
-    if convention == "larmor":
-        return base
-    if convention == "doubled":
-        return 2.0 * base
-    raise ValueError(f"unknown slope convention {convention!r}")
 
 
 def sensitivity(gamma_fwhm: float, snr: float, g_f: float) -> float:
@@ -150,18 +139,17 @@ def sensitivity(gamma_fwhm: float, snr: float, g_f: float) -> float:
 
 
 def sensitivity_from_noise_density(noise_angle_density: float, phi0: float,
-                                   gamma_fwhm: float, g_f: float,
-                                   convention: str = "larmor") -> float:
+                                   gamma_fwhm: float, g_f: float) -> float:
     """Sensitivity as rotation-noise density over the quadrature slope.
 
     With SNR = phi0/noise_angle_density this is algebraically identical to
-    sensitivity() under the Larmor-referenced slope convention.
+    sensitivity().
     """
     if not noise_angle_density > 0:
         raise ValueError(
             f"noise_angle_density must be > 0, got {noise_angle_density!r}"
         )
-    slope = quadrature_slope(phi0, gamma_fwhm, g_f, convention=convention)
+    slope = quadrature_slope(phi0, gamma_fwhm, g_f)
     if not slope > 0:
         raise ValueError(f"slope must be > 0 to invert, got {slope!r}")
     return noise_angle_density / slope

@@ -12,9 +12,9 @@ Subcommands map one-to-one to scenario modes::
 Every mode writes its data files plus ``manifest.json`` into ``--out``,
 all through ``tables.write_table`` and ``tables.write_json``;
 ``tables.read_table`` reads any table back losslessly.
-Exit codes: 0 success, 2 configuration error (a series too long to
-allocate counts as one, blamed on ``sim.duration``), 3 numerical failure,
-4 I/O error; failures print a single JSON object to stderr.
+Exit codes: 0 success, 2 configuration error (an array too large to
+allocate counts as one, blamed on the key that sized it), 3 numerical
+failure, 4 I/O error; failures print a single JSON object to stderr.
 
 Random streams. Every draw comes from stream ``key + (lane,)``, where ``key
 = (seed, *point coordinates)``:
@@ -23,31 +23,31 @@ Random streams. Every draw comes from stream ``key + (lane,)``, where ``key
     spectrum           (seed, side)                  side 0 on, 1 off resonance
     noise-scan         (seed, scan, power_index)     scan 1 is the second field
     sensitivity-sweep  (seed, power_index, trace, side)
-    demod-sweep        (seed, freq_index)            shot noise, no detection
+    demod-sweep        (seed, freq_index)
 
 snl-map draws nothing: its rows are the theory budget at each bin.
 
-simulate synthesizes its series with ``_synth`` (shot noise, lane 0) and
-detects it with ``detect`` (detector noise, lane 1), so ``rotation.csv``
-and ``detected.csv`` share one shot draw. Each analyzer row of spectrum,
-noise-scan and sensitivity-sweep is one draw on lane 0, at the density
-``theory_budget`` predicts for its power (see ``_detected_stack``). Each
-point owns its streams, so outputs are byte-identical for a fixed
-``--seed`` regardless of ``--workers``. The keys of one run all have the
-same length: numpy pads a short key with zeros, so ``(seed, 0)`` and
-``(seed, 0, 0)`` would name the same stream.
+simulate synthesizes its real series (shot noise, lane 0) and detects it
+(detector noise, lane 1), so ``rotation.csv`` and ``detected.csv`` share
+one shot draw. Every other series, demod-sweep's included, is an analyzer
+row: one draw on lane 0 at the density ``theory_budget`` predicts for its
+power (see ``_detected_stack``). Each point owns its streams, so outputs
+are byte-identical for a fixed ``--seed`` regardless of ``--workers``. The
+keys of one run all have one length: SeedSequence pads a key shorter than
+its 4-word pool with zeros, so ``(seed, 0)`` names ``(seed, 0, 0)``'s
+stream, while ``(1, 2, 3, 1)`` and ``(1, 2, 3, 1, 0)`` differ.
 
 The analyzer modes build their series as the rows of one array, each row
-on its own stream: ``_detected_stack`` allocates it before the first row
+on its own stream: ``_detected_stack`` allocates it from its row count
 and writes each row in place. Each stack goes to one ``psd_estimate``:
 spectrum its on/off pair, sensitivity-sweep the ``trace_avg`` on/off pairs
 of one power, noise-scan a contiguous chunk of one scan's powers, one chunk
 per worker. A row's trace does not depend on the other rows, so the
 chunking leaves the bytes as they are.
 
-Analyzer bands. Every mode but simulate passes ``_synth`` the band its
-analyzer or lock-in reads, and gets the complex envelope of that band at
-a rate just above its width (``dsp._envelope_grid``). spectrum reads its
+Analyzer bands. Every mode but simulate builds only the band its analyzer
+or lock-in reads, as the complex envelope of that band at a rate just
+above its width (``dsp._envelope_grid``). spectrum reads its
 ``spectrum.span``; noise-scan and sensitivity-sweep read
 ``spectrum.bg_window`` around the modulation frequency; demod-sweep reads
 ``_LOCKIN_HALFBAND`` output bandwidths either side of each carrier. A band
@@ -67,7 +67,7 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 import numpy.random  # noqa: F401 numpy 2 loads it lazily; load it here, not mid-run
@@ -173,12 +173,21 @@ def _center_freq(field: FieldConfig) -> float:
     return field.modulation_freq - field.detuning_delta / (2.0 * math.pi)
 
 
+def _allocate(key: str, what: str, make, *args) -> np.ndarray:
+    """make(*args), an array numpy refuses (MemoryError, or ValueError past
+    its size limit) blamed on the config key that sized it."""
+    try:
+        return make(*args)
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"{key}: {what} do not fit in memory ({exc})"
+                          ) from exc
+
+
 def _power_grid(cfg: ExperimentConfig) -> np.ndarray:
     sw = cfg.sweep
-    if sw.power_scale == "log":
-        grid = np.geomspace(sw.power_min, sw.power_max, sw.power_points)
-    else:
-        grid = np.linspace(sw.power_min, sw.power_max, sw.power_points)
+    space = np.geomspace if sw.power_scale == "log" else np.linspace
+    grid = _allocate("sweep.power_points", f"{sw.power_points!r} powers",
+                     space, sw.power_min, sw.power_max, sw.power_points)
     if not np.all(np.diff(grid) > 0):
         raise ConfigError(f"sweep.power_points: {sw.power_points!r} points "
                           f"from {sw.power_min!r} W (sweep.power_min) to "
@@ -204,15 +213,16 @@ def _require_positive_sweep(center: float, halfspan: float) -> None:
         )
 
 
-def _require_lockin_fits(cfg: ExperimentConfig) -> None:
-    """The lock-in output filter must settle in the series, below Nyquist."""
-    bw, sim = cfg.lockin.output_bandwidth, cfg.sim
-    if sim.duration < 10.0 / bw or bw >= sim.sample_rate / 2.0:
+def _require_lockin_fits(cfg: ExperimentConfig, lowest: float) -> None:
+    """The lock-in output filter must settle in the series and reject twice
+    the lowest carrier by 60 dB, as its 4th order does up to this limit."""
+    bw, duration = cfg.lockin.output_bandwidth, cfg.sim.duration
+    limit = 2.0 * lowest / 10.0 ** 0.75
+    if duration < 10.0 / bw or bw > limit:
         raise ConfigError(
             f"lockin.output_bandwidth: {bw!r} Hz needs sim.duration >= "
-            f"{10.0 / bw!r} s (got {sim.duration!r}) and must stay below "
-            f"sim.sample_rate/2 ({sim.sample_rate / 2.0!r} Hz)"
-        )
+            f"{10.0 / bw!r} s (got {duration!r}) and must stay at or below "
+            f"{limit!r} Hz, for 60 dB of rejection at twice {lowest!r} Hz")
 
 
 def _require_analyzer_fits(cfg: ExperimentConfig, band: tuple,
@@ -239,48 +249,37 @@ def _require_analyzer_fits(cfg: ExperimentConfig, band: tuple,
 
 
 def _series_grid(cfg: ExperimentConfig, band: Optional[tuple]) -> tuple:
-    """(centre, sample rate, sample count) of the series ``_synth`` makes:
-    the envelope of a band (f_lo, f_hi), or without one the real series
-    (centre None) at sim.sample_rate."""
+    """(centre, sample rate, sample count) of a series: the envelope of a
+    band (f_lo, f_hi), or without one the real series (centre None) at
+    sim.sample_rate."""
     center, rate = ((None, cfg.sim.sample_rate) if band is None
                     else _envelope_grid(band))
     return center, rate, int(round(cfg.sim.duration * rate))
 
 
-def _synth(cfg: ExperimentConfig, res: ResonanceParams, field: FieldConfig,
-           power: float, key: tuple, band: Optional[tuple] = None,
-           shot_noise: bool = True):
-    """Synthesize one rotation series, its shot noise from stream key+(0,).
-
-    With a band (f_lo, f_hi), the complex envelope that covers it;
-    without one, the real series at sim.sample_rate.
-    """
-    center, sample_rate, _ = _series_grid(cfg, band)
-    return synthesize_rotation(
-        res, field, cfg.sim.duration, sample_rate, power,
-        rng_seed=key + (0,), wavelength=cfg.atom.probe_wavelength,
-        shot_noise=shot_noise, center_freq=center,
-    )
-
-
 def _detected_stack(cfg: ExperimentConfig, field: FieldConfig,
-                    band: Optional[tuple], rows: list) -> DetectedTimeSeries:
-    """Each (res, power, key) row as the analyzer input, written straight
-    into one (rows, n) stack.
+                    band: Optional[tuple], rows: Iterable, count: int,
+                    count_key: str = "sim.duration") -> DetectedTimeSeries:
+    """The count (res, power, key) rows as the analyzer input, written
+    straight into one (count, n) stack.
 
     A row is the coherent rotation at the chain's angle gain plus one white
     draw from stream key+(0,) at ``theory_budget(cfg).eval(power)``: shot,
     electronic and technical noise at once (see the ``detector``
-    docstring). The stack is allocated before the first row, real without
-    a band and complex with one, so it costs that array alone. The rows
-    share the band's sample rate and centre; the other scalar fields
-    describe the first row only.
+    docstring). The stack, real without a band and complex with one, is
+    allocated before the first row is built, a size numpy refuses blamed
+    on count_key. The rows share the band's sample rate and centre; the
+    other scalar fields describe the first row only.
     """
     center, rate, n = _series_grid(cfg, band)
     budget, det = theory_budget(cfg), cfg.detector
-    samples = np.empty((len(rows), n), float if center is None else complex)
+    samples = _allocate(count_key, f"{count!r} rows of {n!r} samples "
+                        f"(sim.duration = {cfg.sim.duration!r} s)", np.empty,
+                        (count, n), float if center is None else complex)
     for row, (res, power, key) in enumerate(rows):
-        coherent = _synth(cfg, res, field, power, key, band, shot_noise=False)
+        coherent = synthesize_rotation(
+            res, field, cfg.sim.duration, rate, power, shot_noise=False,
+            wavelength=cfg.atom.probe_wavelength, center_freq=center)
         gain = angle_gain_from_chain(det, coherent.photon_flux)
         np.multiply(coherent.samples, gain, out=samples[row])
         samples[row] += white_noise(np.random.default_rng(key + (0,)),
@@ -310,7 +309,10 @@ def _run_simulate(cfg: ExperimentConfig, spec: ScenarioSpec,
                   outdir: Path) -> list[str]:
     res = ResonanceParams(cfg.resonance.phi0, cfg.resonance.gamma_fwhm,
                           _center_freq(cfg.field_cfg))
-    ts = _synth(cfg, res, cfg.field_cfg, cfg.sim.probe_power, (spec.seed,))
+    ts = synthesize_rotation(res, cfg.field_cfg, cfg.sim.duration,
+                             cfg.sim.sample_rate, cfg.sim.probe_power,
+                             (spec.seed, 0),
+                             wavelength=cfg.atom.probe_wavelength)
     det_ts = detect(ts, cfg.detector, rng_seed=(spec.seed, 1))
     rotation_to_csv(ts, outdir / "rotation.csv")
     detected_to_csv(det_ts, outdir / "detected.csv")
@@ -318,16 +320,19 @@ def _run_simulate(cfg: ExperimentConfig, spec: ScenarioSpec,
 
 
 def _demod_point(cfg: ExperimentConfig, res: ResonanceParams, seed: int,
-                 index: int, freq: float):
-    """Rotation series modulated at one sweep frequency.
+                 index: int, freq: float) -> DetectedTimeSeries:
+    """The detector row modulated at one sweep frequency.
 
-    The complex envelope of the lock-in's band around the carrier.
+    The analyzer row of the lock-in's band around the carrier, on stream
+    (seed, index, 0); the lock-in refers it back to radians.
     """
     field = FieldConfig(b_field=None, modulation_freq=freq,
                         detuning_delta=2.0 * math.pi * (freq - res.center_freq))
     half = _LOCKIN_HALFBAND * cfg.lockin.output_bandwidth
-    return _synth(cfg, res, field, cfg.sim.probe_power, (seed, index),
-                  (freq - half, freq + half))
+    row = _detected_stack(cfg, field, (freq - half, freq + half),
+                          [(res, cfg.sim.probe_power, (seed, index))], 1)
+    row.samples = row.samples[0]
+    return row
 
 
 def _demod_grid(cfg: ExperimentConfig) -> tuple[ResonanceParams, np.ndarray]:
@@ -335,9 +340,10 @@ def _demod_grid(cfg: ExperimentConfig) -> tuple[ResonanceParams, np.ndarray]:
     center = _center_freq(cfg.field_cfg)
     halfspan = cfg.sweep.freq_halfspan_widths * cfg.resonance.gamma_fwhm
     _require_positive_sweep(center, halfspan)
-    _require_lockin_fits(cfg)
-    freqs = np.linspace(center - halfspan, center + halfspan,
-                        cfg.sweep.freq_points)
+    _require_lockin_fits(cfg, center - halfspan)
+    points = cfg.sweep.freq_points
+    freqs = _allocate("sweep.freq_points", f"{points!r} carriers", np.linspace,
+                      center - halfspan, center + halfspan, points)
     res = ResonanceParams(cfg.resonance.phi0, cfg.resonance.gamma_fwhm, center)
     return res, freqs
 
@@ -356,19 +362,21 @@ def _run_demod_sweep(cfg: ExperimentConfig, spec: ScenarioSpec,
     return ["resonance_curve.csv", "resonance_fit.json", "fig2_resonance.dat"]
 
 
-def _spectrum_pairs(cfg: ExperimentConfig, keys: list, power: float,
-                    phi0: float, gamma_fwhm: float, band: Optional[tuple],
-                    span: Optional[tuple] = None) -> list:
+def _spectrum_pairs(cfg: ExperimentConfig, keys: Iterable, count: int,
+                    power: float, phi0: float, gamma_fwhm: float,
+                    band: Optional[tuple], span: Optional[tuple] = None,
+                    count_key: str = "sim.duration") -> list:
     """(on, off)-resonance analyzer traces of the band, sliced to span,
-    for each key: all of them rows of one stacked estimate."""
+    for each of the count keys: all of them rows of one stacked estimate."""
     field = cfg.field_cfg
     center = _center_freq(field)
     sides = [ResonanceParams(amplitude, gamma_fwhm, center)
              for amplitude in (phi0, 0.0)]
-    rows = [(res, power, key + (side,))
-            for key in keys for side, res in enumerate(sides)]
-    traces = psd_estimate(_detected_stack(cfg, field, band, rows),
-                          cfg.spectrum.rbw, cfg.spectrum.vbw, span=span).rows()
+    rows = ((res, power, key + (side,))
+            for key in keys for side, res in enumerate(sides))
+    stack = _detected_stack(cfg, field, band, rows, 2 * count, count_key)
+    traces = psd_estimate(stack, cfg.spectrum.rbw, cfg.spectrum.vbw,
+                          span=span).rows()
     return list(zip(traces[0::2], traces[1::2]))
 
 
@@ -379,7 +387,7 @@ def _run_spectrum(cfg: ExperimentConfig, spec: ScenarioSpec,
     span = (max(mod - sp.span / 2.0, 0.0), mod + sp.span / 2.0)
     _require_analyzer_fits(cfg, span, "spectrum.span")
     [(spec_on, spec_off)] = _spectrum_pairs(
-        cfg, [(spec.seed,)], cfg.sim.probe_power, cfg.resonance.phi0,
+        cfg, [(spec.seed,)], 1, cfg.sim.probe_power, cfg.resonance.phi0,
         cfg.resonance.gamma_fwhm, span, span,
     )
     try:
@@ -417,8 +425,9 @@ def _noise_levels(args) -> list[float]:
     res = ResonanceParams(0.0, cfg.resonance.gamma_fwhm, _center_freq(field))
     band = _bg_band(cfg, field)
     rows = [(res, power, key + (index,)) for index, power in chunk]
-    traces = psd_estimate(_detected_stack(cfg, field, band, rows),
-                          cfg.spectrum.rbw, cfg.spectrum.vbw, span=band)
+    stack = _detected_stack(cfg, field, band, rows, len(rows),
+                            "sweep.power_points")
+    traces = psd_estimate(stack, cfg.spectrum.rbw, cfg.spectrum.vbw, span=band)
     return [float(trace.mean()) for trace in traces.psd]
 
 
@@ -474,10 +483,11 @@ def _snl_map_rows(cfg: ExperimentConfig, gain_nominal: float) -> list[dict]:
     its electronic floor raised to A(f) below snlmap.elec_knee_freq."""
     sm = cfg.snlmap
     budget = theory_budget(cfg, gain_nominal)
-    freqs = np.linspace(sm.freq_min, sm.freq_max, sm.freq_bins).tolist()
+    freqs = _allocate("snlmap.freq_bins", f"{sm.freq_bins!r} bins",
+                      np.linspace, sm.freq_min, sm.freq_max, sm.freq_bins)
     return snl_map([replace(budget, detection_freq=freq,
                             coef_elec=sm.elec_floor_at(budget.coef_elec, freq))
-                    for freq in freqs], sm.k_list())
+                    for freq in freqs.tolist()], sm.k_list())
 
 
 def _snl_fig_columns(rows: list[dict], k_values: list[float]) -> list:
@@ -520,16 +530,13 @@ def _sweep_point_sensitivity(args):
     gamma = sat.gamma_at(power)
     mod = cfg.field_cfg.modulation_freq
     band = _bg_band(cfg, cfg.field_cfg)
-    keys = [(spec_seed, index, trace) for trace in range(cfg.sweep.trace_avg)]
-    pairs = _spectrum_pairs(cfg, keys, power, phi0, gamma, band)
-    sig_sum = bg_sum = 0.0
-    for spec_on, spec_off in pairs:
-        part_sig, part_bg = peak_and_background(spec_on, spec_off, mod,
-                                                cfg.spectrum.bg_window)
-        sig_sum += part_sig
-        bg_sum += part_bg
-    s_sig = sig_sum / cfg.sweep.trace_avg
-    s_bg = bg_sum / cfg.sweep.trace_avg
+    traces = cfg.sweep.trace_avg
+    keys = ((spec_seed, index, trace) for trace in range(traces))
+    pairs = _spectrum_pairs(cfg, keys, traces, power, phi0, gamma, band,
+                            count_key="sweep.trace_avg")
+    parts = [peak_and_background(on, off, mod, cfg.spectrum.bg_window)
+             for on, off in pairs]
+    s_sig, s_bg = (sum(column) / traces for column in zip(*parts))
     snr = compute_snr(s_sig, s_bg, pairs[0][0].enbw)
     delta_b = sensitivity(gamma, snr, cfg.atom.g_f)
     return {

@@ -27,14 +27,14 @@ electronic noise (white, PSD = A) and technical noise (white, PSD = C*P^2)
 at the output node as one white draw of PSD A + C*P^2. simulate detects
 this way, so that its rotation and detected files share one shot draw.
 
-The analyzer rows of the other modes (``cli._detected_stack``) draw all
-three terms at once. They are white and independent, and the shot term
-angle_gain^2 * S_phi / 2 equals B*P of ``theory_budget``, so a row is its
-coherent part at the chain's angle gain plus one white draw of PSD
-``theory_budget(cfg).eval(P)`` = A + B*P + C*P^2. On a complex envelope (a
-series with ``center_freq``) a draw is circular complex with variance
-PSD * fs / 4 per component, the same one-sided level once the analyzer
-displays it.
+The analyzer rows of the other modes (``cli._detected_stack``), those
+demod-sweep's lock-in reads included, draw all three terms at once. They
+are white and independent, and the shot term angle_gain^2 * S_phi / 2
+equals B*P of ``theory_budget``, so a row is its coherent part at the
+chain's angle gain plus one white draw of PSD ``theory_budget(cfg).eval(P)``
+= A + B*P + C*P^2. On a complex envelope (a series with ``center_freq``) a
+draw is circular complex with variance PSD * fs / 4 per component, the same
+one-sided level once the analyzer displays it.
 """
 
 from __future__ import annotations
@@ -93,10 +93,12 @@ class NoiseBudget:
 
     def eval(self, power):
         """N(P) for a power or an array of powers, all >= 0."""
-        p = np.asarray(power, dtype=float)
-        if np.any(p < 0):
+        # [()]: one power's arithmetic in fast numpy scalars, where p * p
+        # equals an array's p ** 2 (a scalar's ** calls pow)
+        p = np.asarray(power, dtype=float)[()]
+        if (p < 0).any():
             raise ValueError(f"power must be >= 0, got {power!r}")
-        return self.coef_elec + self.coef_shot * p + self.coef_tech * p ** 2
+        return self.coef_elec + self.coef_shot * p + self.coef_tech * (p * p)
 
 
 @dataclass

@@ -51,7 +51,7 @@ import numpy as np
 import numpy.fft  # noqa: F401 numpy 2 loads it lazily; load it here, not mid-run
 
 from .detector import DetectedTimeSeries
-from .signal_model import ResonanceParams, RotationTimeSeries
+from .signal_model import ResonanceParams, RotationTimeSeries, _tone
 from .signal_model import synthesize_rotation  # noqa: F401 perfbench wraps it here
 from .tables import write_table
 
@@ -224,7 +224,8 @@ def lock_in_demodulate(ts: AnySeries, mod_freq: float,
     discarded. That average is linear in x, so both quadratures come from
     one weighted sum, v = (2 x w) @ exp(-i 2pi (f_mod - f_c) t) with the
     weights w of ``_lock_in_weights`` at the series' own rate: phi_P =
-    Re v, phi_Q = -Im v. f_c is 0 for a real series, whose carrier must lie
+    Re v, phi_Q = -Im v, the exponential being signal_model's cached tone
+    at -(f_mod - f_c). f_c is 0 for a real series, whose carrier must lie
     in (0, fs/2); an envelope's must lie within f_c +- fs/2. Detected
     series are scaled back to angle units via their recorded gain.
     """
@@ -254,7 +255,7 @@ def lock_in_demodulate(ts: AnySeries, mod_freq: float,
     weights = _lock_in_weights(float(fs), float(output_bandwidth), n)
     weighted = ts.samples * (2.0 * _angle_scale(ts)) * weights
     offset = mod_freq - (0.0 if center is None else center)
-    v = weighted @ np.exp(-2j * np.pi * offset * (np.arange(n) / fs))
+    v = weighted @ _tone(-offset, fs, n)
     return float(v.real), float(-v.imag)
 
 
@@ -399,15 +400,16 @@ def _video_smooth(psd: np.ndarray, rbw: float, vbw: float,
     The trace is treated as sampled at one resolution bandwidth per dwell,
     i.e. a pseudo sample rate of rbw/bin_spacing bins per dwell. The pole
     y[k] = (1-alpha) x[k] + alpha y[k-1] runs forward, then backward, over
-    each row of a stack of traces.
+    each row of a stack of traces, each pass settled at its first sample's
+    level (scipy's lfilter_zi(b, a) * x[0]), so flat levels stay flat.
     """
     alpha = float(np.exp(-2.0 * np.pi * (vbw / rbw) * (bin_spacing / rbw)))
     if alpha <= 0.0:
         return psd
     out = psd.tolist()
     for trace in out if psd.ndim > 1 else [out]:
-        for order in (range(len(trace)), reversed(range(len(trace)))):
-            y = 0.0  # lfilter's zero initial state
+        for order in (range(len(trace)), range(len(trace) - 1, -1, -1)):
+            y = trace[order[0]]
             for k in order:
                 y = trace[k] = (1.0 - alpha) * trace[k] + alpha * y
     return np.array(out)

@@ -185,7 +185,7 @@ def white_noise(rng: np.random.Generator, density: float,
 @functools.lru_cache(maxsize=8)
 def _tone(offset: float, sample_rate: float, n: int) -> np.ndarray:
     """exp(i 2pi offset t) at t = k/sample_rate, k < n: an envelope's unit
-    tone, shared by every series on one grid, so read-only."""
+    tone and, at -offset, the lock-in's mixer; shared, so read-only."""
     t = np.arange(n) / sample_rate
     tone = np.exp(2j * np.pi * offset * t)
     tone.flags.writeable = False

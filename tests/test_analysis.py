@@ -70,8 +70,6 @@ def test_compute_snr_validation(args):
 def test_quadrature_slope_reference_point():
     assert quadrature_slope(1.0, 1.0, G_F) == pytest.approx(
         9330829944.704605, rel=1e-12)
-    assert quadrature_slope(1.0, 1.0, G_F, convention="doubled") == \
-        pytest.approx(2 * 9330829944.704605, rel=1e-12)
 
 
 def test_quadrature_slope_scaling():
@@ -83,7 +81,8 @@ def test_quadrature_slope_scaling():
 
 def test_quadrature_slope_matches_model_derivative():
     # finite-difference slope of the generative model's dispersive
-    # quadrature against field, with the modulation held on resonance
+    # quadrature against field, with the modulation held on resonance: the
+    # swept resonance runs at twice the Larmor frequency, so twice the slope
     atom = AtomConfig()
     phi0, gamma = 2.5e-3, 60.0
     res = ResonanceParams(phi0=phi0, gamma_fwhm=gamma, center_freq=1e5)
@@ -96,12 +95,12 @@ def test_quadrature_slope_matches_model_derivative():
 
     h = 1e-12
     numeric = (phi_q_of_field(b0 + h) - phi_q_of_field(b0 - h)) / (2 * h)
-    want = quadrature_slope(phi0, gamma, atom.g_f, convention="doubled")
+    want = 2 * quadrature_slope(phi0, gamma, atom.g_f)
     assert numeric == pytest.approx(want, rel=1e-4)
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(convention="typo"),
+    dict(gamma_fwhm=float("nan")),
     dict(gamma_fwhm=0.0),
     dict(g_f=0.0),
 ])
@@ -109,8 +108,7 @@ def test_quadrature_slope_validation(kwargs):
     args = dict(phi0=1e-3, gamma_fwhm=60.0, g_f=G_F)
     args.update(kwargs)
     with pytest.raises(ValueError):
-        quadrature_slope(args["phi0"], args["gamma_fwhm"], args["g_f"],
-                         convention=args.get("convention", "larmor"))
+        quadrature_slope(args["phi0"], args["gamma_fwhm"], args["g_f"])
 
 
 def test_sensitivity_reference_points():
@@ -127,15 +125,14 @@ def test_sensitivity_scaling():
 
 
 def test_sensitivity_from_noise_density_identity():
-    # with SNR = phi0 / noise density, both routes coincide under the
-    # larmor slope convention; the doubled convention gives exactly half
+    # with SNR = phi0 / noise density, both routes coincide; the slope of
+    # the doubled-frequency resonance gives exactly half
     phi0, gamma, snr = 2.5e-3, 60.0, 1.53e4
     density = phi0 / snr
     via_snr = sensitivity(gamma, snr, G_F)
     via_slope = sensitivity_from_noise_density(density, phi0, gamma, G_F)
     assert via_slope == pytest.approx(via_snr, rel=1e-12)
-    halved = sensitivity_from_noise_density(density, phi0, gamma, G_F,
-                                            convention="doubled")
+    halved = density / (2 * quadrature_slope(phi0, gamma, G_F))
     assert halved == pytest.approx(via_snr / 2, rel=1e-12)
 
 
@@ -347,7 +344,7 @@ def test_field_step_detected_at_predicted_significance():
     res = ResonanceParams(phi0=phi0, gamma_fwhm=gamma, center_freq=f_mod)
 
     s_phi = shot_noise_angle_density(photon_flux(power, 795e-9))
-    slope = quadrature_slope(phi0, gamma, atom.g_f, convention="doubled")
+    slope = 2 * quadrature_slope(phi0, gamma, atom.g_f)
     t_eff = duration - 6.0 / bandwidth  # time left after the filter settle cut
     db_step = 5.0 * math.sqrt(s_phi / t_eff) / slope
     f_stepped = larmor_doubled_freq(b0 + db_step, atom)

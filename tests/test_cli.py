@@ -225,7 +225,7 @@ def test_stacked_analyzer_matches_per_point_estimates(mode_run, fast_config):
 
     def trace(res, power, key, span=None):
         alone = amorsim.cli._detected_stack(cfg, field, band,
-                                            [(res, power, key)])
+                                            [(res, power, key)], 1)
         return psd_estimate(replace(alone, samples=alone.samples[0]),
                             sp.rbw, sp.vbw, span=span)
 
@@ -276,7 +276,7 @@ def test_detected_stack_rows_are_chain_series_bit_for_bit(fast_config, sides,
                              cfg.resonance.gamma_fwhm, center),
              power, (3, row, side))
             for row, (side, power) in enumerate(zip(sides, powers))]
-    stack = amorsim.cli._detected_stack(cfg, field, band, rows)
+    stack = amorsim.cli._detected_stack(cfg, field, band, rows, len(rows))
     center, rate, n = amorsim.cli._series_grid(cfg, band)
     assert stack.samples.shape == (len(rows), n)
     assert (stack.sample_rate, stack.center_freq) == (rate, center)
@@ -290,7 +290,7 @@ def test_detected_stack_rows_are_chain_series_bit_for_bit(fast_config, sides,
             np.random.default_rng(key + (0,)), budget.eval(power), rate, n,
             center is not None)
         assert stack.samples[row].tobytes() == expected.tobytes(), row
-        alone = amorsim.cli._detected_stack(cfg, field, band, [rows[row]])
+        alone = amorsim.cli._detected_stack(cfg, field, band, [rows[row]], 1)
         assert alone.samples.tobytes() == expected.tobytes(), row
 
 
@@ -586,7 +586,8 @@ def test_every_float_key_rejects_non_finite(key, value, tmp_path, capsys):
     # a grid under two linewidths left the Lorentzian fit to exit 3
     ("demod-sweep", "sweep.freq_halfspan_widths = 0.5\n",
      "sweep.freq_halfspan_widths"),
-    # the lock-in filter would not settle in 0.4 s, or sits past Nyquist
+    # the lock-in filter would not settle in 0.4 s, or would pass 2f of
+    # the lowest carrier (about 70.7 kHz) with under 60 dB of rejection
     ("demod-sweep", "lockin.output_bandwidth = 1 Hz\n",
      "lockin.output_bandwidth"),
     ("demod-sweep", "lockin.output_bandwidth = 200 kHz\n",
@@ -630,6 +631,12 @@ def test_every_float_key_rejects_non_finite(key, value, tmp_path, capsys):
     ("spectrum", "resonance.phi0 = 1e300\n", "resonance.phi0"),
     ("sensitivity-sweep", "saturation.phi0_scale = 1e300\n",
      "saturation.phi0_scale"),
+    # a grid of 1e15 points: numpy refuses it at allocation
+    *[(mode, f"{key} = {10 ** 15}\n", key) for mode, key in (
+        ("noise-scan", "sweep.power_points"),
+        ("sensitivity-sweep", "sweep.power_points"),
+        ("snl-map", "snlmap.freq_bins"),
+        ("demod-sweep", "sweep.freq_points"))],
     # a series of 1e12 s is exabytes: numpy refuses it at allocation
     *[(mode, "sim.duration = 1e12\n"
        "detector.electronic_noise_floor = 1.35e-14\n", "sim.duration")
@@ -716,6 +723,63 @@ def test_modes_reading_a_band_run_at_75_uT(tmp_path, monkeypatch):
     center = amorsim.cli._load_config(ScenarioSpec(
         "demod-sweep", str(config))).field_cfg.modulation_freq
     assert fit["center_freq"] == pytest.approx(center, abs=0.01)
+
+
+def test_demod_sweep_does_not_read_the_sample_rate(tmp_path):
+    # its lock-in reads envelopes of its own band, never a series at
+    # sim.sample_rate, so a 40 Hz rate leaves every output as it is
+    default = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+    slow = tmp_path / "slow.cfg"
+    slow.write_text(default.read_text() + "sim.sample_rate = 40\n")
+    outs = [tmp_path / "default", tmp_path / "slow"]
+    for config, out in zip((default, slow), outs):
+        assert main(["demod-sweep", "--config", str(config), "--out",
+                     str(out), "--seed", "1"]) == 0
+    names = sorted(p.name for p in outs[0].iterdir()
+                   if p.name != "manifest.json")
+    assert names == ["fig2_resonance.dat", "resonance_curve.csv",
+                     "resonance_fit.json"]
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_lock_in_bandwidth_keeps_60_db_at_twice_the_lowest_carrier():
+    # a 4th-order Butterworth rejects 2f by 60 dB from 2f/bw = 10^(3/4) on
+    config = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+    cfg = amorsim.cli._load_config(ScenarioSpec("demod-sweep", str(config)))
+    lowest = 460.0
+    limit = 2.0 * lowest / 10.0 ** 0.75
+    amorsim.cli._require_lockin_fits(
+        replace(cfg, lockin=replace(cfg.lockin, output_bandwidth=limit)),
+        lowest)
+    wide = replace(cfg, lockin=replace(
+        cfg.lockin, output_bandwidth=math.nextafter(limit, math.inf)))
+    with pytest.raises(ConfigError, match="lockin.output_bandwidth: .* "
+                       f"at or below {limit!r} Hz"):
+        amorsim.cli._require_lockin_fits(wide, lowest)
+
+
+def test_oversized_trace_average_exits_2_naming_its_key(tmp_path):
+    # the stack is allocated from its row count before any row's key is
+    # built, so numpy refuses 2e15 rows at once; the child's address space
+    # is capped, so a run that builds the keys first fails here instead of
+    # exhausting the host's memory
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"sweep.trace_avg = {10 ** 15}\n")
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+        "from amorsim.cli import main\n"
+        f"sys.exit(main(['sensitivity-sweep', '--config', {str(cfg)!r}, "
+        f"'--out', {str(tmp_path / 'o')!r}]))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                         text=True, timeout=120,
+                         env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+    assert run.returncode == 2, run.stderr
+    err = json.loads(run.stderr)
+    assert err["error"] == "ConfigError"
+    assert err["message"].startswith(f"sweep.trace_avg: {2 * 10 ** 15} rows")
 
 
 def test_demod_sweep_runs_at_the_lock_in_duration_limit(tmp_path):

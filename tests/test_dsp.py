@@ -17,6 +17,7 @@ from amorsim.dsp import (
     PowerSpectrum,
     ResonanceCurve,
     _flattop,
+    _video_smooth,
     lock_in_demodulate,
     peak_and_background,
     psd_estimate,
@@ -257,6 +258,15 @@ def test_psd_video_bandwidth_smooths_but_preserves_level():
     assert smoothed.vbw == 3.0
 
 
+@pytest.mark.parametrize("ratio", [0.1, 1e-3, 1e-20])
+def test_video_filter_keeps_a_flat_trace_flat(ratio):
+    # each pass starts settled at its first bin, so a pole close to 1 (or
+    # at 1, for vbw/rbw = 1e-20) leaves a flat level where it is
+    flat = np.full((2, 500), 3.7e-13)
+    out = _video_smooth(flat, 30.0, ratio * 30.0, 8.0)
+    np.testing.assert_allclose(out, flat, rtol=1e-12, atol=0.0)
+
+
 def test_psd_wide_vbw_leaves_trace_untouched():
     ts = white_series(duration=2.0)
     assert np.array_equal(psd_estimate(ts, 30.0, vbw=300.0).psd,
@@ -302,10 +312,13 @@ def scipy_reference(ts, rbw, vbw, span):
         ts.samples, fs=fs, window=_flattop(nperseg)[0], nperseg=nperseg,
         noverlap=nperseg // 2, detrend=False, scaling="density",
         return_onesided=True)
-    if vbw < rbw:  # the forward-backward single pole of dsp's video filter
+    if vbw < rbw:  # the forward-backward single pole of dsp's video filter,
+        # each pass settled at its first sample's level
         alpha = np.exp(-2.0 * np.pi * (vbw / rbw) * (fs / nperseg / rbw))
         b, a = [1.0 - alpha], [1.0, -alpha]
-        psd = signal.lfilter(b, a, signal.lfilter(b, a, psd)[::-1])[::-1]
+        zi = signal.lfilter_zi(b, a)
+        forward = signal.lfilter(b, a, psd, zi=zi * psd[0])[0][::-1]
+        psd = signal.lfilter(b, a, forward, zi=zi * forward[0])[0][::-1]
         psd = np.maximum(psd, 0.0)
     if span is not None:
         sel = (freqs >= span[0]) & (freqs <= span[1])

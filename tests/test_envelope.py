@@ -19,7 +19,12 @@ from amorsim.config import (
     load_config_file,
     validate_config,
 )
-from amorsim.detector import detect, detected_to_csv
+from amorsim.detector import (
+    angle_gain_from_chain,
+    detect,
+    detected_to_csv,
+    theory_budget,
+)
 from amorsim.dsp import (
     _envelope_grid,
     _lock_in_weights,
@@ -194,8 +199,8 @@ def _peak_and_background(cfg, band, power, phi0, span=None, low_band=None):
     gamma = cfg.resonance.gamma_fwhm
     rows = []
     for seed in SEEDS:
-        [(on, off)] = cli._spectrum_pairs(cfg, [(seed,)], power, phi0, gamma,
-                                          band, span)
+        [(on, off)] = cli._spectrum_pairs(cfg, [(seed,)], 1, power, phi0,
+                                          gamma, band, span)
         row = list(peak_and_background(on, off, mod, cfg.spectrum.bg_window))
         if low_band is not None:
             sel = (off.freqs >= low_band[0]) & (off.freqs <= low_band[1])
@@ -267,7 +272,7 @@ def test_envelope_snr_estimator_is_unbiased_across_seeds(power):
     phi0 = cfg.resonance.phi0
     snrs = []
     for seed in SEEDS:
-        [(on, off)] = cli._spectrum_pairs(cfg, [(seed,)], power, phi0,
+        [(on, off)] = cli._spectrum_pairs(cfg, [(seed,)], 1, power, phi0,
                                           cfg.resonance.gamma_fwhm, band)
         s_sig, s_bg = peak_and_background(on, off, mod, cfg.spectrum.bg_window)
         snrs.append(compute_snr(s_sig, s_bg, on.enbw))
@@ -322,13 +327,18 @@ def test_envelope_lock_in_mixes_an_offset_carrier_down():
 
 
 def _lock_in_means(cfg, res, freq, index, band):
-    """Mean and standard error of the lock-in P and Q over SEEDS."""
+    """Mean and standard error of the lock-in P and Q over SEEDS, on the
+    rotation with shot noise from stream (seed, index, 0): the envelope of
+    band, or without one the real series at sim.sample_rate."""
     field = FieldConfig(b_field=None, modulation_freq=freq,
                         detuning_delta=2 * math.pi * (freq - res.center_freq))
     bw = cfg.lockin.output_bandwidth
+    center, rate, _ = cli._series_grid(cfg, band)
     pq = np.array([
-        lock_in_demodulate(cli._synth(cfg, res, field, cfg.sim.probe_power,
-                                      (seed, index), band), freq, bw)
+        lock_in_demodulate(synthesize_rotation(
+            res, field, cfg.sim.duration, rate, cfg.sim.probe_power,
+            rng_seed=(seed, index, 0), wavelength=cfg.atom.probe_wavelength,
+            center_freq=center), freq, bw)
         for seed in SEEDS])
     return _mean_and_sem(pq[:, 0]), _mean_and_sem(pq[:, 1])
 
@@ -376,6 +386,31 @@ def test_envelope_resonance_fit_is_unbiased_across_seeds():
         mean, sem = _mean_and_sem([getattr(fit, name) for fit in fits])
         assert 0.0 < sem < 1e-4 * truth, name
         assert abs(mean - truth) < 4.0 * sem, name
+
+
+def test_demod_sweep_quadrature_noise_is_the_budget_across_seeds():
+    # each point is a detector row, so each quadrature scatters about the
+    # Lorentzian by the whole budget A + B*P + C*P^2 through the lock-in's
+    # weights, referred back to radians by the chain gain
+    cfg, res, freqs = demod_setup()
+    bw, power = cfg.lockin.output_bandwidth, cfg.sim.probe_power
+    residuals = []
+    for seed in SEEDS:
+        for i, freq in enumerate(freqs.tolist()):
+            ts = cli._demod_point(cfg, res, seed, i, freq)
+            truth = lorentzian_quadratures(
+                2 * math.pi * (freq - res.center_freq), res)
+            residuals.append(np.subtract(lock_in_demodulate(ts, freq, bw),
+                                         truth))
+    rate, n = ts.sample_rate, ts.samples.size
+    gain = angle_gain_from_chain(cfg.detector, photon_flux(
+        power, cfg.atom.probe_wavelength))
+    expected = (theory_budget(cfg).eval(power) * rate
+                * np.sum(_lock_in_weights(rate, bw, n) ** 2) / gain ** 2)
+    for variance in np.square(residuals).T:
+        mean, sem = _mean_and_sem(variance)
+        assert sem < 0.1 * expected
+        assert abs(mean - expected) < 4.0 * sem
 
 
 def test_demod_sweep_reads_envelopes_near_dc():

@@ -125,12 +125,14 @@ def sosfilt_lock_in(ts, mod_freq, bw):
 
 
 def sosfilt_envelope_lock_in(ts, mod_freq, bw):
-    """The same on an envelope: filter 2 z exp(-i 2pi (f - f_c) t)."""
+    """The same on a detected envelope: filter 2 z exp(-i 2pi (f - f_c) t),
+    z the samples referred back to radians by the series' angle gain."""
     fs, n = ts.sample_rate, ts.samples.size
     offset = 2.0 * np.pi * (mod_freq - ts.center_freq) * (np.arange(n) / fs)
     sos = signal.butter(4, bw, fs=fs, output="sos")
     settle = min(int(6.0 * fs / bw), n // 2)
-    mean = signal.sosfilt(sos, 2.0 * ts.samples * np.exp(-1j * offset))[
+    mean = signal.sosfilt(
+        sos, 2.0 * ts.samples / ts.angle_gain * np.exp(-1j * offset))[
         settle:].mean()
     return float(mean.real), float(-mean.imag)
 
@@ -142,8 +144,8 @@ def default_demod_grid():
 
 
 def test_lock_in_matches_sosfilt_on_default_grid():
-    # the real series at sim.sample_rate, synthesized from each point's
-    # stream, though demod-sweep itself reads envelopes
+    # the real rotation at sim.sample_rate, its shot noise from each
+    # point's stream, though demod-sweep itself reads detector rows
     cfg, res, freqs = default_demod_grid()
     bw = cfg.lockin.output_bandwidth
     worst = 0.0
@@ -151,7 +153,10 @@ def test_lock_in_matches_sosfilt_on_default_grid():
         field = cli.FieldConfig(
             b_field=None, modulation_freq=float(freq),
             detuning_delta=2.0 * np.pi * (freq - res.center_freq))
-        ts = cli._synth(cfg, res, field, cfg.sim.probe_power, (1, i))
+        ts = signal_model.synthesize_rotation(
+            res, field, cfg.sim.duration, cfg.sim.sample_rate,
+            cfg.sim.probe_power, rng_seed=(1, i, 0),
+            wavelength=cfg.atom.probe_wavelength)
         assert ts.center_freq is None and ts.sample_rate == cfg.sim.sample_rate
         got = lock_in_demodulate(ts, float(freq), bw)
         want = sosfilt_lock_in(ts, float(freq), bw)
