@@ -101,6 +101,7 @@ from .dsp import (
     _analyzer_window,
     _envelope_grid,
     _segment_length,
+    _video_pole,
     peak_and_background,
     psd_estimate,
     resonance_curve_to_csv,
@@ -227,14 +228,16 @@ def _require_lockin_fits(cfg: ExperimentConfig, lowest: float) -> None:
 
 def _require_analyzer_fits(cfg: ExperimentConfig, band: tuple,
                            band_key: str) -> None:
-    """The analyzer's flat-top segment must fit band's envelope and series.
+    """The analyzer's flat-top segment must fit band's envelope and series,
+    and a spectrum.vbw below spectrum.rbw must leave the video filter a pole
+    below 1.0 at that segment's bin spacing.
 
     band_key names the config key that sets the band's width.
     """
-    rbw, duration = cfg.spectrum.rbw, cfg.sim.duration
+    rbw, vbw, duration = cfg.spectrum.rbw, cfg.spectrum.vbw, cfg.sim.duration
     _, rate, n = _series_grid(cfg, band)
     try:
-        _analyzer_window(rate, rbw, n)
+        window, _ = _analyzer_window(rate, rbw, n)
     except ValueError as exc:
         nperseg = _segment_length(rate, rbw, n)
         if nperseg >= 16 and nperseg > n:
@@ -246,6 +249,11 @@ def _require_analyzer_fits(cfg: ExperimentConfig, band: tuple,
         raise ConfigError(
             f"spectrum.rbw: {rbw!r} Hz is too coarse for {band_key} = "
             f"{width!r} Hz; lower spectrum.rbw or widen {band_key}") from exc
+    if vbw < rbw and _video_pole(rbw, vbw, rate / window.size) == 1.0:
+        raise ConfigError(
+            f"spectrum.vbw: {vbw!r} Hz is so far below spectrum.rbw "
+            f"({rbw!r} Hz) that the video filter's pole rounds to 1.0 and "
+            "every trace would hold its first bin's level")
 
 
 def _series_grid(cfg: ExperimentConfig, band: Optional[tuple]) -> tuple:

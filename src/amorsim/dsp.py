@@ -393,6 +393,12 @@ def _welch(x: np.ndarray, fs: float, window: np.ndarray
     return np.fft.rfftfreq(nperseg, 1.0 / fs), psd
 
 
+def _video_pole(rbw: float, vbw: float, bin_spacing: float) -> float:
+    """The video filter's pole across bins: 1.0 when vbw is so far below
+    rbw that the filter no longer moves from its first bin."""
+    return float(np.exp(-2.0 * np.pi * (vbw / rbw) * (bin_spacing / rbw)))
+
+
 def _video_smooth(psd: np.ndarray, rbw: float, vbw: float,
                   bin_spacing: float) -> np.ndarray:
     """Zero-phase single-pole smoothing across bins with cutoff vbw.
@@ -403,7 +409,7 @@ def _video_smooth(psd: np.ndarray, rbw: float, vbw: float,
     each row of a stack of traces, each pass settled at its first sample's
     level (scipy's lfilter_zi(b, a) * x[0]), so flat levels stay flat.
     """
-    alpha = float(np.exp(-2.0 * np.pi * (vbw / rbw) * (bin_spacing / rbw)))
+    alpha = _video_pole(rbw, vbw, bin_spacing)
     if alpha <= 0.0:
         return psd
     out = psd.tolist()

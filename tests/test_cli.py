@@ -597,6 +597,11 @@ def test_every_float_key_rejects_non_finite(key, value, tmp_path, capsys):
     ("noise-scan", "field.b_field = 100 nT\n"
      "detector.electronic_noise_floor = 1.35e-14\n", "spectrum.bg_window"),
     ("sensitivity-sweep", "field.b_field = 100 nT\n", "spectrum.bg_window"),
+    # a vbw so far below rbw that the video filter's pole rounds to 1.0:
+    # every trace would hold its first bin's level, with exit 0
+    *[(mode, "spectrum.vbw = 1e-20\n"
+       "detector.electronic_noise_floor = 1.35e-14\n", "spectrum.vbw")
+      for mode in ("spectrum", "noise-scan", "sensitivity-sweep")],
     # the off-resonance trace would stop inside the background window
     *[("spectrum", "spectrum.span = 2000\n", key)
       for key in ("spectrum.span", "spectrum.bg_window")],

@@ -2,20 +2,29 @@
 
 import math
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from amorsim import tables
+from amorsim.cli import main
 from amorsim.tables import (
     _CHUNK_ROWS,
     _FIRST_DECADE,
     _LAST_DECADE,
+    _SHORT_ROWS,
+    _below,
     _decade_start,
     _float_cells,
     _rows_bytes,
+    _tables,
+    _times_g,
     read_table,
     write_json,
     write_table,
@@ -119,18 +128,30 @@ def near_power_of_ten(e, ulps):
         np.float64)[0]
 
 
+def counting_repr(monkeypatch):
+    """Count the cells ``amorsim.tables`` hands to ``repr``."""
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(tables, "repr", counted, raising=False)
+    return calls
+
+
 @given(arrays(np.float64, st.integers(0, 40), elements=st.floats()))
 def test_float_cells_are_repr_for_any_float(values):
     assert formatted(values) == reprs(values)
 
 
 @given(arrays(np.float64, st.integers(1, 40),
-              elements=st.floats(1e-12, 2e15) | st.floats(-2e15, -1e-12)))
+              elements=st.floats(1e-25, 2e15) | st.floats(-2e15, -1e-25)))
 def test_float_cells_are_repr_in_the_exact_range(values):
     assert formatted(values) == reprs(values)
 
 
-@given(st.lists(st.builds(near_power_of_ten, st.integers(-14, 18),
+@given(st.lists(st.builds(near_power_of_ten, st.integers(-25, 18),
                           st.integers(-3, 3)), max_size=20))
 def test_float_cells_are_repr_next_to_powers_of_ten(values):
     values = np.array(values + [-v for v in values])
@@ -142,13 +163,60 @@ def test_float_cells_are_repr_at_the_edges():
               1e-4, 9.999999999999999e-05, 1e-05, 1e16, 1e22, 1e23, 1e15,
               999999999999999.9, 1e-11, 9.999999999999999e-12, 0.1, 0.5,
               1 / 3, 2.2250738585072014e-308, 1.7976931348623157e308]
-    values += [2.0**k for k in range(-60, 60)]
-    values += [near_power_of_ten(e, u) for e in range(-13, 18)
+    values += [1e-24, 9.999999999999999e-25, 1.0000000000000001e-24]
+    values += [2.0**k for k in range(-82, 60)]
+    values += [near_power_of_ten(e, u) for e in range(-25, 18)
                for u in (-1, 0, 1)]
     values += [float(i) for i in range(-1000, 1001, 7)]
     values += [float(10**k + 1) for k in range(16)]
     values = np.array(values + [-v for v in values])
     assert formatted(values) == reprs(values)
+
+
+def test_halves_and_powers_of_two_below_1e_11(monkeypatch):
+    # decimal midpoints in 1e-24 .. 1e-11 and the doubles beside them, whose
+    # rounding decides between two multiples of a power of ten, take the
+    # fast path: an exact tie there would need m divisible by 2^(t-1), with
+    # t >= 60 fraction bits. Powers of two there go to repr.
+    calls = counting_repr(monkeypatch)
+    mids = np.array([float(f"0.{d}5e{p}") for d in (1, 12, 25, 333, 4999,
+                                                      12345678)
+                     for p in range(-23, -10)])
+    values = np.concatenate([mids, np.nextafter(mids, 0),
+                             np.nextafter(mids, 1)])
+    values = np.concatenate([values, -values])
+    assert formatted(values) == reprs(values)
+    assert calls == []
+    powers = [2.0**k for k in range(-79, -36)]
+    assert 1e-24 < powers[0] and powers[-1] < 1e-11
+    assert formatted(powers) == reprs(powers)
+    assert len(calls) == len(powers)
+
+
+def test_the_scaled_mantissa_is_exact():
+    # every scale entry in the exact range, against Python integers
+    scales = _tables()[2]
+    entries = np.flatnonzero(scales[0] == 1)
+    rng = np.random.default_rng(5)
+    entry = np.concatenate([entries, rng.choice(entries, 20_000)])
+    m = np.concatenate([np.full(len(entries), 2**53 - 1, np.uint64),
+                        rng.integers(2**52, 2**53, 20_000, dtype=np.uint64)])
+    g = scales[2:6].take(entry, axis=1)
+    whole, hi, lo = _times_g(m, *g)
+    for i in range(len(m)):
+        big = int(m[i]) * sum(int(g[j, i]) << 32 * (j + 1) for j in range(4))
+        assert (int(whole[i]), int(hi[i]), int(lo[i])) == (
+            big >> 128, big >> 64 & 2**64 - 1, big & 2**64 - 1)
+
+
+def test_128_bit_comparison_reads_the_low_limbs_on_a_tie():
+    u = np.uint64
+    a_hi = np.array([5, 5, 5, 4, 6, 2**64 - 1], u)
+    a_lo = np.array([1, 2, 3, 2**64 - 1, 0, 0], u)
+    b_hi = np.array([5, 5, 5, 5, 5, 2**64 - 1], u)
+    b_lo = np.array([2, 2, 2, 0, 2**64 - 1, 1], u)
+    assert _below(a_hi, a_lo, b_hi, b_lo).tolist() == [
+        True, False, False, True, False, True]
 
 
 def test_decades_start_at_the_smallest_double_not_below_the_power():
@@ -161,14 +229,15 @@ def test_decades_start_at_the_smallest_double_not_below_the_power():
 def test_float_cells_are_repr_for_random_bit_patterns():
     rng = np.random.default_rng(7)
     bits = rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64)
-    scaled = rng.standard_normal(20_000) * 10.0 ** rng.integers(-12, 16,
+    scaled = rng.standard_normal(20_000) * 10.0 ** rng.integers(-25, 17,
                                                                20_000)
     for values in (bits, scaled):
         assert formatted(values) == reprs(values)
 
 
-@pytest.mark.parametrize("rows", [_CHUNK_ROWS - 1, _CHUNK_ROWS,
-                                  _CHUNK_ROWS + 1])
+@pytest.mark.parametrize("rows", [_SHORT_ROWS - 1, _SHORT_ROWS,
+                                  _SHORT_ROWS + 1, _CHUNK_ROWS - 1,
+                                  _CHUNK_ROWS, _CHUNK_ROWS + 1])
 @pytest.mark.parametrize("name", ["t.csv", "t.dat"])
 def test_chunk_lengths_and_mixed_columns(tmp_path, rows, name):
     rng = np.random.default_rng(rows)
@@ -198,6 +267,43 @@ def test_long_floats_round_trip_bit_exactly(tmp_path):
     write_table(path, ["v"], [values])
     _, (back,), _ = read_table(path)
     assert back.tobytes() == values.tobytes()
+
+
+def test_fast_path_leaves_no_spectrum_or_series_cell_to_repr(tmp_path,
+                                                             monkeypatch):
+    # a spectrum's PSD column (1e-15 .. 1e-5 W/Hz) and a 128 k-sample
+    # series: no zeros, subnormals, powers of two or out-of-range values
+    calls = counting_repr(monkeypatch)
+    rng = np.random.default_rng(20)
+    psd = 10.0 ** rng.uniform(-15, -5, 5001)
+    series = rng.standard_normal(128_000) * 1e-3
+    write_table(tmp_path / "psd.csv", ["f", "psd"],
+                [70914.30757975498 + 8.0 * np.arange(-2500, 2501), psd])
+    write_table(tmp_path / "series.csv", ["v"], [series])
+    assert calls == []
+    assert formatted([0.0, 2.0**-70, 5e-324, 1e-25, 1e15]) == reprs(
+        [0.0, 2.0**-70, 5e-324, 1e-25, 1e15])
+    assert len(calls) == 5  # each of a class the fast path leaves to repr
+
+
+def test_spectrum_tables_leave_no_cell_to_repr(tmp_path, monkeypatch):
+    calls = counting_repr(monkeypatch)
+    config = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+    assert main(["spectrum", "--config", str(config), "--seed", "1",
+                 "--out", str(tmp_path)]) == 0
+    _, (freq, psd), _ = read_table(tmp_path / "spectrum_on.csv")
+    assert freq.size == psd.size > _CHUNK_ROWS and psd.max() < 1e-4
+    assert calls == []
+
+
+def test_importing_the_cli_builds_no_formatter_table():
+    child = ("import amorsim.cli, amorsim.tables as t; "
+             "print(t._tables.cache_info().currsize)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                         text=True, timeout=120, env={"PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "0"
 
 
 # ---------------------------------------------------------------------------
