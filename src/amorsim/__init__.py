@@ -7,7 +7,6 @@ emulation, resonance and noise-budget fitting, and sensitivity reports.
 __version__ = "0.1.0"
 
 from .analysis import (
-    SensitivityReport,
     SnlRange,
     classify_operating_point,
     compute_snr,
@@ -98,7 +97,7 @@ __all__ = [
     "FitError", "LorentzianGuess", "LorentzianFit",
     "auto_initial_guess", "fit_lorentzian", "fit_noise_polynomial",
     # analysis
-    "SnlRange", "SensitivityReport", "compute_snr", "quadrature_slope",
+    "SnlRange", "compute_snr", "quadrature_slope",
     "sensitivity", "sensitivity_from_noise_density", "projection_noise",
     "snl_range", "snl_map", "classify_operating_point",
 ]

@@ -1,4 +1,5 @@
-"""Derived magnetometer quantities: SNR, slope, sensitivity, SNL ranges.
+"""Derived magnetometer quantities: SNR, slope, sensitivity, SNL ranges,
+and the reports written from them.
 
 Conventions used throughout:
 
@@ -11,6 +12,11 @@ Conventions used throughout:
   frequency shift: (g_F*mu_B/(pi*hbar)) * phi0/gamma. The derivative of
   the doubled-frequency resonance that is actually swept is exactly twice
   that.
+* snl_map returns one grid: a row per budget in frequency order, each the
+  budget's detection frequency and its SnlRange at every distinct margin k
+  in increasing order. snl-map's csv and figures are written from it.
+* make_sensitivity_report recomputes nothing: it copies a sweep's best row
+  (gamma, SNR, delta_B, power, SNL class) beside the projection-noise floor.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from .tables import write_table
 
 __all__ = [
     "SnlRange",
-    "SensitivityReport",
     "compute_snr",
     "quadrature_slope",
     "sensitivity",
@@ -56,47 +61,6 @@ class SnlRange:
             raise ValueError(f"k must be >= 1, got {self.k!r}")
         if self.nonempty != (self.p_low < self.p_high):
             raise ValueError("nonempty flag inconsistent with bounds")
-
-
-@dataclass
-class SensitivityReport:
-    """Everything needed to judge one operating point.
-
-    snr is always a derived quantity here (inferred from spectra or from
-    the fitted amplitude and noise floor, never measured directly), and is
-    quoted per sqrt(Hz) of detection bandwidth.
-    """
-
-    gamma_fwhm: float        # Hz
-    snr: float               # dimensionless, per sqrt(Hz)
-    delta_B: float           # T/sqrt(Hz)
-    delta_B_atomic: float    # T/sqrt(Hz)
-    operating_power: float   # W
-    detection_freq: float    # Hz
-    snl_class: str
-
-    def __post_init__(self) -> None:
-        if not self.delta_B > 0:
-            raise ValueError(f"delta_B must be > 0, got {self.delta_B!r}")
-        if not self.delta_B_atomic > 0:
-            raise ValueError(
-                f"delta_B_atomic must be > 0, got {self.delta_B_atomic!r}"
-            )
-        if not self.snr > 0:
-            raise ValueError(f"snr must be > 0, got {self.snr!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "gamma_fwhm_hz": self.gamma_fwhm,
-            "snr": self.snr,
-            "snr_provenance": "derived",
-            "snr_convention": "per-sqrt-hz",
-            "delta_b_t_per_sqrt_hz": self.delta_B,
-            "delta_b_atomic_t_per_sqrt_hz": self.delta_B_atomic,
-            "operating_power_w": self.operating_power,
-            "detection_freq_hz": self.detection_freq,
-            "snl_class": self.snl_class,
-        }
 
 
 def compute_snr(s_sig: float, s_bg: float, rbw: float) -> float:
@@ -195,31 +159,22 @@ def snl_range(budget: NoiseBudget, k: float) -> SnlRange:
                     nonempty=p_low < p_high)
 
 
-def snl_map(budgets: Sequence[NoiseBudget],
-            k_values: Iterable[float]) -> list[dict]:
-    """Tabulate SNL windows over detection frequency and margin.
+def snl_map(budgets: Sequence[NoiseBudget], k_values: Iterable[float]
+            ) -> list[tuple[float, list[SnlRange]]]:
+    """SNL windows over detection frequency and margin, as one grid.
 
-    Rows are ordered by (frequency, k) and keep the per-frequency nesting
-    of windows for increasing k.
+    One row per budget in frequency order: its detection frequency and its
+    windows at each distinct k in increasing order, so every row nests the
+    same margins.
     """
-    budgets = list(budgets)
+    budgets = sorted(budgets, key=lambda b: b.detection_freq)
     if not budgets:
         raise ValueError("budgets must be nonempty")
     ks = sorted(set(float(k) for k in k_values))
     if not ks:
         raise ValueError("k_values must be nonempty")
-    rows = []
-    for budget in sorted(budgets, key=lambda b: b.detection_freq):
-        for k in ks:
-            rng = snl_range(budget, k)
-            rows.append({
-                "freq_hz": budget.detection_freq,
-                "k": k,
-                "p_low_w": rng.p_low,
-                "p_high_w": rng.p_high,
-                "nonempty": rng.nonempty,
-            })
-    return rows
+    return [(budget.detection_freq, [snl_range(budget, k) for k in ks])
+            for budget in budgets]
 
 
 def classify_operating_point(budget: NoiseBudget, power: float,
@@ -240,23 +195,36 @@ def classify_operating_point(budget: NoiseBudget, power: float,
     return f"SNL({k:g})"
 
 
-def make_sensitivity_report(gamma_fwhm: float, snr: float, atom: AtomConfig,
-                            budget: NoiseBudget, power: float, k: float,
-                            integration_time: float = 1.0
-                            ) -> SensitivityReport:
-    """Bundle the derived quantities for one operating point."""
-    return SensitivityReport(
-        gamma_fwhm=gamma_fwhm,
-        snr=snr,
-        delta_B=sensitivity(gamma_fwhm, snr, atom.g_f),
-        delta_B_atomic=projection_noise(atom, integration_time),
-        operating_power=power,
-        detection_freq=budget.detection_freq,
-        snl_class=classify_operating_point(budget, power, k),
-    )
+def make_sensitivity_report(best: dict, delta_b_atomic: float,
+                            detection_freq: float) -> dict:
+    """The report of a sensitivity sweep: its best row's gamma, SNR, delta_B,
+    power and SNL class beside the projection-noise floor delta_b_atomic.
+
+    The SNR is derived (from spectra, never measured directly) and quoted
+    per sqrt(Hz) of detection bandwidth.
+    """
+    positive = {"snr": best["snr"], "delta_B": best["delta_b_t_per_sqrt_hz"],
+                "delta_B_atomic": delta_b_atomic}
+    bad = {name: value for name, value in positive.items() if not value > 0}
+    if bad:
+        raise ValueError(f"report values must be > 0, got {bad!r}")
+    return {
+        "gamma_fwhm_hz": best["gamma_fwhm_hz"],
+        "snr": best["snr"],
+        "snr_provenance": "derived",
+        "snr_convention": "per-sqrt-hz",
+        "delta_b_t_per_sqrt_hz": best["delta_b_t_per_sqrt_hz"],
+        "delta_b_atomic_t_per_sqrt_hz": delta_b_atomic,
+        "operating_power_w": best["power_w"],
+        "detection_freq_hz": detection_freq,
+        "snl_class": best["snl_class"],
+    }
 
 
-def snl_map_to_csv(rows: Sequence[dict], path, seed=None) -> None:
-    columns = ["freq_hz", "k", "p_low_w", "p_high_w", "nonempty"]
-    write_table(path, columns,
-                [[row[c] for row in rows] for c in columns], {"seed": seed})
+def snl_map_to_csv(grid: Sequence[tuple[float, list[SnlRange]]], path,
+                   seed=None) -> None:
+    """One row per (frequency, k) cell of an snl_map grid."""
+    cells = [(freq, w.k, w.p_low, w.p_high, w.nonempty)
+             for freq, windows in grid for w in windows]
+    write_table(path, ["freq_hz", "k", "p_low_w", "p_high_w", "nonempty"],
+                list(zip(*cells)), {"seed": seed})

@@ -77,6 +77,7 @@ from .analysis import (
     classify_operating_point,
     compute_snr,
     make_sensitivity_report,
+    projection_noise,
     sensitivity,
     snl_map,
     snl_map_to_csv,
@@ -229,8 +230,8 @@ def _require_lockin_fits(cfg: ExperimentConfig, lowest: float) -> None:
 def _require_analyzer_fits(cfg: ExperimentConfig, band: tuple,
                            band_key: str) -> None:
     """The analyzer's flat-top segment must fit band's envelope and series,
-    and a spectrum.vbw below spectrum.rbw must leave the video filter a pole
-    below 1.0 at that segment's bin spacing.
+    and a spectrum.vbw below spectrum.rbw must let the video filter move
+    across the trace: (1 - pole) times band's bins at least 1.
 
     band_key names the config key that sets the band's width.
     """
@@ -249,11 +250,15 @@ def _require_analyzer_fits(cfg: ExperimentConfig, band: tuple,
         raise ConfigError(
             f"spectrum.rbw: {rbw!r} Hz is too coarse for {band_key} = "
             f"{width!r} Hz; lower spectrum.rbw or widen {band_key}") from exc
-    if vbw < rbw and _video_pole(rbw, vbw, rate / window.size) == 1.0:
+    spacing = rate / window.size
+    bins = (band[1] - band[0]) / spacing
+    movement = (1.0 - _video_pole(rbw, vbw, spacing)) * bins
+    if vbw < rbw and movement < 1.0:
         raise ConfigError(
             f"spectrum.vbw: {vbw!r} Hz is so far below spectrum.rbw "
-            f"({rbw!r} Hz) that the video filter's pole rounds to 1.0 and "
-            "every trace would hold its first bin's level")
+            f"({rbw!r} Hz) that the video filter's movement across the "
+            f"{band_key} trace, (1 - pole) x bins = {movement!r}, is below "
+            "1: every trace would stay near its first bins' level")
 
 
 def _series_grid(cfg: ExperimentConfig, band: Optional[tuple]) -> tuple:
@@ -486,9 +491,10 @@ def _run_noise_scan(cfg: ExperimentConfig, spec: ScenarioSpec,
     return outputs
 
 
-def _snl_map_rows(cfg: ExperimentConfig, gain_nominal: float) -> list[dict]:
-    """SNL windows of the theory budget at one gain, at each frequency bin,
-    its electronic floor raised to A(f) below snlmap.elec_knee_freq."""
+def _snl_map_rows(cfg: ExperimentConfig, gain_nominal: float) -> list:
+    """The snl_map grid of the theory budget at one gain, one row per
+    frequency bin, its electronic floor raised to A(f) below
+    snlmap.elec_knee_freq."""
     sm = cfg.snlmap
     budget = theory_budget(cfg, gain_nominal)
     freqs = _allocate("snlmap.freq_bins", f"{sm.freq_bins!r} bins",
@@ -498,34 +504,23 @@ def _snl_map_rows(cfg: ExperimentConfig, gain_nominal: float) -> list[dict]:
                     for freq in freqs.tolist()], sm.k_list())
 
 
-def _snl_fig_columns(rows: list[dict], k_values: list[float]) -> list:
-    """Frequency, then the (p_low, p_high) pair of every k, as columns."""
-    by_key = {(row["freq_hz"], row["k"]): row for row in rows}
-    freqs = sorted({row["freq_hz"] for row in rows})
-    columns = [freqs]
-    for k in k_values:
-        for bound in ("p_low_w", "p_high_w"):
-            columns.append([by_key[freq, k][bound] for freq in freqs])
-    return columns
-
-
 def _run_snl_map(cfg: ExperimentConfig, spec: ScenarioSpec,
                  outdir: Path) -> list[str]:
-    ks = sorted(cfg.snlmap.k_list())
-    columns = ["freq_hz"]
-    for k in ks:
-        columns += [f"p_low_k{k:g}_w", f"p_high_k{k:g}_w"]
-
     maps = [("snl_map", "fig6_snl.dat",
              cfg.detector.transimpedance_gain_nominal),
             ("snl_map_alt_gain", "fig7_snl.dat",
              cfg.snlmap.second_gain_nominal)]
     outputs = []
     for stem, fig_name, gain_nominal in maps:
-        rows = _snl_map_rows(cfg, gain_nominal)
-        snl_map_to_csv(rows, outdir / f"{stem}.csv", spec.seed)
-        write_table(outdir / fig_name, columns, _snl_fig_columns(rows, ks),
-                    {"seed": spec.seed})
+        grid = _snl_map_rows(cfg, gain_nominal)
+        snl_map_to_csv(grid, outdir / f"{stem}.csv", spec.seed)
+        freqs, rows = zip(*grid)
+        columns, data = ["freq_hz"], [list(freqs)]
+        for windows in zip(*rows):  # one margin, in frequency order
+            k = windows[0].k
+            columns += [f"p_low_k{k:g}_w", f"p_high_k{k:g}_w"]
+            data += [[w.p_low for w in windows], [w.p_high for w in windows]]
+        write_table(outdir / fig_name, columns, data, {"seed": spec.seed})
         outputs += [f"{stem}.csv", fig_name]
     return outputs
 
@@ -576,14 +571,10 @@ def _run_sensitivity_sweep(cfg: ExperimentConfig, spec: ScenarioSpec,
                 {"seed": spec.seed, "detection_freq_hz": mod})
 
     best = min(rows, key=lambda r: r["delta_b_t_per_sqrt_hz"])
-    report = make_sensitivity_report(
-        gamma_fwhm=best["gamma_fwhm_hz"], snr=best["snr"], atom=cfg.atom,
-        budget=budget, power=best["power_w"], k=cfg.analysis.snl_k,
-        integration_time=cfg.analysis.integration_time,
-    )
-    doc = report.to_dict()
-    doc["seed"] = spec.seed
-    write_json(outdir / "sensitivity_report.json", doc)
+    floor = projection_noise(cfg.atom, cfg.analysis.integration_time)
+    report = make_sensitivity_report(best, floor, mod)
+    write_json(outdir / "sensitivity_report.json",
+               {**report, "seed": spec.seed})
 
     fig_columns = ["power_w", "delta_b_t_per_sqrt_hz"]
     write_table(outdir / "fig8_sensitivity.dat", fig_columns,

@@ -41,7 +41,7 @@ import numpy.random  # noqa: F401 numpy 2 loads it lazily; load it here, not mid
 
 from .config import ConfigError, FieldConfig, larmor_doubled_freq
 from .constants import CODATA
-from .tables import read_table, write_table
+from .tables import write_table
 
 __all__ = [
     "ResonanceParams",
@@ -53,7 +53,6 @@ __all__ = [
     "white_noise",
     "synthesize_rotation",
     "rotation_to_csv",
-    "rotation_from_csv",
 ]
 
 # An RNG stream: an int, or a key such as (seed, *point coordinates, lane);
@@ -287,15 +286,3 @@ def rotation_to_csv(ts: RotationTimeSeries, path) -> None:
         "modulation_freq_hz": ts.modulation_freq,
         "seed": ts.rng_seed,
     })
-
-
-def rotation_from_csv(path) -> RotationTimeSeries:
-    _columns, (samples,), meta = read_table(path)
-    return RotationTimeSeries(
-        samples=samples,
-        sample_rate=meta["sample_rate_hz"],
-        mean_optical_power=meta["mean_optical_power_w"],
-        photon_flux=meta["photon_flux_per_s"],
-        modulation_freq=meta.get("modulation_freq_hz"),
-        rng_seed=meta.get("seed"),
-    )

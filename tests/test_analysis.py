@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from amorsim.analysis import (
-    SensitivityReport,
     SnlRange,
     classify_operating_point,
     compute_snr,
@@ -268,13 +267,13 @@ def test_classify_never_snl_budget():
 
 def test_snl_map_orders_and_dedupes():
     budgets = [default_budget(freq=70e3), default_budget(freq=10e3)]
-    rows = snl_map(budgets, [4.0, 1.0, 1.0])
-    assert [(r["freq_hz"], r["k"]) for r in rows] == [
-        (10e3, 1.0), (10e3, 4.0), (70e3, 1.0), (70e3, 4.0)]
-    for freq in (10e3, 70e3):
-        k1, k4 = [r for r in rows if r["freq_hz"] == freq]
-        assert k1["p_low_w"] <= k4["p_low_w"]
-        assert k1["p_high_w"] >= k4["p_high_w"]
+    grid = snl_map(budgets, [4.0, 1.0, 1.0])
+    assert [(freq, [w.k for w in windows]) for freq, windows in grid] == [
+        (10e3, [1.0, 4.0]), (70e3, [1.0, 4.0])]
+    for freq, (k1, k4) in grid:
+        assert k1 == snl_range(default_budget(freq=freq), 1.0)
+        assert k1.p_low <= k4.p_low
+        assert k1.p_high >= k4.p_high
 
 
 def test_snl_map_rejects_empty_inputs():
@@ -285,10 +284,10 @@ def test_snl_map_rejects_empty_inputs():
 
 
 def test_snl_map_csv(tmp_path):
-    rows = snl_map([NoiseBudget(1e-14, B_COEF, 0.0, detection_freq=5e3)],
+    grid = snl_map([NoiseBudget(1e-14, B_COEF, 0.0, detection_freq=5e3)],
                    [2.0])
     path = tmp_path / "map.csv"
-    snl_map_to_csv(rows, path, seed=3)
+    snl_map_to_csv(grid, path, seed=3)
     lines = path.read_text().splitlines()
     assert lines[0] == "# seed = 3"
     assert lines[1] == "freq_hz,k,p_low_w,p_high_w,nonempty"
@@ -302,32 +301,29 @@ def test_snl_map_csv(tmp_path):
 # Reports
 # ---------------------------------------------------------------------------
 
+BEST_ROW = {"power_w": 80.5e-6, "phi0_rad": 2.5e-3, "gamma_fwhm_hz": 10.0,
+            "s_sig_w_per_hz": 1e-9, "s_bg_w_per_hz": 1e-16, "snr": 1.53e4,
+            "delta_b_t_per_sqrt_hz": 7e-14, "snl_class": "SNL(4)"}
+
+
 def test_sensitivity_report_composition():
-    atom = AtomConfig()
-    budget = default_budget()
-    report = make_sensitivity_report(
-        gamma_fwhm=10.0, snr=1.53e4, atom=atom, budget=budget,
-        power=80.5e-6, k=4.0)
-    assert report.delta_B == pytest.approx(sensitivity(10.0, 1.53e4, atom.g_f))
-    assert report.delta_B_atomic == pytest.approx(projection_noise(atom, 1.0))
-    assert report.snl_class == "SNL(4)"
-    assert report.detection_freq == budget.detection_freq
-    doc = report.to_dict()
-    assert doc["snr_provenance"] == "derived"
-    assert doc["snr_convention"] == "per-sqrt-hz"
-    assert doc["delta_b_t_per_sqrt_hz"] == report.delta_B
-    assert doc["snl_class"] == "SNL(4)"
+    report = make_sensitivity_report(BEST_ROW, 1e-16, 7e4)
+    assert report == {
+        "gamma_fwhm_hz": 10.0, "snr": 1.53e4, "snr_provenance": "derived",
+        "snr_convention": "per-sqrt-hz", "delta_b_t_per_sqrt_hz": 7e-14,
+        "delta_b_atomic_t_per_sqrt_hz": 1e-16, "operating_power_w": 80.5e-6,
+        "detection_freq_hz": 7e4, "snl_class": "SNL(4)"}
 
 
 def test_sensitivity_report_validation():
-    with pytest.raises(ValueError):
-        SensitivityReport(gamma_fwhm=10.0, snr=0.0, delta_B=1e-13,
-                          delta_B_atomic=1e-16, operating_power=1e-4,
-                          detection_freq=7e4, snl_class="SNL(4)")
-    with pytest.raises(ValueError):
-        SensitivityReport(gamma_fwhm=10.0, snr=1e4, delta_B=0.0,
-                          delta_B_atomic=1e-16, operating_power=1e-4,
-                          detection_freq=7e4, snl_class="SNL(4)")
+    for row, floor, name in (
+            ({**BEST_ROW, "snr": 0.0}, 1e-16, "snr"),
+            ({**BEST_ROW, "delta_b_t_per_sqrt_hz": 0.0}, 1e-16, "delta_B"),
+            ({**BEST_ROW, "delta_b_t_per_sqrt_hz": math.nan}, 1e-16,
+             "delta_B"),
+            (BEST_ROW, -1e-16, "delta_B_atomic")):
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            make_sensitivity_report(row, floor, 7e4)
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,13 @@ from hypothesis import given, strategies as st
 
 import amorsim.cli
 import amorsim.dsp
-from amorsim.analysis import snl_map, snl_range
+from amorsim.analysis import projection_noise, snl_range
 from amorsim.cli import MODES, ScenarioSpec, emit_plotdata, main, run_scenario
 from amorsim.config import _KEY_TABLE, ConfigError, FieldConfig
 from amorsim.detector import angle_gain_from_chain, theory_budget
 from amorsim.dsp import peak_and_background, psd_estimate
 from amorsim.signal_model import (
     ResonanceParams,
-    rotation_from_csv,
     synthesize_rotation,
     white_noise,
 )
@@ -97,10 +96,11 @@ def test_simulate_outputs(mode_run):
 
 
 def test_simulate_rotation_csv_reads_back(mode_run):
-    rot = rotation_from_csv(mode_run("simulate") / "rotation.csv")
-    assert rot.rng_seed == (11, 0)
-    assert rot.sample_rate == 32e3
-    assert rot.samples.size == 7680  # 0.24 s at 32 kHz
+    _columns, (samples,), meta = read_table(
+        mode_run("simulate") / "rotation.csv")
+    assert meta["seed"] == (11, 0)
+    assert meta["sample_rate_hz"] == 32e3
+    assert samples.size == 7680  # 0.24 s at 32 kHz
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -309,15 +309,19 @@ def test_snl_map_rows_are_the_theory_budget_with_the_knee(fast_config):
     freqs = np.linspace(sm.freq_min, sm.freq_max, sm.freq_bins)
     for gain in (cfg.detector.transimpedance_gain_nominal,
                  sm.second_gain_nominal):
-        rows = amorsim.cli._snl_map_rows(cfg, gain)
+        grid = amorsim.cli._snl_map_rows(cfg, gain)
         budget = theory_budget(cfg, gain)
-        expected = snl_map([replace(
-            budget, detection_freq=float(f), coef_elec=budget.coef_elec
-            * (1.0 + (sm.elec_knee_freq / f) ** 2)) for f in freqs],
-            sm.k_list())
-        assert len(rows) == len(expected) == sm.freq_bins * len(sm.k_list())
-        for row, want in zip(rows, expected):
-            assert row == pytest.approx(want, rel=1e-12), gain
+        assert [freq for freq, _ in grid] == freqs.tolist()
+        for f, (_, windows) in zip(freqs, grid):
+            want = replace(budget, detection_freq=float(f),
+                           coef_elec=budget.coef_elec
+                           * (1.0 + (sm.elec_knee_freq / f) ** 2))
+            assert len(windows) == len(sm.k_list())
+            for window, k in zip(windows, sm.k_list()):
+                expected = snl_range(want, k)
+                assert window.k == k and window.nonempty == expected.nonempty
+                assert (window.p_low, window.p_high) == pytest.approx(
+                    (expected.p_low, expected.p_high), rel=1e-12), gain
 
 
 def test_snl_map_tables_do_not_depend_on_the_seed(mode_run):
@@ -351,6 +355,50 @@ def test_snl_map_outputs(mode_run):
     assert len(fig) == 2 + 4
     assert (out / "snl_map_alt_gain.csv").exists()
     assert sorted(emit_plotdata(out)) == ["fig6_snl.dat", "fig7_snl.dat"]
+
+
+def test_snl_map_figures_hold_one_pair_per_distinct_k(fast_config, tmp_path,
+                                                     monkeypatch):
+    # a repeated margin gets one fig column pair, as it gets one csv row
+    monkeypatch.setenv("AMORSIM_SNLMAP__K_VALUES", "1,1,4")
+    assert main(["snl-map", "--config", fast_config,
+                 "--out", str(tmp_path)]) == 0
+    for stem, fig in (("snl_map", "fig6_snl.dat"),
+                      ("snl_map_alt_gain", "fig7_snl.dat")):
+        columns, data, _meta = read_table(tmp_path / fig)
+        assert columns == ["freq_hz", "p_low_k1_w", "p_high_k1_w",
+                           "p_low_k4_w", "p_high_k4_w"], fig
+        names, cells, _meta = read_table(tmp_path / f"{stem}.csv")
+        table = dict(zip(names, cells))
+        for j, k in enumerate((1.0, 4.0)):
+            of_k = table["k"] == k
+            assert data[0].tolist() == table["freq_hz"][of_k].tolist()
+            assert data[1 + 2 * j].tolist() == table["p_low_w"][of_k].tolist()
+            assert data[2 + 2 * j].tolist() == table["p_high_w"][of_k].tolist()
+        assert table["k"].tolist() == [1.0, 4.0] * 4, stem
+
+
+def test_sensitivity_report_is_the_best_row(mode_run, fast_config):
+    out = mode_run("sensitivity-sweep")
+    names, cells, meta = read_table(out / "sensitivity_sweep.csv")
+    table = dict(zip(names, cells))
+    best = int(np.argmin(table["delta_b_t_per_sqrt_hz"]))
+    cfg = amorsim.cli._load_config(ScenarioSpec("sensitivity-sweep",
+                                                fast_config))
+    report = json.loads((out / "sensitivity_report.json").read_text())
+    assert report == {
+        "gamma_fwhm_hz": table["gamma_fwhm_hz"][best],
+        "snr": table["snr"][best],
+        "snr_provenance": "derived",
+        "snr_convention": "per-sqrt-hz",
+        "delta_b_t_per_sqrt_hz": table["delta_b_t_per_sqrt_hz"][best],
+        "delta_b_atomic_t_per_sqrt_hz": projection_noise(
+            cfg.atom, cfg.analysis.integration_time),
+        "operating_power_w": table["power_w"][best],
+        "detection_freq_hz": meta["detection_freq_hz"],
+        "snl_class": table["snl_class"][best],
+        "seed": 11,
+    }
 
 
 def test_sensitivity_sweep_outputs(mode_run):
@@ -597,11 +645,18 @@ def test_every_float_key_rejects_non_finite(key, value, tmp_path, capsys):
     ("noise-scan", "field.b_field = 100 nT\n"
      "detector.electronic_noise_floor = 1.35e-14\n", "spectrum.bg_window"),
     ("sensitivity-sweep", "field.b_field = 100 nT\n", "spectrum.bg_window"),
-    # a vbw so far below rbw that the video filter's pole rounds to 1.0:
-    # every trace would hold its first bin's level, with exit 0
-    *[(mode, "spectrum.vbw = 1e-20\n"
+    # a vbw so far below rbw that the video filter moves less than one
+    # level across the trace (its pole rounds to 1.0 at 1e-20 Hz): every
+    # trace would stay near its first bins' level, with exit 0
+    *[(mode, f"spectrum.vbw = {vbw}\n"
        "detector.electronic_noise_floor = 1.35e-14\n", "spectrum.vbw")
-      for mode in ("spectrum", "noise-scan", "sensitivity-sweep")],
+      for mode in ("spectrum", "noise-scan", "sensitivity-sweep")
+      for vbw in ("1e-20", "1e-15", "1e-12", "1e-9")],
+    # 3 mHz moves 0.84 levels across the 40 kHz span, 0.084 across the
+    # 4 kHz background window
+    *[(mode, "spectrum.vbw = 3e-3\n"
+       "detector.electronic_noise_floor = 1.35e-14\n", "spectrum.vbw")
+      for mode in ("spectrum", "noise-scan")],
     # the off-resonance trace would stop inside the background window
     *[("spectrum", "spectrum.span = 2000\n", key)
       for key in ("spectrum.span", "spectrum.bg_window")],
@@ -659,6 +714,17 @@ def test_config_faults_exit_2_naming_key(mode, config_text, key, tmp_path,
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert key in err["message"]
+
+
+@pytest.mark.parametrize("mode, vbw", [
+    ("spectrum", "4e-3"), ("spectrum", "0.3"), ("noise-scan", "0.04"),
+    ("noise-scan", "0.3"), ("sensitivity-sweep", "0.04")])
+def test_vbw_that_moves_the_trace_runs(mode, vbw, tmp_path, monkeypatch):
+    # the video filter moves 1.1 levels across spectrum's 40 kHz span at
+    # 4 mHz, and across the 4 kHz background window at 40 mHz
+    monkeypatch.setenv("AMORSIM_SPECTRUM__VBW", vbw)
+    config = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+    assert main([mode, "--config", str(config), "--out", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize("mode, setting, message", [

@@ -4,21 +4,23 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from amorsim import signal_model
 from amorsim.config import AtomConfig, ConfigError, FieldConfig
+from amorsim.detector import DetectedTimeSeries, detected_to_csv
 from amorsim.signal_model import (
     ResonanceParams,
     RotationTimeSeries,
     larmor_doubled_freq,
     lorentzian_quadratures,
     photon_flux,
-    rotation_from_csv,
     rotation_to_csv,
     shot_noise_angle_density,
     synthesize_rotation,
 )
+from amorsim.tables import read_table
 
 
 def complex_quadrature_oracle(delta, phi0, gamma_fwhm):
@@ -351,15 +353,13 @@ def test_rotation_csv_round_trip(tmp_path):
                              sample_rate=8000.0, power=80.5e-6, rng_seed=9)
     path = tmp_path / "rotation.csv"
     rotation_to_csv(ts, path)
-    back = rotation_from_csv(path)
-    np.testing.assert_array_equal(back.samples, ts.samples)
-    assert back.sample_rate == ts.sample_rate
-    assert back.mean_optical_power == ts.mean_optical_power
-    assert back.photon_flux == ts.photon_flux
-    assert back.modulation_freq == ts.modulation_freq
-    assert back.rng_seed == 9
-    # the file stores only the total signal; the noise split is not persisted
-    assert np.all(back.noise_samples == 0.0)
+    columns, (samples,), meta = read_table(path)
+    assert columns == ["sample_rad"]
+    np.testing.assert_array_equal(samples, ts.samples)
+    assert meta == {"sample_rate_hz": ts.sample_rate,
+                    "mean_optical_power_w": ts.mean_optical_power,
+                    "photon_flux_per_s": ts.photon_flux,
+                    "modulation_freq_hz": ts.modulation_freq, "seed": 9}
 
 
 def test_rotation_csv_none_modulation(tmp_path):
@@ -367,6 +367,39 @@ def test_rotation_csv_none_modulation(tmp_path):
                             mean_optical_power=1e-6, photon_flux=4e12)
     path = tmp_path / "bare.csv"
     rotation_to_csv(ts, path)
-    back = rotation_from_csv(path)
-    assert back.modulation_freq is None
-    np.testing.assert_array_equal(back.samples, ts.samples)
+    _columns, (samples,), meta = read_table(path)
+    assert meta["modulation_freq_hz"] is None
+    np.testing.assert_array_equal(samples, ts.samples)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=1e-300, max_value=1e300)
+seeds = st.one_of(st.none(), st.integers(0, 2 ** 63),
+                  st.tuples(st.integers(0, 2 ** 32), st.integers(0, 7)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(samples=hnp.arrays(float, st.integers(1, 300), elements=finite),
+       rate=positive, scalars=st.tuples(finite, finite, finite), seed=seeds,
+       detected=st.booleans())
+def test_series_csv_reads_back_bit_for_bit(tmp_path_factory, samples, rate,
+                                           scalars, seed, detected):
+    # rotation.csv and detected.csv: read_table returns each sample's bits
+    # and the header the writer was given
+    path = tmp_path_factory.mktemp("series") / "series.csv"
+    if detected:
+        ts = DetectedTimeSeries(samples, rate, *scalars, rng_seed=seed)
+        detected_to_csv(ts, path)
+        header = {"sample_rate_hz": rate, "gain_used_v_per_a": scalars[0],
+                  "mean_power_w": scalars[1],
+                  "angle_gain_sqrtw_per_rad": scalars[2], "seed": seed}
+    else:
+        ts = RotationTimeSeries(samples, rate, scalars[0], scalars[1],
+                                rng_seed=seed)
+        rotation_to_csv(ts, path)
+        header = {"sample_rate_hz": rate, "mean_optical_power_w": scalars[0],
+                  "photon_flux_per_s": scalars[1], "modulation_freq_hz": None,
+                  "seed": seed}
+    _columns, (back,), meta = read_table(path)
+    assert back.view(np.uint64).tolist() == samples.view(np.uint64).tolist()
+    assert meta == header
