@@ -8,6 +8,14 @@ compared without ``wall_time_s``. Prints one line per file and exits 1 on
 any difference or on any mode that fails in either tree::
 
     python3 scripts/compare_outputs.py --ref HEAD~1 --seeds 1 2
+
+With ``--faults`` it runs the refusals of ``FAULTS`` instead, in both
+trees, and compares each one's exit status, its stderr JSON and whether
+it left ``--out`` behind. It prints each row with the working tree's
+result (and the revision's, where they differ) and exits 1 on any
+difference::
+
+    python3 scripts/compare_outputs.py --ref HEAD~1 --faults
 """
 
 import argparse
@@ -26,6 +34,34 @@ MODES = ("simulate", "demod-sweep", "spectrum", "noise-scan", "snl-map",
          "sensitivity-sweep")
 CONFIG = "configs/default.cfg"
 
+# (mode, config lines over the built-in defaults), one refusal each: every
+# rule a mode checks for itself, some of the key rules around them, and
+# faults whose order among a mode's checks decides which key is named (the
+# defaults leave detector.electronic_noise_floor at 0, which noise-scan's
+# dark point refuses after its power grid).
+FAULTS = [
+    ("simulate", "sim.sample_rate = 100 kHz"),
+    ("simulate", "sim.duration = 1e12"),
+    ("simulate", "atom.g_f = 0"),
+    ("noise-scan", "sweep.power_points = 2"),
+    ("noise-scan", "noisescan.include_zero = false\nsweep.power_points = 3"),
+    ("noise-scan", "detector.electronic_noise_floor = 0"),
+    ("noise-scan", f"sweep.power_points = {10 ** 15}"),
+    ("noise-scan", "field.b_field = 100 nT"),
+    ("noise-scan", "noisescan.second_b_field = 1e-9"),
+    ("noise-scan", "spectrum.bg_window = 20\n"
+     "detector.electronic_noise_floor = 1.35e-14"),
+    ("demod-sweep", "sweep.freq_points = 5"),
+    ("demod-sweep", "resonance.phi0 = 0"),
+    ("demod-sweep", "field.b_field = 5 nT"),
+    ("demod-sweep", "lockin.output_bandwidth = 1 Hz"),
+    ("spectrum", "field.b_field = 100 nT"),
+    ("spectrum", "spectrum.span = 2000"),
+    ("sensitivity-sweep", "spectrum.rbw = 1"),
+    ("sensitivity-sweep", "saturation.phi0_scale = 1e300"),
+    ("snl-map", "snlmap.elec_knee_freq = 1e300"),
+]
+
 
 def _archive(ref: str, dest: Path) -> None:
     """Unpack the tree of git revision ref into dest."""
@@ -35,18 +71,14 @@ def _archive(ref: str, dest: Path) -> None:
         archive.extractall(dest, filter="data")
 
 
-def _run(tree: Path, mode: str, seed: int, out: Path) -> str:
-    """Run one mode from tree's sources: '' on success, else the exit
-    status and the last line of stderr."""
+def _run(tree: Path, argv: list) -> tuple[int, str]:
+    """Run amorsim with argv from tree's sources, without any AMORSIM_
+    variable: its exit status and the last line of its stderr."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     env = {k: v for k, v in env.items() if not k.startswith("AMORSIM_")}
-    proc = subprocess.run(
-        [sys.executable, "-m", "amorsim", mode, "--config", CONFIG,
-         "--out", str(out), "--seed", str(seed)],
-        cwd=tree, env=env, capture_output=True, text=True)
-    return "" if proc.returncode == 0 else (
-        f"exit {proc.returncode}: "
-        f"{(proc.stderr.strip().splitlines() or [''])[-1]}")
+    proc = subprocess.run([sys.executable, "-m", "amorsim", *argv], cwd=tree,
+                          env=env, capture_output=True, text=True)
+    return proc.returncode, (proc.stderr.strip().splitlines() or [""])[-1]
 
 
 def _digest(path: Path) -> str:
@@ -64,11 +96,40 @@ def _digests(out: Path) -> dict:
     return {p.name: _digest(p) for p in sorted(out.iterdir())}
 
 
+def _refusal(tree: Path, mode: str, setting: str, scratch: Path) -> str:
+    """Exit status, whether --out was left, and stderr of one FAULTS row."""
+    scratch.mkdir(parents=True)
+    config, out = scratch / "fault.cfg", scratch / "out"
+    config.write_text(setting + "\n")
+    code, stderr = _run(tree, [mode, "--config", str(config), "--out",
+                               str(out)])
+    return (f"exit {code}, {'--out left' if out.exists() else 'no --out'}, "
+            f"{stderr}")
+
+
+def _compare_faults(ref_tree: Path, tmp: Path) -> bool:
+    """Print each FAULTS row; True when any differs between the trees."""
+    failed = False
+    for row, (mode, setting) in enumerate(FAULTS):
+        ref, work = (_refusal(tree, mode, setting, tmp / "faults" / side
+                              / str(row))
+                     for side, tree in (("ref", ref_tree), ("work", REPO_ROOT)))
+        verdict = "same" if ref == work else "DIFFERS"
+        failed |= ref != work
+        print(f"{verdict:<8} {mode}: {setting.replace(chr(10), '; ')}")
+        print(f"  work   {work}")
+        if ref != work:
+            print(f"  ref    {ref}")
+    return failed
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--ref", required=True,
                         help="git revision to compare the working tree with")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    parser.add_argument("--faults", action="store_true",
+                        help="compare the FAULTS refusals, not the outputs")
     args = parser.parse_args()
 
     failed = False
@@ -76,15 +137,20 @@ def main() -> int:
         tmp = Path(tmp)
         ref_tree = tmp / "ref"
         _archive(args.ref, ref_tree)
+        if args.faults:
+            return 1 if _compare_faults(ref_tree, tmp) else 0
         for seed in args.seeds:
             for mode in MODES:
                 outs = {}
                 for side, tree in (("ref", ref_tree), ("work", REPO_ROOT)):
                     out = tmp / "out" / side / f"{mode}-{seed}"
-                    error = _run(tree, mode, seed, out)
-                    if error:
+                    code, stderr = _run(tree, [
+                        mode, "--config", CONFIG, "--out", str(out),
+                        "--seed", str(seed)])
+                    if code:
                         failed = True
-                        print(f"FAILED  seed {seed} {mode} ({side}): {error}")
+                        print(f"FAILED  seed {seed} {mode} ({side}): "
+                              f"exit {code}: {stderr}")
                     outs[side] = _digests(out)
                 for name in sorted(outs["ref"].keys() | outs["work"].keys()):
                     ref, work = outs["ref"].get(name), outs["work"].get(name)

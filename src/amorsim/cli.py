@@ -10,8 +10,12 @@ Subcommands map one-to-one to scenario modes::
     amorsim sensitivity-sweep  field sensitivity vs optical power
 
 Every mode writes its data files plus ``manifest.json`` into ``--out``,
-all through ``tables.write_table`` and ``tables.write_json``;
-``tables.read_table`` reads any table back losslessly.
+all through ``tables.write_table`` and ``tables.write_json``, which create
+``--out`` with its first file; ``tables.read_table`` reads any table back
+losslessly. ``config.validate_config`` checks each key and the rules that
+span keys, the same for every mode; the rules only one mode needs are
+checked by its handler before anything is written, so a refused run leaves
+no ``--out`` behind.
 Exit codes: 0 success, 2 configuration error (an array too large to
 allocate counts as one, blamed on the key that sized it), 3 numerical
 failure, 4 I/O error; failures print a single JSON object to stderr.
@@ -86,6 +90,7 @@ from .config import (
     ConfigError,
     ExperimentConfig,
     FieldConfig,
+    _require,
     apply_env_overrides,
     config_as_dict,
     load_config_file,
@@ -168,7 +173,7 @@ def _load_config(spec: ScenarioSpec) -> ExperimentConfig:
     if spec.config_path is not None:
         cfg = load_config_file(spec.config_path, base=cfg)
     apply_env_overrides(cfg)
-    return validate_config(cfg, spec.mode)
+    return validate_config(cfg)
 
 
 def _center_freq(field: FieldConfig) -> float:
@@ -195,24 +200,6 @@ def _power_grid(cfg: ExperimentConfig) -> np.ndarray:
                           f"from {sw.power_min!r} W (sweep.power_min) to "
                           f"{sw.power_max!r} W (sweep.power_max) do not increase")
     return grid
-
-
-def _require_dark_floor(cfg: ExperimentConfig, key: str) -> None:
-    """A zero-power trace fixes the electronic term, so it must not be empty."""
-    if cfg.detector.electronic_noise_floor <= 0.0:
-        raise ConfigError(
-            f"{key}: needs a nonzero detector.electronic_noise_floor (the "
-            "zero-power trace would be empty)"
-        )
-
-
-def _require_positive_sweep(center: float, halfspan: float) -> None:
-    """The demod-sweep grid must stay above 0 Hz: it sets the carriers."""
-    if center - halfspan <= 0.0:
-        raise ConfigError(
-            f"sweep.freq_halfspan_widths: the grid {center!r} +- {halfspan!r} "
-            "Hz reaches 0 Hz; narrow the sweep or raise field.b_field"
-        )
 
 
 def _require_lockin_fits(cfg: ExperimentConfig, lowest: float) -> None:
@@ -308,9 +295,10 @@ def _bg_band(cfg: ExperimentConfig, field: FieldConfig) -> tuple:
     """The background window around the modulation frequency, above 0 Hz."""
     half, mod = cfg.spectrum.bg_window / 2.0, field.modulation_freq
     if mod - half <= 0.0:
+        key = ("field.b_field" if field == cfg.field_cfg
+               else "noisescan.second_b_field")
         raise ConfigError(f"spectrum.bg_window: {2.0 * half!r} Hz around "
-                          f"{mod!r} Hz reaches 0 Hz; narrow it or raise "
-                          "field.b_field")
+                          f"{mod!r} Hz reaches 0 Hz; narrow it or raise {key}")
     return (mod - half, mod + half)
 
 
@@ -320,6 +308,10 @@ def _bg_band(cfg: ExperimentConfig, field: FieldConfig) -> tuple:
 
 def _run_simulate(cfg: ExperimentConfig, spec: ScenarioSpec,
                   outdir: Path) -> list[str]:
+    mod = cfg.field_cfg.modulation_freq  # only simulate samples at the rate
+    _require(cfg.sim.sample_rate > 4.0 * mod, "sim.sample_rate",
+             cfg.sim.sample_rate,
+             f"must exceed 4x the modulation frequency ({mod!r} Hz)")
     res = ResonanceParams(cfg.resonance.phi0, cfg.resonance.gamma_fwhm,
                           _center_freq(cfg.field_cfg))
     ts = synthesize_rotation(res, cfg.field_cfg, cfg.sim.duration,
@@ -349,16 +341,22 @@ def _demod_point(cfg: ExperimentConfig, res: ResonanceParams, seed: int,
 
 
 def _demod_grid(cfg: ExperimentConfig) -> tuple[ResonanceParams, np.ndarray]:
-    """The resonance demod-sweep measures and its carrier grid."""
+    """The resonance demod-sweep measures and its carrier grid, above 0 Hz."""
+    points, phi0 = cfg.sweep.freq_points, cfg.resonance.phi0
+    _require(points >= 7, "sweep.freq_points", points,
+             "must be >= 7 for the Lorentzian fit")
+    _require(phi0 > 0, "resonance.phi0", phi0,
+             "must be > 0: demod-sweep fits a Lorentzian to the resonance")
     center = _center_freq(cfg.field_cfg)
     halfspan = cfg.sweep.freq_halfspan_widths * cfg.resonance.gamma_fwhm
-    _require_positive_sweep(center, halfspan)
+    if center - halfspan <= 0.0:
+        raise ConfigError(
+            f"sweep.freq_halfspan_widths: the grid {center!r} +- {halfspan!r} "
+            "Hz reaches 0 Hz; narrow the sweep or raise field.b_field")
     _require_lockin_fits(cfg, center - halfspan)
-    points = cfg.sweep.freq_points
     freqs = _allocate("sweep.freq_points", f"{points!r} carriers", np.linspace,
                       center - halfspan, center + halfspan, points)
-    res = ResonanceParams(cfg.resonance.phi0, cfg.resonance.gamma_fwhm, center)
-    return res, freqs
+    return ResonanceParams(phi0, cfg.resonance.gamma_fwhm, center), freqs
 
 
 def _run_demod_sweep(cfg: ExperimentConfig, spec: ScenarioSpec,
@@ -449,8 +447,12 @@ def _noise_scan_at_field(cfg: ExperimentConfig, spec: ScenarioSpec,
     """Noise level vs power at one detection frequency, plus budget fit."""
     powers = list(_power_grid(cfg))
     include_zero = cfg.noisescan.include_zero
-    if include_zero:
-        _require_dark_floor(cfg, "noisescan.include_zero")
+    if include_zero:  # the dark trace fixes the electronic term
+        if cfg.detector.electronic_noise_floor <= 0.0:
+            raise ConfigError(
+                "noisescan.include_zero: needs a nonzero "
+                "detector.electronic_noise_floor (the zero-power trace would "
+                "be empty)")
         powers = [0.0] + powers
     points = list(enumerate(powers))
     chunks = min(spec.workers, len(points))
@@ -466,6 +468,10 @@ def _noise_scan_at_field(cfg: ExperimentConfig, spec: ScenarioSpec,
 
 def _run_noise_scan(cfg: ExperimentConfig, spec: ScenarioSpec,
                     outdir: Path) -> list[str]:
+    points, dark = cfg.sweep.power_points, cfg.noisescan.include_zero
+    _require(points + dark >= 4, "sweep.power_points", points,
+             f"must be >= {4 - dark} with noisescan.include_zero = "
+             f"{str(dark).lower()}: the 3-term noise fit needs 4 points")
     scans = [("noise_scan", "fig4a_noise.dat", cfg.field_cfg)]
     if cfg.noisescan.second_b_field is not None:
         field2 = FieldConfig(
@@ -611,7 +617,6 @@ def run_scenario(spec: ScenarioSpec) -> int:
     started = time.monotonic()
     cfg = _load_config(spec)
     outdir = Path(spec.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     outputs = _HANDLERS[spec.mode](cfg, spec, outdir)
     manifest = {
         "mode": spec.mode,
@@ -677,18 +682,14 @@ def main(argv: Optional[list[str]] = None) -> int:
             seed=args.seed, workers=args.workers,
         )
         return run_scenario(spec)
-    except ConfigError as exc:
-        return _fail(2, exc)
     except MemoryError as exc:  # sim.duration sets every series' length
         return _fail(2, ConfigError(f"sim.duration: a series this long does "
                                     f"not fit in memory ({exc})"))
-    except FitError as exc:
-        return _fail(3, exc)
-    except (FloatingPointError, np.linalg.LinAlgError, ArithmeticError) as exc:
-        return _fail(3, exc)
+    except (FitError, np.linalg.LinAlgError, ArithmeticError) as exc:
+        return _fail(3, exc)  # before ValueError: LinAlgError is one
     except OSError as exc:
         return _fail(4, exc)
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError among them
         return _fail(2, exc)
 
 

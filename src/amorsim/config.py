@@ -23,6 +23,8 @@ Each key's type and bound live in its one ``_KEY_TABLE`` row, which drives
 the parser, the environment overrides, ``serialize_config``, the manifest
 and ``validate_config``; only the rules that span keys, and the
 small-angle ceiling on the two rotation amplitudes, are written out.
+``validate_config`` is the same for every mode: a rule that only one mode
+needs sits with that mode's handler in ``cli``.
 
 Physical constants are not configuration: every module reads the one
 frozen ``constants.CODATA``. The field-to-frequency map
@@ -216,7 +218,7 @@ class SweepSettings:
     power_scale: str = "log"    # "log" | "linear"
     freq_halfspan_widths: float = 4.0  # sweep +- this many FWHM (>= 1) around center
     freq_points: int = 61
-    trace_avg: int = 4  # spectrum pairs averaged per sensitivity-sweep point
+    trace_avg: int = 4  # on/off trace pairs averaged per swept power
 
 
 @dataclass
@@ -313,15 +315,10 @@ def _or_inf(derive) -> float:
         return math.inf
 
 
-def validate_config(cfg: ExperimentConfig,
-                    mode: Optional[str] = None) -> ExperimentConfig:
+def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     """Check each key against its ``_KEY_TABLE`` row, then the cross-key rules.
 
-    ``mode`` adds the rules of one scenario: simulate, the only mode that
-    samples the real series at ``sim.sample_rate``, needs that rate above 4x
-    the modulation frequency; noise-scan needs 4 points for its 3-term noise
-    fit, demod-sweep 7 points and a resonance (phi0 > 0) for its Lorentzian
-    fit. Returns the config with derived values filled; raises ConfigError
+    Returns the config with derived values filled; raises ConfigError
     naming the first violated key and its value.
     """
     for key, (section, attr, kind, bound) in _KEY_TABLE.items():
@@ -366,7 +363,7 @@ def validate_config(cfg: ExperimentConfig,
     for key, gain in (("detector.transimpedance_gain_nominal",
                        cfg.detector.transimpedance_gain_nominal),
                       ("snlmap.second_gain_nominal", sm.second_gain_nominal)):
-        try:  # snl-map reads the budget at both gains
+        try:  # the SNL map reads the budget at both gains
             budget = theory_budget(cfg, gain)
             per_watt = budget.coef_shot + budget.coef_tech
         except (OverflowError, ZeroDivisionError):
@@ -380,24 +377,7 @@ def validate_config(cfg: ExperimentConfig,
                  "derived noise budget A + B*P + C*P^2 at power_max must "
                  "be finite")
 
-    dark = cfg.noisescan.include_zero
-    if mode == "noise-scan":
-        _require(sw.power_points + dark >= 4, "sweep.power_points",
-                 sw.power_points, f"must be >= {4 - dark} with "
-                 f"noisescan.include_zero = {str(dark).lower()}: the 3-term "
-                 "noise fit needs 4 points")
-    if mode == "demod-sweep":
-        _require(sw.freq_points >= 7, "sweep.freq_points", sw.freq_points,
-                 "must be >= 7 for the Lorentzian fit")
-        _require(cfg.resonance.phi0 > 0, "resonance.phi0", cfg.resonance.phi0,
-                 "must be > 0: demod-sweep fits a Lorentzian to the resonance")
-
     cfg.field_cfg = cfg.field_cfg.resolve(cfg.atom)
-    mod = cfg.field_cfg.modulation_freq
-    if mode == "simulate" and mod is not None and mod > 0:
-        _require(cfg.sim.sample_rate > 4.0 * mod, "sim.sample_rate",
-                 cfg.sim.sample_rate,
-                 f"must exceed 4x the modulation frequency ({mod!r} Hz)")
     return cfg
 
 

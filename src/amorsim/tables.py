@@ -63,10 +63,12 @@ def write_table(path, columns, data, meta=()) -> None:
 
     ``meta`` (a mapping or ``(key, value)`` pairs) becomes the comment block.
     Columns must have equal lengths; no title or text cell may hold the
-    separator or a line break, and no ``.dat`` title whitespace.
+    separator or a line break, and no ``.dat`` title whitespace. A missing
+    parent directory is created.
     """
+    path = Path(path)
     lines = [f"# {key} = {_plain(v)!r}" for key, v in dict(meta).items()]
-    sep = " " if Path(path).suffix == ".dat" else ","
+    sep = " " if path.suffix == ".dat" else ","
     for name in columns:
         _check_text(name, [name], sep)
         if sep == " " and name.split() != [name]:  # read back by split()
@@ -82,6 +84,7 @@ def write_table(path, columns, data, meta=()) -> None:
         raise ValueError("columns differ in length: " + ", ".join(
             f"{name}={len(col)}" for name, col in zip(columns, cols)))
     rows = len(cols[0]) if cols else 0
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode())
         for start in range(0, rows, _CHUNK_ROWS):
@@ -376,6 +379,8 @@ def _digit_cells(digits, layout) -> np.ndarray:
 
 
 def write_json(path, doc: dict) -> None:
+    """Write doc as indented, key-sorted JSON, creating a missing parent."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 

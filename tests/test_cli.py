@@ -19,6 +19,7 @@ from amorsim.cli import MODES, ScenarioSpec, emit_plotdata, main, run_scenario
 from amorsim.config import _KEY_TABLE, ConfigError, FieldConfig
 from amorsim.detector import angle_gain_from_chain, theory_budget
 from amorsim.dsp import peak_and_background, psd_estimate
+from amorsim.fitting import FitError
 from amorsim.signal_model import (
     ResonanceParams,
     synthesize_rotation,
@@ -644,6 +645,10 @@ def test_every_float_key_rejects_non_finite(key, value, tmp_path, capsys):
     ("spectrum", "field.b_field = 100 nT\n", "spectrum.bg_window"),
     ("noise-scan", "field.b_field = 100 nT\n"
      "detector.electronic_noise_floor = 1.35e-14\n", "spectrum.bg_window"),
+    # the second scan's 9.33 Hz modulation: its field is the one to raise
+    ("noise-scan", "noisescan.second_b_field = 1e-9\n"
+     "detector.electronic_noise_floor = 1.35e-14\n",
+     "noisescan.second_b_field"),
     ("sensitivity-sweep", "field.b_field = 100 nT\n", "spectrum.bg_window"),
     # a vbw so far below rbw that the video filter moves less than one
     # level across the trace (its pole rounds to 1.0 at 1e-20 Hz): every
@@ -714,6 +719,7 @@ def test_config_faults_exit_2_naming_key(mode, config_text, key, tmp_path,
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert key in err["message"]
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("mode, vbw", [
@@ -751,6 +757,7 @@ def test_analyzer_misfits_exit_2_before_synthesis(mode, setting, message,
     assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "ConfigError", "message": message, "exit_code": 2}
+    assert not (tmp_path / "o").exists()
 
 
 def test_spectrum_background_window_between_bins_exits_2(tmp_path, capsys):
@@ -768,16 +775,42 @@ def test_spectrum_background_window_between_bins_exits_2(tmp_path, capsys):
 
 def test_sample_rate_must_clear_modulation(tmp_path, capsys):
     # only simulate samples the real series at sim.sample_rate, and
-    # 4x 70.9 kHz > 100 kHz
+    # 4x 70.9 kHz > 100 kHz; spectrum reads the envelope of its span
     cfg = tmp_path / "slow.cfg"
     cfg.write_text("sim.sample_rate = 100 kHz\n")
+    assert main(["spectrum", "--config", str(cfg),
+                 "--out", str(tmp_path / "spectrum")]) == 0
     assert main(["simulate", "--config", str(cfg),
                  "--out", str(tmp_path / "o")]) == 2
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ConfigError"
-    assert err["message"] == (
+    assert err == {"error": "ConfigError", "exit_code": 2, "message": (
         "sim.sample_rate: must exceed 4x the modulation frequency "
-        "(70914.307579755 Hz) (got 100000.0)")
+        "(70914.307579755 Hz) (got 100000.0)")}
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("exc, code, error, message", [
+    (ConfigError("sweep.power_points: bad"), 2, "ConfigError",
+     "sweep.power_points: bad"),
+    (ValueError("bad value"), 2, "ValueError", "bad value"),
+    (MemoryError("no room"), 2, "ConfigError", "sim.duration: a series this "
+     "long does not fit in memory (no room)"),
+    (FitError("no convergence"), 3, "FitError", "no convergence"),
+    (np.linalg.LinAlgError("singular"), 3, "LinAlgError", "singular"),
+    (FloatingPointError("underflow"), 3, "FloatingPointError", "underflow"),
+    (OverflowError("too large"), 3, "OverflowError", "too large"),
+    (OSError("disk full"), 4, "OSError", "disk full"),
+])
+def test_each_failure_class_maps_to_its_exit_code(exc, code, error, message,
+                                                  tmp_path, capsys,
+                                                  monkeypatch):
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setitem(amorsim.cli._HANDLERS, "snl-map", fail)
+    assert main(["snl-map", "--out", str(tmp_path / "o")]) == code
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": error, "message": message, "exit_code": code}
 
 
 def test_modes_reading_a_band_run_at_75_uT(tmp_path, monkeypatch):

@@ -1,7 +1,9 @@
+import json
 import math
 
 import pytest
 
+from amorsim.cli import ScenarioSpec, _run_simulate, main
 from amorsim.config import (
     _KEY_TABLE,
     AtomConfig,
@@ -140,12 +142,12 @@ def test_field_resolution_rejects_negative_field():
         FieldConfig(b_field=-1e-6).resolve(AtomConfig())
 
 
-def test_sample_rate_must_clear_modulation():
+def test_sample_rate_must_clear_modulation(tmp_path):
     cfg = parse_config_text("sim.sample_rate = 100 kHz")  # 4x 70.9 kHz > 100k
     validate_config(cfg)  # only simulate samples the real series
     with pytest.raises(ConfigError, match="sim.sample_rate"):
-        validate_config(parse_config_text("sim.sample_rate = 100 kHz"),
-                        "simulate")
+        _run_simulate(cfg, ScenarioSpec("simulate"), tmp_path / "o")
+    assert not (tmp_path / "o").exists()
 
 
 def test_load_config_file(tmp_path):
@@ -309,11 +311,16 @@ BOUND_VIOLATIONS = [
 
 
 @pytest.mark.parametrize("key,value,message", BOUND_VIOLATIONS)
-def test_every_bound_names_key_and_rule(key, value, message):
-    cfg = parse_config_text(f"{key} = {value}")
-    with pytest.raises(ConfigError) as err:  # simulate binds every rule
-        validate_config(cfg, "simulate")
-    assert str(err.value) == message
+def test_every_bound_names_key_and_rule(key, value, message, tmp_path,
+                                        capsys):
+    # simulate binds every rule: validate_config's and its own sample rate
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"{key} = {value}\n")
+    assert main(["simulate", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ConfigError", "message": message, "exit_code": 2}
+    assert not (tmp_path / "o").exists()
 
 
 def test_bound_violations_cover_every_bounded_key():

@@ -108,6 +108,17 @@ def test_write_json_format(tmp_path):
     )
 
 
+def test_writers_create_a_missing_parent(tmp_path):
+    table, doc = tmp_path / "a" / "b" / "t.dat", tmp_path / "c" / "d.json"
+    with pytest.raises(ValueError, match="differ in length"):
+        write_table(table, ["x", "y"], [[1.0], []])
+    assert not (tmp_path / "a").exists()  # a refused table makes no parent
+    write_table(table, ["x"], [[1.0]])
+    write_json(doc, {"x": 1})
+    assert read_table(table)[1][0].tolist() == [1.0]
+    assert doc.read_text() == '{\n  "x": 1\n}\n'
+
+
 # ---------------------------------------------------------------------------
 # The vectorized float formatter
 # ---------------------------------------------------------------------------
