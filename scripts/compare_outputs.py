@@ -36,17 +36,20 @@ CONFIG = "configs/default.cfg"
 
 # (mode, config lines over the built-in defaults), one refusal each: every
 # rule a mode checks for itself, some of the key rules around them, and
-# faults whose order among a mode's checks decides which key is named (the
-# defaults leave detector.electronic_noise_floor at 0, which noise-scan's
-# dark point refuses after its power grid).
+# faults whose order among a mode's checks decides which key is named
+# (noise-scan's dark point, which needs a nonzero
+# detector.electronic_noise_floor, is refused after its power grid; the
+# defaults leave the floor at 0 and the dark point off).
 FAULTS = [
     ("simulate", "sim.sample_rate = 100 kHz"),
     ("simulate", "sim.duration = 1e12"),
     ("simulate", "atom.g_f = 0"),
-    ("noise-scan", "sweep.power_points = 2"),
+    ("noise-scan", "noisescan.include_zero = true\nsweep.power_points = 2"),
     ("noise-scan", "noisescan.include_zero = false\nsweep.power_points = 3"),
-    ("noise-scan", "detector.electronic_noise_floor = 0"),
-    ("noise-scan", f"sweep.power_points = {10 ** 15}"),
+    ("noise-scan", "noisescan.include_zero = true\n"
+     "detector.electronic_noise_floor = 0"),
+    ("noise-scan", "noisescan.include_zero = true\n"
+     f"sweep.power_points = {10 ** 15}"),
     ("noise-scan", "field.b_field = 100 nT"),
     ("noise-scan", "noisescan.second_b_field = 1e-9"),
     ("noise-scan", "spectrum.bg_window = 20\n"

@@ -42,12 +42,16 @@ its 4-word pool with zeros, so ``(seed, 0)`` names ``(seed, 0, 0)``'s
 stream, while ``(1, 2, 3, 1)`` and ``(1, 2, 3, 1, 0)`` differ.
 
 The analyzer modes build their series as the rows of one array, each row
-on its own stream: ``_detected_stack`` allocates it from its row count
-and writes each row in place. Each stack goes to one ``psd_estimate``:
-spectrum its on/off pair, sensitivity-sweep the ``trace_avg`` on/off pairs
-of one power, noise-scan a contiguous chunk of one scan's powers, one chunk
-per worker. A row's trace does not depend on the other rows, so the
-chunking leaves the bytes as they are.
+on its own stream: ``_detected_stack`` allocates it from its row count,
+draws each row's noise straight into the row and adds the coherent wave,
+synthesized once per distinct (resonance, power) of the stack: a
+sensitivity-sweep point's eight rows need two, its on and off sides, and
+a side with no deterministic part adds nothing. Each stack goes to one
+``psd_estimate``: spectrum its on/off pair, sensitivity-sweep the
+``trace_avg`` on/off pairs of one power, which it reads in place, noise-scan
+a contiguous chunk of one scan's powers, one chunk per worker. A row's
+trace does not depend on the other rows, so the chunking leaves the bytes
+as they are.
 
 Analyzer bands. Every mode but simulate builds only the band its analyzer
 or lock-in reads, as the complex envelope of that band at a rate just
@@ -104,8 +108,10 @@ from .detector import (
     theory_budget,
 )
 from .dsp import (
+    PowerSpectrum,
     _analyzer_window,
     _envelope_grid,
+    _peak_and_window,
     _segment_length,
     _video_pole,
     peak_and_background,
@@ -270,21 +276,36 @@ def _detected_stack(cfg: ExperimentConfig, field: FieldConfig,
     allocated before the first row is built, a size numpy refuses blamed
     on count_key. The rows share the band's sample rate and centre; the
     other scalar fields describe the first row only.
+
+    Each row's draw lands in the row itself, and the scaled coherent wave
+    is added onto it. The wave, its gain and the density are worked out
+    once per distinct (res, power), at most two held at a time: a
+    sensitivity-sweep point's on and off sides. A resonance with no
+    deterministic part adds nothing.
     """
     center, rate, n = _series_grid(cfg, band)
     budget, det = theory_budget(cfg), cfg.detector
     samples = _allocate(count_key, f"{count!r} rows of {n!r} samples "
                         f"(sim.duration = {cfg.sim.duration!r} s)", np.empty,
                         (count, n), float if center is None else complex)
+    waves = {}  # (res fields, power) -> (density, gain, scaled wave or None)
     for row, (res, power, key) in enumerate(rows):
-        coherent = synthesize_rotation(
-            res, field, cfg.sim.duration, rate, power, shot_noise=False,
-            wavelength=cfg.atom.probe_wavelength, center_freq=center)
-        gain = angle_gain_from_chain(det, coherent.photon_flux)
-        np.multiply(coherent.samples, gain, out=samples[row])
-        samples[row] += white_noise(np.random.default_rng(key + (0,)),
-                                    budget.eval(power), rate, n,
-                                    center is not None)
+        point = (res.phi0, res.gamma_fwhm, res.center_freq, power)
+        if point not in waves:
+            if len(waves) == 2:
+                waves.clear()
+            coherent = synthesize_rotation(
+                res, field, cfg.sim.duration, rate, power, shot_noise=False,
+                wavelength=cfg.atom.probe_wavelength, center_freq=center)
+            gain = angle_gain_from_chain(det, coherent.photon_flux)
+            wave = (None if coherent.samples is coherent.noise_samples
+                    else coherent.samples * gain)
+            waves[point] = budget.eval(power), gain, wave
+        density, gain, wave = waves[point]
+        white_noise(np.random.default_rng(key + (0,)), density, rate, n,
+                    center is not None, out=samples[row])
+        if wave is not None:
+            samples[row] += wave
         if row == 0:
             first = DetectedTimeSeries(samples, rate, det.gain_effective,
                                        power, gain, key + (0,), center)
@@ -373,12 +394,13 @@ def _run_demod_sweep(cfg: ExperimentConfig, spec: ScenarioSpec,
     return ["resonance_curve.csv", "resonance_fit.json", "fig2_resonance.dat"]
 
 
-def _spectrum_pairs(cfg: ExperimentConfig, keys: Iterable, count: int,
+def _spectrum_stack(cfg: ExperimentConfig, keys: Iterable, count: int,
                     power: float, phi0: float, gamma_fwhm: float,
                     band: Optional[tuple], span: Optional[tuple] = None,
-                    count_key: str = "sim.duration") -> list:
-    """(on, off)-resonance analyzer traces of the band, sliced to span,
-    for each of the count keys: all of them rows of one stacked estimate."""
+                    count_key: str = "sim.duration") -> PowerSpectrum:
+    """The on- and off-resonance analyzer traces of the band, sliced to
+    span, for each of the count keys: one stacked estimate whose rows
+    alternate on, off key by key."""
     field = cfg.field_cfg
     center = _center_freq(field)
     sides = [ResonanceParams(amplitude, gamma_fwhm, center)
@@ -386,9 +408,7 @@ def _spectrum_pairs(cfg: ExperimentConfig, keys: Iterable, count: int,
     rows = ((res, power, key + (side,))
             for key in keys for side, res in enumerate(sides))
     stack = _detected_stack(cfg, field, band, rows, 2 * count, count_key)
-    traces = psd_estimate(stack, cfg.spectrum.rbw, cfg.spectrum.vbw,
-                          span=span).rows()
-    return list(zip(traces[0::2], traces[1::2]))
+    return psd_estimate(stack, cfg.spectrum.rbw, cfg.spectrum.vbw, span=span)
 
 
 def _run_spectrum(cfg: ExperimentConfig, spec: ScenarioSpec,
@@ -397,10 +417,10 @@ def _run_spectrum(cfg: ExperimentConfig, spec: ScenarioSpec,
     _bg_band(cfg, cfg.field_cfg)  # the window peak_and_background averages
     span = (max(mod - sp.span / 2.0, 0.0), mod + sp.span / 2.0)
     _require_analyzer_fits(cfg, span, "spectrum.span")
-    [(spec_on, spec_off)] = _spectrum_pairs(
+    spec_on, spec_off = _spectrum_stack(
         cfg, [(spec.seed,)], 1, cfg.sim.probe_power, cfg.resonance.phi0,
         cfg.resonance.gamma_fwhm, span, span,
-    )
+    ).rows()
     try:
         s_sig, s_bg = peak_and_background(spec_on, spec_off, mod, sp.bg_window)
     except ValueError as exc:  # the window overruns the trace or skips its bins
@@ -541,12 +561,15 @@ def _sweep_point_sensitivity(args):
     band = _bg_band(cfg, cfg.field_cfg)
     traces = cfg.sweep.trace_avg
     keys = ((spec_seed, index, trace) for trace in range(traces))
-    pairs = _spectrum_pairs(cfg, keys, traces, power, phi0, gamma, band,
-                            count_key="sweep.trace_avg")
-    parts = [peak_and_background(on, off, mod, cfg.spectrum.bg_window)
-             for on, off in pairs]
-    s_sig, s_bg = (sum(column) / traces for column in zip(*parts))
-    snr = compute_snr(s_sig, s_bg, pairs[0][0].enbw)
+    spectra = _spectrum_stack(cfg, keys, traces, power, phi0, gamma, band,
+                              count_key="sweep.trace_avg")
+    # peak_and_background's reads, found and checked once for all traces
+    peak, sel = _peak_and_window(spectra.freqs, spectra.freqs, mod,
+                                 cfg.spectrum.bg_window)
+    s_sig = sum(float(on[peak]) for on in spectra.psd[0::2]) / traces
+    # row by row: a mean along the axis of the 2-D stack rounds differently
+    s_bg = sum(float(off[sel].mean()) for off in spectra.psd[1::2]) / traces
+    snr = compute_snr(s_sig, s_bg, spectra.enbw)
     delta_b = sensitivity(gamma, snr, cfg.atom.g_f)
     return {
         "power_w": power, "phi0_rad": phi0, "gamma_fwhm_hz": gamma,

@@ -276,7 +276,9 @@ class AnalysisSettings:
 
 @dataclass
 class NoiseScanSettings:
-    include_zero: bool = True
+    # A zero-power point fixes the electronic term; it needs a nonzero
+    # detector.electronic_noise_floor, which is 0 by default.
+    include_zero: bool = False
     # Optional second scan at a different static field (hence detection
     # frequency); none = skip. Like the first scan, it reads the envelope of
     # the background window, so no sample rate needs to follow the field.

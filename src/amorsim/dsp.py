@@ -467,6 +467,40 @@ def psd_estimate(ts: AnySeries, rbw: float, vbw: Optional[float] = None,
     return PowerSpectrum(freqs=freqs, psd=psd, rbw=rbw, vbw=vbw, enbw=enbw)
 
 
+def _peak_and_window(on_freqs: np.ndarray, off_freqs: np.ndarray,
+                     mod_freq: float, bg_window: float
+                     ) -> tuple[int, np.ndarray]:
+    """peak_and_background's reads of the two frequency grids: the on bin
+    nearest mod_freq and the off bins within mod_freq +- bg_window/2.
+
+    Refuses a grid that does not cover what is read, or a window holding no
+    bin, so a stack of spectra on one grid is checked once for all its rows.
+    """
+    if not bg_window > 0:
+        raise ValueError(f"bg_window must be > 0, got {bg_window!r}")
+    if not on_freqs[0] <= mod_freq <= on_freqs[-1]:
+        raise ValueError(
+            f"spec_on span [{on_freqs[0]!r}, {on_freqs[-1]!r}] "
+            f"does not cover mod_freq {mod_freq!r}"
+        )
+    if (off_freqs[0] > mod_freq - bg_window / 2.0
+            or off_freqs[-1] < mod_freq + bg_window / 2.0):
+        raise ValueError(
+            f"spec_off span [{off_freqs[0]!r}, {off_freqs[-1]!r}] "
+            f"does not cover mod_freq {mod_freq!r} +- bg_window/2 "
+            f"({bg_window / 2.0!r})"
+        )
+    idx = int(np.argmin(np.abs(on_freqs - mod_freq)))
+    sel = np.abs(off_freqs - mod_freq) <= bg_window / 2.0
+    if not np.any(sel):
+        raise ValueError(
+            f"bg_window {bg_window!r} around mod_freq {mod_freq!r} holds no "
+            f"spec_off bin (bins {off_freqs[1] - off_freqs[0]!r} "
+            "Hz apart)"
+        )
+    return idx, sel
+
+
 def peak_and_background(spec_on: PowerSpectrum, spec_off: PowerSpectrum,
                         mod_freq: float, bg_window: float = 4e3
                         ) -> tuple[float, float]:
@@ -475,31 +509,9 @@ def peak_and_background(spec_on: PowerSpectrum, spec_off: PowerSpectrum,
     s_sig is the on-spectrum value at the bin nearest mod_freq; s_bg the
     mean of the off-spectrum over mod_freq +- bg_window/2.
     """
-    if not bg_window > 0:
-        raise ValueError(f"bg_window must be > 0, got {bg_window!r}")
-    if not spec_on.freqs[0] <= mod_freq <= spec_on.freqs[-1]:
-        raise ValueError(
-            f"spec_on span [{spec_on.freqs[0]!r}, {spec_on.freqs[-1]!r}] "
-            f"does not cover mod_freq {mod_freq!r}"
-        )
-    if (spec_off.freqs[0] > mod_freq - bg_window / 2.0
-            or spec_off.freqs[-1] < mod_freq + bg_window / 2.0):
-        raise ValueError(
-            f"spec_off span [{spec_off.freqs[0]!r}, {spec_off.freqs[-1]!r}] "
-            f"does not cover mod_freq {mod_freq!r} +- bg_window/2 "
-            f"({bg_window / 2.0!r})"
-        )
-    idx = int(np.argmin(np.abs(spec_on.freqs - mod_freq)))
-    s_sig = float(spec_on.psd[idx])
-    sel = np.abs(spec_off.freqs - mod_freq) <= bg_window / 2.0
-    if not np.any(sel):
-        raise ValueError(
-            f"bg_window {bg_window!r} around mod_freq {mod_freq!r} holds no "
-            f"spec_off bin (bins {spec_off.freqs[1] - spec_off.freqs[0]!r} "
-            "Hz apart)"
-        )
-    s_bg = float(spec_off.psd[sel].mean())
-    return s_sig, s_bg
+    idx, sel = _peak_and_window(spec_on.freqs, spec_off.freqs, mod_freq,
+                                bg_window)
+    return float(spec_on.psd[idx]), float(spec_off.psd[sel].mean())
 
 
 # ---------------------------------------------------------------------------

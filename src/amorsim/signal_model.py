@@ -168,17 +168,26 @@ def shot_noise_angle_density(flux: float) -> float:
 
 
 def white_noise(rng: np.random.Generator, density: float,
-                sample_rate: float, n: int, envelope: bool) -> np.ndarray:
+                sample_rate: float, n: int, envelope: bool,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
     """n samples of white Gaussian noise of one-sided PSD density.
 
     Real with variance density * sample_rate / 2; for an envelope, one draw
     of 2n values viewed as circular complex noise with variance
     density * sample_rate / 4 per component (two-sided density density/2).
+
+    Written into out (n contiguous samples, complex for an envelope) when
+    given, else into a new array, and returned. The standard normals are
+    drawn in place and scaled by sigma: the bits of
+    ``rng.normal(0.0, sigma, n)`` (2n viewed as complex for an envelope),
+    but for the sign of a zero, which normal's ``0.0 + sigma * z`` makes +0.
     """
-    if envelope:
-        sigma = math.sqrt(density * sample_rate / 4.0)
-        return rng.normal(0.0, sigma, 2 * n).view(complex)
-    return rng.normal(0.0, math.sqrt(density * sample_rate / 2.0), n)
+    if out is None:
+        out = np.empty(n, complex if envelope else float)
+    draws = out.view(float)
+    rng.standard_normal(out=draws)
+    draws *= math.sqrt(density * sample_rate / (4.0 if envelope else 2.0))
+    return out
 
 
 @functools.lru_cache(maxsize=8)

@@ -23,7 +23,6 @@ from amorsim.fitting import FitError
 from amorsim.signal_model import (
     ResonanceParams,
     synthesize_rotation,
-    white_noise,
 )
 from amorsim.tables import read_table, write_json, write_table
 
@@ -52,6 +51,7 @@ snlmap.freq_min = 5 kHz
 snlmap.freq_max = 65 kHz
 snlmap.freq_bins = 4
 snlmap.k_values = 1,4
+noisescan.include_zero = true
 noisescan.second_b_field = none
 """
 
@@ -256,16 +256,32 @@ def test_stacked_analyzer_matches_per_point_estimates(mode_run, fast_config):
     assert table["s_bg_w_per_hz"].tolist() == s_bg
 
 
+def _reference_row(cfg, field, band, res, power, key):
+    """One analyzer row built alone: the coherent rotation at the chain's
+    angle gain plus numpy's normal draw from stream key+(0,) at the
+    budget's density."""
+    center, rate, n = amorsim.cli._series_grid(cfg, band)
+    coherent = synthesize_rotation(
+        res, field, cfg.sim.duration, rate, power, shot_noise=False,
+        wavelength=cfg.atom.probe_wavelength, center_freq=center)
+    gain = angle_gain_from_chain(cfg.detector, coherent.photon_flux)
+    envelope = center is not None
+    sigma = math.sqrt(theory_budget(cfg).eval(power) * rate
+                      / (4.0 if envelope else 2.0))
+    noise = np.random.default_rng(key + (0,)).normal(
+        0.0, sigma, 2 * n if envelope else n)
+    return coherent.samples * gain + (noise.view(complex) if envelope
+                                      else noise)
+
+
 @given(sides=st.lists(st.sampled_from([0, 1]), min_size=1, max_size=9),
        powers=st.lists(st.sampled_from([0.0, 20e-6, 80.5e-6, 200e-6]),
                        min_size=9, max_size=9),
        band=st.sampled_from(["real", "bg_window", "offset"]))
 def test_detected_stack_rows_are_chain_series_bit_for_bit(fast_config, sides,
                                                          powers, band):
-    # each row written in place equals the row built alone: the coherent
-    # rotation at the chain's angle gain plus one draw from stream key+(0,)
-    # at the budget's density; real and envelope stacks, on and off
-    # resonance, dark rows
+    # each row written in place equals the row built alone; real and
+    # envelope stacks, on and off resonance, dark rows
     cfg = amorsim.cli._load_config(ScenarioSpec("sensitivity-sweep",
                                                 fast_config))
     field = cfg.field_cfg
@@ -281,15 +297,8 @@ def test_detected_stack_rows_are_chain_series_bit_for_bit(fast_config, sides,
     center, rate, n = amorsim.cli._series_grid(cfg, band)
     assert stack.samples.shape == (len(rows), n)
     assert (stack.sample_rate, stack.center_freq) == (rate, center)
-    budget = theory_budget(cfg)
     for row, (res, power, key) in enumerate(rows):
-        coherent = synthesize_rotation(
-            res, field, cfg.sim.duration, rate, power, shot_noise=False,
-            wavelength=cfg.atom.probe_wavelength, center_freq=center)
-        gain = angle_gain_from_chain(cfg.detector, coherent.photon_flux)
-        expected = coherent.samples * gain + white_noise(
-            np.random.default_rng(key + (0,)), budget.eval(power), rate, n,
-            center is not None)
+        expected = _reference_row(cfg, field, band, res, power, key)
         assert stack.samples[row].tobytes() == expected.tobytes(), row
         alone = amorsim.cli._detected_stack(cfg, field, band, [rows[row]], 1)
         assert alone.samples.tobytes() == expected.tobytes(), row
@@ -515,6 +524,45 @@ def test_default_sensitivity_sweep_builds_one_generator_per_row(tmp_path,
     assert len(keys) == rows == 168
 
 
+def test_default_sweep_point_synthesizes_once_per_side(monkeypatch):
+    # a default point's 8 rows, trace_avg on/off pairs of one power, take
+    # one synthesis per distinct (resonance, power), not one per row, and
+    # each row is still the row built alone
+    config = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+    cfg = amorsim.cli._load_config(ScenarioSpec("sensitivity-sweep",
+                                                str(config)))
+    calls, stacks = [], []
+    synthesize, estimate = amorsim.cli.synthesize_rotation, psd_estimate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return synthesize(*args, **kwargs)
+
+    def recorded(ts, *args, **kwargs):
+        stacks.append(ts.samples.copy())
+        return estimate(ts, *args, **kwargs)
+
+    monkeypatch.setattr(amorsim.cli, "synthesize_rotation", counted)
+    monkeypatch.setattr(amorsim.cli, "psd_estimate", recorded)
+    index = 10
+    power = float(amorsim.cli._power_grid(cfg)[index])
+    amorsim.cli._sweep_point_sensitivity((cfg, 7, index, power))
+    traces = cfg.sweep.trace_avg
+    assert len(calls) <= 2 < 2 * traces
+    [stack] = stacks
+    assert stack.shape[0] == 2 * traces
+    field, sat = cfg.field_cfg, cfg.saturation
+    band = amorsim.cli._bg_band(cfg, field)
+    sides = [ResonanceParams(phi0, sat.gamma_at(power),
+                             amorsim.cli._center_freq(field))
+             for phi0 in (sat.phi0_at(power), 0.0)]
+    for trace in range(traces):
+        for side, res in enumerate(sides):
+            expected = _reference_row(cfg, field, band, res, power,
+                                      (7, index, trace, side))
+            assert stack[2 * trace + side].tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Configuration plumbing
 # ---------------------------------------------------------------------------
@@ -549,13 +597,23 @@ def test_bad_env_override_exits_2(fast_config, tmp_path, monkeypatch, capsys):
     assert "sim.sample_rate" in err["message"]
 
 
-def test_runs_without_config_file(tmp_path):
-    # defaults carry a complete full-scale setup; just run the cheapest mode
+def _run_on_defaults(mode, tmp_path):
     out = tmp_path / "defaults"
-    assert main(["simulate", "--out", str(out), "--seed", "1"]) == 0
+    assert main([mode, "--out", str(out), "--seed", "1"]) == 0
     doc = json.loads((out / "manifest.json").read_text())
     assert doc["config_path"] is None
     assert doc["config"]["field.b_field"] == 7.6e-6
+
+
+def test_runs_without_config_file(tmp_path):
+    # defaults carry a complete full-scale setup; the cheapest mode runs it
+    _run_on_defaults("simulate", tmp_path)
+
+
+@pytest.mark.parametrize("mode", [m for m in MODES if m != "simulate"])
+def test_every_mode_runs_without_config_file(mode, tmp_path):
+    # the same defaults are complete for every analysing mode too
+    _run_on_defaults(mode, tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -683,12 +741,18 @@ def test_every_float_key_rejects_non_finite(key, value, tmp_path, capsys):
        key) for key in ("sweep.power_points", "sweep.power_min",
                         "sweep.power_max")],
     # too few points for the 3-term noise fit (4, counting the dark point)
-    # or the Lorentzian fit (7)
-    *[("noise-scan", setting, key)
-      for setting in ("sweep.power_points = 2\n",
-                      "noisescan.include_zero = false\n"
-                      "sweep.power_points = 3\n")
+    # or the Lorentzian fit (7); the dark-point rows keep their ids, which
+    # name the point count only
+    *[pytest.param("noise-scan", "noisescan.include_zero = true\n"
+                   "sweep.power_points = 2\n", key,
+                   id=f"noise-scan-sweep.power_points = 2\n-{key}")
       for key in ("sweep.power_points", "noisescan.include_zero")],
+    *[("noise-scan", "noisescan.include_zero = false\n"
+       "sweep.power_points = 3\n", key)
+      for key in ("sweep.power_points", "noisescan.include_zero")],
+    # a dark point on the built-in zero electronic floor reads nothing
+    ("noise-scan", "noisescan.include_zero = true\n",
+     "detector.electronic_noise_floor"),
     ("demod-sweep", "sweep.freq_points = 5\n", "sweep.freq_points"),
     # no resonance to fit: the fit blamed the sweep and exited 3
     ("demod-sweep", "resonance.phi0 = 0\n", "resonance.phi0"),
@@ -696,9 +760,11 @@ def test_every_float_key_rejects_non_finite(key, value, tmp_path, capsys):
     ("spectrum", "resonance.phi0 = 1e300\n", "resonance.phi0"),
     ("sensitivity-sweep", "saturation.phi0_scale = 1e300\n",
      "saturation.phi0_scale"),
-    # a grid of 1e15 points: numpy refuses it at allocation
+    # a grid of 1e15 points: numpy refuses it at allocation, noise-scan's
+    # before the dark point's floor rule
+    ("noise-scan", f"sweep.power_points = {10 ** 15}\n"
+     "noisescan.include_zero = true\n", "sweep.power_points"),
     *[(mode, f"{key} = {10 ** 15}\n", key) for mode, key in (
-        ("noise-scan", "sweep.power_points"),
         ("sensitivity-sweep", "sweep.power_points"),
         ("snl-map", "snlmap.freq_bins"),
         ("demod-sweep", "sweep.freq_points"))],

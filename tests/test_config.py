@@ -95,12 +95,12 @@ def test_env_overrides():
     apply_env_overrides(cfg, environ={
         "AMORSIM_RESONANCE__GAMMA_FWHM": "80 Hz",
         "AMORSIM_SWEEP__POWER_POINTS": "9",
-        "AMORSIM_NOISESCAN__INCLUDE_ZERO": "false",
+        "AMORSIM_NOISESCAN__INCLUDE_ZERO": "true",
         "SOMETHING_ELSE": "ignored",
     })
     assert cfg.resonance.gamma_fwhm == 80.0
     assert cfg.sweep.power_points == 9
-    assert cfg.noisescan.include_zero is False
+    assert cfg.noisescan.include_zero is True
 
 
 def test_env_override_bad_value_raises():

@@ -199,8 +199,8 @@ def _peak_and_background(cfg, band, power, phi0, span=None, low_band=None):
     gamma = cfg.resonance.gamma_fwhm
     rows = []
     for seed in SEEDS:
-        [(on, off)] = cli._spectrum_pairs(cfg, [(seed,)], 1, power, phi0,
-                                          gamma, band, span)
+        on, off = cli._spectrum_stack(cfg, [(seed,)], 1, power, phi0,
+                                      gamma, band, span).rows()
         row = list(peak_and_background(on, off, mod, cfg.spectrum.bg_window))
         if low_band is not None:
             sel = (off.freqs >= low_band[0]) & (off.freqs <= low_band[1])
@@ -272,8 +272,8 @@ def test_envelope_snr_estimator_is_unbiased_across_seeds(power):
     phi0 = cfg.resonance.phi0
     snrs = []
     for seed in SEEDS:
-        [(on, off)] = cli._spectrum_pairs(cfg, [(seed,)], 1, power, phi0,
-                                          cfg.resonance.gamma_fwhm, band)
+        on, off = cli._spectrum_stack(cfg, [(seed,)], 1, power, phi0,
+                                      cfg.resonance.gamma_fwhm, band).rows()
         s_sig, s_bg = peak_and_background(on, off, mod, cfg.spectrum.bg_window)
         snrs.append(compute_snr(s_sig, s_bg, on.enbw))
     mean, sem = _mean_and_sem(snrs)

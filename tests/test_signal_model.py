@@ -19,6 +19,7 @@ from amorsim.signal_model import (
     rotation_to_csv,
     shot_noise_angle_density,
     synthesize_rotation,
+    white_noise,
 )
 from amorsim.tables import read_table
 
@@ -300,6 +301,29 @@ def test_synthesize_noise_psd_is_flat_at_shot_level():
     lo = np.mean(psd[(freqs > 100) & (freqs < 1900)])
     hi = np.mean(psd[(freqs > 2100) & (freqs < 3900)])
     assert lo == pytest.approx(hi, rel=0.1)
+
+
+@pytest.mark.parametrize("envelope", [False, True])
+@pytest.mark.parametrize("density, rate, n", [
+    (2.3e-14, 5000.0, 2000), (1e-10, 320e3, 1), (7.5e-20, 8.0, 37)])
+def test_white_noise_is_rng_normal_bit_for_bit(envelope, density, rate, n):
+    # the draw the analyzer rows rest on, pinned to numpy's own normal:
+    # sigma^2 = density * rate / 2 real, / 4 per component of an envelope,
+    # whether it fills a new array or the out it is given
+    key = (3, 5, 1, 0)
+    sigma = math.sqrt(density * rate / (4.0 if envelope else 2.0))
+    expected = np.random.default_rng(key).normal(
+        0.0, sigma, 2 * n if envelope else n)
+    if envelope:
+        expected = expected.view(complex)
+    fresh = white_noise(np.random.default_rng(key), density, rate, n, envelope)
+    out = np.full(n, np.nan, complex if envelope else float)
+    filled = white_noise(np.random.default_rng(key), density, rate, n,
+                         envelope, out=out)
+    assert filled is out
+    assert fresh.dtype == expected.dtype and fresh.shape == (n,)
+    assert fresh.tobytes() == expected.tobytes()
+    assert out.tobytes() == expected.tobytes()
 
 
 def test_synthesize_zero_power_is_silent():
