@@ -63,6 +63,12 @@ FAULTS = [
     ("sensitivity-sweep", "spectrum.rbw = 1"),
     ("sensitivity-sweep", "saturation.phi0_scale = 1e300"),
     ("snl-map", "snlmap.elec_knee_freq = 1e300"),
+    ("simulate", "field.detuning_delta = 0"),
+    ("simulate", "field.b_field = none"),
+    ("simulate", "field.b_field = 0"),
+    ("simulate", "field.modulation_freq = -5"),
+    ("spectrum", "field.b_field = 1e300"),
+    ("noise-scan", "noisescan.second_b_field = 1e300"),
 ]
 
 

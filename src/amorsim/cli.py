@@ -69,7 +69,6 @@ import argparse
 import functools
 import json
 import locale  # noqa: F401 argparse loads it on its first parse; load it here
-import math
 import os
 import sys
 import time
@@ -97,6 +96,7 @@ from .config import (
     _require,
     apply_env_overrides,
     config_as_dict,
+    larmor_doubled_freq,
     load_config_file,
     validate_config,
 )
@@ -182,8 +182,8 @@ def _load_config(spec: ScenarioSpec) -> ExperimentConfig:
     return validate_config(cfg)
 
 
-def _center_freq(field: FieldConfig) -> float:
-    return field.modulation_freq - field.detuning_delta / (2.0 * math.pi)
+def _center_freq(cfg: ExperimentConfig, field: FieldConfig) -> float:
+    return larmor_doubled_freq(field.b_field, cfg.atom)
 
 
 def _allocate(key: str, what: str, make, *args) -> np.ndarray:
@@ -263,11 +263,11 @@ def _series_grid(cfg: ExperimentConfig, band: Optional[tuple]) -> tuple:
     return center, rate, int(round(cfg.sim.duration * rate))
 
 
-def _detected_stack(cfg: ExperimentConfig, field: FieldConfig,
+def _detected_stack(cfg: ExperimentConfig, mod: float,
                     band: Optional[tuple], rows: Iterable, count: int,
                     count_key: str = "sim.duration") -> DetectedTimeSeries:
-    """The count (res, power, key) rows as the analyzer input, written
-    straight into one (count, n) stack.
+    """The count (res, power, key) rows, modulated at mod Hz, as the
+    analyzer input, written straight into one (count, n) stack.
 
     A row is the coherent rotation at the chain's angle gain plus one white
     draw from stream key+(0,) at ``theory_budget(cfg).eval(power)``: shot,
@@ -295,7 +295,7 @@ def _detected_stack(cfg: ExperimentConfig, field: FieldConfig,
             if len(waves) == 2:
                 waves.clear()
             coherent = synthesize_rotation(
-                res, field, cfg.sim.duration, rate, power, shot_noise=False,
+                res, mod, cfg.sim.duration, rate, power, shot_noise=False,
                 wavelength=cfg.atom.probe_wavelength, center_freq=center)
             gain = angle_gain_from_chain(det, coherent.photon_flux)
             wave = (None if coherent.samples is coherent.noise_samples
@@ -334,8 +334,8 @@ def _run_simulate(cfg: ExperimentConfig, spec: ScenarioSpec,
              cfg.sim.sample_rate,
              f"must exceed 4x the modulation frequency ({mod!r} Hz)")
     res = ResonanceParams(cfg.resonance.phi0, cfg.resonance.gamma_fwhm,
-                          _center_freq(cfg.field_cfg))
-    ts = synthesize_rotation(res, cfg.field_cfg, cfg.sim.duration,
+                          _center_freq(cfg, cfg.field_cfg))
+    ts = synthesize_rotation(res, mod, cfg.sim.duration,
                              cfg.sim.sample_rate, cfg.sim.probe_power,
                              (spec.seed, 0),
                              wavelength=cfg.atom.probe_wavelength)
@@ -352,10 +352,8 @@ def _demod_point(cfg: ExperimentConfig, res: ResonanceParams, seed: int,
     The analyzer row of the lock-in's band around the carrier, on stream
     (seed, index, 0); the lock-in refers it back to radians.
     """
-    field = FieldConfig(b_field=None, modulation_freq=freq,
-                        detuning_delta=2.0 * math.pi * (freq - res.center_freq))
     half = _LOCKIN_HALFBAND * cfg.lockin.output_bandwidth
-    row = _detected_stack(cfg, field, (freq - half, freq + half),
+    row = _detected_stack(cfg, freq, (freq - half, freq + half),
                           [(res, cfg.sim.probe_power, (seed, index))], 1)
     row.samples = row.samples[0]
     return row
@@ -368,7 +366,7 @@ def _demod_grid(cfg: ExperimentConfig) -> tuple[ResonanceParams, np.ndarray]:
              "must be >= 7 for the Lorentzian fit")
     _require(phi0 > 0, "resonance.phi0", phi0,
              "must be > 0: demod-sweep fits a Lorentzian to the resonance")
-    center = _center_freq(cfg.field_cfg)
+    center = _center_freq(cfg, cfg.field_cfg)
     halfspan = cfg.sweep.freq_halfspan_widths * cfg.resonance.gamma_fwhm
     if center - halfspan <= 0.0:
         raise ConfigError(
@@ -402,12 +400,13 @@ def _spectrum_stack(cfg: ExperimentConfig, keys: Iterable, count: int,
     span, for each of the count keys: one stacked estimate whose rows
     alternate on, off key by key."""
     field = cfg.field_cfg
-    center = _center_freq(field)
+    center = _center_freq(cfg, field)
     sides = [ResonanceParams(amplitude, gamma_fwhm, center)
              for amplitude in (phi0, 0.0)]
     rows = ((res, power, key + (side,))
             for key in keys for side, res in enumerate(sides))
-    stack = _detected_stack(cfg, field, band, rows, 2 * count, count_key)
+    stack = _detected_stack(cfg, field.modulation_freq, band, rows, 2 * count,
+                            count_key)
     return psd_estimate(stack, cfg.spectrum.rbw, cfg.spectrum.vbw, span=span)
 
 
@@ -453,10 +452,11 @@ def _noise_levels(args) -> list[float]:
     """Measured background densities at a chunk of (index, power) pairs of
     one scan (worker task): one stacked estimate."""
     cfg, key, field, chunk = args
-    res = ResonanceParams(0.0, cfg.resonance.gamma_fwhm, _center_freq(field))
+    res = ResonanceParams(0.0, cfg.resonance.gamma_fwhm,
+                          _center_freq(cfg, field))
     band = _bg_band(cfg, field)
     rows = [(res, power, key + (index,)) for index, power in chunk]
-    stack = _detected_stack(cfg, field, band, rows, len(rows),
+    stack = _detected_stack(cfg, field.modulation_freq, band, rows, len(rows),
                             "sweep.power_points")
     traces = psd_estimate(stack, cfg.spectrum.rbw, cfg.spectrum.vbw, span=band)
     return [float(trace.mean()) for trace in traces.psd]

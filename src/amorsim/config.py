@@ -148,38 +148,21 @@ class DetectorConfig:
 class FieldConfig:
     """Static field and modulation settings.
 
-    ``detuning_delta`` is Delta = Omega_m - 2*Omega_L in rad/s. Leaving
-    ``modulation_freq`` unset means "modulate on resonance"; ``resolve``
-    fills both derived values from the atom configuration.
+    The resonance sits at ``larmor_doubled_freq(b_field)``; the detuning
+    is set through ``modulation_freq``, and leaving it unset means
+    "modulate on resonance", which ``resolve`` fills in.
     """
 
-    b_field: Optional[float] = 7.6e-6       # T
+    b_field: float = 7.6e-6                  # T
     modulation_freq: Optional[float] = None  # Hz
-    detuning_delta: Optional[float] = None   # rad/s
 
     def resolve(self, atom: AtomConfig) -> "FieldConfig":
-        """Return a copy with modulation_freq and detuning_delta populated."""
-        if self.b_field is None:
-            if self.modulation_freq is None or self.detuning_delta is None:
-                raise ConfigError(
-                    "field.b_field: unset; need explicit modulation_freq "
-                    "and detuning_delta instead"
-                )
-            return FieldConfig(None, self.modulation_freq, self.detuning_delta)
+        """Return a copy with modulation_freq populated."""
         if self.b_field < 0:
             raise ConfigError(f"field.b_field: negative value {self.b_field!r}")
-        resonant = larmor_doubled_freq(self.b_field, atom)
-        mod = self.modulation_freq if self.modulation_freq is not None else resonant
-        delta = 2.0 * math.pi * (mod - resonant)
-        if self.detuning_delta is not None:
-            scale = max(abs(delta), abs(self.detuning_delta), 1.0)
-            if abs(self.detuning_delta - delta) > 1e-6 * scale:
-                raise ConfigError(
-                    "field.detuning_delta: inconsistent with b_field and "
-                    f"modulation_freq (given {self.detuning_delta!r}, "
-                    f"derived {delta!r})"
-                )
-        return FieldConfig(self.b_field, mod, delta)
+        if self.modulation_freq is not None:
+            return FieldConfig(self.b_field, self.modulation_freq)
+        return FieldConfig(self.b_field, larmor_doubled_freq(self.b_field, atom))
 
 
 @dataclass
@@ -379,6 +362,12 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
                  "derived noise budget A + B*P + C*P^2 at power_max must "
                  "be finite")
 
+    for key, b in (("field.b_field", cfg.field_cfg.b_field),
+                   ("noisescan.second_b_field", cfg.noisescan.second_b_field)):
+        _require(b is None or 0.0 < larmor_doubled_freq(b, cfg.atom) < math.inf,
+                 key, b, "derived resonance 2 atom.g_f mu_B B / h must be "
+                 "> 0 Hz and finite")
+
     cfg.field_cfg = cfg.field_cfg.resolve(cfg.atom)
     return cfg
 
@@ -402,9 +391,8 @@ _KEY_TABLE = {
     "detector.analyzer_impedance": ("detector", "analyzer_impedance_r", "f", ">0"),
     "detector.electronic_noise_floor": ("detector", "electronic_noise_floor", "f", ">=0"),
     "detector.technical_noise_coef": ("detector", "technical_noise_coef", "f", ">=0"),
-    "field.b_field": ("field_cfg", "b_field", "f?", None),
-    "field.modulation_freq": ("field_cfg", "modulation_freq", "f?", None),
-    "field.detuning_delta": ("field_cfg", "detuning_delta", "f?", None),
+    "field.b_field": ("field_cfg", "b_field", "f", ">0"),
+    "field.modulation_freq": ("field_cfg", "modulation_freq", "f?", ">0|none"),
     "resonance.phi0": ("resonance", "phi0", "f", ">=0"),
     "resonance.gamma_fwhm": ("resonance", "gamma_fwhm", "f", ">0"),
     "sim.sample_rate": ("sim", "sample_rate", "f", ">0"),

@@ -23,8 +23,9 @@ DC gets an envelope whose lower edge sits at 0 Hz (f_c = sample_rate/2).
 
 The resonance sits at the doubled Larmor frequency 2 g_F mu_B B / h
 (``larmor_doubled_freq``, defined in ``config`` next to the field it
-resolves and re-exported here). The constants come from
-``constants.CODATA``.
+resolves and re-exported here), ``ResonanceParams.center_freq``: a carrier
+at f_mod is detuned by Delta = 2 pi (f_mod - center_freq). The constants
+come from ``constants.CODATA``.
 
 All spectral densities in this package are one-sided.
 """
@@ -39,7 +40,7 @@ from typing import Optional, Union
 import numpy as np
 import numpy.random  # noqa: F401 numpy 2 loads it lazily; load it here, not mid-run
 
-from .config import ConfigError, FieldConfig, larmor_doubled_freq
+from .config import larmor_doubled_freq
 from .constants import CODATA
 from .tables import write_table
 
@@ -200,7 +201,7 @@ def _tone(offset: float, sample_rate: float, n: int) -> np.ndarray:
     return tone
 
 
-def synthesize_rotation(res: ResonanceParams, field: FieldConfig,
+def synthesize_rotation(res: ResonanceParams, mod_freq: float,
                         duration: float, sample_rate: float, power: float,
                         rng_seed: Optional[Seed] = None, *,
                         wavelength: float = 795e-9, shot_noise: bool = True,
@@ -209,7 +210,8 @@ def synthesize_rotation(res: ResonanceParams, field: FieldConfig,
     """Synthesize the sampled rotation angle at one operating point.
 
     The deterministic part is phi_P cos(Omega_m t) + phi_Q sin(Omega_m t)
-    with (phi_P, phi_Q) evaluated at the field's detuning. When shot noise
+    at Omega_m = 2 pi mod_freq, with (phi_P, phi_Q) evaluated at the
+    detuning Delta = 2 pi (mod_freq - res.center_freq). When shot noise
     is enabled and power > 0, white Gaussian noise with one-sided PSD
     S_phi = 1/(2*Phi_ph) is added (per-sample variance S_phi * sample_rate
     / 2). Zero power means no light: no noise and nothing for the
@@ -224,12 +226,6 @@ def synthesize_rotation(res: ResonanceParams, field: FieldConfig,
     """
     if not duration > 0:
         raise ValueError(f"duration must be > 0, got {duration!r}")
-    if field.modulation_freq is None or field.detuning_delta is None:
-        raise ConfigError(
-            "field.modulation_freq: unresolved field configuration; call "
-            "FieldConfig.resolve (or validate_config) first"
-        )
-    mod_freq = field.modulation_freq
     envelope = center_freq is not None
     if not envelope and not sample_rate > 4.0 * mod_freq:
         raise ValueError(
@@ -242,7 +238,8 @@ def synthesize_rotation(res: ResonanceParams, field: FieldConfig,
             f"duration {duration!r} at sample_rate {sample_rate!r} yields "
             f"fewer than 2 samples"
         )
-    phi_p, phi_q = lorentzian_quadratures(field.detuning_delta, res)
+    phi_p, phi_q = lorentzian_quadratures(
+        2.0 * math.pi * (mod_freq - res.center_freq), res)
     carrier = phi_p != 0.0 or phi_q != 0.0
     if carrier and envelope:
         deterministic = 0.5 * (phi_p - 1j * phi_q) * _tone(

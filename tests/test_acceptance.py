@@ -47,8 +47,7 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 
 def _noise_only(power, seed, duration=0.2, fs=8000.0, mod=1000.0):
     res = ResonanceParams(phi0=0.0, gamma_fwhm=60.0, center_freq=mod)
-    field = FieldConfig(b_field=None, modulation_freq=mod, detuning_delta=0.0)
-    return synthesize_rotation(res, field, duration, fs, power, rng_seed=seed)
+    return synthesize_rotation(res, mod, duration, fs, power, rng_seed=seed)
 
 
 def test_criterion_1_field_frequency_correspondence():
@@ -127,7 +126,7 @@ def test_criterion_4_sensitivity_equation_reproduction():
         traces = []
         for lane, amp in enumerate((phi0, 0.0)):
             res = ResonanceParams(amp, gamma, mod)
-            rot = synthesize_rotation(res, field, duration, fs, power,
+            rot = synthesize_rotation(res, mod, duration, fs, power,
                                       rng_seed=(401, s, lane))
             traces.append(psd_estimate(detect(rot, det), rbw, span=span))
         s_sig, s_bg = peak_and_background(traces[0], traces[1], mod, 4e3)
@@ -230,12 +229,11 @@ def test_criterion_7_snr_invariance():
     t0 = time.monotonic()
     mod, fs, duration, power = 7091.43, 32e3, 1.0, 80.5e-6
     phi0, gamma = 2.5e-3, 60.0
-    field = FieldConfig(b_field=None, modulation_freq=mod, detuning_delta=0.0)
     span = (mod - 2.5e3, mod + 2.5e3)
 
-    rot_on = synthesize_rotation(ResonanceParams(phi0, gamma, mod), field,
+    rot_on = synthesize_rotation(ResonanceParams(phi0, gamma, mod), mod,
                                  duration, fs, power, rng_seed=(701, 0))
-    rot_off = synthesize_rotation(ResonanceParams(0.0, gamma, mod), field,
+    rot_off = synthesize_rotation(ResonanceParams(0.0, gamma, mod), mod,
                                   duration, fs, power, rng_seed=(701, 1))
 
     def snr_for(gain_nominal, rbw):

@@ -19,7 +19,7 @@ from amorsim.analysis import (
     snl_map_to_csv,
     snl_range,
 )
-from amorsim.config import AtomConfig, FieldConfig
+from amorsim.config import AtomConfig
 from amorsim.detector import NoiseBudget
 from amorsim.dsp import lock_in_demodulate
 from amorsim.signal_model import (
@@ -337,7 +337,6 @@ def test_field_step_detected_at_predicted_significance():
     f_mod = larmor_doubled_freq(b0, atom)
     phi0, gamma, power = 2.5e-3, 60.0, 80.5e-6
     fs, duration, bandwidth = 32000.0, 1.24, 25.0
-    res = ResonanceParams(phi0=phi0, gamma_fwhm=gamma, center_freq=f_mod)
 
     s_phi = shot_noise_angle_density(photon_flux(power, 795e-9))
     slope = 2 * quadrature_slope(phi0, gamma, atom.g_f)
@@ -346,9 +345,9 @@ def test_field_step_detected_at_predicted_significance():
     f_stepped = larmor_doubled_freq(b0 + db_step, atom)
 
     def measure(resonant_freq, lane, i):
-        field = FieldConfig(b_field=None, modulation_freq=f_mod,
-                            detuning_delta=2 * math.pi * (f_mod - resonant_freq))
-        ts = synthesize_rotation(res, field, duration, fs, power,
+        res = ResonanceParams(phi0=phi0, gamma_fwhm=gamma,
+                              center_freq=resonant_freq)
+        ts = synthesize_rotation(res, f_mod, duration, fs, power,
                                  rng_seed=(lane, i))
         return lock_in_demodulate(ts, f_mod, bandwidth)[1]
 

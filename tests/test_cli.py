@@ -16,7 +16,12 @@ import amorsim.cli
 import amorsim.dsp
 from amorsim.analysis import projection_noise, snl_range
 from amorsim.cli import MODES, ScenarioSpec, emit_plotdata, main, run_scenario
-from amorsim.config import _KEY_TABLE, ConfigError, FieldConfig
+from amorsim.config import (
+    _KEY_TABLE,
+    ConfigError,
+    FieldConfig,
+    larmor_doubled_freq,
+)
 from amorsim.detector import angle_gain_from_chain, theory_budget
 from amorsim.dsp import peak_and_background, psd_estimate
 from amorsim.fitting import FitError
@@ -222,10 +227,10 @@ def test_stacked_analyzer_matches_per_point_estimates(mode_run, fast_config):
     cfg = amorsim.cli._load_config(ScenarioSpec("noise-scan", fast_config))
     field, sp = cfg.field_cfg, cfg.spectrum
     band = amorsim.cli._bg_band(cfg, field)
-    center = amorsim.cli._center_freq(field)
+    center = amorsim.cli._center_freq(cfg, field)
 
     def trace(res, power, key, span=None):
-        alone = amorsim.cli._detected_stack(cfg, field, band,
+        alone = amorsim.cli._detected_stack(cfg, field.modulation_freq, band,
                                             [(res, power, key)], 1)
         return psd_estimate(replace(alone, samples=alone.samples[0]),
                             sp.rbw, sp.vbw, span=span)
@@ -256,13 +261,13 @@ def test_stacked_analyzer_matches_per_point_estimates(mode_run, fast_config):
     assert table["s_bg_w_per_hz"].tolist() == s_bg
 
 
-def _reference_row(cfg, field, band, res, power, key):
-    """One analyzer row built alone: the coherent rotation at the chain's
-    angle gain plus numpy's normal draw from stream key+(0,) at the
-    budget's density."""
+def _reference_row(cfg, mod, band, res, power, key):
+    """One analyzer row built alone, modulated at mod Hz: the coherent
+    rotation at the chain's angle gain plus numpy's normal draw from stream
+    key+(0,) at the budget's density."""
     center, rate, n = amorsim.cli._series_grid(cfg, band)
     coherent = synthesize_rotation(
-        res, field, cfg.sim.duration, rate, power, shot_noise=False,
+        res, mod, cfg.sim.duration, rate, power, shot_noise=False,
         wavelength=cfg.atom.probe_wavelength, center_freq=center)
     gain = angle_gain_from_chain(cfg.detector, coherent.photon_flux)
     envelope = center is not None
@@ -288,19 +293,19 @@ def test_detected_stack_rows_are_chain_series_bit_for_bit(fast_config, sides,
     mod = field.modulation_freq
     band = {"real": None, "bg_window": amorsim.cli._bg_band(cfg, field),
             "offset": (mod - 1500.0, mod + 2500.0)}[band]  # tone off centre
-    center = amorsim.cli._center_freq(field)
+    center = amorsim.cli._center_freq(cfg, field)
     rows = [(ResonanceParams(cfg.resonance.phi0 if side == 0 else 0.0,
                              cfg.resonance.gamma_fwhm, center),
              power, (3, row, side))
             for row, (side, power) in enumerate(zip(sides, powers))]
-    stack = amorsim.cli._detected_stack(cfg, field, band, rows, len(rows))
+    stack = amorsim.cli._detected_stack(cfg, mod, band, rows, len(rows))
     center, rate, n = amorsim.cli._series_grid(cfg, band)
     assert stack.samples.shape == (len(rows), n)
     assert (stack.sample_rate, stack.center_freq) == (rate, center)
     for row, (res, power, key) in enumerate(rows):
-        expected = _reference_row(cfg, field, band, res, power, key)
+        expected = _reference_row(cfg, mod, band, res, power, key)
         assert stack.samples[row].tobytes() == expected.tobytes(), row
-        alone = amorsim.cli._detected_stack(cfg, field, band, [rows[row]], 1)
+        alone = amorsim.cli._detected_stack(cfg, mod, band, [rows[row]], 1)
         assert alone.samples.tobytes() == expected.tobytes(), row
 
 
@@ -554,12 +559,12 @@ def test_default_sweep_point_synthesizes_once_per_side(monkeypatch):
     field, sat = cfg.field_cfg, cfg.saturation
     band = amorsim.cli._bg_band(cfg, field)
     sides = [ResonanceParams(phi0, sat.gamma_at(power),
-                             amorsim.cli._center_freq(field))
+                             amorsim.cli._center_freq(cfg, field))
              for phi0 in (sat.phi0_at(power), 0.0)]
     for trace in range(traces):
         for side, res in enumerate(sides):
-            expected = _reference_row(cfg, field, band, res, power,
-                                      (7, index, trace, side))
+            expected = _reference_row(cfg, field.modulation_freq, band, res,
+                                      power, (7, index, trace, side))
             assert stack[2 * trace + side].tobytes() == expected.tobytes()
 
 
@@ -585,6 +590,18 @@ def test_unknown_env_override_exits_2(fast_config, tmp_path, monkeypatch,
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert "detector.photocurrent_convention" in err["message"]
+
+
+def test_detuning_delta_env_override_exits_2(fast_config, tmp_path,
+                                             monkeypatch, capsys):
+    # the detuning is set through field.modulation_freq alone
+    monkeypatch.setenv("AMORSIM_FIELD__DETUNING_DELTA", "0")
+    code = main(["simulate", "--config", fast_config,
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["message"] == "field.detuning_delta: unknown configuration key"
+    assert not (tmp_path / "x").exists()
 
 
 def test_bad_env_override_exits_2(fast_config, tmp_path, monkeypatch, capsys):
@@ -633,7 +650,8 @@ def test_missing_config_exits_4(tmp_path, capsys):
                                  "detector.gain_uncertainty_rel",
                                  "detector.electronic_noise_table",
                                  "detector.photocurrent_convention",
-                                 "snlmap.jitter_rel"])
+                                 "snlmap.jitter_rel",
+                                 "field.detuning_delta"])
 def test_unknown_config_key_exits_2(key, tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(f"{key} = 1e-3\n")
@@ -690,6 +708,18 @@ def test_every_float_key_rejects_non_finite(key, value, tmp_path, capsys):
       for k in ("inf", "1e400")],
     # a 47 Hz resonance with a +-240 Hz grid would sweep negative carriers
     ("demod-sweep", "field.b_field = 5 nT\n", "sweep.freq_halfspan_widths"),
+    # a carrier at or below 0 Hz, and a field whose resonance overflows to
+    # inf, were blamed on other keys (or written with exit 0)
+    *[(mode, f"field.modulation_freq = {mod}\n"
+       "detector.electronic_noise_floor = 1.35e-14\n", "field.modulation_freq")
+      for mode in ("simulate", "spectrum", "noise-scan", "sensitivity-sweep")
+      for mod in ("-5", "0")],
+    *[(mode, "field.b_field = 1e300\n", "field.b_field")
+      for mode in ("simulate", "spectrum", "sensitivity-sweep",
+                   "demod-sweep")],
+    ("noise-scan", "noisescan.second_b_field = 1e300\n"
+     "detector.electronic_noise_floor = 1.35e-14\n",
+     "noisescan.second_b_field"),
     # a grid under two linewidths left the Lorentzian fit to exit 3
     ("demod-sweep", "sweep.freq_halfspan_widths = 0.5\n",
      "sweep.freq_halfspan_widths"),
@@ -971,6 +1001,18 @@ def test_demod_sweep_fits_at_the_narrowest_grid_across_seeds(tmp_path):
     for seed in range(20):
         assert run_scenario(ScenarioSpec("demod-sweep", str(cfg),
                                          str(tmp_path / "o"), seed)) == 0
+
+
+@pytest.mark.parametrize("mod_freq", ["1e15", "1e20"])
+def test_demod_sweep_centres_on_the_field_resonance(mod_freq, monkeypatch):
+    # the resonance is the field's doubled Larmor frequency, however far
+    # field.modulation_freq sits from it
+    monkeypatch.setenv("AMORSIM_FIELD__MODULATION_FREQ", mod_freq)
+    cfg = amorsim.cli._load_config(ScenarioSpec("demod-sweep"))
+    assert cfg.field_cfg.modulation_freq == float(mod_freq)
+    res, _ = amorsim.cli._demod_grid(cfg)
+    assert res.center_freq == larmor_doubled_freq(cfg.field_cfg.b_field,
+                                                  cfg.atom)
 
 
 def test_demod_sweep_runs_with_carriers_near_dc(tmp_path):

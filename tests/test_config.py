@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from amorsim.cli import ScenarioSpec, _run_simulate, main
+from amorsim.cli import ScenarioSpec, _center_freq, _run_simulate, main
 from amorsim.config import (
     _KEY_TABLE,
     AtomConfig,
@@ -12,17 +13,24 @@ from amorsim.config import (
     FieldConfig,
     apply_env_overrides,
     config_as_dict,
+    larmor_doubled_freq,
     load_config_file,
     parse_config_text,
     serialize_config,
     validate_config,
+)
+from amorsim.signal_model import (
+    ResonanceParams,
+    lorentzian_quadratures,
+    synthesize_rotation,
 )
 
 
 def test_defaults_validate():
     cfg = validate_config(ExperimentConfig())
     assert cfg.field_cfg.modulation_freq == pytest.approx(70914.307579755)
-    assert cfg.field_cfg.detuning_delta == 0.0
+    assert cfg.field_cfg.modulation_freq == larmor_doubled_freq(
+        cfg.field_cfg.b_field, cfg.atom)
 
 
 def test_serialize_parse_round_trip():
@@ -119,22 +127,23 @@ def test_field_resolution_fills_resonant_modulation():
     atom = AtomConfig()
     resolved = FieldConfig(b_field=7.6e-6).resolve(atom)
     assert resolved.modulation_freq == pytest.approx(70914.307579755)
-    assert resolved.detuning_delta == 0.0
+    assert resolved.modulation_freq == larmor_doubled_freq(7.6e-6, atom)
 
 
 def test_field_resolution_detuning_from_modulation():
-    atom = AtomConfig()
-    resonant = FieldConfig(b_field=7.6e-6).resolve(atom).modulation_freq
-    resolved = FieldConfig(b_field=7.6e-6,
-                           modulation_freq=resonant + 100.0).resolve(atom)
-    assert resolved.detuning_delta == pytest.approx(2 * math.pi * 100.0)
-
-
-def test_field_resolution_rejects_inconsistent_detuning():
-    atom = AtomConfig()
-    with pytest.raises(ConfigError, match="detuning_delta"):
-        FieldConfig(b_field=7.6e-6, modulation_freq=71000.0,
-                    detuning_delta=0.0).resolve(atom)
+    # modulated 100 Hz above the field's resonance, the synthesized tone
+    # (a constant envelope around the carrier) is the Lorentzian there
+    cfg = ExperimentConfig()
+    cfg.field_cfg.modulation_freq = larmor_doubled_freq(
+        cfg.field_cfg.b_field, cfg.atom) + 100.0
+    field = validate_config(cfg).field_cfg
+    res = ResonanceParams(2.5e-3, 60.0, _center_freq(cfg, field))
+    ts = synthesize_rotation(res, field.modulation_freq, 0.01, 1000.0, 1e-4,
+                             shot_noise=False,
+                             center_freq=field.modulation_freq)
+    phi_p, phi_q = lorentzian_quadratures(2 * math.pi * 100.0, res)
+    np.testing.assert_allclose(ts.samples, 0.5 * (phi_p - 1j * phi_q),
+                               rtol=1e-9, atol=0)
 
 
 def test_field_resolution_rejects_negative_field():
@@ -300,11 +309,25 @@ BOUND_VIOLATIONS = [
     ('snlmap.k_values', '',
      'snlmap.k_values: empty list'),
     ('field.b_field', '-1 uT',
-     'field.b_field: negative value -1e-06'),
+     'field.b_field: must be > 0 (got -1e-06)'),
+    ('field.b_field', '0',
+     'field.b_field: must be > 0 (got 0.0)'),
     ('field.b_field', 'none',
-     'field.b_field: unset; need explicit modulation_freq and detuning_delta instead'),
-    ('field.detuning_delta', '5',
-     'field.detuning_delta: inconsistent with b_field and modulation_freq (given 5.0, derived 0.0)'),
+     "field.b_field: unparseable number 'none'"),
+    ('field.modulation_freq', '-5',
+     'field.modulation_freq: must be > 0 (or none) (got -5.0)'),
+    ('field.modulation_freq', '0 Hz',
+     'field.modulation_freq: must be > 0 (or none) (got 0.0)'),
+    # a field whose doubled Larmor frequency overflows, or underflows to 0
+    ('field.b_field', '1e300',
+     'field.b_field: derived resonance 2 atom.g_f mu_B B / h must be > 0 Hz '
+     'and finite (got 1e+300)'),
+    ('field.b_field', '1e-320',
+     'field.b_field: derived resonance 2 atom.g_f mu_B B / h must be > 0 Hz '
+     'and finite (got 1e-320)'),
+    ('noisescan.second_b_field', '1e300',
+     'noisescan.second_b_field: derived resonance 2 atom.g_f mu_B B / h '
+     'must be > 0 Hz and finite (got 1e+300)'),
     ('sim.sample_rate', '100 kHz',
      'sim.sample_rate: must exceed 4x the modulation frequency (70914.307579755 Hz) (got 100000.0)'),
 ]

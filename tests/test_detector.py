@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.signal import periodogram
 
-from amorsim.config import DetectorConfig, ExperimentConfig, FieldConfig
+from amorsim.config import DetectorConfig, ExperimentConfig
 from amorsim.detector import (
     NoiseBudget,
     angle_gain_from_chain,
@@ -32,8 +32,7 @@ WAVELENGTH = 795e-9
 def noise_rotation(power, fs=8000.0, duration=4.0, seed=5):
     """Noise-only rotation series (no coherent tone) for budget checks."""
     res = ResonanceParams(phi0=0.0, gamma_fwhm=60.0, center_freq=1000.0)
-    field = FieldConfig(b_field=None, modulation_freq=1000.0, detuning_delta=0.0)
-    return synthesize_rotation(res, field, duration=duration, sample_rate=fs,
+    return synthesize_rotation(res, 1000.0, duration=duration, sample_rate=fs,
                                power=power, rng_seed=seed)
 
 
@@ -195,8 +194,7 @@ def test_theory_budget_defaults_to_the_configured_gain():
 
 def test_detect_coherent_passthrough():
     res = ResonanceParams(phi0=2e-3, gamma_fwhm=60.0, center_freq=1000.0)
-    field = FieldConfig(b_field=None, modulation_freq=1000.0, detuning_delta=0.0)
-    rot = synthesize_rotation(res, field, duration=0.1, sample_rate=8000.0,
+    rot = synthesize_rotation(res, 1000.0, duration=0.1, sample_rate=8000.0,
                               power=1e-4, shot_noise=False)
     det = DetectorConfig()
     out = detect(rot, det)
@@ -210,8 +208,7 @@ def test_detect_coherent_passthrough():
 
 def test_detect_respects_explicit_angle_gain_and_offset():
     res = ResonanceParams(phi0=1e-3, gamma_fwhm=60.0, center_freq=1000.0)
-    field = FieldConfig(b_field=None, modulation_freq=1000.0, detuning_delta=0.0)
-    rot = synthesize_rotation(res, field, duration=0.05, sample_rate=8000.0,
+    rot = synthesize_rotation(res, 1000.0, duration=0.05, sample_rate=8000.0,
                               power=1e-4, shot_noise=False)
     out = detect(rot, DetectorConfig(), angle_gain=3.0)
     np.testing.assert_allclose(out.samples, 3.0 * rot.samples, rtol=1e-14)
@@ -283,8 +280,7 @@ def test_detect_single_draw_level_across_seeds():
     # its analyzer level must be A + C*P^2 within a 4-sigma interval.
     power, coef_elec, coef_tech = 100e-6, 1.35e-14, 1.8e-6
     res = ResonanceParams(phi0=0.0, gamma_fwhm=60.0, center_freq=1000.0)
-    field = FieldConfig(b_field=None, modulation_freq=1000.0, detuning_delta=0.0)
-    rot = synthesize_rotation(res, field, duration=2.0, sample_rate=8000.0,
+    rot = synthesize_rotation(res, 1000.0, duration=2.0, sample_rate=8000.0,
                               power=power, shot_noise=False)
     det = DetectorConfig(electronic_noise_floor=coef_elec,
                          technical_noise_coef=coef_tech)
@@ -316,11 +312,10 @@ def test_detect_reads_noise_terms_from_detector_config():
 
 
 def envelope_rotation(phi0, power=80.5e-6, seed=5):
-    """The 500 Hz-wide envelope around a 1 kHz carrier, tone plus noise."""
-    res = ResonanceParams(phi0=phi0, gamma_fwhm=60.0, center_freq=1000.0)
-    field = FieldConfig(b_field=None, modulation_freq=1000.0,
-                        detuning_delta=2 * math.pi * 20.0)
-    return synthesize_rotation(res, field, duration=0.5, sample_rate=500.0,
+    """The 500 Hz-wide envelope around a 1 kHz carrier 20 Hz off its
+    resonance, tone plus noise."""
+    res = ResonanceParams(phi0=phi0, gamma_fwhm=60.0, center_freq=980.0)
+    return synthesize_rotation(res, 1000.0, duration=0.5, sample_rate=500.0,
                                power=power, rng_seed=seed, center_freq=1100.0)
 
 
@@ -328,9 +323,7 @@ def envelope_rotation(phi0, power=80.5e-6, seed=5):
 def test_detect_output_is_its_formula_bit_for_bit(envelope):
     # g * ((samples - noise) + noise/sqrt(2)), then the output noise
     rot = (envelope_rotation(2e-3) if envelope else synthesize_rotation(
-        ResonanceParams(2e-3, 60.0, 1000.0),
-        FieldConfig(b_field=None, modulation_freq=1000.0,
-                    detuning_delta=0.0),
+        ResonanceParams(2e-3, 60.0, 1000.0), 1000.0,
         duration=0.05, sample_rate=8000.0, power=1e-4, rng_seed=3))
     out = detect(rot, DetectorConfig(), angle_gain=3.7)
     expected = 3.7 * ((rot.samples - rot.noise_samples)

@@ -53,14 +53,10 @@ def default_config() -> ExperimentConfig:
     return validate_config(cfg)
 
 
-def on_resonance(mod):
-    return FieldConfig(b_field=None, modulation_freq=mod, detuning_delta=0.0)
-
-
 def envelope(phi0=1e-3, power=1e-4, mod=10e3, center=10.3e3, fs=2000.0,
              duration=1.0, seed=1):
     res = ResonanceParams(phi0=phi0, gamma_fwhm=60.0, center_freq=mod)
-    return synthesize_rotation(res, on_resonance(mod), duration, fs, power,
+    return synthesize_rotation(res, mod, duration, fs, power,
                                rng_seed=seed, center_freq=center)
 
 
@@ -82,9 +78,7 @@ def test_envelope_grid_covers_band_with_5_smooth_rate():
 
 def test_envelope_tone_is_half_the_quadratures_at_the_offset():
     res = ResonanceParams(phi0=1e-3, gamma_fwhm=60.0, center_freq=10e3)
-    field = FieldConfig(b_field=None, modulation_freq=10.05e3,
-                        detuning_delta=2 * math.pi * 50.0)
-    ts = synthesize_rotation(res, field, 0.1, 2000.0, 1e-4,
+    ts = synthesize_rotation(res, 10.05e3, 0.1, 2000.0, 1e-4,
                              shot_noise=False, center_freq=10.3e3)
     phi_p = 1e-3 * 30.0 ** 2 / (50.0 ** 2 + 30.0 ** 2)
     phi_q = -1e-3 * 30.0 * 50.0 / (50.0 ** 2 + 30.0 ** 2)
@@ -93,7 +87,7 @@ def test_envelope_tone_is_half_the_quadratures_at_the_offset():
     np.testing.assert_allclose(ts.samples, want, rtol=1e-12, atol=1e-18)
     assert ts.samples.dtype == complex and ts.center_freq == 10.3e3
     # its real counterpart is the real part of twice the envelope re-mixed
-    real = synthesize_rotation(res, field, 0.1, 2000.0 * 40, 1e-4,
+    real = synthesize_rotation(res, 10.05e3, 0.1, 2000.0 * 40, 1e-4,
                                shot_noise=False)
     remixed = 2.0 * (want * np.exp(2j * np.pi * 10.3e3 * t)).real
     np.testing.assert_allclose(real.samples[::40], remixed, atol=1e-15)
@@ -313,11 +307,9 @@ def test_envelope_lock_in_mixes_an_offset_carrier_down():
     # path; demod-sweep centres each envelope on its carrier, or near DC
     # on rate/2
     res = ResonanceParams(phi0=1e-3, gamma_fwhm=60.0, center_freq=10e3)
-    field = FieldConfig(b_field=None, modulation_freq=10.05e3,
-                        detuning_delta=2 * math.pi * 50.0)
-    env = synthesize_rotation(res, field, 0.6, 2000.0, 1e-4,
+    env = synthesize_rotation(res, 10.05e3, 0.6, 2000.0, 1e-4,
                               shot_noise=False, center_freq=10.3e3)
-    real = synthesize_rotation(res, field, 0.6, 80e3, 1e-4, shot_noise=False)
+    real = synthesize_rotation(res, 10.05e3, 0.6, 80e3, 1e-4, shot_noise=False)
     got = lock_in_demodulate(env, 10.05e3, 25.0)
     np.testing.assert_allclose(got, lock_in_demodulate(real, 10.05e3, 25.0),
                                rtol=1e-8)
@@ -330,13 +322,11 @@ def _lock_in_means(cfg, res, freq, index, band):
     """Mean and standard error of the lock-in P and Q over SEEDS, on the
     rotation with shot noise from stream (seed, index, 0): the envelope of
     band, or without one the real series at sim.sample_rate."""
-    field = FieldConfig(b_field=None, modulation_freq=freq,
-                        detuning_delta=2 * math.pi * (freq - res.center_freq))
     bw = cfg.lockin.output_bandwidth
     center, rate, _ = cli._series_grid(cfg, band)
     pq = np.array([
         lock_in_demodulate(synthesize_rotation(
-            res, field, cfg.sim.duration, rate, cfg.sim.probe_power,
+            res, freq, cfg.sim.duration, rate, cfg.sim.probe_power,
             rng_seed=(seed, index, 0), wavelength=cfg.atom.probe_wavelength,
             center_freq=center), freq, bw)
         for seed in SEEDS])

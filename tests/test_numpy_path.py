@@ -150,11 +150,8 @@ def test_lock_in_matches_sosfilt_on_default_grid():
     bw = cfg.lockin.output_bandwidth
     worst = 0.0
     for i, freq in enumerate(freqs):
-        field = cli.FieldConfig(
-            b_field=None, modulation_freq=float(freq),
-            detuning_delta=2.0 * np.pi * (freq - res.center_freq))
         ts = signal_model.synthesize_rotation(
-            res, field, cfg.sim.duration, cfg.sim.sample_rate,
+            res, float(freq), cfg.sim.duration, cfg.sim.sample_rate,
             cfg.sim.probe_power, rng_seed=(1, i, 0),
             wavelength=cfg.atom.probe_wavelength)
         assert ts.center_freq is None and ts.sample_rate == cfg.sim.sample_rate

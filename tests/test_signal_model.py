@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from amorsim import signal_model
-from amorsim.config import AtomConfig, ConfigError, FieldConfig
+from amorsim.config import AtomConfig
 from amorsim.detector import DetectedTimeSeries, detected_to_csv
 from amorsim.signal_model import (
     ResonanceParams,
@@ -33,10 +33,6 @@ def complex_quadrature_oracle(delta, phi0, gamma_fwhm):
     hw = math.pi * gamma_fwhm
     z = phi0 * hw / (hw + 1j * np.asarray(delta, dtype=float))
     return z.real, z.imag
-
-
-def resolved_field(b_field=7.6e-6, atom=None):
-    return FieldConfig(b_field=b_field).resolve(atom or AtomConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +164,9 @@ def test_shot_noise_density_inverse_in_flux():
 # Time-series synthesis
 # ---------------------------------------------------------------------------
 
-def quick_field(mod_freq=1000.0, delta=0.0):
-    """Pre-resolved field for cheap low-rate synthesis tests."""
-    return FieldConfig(b_field=None, modulation_freq=mod_freq,
-                       detuning_delta=delta)
-
-
 def test_synthesize_deterministic_part_on_resonance():
     res = ResonanceParams(phi0=2.5e-3, gamma_fwhm=60.0, center_freq=1000.0)
-    ts = synthesize_rotation(res, quick_field(), duration=0.5,
+    ts = synthesize_rotation(res, 1000.0, duration=0.5,
                              sample_rate=8000.0, power=1e-4, shot_noise=False)
     t = np.arange(ts.samples.size) / ts.sample_rate
     np.testing.assert_allclose(
@@ -185,9 +175,10 @@ def test_synthesize_deterministic_part_on_resonance():
 
 
 def test_synthesize_deterministic_part_detuned():
-    res = ResonanceParams(phi0=2.5e-3, gamma_fwhm=60.0, center_freq=1000.0)
+    # a resonance 30 Hz below the 1 kHz carrier
+    res = ResonanceParams(phi0=2.5e-3, gamma_fwhm=60.0, center_freq=970.0)
     delta = 2 * np.pi * 30.0
-    ts = synthesize_rotation(res, quick_field(delta=delta), duration=0.25,
+    ts = synthesize_rotation(res, 1000.0, duration=0.25,
                              sample_rate=8000.0, power=1e-4, shot_noise=False)
     phi_p, phi_q = lorentzian_quadratures(delta, res)
     t = np.arange(ts.samples.size) / ts.sample_rate
@@ -213,12 +204,11 @@ def test_synthesized_tone_is_its_formula_bit_for_bit(center_freq,
                                                      sample_rate):
     # the in-place real path and the cached envelope tone compute the
     # module docstring's expressions, in the same order, to the last bit
-    res = ResonanceParams(phi0=2.5e-3, gamma_fwhm=60.0, center_freq=1000.0)
-    field = quick_field(delta=2 * np.pi * 30.0)
-    ts = synthesize_rotation(res, field, duration=0.25,
+    res = ResonanceParams(phi0=2.5e-3, gamma_fwhm=60.0, center_freq=970.0)
+    ts = synthesize_rotation(res, 1000.0, duration=0.25,
                              sample_rate=sample_rate, power=1e-4,
                              rng_seed=8, center_freq=center_freq)
-    phi_p, phi_q = lorentzian_quadratures(field.detuning_delta, res)
+    phi_p, phi_q = lorentzian_quadratures(2 * np.pi * 30.0, res)
     t = np.arange(ts.samples.size) / sample_rate
     if center_freq is None:
         omega = 2.0 * np.pi * 1000.0
@@ -235,26 +225,26 @@ def test_envelope_series_own_their_samples():
     res = ResonanceParams(phi0=2.5e-3, gamma_fwhm=60.0, center_freq=1000.0)
     kwargs = dict(duration=0.5, sample_rate=500.0, power=1e-4,
                   center_freq=1100.0, shot_noise=False)
-    first = synthesize_rotation(res, quick_field(), **kwargs)
+    first = synthesize_rotation(res, 1000.0, **kwargs)
     expected = first.samples.tobytes()
     first.samples[:] = 0.0
-    again = synthesize_rotation(res, quick_field(), **kwargs)
+    again = synthesize_rotation(res, 1000.0, **kwargs)
     assert again.samples.tobytes() == expected
 
 
 def test_synthesize_is_seed_deterministic():
     res = ResonanceParams(phi0=1e-3, gamma_fwhm=60.0, center_freq=1000.0)
     kwargs = dict(duration=0.1, sample_rate=8000.0, power=1e-4)
-    a = synthesize_rotation(res, quick_field(), rng_seed=42, **kwargs)
-    b = synthesize_rotation(res, quick_field(), rng_seed=42, **kwargs)
-    c = synthesize_rotation(res, quick_field(), rng_seed=43, **kwargs)
+    a = synthesize_rotation(res, 1000.0, rng_seed=42, **kwargs)
+    b = synthesize_rotation(res, 1000.0, rng_seed=42, **kwargs)
+    c = synthesize_rotation(res, 1000.0, rng_seed=43, **kwargs)
     np.testing.assert_array_equal(a.samples, b.samples)
     assert not np.array_equal(a.samples, c.samples)
 
 
 def test_synthesize_sample_count_and_metadata():
     res = ResonanceParams(phi0=1e-3, gamma_fwhm=60.0, center_freq=1000.0)
-    ts = synthesize_rotation(res, quick_field(), duration=0.123,
+    ts = synthesize_rotation(res, 1000.0, duration=0.123,
                              sample_rate=8000.0, power=2e-6, rng_seed=7)
     assert ts.samples.size == round(0.123 * 8000.0)
     assert ts.mean_optical_power == 2e-6
@@ -264,7 +254,7 @@ def test_synthesize_sample_count_and_metadata():
     assert ts.duration == pytest.approx(ts.samples.size / 8000.0)
     np.testing.assert_allclose(
         ts.samples - ts.noise_samples,
-        synthesize_rotation(res, quick_field(), duration=0.123,
+        synthesize_rotation(res, 1000.0, duration=0.123,
                             sample_rate=8000.0, power=2e-6,
                             shot_noise=False).samples,
         rtol=0, atol=1e-15)
@@ -274,7 +264,7 @@ def test_synthesize_noise_variance_matches_density():
     # per-sample variance of white noise with one-sided PSD S is S * fs / 2
     res = ResonanceParams(phi0=0.0, gamma_fwhm=60.0, center_freq=1000.0)
     fs, duration, power = 8000.0, 16.0, 80.5e-6
-    ts = synthesize_rotation(res, quick_field(), duration=duration,
+    ts = synthesize_rotation(res, 1000.0, duration=duration,
                              sample_rate=fs, power=power, rng_seed=11)
     s_phi = shot_noise_angle_density(photon_flux(power, 795e-9))
     expected_var = s_phi * fs / 2.0
@@ -290,7 +280,7 @@ def test_synthesize_noise_psd_is_flat_at_shot_level():
 
     res = ResonanceParams(phi0=0.0, gamma_fwhm=60.0, center_freq=1000.0)
     fs, power = 8000.0, 50e-6
-    ts = synthesize_rotation(res, quick_field(), duration=8.0,
+    ts = synthesize_rotation(res, 1000.0, duration=8.0,
                              sample_rate=fs, power=power, rng_seed=3)
     freqs, psd = periodogram(ts.noise_samples, fs=fs, window="boxcar",
                              detrend=False)
@@ -328,17 +318,10 @@ def test_white_noise_is_rng_normal_bit_for_bit(envelope, density, rate, n):
 
 def test_synthesize_zero_power_is_silent():
     res = ResonanceParams(phi0=1e-3, gamma_fwhm=60.0, center_freq=1000.0)
-    ts = synthesize_rotation(res, quick_field(), duration=0.1,
+    ts = synthesize_rotation(res, 1000.0, duration=0.1,
                              sample_rate=8000.0, power=0.0, rng_seed=1)
     assert ts.photon_flux == 0.0
     assert np.all(ts.noise_samples == 0.0)
-
-
-def test_synthesize_requires_resolved_field():
-    res = ResonanceParams(phi0=1e-3, gamma_fwhm=60.0, center_freq=1000.0)
-    with pytest.raises(ConfigError, match="resolve"):
-        synthesize_rotation(res, FieldConfig(b_field=7.6e-6), duration=0.1,
-                            sample_rate=320e3, power=1e-4)
 
 
 @pytest.mark.parametrize("duration, sample_rate", [
@@ -349,7 +332,7 @@ def test_synthesize_requires_resolved_field():
 def test_synthesize_rejects_bad_timing(duration, sample_rate):
     res = ResonanceParams(phi0=1e-3, gamma_fwhm=60.0, center_freq=1000.0)
     with pytest.raises(ValueError):
-        synthesize_rotation(res, quick_field(), duration=duration,
+        synthesize_rotation(res, 1000.0, duration=duration,
                             sample_rate=sample_rate, power=1e-4)
 
 
@@ -373,7 +356,7 @@ def test_rotation_series_shape_mismatch():
 
 def test_rotation_csv_round_trip(tmp_path):
     res = ResonanceParams(phi0=2.5e-3, gamma_fwhm=60.0, center_freq=1000.0)
-    ts = synthesize_rotation(res, quick_field(), duration=0.05,
+    ts = synthesize_rotation(res, 1000.0, duration=0.05,
                              sample_rate=8000.0, power=80.5e-6, rng_seed=9)
     path = tmp_path / "rotation.csv"
     rotation_to_csv(ts, path)
