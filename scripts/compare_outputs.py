@@ -69,6 +69,12 @@ FAULTS = [
     ("simulate", "field.modulation_freq = -5"),
     ("spectrum", "field.b_field = 1e300"),
     ("noise-scan", "noisescan.second_b_field = 1e300"),
+    ("simulate", "field.b_field = 7.6 kHz"),
+    ("spectrum", "sim.probe_power = 80 uT"),
+    ("simulate", "atom.g_f = 1 Hz"),
+    ("spectrum", "field.modulation_freq = 100"),
+    ("noise-scan", "field.modulation_freq = 1e20"),
+    ("demod-sweep", "field.b_field = 1e7"),
 ]
 
 

@@ -69,6 +69,7 @@ import argparse
 import functools
 import json
 import locale  # noqa: F401 argparse loads it on its first parse; load it here
+import math
 import os
 import sys
 import time
@@ -111,6 +112,7 @@ from .dsp import (
     PowerSpectrum,
     _analyzer_window,
     _envelope_grid,
+    _flattop,
     _peak_and_window,
     _segment_length,
     _video_pole,
@@ -220,15 +222,18 @@ def _require_lockin_fits(cfg: ExperimentConfig, lowest: float) -> None:
             f"{limit!r} Hz, for 60 dB of rejection at twice {lowest!r} Hz")
 
 
-def _require_analyzer_fits(cfg: ExperimentConfig, band: tuple,
-                           band_key: str) -> None:
-    """The analyzer's flat-top segment must fit band's envelope and series,
-    and a spectrum.vbw below spectrum.rbw must let the video filter move
-    across the trace: (1 - pole) times band's bins at least 1.
+def _require_analyzer_fits(cfg: ExperimentConfig, field: FieldConfig,
+                           band: tuple, band_key="spectrum.bg_window") -> None:
+    """float64 must resolve the analyzer's bins at the top of band, around
+    field's carrier; its flat-top segment must fit band's envelope and
+    series, and a spectrum.vbw below spectrum.rbw must let the video filter
+    move across the trace: (1 - pole) times band's bins at least 1.
 
     band_key names the config key that sets the band's width.
     """
     rbw, vbw, duration = cfg.spectrum.rbw, cfg.spectrum.vbw, cfg.sim.duration
+    _require_resolved(_carrier_key(cfg, field), band[1],
+                      rbw / _flattop(4096)[1], "analyzer bin spacing")
     _, rate, n = _series_grid(cfg, band)
     try:
         window, _ = _analyzer_window(rate, rbw, n)
@@ -312,14 +317,31 @@ def _detected_stack(cfg: ExperimentConfig, mod: float,
     return first
 
 
+def _carrier_key(cfg: ExperimentConfig, field: FieldConfig) -> str:
+    """The key that set field's carrier: a field.modulation_freq off the
+    field's resonance, the field itself, or noise-scan's second field."""
+    if field != cfg.field:
+        return "noisescan.second_b_field"
+    on_resonance = field.modulation_freq == _center_freq(cfg, field)
+    return "field.b_field" if on_resonance else "field.modulation_freq"
+
+
+def _require_resolved(key: str, top: float, spacing: float, what: str) -> None:
+    """float64 must resolve the spacing a mode reads at top Hz, the top of
+    its band, before any envelope is built; key set the carrier."""
+    if math.ulp(top) >= spacing:
+        raise ConfigError(f"{key}: float64 values near {top!r} Hz lie "
+                          f"{math.ulp(top)!r} Hz apart, not finer than the "
+                          f"{spacing!r} Hz {what}; lower {key}")
+
+
 def _bg_band(cfg: ExperimentConfig, field: FieldConfig) -> tuple:
     """The background window around the modulation frequency, above 0 Hz."""
     half, mod = cfg.spectrum.bg_window / 2.0, field.modulation_freq
     if mod - half <= 0.0:
-        key = ("field.b_field" if field == cfg.field_cfg
-               else "noisescan.second_b_field")
         raise ConfigError(f"spectrum.bg_window: {2.0 * half!r} Hz around "
-                          f"{mod!r} Hz reaches 0 Hz; narrow it or raise {key}")
+                          f"{mod!r} Hz reaches 0 Hz; narrow it or raise "
+                          f"{_carrier_key(cfg, field)}")
     return (mod - half, mod + half)
 
 
@@ -329,12 +351,12 @@ def _bg_band(cfg: ExperimentConfig, field: FieldConfig) -> tuple:
 
 def _run_simulate(cfg: ExperimentConfig, spec: ScenarioSpec,
                   outdir: Path) -> list[str]:
-    mod = cfg.field_cfg.modulation_freq  # only simulate samples at the rate
+    mod = cfg.field.modulation_freq  # only simulate samples at the rate
     _require(cfg.sim.sample_rate > 4.0 * mod, "sim.sample_rate",
              cfg.sim.sample_rate,
              f"must exceed 4x the modulation frequency ({mod!r} Hz)")
     res = ResonanceParams(cfg.resonance.phi0, cfg.resonance.gamma_fwhm,
-                          _center_freq(cfg, cfg.field_cfg))
+                          _center_freq(cfg, cfg.field))
     ts = synthesize_rotation(res, mod, cfg.sim.duration,
                              cfg.sim.sample_rate, cfg.sim.probe_power,
                              (spec.seed, 0),
@@ -366,7 +388,7 @@ def _demod_grid(cfg: ExperimentConfig) -> tuple[ResonanceParams, np.ndarray]:
              "must be >= 7 for the Lorentzian fit")
     _require(phi0 > 0, "resonance.phi0", phi0,
              "must be > 0: demod-sweep fits a Lorentzian to the resonance")
-    center = _center_freq(cfg, cfg.field_cfg)
+    center = _center_freq(cfg, cfg.field)
     halfspan = cfg.sweep.freq_halfspan_widths * cfg.resonance.gamma_fwhm
     if center - halfspan <= 0.0:
         raise ConfigError(
@@ -375,6 +397,8 @@ def _demod_grid(cfg: ExperimentConfig) -> tuple[ResonanceParams, np.ndarray]:
     _require_lockin_fits(cfg, center - halfspan)
     freqs = _allocate("sweep.freq_points", f"{points!r} carriers", np.linspace,
                       center - halfspan, center + halfspan, points)
+    _require_resolved("field.b_field", center + halfspan,
+                      2.0 * halfspan / (points - 1), "carrier grid step")
     return ResonanceParams(phi0, cfg.resonance.gamma_fwhm, center), freqs
 
 
@@ -399,7 +423,7 @@ def _spectrum_stack(cfg: ExperimentConfig, keys: Iterable, count: int,
     """The on- and off-resonance analyzer traces of the band, sliced to
     span, for each of the count keys: one stacked estimate whose rows
     alternate on, off key by key."""
-    field = cfg.field_cfg
+    field = cfg.field
     center = _center_freq(cfg, field)
     sides = [ResonanceParams(amplitude, gamma_fwhm, center)
              for amplitude in (phi0, 0.0)]
@@ -412,10 +436,10 @@ def _spectrum_stack(cfg: ExperimentConfig, keys: Iterable, count: int,
 
 def _run_spectrum(cfg: ExperimentConfig, spec: ScenarioSpec,
                   outdir: Path) -> list[str]:
-    mod, sp = cfg.field_cfg.modulation_freq, cfg.spectrum
-    _bg_band(cfg, cfg.field_cfg)  # the window peak_and_background averages
+    mod, sp = cfg.field.modulation_freq, cfg.spectrum
+    _bg_band(cfg, cfg.field)  # the window peak_and_background averages
     span = (max(mod - sp.span / 2.0, 0.0), mod + sp.span / 2.0)
-    _require_analyzer_fits(cfg, span, "spectrum.span")
+    _require_analyzer_fits(cfg, cfg.field, span, "spectrum.span")
     spec_on, spec_off = _spectrum_stack(
         cfg, [(spec.seed,)], 1, cfg.sim.probe_power, cfg.resonance.phi0,
         cfg.resonance.gamma_fwhm, span, span,
@@ -492,13 +516,13 @@ def _run_noise_scan(cfg: ExperimentConfig, spec: ScenarioSpec,
     _require(points + dark >= 4, "sweep.power_points", points,
              f"must be >= {4 - dark} with noisescan.include_zero = "
              f"{str(dark).lower()}: the 3-term noise fit needs 4 points")
-    scans = [("noise_scan", "fig4a_noise.dat", cfg.field_cfg)]
+    scans = [("noise_scan", "fig4a_noise.dat", cfg.field)]
     if cfg.noisescan.second_b_field is not None:
         field2 = FieldConfig(
             b_field=cfg.noisescan.second_b_field).resolve(cfg.atom)
         scans.append(("noise_scan_high", "fig4b_noise.dat", field2))
     for _, _, field in scans:
-        _require_analyzer_fits(cfg, _bg_band(cfg, field), "spectrum.bg_window")
+        _require_analyzer_fits(cfg, field, _bg_band(cfg, field))
     outputs = []
     for scan, (stem, fig_name, field) in enumerate(scans):
         powers, levels, fit = _noise_scan_at_field(cfg, spec, field, scan)
@@ -557,8 +581,8 @@ def _sweep_point_sensitivity(args):
     sat = cfg.saturation
     phi0 = sat.phi0_at(power)
     gamma = sat.gamma_at(power)
-    mod = cfg.field_cfg.modulation_freq
-    band = _bg_band(cfg, cfg.field_cfg)
+    mod = cfg.field.modulation_freq
+    band = _bg_band(cfg, cfg.field)
     traces = cfg.sweep.trace_avg
     keys = ((spec_seed, index, trace) for trace in range(traces))
     spectra = _spectrum_stack(cfg, keys, traces, power, phi0, gamma, band,
@@ -581,9 +605,8 @@ def _sweep_point_sensitivity(args):
 def _run_sensitivity_sweep(cfg: ExperimentConfig, spec: ScenarioSpec,
                            outdir: Path) -> list[str]:
     powers = _power_grid(cfg)
-    _require_analyzer_fits(cfg, _bg_band(cfg, cfg.field_cfg),
-                           "spectrum.bg_window")
-    mod = cfg.field_cfg.modulation_freq
+    _require_analyzer_fits(cfg, cfg.field, _bg_band(cfg, cfg.field))
+    mod = cfg.field.modulation_freq
     budget = theory_budget(cfg, detection_freq=mod)
     tasks = [(cfg, spec.seed, i, float(p)) for i, p in enumerate(powers)]
     rows = _pmap(_sweep_point_sensitivity, tasks, spec.workers)

@@ -11,15 +11,18 @@ File grammar (UTF-8)::
 
 with dotted keys (``atom.density_n``, ``spectrum.rbw`` ...). Unknown keys are
 errors. Accepted unit suffixes: T, uT, nT, Hz, kHz, W, uW, mW, m, cm, ohm,
-V/A. Values without a unit are taken as SI (or as plain strings / booleans
-for non-numeric keys).
+V/A; a suffix must measure its key's unit (``7.6 kHz`` is no field), and a
+key without a unit takes none. Values without a unit are taken as SI (or
+as plain strings / booleans for non-numeric keys).
 
 Any key can also be overridden from the environment with the prefix
 ``AMORSIM_`` and the dot replaced by a double underscore, e.g.
 ``AMORSIM_ATOM__DENSITY_N="1.3e16"``; a variable with that prefix that
 names no key is an unknown key too.
 
-Each key's type and bound live in its one ``_KEY_TABLE`` row, which drives
+A key is a field of an ``ExperimentConfig`` section, named
+``section.attr``: each key's default, type, bound and unit live in its
+field, and ``_KEY_TABLE`` is derived from the dataclasses. The table drives
 the parser, the environment overrides, ``serialize_config``, the manifest
 and ``validate_config``; only the rules that span keys, and the
 small-angle ceiling on the two rotation amplitudes, are written out.
@@ -36,7 +39,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from dataclasses import field as dc_field
 from typing import Optional
 
 import numpy as np
@@ -92,6 +96,12 @@ UNIT_SCALE = {
 ENV_PREFIX = "AMORSIM_"
 
 
+def _key(default, bound=None, unit=None):
+    """A key's field: its default, bound (a ``_BOUNDS`` tag, a tuple of the
+    allowed strings, or None) and SI unit (None: it takes no suffix)."""
+    return dc_field(default=default, metadata={"bound": bound, "unit": unit})
+
+
 @dataclass
 class AtomConfig:
     """Atomic-ensemble parameters.
@@ -101,11 +111,11 @@ class AtomConfig:
     is the FWHM resonance width in Hz used for projection-noise estimates.
     """
 
-    g_f: float = 1.0 / 3.0
-    density_n: float = 1.27e16          # atoms / m^3
-    cell_radius: float = 0.05           # m
-    relaxation_gamma: float = 10.0      # Hz
-    probe_wavelength: float = 795e-9    # m
+    g_f: float = _key(1.0 / 3.0, ">0")
+    density_n: float = _key(1.27e16, ">0")              # atoms / m^3
+    cell_radius: float = _key(0.05, ">0", "m")
+    relaxation_gamma: float = _key(10.0, ">0", "Hz")
+    probe_wavelength: float = _key(795e-9, ">0", "m")
 
     @property
     def atom_number(self) -> float:
@@ -132,12 +142,12 @@ class DetectorConfig:
     gain, hence the 1/2 default).
     """
 
-    transimpedance_gain_nominal: float = 1e6    # V/A
-    gain_headroom_factor: float = 0.5
-    quantum_efficiency: float = 0.88
-    analyzer_impedance_r: float = 50.0          # ohm
-    electronic_noise_floor: float = 0.0         # W/Hz (A coefficient)
-    technical_noise_coef: float = 0.0           # W/(Hz W^2) (C coefficient)
+    transimpedance_gain_nominal: float = _key(1e6, ">0", "V/A")
+    gain_headroom_factor: float = _key(0.5, ">0")
+    quantum_efficiency: float = _key(0.88, "(0,1]")
+    analyzer_impedance: float = _key(50.0, ">0", "ohm")
+    electronic_noise_floor: float = _key(0.0, ">=0")  # W/Hz (A coefficient)
+    technical_noise_coef: float = _key(0.0, ">=0")    # W/(Hz W^2) (C coefficient)
 
     @property
     def gain_effective(self) -> float:
@@ -153,8 +163,8 @@ class FieldConfig:
     "modulate on resonance", which ``resolve`` fills in.
     """
 
-    b_field: float = 7.6e-6                  # T
-    modulation_freq: Optional[float] = None  # Hz
+    b_field: float = _key(7.6e-6, ">0", "T")
+    modulation_freq: Optional[float] = _key(None, ">0|none", "Hz")
 
     def resolve(self, atom: AtomConfig) -> "FieldConfig":
         """Return a copy with modulation_freq populated."""
@@ -169,49 +179,49 @@ class FieldConfig:
 class ResonanceSettings:
     """Operated resonance shape: peak rotation amplitude and FWHM width."""
 
-    phi0: float = 2.5e-3        # rad
-    gamma_fwhm: float = 60.0    # Hz
+    phi0: float = _key(2.5e-3, ">=0")    # rad
+    gamma_fwhm: float = _key(60.0, ">0", "Hz")
 
 
 @dataclass
 class SimSettings:
-    sample_rate: float = 320e3  # Hz
-    duration: float = 0.4       # s
-    probe_power: float = 80.5e-6  # W
+    sample_rate: float = _key(320e3, ">0", "Hz")
+    duration: float = _key(0.4, ">0")    # s
+    probe_power: float = _key(80.5e-6, ">=0", "W")
 
 
 @dataclass
 class LockinSettings:
-    output_bandwidth: float = 25.0  # Hz
+    output_bandwidth: float = _key(25.0, ">0", "Hz")
 
 
 @dataclass
 class SpectrumSettings:
-    rbw: float = 30.0       # Hz
-    vbw: float = 30.0       # Hz
-    span: float = 40e3      # Hz, centered on the modulation frequency
-    bg_window: float = 4e3  # Hz, background averaging window
+    rbw: float = _key(30.0, ">0", "Hz")
+    vbw: float = _key(30.0, ">0", "Hz")
+    span: float = _key(40e3, ">0", "Hz")  # centered on the modulation frequency
+    bg_window: float = _key(4e3, ">0", "Hz")  # background averaging window
 
 
 @dataclass
 class SweepSettings:
-    power_min: float = 10e-6    # W
-    power_max: float = 700e-6   # W
-    power_points: int = 15
-    power_scale: str = "log"    # "log" | "linear"
-    freq_halfspan_widths: float = 4.0  # sweep +- this many FWHM (>= 1) around center
-    freq_points: int = 61
-    trace_avg: int = 4  # on/off trace pairs averaged per swept power
+    power_min: float = _key(10e-6, unit="W")
+    power_max: float = _key(700e-6, unit="W")
+    power_points: int = _key(15, ">=2")
+    power_scale: str = _key("log", ("log", "linear"))
+    freq_halfspan_widths: float = _key(4.0, ">=1")  # +- this many FWHM around center
+    freq_points: int = _key(61, ">=1")
+    trace_avg: int = _key(4, ">=1")  # on/off trace pairs averaged per power
 
 
 @dataclass
 class SnlMapSettings:
-    freq_min: float = 5e3    # Hz
-    freq_max: float = 105e3  # Hz
-    freq_bins: int = 11
-    k_values: str = "1,2,4"
-    second_gain_nominal: float = 5e5  # V/A, alternate detector setting
-    elec_knee_freq: float = 20e3      # Hz; A(f) rises below this, 0 = flat
+    freq_min: float = _key(5e3, unit="Hz")
+    freq_max: float = _key(105e3, unit="Hz")
+    freq_bins: int = _key(11, ">=1")
+    k_values: str = _key("1,2,4")
+    second_gain_nominal: float = _key(5e5, ">0", "V/A")  # alternate detector
+    elec_knee_freq: float = _key(20e3, ">=0", "Hz")  # A(f) rises below; 0 = flat
 
     def elec_floor_at(self, floor: float, freq: float) -> float:
         """The electronic floor A(f) = floor * (1 + (elec_knee_freq/f)^2).
@@ -239,10 +249,10 @@ class SaturationModel:
     pump/probe response that is measured, not derived.
     """
 
-    phi0_scale: float = 3e-3   # rad
-    p_sat: float = 15e-6       # W
-    gamma0: float = 20.0       # Hz
-    p_broad: float = 40e-6     # W
+    phi0_scale: float = _key(3e-3, ">=0")   # rad
+    p_sat: float = _key(15e-6, ">0", "W")
+    gamma0: float = _key(20.0, ">0", "Hz")
+    p_broad: float = _key(40e-6, ">0", "W")
 
     def phi0_at(self, power: float) -> float:
         return self.phi0_scale * power / (power + self.p_sat)
@@ -253,37 +263,37 @@ class SaturationModel:
 
 @dataclass
 class AnalysisSettings:
-    snl_k: float = 4.0
-    integration_time: float = 1.0  # s, for the projection-noise estimate
+    snl_k: float = _key(4.0, ">=1")
+    integration_time: float = _key(1.0, ">0")  # s, projection-noise estimate
 
 
 @dataclass
 class NoiseScanSettings:
     # A zero-power point fixes the electronic term; it needs a nonzero
     # detector.electronic_noise_floor, which is 0 by default.
-    include_zero: bool = False
+    include_zero: bool = _key(False)
     # Optional second scan at a different static field (hence detection
     # frequency); none = skip. Like the first scan, it reads the envelope of
     # the background window, so no sample rate needs to follow the field.
-    second_b_field: Optional[float] = 75e-6  # T
+    second_b_field: Optional[float] = _key(75e-6, ">0|none", "T")
 
 
 @dataclass
 class ExperimentConfig:
     """Everything a scenario run needs, in SI units."""
 
-    atom: AtomConfig = field(default_factory=AtomConfig)
-    detector: DetectorConfig = field(default_factory=DetectorConfig)
-    field_cfg: FieldConfig = field(default_factory=FieldConfig)
-    resonance: ResonanceSettings = field(default_factory=ResonanceSettings)
-    sim: SimSettings = field(default_factory=SimSettings)
-    lockin: LockinSettings = field(default_factory=LockinSettings)
-    spectrum: SpectrumSettings = field(default_factory=SpectrumSettings)
-    sweep: SweepSettings = field(default_factory=SweepSettings)
-    snlmap: SnlMapSettings = field(default_factory=SnlMapSettings)
-    saturation: SaturationModel = field(default_factory=SaturationModel)
-    analysis: AnalysisSettings = field(default_factory=AnalysisSettings)
-    noisescan: NoiseScanSettings = field(default_factory=NoiseScanSettings)
+    atom: AtomConfig = dc_field(default_factory=AtomConfig)
+    detector: DetectorConfig = dc_field(default_factory=DetectorConfig)
+    field: FieldConfig = dc_field(default_factory=FieldConfig)
+    resonance: ResonanceSettings = dc_field(default_factory=ResonanceSettings)
+    sim: SimSettings = dc_field(default_factory=SimSettings)
+    lockin: LockinSettings = dc_field(default_factory=LockinSettings)
+    spectrum: SpectrumSettings = dc_field(default_factory=SpectrumSettings)
+    sweep: SweepSettings = dc_field(default_factory=SweepSettings)
+    snlmap: SnlMapSettings = dc_field(default_factory=SnlMapSettings)
+    saturation: SaturationModel = dc_field(default_factory=SaturationModel)
+    analysis: AnalysisSettings = dc_field(default_factory=AnalysisSettings)
+    noisescan: NoiseScanSettings = dc_field(default_factory=NoiseScanSettings)
 
 
 def _require(cond: bool, key: str, value, rule: str) -> None:
@@ -306,7 +316,7 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     Returns the config with derived values filled; raises ConfigError
     naming the first violated key and its value.
     """
-    for key, (section, attr, kind, bound) in _KEY_TABLE.items():
+    for key, (section, attr, kind, bound, _unit) in _KEY_TABLE.items():
         value = getattr(getattr(cfg, section), attr)
         if (kind in ("f", "f?") and value is not None
                 and not math.isfinite(value)):
@@ -362,13 +372,13 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
                  "derived noise budget A + B*P + C*P^2 at power_max must "
                  "be finite")
 
-    for key, b in (("field.b_field", cfg.field_cfg.b_field),
+    for key, b in (("field.b_field", cfg.field.b_field),
                    ("noisescan.second_b_field", cfg.noisescan.second_b_field)):
         _require(b is None or 0.0 < larmor_doubled_freq(b, cfg.atom) < math.inf,
                  key, b, "derived resonance 2 atom.g_f mu_B B / h must be "
                  "> 0 Hz and finite")
 
-    cfg.field_cfg = cfg.field_cfg.resolve(cfg.atom)
+    cfg.field = cfg.field.resolve(cfg.atom)
     return cfg
 
 
@@ -376,54 +386,15 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
 # Config file format
 # ---------------------------------------------------------------------------
 
-# key -> (section attr, field attr, type tag, bound). Type tags: "f" float
-# (SI or unit-suffixed), "i" int, "s" string, "b" bool, "f?" optional float.
-# A bound is None, a tag of _BOUNDS, or a tuple of the allowed strings.
+# key "section.attr" -> (section, attr, type tag, bound, unit), one row per
+# field of each ExperimentConfig section: bound and unit from its ``_key``,
+# the type tag from its annotation, a string under postponed evaluation.
+_TYPE_TAGS = {"float": "f", "Optional[float]": "f?", "int": "i", "str": "s",
+              "bool": "b"}
 _KEY_TABLE = {
-    "atom.g_f": ("atom", "g_f", "f", ">0"),
-    "atom.density_n": ("atom", "density_n", "f", ">0"),
-    "atom.cell_radius": ("atom", "cell_radius", "f", ">0"),
-    "atom.relaxation_gamma": ("atom", "relaxation_gamma", "f", ">0"),
-    "atom.probe_wavelength": ("atom", "probe_wavelength", "f", ">0"),
-    "detector.transimpedance_gain_nominal": ("detector", "transimpedance_gain_nominal", "f", ">0"),
-    "detector.gain_headroom_factor": ("detector", "gain_headroom_factor", "f", ">0"),
-    "detector.quantum_efficiency": ("detector", "quantum_efficiency", "f", "(0,1]"),
-    "detector.analyzer_impedance": ("detector", "analyzer_impedance_r", "f", ">0"),
-    "detector.electronic_noise_floor": ("detector", "electronic_noise_floor", "f", ">=0"),
-    "detector.technical_noise_coef": ("detector", "technical_noise_coef", "f", ">=0"),
-    "field.b_field": ("field_cfg", "b_field", "f", ">0"),
-    "field.modulation_freq": ("field_cfg", "modulation_freq", "f?", ">0|none"),
-    "resonance.phi0": ("resonance", "phi0", "f", ">=0"),
-    "resonance.gamma_fwhm": ("resonance", "gamma_fwhm", "f", ">0"),
-    "sim.sample_rate": ("sim", "sample_rate", "f", ">0"),
-    "sim.duration": ("sim", "duration", "f", ">0"),
-    "sim.probe_power": ("sim", "probe_power", "f", ">=0"),
-    "lockin.output_bandwidth": ("lockin", "output_bandwidth", "f", ">0"),
-    "spectrum.rbw": ("spectrum", "rbw", "f", ">0"),
-    "spectrum.vbw": ("spectrum", "vbw", "f", ">0"),
-    "spectrum.span": ("spectrum", "span", "f", ">0"),
-    "spectrum.bg_window": ("spectrum", "bg_window", "f", ">0"),
-    "sweep.power_min": ("sweep", "power_min", "f", None),
-    "sweep.power_max": ("sweep", "power_max", "f", None),
-    "sweep.power_points": ("sweep", "power_points", "i", ">=2"),
-    "sweep.power_scale": ("sweep", "power_scale", "s", ("log", "linear")),
-    "sweep.freq_halfspan_widths": ("sweep", "freq_halfspan_widths", "f", ">=1"),
-    "sweep.freq_points": ("sweep", "freq_points", "i", ">=1"),
-    "sweep.trace_avg": ("sweep", "trace_avg", "i", ">=1"),
-    "snlmap.freq_min": ("snlmap", "freq_min", "f", None),
-    "snlmap.freq_max": ("snlmap", "freq_max", "f", None),
-    "snlmap.freq_bins": ("snlmap", "freq_bins", "i", ">=1"),
-    "snlmap.k_values": ("snlmap", "k_values", "s", None),
-    "snlmap.second_gain_nominal": ("snlmap", "second_gain_nominal", "f", ">0"),
-    "snlmap.elec_knee_freq": ("snlmap", "elec_knee_freq", "f", ">=0"),
-    "saturation.phi0_scale": ("saturation", "phi0_scale", "f", ">=0"),
-    "saturation.p_sat": ("saturation", "p_sat", "f", ">0"),
-    "saturation.gamma0": ("saturation", "gamma0", "f", ">0"),
-    "saturation.p_broad": ("saturation", "p_broad", "f", ">0"),
-    "analysis.snl_k": ("analysis", "snl_k", "f", ">=1"),
-    "analysis.integration_time": ("analysis", "integration_time", "f", ">0"),
-    "noisescan.include_zero": ("noisescan", "include_zero", "b", None),
-    "noisescan.second_b_field": ("noisescan", "second_b_field", "f?", ">0|none"),
+    f"{sec.name}.{key.name}": (sec.name, key.name, _TYPE_TAGS[key.type],
+                               key.metadata["bound"], key.metadata["unit"])
+    for sec in fields(ExperimentConfig) for key in fields(sec.default_factory)
 }
 
 # bound tag -> (predicate, rule quoted in the error message)
@@ -437,35 +408,40 @@ _BOUNDS = {
 }
 
 
-def _parse_number(key: str, text: str) -> float:
+def _parse_number(key: str, text: str, unit: Optional[str]) -> float:
+    """The SI value of ``value [suffix]``; a suffix must name a unit of the
+    key's unit (a prefix letter and the unit, or the unit itself)."""
     parts = text.split()
     if len(parts) == 1:
-        num, unit = parts[0], None
+        num, suffix = parts[0], None
     elif len(parts) == 2:
-        num, unit = parts
+        num, suffix = parts
     else:
         raise ConfigError(f"{key}: expected 'value [unit]', got {text!r}")
     try:
         value = float(num)
     except ValueError as exc:
         raise ConfigError(f"{key}: unparseable number {num!r}") from exc
-    if unit is not None:
-        if unit not in UNIT_SCALE:
-            raise ConfigError(f"{key}: unknown unit {unit!r}")
-        value *= UNIT_SCALE[unit]
+    if suffix is not None:
+        if suffix not in UNIT_SCALE:
+            raise ConfigError(f"{key}: unknown unit {suffix!r}")
+        if unit is None:
+            raise ConfigError(f"{key}: takes no unit, got {suffix!r}")
+        if unit not in (suffix, suffix[1:]):
+            raise ConfigError(f"{key}: unit {suffix!r} does not measure {unit}")
+        value *= UNIT_SCALE[suffix]
     return value
 
 
 def _assign(cfg: ExperimentConfig, key: str, raw: str) -> None:
     if key not in _KEY_TABLE:
         raise ConfigError(f"{key}: unknown configuration key")
-    section, attr, kind, _bound = _KEY_TABLE[key]
+    section, attr, kind, _bound, unit = _KEY_TABLE[key]
     raw = raw.strip()
-    if kind in ("f", "f?"):
-        if kind == "f?" and raw.lower() == "none":
-            value = None
-        else:
-            value = _parse_number(key, raw)
+    if kind == "f?" and raw.lower() == "none":
+        value = None
+    elif kind in ("f", "f?"):
+        value = _parse_number(key, raw, unit)
     elif kind == "i":
         try:
             value = int(raw)
@@ -520,13 +496,11 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     are written with repr, which round-trips in double precision).
     """
     lines = []
-    for key, (section, attr, kind, _bound) in _KEY_TABLE.items():
+    for key, (section, attr, kind, *_) in _KEY_TABLE.items():
         value = getattr(getattr(cfg, section), attr)
         if value is None:
-            if kind == "f?":
-                lines.append(f"{key} = none")
-            continue
-        if kind == "b":
+            lines.append(f"{key} = none")
+        elif kind == "b":
             lines.append(f"{key} = {'true' if value else 'false'}")
         elif kind in ("f", "f?"):
             lines.append(f"{key} = {value!r}")
@@ -538,4 +512,4 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 def config_as_dict(cfg: ExperimentConfig) -> dict:
     """Flat key -> value mapping (SI) for manifests and reports."""
     return {key: getattr(getattr(cfg, section), attr)
-            for key, (section, attr, _kind, _bound) in _KEY_TABLE.items()}
+            for key, (section, attr, *_) in _KEY_TABLE.items()}

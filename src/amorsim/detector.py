@@ -157,7 +157,7 @@ def theoretical_shot_noise_level(power: float, det: DetectorConfig,
     current = photocurrent(power, det, wavelength)
     g_eff = det.gain_effective
     return (g_eff ** 2) * 2.0 * current * CODATA.electron_charge \
-        / det.analyzer_impedance_r
+        / det.analyzer_impedance
 
 
 def theory_budget(cfg: ExperimentConfig, gain_nominal: Optional[float] = None,
@@ -185,7 +185,7 @@ def angle_gain_from_chain(det: DetectorConfig, flux: float) -> float:
     """
     current = photocurrent_from_flux(flux, det)
     return 2.0 * det.gain_effective * current * math.sqrt(
-        2.0 / (det.quantum_efficiency * det.analyzer_impedance_r))
+        2.0 / (det.quantum_efficiency * det.analyzer_impedance))
 
 
 def detect(rotation: RotationTimeSeries, det: DetectorConfig, *,

@@ -207,7 +207,7 @@ def test_noise_scan_background_matches_the_budget_across_seeds():
     config = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
     cfg = amorsim.cli._load_config(ScenarioSpec("noise-scan", str(config)))
     runs = [amorsim.cli._noise_scan_at_field(
-        cfg, ScenarioSpec("noise-scan", seed=seed), cfg.field_cfg, 0)
+        cfg, ScenarioSpec("noise-scan", seed=seed), cfg.field, 0)
         for seed in range(20)]
     powers = runs[0][0]
     levels = np.array([levels for _, levels, _ in runs])
@@ -225,7 +225,7 @@ def test_stacked_analyzer_matches_per_point_estimates(mode_run, fast_config):
     # would give
     seed = 11
     cfg = amorsim.cli._load_config(ScenarioSpec("noise-scan", fast_config))
-    field, sp = cfg.field_cfg, cfg.spectrum
+    field, sp = cfg.field, cfg.spectrum
     band = amorsim.cli._bg_band(cfg, field)
     center = amorsim.cli._center_freq(cfg, field)
 
@@ -289,7 +289,7 @@ def test_detected_stack_rows_are_chain_series_bit_for_bit(fast_config, sides,
     # envelope stacks, on and off resonance, dark rows
     cfg = amorsim.cli._load_config(ScenarioSpec("sensitivity-sweep",
                                                 fast_config))
-    field = cfg.field_cfg
+    field = cfg.field
     mod = field.modulation_freq
     band = {"real": None, "bg_window": amorsim.cli._bg_band(cfg, field),
             "offset": (mod - 1500.0, mod + 2500.0)}[band]  # tone off centre
@@ -556,7 +556,7 @@ def test_default_sweep_point_synthesizes_once_per_side(monkeypatch):
     assert len(calls) <= 2 < 2 * traces
     [stack] = stacks
     assert stack.shape[0] == 2 * traces
-    field, sat = cfg.field_cfg, cfg.saturation
+    field, sat = cfg.field, cfg.saturation
     band = amorsim.cli._bg_band(cfg, field)
     sides = [ResonanceParams(phi0, sat.gamma_at(power),
                              amorsim.cli._center_freq(cfg, field))
@@ -798,6 +798,22 @@ def test_every_float_key_rejects_non_finite(key, value, tmp_path, capsys):
         ("sensitivity-sweep", "sweep.power_points"),
         ("snl-map", "snlmap.freq_bins"),
         ("demod-sweep", "sweep.freq_points"))],
+    # a carrier set by field.modulation_freq is the one to raise when the
+    # background window around it reaches 0 Hz
+    *[(mode, "field.modulation_freq = 100\n", "field.modulation_freq")
+      for mode in ("spectrum", "noise-scan", "sensitivity-sweep")],
+    # float64 cannot resolve the 8 Hz analyzer bins, or demod-sweep's 8 Hz
+    # grid step, at the carrier: strictly increasing grids repeated a value,
+    # or an envelope's band rounded away
+    *[(mode, f"field.modulation_freq = {mod}\n", "field.modulation_freq")
+      for mode in ("spectrum", "noise-scan", "sensitivity-sweep")
+      for mod in ("1e17", "1e20", "1e300")],
+    *[(mode, f"field.b_field = {b_field}\n", "field.b_field")
+      for mode in ("demod-sweep", "spectrum", "noise-scan",
+                   "sensitivity-sweep")
+      for b_field in ("1e7", "1e10")],
+    ("noise-scan", "noisescan.second_b_field = 1e7\n",
+     "noisescan.second_b_field"),
     # a series of 1e12 s is exabytes: numpy refuses it at allocation
     *[(mode, "sim.duration = 1e12\n"
        "detector.electronic_noise_floor = 1.35e-14\n", "sim.duration")
@@ -816,6 +832,17 @@ def test_config_faults_exit_2_naming_key(mode, config_text, key, tmp_path,
     assert err["error"] == "ConfigError"
     assert key in err["message"]
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("mode, setting", [
+    *[(mode, "field.modulation_freq = 3e16")
+      for mode in ("spectrum", "noise-scan", "sensitivity-sweep")],
+    # a 2.98e16 Hz resonance: float64 values 4 Hz apart, under the 8 Hz step
+    ("demod-sweep", "field.b_field = 3.2e6")])
+def test_carrier_float64_resolves_runs(mode, setting, fast_config, tmp_path):
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(Path(fast_config).read_text() + setting + "\n")
+    assert main([mode, "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize("mode, vbw", [
@@ -921,7 +948,7 @@ def test_modes_reading_a_band_run_at_75_uT(tmp_path, monkeypatch):
     fit = json.loads((tmp_path / "demod-sweep" / "resonance_fit.json")
                      .read_text())["params"]
     center = amorsim.cli._load_config(ScenarioSpec(
-        "demod-sweep", str(config))).field_cfg.modulation_freq
+        "demod-sweep", str(config))).field.modulation_freq
     assert fit["center_freq"] == pytest.approx(center, abs=0.01)
 
 
@@ -1009,9 +1036,9 @@ def test_demod_sweep_centres_on_the_field_resonance(mod_freq, monkeypatch):
     # field.modulation_freq sits from it
     monkeypatch.setenv("AMORSIM_FIELD__MODULATION_FREQ", mod_freq)
     cfg = amorsim.cli._load_config(ScenarioSpec("demod-sweep"))
-    assert cfg.field_cfg.modulation_freq == float(mod_freq)
+    assert cfg.field.modulation_freq == float(mod_freq)
     res, _ = amorsim.cli._demod_grid(cfg)
-    assert res.center_freq == larmor_doubled_freq(cfg.field_cfg.b_field,
+    assert res.center_freq == larmor_doubled_freq(cfg.field.b_field,
                                                   cfg.atom)
 
 

@@ -1,5 +1,7 @@
 import json
 import math
+from pathlib import Path
+from typing import Optional, get_type_hints
 
 import numpy as np
 import pytest
@@ -28,9 +30,9 @@ from amorsim.signal_model import (
 
 def test_defaults_validate():
     cfg = validate_config(ExperimentConfig())
-    assert cfg.field_cfg.modulation_freq == pytest.approx(70914.307579755)
-    assert cfg.field_cfg.modulation_freq == larmor_doubled_freq(
-        cfg.field_cfg.b_field, cfg.atom)
+    assert cfg.field.modulation_freq == pytest.approx(70914.307579755)
+    assert cfg.field.modulation_freq == larmor_doubled_freq(
+        cfg.field.b_field, cfg.atom)
 
 
 def test_serialize_parse_round_trip():
@@ -51,12 +53,12 @@ def test_unit_suffixes():
         "atom.cell_radius = 5 cm\n"
         "detector.analyzer_impedance = 50 ohm\n"
     )
-    assert cfg.field_cfg.b_field == 7.6 * 1e-6
+    assert cfg.field.b_field == 7.6 * 1e-6
     assert cfg.sim.probe_power == 80.5 * 1e-6
     assert cfg.spectrum.rbw == 30.0
     assert cfg.spectrum.span == 40.0 * 1e3
     assert cfg.atom.cell_radius == 5.0 * 1e-2
-    assert cfg.detector.analyzer_impedance_r == 50.0
+    assert cfg.detector.analyzer_impedance == 50.0
 
 
 def test_comments_and_blank_lines_ignored():
@@ -134,9 +136,9 @@ def test_field_resolution_detuning_from_modulation():
     # modulated 100 Hz above the field's resonance, the synthesized tone
     # (a constant envelope around the carrier) is the Lorentzian there
     cfg = ExperimentConfig()
-    cfg.field_cfg.modulation_freq = larmor_doubled_freq(
-        cfg.field_cfg.b_field, cfg.atom) + 100.0
-    field = validate_config(cfg).field_cfg
+    cfg.field.modulation_freq = larmor_doubled_freq(
+        cfg.field.b_field, cfg.atom) + 100.0
+    field = validate_config(cfg).field
     res = ResonanceParams(2.5e-3, 60.0, _center_freq(cfg, field))
     ts = synthesize_rotation(res, field.modulation_freq, 0.01, 1000.0, 1e-4,
                              shot_noise=False,
@@ -330,6 +332,21 @@ BOUND_VIOLATIONS = [
      'must be > 0 Hz and finite (got 1e+300)'),
     ('sim.sample_rate', '100 kHz',
      'sim.sample_rate: must exceed 4x the modulation frequency (70914.307579755 Hz) (got 100000.0)'),
+    # a suffix must name a unit of its key's unit; a unitless key takes none
+    ('field.b_field', '7.6 kHz',
+     "field.b_field: unit 'kHz' does not measure T"),
+    ('sim.probe_power', '80 uT',
+     "sim.probe_power: unit 'uT' does not measure W"),
+    ('spectrum.rbw', '30 W',
+     "spectrum.rbw: unit 'W' does not measure Hz"),
+    ('atom.cell_radius', '5 uT',
+     "atom.cell_radius: unit 'uT' does not measure m"),
+    ('detector.analyzer_impedance', '50 V/A',
+     "detector.analyzer_impedance: unit 'V/A' does not measure ohm"),
+    ('atom.g_f', '1 Hz',
+     "atom.g_f: takes no unit, got 'Hz'"),
+    ('sim.duration', '0.4 m',
+     "sim.duration: takes no unit, got 'm'"),
 ]
 
 
@@ -349,3 +366,31 @@ def test_every_bound_names_key_and_rule(key, value, message, tmp_path,
 def test_bound_violations_cover_every_bounded_key():
     bounded = {key for key, row in _KEY_TABLE.items() if row[3] is not None}
     assert bounded <= {key for key, _value, _message in BOUND_VIOLATIONS}
+
+
+def test_every_section_field_is_a_key_of_its_annotated_type():
+    tags = {float: "f", Optional[float]: "f?", int: "i", str: "s", bool: "b"}
+    declared = {
+        f"{section}.{attr}": (section, attr, tags[annotation])
+        for section, kind in get_type_hints(ExperimentConfig).items()
+        for attr, annotation in get_type_hints(kind).items()}
+    assert {key: row[:3] for key, row in _KEY_TABLE.items()} == declared
+
+
+@pytest.mark.parametrize("source", ["file", "environment"])
+def test_unit_of_another_dimension_exits_2(source, tmp_path, capsys,
+                                           monkeypatch):
+    # 7.6 kHz read as a field was 7600 T, and spectrum ran on it
+    config = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+    if source == "file":
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(config.read_text() + "field.b_field = 7.6 kHz\n")
+        config = bad
+    else:
+        monkeypatch.setenv("AMORSIM_FIELD__B_FIELD", "7.6 kHz")
+    assert main(["spectrum", "--config", str(config),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ConfigError", "exit_code": 2,
+                   "message": "field.b_field: unit 'kHz' does not measure T"}
+    assert not (tmp_path / "o").exists()

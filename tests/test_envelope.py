@@ -189,7 +189,7 @@ def _mean_and_sem(values):
 def _peak_and_background(cfg, band, power, phi0, span=None, low_band=None):
     """Mean and standard error over SEEDS of one chain's peak, background
     and, with low_band (f_lo, f_hi), its off-resonance level there."""
-    mod = cfg.field_cfg.modulation_freq
+    mod = cfg.field.modulation_freq
     gamma = cfg.resonance.gamma_fwhm
     rows = []
     for seed in SEEDS:
@@ -227,11 +227,11 @@ def test_envelope_and_full_rate_agree_across_seeds(b_field, power):
     cfg.sim.duration = 0.2  # two Welch segments at rbw 30 Hz
     if b_field is not None:
         field = FieldConfig(b_field=b_field).resolve(cfg.atom)
-        cfg = replace(cfg, field_cfg=field, sim=replace(
+        cfg = replace(cfg, field=field, sim=replace(
             cfg.sim, sample_rate=max(cfg.sim.sample_rate,
                                      4.5 * field.modulation_freq)))
-    band = cli._bg_band(cfg, cfg.field_cfg)
-    assert _envelope_grid(band)[0] == cfg.field_cfg.modulation_freq
+    band = cli._bg_band(cfg, cfg.field)
+    assert _envelope_grid(band)[0] == cfg.field.modulation_freq
     phi0 = _tone_phi0(cfg, power)
     _assert_chains_agree(_peak_and_background(cfg, None, power, phi0),
                          _peak_and_background(cfg, band, power, phi0))
@@ -242,8 +242,8 @@ def test_spectrum_envelope_at_dc_agrees_with_full_rate_across_seeds():
     # sits at 0 Hz, where the off-resonance level must stay unbiased
     cfg = default_config()
     cfg.sim.duration = 0.2
-    cfg.field_cfg = FieldConfig(b_field=1e-6).resolve(cfg.atom)
-    mod = cfg.field_cfg.modulation_freq
+    cfg.field = FieldConfig(b_field=1e-6).resolve(cfg.atom)
+    mod = cfg.field.modulation_freq
     span = (max(mod - cfg.spectrum.span / 2.0, 0.0),
             mod + cfg.spectrum.span / 2.0)
     assert span[0] == 0.0 and _envelope_grid(span) == (18432.0, 36864.0)
@@ -261,8 +261,8 @@ def test_envelope_snr_estimator_is_unbiased_across_seeds(power):
     cfg = default_config()
     cfg.detector = replace(cfg.detector, electronic_noise_floor=0.0,
                            technical_noise_coef=0.0)
-    mod = cfg.field_cfg.modulation_freq
-    band = cli._bg_band(cfg, cfg.field_cfg)
+    mod = cfg.field.modulation_freq
+    band = cli._bg_band(cfg, cfg.field)
     phi0 = cfg.resonance.phi0
     snrs = []
     for seed in SEEDS:
@@ -407,7 +407,7 @@ def test_demod_sweep_reads_envelopes_near_dc():
     # a 700 Hz resonance: every point is a 1250 Hz envelope, and those of
     # carriers at or below 1250/2 Hz sit with their lower edge at 0 Hz
     cfg = default_config()
-    cfg.field_cfg = FieldConfig(b_field=75e-9).resolve(cfg.atom)
+    cfg.field = FieldConfig(b_field=75e-9).resolve(cfg.atom)
     res, freqs = cli._demod_grid(cfg)
     points = [cli._demod_point(cfg, res, 1, i, float(f))
               for i, f in enumerate(freqs)]
