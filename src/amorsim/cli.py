@@ -73,7 +73,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -543,14 +543,11 @@ def _run_noise_scan(cfg: ExperimentConfig, spec: ScenarioSpec,
 
 def _snl_map_rows(cfg: ExperimentConfig, gain_nominal: float) -> list:
     """The snl_map grid of the theory budget at one gain, one row per
-    frequency bin, its electronic floor raised to A(f) below
-    snlmap.elec_knee_freq."""
+    frequency bin."""
     sm = cfg.snlmap
-    budget = theory_budget(cfg, gain_nominal)
     freqs = _allocate("snlmap.freq_bins", f"{sm.freq_bins!r} bins",
                       np.linspace, sm.freq_min, sm.freq_max, sm.freq_bins)
-    return snl_map([replace(budget, detection_freq=freq,
-                            coef_elec=sm.elec_floor_at(budget.coef_elec, freq))
+    return snl_map([theory_budget(cfg, gain_nominal, freq)
                     for freq in freqs.tolist()], sm.k_list())
 
 

@@ -148,6 +148,7 @@ class DetectorConfig:
     analyzer_impedance: float = _key(50.0, ">0", "ohm")
     electronic_noise_floor: float = _key(0.0, ">=0")  # W/Hz (A coefficient)
     technical_noise_coef: float = _key(0.0, ">=0")    # W/(Hz W^2) (C coefficient)
+    electronic_knee_freq: float = _key(20e3, ">=0", "Hz")  # A(f) rises below; 0 = flat
 
     @property
     def gain_effective(self) -> float:
@@ -221,14 +222,6 @@ class SnlMapSettings:
     freq_bins: int = _key(11, ">=1")
     k_values: str = _key("1,2,4")
     second_gain_nominal: float = _key(5e5, ">0", "V/A")  # alternate detector
-    elec_knee_freq: float = _key(20e3, ">=0", "Hz")  # A(f) rises below; 0 = flat
-
-    def elec_floor_at(self, floor: float, freq: float) -> float:
-        """The electronic floor A(f) = floor * (1 + (elec_knee_freq/f)^2).
-
-        Python floats, so a knee far above freq raises OverflowError.
-        """
-        return floor * (1.0 + (self.elec_knee_freq / freq) ** 2)
 
     def k_list(self) -> list[float]:
         try:
@@ -350,10 +343,6 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         _require(math.isfinite(k), "snlmap.k_values", k,
                  "every k must be finite")
         _require(k >= 1.0, "snlmap.k_values", k, "every k must be >= 1")
-    knee_floor = _or_inf(lambda: sm.elec_floor_at(
-        cfg.detector.electronic_noise_floor, sm.freq_min))
-    _require(knee_floor < math.inf, "snlmap.elec_knee_freq", sm.elec_knee_freq,
-             "derived electronic floor at snlmap.freq_min must be finite")
     from .detector import theory_budget  # detector imports config
     for key, gain in (("detector.transimpedance_gain_nominal",
                        cfg.detector.transimpedance_gain_nominal),
@@ -379,6 +368,12 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
                  "> 0 Hz and finite")
 
     cfg.field = cfg.field.resolve(cfg.atom)
+    # A(f) at snl-map's lowest bin and at the carrier; B, C are checked above
+    for freq in (sm.freq_min, cfg.field.modulation_freq):
+        elec = _or_inf(lambda: theory_budget(cfg, detection_freq=freq).coef_elec)
+        _require(elec < math.inf, "detector.electronic_knee_freq",
+                 cfg.detector.electronic_knee_freq, "derived electronic floor "
+                 "at snlmap.freq_min and field.modulation_freq must be finite")
     return cfg
 
 

@@ -161,17 +161,21 @@ def theoretical_shot_noise_level(power: float, det: DetectorConfig,
 
 
 def theory_budget(cfg: ExperimentConfig, gain_nominal: Optional[float] = None,
-                  detection_freq: float = 0.0) -> NoiseBudget:
+                  detection_freq: Optional[float] = None) -> NoiseBudget:
     """The configured A + B*P + C*P^2 at one transimpedance gain (default:
-    the configured one). A is flat; B and C scale as the effective gain
+    the configured one). At a detection frequency f, A = floor * (1 +
+    (knee/f)^2); with none, A is the flat floor. B and C scale as the gain
     squared. Python floats, so a term that overflows raises OverflowError."""
     base = cfg.detector
     det = base if gain_nominal is None else replace(
         base, transimpedance_gain_nominal=gain_nominal)
     ratio = det.gain_effective / base.gain_effective
     shot = theoretical_shot_noise_level(1.0, det, cfg.atom.probe_wavelength)
-    return NoiseBudget(base.electronic_noise_floor, shot,
-                       base.technical_noise_coef * ratio ** 2, detection_freq)
+    floor, knee, f = (base.electronic_noise_floor, base.electronic_knee_freq,
+                      detection_freq)
+    elec = floor if f is None else floor * (1.0 + (knee / f) ** 2)
+    return NoiseBudget(elec, shot, base.technical_noise_coef * ratio ** 2,
+                       0.0 if f is None else f)
 
 
 def angle_gain_from_chain(det: DetectorConfig, flux: float) -> float:

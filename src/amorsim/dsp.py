@@ -367,14 +367,22 @@ def _analyzer_window(fs: float, rbw: float, n: int
     return window, enbw
 
 
+@functools.lru_cache(maxsize=8)
+def _offset_freqs(nperseg: int, fs: float) -> np.ndarray:
+    """Read-only bin offsets of an nperseg-point FFT at fs, increasing."""
+    freqs = np.fft.fftshift(np.fft.fftfreq(nperseg, 1.0 / fs))
+    freqs.flags.writeable = False
+    return freqs
+
+
 def _welch(x: np.ndarray, fs: float, window: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray]:
     """Welch density with 50%-overlapped, undetrended segments.
 
     One-sided for a real x. For a complex envelope, twice the two-sided
-    density at offsets from its centre, in increasing order. Works along
-    the last axis: a (rows, n) x gives one density per row, each segment
-    one FFT over all rows.
+    density at offsets from its centre, in increasing order, on a shared
+    read-only grid. Works along the last axis: a (rows, n) x gives one
+    density per row, each segment one FFT over all rows.
     """
     nperseg = window.size
     step = nperseg - nperseg // 2
@@ -386,9 +394,12 @@ def _welch(x: np.ndarray, fs: float, window: np.ndarray
         spec = transform(x[..., start:start + nperseg] * window)
         acc += spec.real ** 2 + spec.imag ** 2
     psd = acc / (len(starts) * fs * float(np.sum(window ** 2)))
-    if not real:
-        return (np.fft.fftshift(np.fft.fftfreq(nperseg, 1.0 / fs)),
-                2.0 * np.fft.fftshift(psd, axes=-1))
+    if not real:  # fftshift's order: the negative offsets come first
+        neg = nperseg // 2
+        shifted = np.empty_like(psd)
+        np.multiply(psd[..., nperseg - neg:], 2.0, out=shifted[..., :neg])
+        np.multiply(psd[..., :nperseg - neg], 2.0, out=shifted[..., neg:])
+        return _offset_freqs(nperseg, fs), shifted
     psd[..., 1:nperseg - nperseg // 2] *= 2.0  # all but DC and an even-length Nyquist
     return np.fft.rfftfreq(nperseg, 1.0 / fs), psd
 
@@ -443,7 +454,7 @@ def psd_estimate(ts: AnySeries, rbw: float, vbw: Optional[float] = None,
     window, enbw = _analyzer_window(fs, rbw, x.shape[-1])
     freqs, psd = _welch(x, fs, window)
     if center is not None:
-        freqs += center
+        freqs = freqs + center
     if vbw < rbw:
         psd = np.maximum(_video_smooth(psd, rbw, vbw, fs / window.size), 0.0)
     if span is not None:

@@ -14,7 +14,11 @@ from hypothesis import given, strategies as st
 
 import amorsim.cli
 import amorsim.dsp
-from amorsim.analysis import projection_noise, snl_range
+from amorsim.analysis import (
+    classify_operating_point,
+    projection_noise,
+    snl_range,
+)
 from amorsim.cli import MODES, ScenarioSpec, emit_plotdata, main, run_scenario
 from amorsim.config import (
     _KEY_TABLE,
@@ -328,15 +332,48 @@ def test_snl_map_rows_are_the_theory_budget_with_the_knee(fast_config):
         budget = theory_budget(cfg, gain)
         assert [freq for freq, _ in grid] == freqs.tolist()
         for f, (_, windows) in zip(freqs, grid):
+            knee = cfg.detector.electronic_knee_freq
             want = replace(budget, detection_freq=float(f),
                            coef_elec=budget.coef_elec
-                           * (1.0 + (sm.elec_knee_freq / f) ** 2))
+                           * (1.0 + (knee / f) ** 2))
             assert len(windows) == len(sm.k_list())
             for window, k in zip(windows, sm.k_list()):
                 expected = snl_range(want, k)
                 assert window.k == k and window.nonempty == expected.nonempty
                 assert (window.p_low, window.p_high) == pytest.approx(
                     (expected.p_low, expected.p_high), rel=1e-12), gain
+
+
+def test_sensitivity_class_reads_the_knee_snl_map_reads(tmp_path):
+    # on 61 default powers, 63.03 uW lies between the flat floor's k = 4
+    # edge (59.7 uW) and the edge of A(f) at the 70.9 kHz carrier (64.5 uW):
+    # sensitivity-sweep and snl-map must agree it is electronic-limited
+    config = tmp_path / "sweep61.cfg"
+    default = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+    config.write_text(default.read_text() + "sweep.power_points = 61\n")
+    out = tmp_path / "out"
+    assert main(["sensitivity-sweep", "--config", str(config),
+                 "--out", str(out), "--seed", "1"]) == 0
+    names, cells, _ = read_table(out / "sensitivity_sweep.csv")
+    table = dict(zip(names, cells))
+    row = int(np.argmin(np.abs(table["power_w"] - 63.03e-6)))
+    power = float(table["power_w"][row])
+    assert power == pytest.approx(63.03e-6, rel=1e-4)
+
+    cfg = amorsim.cli._load_config(ScenarioSpec("sensitivity-sweep",
+                                                str(config)))
+    mod, k = cfg.field.modulation_freq, cfg.analysis.snl_k
+    expected = classify_operating_point(theory_budget(cfg, detection_freq=mod),
+                                        power, k)
+    assert table["snl_class"][row] == expected == "electronic-limited"
+    on_carrier = replace(cfg, snlmap=replace(
+        cfg.snlmap, freq_min=mod, freq_max=2.0 * mod, freq_bins=1,
+        k_values=f"{k:g}"))
+    gain = cfg.detector.transimpedance_gain_nominal
+    [(freq, [window])] = amorsim.cli._snl_map_rows(on_carrier, gain)
+    assert (freq, window.k) == (mod, k)
+    assert window.p_low == pytest.approx(64.5e-6, rel=1e-3)
+    assert power < window.p_low  # so the map calls it electronic-limited
 
 
 def test_snl_map_tables_do_not_depend_on_the_seed(mode_run):
@@ -604,6 +641,18 @@ def test_detuning_delta_env_override_exits_2(fast_config, tmp_path,
     assert not (tmp_path / "x").exists()
 
 
+def test_snlmap_knee_env_override_exits_2(fast_config, tmp_path,
+                                          monkeypatch, capsys):
+    # the knee is detector.electronic_knee_freq, read by every budget
+    monkeypatch.setenv("AMORSIM_SNLMAP__ELEC_KNEE_FREQ", "20e3")
+    code = main(["snl-map", "--config", fast_config,
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["message"] == "snlmap.elec_knee_freq: unknown configuration key"
+    assert not (tmp_path / "x").exists()
+
+
 def test_bad_env_override_exits_2(fast_config, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("AMORSIM_SIM__SAMPLE_RATE", "not-a-number")
     code = main(["simulate", "--config", fast_config,
@@ -651,6 +700,7 @@ def test_missing_config_exits_4(tmp_path, capsys):
                                  "detector.electronic_noise_table",
                                  "detector.photocurrent_convention",
                                  "snlmap.jitter_rel",
+                                 "snlmap.elec_knee_freq",
                                  "field.detuning_delta"])
 def test_unknown_config_key_exits_2(key, tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
@@ -693,8 +743,13 @@ def test_every_float_key_rejects_non_finite(key, value, tmp_path, capsys):
 @pytest.mark.parametrize("mode, config_text, key", [
     ("simulate", "atom.cell_radius = 1e300\n", "atom.cell_radius"),
     ("simulate", "atom.g_f = -0.3333333333333333\n", "atom.g_f"),
-    # (knee / freq) ** 2 and the squared gain overflow a Python float
-    ("snl-map", "snlmap.elec_knee_freq = 1e300\n", "snlmap.elec_knee_freq"),
+    # (knee / freq) ** 2 and the squared gain overflow a Python float, the
+    # knee at snl-map's lowest bin or at sensitivity-sweep's carrier
+    ("snl-map", "detector.electronic_knee_freq = 1e300\n",
+     "detector.electronic_knee_freq"),
+    ("sensitivity-sweep", "detector.electronic_knee_freq = 1e300\n"
+     "snlmap.freq_min = 1e200\nsnlmap.freq_max = 1e201\n",
+     "detector.electronic_knee_freq"),
     ("snl-map", "snlmap.second_gain_nominal = 1e200\n",
      "snlmap.second_gain_nominal"),
     # powers ** 2 in the budget, and the squared gain ratio, overflow

@@ -227,6 +227,8 @@ BOUND_VIOLATIONS = [
      'detector.analyzer_impedance: must be > 0 (got 0.0)'),
     ('detector.electronic_noise_floor', '-1e-14',
      'detector.electronic_noise_floor: must be >= 0 (got -1e-14)'),
+    ('detector.electronic_knee_freq', '-1 kHz',
+     'detector.electronic_knee_freq: must be >= 0 (got -1000.0)'),
     ('detector.technical_noise_coef', '-1.8e-6',
      'detector.technical_noise_coef: must be >= 0 (got -1.8e-06)'),
     ('resonance.phi0', '-1e-3',
@@ -265,8 +267,6 @@ BOUND_VIOLATIONS = [
      'snlmap.freq_bins: must be >= 1 (got 0)'),
     ('snlmap.second_gain_nominal', '0 V/A',
      'snlmap.second_gain_nominal: must be > 0 (got 0.0)'),
-    ('snlmap.elec_knee_freq', '-1 kHz',
-     'snlmap.elec_knee_freq: must be >= 0 (got -1000.0)'),
     ('saturation.phi0_scale', '-3e-3',
      'saturation.phi0_scale: must be >= 0 (got -0.003)'),
     ('saturation.p_sat', '0 uW',

@@ -156,23 +156,31 @@ def test_noise_budget_monotone_in_power(a, b, c, p1, p2):
     primary=st.floats(1e2, 1e9),
     gain=st.floats(1e2, 1e9),
     headroom=st.floats(0.05, 1.0),
-    freq=st.floats(0.0, 2e6),
+    knee=st.sampled_from([0.0, 20e3]) | st.floats(0.0, 1e6),
+    freq=st.none() | st.floats(1.0, 2e6),
 )
-def test_theory_budget_at_any_gain(primary, gain, headroom, freq):
-    # A stays put; B and C both scale as the squared effective gain
+def test_theory_budget_at_any_gain(primary, gain, headroom, knee, freq):
+    # A is A(f) = floor * (1 + (knee/f)^2) at a frequency and the flat floor
+    # without one, at any gain; B and C scale as the squared effective gain
     det = DetectorConfig(transimpedance_gain_nominal=primary,
                          gain_headroom_factor=headroom,
                          electronic_noise_floor=1.35e-14,
-                         technical_noise_coef=1.8e-6)
+                         technical_noise_coef=1.8e-6,
+                         electronic_knee_freq=knee)
     cfg = ExperimentConfig(detector=det)
     at_gain = replace(det, transimpedance_gain_nominal=gain)
     budget = theory_budget(cfg, gain, detection_freq=freq)
-    assert budget.coef_elec == 1.35e-14
+    if freq is None or knee == 0.0:
+        assert budget.coef_elec == 1.35e-14
+    else:
+        assert budget.coef_elec == 1.35e-14 * (1.0 + (knee / freq) ** 2)
+        # at and below the knee, A is at least twice the floor
+        assert budget.coef_elec >= 1.35e-14 * (2.0 if knee >= freq else 1.0)
     assert budget.coef_shot == theoretical_shot_noise_level(
         1.0, at_gain, cfg.atom.probe_wavelength)
     assert budget.coef_tech == 1.8e-6 * (
         at_gain.gain_effective / det.gain_effective) ** 2
-    assert budget.detection_freq == freq
+    assert budget.detection_freq == (0.0 if freq is None else freq)
     scale = (gain / primary) ** 2
     assert budget.coef_tech == pytest.approx(1.8e-6 * scale, rel=1e-12)
     assert budget.coef_shot == pytest.approx(

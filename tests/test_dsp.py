@@ -17,6 +17,7 @@ from amorsim.dsp import (
     PowerSpectrum,
     ResonanceCurve,
     _flattop,
+    _offset_freqs,
     _video_smooth,
     lock_in_demodulate,
     peak_and_background,
@@ -366,6 +367,31 @@ def test_psd_of_a_stack_is_each_row_bit_for_bit(rows, envelope, rbw, vbw,
         assert trace.freqs.tobytes() == single.freqs.tobytes()
         assert (trace.rbw, trace.vbw, trace.enbw) == (single.rbw, single.vbw,
                                                       single.enbw)
+
+
+@pytest.mark.parametrize("rbw", [30.0, 26.8])
+def test_envelope_psd_is_the_shifted_doubled_welch(rbw):
+    # even (1000) and odd (1125) segments: the shifted grid is cached and
+    # shared, so a centre is added to a copy and the cache keeps its values
+    rng = np.random.default_rng(3)
+    samples = (rng.standard_normal((2, 2500))
+               + 1j * rng.standard_normal((2, 2500)))
+    spectra = [psd_estimate(DetectedTimeSeries(
+        samples, FS, gain_used=1e6, mean_power=1e-4, angle_gain=1.0,
+        center_freq=center), rbw) for center in (3000.0, 5000.0)]
+    nperseg = segment_length(spectra[0])
+    grid = np.fft.fftshift(np.fft.fftfreq(nperseg, 1.0 / FS))
+    window = _flattop(nperseg)[0]
+    _, psd = signal.welch(samples, fs=FS, window=window, nperseg=nperseg,
+                          noverlap=nperseg // 2, detrend=False,
+                          scaling="density", return_onesided=False)
+    for center, spec in zip((3000.0, 5000.0), spectra):
+        assert spec.freqs.tobytes() == (grid + center).tobytes()
+        np.testing.assert_allclose(
+            spec.psd, 2.0 * np.fft.fftshift(psd, axes=-1), rtol=1e-12, atol=0)
+    cached = _offset_freqs(nperseg, FS)
+    assert not cached.flags.writeable
+    assert cached.tobytes() == grid.tobytes()
 
 
 def largest_prime_factor(n):
