@@ -62,9 +62,11 @@ FAULTS = [
     ("spectrum", "spectrum.span = 2000"),
     ("sensitivity-sweep", "spectrum.rbw = 1"),
     ("sensitivity-sweep", "saturation.phi0_scale = 1e300"),
-    ("snl-map", "detector.electronic_knee_freq = 1e300"),
+    ("snl-map", "detector.electronic_knee_freq = 1e300\n"
+     "detector.electronic_noise_floor = 1.35e-14"),
     ("sensitivity-sweep", "detector.electronic_knee_freq = 1e300\n"
-     "snlmap.freq_min = 1e200\nsnlmap.freq_max = 1e201"),
+     "snlmap.freq_min = 1e200\nsnlmap.freq_max = 1e201\n"
+     "detector.electronic_noise_floor = 1.35e-14"),
     ("simulate", "field.detuning_delta = 0"),
     ("simulate", "field.b_field = none"),
     ("simulate", "field.b_field = 0"),

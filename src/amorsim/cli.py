@@ -44,14 +44,14 @@ stream, while ``(1, 2, 3, 1)`` and ``(1, 2, 3, 1, 0)`` differ.
 The analyzer modes build their series as the rows of one array, each row
 on its own stream: ``_detected_stack`` allocates it from its row count,
 draws each row's noise straight into the row and adds the coherent wave,
-synthesized once per distinct (resonance, power) of the stack: a
-sensitivity-sweep point's eight rows need two, its on and off sides, and
-a side with no deterministic part adds nothing. Each stack goes to one
-``psd_estimate``: spectrum its on/off pair, sensitivity-sweep the
-``trace_avg`` on/off pairs of one power, which it reads in place, noise-scan
-a contiguous chunk of one scan's powers, one chunk per worker. A row's
-trace does not depend on the other rows, so the chunking leaves the bytes
-as they are.
+``coherent_rotation``'s envelope built once per distinct (resonance,
+power) of the stack: a sensitivity-sweep point's eight rows need two, its
+on and off sides, and a side with no deterministic part adds nothing.
+Each stack goes to one ``psd_estimate``: spectrum its on/off pair,
+sensitivity-sweep the ``trace_avg`` on/off pairs of one power, which it
+reads in place, noise-scan a contiguous chunk of one scan's powers, one
+chunk per worker. A row's trace does not depend on the other rows, so the
+chunking leaves the bytes as they are.
 
 Analyzer bands. Every mode but simulate builds only the band its analyzer
 or lock-in reads, as the complex envelope of that band at a rate just
@@ -125,6 +125,8 @@ from .dsp import (
 from .fitting import FitError, fit_lorentzian, fit_noise_polynomial, fit_report
 from .signal_model import (
     ResonanceParams,
+    coherent_rotation,
+    photon_flux,
     rotation_to_csv,
     synthesize_rotation,
     white_noise,
@@ -277,10 +279,12 @@ def _detected_stack(cfg: ExperimentConfig, mod: float,
     A row is the coherent rotation at the chain's angle gain plus one white
     draw from stream key+(0,) at ``theory_budget(cfg).eval(power)``: shot,
     electronic and technical noise at once (see the ``detector``
-    docstring). The stack, real without a band and complex with one, is
-    allocated before the first row is built, a size numpy refuses blamed
-    on count_key. The rows share the band's sample rate and centre; the
-    other scalar fields describe the first row only.
+    docstring). The stack, complex with a band, is allocated before the
+    first row is built, a size numpy refuses blamed on count_key. The rows
+    share the band's sample rate and centre; the other scalar fields
+    describe the first row only. No mode passes band=None: its real stack
+    at sim.sample_rate is the full-rate reference the tests compare the
+    envelopes with.
 
     Each row's draw lands in the row itself, and the scaled coherent wave
     is added onto it. The wave, its gain and the density are worked out
@@ -299,13 +303,11 @@ def _detected_stack(cfg: ExperimentConfig, mod: float,
         if point not in waves:
             if len(waves) == 2:
                 waves.clear()
-            coherent = synthesize_rotation(
-                res, mod, cfg.sim.duration, rate, power, shot_noise=False,
-                wavelength=cfg.atom.probe_wavelength, center_freq=center)
-            gain = angle_gain_from_chain(det, coherent.photon_flux)
-            wave = (None if coherent.samples is coherent.noise_samples
-                    else coherent.samples * gain)
-            waves[point] = budget.eval(power), gain, wave
+            wave = coherent_rotation(res, mod, rate, n, center)
+            gain = angle_gain_from_chain(
+                det, photon_flux(power, cfg.atom.probe_wavelength))
+            waves[point] = (budget.eval(power), gain,
+                            None if wave is None else wave * gain)
         density, gain, wave = waves[point]
         white_noise(np.random.default_rng(key + (0,)), density, rate, n,
                     center is not None, out=samples[row])

@@ -32,8 +32,8 @@ demod-sweep's lock-in reads included, draw all three terms at once. They
 are white and independent, and the shot term angle_gain^2 * S_phi / 2
 equals B*P of ``theory_budget``, so a row is its coherent part at the
 chain's angle gain plus one white draw of PSD ``theory_budget(cfg).eval(P)``
-= A + B*P + C*P^2. On a complex envelope (a series with ``center_freq``) a
-draw is circular complex with variance PSD * fs / 4 per component, the same
+= A + B*P + C*P^2. On a detected envelope (``center_freq`` set) a draw is
+circular complex with variance PSD * fs / 4 per component, the same
 one-sided level once the analyzer displays it.
 """
 
@@ -164,8 +164,8 @@ def theory_budget(cfg: ExperimentConfig, gain_nominal: Optional[float] = None,
                   detection_freq: Optional[float] = None) -> NoiseBudget:
     """The configured A + B*P + C*P^2 at one transimpedance gain (default:
     the configured one). At a detection frequency f, A = floor * (1 +
-    (knee/f)^2); with none, A is the flat floor. B and C scale as the gain
-    squared. Python floats, so a term that overflows raises OverflowError."""
+    (knee/f)^2), or the flat floor with no f or a zero floor. B and C scale
+    as the gain squared; Python floats, so an overflow raises OverflowError."""
     base = cfg.detector
     det = base if gain_nominal is None else replace(
         base, transimpedance_gain_nominal=gain_nominal)
@@ -173,7 +173,7 @@ def theory_budget(cfg: ExperimentConfig, gain_nominal: Optional[float] = None,
     shot = theoretical_shot_noise_level(1.0, det, cfg.atom.probe_wavelength)
     floor, knee, f = (base.electronic_noise_floor, base.electronic_knee_freq,
                       detection_freq)
-    elec = floor if f is None else floor * (1.0 + (knee / f) ** 2)
+    elec = floor if f is None or not floor else floor * (1.0 + (knee / f) ** 2)
     return NoiseBudget(elec, shot, base.technical_noise_coef * ratio ** 2,
                        0.0 if f is None else f)
 
@@ -207,7 +207,7 @@ def detect(rotation: RotationTimeSeries, det: DetectorConfig, *,
     technical coefficient C in W/(Hz*W^2), entering as white noise of PSD
     C*P^2. Shot noise is never added here - it arrives via the rotation
     series. ``angle_gain`` defaults to the chain value for the series'
-    photon flux. A complex envelope stays one, around the same centre.
+    photon flux.
     """
     coef_elec, coef_tech = det.electronic_noise_floor, det.technical_noise_coef
     if coef_elec < 0:
@@ -233,7 +233,7 @@ def detect(rotation: RotationTimeSeries, det: DetectorConfig, *,
     output_psd = coef_elec + coef_tech * power ** 2
     if output_psd > 0.0:
         signal += white_noise(np.random.default_rng(rng_seed), output_psd, fs,
-                              n, rotation.center_freq is not None)
+                              n, False)
 
     return DetectedTimeSeries(
         samples=signal,
@@ -242,7 +242,6 @@ def detect(rotation: RotationTimeSeries, det: DetectorConfig, *,
         mean_power=power,
         angle_gain=angle_gain,
         rng_seed=rng_seed,
-        center_freq=rotation.center_freq,
     )
 
 

@@ -16,8 +16,8 @@ FFT is fast; the realized ENBW is reported and stays within 5% of rbw. The
 window and its ENBW are cached per length.
 
 Like a swept analyzer, which mixes its input to an IF and filters it at
-the RBW, the estimator also reads complex envelopes (series with a
-``center_freq`` f_c, see signal_model): the same segments and window, a
+the RBW, the estimator also reads complex envelopes (detected series with
+a ``center_freq`` f_c, see signal_model): the same segments and window, a
 full FFT in place of the real one, and a trace at f_c + offset showing
 twice the two-sided density, so one-sided levels read the same on both
 paths. ``_envelope_grid`` picks the envelope for the band a caller reads.
@@ -229,7 +229,7 @@ def lock_in_demodulate(ts: AnySeries, mod_freq: float,
     in (0, fs/2); an envelope's must lie within f_c +- fs/2. Detected
     series are scaled back to angle units via their recorded gain.
     """
-    fs, center = ts.sample_rate, ts.center_freq
+    fs, center = ts.sample_rate, getattr(ts, "center_freq", None)
     if center is None and not 0.0 < mod_freq < fs / 2.0:
         raise ValueError(
             f"mod_freq {mod_freq!r} must lie in (0, Nyquist) for "
@@ -449,7 +449,7 @@ def psd_estimate(ts: AnySeries, rbw: float, vbw: Optional[float] = None,
         vbw = rbw
     if not vbw > 0:
         raise ValueError(f"vbw must be > 0, got {vbw!r}")
-    fs, center = ts.sample_rate, ts.center_freq
+    fs, center = ts.sample_rate, getattr(ts, "center_freq", None)
     x = ts.samples
     window, enbw = _analyzer_window(fs, rbw, x.shape[-1])
     freqs, psd = _welch(x, fs, window)

@@ -13,13 +13,14 @@ with Gamma = 2*pi*gamma_fwhm. The stochastic term dphi(t) is white Gaussian
 photon shot noise with one-sided PSD S_phi = 1/(2*Phi_ph), where Phi_ph is
 the photon flux arriving at the detector.
 
-A series is either the real angle at the full rate, or, when it carries a
-``center_freq`` f_c, its complex envelope around f_c: the positive-frequency
-part of phi(t) mixed down by f_c and sampled at a rate that covers only the
-band an analyzer or the lock-in reads. Every mode but simulate synthesizes
-envelopes (spectrum, noise-scan and sensitivity-sweep for the analyzer,
-demod-sweep for the lock-in); simulate writes the real angle. A band near
-DC gets an envelope whose lower edge sits at 0 Hz (f_c = sample_rate/2).
+``synthesize_rotation`` is simulate's series: the real angle at the full
+rate, tone plus shot noise. ``coherent_rotation`` is the tone alone, real,
+or, given a centre f_c, its complex envelope around f_c: the
+positive-frequency part of the tone mixed down by f_c and sampled at a
+rate that covers only the band an analyzer or the lock-in reads. The
+analyzer rows of every other mode (``cli._detected_stack``) are built on
+that envelope. A band near DC gets an envelope whose lower edge sits at
+0 Hz (f_c = sample_rate/2).
 
 The resonance sits at the doubled Larmor frequency 2 g_F mu_B B / h
 (``larmor_doubled_freq``, defined in ``config`` next to the field it
@@ -52,6 +53,7 @@ __all__ = [
     "photon_flux",
     "shot_noise_angle_density",
     "white_noise",
+    "coherent_rotation",
     "synthesize_rotation",
     "rotation_to_csv",
 ]
@@ -88,9 +90,6 @@ class RotationTimeSeries:
     detector.detect) without re-deriving it. ``samples`` always equals the
     deterministic part plus ``noise_samples``; ``samples is noise_samples``
     marks a series with no deterministic part.
-
-    With ``center_freq`` set, both arrays are complex: the envelope of the
-    angle around center_freq at ``sample_rate`` (see the module docstring).
     """
 
     samples: np.ndarray          # rad
@@ -100,35 +99,26 @@ class RotationTimeSeries:
     modulation_freq: Optional[float] = None  # Hz, deterministic carrier
     noise_samples: np.ndarray = dc_field(default_factory=lambda: np.zeros(0))
     rng_seed: Optional[Seed] = None
-    center_freq: Optional[float] = None  # Hz, envelope centre; None = real
 
     @property
     def duration(self) -> float:
         return self.samples.size / self.sample_rate
 
     def __post_init__(self) -> None:
-        dtype = float if self.center_freq is None else complex
-        self.samples = np.asarray(self.samples, dtype=dtype)
+        self.samples = np.asarray(self.samples, dtype=float)
         if self.noise_samples is None or np.size(self.noise_samples) == 0:
             self.noise_samples = np.zeros_like(self.samples)
         else:
-            self.noise_samples = np.asarray(self.noise_samples, dtype=dtype)
+            self.noise_samples = np.asarray(self.noise_samples, dtype=float)
         if self.noise_samples.shape != self.samples.shape:
             raise ValueError("noise_samples must match samples shape")
         if not self.sample_rate > 0:
             raise ValueError(f"sample_rate must be > 0, got {self.sample_rate!r}")
-        mod, fs, fc = self.modulation_freq, self.sample_rate, self.center_freq
-        if mod is None:
-            return
-        if fc is None and fs <= 2.0 * mod:
+        mod, fs = self.modulation_freq, self.sample_rate
+        if mod is not None and fs <= 2.0 * mod:
             raise ValueError(
                 f"sample_rate {fs!r} violates the Nyquist guard "
                 f"for modulation_freq {mod!r}"
-            )
-        if fc is not None and not abs(mod - fc) < fs / 2.0:
-            raise ValueError(
-                f"modulation_freq {mod!r} lies outside the envelope band "
-                f"{fc!r} +- {fs / 2.0!r} Hz"
             )
 
 
@@ -201,79 +191,84 @@ def _tone(offset: float, sample_rate: float, n: int) -> np.ndarray:
     return tone
 
 
-def synthesize_rotation(res: ResonanceParams, mod_freq: float,
-                        duration: float, sample_rate: float, power: float,
-                        rng_seed: Optional[Seed] = None, *,
-                        wavelength: float = 795e-9, shot_noise: bool = True,
-                        center_freq: Optional[float] = None
-                        ) -> RotationTimeSeries:
-    """Synthesize the sampled rotation angle at one operating point.
+def coherent_rotation(res: ResonanceParams, mod_freq: float,
+                      sample_rate: float, n: int,
+                      center_freq: Optional[float] = None
+                      ) -> Optional[np.ndarray]:
+    """The n-sample deterministic rotation, or None where it is zero.
 
-    The deterministic part is phi_P cos(Omega_m t) + phi_Q sin(Omega_m t)
-    at Omega_m = 2 pi mod_freq, with (phi_P, phi_Q) evaluated at the
-    detuning Delta = 2 pi (mod_freq - res.center_freq). When shot noise
-    is enabled and power > 0, white Gaussian noise with one-sided PSD
-    S_phi = 1/(2*Phi_ph) is added (per-sample variance S_phi * sample_rate
-    / 2). Zero power means no light: no noise and nothing for the
-    polarimeter to measure downstream.
-
-    With ``center_freq`` f_c the series is the complex envelope around f_c
-    instead: the tone is (phi_P - i phi_Q)/2 * exp(i 2pi (f_mod - f_c) t),
-    which needs |f_mod - f_c| < sample_rate/2, and the noise is circular
-    complex (see ``white_noise``). The real path needs sample_rate > 4 f_mod.
-
-    Deterministic for a fixed rng_seed.
+    phi_P cos(Omega_m t) + phi_Q sin(Omega_m t) at Omega_m = 2 pi mod_freq,
+    with (phi_P, phi_Q) evaluated at the detuning Delta = 2 pi (mod_freq -
+    res.center_freq); this real wave needs sample_rate > 4 mod_freq. With
+    ``center_freq`` f_c it is the complex envelope around f_c instead,
+    (phi_P - i phi_Q)/2 * exp(i 2pi (f_mod - f_c) t), which needs
+    |f_mod - f_c| < sample_rate/2. Either is a new array.
     """
-    if not duration > 0:
-        raise ValueError(f"duration must be > 0, got {duration!r}")
     envelope = center_freq is not None
     if not envelope and not sample_rate > 4.0 * mod_freq:
         raise ValueError(
             f"sample_rate {sample_rate!r} must exceed 4x modulation_freq "
             f"({mod_freq!r} Hz)"
         )
+    if envelope and not abs(mod_freq - center_freq) < sample_rate / 2.0:
+        raise ValueError(
+            f"modulation_freq {mod_freq!r} lies outside the envelope band "
+            f"{center_freq!r} +- {sample_rate / 2.0!r} Hz"
+        )
+    phi_p, phi_q = lorentzian_quadratures(
+        2.0 * math.pi * (mod_freq - res.center_freq), res)
+    if phi_p == 0.0 and phi_q == 0.0:
+        return None
+    if envelope:
+        return 0.5 * (phi_p - 1j * phi_q) * _tone(
+            mod_freq - center_freq, sample_rate, n)
+    # phi_P cos(omega t) + phi_Q sin(omega t), in place
+    wave = np.arange(n) / sample_rate
+    wave *= 2.0 * np.pi * mod_freq
+    quadrature = np.sin(wave)
+    quadrature *= phi_q
+    np.cos(wave, out=wave)
+    wave *= phi_p
+    wave += quadrature
+    return wave
+
+
+def synthesize_rotation(res: ResonanceParams, mod_freq: float,
+                        duration: float, sample_rate: float, power: float,
+                        rng_seed: Optional[Seed] = None, *,
+                        wavelength: float = 795e-9) -> RotationTimeSeries:
+    """Synthesize the real sampled rotation angle at one operating point.
+
+    The deterministic part is ``coherent_rotation``'s real wave. At power
+    > 0, white Gaussian noise with one-sided PSD S_phi = 1/(2*Phi_ph) is
+    added (per-sample variance S_phi * sample_rate / 2). Zero power means
+    no light: no noise and nothing for the polarimeter to measure
+    downstream.
+
+    Deterministic for a fixed rng_seed.
+    """
+    if not duration > 0:
+        raise ValueError(f"duration must be > 0, got {duration!r}")
     n = int(round(duration * sample_rate))
     if n < 2:
         raise ValueError(
             f"duration {duration!r} at sample_rate {sample_rate!r} yields "
             f"fewer than 2 samples"
         )
-    phi_p, phi_q = lorentzian_quadratures(
-        2.0 * math.pi * (mod_freq - res.center_freq), res)
-    carrier = phi_p != 0.0 or phi_q != 0.0
-    if carrier and envelope:
-        deterministic = 0.5 * (phi_p - 1j * phi_q) * _tone(
-            mod_freq - center_freq, sample_rate, n)
-    elif carrier:
-        # phi_P cos(omega t) + phi_Q sin(omega t), in place
-        deterministic = np.arange(n) / sample_rate
-        deterministic *= 2.0 * np.pi * mod_freq
-        quadrature = np.sin(deterministic)
-        quadrature *= phi_q
-        np.cos(deterministic, out=deterministic)
-        deterministic *= phi_p
-        deterministic += quadrature
+    wave = coherent_rotation(res, mod_freq, sample_rate, n)
 
     flux = photon_flux(power, wavelength)
-    if shot_noise and flux > 0:
+    if flux > 0:
         noise = white_noise(np.random.default_rng(rng_seed),
                             shot_noise_angle_density(flux), sample_rate, n,
-                            envelope)
+                            False)
     else:
-        noise = np.zeros(n, dtype=complex if envelope else float)
-    if carrier:
-        deterministic += noise
+        noise = np.zeros(n)
+    if wave is not None:
+        wave += noise
 
-    return RotationTimeSeries(
-        samples=deterministic if carrier else noise,
-        sample_rate=sample_rate,
-        mean_optical_power=power,
-        photon_flux=flux,
-        modulation_freq=mod_freq,
-        noise_samples=noise,
-        rng_seed=rng_seed,
-        center_freq=center_freq,
-    )
+    return RotationTimeSeries(noise if wave is None else wave, sample_rate,
+                              power, flux, mod_freq, noise, rng_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +276,7 @@ def synthesize_rotation(res: ResonanceParams, mod_freq: float,
 # ---------------------------------------------------------------------------
 
 def rotation_to_csv(ts: RotationTimeSeries, path) -> None:
-    """Write a real series with header rows carrying its metadata."""
-    if ts.center_freq is not None:
-        raise ValueError("rotation_to_csv writes real series only, "
-                         f"not an envelope around {ts.center_freq!r} Hz")
+    """Write a series with header rows carrying its metadata."""
     write_table(path, ["sample_rad"], [ts.samples], {
         "sample_rate_hz": ts.sample_rate,
         "mean_optical_power_w": ts.mean_optical_power,

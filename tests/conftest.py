@@ -1,6 +1,14 @@
+import math
 import os
 
 import hypothesis
+import numpy as np
+
+from amorsim.signal_model import (
+    RotationTimeSeries,
+    coherent_rotation,
+    photon_flux,
+)
 
 # Numeric property tests run whole simulations inside hypothesis examples;
 # the default 200 ms deadline is too tight for those on shared runners.
@@ -13,3 +21,24 @@ hypothesis.settings.register_profile(
 # HYPOTHESIS_PROFILE=thorough selects the longer run.
 hypothesis.settings.load_profile(
     os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+def mean_and_sem(values):
+    """Mean and standard error of the mean of a Monte-Carlo sample."""
+    values = np.asarray(values)
+    sem = values.std(ddof=1) / math.sqrt(values.size)
+    return float(values.mean()), float(sem)
+
+
+def noiseless_rotation(res, mod_freq, duration, sample_rate, power, *,
+                       wavelength=795e-9):
+    """The real rotation series synthesize_rotation gives without shot
+    noise: coherent_rotation's wave on a zero noise part, which is also
+    the samples where the wave is None."""
+    n = int(round(duration * sample_rate))
+    wave = coherent_rotation(res, mod_freq, sample_rate, n)
+    noise = np.zeros(n)
+    return RotationTimeSeries(
+        samples=noise if wave is None else wave, sample_rate=sample_rate,
+        mean_optical_power=power, photon_flux=photon_flux(power, wavelength),
+        modulation_freq=mod_freq, noise_samples=noise)

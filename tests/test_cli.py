@@ -31,9 +31,11 @@ from amorsim.dsp import peak_and_background, psd_estimate
 from amorsim.fitting import FitError
 from amorsim.signal_model import (
     ResonanceParams,
-    synthesize_rotation,
+    coherent_rotation,
+    photon_flux,
 )
 from amorsim.tables import read_table, write_json, write_table
+from conftest import mean_and_sem
 
 # A reduced carrier (0.76 uT -> 7.09 kHz) keeps every mode cheap while
 # exercising the full pipeline.
@@ -198,10 +200,9 @@ def test_noise_scan_is_shot_noise_limited_from_5_to_75_uT(b_field):
             cfg, ScenarioSpec("noise-scan", seed=seed), field, lane)
         shots.append(fit.coef_shot)
         assert snl_range(fit, 4).nonempty, seed
-    shots = np.array(shots)
-    stderr = shots.std(ddof=1) / math.sqrt(shots.size)
+    mean, stderr = mean_and_sem(shots)
     theory = theory_budget(cfg).coef_shot
-    assert abs(shots.mean() - theory) < 4.0 * stderr
+    assert abs(mean - theory) < 4.0 * stderr
 
 
 def test_noise_scan_background_matches_the_budget_across_seeds():
@@ -218,9 +219,8 @@ def test_noise_scan_background_matches_the_budget_across_seeds():
     budget = theory_budget(cfg)
     assert powers[0] == 0.0
     for i in (0, len(powers) // 2, len(powers) - 1):
-        stderr = levels[:, i].std(ddof=1) / math.sqrt(len(runs))
-        assert abs(levels[:, i].mean() - budget.eval(powers[i])) \
-            < 4.0 * stderr, powers[i]
+        mean, stderr = mean_and_sem(levels[:, i])
+        assert abs(mean - budget.eval(powers[i])) < 4.0 * stderr, powers[i]
 
 
 def test_stacked_analyzer_matches_per_point_estimates(mode_run, fast_config):
@@ -270,17 +270,17 @@ def _reference_row(cfg, mod, band, res, power, key):
     rotation at the chain's angle gain plus numpy's normal draw from stream
     key+(0,) at the budget's density."""
     center, rate, n = amorsim.cli._series_grid(cfg, band)
-    coherent = synthesize_rotation(
-        res, mod, cfg.sim.duration, rate, power, shot_noise=False,
-        wavelength=cfg.atom.probe_wavelength, center_freq=center)
-    gain = angle_gain_from_chain(cfg.detector, coherent.photon_flux)
+    wave = coherent_rotation(res, mod, rate, n, center)
+    gain = angle_gain_from_chain(cfg.detector, photon_flux(
+        power, cfg.atom.probe_wavelength))
     envelope = center is not None
     sigma = math.sqrt(theory_budget(cfg).eval(power) * rate
                       / (4.0 if envelope else 2.0))
     noise = np.random.default_rng(key + (0,)).normal(
         0.0, sigma, 2 * n if envelope else n)
-    return coherent.samples * gain + (noise.view(complex) if envelope
-                                      else noise)
+    if envelope:
+        noise = noise.view(complex)
+    return noise if wave is None else wave * gain + noise
 
 
 @given(sides=st.lists(st.sampled_from([0, 1]), min_size=1, max_size=9),
@@ -395,6 +395,18 @@ def test_snl_map_without_an_electronic_floor_opens_at_zero_power(
         columns, data, _meta = read_table(tmp_path / name)
         p_low = data[columns.index("p_low_w")]
         assert p_low.size == 4 * 2 and np.all(p_low == 0.0), name
+
+
+def test_snl_map_with_no_floor_runs_at_any_knee(tmp_path):
+    # A(f) = 0 * (1 + (knee/f)^2) is 0 at every bin, however high the knee
+    config = tmp_path / "knee.cfg"
+    config.write_text("detector.electronic_knee_freq = 1e300\n")
+    out = tmp_path / "out"
+    assert main(["snl-map", "--config", str(config), "--out", str(out)]) == 0
+    for name in ("snl_map.csv", "snl_map_alt_gain.csv"):
+        columns, data, _meta = read_table(out / name)
+        p_low = data[columns.index("p_low_w")]
+        assert p_low.size > 0 and np.all(p_low == 0.0), name
 
 
 def test_snl_map_outputs(mode_run):
@@ -568,23 +580,23 @@ def test_default_sensitivity_sweep_builds_one_generator_per_row(tmp_path,
 
 def test_default_sweep_point_synthesizes_once_per_side(monkeypatch):
     # a default point's 8 rows, trace_avg on/off pairs of one power, take
-    # one synthesis per distinct (resonance, power), not one per row, and
-    # each row is still the row built alone
+    # one coherent wave per distinct (resonance, power), not one per row,
+    # and each row is still the row built alone
     config = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
     cfg = amorsim.cli._load_config(ScenarioSpec("sensitivity-sweep",
                                                 str(config)))
     calls, stacks = [], []
-    synthesize, estimate = amorsim.cli.synthesize_rotation, psd_estimate
+    coherent, estimate = amorsim.cli.coherent_rotation, psd_estimate
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return synthesize(*args, **kwargs)
+        return coherent(*args, **kwargs)
 
     def recorded(ts, *args, **kwargs):
         stacks.append(ts.samples.copy())
         return estimate(ts, *args, **kwargs)
 
-    monkeypatch.setattr(amorsim.cli, "synthesize_rotation", counted)
+    monkeypatch.setattr(amorsim.cli, "coherent_rotation", counted)
     monkeypatch.setattr(amorsim.cli, "psd_estimate", recorded)
     index = 10
     power = float(amorsim.cli._power_grid(cfg)[index])
@@ -744,11 +756,14 @@ def test_every_float_key_rejects_non_finite(key, value, tmp_path, capsys):
     ("simulate", "atom.cell_radius = 1e300\n", "atom.cell_radius"),
     ("simulate", "atom.g_f = -0.3333333333333333\n", "atom.g_f"),
     # (knee / freq) ** 2 and the squared gain overflow a Python float, the
-    # knee at snl-map's lowest bin or at sensitivity-sweep's carrier
-    ("snl-map", "detector.electronic_knee_freq = 1e300\n",
+    # knee at snl-map's lowest bin or at sensitivity-sweep's carrier; a
+    # zero floor has no knee (test_snl_map_with_no_floor_runs_at_any_knee)
+    ("snl-map", "detector.electronic_knee_freq = 1e300\n"
+     "detector.electronic_noise_floor = 1.35e-14\n",
      "detector.electronic_knee_freq"),
     ("sensitivity-sweep", "detector.electronic_knee_freq = 1e300\n"
-     "snlmap.freq_min = 1e200\nsnlmap.freq_max = 1e201\n",
+     "snlmap.freq_min = 1e200\nsnlmap.freq_max = 1e201\n"
+     "detector.electronic_noise_floor = 1.35e-14\n",
      "detector.electronic_knee_freq"),
     ("snl-map", "snlmap.second_gain_nominal = 1e200\n",
      "snlmap.second_gain_nominal"),

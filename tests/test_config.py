@@ -23,8 +23,8 @@ from amorsim.config import (
 )
 from amorsim.signal_model import (
     ResonanceParams,
+    coherent_rotation,
     lorentzian_quadratures,
-    synthesize_rotation,
 )
 
 
@@ -140,11 +140,10 @@ def test_field_resolution_detuning_from_modulation():
         cfg.field.b_field, cfg.atom) + 100.0
     field = validate_config(cfg).field
     res = ResonanceParams(2.5e-3, 60.0, _center_freq(cfg, field))
-    ts = synthesize_rotation(res, field.modulation_freq, 0.01, 1000.0, 1e-4,
-                             shot_noise=False,
-                             center_freq=field.modulation_freq)
+    wave = coherent_rotation(res, field.modulation_freq, 1000.0, 10,
+                             field.modulation_freq)
     phi_p, phi_q = lorentzian_quadratures(2 * math.pi * 100.0, res)
-    np.testing.assert_allclose(ts.samples, 0.5 * (phi_p - 1j * phi_q),
+    np.testing.assert_allclose(wave, 0.5 * (phi_p - 1j * phi_q),
                                rtol=1e-9, atol=0)
 
 

@@ -25,6 +25,7 @@ from amorsim.signal_model import (
     photon_flux,
     synthesize_rotation,
 )
+from conftest import mean_and_sem, noiseless_rotation
 
 WAVELENGTH = 795e-9
 
@@ -202,8 +203,8 @@ def test_theory_budget_defaults_to_the_configured_gain():
 
 def test_detect_coherent_passthrough():
     res = ResonanceParams(phi0=2e-3, gamma_fwhm=60.0, center_freq=1000.0)
-    rot = synthesize_rotation(res, 1000.0, duration=0.1, sample_rate=8000.0,
-                              power=1e-4, shot_noise=False)
+    rot = noiseless_rotation(res, 1000.0, duration=0.1, sample_rate=8000.0,
+                             power=1e-4)
     det = DetectorConfig()
     out = detect(rot, det)
     gain = angle_gain_from_chain(det, rot.photon_flux)
@@ -216,8 +217,8 @@ def test_detect_coherent_passthrough():
 
 def test_detect_respects_explicit_angle_gain_and_offset():
     res = ResonanceParams(phi0=1e-3, gamma_fwhm=60.0, center_freq=1000.0)
-    rot = synthesize_rotation(res, 1000.0, duration=0.05, sample_rate=8000.0,
-                              power=1e-4, shot_noise=False)
+    rot = noiseless_rotation(res, 1000.0, duration=0.05, sample_rate=8000.0,
+                             power=1e-4)
     out = detect(rot, DetectorConfig(), angle_gain=3.0)
     np.testing.assert_allclose(out.samples, 3.0 * rot.samples, rtol=1e-14)
     assert out.angle_gain == 3.0
@@ -288,8 +289,8 @@ def test_detect_single_draw_level_across_seeds():
     # its analyzer level must be A + C*P^2 within a 4-sigma interval.
     power, coef_elec, coef_tech = 100e-6, 1.35e-14, 1.8e-6
     res = ResonanceParams(phi0=0.0, gamma_fwhm=60.0, center_freq=1000.0)
-    rot = synthesize_rotation(res, 1000.0, duration=2.0, sample_rate=8000.0,
-                              power=power, shot_noise=False)
+    rot = noiseless_rotation(res, 1000.0, duration=2.0, sample_rate=8000.0,
+                             power=power)
     det = DetectorConfig(electronic_noise_floor=coef_elec,
                          technical_noise_coef=coef_tech)
     levels = []
@@ -299,9 +300,9 @@ def test_detect_single_draw_level_across_seeds():
         sel = (spec.freqs > 100.0) & (spec.freqs < 3900.0)
         levels.append(float(np.mean(spec.psd[sel])))
     expected = coef_elec + coef_tech * power ** 2
-    sem = np.std(levels, ddof=1) / math.sqrt(len(levels))
+    mean, sem = mean_and_sem(levels)
     assert sem < 0.01 * expected
-    assert abs(np.mean(levels) - expected) < 4.0 * sem
+    assert abs(mean - expected) < 4.0 * sem
 
 
 def test_detect_reads_noise_terms_from_detector_config():
@@ -319,20 +320,11 @@ def test_detect_reads_noise_terms_from_detector_config():
                                           rel=0.05, abs=0)
 
 
-def envelope_rotation(phi0, power=80.5e-6, seed=5):
-    """The 500 Hz-wide envelope around a 1 kHz carrier 20 Hz off its
-    resonance, tone plus noise."""
-    res = ResonanceParams(phi0=phi0, gamma_fwhm=60.0, center_freq=980.0)
-    return synthesize_rotation(res, 1000.0, duration=0.5, sample_rate=500.0,
-                               power=power, rng_seed=seed, center_freq=1100.0)
-
-
-@pytest.mark.parametrize("envelope", [False, True])
-def test_detect_output_is_its_formula_bit_for_bit(envelope):
+def test_detect_output_is_its_formula_bit_for_bit():
     # g * ((samples - noise) + noise/sqrt(2)), then the output noise
-    rot = (envelope_rotation(2e-3) if envelope else synthesize_rotation(
-        ResonanceParams(2e-3, 60.0, 1000.0), 1000.0,
-        duration=0.05, sample_rate=8000.0, power=1e-4, rng_seed=3))
+    rot = synthesize_rotation(ResonanceParams(2e-3, 60.0, 1000.0), 1000.0,
+                              duration=0.05, sample_rate=8000.0, power=1e-4,
+                              rng_seed=3)
     out = detect(rot, DetectorConfig(), angle_gain=3.7)
     expected = 3.7 * ((rot.samples - rot.noise_samples)
                       + rot.noise_samples / math.sqrt(2.0))

@@ -34,6 +34,7 @@ from amorsim.signal_model import (
     shot_noise_angle_density,
     synthesize_rotation,
 )
+from conftest import noiseless_rotation
 
 FS = 8000.0
 
@@ -54,9 +55,8 @@ def white_series(power=80.5e-6, duration=6.0, fs=FS, seed=2):
 
 def sweep_point(res, duration, index, freq):
     """Noiseless series modulated at one sweep frequency."""
-    return synthesize_rotation(
-        res, freq, duration=duration, sample_rate=FS, power=80.5e-6,
-        shot_noise=False)
+    return noiseless_rotation(res, freq, duration=duration, sample_rate=FS,
+                              power=80.5e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +66,8 @@ def sweep_point(res, duration, index, freq):
 def test_lock_in_recovers_quadratures_of_clean_tone():
     res = ResonanceParams(phi0=2.5e-3, gamma_fwhm=60.0, center_freq=955.0)
     delta = 2 * np.pi * 45.0
-    ts = synthesize_rotation(res, 1000.0, duration=0.6,
-                             sample_rate=FS, power=1e-4, shot_noise=False)
+    ts = noiseless_rotation(res, 1000.0, duration=0.6,
+                            sample_rate=FS, power=1e-4)
     phi_p, phi_q = lock_in_demodulate(ts, 1000.0, output_bandwidth=25.0)
     want_p, want_q = lorentzian_quadratures(delta, res)
     assert phi_p == pytest.approx(want_p, rel=5e-3)
@@ -76,8 +76,8 @@ def test_lock_in_recovers_quadratures_of_clean_tone():
 
 def test_lock_in_on_resonance_quadrature_is_null():
     res = ResonanceParams(phi0=2.5e-3, gamma_fwhm=60.0, center_freq=1000.0)
-    ts = synthesize_rotation(res, 1000.0, duration=0.6, sample_rate=FS,
-                             power=1e-4, shot_noise=False)
+    ts = noiseless_rotation(res, 1000.0, duration=0.6, sample_rate=FS,
+                            power=1e-4)
     phi_p, phi_q = lock_in_demodulate(ts, 1000.0, output_bandwidth=25.0)
     assert phi_p == pytest.approx(res.phi0, rel=5e-3)
     assert abs(phi_q) < 5e-3 * res.phi0
@@ -85,9 +85,8 @@ def test_lock_in_on_resonance_quadrature_is_null():
 
 def test_lock_in_detected_series_matches_rotation_route():
     res = ResonanceParams(phi0=1.5e-3, gamma_fwhm=60.0, center_freq=980.0)
-    rot = synthesize_rotation(res, 1000.0,
-                              duration=0.6, sample_rate=FS, power=1e-4,
-                              shot_noise=False)
+    rot = noiseless_rotation(res, 1000.0, duration=0.6, sample_rate=FS,
+                             power=1e-4)
     out = detect(rot, DetectorConfig())
     from_rot = lock_in_demodulate(rot, 1000.0, 25.0)
     from_det = lock_in_demodulate(out, 1000.0, 25.0)

@@ -1,6 +1,7 @@
 """Complex-envelope path: the band an analyzer mode or the lock-in reads,
-synthesized, detected and transformed or demodulated around its centre,
-must read the same levels as the real full-rate series."""
+built as ``coherent_rotation``'s envelope plus a circular draw in
+``cli._detected_stack`` and transformed or demodulated around its centre,
+must read the same levels as the real full-rate rows."""
 
 import functools
 import math
@@ -13,15 +14,14 @@ import pytest
 from amorsim import cli
 from amorsim.analysis import compute_snr
 from amorsim.config import (
-    DetectorConfig,
     ExperimentConfig,
     FieldConfig,
     load_config_file,
     validate_config,
 )
 from amorsim.detector import (
+    DetectedTimeSeries,
     angle_gain_from_chain,
-    detect,
     detected_to_csv,
     theory_budget,
 )
@@ -36,13 +36,13 @@ from amorsim.dsp import (
 from amorsim.fitting import fit_lorentzian
 from amorsim.signal_model import (
     ResonanceParams,
-    RotationTimeSeries,
+    coherent_rotation,
     lorentzian_quadratures,
     photon_flux,
-    rotation_to_csv,
     shot_noise_angle_density,
-    synthesize_rotation,
+    white_noise,
 )
+from conftest import mean_and_sem, noiseless_rotation
 
 DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
 SEEDS = range(20)
@@ -53,15 +53,21 @@ def default_config() -> ExperimentConfig:
     return validate_config(cfg)
 
 
-def envelope(phi0=1e-3, power=1e-4, mod=10e3, center=10.3e3, fs=2000.0,
+def envelope(density=1e-12, mod=10e3, center=10.3e3, fs=2000.0,
              duration=1.0, seed=1):
-    res = ResonanceParams(phi0=phi0, gamma_fwhm=60.0, center_freq=mod)
-    return synthesize_rotation(res, mod, duration, fs, power,
-                               rng_seed=seed, center_freq=center)
+    """A detected envelope at angle gain 1: the 1 mrad tone of a resonance
+    at mod plus a circular white draw of one-sided density."""
+    res = ResonanceParams(phi0=1e-3, gamma_fwhm=60.0, center_freq=mod)
+    n = round(duration * fs)
+    samples = white_noise(np.random.default_rng(seed), density, fs, n, True)
+    samples += coherent_rotation(res, mod, fs, n, center)
+    return DetectedTimeSeries(samples, fs, gain_used=1.0, mean_power=0.0,
+                              angle_gain=1.0, rng_seed=seed,
+                              center_freq=center)
 
 
 # ---------------------------------------------------------------------------
-# Envelope synthesis, detection and transform
+# Envelope synthesis and transform
 # ---------------------------------------------------------------------------
 
 def test_envelope_grid_covers_band_with_5_smooth_rate():
@@ -78,27 +84,27 @@ def test_envelope_grid_covers_band_with_5_smooth_rate():
 
 def test_envelope_tone_is_half_the_quadratures_at_the_offset():
     res = ResonanceParams(phi0=1e-3, gamma_fwhm=60.0, center_freq=10e3)
-    ts = synthesize_rotation(res, 10.05e3, 0.1, 2000.0, 1e-4,
-                             shot_noise=False, center_freq=10.3e3)
+    wave = coherent_rotation(res, 10.05e3, 2000.0, 200, 10.3e3)
     phi_p = 1e-3 * 30.0 ** 2 / (50.0 ** 2 + 30.0 ** 2)
     phi_q = -1e-3 * 30.0 * 50.0 / (50.0 ** 2 + 30.0 ** 2)
     t = np.arange(200) / 2000.0
     want = 0.5 * (phi_p - 1j * phi_q) * np.exp(2j * np.pi * (-250.0) * t)
-    np.testing.assert_allclose(ts.samples, want, rtol=1e-12, atol=1e-18)
-    assert ts.samples.dtype == complex and ts.center_freq == 10.3e3
+    np.testing.assert_allclose(wave, want, rtol=1e-12, atol=1e-18)
+    assert wave.dtype == complex
     # its real counterpart is the real part of twice the envelope re-mixed
-    real = synthesize_rotation(res, 10.05e3, 0.1, 2000.0 * 40, 1e-4,
-                               shot_noise=False)
+    real = coherent_rotation(res, 10.05e3, 2000.0 * 40, 200 * 40)
     remixed = 2.0 * (want * np.exp(2j * np.pi * 10.3e3 * t)).real
-    np.testing.assert_allclose(real.samples[::40], remixed, atol=1e-15)
+    np.testing.assert_allclose(real[::40], remixed, atol=1e-15)
+    # a resonance with no amplitude has no wave on either path
+    dark = replace(res, phi0=0.0)
+    assert coherent_rotation(dark, 10.05e3, 2000.0, 200, 10.3e3) is None
+    assert coherent_rotation(dark, 10.05e3, 2000.0 * 40, 200 * 40) is None
 
 
 def test_envelope_noise_is_circular_at_a_quarter_density_per_component():
     power, fs = 1e-4, 2000.0
-    ts = envelope(phi0=0.0, power=power, fs=fs, duration=50.0)
     s_phi = shot_noise_angle_density(photon_flux(power, 795e-9))
-    x = ts.noise_samples
-    assert ts.samples is x  # noise only: no coherent part
+    x = white_noise(np.random.default_rng(1), s_phi, fs, 100_000, True)
     # abs=0: every level here is below pytest.approx's default 1e-12
     assert np.var(x.real) == pytest.approx(s_phi * fs / 4.0, rel=0.03, abs=0)
     assert np.var(x.imag) == pytest.approx(s_phi * fs / 4.0, rel=0.03, abs=0)
@@ -106,47 +112,37 @@ def test_envelope_noise_is_circular_at_a_quarter_density_per_component():
 
 
 def test_envelope_draws_one_stream_per_stage():
-    a, b = envelope(seed=(3, 0)), envelope(seed=(3, 0))
-    np.testing.assert_array_equal(a.samples, b.samples)
-    draw = np.random.default_rng((3, 0)).normal(
-        0.0, 1.0, 2 * a.samples.size)
-    ratio = a.noise_samples.real / draw[0::2]
+    # an analyzer row with no tone is its one draw from stream key+(0,),
+    # its interleaved normals the real and imaginary parts
+    cfg = default_config()
+    band = cli._bg_band(cfg, cfg.field)
+    dark = ResonanceParams(0.0, 60.0, cfg.field.modulation_freq)
+    a, b = (cli._detected_stack(cfg, cfg.field.modulation_freq, band,
+                                [(dark, 80.5e-6, (3,))], 1).samples[0]
+            for _ in range(2))
+    np.testing.assert_array_equal(a, b)
+    draw = np.random.default_rng((3, 0)).normal(0.0, 1.0, 2 * a.size)
+    ratio = a.real / draw[0::2]
     np.testing.assert_allclose(ratio, ratio[0], rtol=1e-12)
 
 
 def test_envelope_band_guards():
+    res = ResonanceParams(phi0=1e-3, gamma_fwhm=60.0, center_freq=10e3)
     with pytest.raises(ValueError, match="envelope band"):
-        envelope(mod=10e3, center=11.1e3, fs=2000.0)
+        coherent_rotation(res, 10e3, 2000.0, 2000, 11.1e3)
+    with pytest.raises(ValueError, match="envelope band"):  # no tone either
+        coherent_rotation(replace(res, phi0=0.0), 10e3, 2000.0, 2000, 11.1e3)
     # the real path's 4x guard does not apply to an envelope
-    ts = envelope(mod=10e3, center=10e3, fs=2000.0)
-    assert ts.sample_rate < 4 * 10e3
-    with pytest.raises(ValueError, match="envelope band"):
-        RotationTimeSeries(samples=np.zeros(4, complex), sample_rate=100.0,
-                           mean_optical_power=1e-4, photon_flux=1e14,
-                           modulation_freq=1e3, center_freq=1.2e3)
-
-
-def test_detect_keeps_envelope_and_its_quadrature_rule():
-    rot = envelope(phi0=0.0, duration=0.1)
-    out = detect(rot, DetectorConfig())
-    assert out.center_freq == rot.center_freq
-    np.testing.assert_allclose(
-        out.samples, out.angle_gain * rot.noise_samples / math.sqrt(2.0),
-        rtol=1e-14)
-    coherent = envelope(phi0=1e-3, power=1e-4, duration=0.1)
-    out = detect(coherent, DetectorConfig())
-    noise = coherent.noise_samples
-    want = out.angle_gain * (coherent.samples - noise + noise / math.sqrt(2))
-    np.testing.assert_allclose(out.samples, want, rtol=1e-12)
+    assert coherent_rotation(res, 10e3, 2000.0, 2000, 10e3).size == 2000
+    with pytest.raises(ValueError, match="4x"):
+        coherent_rotation(res, 10e3, 2000.0, 2000)
 
 
 def test_envelope_psd_reads_the_one_sided_levels():
     # white detector noise of one-sided PSD A and a tone of amplitude a
     fs, center, mod, coef_elec = 4000.0, 10e3, 10.4e3, 1e-12
-    rot = envelope(phi0=1e-3, power=0.0, mod=mod, center=center, fs=fs,
-                   duration=4.0)
-    out = detect(rot, DetectorConfig(electronic_noise_floor=coef_elec),
-                 angle_gain=1.0, rng_seed=2)
+    out = envelope(density=coef_elec, mod=mod, center=center, fs=fs,
+                   duration=4.0, seed=2)
     spec = psd_estimate(out, rbw=30.0, span=(center - 1500.0, center + 1500.0))
     assert center - 1500.0 <= spec.freqs[0] < spec.freqs[-1] <= center + 1500.0
     sel = np.abs(spec.freqs - mod) > 200.0
@@ -157,7 +153,7 @@ def test_envelope_psd_reads_the_one_sided_levels():
 
 
 def test_envelope_psd_span_stays_inside_the_band():
-    out = detect(envelope(duration=1.0), DetectorConfig(), rng_seed=1)
+    out = envelope(duration=1.0)
     with pytest.raises(ValueError, match="envelope band"):
         psd_estimate(out, rbw=30.0, span=(10.3e3 - 1100.0, 10.3e3))
     with pytest.raises(ValueError, match="envelope band"):
@@ -165,26 +161,18 @@ def test_envelope_psd_span_stays_inside_the_band():
 
 
 def test_real_only_consumers_reject_envelopes(tmp_path):
-    rot = envelope(duration=0.5)
+    out = envelope(duration=0.5)
     # the lock-in reads envelopes, but only carriers inside 10.3 kHz +- 1 kHz
     with pytest.raises(ValueError, match="envelope band"):
-        lock_in_demodulate(rot, 11.5e3, 25.0)
+        lock_in_demodulate(out, 11.5e3, 25.0)
     with pytest.raises(ValueError, match="real series only"):
-        rotation_to_csv(rot, tmp_path / "rotation.csv")
-    with pytest.raises(ValueError, match="real series only"):
-        detected_to_csv(detect(rot, DetectorConfig()), tmp_path / "d.csv")
+        detected_to_csv(out, tmp_path / "d.csv")
     assert not list(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------
 # Monte-Carlo gates across seeds
 # ---------------------------------------------------------------------------
-
-def _mean_and_sem(values):
-    values = np.asarray(values)
-    sem = values.std(ddof=1) / math.sqrt(values.size)
-    return float(values.mean()), float(sem)
-
 
 def _peak_and_background(cfg, band, power, phi0, span=None, low_band=None):
     """Mean and standard error over SEEDS of one chain's peak, background
@@ -200,7 +188,7 @@ def _peak_and_background(cfg, band, power, phi0, span=None, low_band=None):
             sel = (off.freqs >= low_band[0]) & (off.freqs <= low_band[1])
             row.append(off.psd[sel].mean())
         rows.append(row)
-    return [_mean_and_sem(column) for column in zip(*rows)]
+    return [mean_and_sem(column) for column in zip(*rows)]
 
 
 def _assert_chains_agree(real, env):
@@ -270,7 +258,7 @@ def test_envelope_snr_estimator_is_unbiased_across_seeds(power):
                                       cfg.resonance.gamma_fwhm, band).rows()
         s_sig, s_bg = peak_and_background(on, off, mod, cfg.spectrum.bg_window)
         snrs.append(compute_snr(s_sig, s_bg, on.enbw))
-    mean, sem = _mean_and_sem(snrs)
+    mean, sem = mean_and_sem(snrs)
     expected = phi0 / math.sqrt(shot_noise_angle_density(
         photon_flux(power, cfg.atom.probe_wavelength)))
     assert sem < 0.02 * expected
@@ -307,9 +295,10 @@ def test_envelope_lock_in_mixes_an_offset_carrier_down():
     # path; demod-sweep centres each envelope on its carrier, or near DC
     # on rate/2
     res = ResonanceParams(phi0=1e-3, gamma_fwhm=60.0, center_freq=10e3)
-    env = synthesize_rotation(res, 10.05e3, 0.6, 2000.0, 1e-4,
-                              shot_noise=False, center_freq=10.3e3)
-    real = synthesize_rotation(res, 10.05e3, 0.6, 80e3, 1e-4, shot_noise=False)
+    env = DetectedTimeSeries(
+        coherent_rotation(res, 10.05e3, 2000.0, 1200, 10.3e3), 2000.0,
+        gain_used=1.0, mean_power=0.0, angle_gain=1.0, center_freq=10.3e3)
+    real = noiseless_rotation(res, 10.05e3, 0.6, 80e3, 1e-4)
     got = lock_in_demodulate(env, 10.05e3, 25.0)
     np.testing.assert_allclose(got, lock_in_demodulate(real, 10.05e3, 25.0),
                                rtol=1e-8)
@@ -320,17 +309,18 @@ def test_envelope_lock_in_mixes_an_offset_carrier_down():
 
 def _lock_in_means(cfg, res, freq, index, band):
     """Mean and standard error of the lock-in P and Q over SEEDS, on the
-    rotation with shot noise from stream (seed, index, 0): the envelope of
-    band, or without one the real series at sim.sample_rate."""
+    analyzer row drawn from stream (seed, index, 0): the envelope of band,
+    or without one the real row at sim.sample_rate."""
     bw = cfg.lockin.output_bandwidth
-    center, rate, _ = cli._series_grid(cfg, band)
-    pq = np.array([
-        lock_in_demodulate(synthesize_rotation(
-            res, freq, cfg.sim.duration, rate, cfg.sim.probe_power,
-            rng_seed=(seed, index, 0), wavelength=cfg.atom.probe_wavelength,
-            center_freq=center), freq, bw)
-        for seed in SEEDS])
-    return _mean_and_sem(pq[:, 0]), _mean_and_sem(pq[:, 1])
+    pq = []
+    for seed in SEEDS:
+        row = cli._detected_stack(cfg, freq, band,
+                                  [(res, cfg.sim.probe_power, (seed, index))],
+                                  1)
+        row.samples = row.samples[0]
+        pq.append(lock_in_demodulate(row, freq, bw))
+    pq = np.array(pq)
+    return mean_and_sem(pq[:, 0]), mean_and_sem(pq[:, 1])
 
 
 def _assert_lock_in_agrees(cfg, res, freq, band):
@@ -373,7 +363,7 @@ def test_envelope_resonance_fit_is_unbiased_across_seeds():
         fits.append(fit_lorentzian(curve))
     for name, truth in (("center_freq", res.center_freq),
                         ("gamma_fwhm", res.gamma_fwhm), ("phi0", res.phi0)):
-        mean, sem = _mean_and_sem([getattr(fit, name) for fit in fits])
+        mean, sem = mean_and_sem([getattr(fit, name) for fit in fits])
         assert 0.0 < sem < 1e-4 * truth, name
         assert abs(mean - truth) < 4.0 * sem, name
 
@@ -398,7 +388,7 @@ def test_demod_sweep_quadrature_noise_is_the_budget_across_seeds():
     expected = (theory_budget(cfg).eval(power) * rate
                 * np.sum(_lock_in_weights(rate, bw, n) ** 2) / gain ** 2)
     for variance in np.square(residuals).T:
-        mean, sem = _mean_and_sem(variance)
+        mean, sem = mean_and_sem(variance)
         assert sem < 0.1 * expected
         assert abs(mean - expected) < 4.0 * sem
 

@@ -13,6 +13,7 @@ from amorsim.detector import DetectedTimeSeries, detected_to_csv
 from amorsim.signal_model import (
     ResonanceParams,
     RotationTimeSeries,
+    coherent_rotation,
     larmor_doubled_freq,
     lorentzian_quadratures,
     photon_flux,
@@ -166,25 +167,22 @@ def test_shot_noise_density_inverse_in_flux():
 
 def test_synthesize_deterministic_part_on_resonance():
     res = ResonanceParams(phi0=2.5e-3, gamma_fwhm=60.0, center_freq=1000.0)
-    ts = synthesize_rotation(res, 1000.0, duration=0.5,
-                             sample_rate=8000.0, power=1e-4, shot_noise=False)
-    t = np.arange(ts.samples.size) / ts.sample_rate
+    wave = coherent_rotation(res, 1000.0, 8000.0, 4000)
+    t = np.arange(4000) / 8000.0
     np.testing.assert_allclose(
-        ts.samples, res.phi0 * np.cos(2 * np.pi * 1000.0 * t), rtol=0, atol=1e-15)
-    assert np.all(ts.noise_samples == 0.0)
+        wave, res.phi0 * np.cos(2 * np.pi * 1000.0 * t), rtol=0, atol=1e-15)
 
 
 def test_synthesize_deterministic_part_detuned():
     # a resonance 30 Hz below the 1 kHz carrier
     res = ResonanceParams(phi0=2.5e-3, gamma_fwhm=60.0, center_freq=970.0)
     delta = 2 * np.pi * 30.0
-    ts = synthesize_rotation(res, 1000.0, duration=0.25,
-                             sample_rate=8000.0, power=1e-4, shot_noise=False)
+    wave = coherent_rotation(res, 1000.0, 8000.0, 2000)
     phi_p, phi_q = lorentzian_quadratures(delta, res)
-    t = np.arange(ts.samples.size) / ts.sample_rate
+    t = np.arange(2000) / 8000.0
     expected = (phi_p * np.cos(2 * np.pi * 1000.0 * t)
                 + phi_q * np.sin(2 * np.pi * 1000.0 * t))
-    np.testing.assert_allclose(ts.samples, expected, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(wave, expected, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("offset, sample_rate, n", [
@@ -203,33 +201,36 @@ def test_envelope_tone_is_cached_read_only_and_exact(offset, sample_rate, n):
 def test_synthesized_tone_is_its_formula_bit_for_bit(center_freq,
                                                      sample_rate):
     # the in-place real path and the cached envelope tone compute the
-    # module docstring's expressions, in the same order, to the last bit
+    # module docstring's expressions, in the same order, to the last bit;
+    # simulate's series adds its shot noise onto the real one
     res = ResonanceParams(phi0=2.5e-3, gamma_fwhm=60.0, center_freq=970.0)
-    ts = synthesize_rotation(res, 1000.0, duration=0.25,
-                             sample_rate=sample_rate, power=1e-4,
-                             rng_seed=8, center_freq=center_freq)
+    n = round(0.25 * sample_rate)
     phi_p, phi_q = lorentzian_quadratures(2 * np.pi * 30.0, res)
-    t = np.arange(ts.samples.size) / sample_rate
+    t = np.arange(n) / sample_rate
     if center_freq is None:
+        ts = synthesize_rotation(res, 1000.0, duration=0.25,
+                                 sample_rate=sample_rate, power=1e-4,
+                                 rng_seed=8)
         omega = 2.0 * np.pi * 1000.0
         tone = phi_p * np.cos(omega * t) + phi_q * np.sin(omega * t)
+        assert ts.samples.tobytes() == (tone + ts.noise_samples).tobytes()
+        wave = coherent_rotation(res, 1000.0, sample_rate, n)
     else:
         tone = 0.5 * (phi_p - 1j * phi_q) * np.exp(
             2j * np.pi * (1000.0 - center_freq) * t)
-    assert ts.samples.tobytes() == (tone + ts.noise_samples).tobytes()
+        wave = coherent_rotation(res, 1000.0, sample_rate, n, center_freq)
+    assert wave.tobytes() == tone.tobytes()
 
 
 def test_envelope_series_own_their_samples():
     # a caller writing into one envelope leaves the shared tone, and so the
-    # next series on the same grid, as they were
+    # next wave on the same grid, as they were
     res = ResonanceParams(phi0=2.5e-3, gamma_fwhm=60.0, center_freq=1000.0)
-    kwargs = dict(duration=0.5, sample_rate=500.0, power=1e-4,
-                  center_freq=1100.0, shot_noise=False)
-    first = synthesize_rotation(res, 1000.0, **kwargs)
-    expected = first.samples.tobytes()
-    first.samples[:] = 0.0
-    again = synthesize_rotation(res, 1000.0, **kwargs)
-    assert again.samples.tobytes() == expected
+    first = coherent_rotation(res, 1000.0, 500.0, 250, 1100.0)
+    expected = first.tobytes()
+    first[:] = 0.0
+    again = coherent_rotation(res, 1000.0, 500.0, 250, 1100.0)
+    assert again.tobytes() == expected
 
 
 def test_synthesize_is_seed_deterministic():
@@ -254,9 +255,7 @@ def test_synthesize_sample_count_and_metadata():
     assert ts.duration == pytest.approx(ts.samples.size / 8000.0)
     np.testing.assert_allclose(
         ts.samples - ts.noise_samples,
-        synthesize_rotation(res, 1000.0, duration=0.123,
-                            sample_rate=8000.0, power=2e-6,
-                            shot_noise=False).samples,
+        coherent_rotation(res, 1000.0, 8000.0, ts.samples.size),
         rtol=0, atol=1e-15)
 
 
