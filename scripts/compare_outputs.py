@@ -79,6 +79,18 @@ FAULTS = [
     ("spectrum", "field.modulation_freq = 100"),
     ("noise-scan", "field.modulation_freq = 1e20"),
     ("demod-sweep", "field.b_field = 1e7"),
+    ("simulate", "sim.probe_power = 1e200"),
+    ("spectrum", "sim.probe_power = 1e200"),
+    ("demod-sweep", "sim.probe_power = 1e200"),
+    ("spectrum", "sim.probe_power = 1e150"),
+    ("sensitivity-sweep", "sweep.power_max = 1e150"),
+    ("noise-scan", "sweep.power_max = 1e150"),
+    ("demod-sweep", "atom.probe_wavelength = 1e-300"),
+    ("demod-sweep", "sim.probe_power = 1e-300"),
+    ("demod-sweep", "detector.gain_headroom_factor = 1e-300\n"
+     "detector.electronic_noise_floor = 1.35e-14"),
+    # a fit failure (exit 3) leaves no --out either
+    ("demod-sweep", "resonance.phi0 = 1e-12"),
 ]
 
 

@@ -49,9 +49,9 @@ power) of the stack: a sensitivity-sweep point's eight rows need two, its
 on and off sides, and a side with no deterministic part adds nothing.
 Each stack goes to one ``psd_estimate``: spectrum its on/off pair,
 sensitivity-sweep the ``trace_avg`` on/off pairs of one power, which it
-reads in place, noise-scan a contiguous chunk of one scan's powers, one
-chunk per worker. A row's trace does not depend on the other rows, so the
-chunking leaves the bytes as they are.
+reads in place, noise-scan one chunk of a scan's powers: ``_pmap`` cuts
+both sweeps into one contiguous chunk of powers per worker. A row's trace
+does not depend on the other rows, so the chunking leaves the bytes as is.
 
 Analyzer bands. Every mode but simulate builds only the band its analyzer
 or lock-in reads, as the complex envelope of that band at a rate just
@@ -126,6 +126,7 @@ from .fitting import FitError, fit_lorentzian, fit_noise_polynomial, fit_report
 from .signal_model import (
     ResonanceParams,
     coherent_rotation,
+    lorentzian_quadratures,
     photon_flux,
     rotation_to_csv,
     synthesize_rotation,
@@ -164,18 +165,17 @@ class ScenarioSpec:
             raise ConfigError(f"seed: must be >= 0, got {self.seed!r}")
 
 
-def _pmap(fn, tasks: list, workers: int) -> list:
-    """``[fn(task) for task in tasks]``, in a process pool when workers > 1.
-
-    The pool never exceeds the task count or the cores: under the fork
-    start method every requested worker is forked up front.
-    """
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent import futures
-        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(task) for task in tasks]
+def _pmap(fn, points: list, workers: int) -> list:
+    """fn(chunk), one result per point, over min(workers, len(points), cores)
+    contiguous chunks of points: one per worker, or fn(points) in-process."""
+    chunks = min(workers, len(points), os.cpu_count() or 1)
+    if chunks < 2:
+        return fn(points)
+    from concurrent import futures
+    edges = [len(points) * c // chunks for c in range(chunks + 1)]
+    with futures.ProcessPoolExecutor(max_workers=chunks) as pool:
+        parts = pool.map(fn, [points[a:b] for a, b in zip(edges, edges[1:])])
+        return [result for part in parts for result in part]
 
 
 def _load_config(spec: ScenarioSpec) -> ExperimentConfig:
@@ -225,13 +225,18 @@ def _require_lockin_fits(cfg: ExperimentConfig, lowest: float) -> None:
 
 
 def _require_analyzer_fits(cfg: ExperimentConfig, field: FieldConfig,
-                           band: tuple, band_key="spectrum.bg_window") -> None:
+                           band: tuple, power_key: str, phi0: float,
+                           gamma: float, band_key="spectrum.bg_window") -> None:
     """float64 must resolve the analyzer's bins at the top of band, around
     field's carrier; its flat-top segment must fit band's envelope and
     series, and a spectrum.vbw below spectrum.rbw must let the video filter
     move across the trace: (1 - pole) times band's bins at least 1.
 
-    band_key names the config key that sets the band's width.
+    The periodogram must stay finite at the power power_key sets, the
+    highest the mode reads: its tone, a resonance of phi0 rad and gamma Hz
+    FWHM at the chain's angle gain, plus the noise budget under it, summed
+    over the segments. band_key names the config key that sets the band's
+    width.
     """
     rbw, vbw, duration = cfg.spectrum.rbw, cfg.spectrum.vbw, cfg.sim.duration
     _require_resolved(_carrier_key(cfg, field), band[1],
@@ -259,6 +264,24 @@ def _require_analyzer_fits(cfg: ExperimentConfig, field: FieldConfig,
             f"({rbw!r} Hz) that the video filter's movement across the "
             f"{band_key} trace, (1 - pole) x bins = {movement!r}, is below "
             "1: every trace would stay near its first bins' level")
+    section, _, attr = power_key.partition(".")
+    power = getattr(getattr(cfg, section), attr)
+    gain = angle_gain_from_chain(
+        cfg.detector, photon_flux(power, cfg.atom.probe_wavelength))
+    res = ResonanceParams(phi0, gamma, _center_freq(cfg, field))
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN or inf: refused
+        tone = math.hypot(*lorentzian_quadratures(
+            2.0 * math.pi * (field.modulation_freq - res.center_freq), res))
+        density = float(theory_budget(cfg).eval(power))
+    peak = 0.5 * gain * tone * float(window.sum())  # the envelope tone's bin
+    noise = density * rate * float(np.sum(window ** 2)) / 2.0
+    segments = (n - window.size) // (window.size - window.size // 2) + 1
+    level = segments * (peak * peak + noise)
+    if not level < math.inf:
+        raise ConfigError(
+            f"{power_key}: the analyzer's periodogram at {power!r} W, the "
+            f"tone's bin summed over {segments} segments, must be finite "
+            f"(got {level!r}); lower {power_key}")
 
 
 def _series_grid(cfg: ExperimentConfig, band: Optional[tuple]) -> tuple:
@@ -407,10 +430,25 @@ def _demod_grid(cfg: ExperimentConfig) -> tuple[ResonanceParams, np.ndarray]:
 def _run_demod_sweep(cfg: ExperimentConfig, spec: ScenarioSpec,
                      outdir: Path) -> list[str]:
     res, freqs = _demod_grid(cfg)
+    power = cfg.sim.probe_power
+    gain = angle_gain_from_chain(
+        cfg.detector, photon_flux(power, cfg.atom.probe_wavelength))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        angle_noise = theory_budget(cfg).eval(power) / (gain * gain)
+    if not (gain > 0.0 and angle_noise < math.inf):
+        raise ConfigError(
+            f"sim.probe_power: the lock-in divides each row by the angle "
+            f"gain g = {gain!r} at {power!r} W; g must be > 0 and the noise "
+            f"in radians, N(P)/g^2 = {float(angle_noise)!r}, finite. g is set "
+            "by sim.probe_power, atom.probe_wavelength, "
+            "detector.quantum_efficiency, detector.transimpedance_gain_"
+            "nominal, detector.gain_headroom_factor and "
+            "detector.analyzer_impedance")
     point = functools.partial(_demod_point, cfg, res, spec.seed)
     curve = sweep_resonance(res, freqs, point, cfg.lockin.output_bandwidth)
+    fit = fit_lorentzian(curve)  # before any write: a failed fit leaves none
     resonance_curve_to_csv(curve, outdir / "resonance_curve.csv", spec.seed)
-    write_json(outdir / "resonance_fit.json", fit_report(fit_lorentzian(curve)))
+    write_json(outdir / "resonance_fit.json", fit_report(fit))
     write_table(outdir / "fig2_resonance.dat",
                 ["mod_freq_hz", "phi_p_rad", "phi_q_rad"],
                 [curve.mod_freqs, curve.phi_P_values, curve.phi_Q_values],
@@ -441,7 +479,9 @@ def _run_spectrum(cfg: ExperimentConfig, spec: ScenarioSpec,
     mod, sp = cfg.field.modulation_freq, cfg.spectrum
     _bg_band(cfg, cfg.field)  # the window peak_and_background averages
     span = (max(mod - sp.span / 2.0, 0.0), mod + sp.span / 2.0)
-    _require_analyzer_fits(cfg, cfg.field, span, "spectrum.span")
+    _require_analyzer_fits(cfg, cfg.field, span, "sim.probe_power",
+                           cfg.resonance.phi0, cfg.resonance.gamma_fwhm,
+                           "spectrum.span")
     spec_on, spec_off = _spectrum_stack(
         cfg, [(spec.seed,)], 1, cfg.sim.probe_power, cfg.resonance.phi0,
         cfg.resonance.gamma_fwhm, span, span,
@@ -474,10 +514,10 @@ def _run_spectrum(cfg: ExperimentConfig, spec: ScenarioSpec,
             "fig3_spectrum.dat"]
 
 
-def _noise_levels(args) -> list[float]:
-    """Measured background densities at a chunk of (index, power) pairs of
-    one scan (worker task): one stacked estimate."""
-    cfg, key, field, chunk = args
+def _noise_levels(cfg: ExperimentConfig, key: tuple, field: FieldConfig,
+                  chunk: list) -> list[float]:
+    """Measured background densities at a chunk of (index, power) points
+    of the scan keyed key, one ``_pmap`` chunk: one stacked estimate."""
     res = ResonanceParams(0.0, cfg.resonance.gamma_fwhm,
                           _center_freq(cfg, field))
     band = _bg_band(cfg, field)
@@ -500,13 +540,9 @@ def _noise_scan_at_field(cfg: ExperimentConfig, spec: ScenarioSpec,
                 "detector.electronic_noise_floor (the zero-power trace would "
                 "be empty)")
         powers = [0.0] + powers
-    points = list(enumerate(powers))
-    chunks = min(spec.workers, len(points))
-    edges = [len(points) * c // chunks for c in range(chunks + 1)]
-    tasks = [(cfg, (spec.seed, scan_index), field, points[lo:hi])
-             for lo, hi in zip(edges, edges[1:])]
-    levels = [level for chunk in _pmap(_noise_levels, tasks, spec.workers)
-              for level in chunk]
+    scan = functools.partial(_noise_levels, cfg, (spec.seed, scan_index),
+                             field)
+    levels = _pmap(scan, list(enumerate(powers)), spec.workers)
     fixed = levels[0] if include_zero else None
     fit = fit_noise_polynomial(powers, levels, fixed_elec=fixed)
     return powers, levels, fit
@@ -524,10 +560,23 @@ def _run_noise_scan(cfg: ExperimentConfig, spec: ScenarioSpec,
             b_field=cfg.noisescan.second_b_field).resolve(cfg.atom)
         scans.append(("noise_scan_high", "fig4b_noise.dat", field2))
     for _, _, field in scans:
-        _require_analyzer_fits(cfg, field, _bg_band(cfg, field))
+        _require_analyzer_fits(cfg, field, _bg_band(cfg, field),
+                               "sweep.power_max", 0.0, cfg.resonance.gamma_fwhm)
+    # the fit weighs each level by 1/N, so its normal matrix sums the
+    # squared weighted columns 1/N, P/N and P^2/N over the points, largest
+    # at the grid's ends (an infinite one stalls its SVD)
+    for key in ("sweep.power_min", "sweep.power_max"):
+        power = getattr(cfg.sweep, key.partition(".")[2])
+        density = float(theory_budget(cfg).eval(power))
+        entry = max(1.0, power * power) / density if density > 0.0 else 0.0
+        _require((points + dark) * entry * entry < math.inf, key, power,
+                 "the noise fit's normal matrix, the point count times "
+                 "(max(1, P^2)/N(P))^2 at this power, must be finite")
+    # every scan is fitted before the first write: a failed fit leaves none
+    results = [_noise_scan_at_field(cfg, spec, field, scan)
+               for scan, (_, _, field) in enumerate(scans)]
     outputs = []
-    for scan, (stem, fig_name, field) in enumerate(scans):
-        powers, levels, fit = _noise_scan_at_field(cfg, spec, field, scan)
+    for (stem, fig_name, field), (powers, levels, fit) in zip(scans, results):
         mod = field.modulation_freq
         write_table(outdir / f"{stem}.csv", ["power_w", "noise_w_per_hz"],
                     [powers, levels],
@@ -575,7 +624,7 @@ def _run_snl_map(cfg: ExperimentConfig, spec: ScenarioSpec,
 
 
 def _sweep_point_sensitivity(args):
-    """(power index, power) -> one sensitivity-sweep row (worker task)."""
+    """(cfg, seed, power index, power) -> one sensitivity-sweep row."""
     cfg, spec_seed, index, power = args
     sat = cfg.saturation
     phi0 = sat.phi0_at(power)
@@ -601,14 +650,22 @@ def _sweep_point_sensitivity(args):
     }
 
 
+def _sweep_rows(cfg: ExperimentConfig, seed: int, chunk: list) -> list[dict]:
+    """The rows of a chunk of (index, power) points, one ``_pmap`` chunk."""
+    return [_sweep_point_sensitivity((cfg, seed, *point)) for point in chunk]
+
+
 def _run_sensitivity_sweep(cfg: ExperimentConfig, spec: ScenarioSpec,
                            outdir: Path) -> list[str]:
     powers = _power_grid(cfg)
-    _require_analyzer_fits(cfg, cfg.field, _bg_band(cfg, cfg.field))
+    top, sat = cfg.sweep.power_max, cfg.saturation
+    _require_analyzer_fits(cfg, cfg.field, _bg_band(cfg, cfg.field),
+                           "sweep.power_max", sat.phi0_at(top),
+                           sat.gamma_at(top))
     mod = cfg.field.modulation_freq
     budget = theory_budget(cfg, detection_freq=mod)
-    tasks = [(cfg, spec.seed, i, float(p)) for i, p in enumerate(powers)]
-    rows = _pmap(_sweep_point_sensitivity, tasks, spec.workers)
+    rows = _pmap(functools.partial(_sweep_rows, cfg, spec.seed),
+                 list(enumerate(powers.tolist())), spec.workers)
     for row in rows:
         row["snl_class"] = classify_operating_point(
             budget, row["power_w"], cfg.analysis.snl_k

@@ -515,17 +515,28 @@ def test_same_seed_reproduces_bytes(fast_config, tmp_path):
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_worker_count_does_not_change_outputs(mode, fast_config, tmp_path):
-    serial, pooled = tmp_path / "w1", tmp_path / "w2"
-    assert main([mode, "--config", fast_config, "--out", str(serial),
-                 "--seed", "3", "--workers", "1"]) == 0
-    assert main([mode, "--config", fast_config, "--out", str(pooled),
-                 "--seed", "3", "--workers", "3"]) == 0
-    names = sorted(p.name for p in serial.iterdir() if p.name != "manifest.json")
-    assert names == sorted(p.name for p in pooled.iterdir()
-                           if p.name != "manifest.json")
-    for name in names:
-        assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
+def test_worker_count_does_not_change_outputs(mode, fast_config, tmp_path,
+                                              monkeypatch):
+    # 4 powers, and 5 where a sweep reads them: two chunks then split the
+    # sensitivity sweep (and noise-scan's 6 points at 3 chunks) unevenly
+    counts = [4, 5] if mode in ("noise-scan", "sensitivity-sweep") else [4]
+    for points in counts:
+        monkeypatch.setenv("AMORSIM_SWEEP__POWER_POINTS", str(points))
+        outs = {}
+        for workers in (1, 2, 3):
+            outs[workers] = tmp_path / f"p{points}-w{workers}"
+            assert main([mode, "--config", fast_config, "--out",
+                         str(outs[workers]), "--seed", "3", "--workers",
+                         str(workers)]) == 0
+        serial = outs.pop(1)
+        names = sorted(p.name for p in serial.iterdir()
+                       if p.name != "manifest.json")
+        for workers, pooled in outs.items():
+            assert names == sorted(p.name for p in pooled.iterdir()
+                                   if p.name != "manifest.json")
+            for name in names:
+                assert (serial / name).read_bytes() == \
+                    (pooled / name).read_bytes(), (points, workers, name)
 
 
 def _generator_keys(argv, monkeypatch):
@@ -770,6 +781,26 @@ def test_every_float_key_rejects_non_finite(key, value, tmp_path, capsys):
     # powers ** 2 in the budget, and the squared gain ratio, overflow
     ("snl-map", "sweep.power_max = 1e300\n", "sweep.power_max"),
     ("sensitivity-sweep", "sweep.power_max = 1e300\n", "sweep.power_max"),
+    # every power a mode runs at: P^2 overflows at 1e200 (simulate's
+    # OverflowError, demod-sweep's LinAlgError after a partial --out); at
+    # 1e150 the analyzer's periodogram, or noise-scan's fit matrix, does
+    *[(mode, "sim.probe_power = 1e200\n", "sim.probe_power")
+      for mode in ("simulate", "spectrum", "demod-sweep")],
+    ("spectrum", "sim.probe_power = 1e150\n", "sim.probe_power"),
+    *[(mode, "sweep.power_max = 1e150\n", "sweep.power_max")
+      for mode in ("sensitivity-sweep", "noise-scan")],
+    # the noise fit's 1/N column squared overflows, and its SVD stalled
+    ("noise-scan", "sweep.power_min = 1e-200\n", "sweep.power_min"),
+    # the lock-in cannot refer rows to radians: g = 0 (nu = c/lambda
+    # overflows), or N(P)/g^2 overflows; the message names the chain keys
+    *[("demod-sweep", setting, key)
+      for setting, changed in (
+          ("atom.probe_wavelength = 1e-300\n", "atom.probe_wavelength"),
+          ("sim.probe_power = 1e-300\n", "sim.probe_power"),
+          ("detector.gain_headroom_factor = 1e-300\n"
+           "detector.electronic_noise_floor = 1.35e-14\n",
+           "detector.gain_headroom_factor"))
+      for key in sorted({"sim.probe_power", changed})],
     ("snl-map", "detector.transimpedance_gain_nominal = 1e-160\n",
      "detector.transimpedance_gain_nominal"),
     # an infinite margin wrote nan p_low cells at a zero electronic floor
@@ -890,6 +921,7 @@ def test_every_float_key_rejects_non_finite(key, value, tmp_path, capsys):
       for mode in ("simulate", "spectrum", "noise-scan", "sensitivity-sweep",
                    "demod-sweep")],
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_config_faults_exit_2_naming_key(mode, config_text, key, tmp_path,
                                         capsys):
     argv = [mode, "--out", str(tmp_path / "o")]
@@ -901,6 +933,51 @@ def test_config_faults_exit_2_naming_key(mode, config_text, key, tmp_path,
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert key in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mode, setting", [
+    ("simulate", "sim.probe_power = 1e150"),
+    ("demod-sweep", "sim.probe_power = 1e150"),
+    ("spectrum", "sim.probe_power = 2e148"),
+    ("sensitivity-sweep", "sweep.power_max = 5e147"),
+    ("noise-scan", "sweep.power_max = 1e144"),
+    ("noise-scan", "sweep.power_min = 1e-144")])
+def test_power_just_below_its_overflow_refusal_runs(mode, setting, tmp_path):
+    # the overflow rules refuse 1e150 (spectrum from 3e148, the sweeps from
+    # 1e148 and 1e145, and noise-scan's grid from 1e-145 down); short of
+    # that every mode runs without an overflow
+    cfg = tmp_path / "bright.cfg"
+    cfg.write_text(setting + "\n")
+    assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_failed_fit_exits_3_leaving_no_out(tmp_path, capsys):
+    # a 1e-12 rad resonance: the fit's guessed width outgrows the grid
+    cfg = tmp_path / "faint.cfg"
+    cfg.write_text("resonance.phi0 = 1e-12\n")
+    assert main(["demod-sweep", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "FitError"
+    assert not (tmp_path / "o").exists()
+
+
+def test_noise_scan_fits_both_scans_before_writing(tmp_path, monkeypatch):
+    fits, fit = [], amorsim.cli.fit_noise_polynomial
+
+    def second_fails(*args, **kwargs):
+        fits.append(args)
+        if len(fits) == 2:
+            raise FitError("the second scan's fit failed")
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(amorsim.cli, "fit_noise_polynomial", second_fails)
+    config = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+    assert main(["noise-scan", "--config", str(config),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert len(fits) == 2
     assert not (tmp_path / "o").exists()
 
 

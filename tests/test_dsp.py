@@ -162,7 +162,7 @@ def test_sweep_flags_unbracketed_grid():
     (4, 22, None, None),  # unknown core count counts as one core
 ])
 def test_pmap_clamps_pool_size(workers, tasks, cores, expected, monkeypatch):
-    started = []
+    started, calls = [], []
 
     class FakeExecutor:
         def __init__(self, max_workers):
@@ -177,10 +177,22 @@ def test_pmap_clamps_pool_size(workers, tasks, cores, expected, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
+    def negate(chunk):
+        calls.append(chunk)
+        return [-point for point in chunk]
+
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
-    assert _pmap(abs, list(range(-tasks, 0)), workers) == list(range(tasks, 0, -1))
+    points = list(range(-tasks, 0))
+    assert _pmap(negate, points, workers) == list(range(tasks, 0, -1))
     assert started == ([] if expected is None else [expected])
+    if expected is None:  # one chunk: fn(points) itself, in-process
+        assert len(calls) == 1 and calls[0] is points
+        return
+    # one contiguous chunk per worker, near-equal, covering each point once
+    assert len(calls) == expected
+    assert [point for chunk in calls for point in chunk] == points
+    assert max(map(len, calls)) - min(map(len, calls)) <= 1
 
 
 def test_sweep_rejects_bad_grids():
