@@ -13,7 +13,8 @@ With ``--faults`` it runs the refusals of ``FAULTS`` instead, in both
 trees, and compares each one's exit status, its stderr JSON and whether
 it left ``--out`` behind. It prints each row with the working tree's
 result (and the revision's, where they differ) and exits 1 on any
-difference::
+difference. A run that outlasts ``TIMEOUT`` seconds is stopped and reads
+as timed out, a result of its own::
 
     python3 scripts/compare_outputs.py --ref HEAD~1 --faults
 """
@@ -33,6 +34,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 MODES = ("simulate", "demod-sweep", "spectrum", "noise-scan", "snl-map",
          "sensitivity-sweep")
 CONFIG = "configs/default.cfg"
+TIMEOUT = 60.0  # s; each mode runs in about a second on CONFIG
 
 # (mode, config lines over the built-in defaults), one refusal each: every
 # rule a mode checks for itself, some of the key rules around them, and
@@ -91,6 +93,17 @@ FAULTS = [
      "detector.electronic_noise_floor = 1.35e-14"),
     # a fit failure (exit 3) leaves no --out either
     ("demod-sweep", "resonance.phi0 = 1e-12"),
+    # an infinite fit normal matrix, which once stalled noise-scan's SVD
+    ("noise-scan", "sweep.power_min = 1e-200"),
+    # no background at the lowest power read (nu = c/lambda overflows, so
+    # B is 0, as is the built-in electronic floor), or no tone above it
+    ("spectrum", "atom.probe_wavelength = 1e-300"),
+    ("noise-scan", "atom.probe_wavelength = 1e-300"),
+    ("sensitivity-sweep", "atom.probe_wavelength = 1e-300"),
+    ("spectrum", "sim.probe_power = 0"),
+    ("sensitivity-sweep", "saturation.phi0_scale = 0"),
+    ("sensitivity-sweep", "detector.electronic_noise_floor = 1e-14\n"
+     "atom.probe_wavelength = 1e-300"),
 ]
 
 
@@ -102,14 +115,20 @@ def _archive(ref: str, dest: Path) -> None:
         archive.extractall(dest, filter="data")
 
 
-def _run(tree: Path, argv: list) -> tuple[int, str]:
+def _run(tree: Path, argv: list) -> tuple[str, str]:
     """Run amorsim with argv from tree's sources, without any AMORSIM_
-    variable: its exit status and the last line of its stderr."""
+    variable: its status ("exit 0", or "timed out" past TIMEOUT seconds)
+    and the last line of its stderr."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     env = {k: v for k, v in env.items() if not k.startswith("AMORSIM_")}
-    proc = subprocess.run([sys.executable, "-m", "amorsim", *argv], cwd=tree,
-                          env=env, capture_output=True, text=True)
-    return proc.returncode, (proc.stderr.strip().splitlines() or [""])[-1]
+    try:
+        proc = subprocess.run([sys.executable, "-m", "amorsim", *argv],
+                              cwd=tree, env=env, capture_output=True,
+                              text=True, timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return f"timed out after {TIMEOUT:g} s", ""
+    return (f"exit {proc.returncode}",
+            (proc.stderr.strip().splitlines() or [""])[-1])
 
 
 def _digest(path: Path) -> str:
@@ -132,9 +151,9 @@ def _refusal(tree: Path, mode: str, setting: str, scratch: Path) -> str:
     scratch.mkdir(parents=True)
     config, out = scratch / "fault.cfg", scratch / "out"
     config.write_text(setting + "\n")
-    code, stderr = _run(tree, [mode, "--config", str(config), "--out",
-                               str(out)])
-    return (f"exit {code}, {'--out left' if out.exists() else 'no --out'}, "
+    status, stderr = _run(tree, [mode, "--config", str(config), "--out",
+                                 str(out)])
+    return (f"{status}, {'--out left' if out.exists() else 'no --out'}, "
             f"{stderr}")
 
 
@@ -175,13 +194,13 @@ def main() -> int:
                 outs = {}
                 for side, tree in (("ref", ref_tree), ("work", REPO_ROOT)):
                     out = tmp / "out" / side / f"{mode}-{seed}"
-                    code, stderr = _run(tree, [
+                    status, stderr = _run(tree, [
                         mode, "--config", CONFIG, "--out", str(out),
                         "--seed", str(seed)])
-                    if code:
+                    if status != "exit 0":
                         failed = True
                         print(f"FAILED  seed {seed} {mode} ({side}): "
-                              f"exit {code}: {stderr}")
+                              f"{status}: {stderr}")
                     outs[side] = _digests(out)
                 for name in sorted(outs["ref"].keys() | outs["work"].keys()):
                     ref, work = outs["ref"].get(name), outs["work"].get(name)

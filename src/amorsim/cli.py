@@ -48,10 +48,13 @@ draws each row's noise straight into the row and adds the coherent wave,
 power) of the stack: a sensitivity-sweep point's eight rows need two, its
 on and off sides, and a side with no deterministic part adds nothing.
 Each stack goes to one ``psd_estimate``: spectrum its on/off pair,
-sensitivity-sweep the ``trace_avg`` on/off pairs of one power, which it
-reads in place, noise-scan one chunk of a scan's powers: ``_pmap`` cuts
-both sweeps into one contiguous chunk of powers per worker. A row's trace
-does not depend on the other rows, so the chunking leaves the bytes as is.
+sensitivity-sweep the ``trace_avg`` on/off pairs of one power, noise-scan
+one chunk of a scan's powers: ``_pmap`` cuts both sweeps into one
+contiguous chunk of powers per worker. A row's trace does not depend on
+the other rows, so the chunking leaves the bytes as is. All three read
+their traces with ``peak_and_background``, row by row: the peak at the
+modulation frequency and the background over ``spectrum.bg_window``
+around it.
 
 Analyzer bands. Every mode but simulate builds only the band its analyzer
 or lock-in reads, as the complex envelope of that band at a rate just
@@ -113,7 +116,6 @@ from .dsp import (
     _analyzer_window,
     _envelope_grid,
     _flattop,
-    _peak_and_window,
     _segment_length,
     _video_pole,
     peak_and_background,
@@ -138,6 +140,12 @@ from .tables import write_json, write_table
 # each carrier, where the lock-in's 4th-order filter has left nothing the
 # weighted sum can resolve (its noise and DC gain match the full rate).
 _LOCKIN_HALFBAND = 20.0
+
+# the keys that set the chain's angle gain g and the shot term B of its
+# noise budget, besides the power
+_GAIN_KEYS = ("atom.probe_wavelength", "detector.quantum_efficiency",
+              "detector.transimpedance_gain_nominal",
+              "detector.gain_headroom_factor", "detector.analyzer_impedance")
 
 MODES = ("simulate", "demod-sweep", "spectrum", "noise-scan", "snl-map",
          "sensitivity-sweep")
@@ -198,6 +206,15 @@ def _allocate(key: str, what: str, make, *args) -> np.ndarray:
     except (MemoryError, ValueError) as exc:
         raise ConfigError(f"{key}: {what} do not fit in memory ({exc})"
                           ) from exc
+
+
+def _setting(cfg: ExperimentConfig, key: str):
+    section, _, attr = key.partition(".")
+    return getattr(getattr(cfg, section), attr)
+
+
+def _listed(*keys: str) -> str:
+    return ", ".join(keys[:-1]) + " and " + keys[-1]
 
 
 def _power_grid(cfg: ExperimentConfig) -> np.ndarray:
@@ -264,8 +281,7 @@ def _require_analyzer_fits(cfg: ExperimentConfig, field: FieldConfig,
             f"({rbw!r} Hz) that the video filter's movement across the "
             f"{band_key} trace, (1 - pole) x bins = {movement!r}, is below "
             "1: every trace would stay near its first bins' level")
-    section, _, attr = power_key.partition(".")
-    power = getattr(getattr(cfg, section), attr)
+    power = _setting(cfg, power_key)
     gain = angle_gain_from_chain(
         cfg.detector, photon_flux(power, cfg.atom.probe_wavelength))
     res = ResonanceParams(phi0, gamma, _center_freq(cfg, field))
@@ -282,6 +298,21 @@ def _require_analyzer_fits(cfg: ExperimentConfig, field: FieldConfig,
             f"{power_key}: the analyzer's periodogram at {power!r} W, the "
             f"tone's bin summed over {segments} segments, must be finite "
             f"(got {level!r}); lower {power_key}")
+
+
+def _require_background(cfg: ExperimentConfig, power_key: str) -> None:
+    """The analyzer rows' noise N(P) = A + B*P + C*P^2 must be > 0 at the
+    lowest power the mode reads, which power_key sets: a trace with none
+    has no background to read. Every term is >= 0, so N does not fall as
+    P rises."""
+    power = _setting(cfg, power_key)
+    density = float(theory_budget(cfg).eval(power))
+    if not density > 0.0:
+        raise ConfigError(
+            f"{power_key}: the analyzer's background at {power!r} W, N(P) = "
+            f"A + B*P + C*P^2 = {density!r} W/Hz, must be > 0. N is set by "
+            + _listed(power_key, "detector.electronic_noise_floor",
+                      *_GAIN_KEYS, "detector.technical_noise_coef"))
 
 
 def _series_grid(cfg: ExperimentConfig, band: Optional[tuple]) -> tuple:
@@ -440,10 +471,7 @@ def _run_demod_sweep(cfg: ExperimentConfig, spec: ScenarioSpec,
             f"sim.probe_power: the lock-in divides each row by the angle "
             f"gain g = {gain!r} at {power!r} W; g must be > 0 and the noise "
             f"in radians, N(P)/g^2 = {float(angle_noise)!r}, finite. g is set "
-            "by sim.probe_power, atom.probe_wavelength, "
-            "detector.quantum_efficiency, detector.transimpedance_gain_"
-            "nominal, detector.gain_headroom_factor and "
-            "detector.analyzer_impedance")
+            "by " + _listed("sim.probe_power", *_GAIN_KEYS))
     point = functools.partial(_demod_point, cfg, res, spec.seed)
     curve = sweep_resonance(res, freqs, point, cfg.lockin.output_bandwidth)
     fit = fit_lorentzian(curve)  # before any write: a failed fit leaves none
@@ -482,6 +510,7 @@ def _run_spectrum(cfg: ExperimentConfig, spec: ScenarioSpec,
     _require_analyzer_fits(cfg, cfg.field, span, "sim.probe_power",
                            cfg.resonance.phi0, cfg.resonance.gamma_fwhm,
                            "spectrum.span")
+    _require_background(cfg, "sim.probe_power")
     spec_on, spec_off = _spectrum_stack(
         cfg, [(spec.seed,)], 1, cfg.sim.probe_power, cfg.resonance.phi0,
         cfg.resonance.gamma_fwhm, span, span,
@@ -517,15 +546,17 @@ def _run_spectrum(cfg: ExperimentConfig, spec: ScenarioSpec,
 def _noise_levels(cfg: ExperimentConfig, key: tuple, field: FieldConfig,
                   chunk: list) -> list[float]:
     """Measured background densities at a chunk of (index, power) points
-    of the scan keyed key, one ``_pmap`` chunk: one stacked estimate."""
+    of the scan keyed key, one ``_pmap`` chunk: one stacked estimate, each
+    row's background read over spectrum.bg_window around the carrier."""
     res = ResonanceParams(0.0, cfg.resonance.gamma_fwhm,
                           _center_freq(cfg, field))
     band = _bg_band(cfg, field)
     rows = [(res, power, key + (index,)) for index, power in chunk]
     stack = _detected_stack(cfg, field.modulation_freq, band, rows, len(rows),
                             "sweep.power_points")
-    traces = psd_estimate(stack, cfg.spectrum.rbw, cfg.spectrum.vbw, span=band)
-    return [float(trace.mean()) for trace in traces.psd]
+    traces = psd_estimate(stack, cfg.spectrum.rbw, cfg.spectrum.vbw)
+    return peak_and_background(traces, traces, field.modulation_freq,
+                               cfg.spectrum.bg_window)[1]
 
 
 def _noise_scan_at_field(cfg: ExperimentConfig, spec: ScenarioSpec,
@@ -562,13 +593,13 @@ def _run_noise_scan(cfg: ExperimentConfig, spec: ScenarioSpec,
     for _, _, field in scans:
         _require_analyzer_fits(cfg, field, _bg_band(cfg, field),
                                "sweep.power_max", 0.0, cfg.resonance.gamma_fwhm)
+    _require_background(cfg, "sweep.power_min")
     # the fit weighs each level by 1/N, so its normal matrix sums the
     # squared weighted columns 1/N, P/N and P^2/N over the points, largest
     # at the grid's ends (an infinite one stalls its SVD)
     for key in ("sweep.power_min", "sweep.power_max"):
-        power = getattr(cfg.sweep, key.partition(".")[2])
-        density = float(theory_budget(cfg).eval(power))
-        entry = max(1.0, power * power) / density if density > 0.0 else 0.0
+        power = _setting(cfg, key)
+        entry = max(1.0, power * power) / float(theory_budget(cfg).eval(power))
         _require((points + dark) * entry * entry < math.inf, key, power,
                  "the noise fit's normal matrix, the point count times "
                  "(max(1, P^2)/N(P))^2 at this power, must be finite")
@@ -635,12 +666,10 @@ def _sweep_point_sensitivity(args):
     keys = ((spec_seed, index, trace) for trace in range(traces))
     spectra = _spectrum_stack(cfg, keys, traces, power, phi0, gamma, band,
                               count_key="sweep.trace_avg")
-    # peak_and_background's reads, found and checked once for all traces
-    peak, sel = _peak_and_window(spectra.freqs, spectra.freqs, mod,
-                                 cfg.spectrum.bg_window)
-    s_sig = sum(float(on[peak]) for on in spectra.psd[0::2]) / traces
-    # row by row: a mean along the axis of the 2-D stack rounds differently
-    s_bg = sum(float(off[sel].mean()) for off in spectra.psd[1::2]) / traces
+    on, off = spectra.rows(2)  # the stack alternates on, off
+    peaks, backgrounds = peak_and_background(on, off, mod,
+                                             cfg.spectrum.bg_window)
+    s_sig, s_bg = sum(peaks) / traces, sum(backgrounds) / traces
     snr = compute_snr(s_sig, s_bg, spectra.enbw)
     delta_b = sensitivity(gamma, snr, cfg.atom.g_f)
     return {
@@ -662,6 +691,19 @@ def _run_sensitivity_sweep(cfg: ExperimentConfig, spec: ScenarioSpec,
     _require_analyzer_fits(cfg, cfg.field, _bg_band(cfg, cfg.field),
                            "sweep.power_max", sat.phi0_at(top),
                            sat.gamma_at(top))
+    _require_background(cfg, "sweep.power_min")
+    low = cfg.sweep.power_min
+    tone = sat.phi0_at(low) * angle_gain_from_chain(
+        cfg.detector, photon_flux(low, cfg.atom.probe_wavelength))
+    if not tone > 0.0:  # phi0 and g grow with P: each SNR would be noise
+        key = ("saturation.phi0_scale" if sat.phi0_scale == 0.0
+               else "sweep.power_min")
+        raise ConfigError(
+            f"{key}: the resonance's tone at {low!r} W, phi0(P) * g(P) = "
+            f"{tone!r}, must be > 0, or the sensitivity is read off noise "
+            "alone. It is set by " + _listed(
+                "sweep.power_min", "saturation.phi0_scale",
+                "saturation.p_sat", *_GAIN_KEYS))
     mod = cfg.field.modulation_freq
     budget = theory_budget(cfg, detection_freq=mod)
     rows = _pmap(functools.partial(_sweep_rows, cfg, spec.seed),

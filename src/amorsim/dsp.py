@@ -41,7 +41,6 @@ numpy alone, the video filter included.
 from __future__ import annotations
 
 import cmath
-import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -124,16 +123,18 @@ class PowerSpectrum:
         if not self.rbw > 0 or not self.vbw > 0:
             raise ValueError(f"rbw and vbw must be > 0, got {self.rbw!r}, {self.vbw!r}")
 
-    def rows(self) -> list["PowerSpectrum"]:
-        """One PowerSpectrum per trace of the psd.
+    def rows(self, step: Optional[int] = None) -> list["PowerSpectrum"]:
+        """One PowerSpectrum per trace of the psd, or given a step, one
+        stack per offset below it: the rows offset::step.
 
-        Each row passed the checks above as part of the stack, so the rows
+        Each row passed the checks above as part of the stack, so the parts
         are copies made without running them again.
         """
-        traces = []
-        for row in np.atleast_2d(self.psd):
-            trace = copy.copy(self)
-            trace.psd = row
+        psd, traces = np.atleast_2d(self.psd), []
+        parts = psd if step is None else [psd[i::step] for i in range(step)]
+        for part in parts:
+            trace = object.__new__(type(self))
+            trace.__dict__.update(vars(self), psd=part)
             traces.append(trace)
         return traces
 
@@ -478,15 +479,17 @@ def psd_estimate(ts: AnySeries, rbw: float, vbw: Optional[float] = None,
     return PowerSpectrum(freqs=freqs, psd=psd, rbw=rbw, vbw=vbw, enbw=enbw)
 
 
-def _peak_and_window(on_freqs: np.ndarray, off_freqs: np.ndarray,
-                     mod_freq: float, bg_window: float
-                     ) -> tuple[int, np.ndarray]:
-    """peak_and_background's reads of the two frequency grids: the on bin
-    nearest mod_freq and the off bins within mod_freq +- bg_window/2.
+def peak_and_background(spec_on: PowerSpectrum, spec_off: PowerSpectrum,
+                        mod_freq: float, bg_window: float) -> tuple:
+    """Signal peak and averaged background densities around mod_freq.
 
-    Refuses a grid that does not cover what is read, or a window holding no
-    bin, so a stack of spectra on one grid is checked once for all its rows.
+    s_sig is the on-spectrum value at the bin nearest mod_freq; s_bg the
+    mean of the off-spectrum over mod_freq +- bg_window/2. A single trace
+    gives a float, a (rows, bins) stack a list with each row's read, the
+    bits of a call on that row alone. Refuses a grid that does not cover
+    what is read, or a window holding no bin, once for all rows.
     """
+    on_freqs, off_freqs = spec_on.freqs, spec_off.freqs
     if not bg_window > 0:
         raise ValueError(f"bg_window must be > 0, got {bg_window!r}")
     if not on_freqs[0] <= mod_freq <= on_freqs[-1]:
@@ -501,7 +504,6 @@ def _peak_and_window(on_freqs: np.ndarray, off_freqs: np.ndarray,
             f"does not cover mod_freq {mod_freq!r} +- bg_window/2 "
             f"({bg_window / 2.0!r})"
         )
-    idx = int(np.argmin(np.abs(on_freqs - mod_freq)))
     sel = np.abs(off_freqs - mod_freq) <= bg_window / 2.0
     if not np.any(sel):
         raise ValueError(
@@ -509,20 +511,13 @@ def _peak_and_window(on_freqs: np.ndarray, off_freqs: np.ndarray,
             f"spec_off bin (bins {off_freqs[1] - off_freqs[0]!r} "
             "Hz apart)"
         )
-    return idx, sel
-
-
-def peak_and_background(spec_on: PowerSpectrum, spec_off: PowerSpectrum,
-                        mod_freq: float, bg_window: float = 4e3
-                        ) -> tuple[float, float]:
-    """Signal peak and averaged background densities around mod_freq.
-
-    s_sig is the on-spectrum value at the bin nearest mod_freq; s_bg the
-    mean of the off-spectrum over mod_freq +- bg_window/2.
-    """
-    idx, sel = _peak_and_window(spec_on.freqs, spec_off.freqs, mod_freq,
-                                bg_window)
-    return float(spec_on.psd[idx]), float(spec_off.psd[sel].mean())
+    s_sig = spec_on.psd[..., int(np.argmin(np.abs(on_freqs - mod_freq)))]
+    # row by row: a sum along the axis of a 2-D stack rounds differently;
+    # the sum over the count has the bits of the row's mean()
+    count = int(np.count_nonzero(sel))
+    s_bg = [float(off[sel].sum()) / count
+            for off in np.atleast_2d(spec_off.psd)]
+    return s_sig.tolist(), s_bg if spec_off.psd.ndim > 1 else s_bg[0]
 
 
 # ---------------------------------------------------------------------------

@@ -226,7 +226,9 @@ def test_noise_scan_background_matches_the_budget_across_seeds():
 def test_stacked_analyzer_matches_per_point_estimates(mode_run, fast_config):
     # the levels and the s_sig/s_bg that one psd_estimate call per trace,
     # each a stack of one row on its own (seed, *point, side) stream,
-    # would give
+    # would give; noise-scan reads its levels over spectrum.bg_window with
+    # peak_and_background, so the mean of each trace sliced to the window
+    # cross-checks that read
     seed = 11
     cfg = amorsim.cli._load_config(ScenarioSpec("noise-scan", fast_config))
     field, sp = cfg.field, cfg.spectrum
@@ -887,6 +889,23 @@ def test_every_float_key_rejects_non_finite(key, value, tmp_path, capsys):
     ("demod-sweep", "sweep.freq_points = 5\n", "sweep.freq_points"),
     # no resonance to fit: the fit blamed the sweep and exited 3
     ("demod-sweep", "resonance.phi0 = 0\n", "resonance.phi0"),
+    # no background at the lowest power an analyzer mode reads: nu = c/lambda
+    # overflowed, so B and g were 0 on the built-in zero electronic floor,
+    # and spectrum and sensitivity-sweep failed unnamed, noise-scan's fit
+    # with exit 3; or spectrum's probe was dark
+    *[(mode, "atom.probe_wavelength = 1e-300\n", key)
+      for mode, power_key in (("spectrum", "sim.probe_power"),
+                              ("noise-scan", "sweep.power_min"),
+                              ("sensitivity-sweep", "sweep.power_min"))
+      for key in (power_key, "atom.probe_wavelength")],
+    ("spectrum", "sim.probe_power = 0\n", "sim.probe_power"),
+    # no tone above the background: sensitivity-sweep read its SNR off
+    # noise alone, with exit 0
+    ("sensitivity-sweep", "saturation.phi0_scale = 0\n",
+     "saturation.phi0_scale"),
+    *[("sensitivity-sweep", "detector.electronic_noise_floor = 1e-14\n"
+       "atom.probe_wavelength = 1e-300\n", key)
+      for key in ("sweep.power_min", "atom.probe_wavelength")],
     # far past the small-angle range the analyzer's square overflowed
     ("spectrum", "resonance.phi0 = 1e300\n", "resonance.phi0"),
     ("sensitivity-sweep", "saturation.phi0_scale = 1e300\n",
