@@ -39,9 +39,11 @@ TIMEOUT = 60.0  # s; each mode runs in about a second on CONFIG
 # (mode, config lines over the built-in defaults), one refusal each: every
 # rule a mode checks for itself, some of the key rules around them, and
 # faults whose order among a mode's checks decides which key is named
-# (noise-scan's dark point, which needs a nonzero
-# detector.electronic_noise_floor, is refused after its power grid; the
-# defaults leave the floor at 0 and the dark point off).
+# (noise-scan builds its power grid before the background rule, whose
+# lowest power is the dark point at 0 W when noisescan.include_zero adds
+# it, so an oversized grid names sweep.power_points; the defaults leave
+# detector.electronic_noise_floor at 0 and the dark point off). The last
+# row runs: a mode refuses only the powers it reads, and snl-map reads none.
 FAULTS = [
     ("simulate", "sim.sample_rate = 100 kHz"),
     ("simulate", "sim.duration = 1e12"),
@@ -104,6 +106,8 @@ FAULTS = [
     ("sensitivity-sweep", "saturation.phi0_scale = 0"),
     ("sensitivity-sweep", "detector.electronic_noise_floor = 1e-14\n"
      "atom.probe_wavelength = 1e-300"),
+    ("spectrum", "resonance.phi0 = 0"),
+    ("snl-map", "sweep.power_max = 1e300"),
 ]
 
 

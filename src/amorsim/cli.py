@@ -15,7 +15,10 @@ all through ``tables.write_table`` and ``tables.write_json``, which create
 losslessly. ``config.validate_config`` checks each key and the rules that
 span keys, the same for every mode; the rules only one mode needs are
 checked by its handler before anything is written, so a refused run leaves
-no ``--out`` behind.
+no ``--out`` behind. Among them each failure of the chain at a power,
+g(P) and N(P) from ``detector.chain_at``, has one rule that a mode calls
+at the powers it reads: a dark background (``_require_background``) or a
+missing tone (``_require_tone``) at the lowest, an overflow at the top.
 Exit codes: 0 success, 2 configuration error (an array too large to
 allocate counts as one, blamed on the key that sized it), 3 numerical
 failure, 4 I/O error; failures print a single JSON object to stderr.
@@ -104,13 +107,8 @@ from .config import (
     load_config_file,
     validate_config,
 )
-from .detector import (
-    DetectedTimeSeries,
-    angle_gain_from_chain,
-    detect,
-    detected_to_csv,
-    theory_budget,
-)
+from .detector import (DetectedTimeSeries, chain_at, detect, detected_to_csv,
+                       theory_budget)
 from .dsp import (
     PowerSpectrum,
     _analyzer_window,
@@ -129,7 +127,6 @@ from .signal_model import (
     ResonanceParams,
     coherent_rotation,
     lorentzian_quadratures,
-    photon_flux,
     rotation_to_csv,
     synthesize_rotation,
     white_noise,
@@ -282,15 +279,13 @@ def _require_analyzer_fits(cfg: ExperimentConfig, field: FieldConfig,
             f"{band_key} trace, (1 - pole) x bins = {movement!r}, is below "
             "1: every trace would stay near its first bins' level")
     power = _setting(cfg, power_key)
-    gain = angle_gain_from_chain(
-        cfg.detector, photon_flux(power, cfg.atom.probe_wavelength))
+    gain, density = chain_at(cfg, power)
     res = ResonanceParams(phi0, gamma, _center_freq(cfg, field))
     with np.errstate(over="ignore", invalid="ignore"):  # NaN or inf: refused
         tone = math.hypot(*lorentzian_quadratures(
             2.0 * math.pi * (field.modulation_freq - res.center_freq), res))
-        density = float(theory_budget(cfg).eval(power))
     peak = 0.5 * gain * tone * float(window.sum())  # the envelope tone's bin
-    noise = density * rate * float(np.sum(window ** 2)) / 2.0
+    noise = float(density) * rate * float(np.sum(window ** 2)) / 2.0
     segments = (n - window.size) // (window.size - window.size // 2) + 1
     level = segments * (peak * peak + noise)
     if not level < math.inf:
@@ -300,19 +295,36 @@ def _require_analyzer_fits(cfg: ExperimentConfig, field: FieldConfig,
             f"(got {level!r}); lower {power_key}")
 
 
-def _require_background(cfg: ExperimentConfig, power_key: str) -> None:
+def _require_background(cfg: ExperimentConfig, key: str,
+                        power: Optional[float] = None) -> None:
     """The analyzer rows' noise N(P) = A + B*P + C*P^2 must be > 0 at the
-    lowest power the mode reads, which power_key sets: a trace with none
-    has no background to read. Every term is >= 0, so N does not fall as
-    P rises."""
-    power = _setting(cfg, power_key)
-    density = float(theory_budget(cfg).eval(power))
+    lowest power the mode reads, key's own (or power, the 0 W dark point
+    that key adds): a trace with none has no background to read. Every
+    term is >= 0, so N does not fall as P rises."""
+    power = _setting(cfg, key) if power is None else power
+    density = float(chain_at(cfg, power)[1])
     if not density > 0.0:
         raise ConfigError(
-            f"{power_key}: the analyzer's background at {power!r} W, N(P) = "
+            f"{key}: the analyzer's background at {power!r} W, N(P) = "
             f"A + B*P + C*P^2 = {density!r} W/Hz, must be > 0. N is set by "
-            + _listed(power_key, "detector.electronic_noise_floor",
+            + _listed(key, "detector.electronic_noise_floor",
                       *_GAIN_KEYS, "detector.technical_noise_coef"))
+
+
+def _require_tone(cfg: ExperimentConfig, power_key: str, phi0: float,
+                  *phi0_keys: str) -> None:
+    """The resonance's tone phi0 * g(P) must be > 0 at the lowest power the
+    mode reads, which power_key sets, or every reading is noise alone;
+    phi0_keys set phi0 there, the first its scale. Neither phi0 nor g
+    falls as P rises."""
+    power = _setting(cfg, power_key)
+    tone = phi0 * chain_at(cfg, power)[0]
+    if not tone > 0.0:
+        key = phi0_keys[0] if _setting(cfg, phi0_keys[0]) == 0.0 else power_key
+        raise ConfigError(
+            f"{key}: the resonance's tone at {power!r} W, phi0(P) * g(P) = "
+            f"{tone!r}, must be > 0, or every reading is noise alone. It is "
+            "set by " + _listed(power_key, *phi0_keys, *_GAIN_KEYS))
 
 
 def _series_grid(cfg: ExperimentConfig, band: Optional[tuple]) -> tuple:
@@ -330,15 +342,15 @@ def _detected_stack(cfg: ExperimentConfig, mod: float,
     """The count (res, power, key) rows, modulated at mod Hz, as the
     analyzer input, written straight into one (count, n) stack.
 
-    A row is the coherent rotation at the chain's angle gain plus one white
-    draw from stream key+(0,) at ``theory_budget(cfg).eval(power)``: shot,
-    electronic and technical noise at once (see the ``detector``
-    docstring). The stack, complex with a band, is allocated before the
-    first row is built, a size numpy refuses blamed on count_key. The rows
-    share the band's sample rate and centre; the other scalar fields
-    describe the first row only. No mode passes band=None: its real stack
-    at sim.sample_rate is the full-rate reference the tests compare the
-    envelopes with.
+    A row is the coherent rotation at the chain's angle gain g(P) plus one
+    white draw from stream key+(0,) at the noise density N(P), both
+    ``chain_at(cfg, power)``: N holds shot, electronic and technical noise
+    at once (see the ``detector`` docstring). The stack, complex with a
+    band, is allocated before the first row is built, a size numpy refuses
+    blamed on count_key. The rows share the band's sample rate and centre;
+    the other scalar fields describe the first row only. No mode passes
+    band=None: its real stack at sim.sample_rate is the full-rate reference
+    the tests compare the envelopes with.
 
     Each row's draw lands in the row itself, and the scaled coherent wave
     is added onto it. The wave, its gain and the density are worked out
@@ -347,28 +359,27 @@ def _detected_stack(cfg: ExperimentConfig, mod: float,
     deterministic part adds nothing.
     """
     center, rate, n = _series_grid(cfg, band)
-    budget, det = theory_budget(cfg), cfg.detector
     samples = _allocate(count_key, f"{count!r} rows of {n!r} samples "
                         f"(sim.duration = {cfg.sim.duration!r} s)", np.empty,
                         (count, n), float if center is None else complex)
-    waves = {}  # (res fields, power) -> (density, gain, scaled wave or None)
+    waves = {}  # (res fields, power) -> (gain, density, scaled wave or None)
     for row, (res, power, key) in enumerate(rows):
         point = (res.phi0, res.gamma_fwhm, res.center_freq, power)
         if point not in waves:
             if len(waves) == 2:
                 waves.clear()
             wave = coherent_rotation(res, mod, rate, n, center)
-            gain = angle_gain_from_chain(
-                det, photon_flux(power, cfg.atom.probe_wavelength))
-            waves[point] = (budget.eval(power), gain,
+            gain, density = chain_at(cfg, power)
+            waves[point] = (gain, density,
                             None if wave is None else wave * gain)
-        density, gain, wave = waves[point]
+        gain, density, wave = waves[point]
         white_noise(np.random.default_rng(key + (0,)), density, rate, n,
                     center is not None, out=samples[row])
         if wave is not None:
             samples[row] += wave
         if row == 0:
-            first = DetectedTimeSeries(samples, rate, det.gain_effective,
+            first = DetectedTimeSeries(samples, rate,
+                                       cfg.detector.gain_effective,
                                        power, gain, key + (0,), center)
     return first
 
@@ -411,11 +422,14 @@ def _run_simulate(cfg: ExperimentConfig, spec: ScenarioSpec,
     _require(cfg.sim.sample_rate > 4.0 * mod, "sim.sample_rate",
              cfg.sim.sample_rate,
              f"must exceed 4x the modulation frequency ({mod!r} Hz)")
+    power = cfg.sim.probe_power
+    _require(all(v < math.inf for v in chain_at(cfg, power)), "sim.probe_power",
+             power, "the chain's angle gain g(P) and noise N(P) = A + B*P + "
+             "C*P^2 at this power must be finite")
     res = ResonanceParams(cfg.resonance.phi0, cfg.resonance.gamma_fwhm,
                           _center_freq(cfg, cfg.field))
     ts = synthesize_rotation(res, mod, cfg.sim.duration,
-                             cfg.sim.sample_rate, cfg.sim.probe_power,
-                             (spec.seed, 0),
+                             cfg.sim.sample_rate, power, (spec.seed, 0),
                              wavelength=cfg.atom.probe_wavelength)
     det_ts = detect(ts, cfg.detector, rng_seed=(spec.seed, 1))
     rotation_to_csv(ts, outdir / "rotation.csv")
@@ -442,8 +456,6 @@ def _demod_grid(cfg: ExperimentConfig) -> tuple[ResonanceParams, np.ndarray]:
     points, phi0 = cfg.sweep.freq_points, cfg.resonance.phi0
     _require(points >= 7, "sweep.freq_points", points,
              "must be >= 7 for the Lorentzian fit")
-    _require(phi0 > 0, "resonance.phi0", phi0,
-             "must be > 0: demod-sweep fits a Lorentzian to the resonance")
     center = _center_freq(cfg, cfg.field)
     halfspan = cfg.sweep.freq_halfspan_widths * cfg.resonance.gamma_fwhm
     if center - halfspan <= 0.0:
@@ -461,16 +473,16 @@ def _demod_grid(cfg: ExperimentConfig) -> tuple[ResonanceParams, np.ndarray]:
 def _run_demod_sweep(cfg: ExperimentConfig, spec: ScenarioSpec,
                      outdir: Path) -> list[str]:
     res, freqs = _demod_grid(cfg)
+    _require_tone(cfg, "sim.probe_power", res.phi0, "resonance.phi0")
     power = cfg.sim.probe_power
-    gain = angle_gain_from_chain(
-        cfg.detector, photon_flux(power, cfg.atom.probe_wavelength))
+    gain, density = chain_at(cfg, power)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        angle_noise = theory_budget(cfg).eval(power) / (gain * gain)
-    if not (gain > 0.0 and angle_noise < math.inf):
+        angle_noise = density / (gain * gain)
+    if not (gain < math.inf and angle_noise < math.inf):
         raise ConfigError(
             f"sim.probe_power: the lock-in divides each row by the angle "
-            f"gain g = {gain!r} at {power!r} W; g must be > 0 and the noise "
-            f"in radians, N(P)/g^2 = {float(angle_noise)!r}, finite. g is set "
+            f"gain g = {gain!r} at {power!r} W; g and the noise in radians, "
+            f"N(P)/g^2 = {float(angle_noise)!r}, must be finite. g is set "
             "by " + _listed("sim.probe_power", *_GAIN_KEYS))
     point = functools.partial(_demod_point, cfg, res, spec.seed)
     curve = sweep_resonance(res, freqs, point, cfg.lockin.output_bandwidth)
@@ -511,6 +523,7 @@ def _run_spectrum(cfg: ExperimentConfig, spec: ScenarioSpec,
                            cfg.resonance.phi0, cfg.resonance.gamma_fwhm,
                            "spectrum.span")
     _require_background(cfg, "sim.probe_power")
+    _require_tone(cfg, "sim.probe_power", cfg.resonance.phi0, "resonance.phi0")
     spec_on, spec_off = _spectrum_stack(
         cfg, [(spec.seed,)], 1, cfg.sim.probe_power, cfg.resonance.phi0,
         cfg.resonance.gamma_fwhm, span, span,
@@ -560,23 +573,16 @@ def _noise_levels(cfg: ExperimentConfig, key: tuple, field: FieldConfig,
 
 
 def _noise_scan_at_field(cfg: ExperimentConfig, spec: ScenarioSpec,
-                         field: FieldConfig, scan_index: int):
-    """Noise level vs power at one detection frequency, plus budget fit."""
-    powers = list(_power_grid(cfg))
-    include_zero = cfg.noisescan.include_zero
-    if include_zero:  # the dark trace fixes the electronic term
-        if cfg.detector.electronic_noise_floor <= 0.0:
-            raise ConfigError(
-                "noisescan.include_zero: needs a nonzero "
-                "detector.electronic_noise_floor (the zero-power trace would "
-                "be empty)")
-        powers = [0.0] + powers
+                         field: FieldConfig, scan_index: int, powers: list):
+    """The noise levels at the powers (led by the dark point at 0 W, if
+    noisescan.include_zero adds it) at one detection frequency, and their
+    budget fit."""
     scan = functools.partial(_noise_levels, cfg, (spec.seed, scan_index),
                              field)
     levels = _pmap(scan, list(enumerate(powers)), spec.workers)
-    fixed = levels[0] if include_zero else None
-    fit = fit_noise_polynomial(powers, levels, fixed_elec=fixed)
-    return powers, levels, fit
+    # the dark trace fixes the electronic term
+    fixed = levels[0] if cfg.noisescan.include_zero else None
+    return levels, fit_noise_polynomial(powers, levels, fixed_elec=fixed)
 
 
 def _run_noise_scan(cfg: ExperimentConfig, spec: ScenarioSpec,
@@ -593,21 +599,25 @@ def _run_noise_scan(cfg: ExperimentConfig, spec: ScenarioSpec,
     for _, _, field in scans:
         _require_analyzer_fits(cfg, field, _bg_band(cfg, field),
                                "sweep.power_max", 0.0, cfg.resonance.gamma_fwhm)
-    _require_background(cfg, "sweep.power_min")
+    powers = [0.0] * dark + list(_power_grid(cfg))
+    if dark:
+        _require_background(cfg, "noisescan.include_zero", 0.0)
+    else:
+        _require_background(cfg, "sweep.power_min")
     # the fit weighs each level by 1/N, so its normal matrix sums the
     # squared weighted columns 1/N, P/N and P^2/N over the points, largest
     # at the grid's ends (an infinite one stalls its SVD)
     for key in ("sweep.power_min", "sweep.power_max"):
         power = _setting(cfg, key)
-        entry = max(1.0, power * power) / float(theory_budget(cfg).eval(power))
+        entry = max(1.0, power * power) / float(chain_at(cfg, power)[1])
         _require((points + dark) * entry * entry < math.inf, key, power,
                  "the noise fit's normal matrix, the point count times "
                  "(max(1, P^2)/N(P))^2 at this power, must be finite")
     # every scan is fitted before the first write: a failed fit leaves none
-    results = [_noise_scan_at_field(cfg, spec, field, scan)
+    results = [_noise_scan_at_field(cfg, spec, field, scan, powers)
                for scan, (_, _, field) in enumerate(scans)]
     outputs = []
-    for (stem, fig_name, field), (powers, levels, fit) in zip(scans, results):
+    for (stem, fig_name, field), (levels, fit) in zip(scans, results):
         mod = field.modulation_freq
         write_table(outdir / f"{stem}.csv", ["power_w", "noise_w_per_hz"],
                     [powers, levels],
@@ -692,18 +702,8 @@ def _run_sensitivity_sweep(cfg: ExperimentConfig, spec: ScenarioSpec,
                            "sweep.power_max", sat.phi0_at(top),
                            sat.gamma_at(top))
     _require_background(cfg, "sweep.power_min")
-    low = cfg.sweep.power_min
-    tone = sat.phi0_at(low) * angle_gain_from_chain(
-        cfg.detector, photon_flux(low, cfg.atom.probe_wavelength))
-    if not tone > 0.0:  # phi0 and g grow with P: each SNR would be noise
-        key = ("saturation.phi0_scale" if sat.phi0_scale == 0.0
-               else "sweep.power_min")
-        raise ConfigError(
-            f"{key}: the resonance's tone at {low!r} W, phi0(P) * g(P) = "
-            f"{tone!r}, must be > 0, or the sensitivity is read off noise "
-            "alone. It is set by " + _listed(
-                "sweep.power_min", "saturation.phi0_scale",
-                "saturation.p_sat", *_GAIN_KEYS))
+    _require_tone(cfg, "sweep.power_min", sat.phi0_at(cfg.sweep.power_min),
+                  "saturation.phi0_scale", "saturation.p_sat")
     mod = cfg.field.modulation_freq
     budget = theory_budget(cfg, detection_freq=mod)
     rows = _pmap(functools.partial(_sweep_rows, cfg, spec.seed),

@@ -43,8 +43,6 @@ from dataclasses import dataclass, fields
 from dataclasses import field as dc_field
 from typing import Optional
 
-import numpy as np
-
 from .constants import CODATA
 
 __all__ = [
@@ -307,7 +305,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     """Check each key against its ``_KEY_TABLE`` row, then the cross-key rules.
 
     Returns the config with derived values filled; raises ConfigError
-    naming the first violated key and its value.
+    naming the first violated key and its value. No power is read here:
+    each mode refuses the chain at the powers it reads.
     """
     for key, (section, attr, kind, bound, _unit) in _KEY_TABLE.items():
         value = getattr(getattr(cfg, section), attr)
@@ -343,10 +342,7 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         _require(math.isfinite(k), "snlmap.k_values", k,
                  "every k must be finite")
         _require(k >= 1.0, "snlmap.k_values", k, "every k must be >= 1")
-    # detector imports config
-    from .detector import angle_gain_from_chain, theory_budget
-    from .signal_model import photon_flux
-    budgets = []
+    from .detector import theory_budget  # detector imports config
     for key, gain in (("detector.transimpedance_gain_nominal",
                        cfg.detector.transimpedance_gain_nominal),
                       ("snlmap.second_gain_nominal", sm.second_gain_nominal)):
@@ -358,20 +354,6 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         _require(per_watt < math.inf, key, gain, "derived shot and technical "
                  "terms, relative to detector.transimpedance_gain_nominal, "
                  "must be finite")
-        budgets.append(budget)
-    # the powers modes run at: simulate, spectrum and demod-sweep's probe,
-    # and the top of the sweeps' grids (the analyzer's periodogram at that
-    # power depends on a mode's band, so each analyzer mode checks it)
-    for key, power in (("sim.probe_power", cfg.sim.probe_power),
-                       ("sweep.power_max", sw.power_max)):
-        with np.errstate(over="ignore", invalid="ignore"):
-            tops = [float(budget.eval(power)) for budget in budgets]
-        gain = angle_gain_from_chain(cfg.detector,
-                                     photon_flux(power, a.probe_wavelength))
-        derived = (power * power, *tops, gain)
-        _require(all(v < math.inf for v in derived), key, power,
-                 "derived P^2, noise budget A + B*P + C*P^2 at both gains "
-                 "and angle gain at this power must be finite")
 
     for key, b in (("field.b_field", cfg.field.b_field),
                    ("noisescan.second_b_field", cfg.noisescan.second_b_field)):

@@ -48,7 +48,7 @@ import numpy.random  # noqa: F401 numpy 2 loads it lazily; load it here, not mid
 
 from .config import DetectorConfig, ExperimentConfig
 from .constants import CODATA
-from .signal_model import RotationTimeSeries, Seed, white_noise
+from .signal_model import RotationTimeSeries, Seed, photon_flux, white_noise
 from .tables import write_table
 
 __all__ = [
@@ -59,6 +59,7 @@ __all__ = [
     "theoretical_shot_noise_level",
     "theory_budget",
     "angle_gain_from_chain",
+    "chain_at",
     "detect",
     "detected_to_csv",
 ]
@@ -190,6 +191,17 @@ def angle_gain_from_chain(det: DetectorConfig, flux: float) -> float:
     current = photocurrent_from_flux(flux, det)
     return 2.0 * det.gain_effective * current * math.sqrt(
         2.0 / (det.quantum_efficiency * det.analyzer_impedance))
+
+
+def chain_at(cfg: ExperimentConfig, power: float) -> tuple:
+    """(g, N) at an optical power P: the chain's angle gain g(P) and the
+    analyzer rows' noise N(P) = A + B*P + C*P^2 of ``theory_budget(cfg)``,
+    a numpy float that overflows to inf (or NaN) without a warning, so the
+    rule that reads it can refuse it."""
+    gain = angle_gain_from_chain(cfg.detector,
+                                 photon_flux(power, cfg.atom.probe_wavelength))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return gain, theory_budget(cfg).eval(power)
 
 
 def detect(rotation: RotationTimeSeries, det: DetectorConfig, *,

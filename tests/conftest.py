@@ -30,6 +30,14 @@ def mean_and_sem(values):
     return float(values.mean()), float(sem)
 
 
+def pull_stats(estimates, errors, truth):
+    """Mean, its standard error and standard deviation of the pulls
+    (estimate - truth) / error of a Monte-Carlo sample of fits."""
+    pulls = (np.asarray(estimates) - truth) / np.asarray(errors)
+    mean, sem = mean_and_sem(pulls)
+    return mean, sem, float(pulls.std(ddof=1))
+
+
 def noiseless_rotation(res, mod_freq, duration, sample_rate, power, *,
                        wavelength=795e-9):
     """The real rotation series synthesize_rotation gives without shot

@@ -194,10 +194,11 @@ def test_noise_scan_is_shot_noise_limited_from_5_to_75_uT(b_field):
     cfg = amorsim.cli._load_config(ScenarioSpec("noise-scan", str(config)))
     field = FieldConfig(b_field=b_field).resolve(cfg.atom)
     lane = int(round(b_field * 1e7))  # each field draws its own streams
+    powers = [0.0, *amorsim.cli._power_grid(cfg)]  # with the dark point
     shots = []
     for seed in range(20):
-        _, _, fit = amorsim.cli._noise_scan_at_field(
-            cfg, ScenarioSpec("noise-scan", seed=seed), field, lane)
+        _, fit = amorsim.cli._noise_scan_at_field(
+            cfg, ScenarioSpec("noise-scan", seed=seed), field, lane, powers)
         shots.append(fit.coef_shot)
         assert snl_range(fit, 4).nonempty, seed
     mean, stderr = mean_and_sem(shots)
@@ -211,13 +212,11 @@ def test_noise_scan_background_matches_the_budget_across_seeds():
     # within 4 standard errors of it.
     config = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
     cfg = amorsim.cli._load_config(ScenarioSpec("noise-scan", str(config)))
-    runs = [amorsim.cli._noise_scan_at_field(
-        cfg, ScenarioSpec("noise-scan", seed=seed), cfg.field, 0)
-        for seed in range(20)]
-    powers = runs[0][0]
-    levels = np.array([levels for _, levels, _ in runs])
+    powers = [0.0, *amorsim.cli._power_grid(cfg)]  # with the dark point
+    levels = np.array([amorsim.cli._noise_scan_at_field(
+        cfg, ScenarioSpec("noise-scan", seed=seed), cfg.field, 0, powers)[0]
+        for seed in range(20)])
     budget = theory_budget(cfg)
-    assert powers[0] == 0.0
     for i in (0, len(powers) // 2, len(powers) - 1):
         mean, stderr = mean_and_sem(levels[:, i])
         assert abs(mean - budget.eval(powers[i])) < 4.0 * stderr, powers[i]
@@ -780,8 +779,7 @@ def test_every_float_key_rejects_non_finite(key, value, tmp_path, capsys):
      "detector.electronic_knee_freq"),
     ("snl-map", "snlmap.second_gain_nominal = 1e200\n",
      "snlmap.second_gain_nominal"),
-    # powers ** 2 in the budget, and the squared gain ratio, overflow
-    ("snl-map", "sweep.power_max = 1e300\n", "sweep.power_max"),
+    # powers ** 2 in the budget overflow where the power is read
     ("sensitivity-sweep", "sweep.power_max = 1e300\n", "sweep.power_max"),
     # every power a mode runs at: P^2 overflows at 1e200 (simulate's
     # OverflowError, demod-sweep's LinAlgError after a partial --out); at
@@ -887,8 +885,10 @@ def test_every_float_key_rejects_non_finite(key, value, tmp_path, capsys):
     ("noise-scan", "noisescan.include_zero = true\n",
      "detector.electronic_noise_floor"),
     ("demod-sweep", "sweep.freq_points = 5\n", "sweep.freq_points"),
-    # no resonance to fit: the fit blamed the sweep and exited 3
-    ("demod-sweep", "resonance.phi0 = 0\n", "resonance.phi0"),
+    # no resonance to fit: the fit blamed the sweep and exited 3; spectrum
+    # read its SNR off noise alone, with exit 0
+    *[(mode, "resonance.phi0 = 0\n", "resonance.phi0")
+      for mode in ("demod-sweep", "spectrum")],
     # no background at the lowest power an analyzer mode reads: nu = c/lambda
     # overflowed, so B and g were 0 on the built-in zero electronic floor,
     # and spectrum and sensitivity-sweep failed unnamed, noise-scan's fit
@@ -972,6 +972,23 @@ def test_power_just_below_its_overflow_refusal_runs(mode, setting, tmp_path):
     assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mode, setting", [
+    *[("snl-map", f"{key} = 1e300") for key in ("sim.probe_power",
+                                                "sweep.power_max")],
+    *[(mode, "sweep.power_max = 1e300")
+      for mode in ("simulate", "spectrum", "demod-sweep")],
+    *[(mode, "sim.probe_power = 1e300")
+      for mode in ("noise-scan", "sensitivity-sweep")]])
+def test_no_mode_refuses_a_power_it_does_not_read(mode, setting, tmp_path):
+    # snl-map reads no power, simulate, spectrum and demod-sweep only
+    # sim.probe_power, the sweeps only their grid: a power past the
+    # overflow rules, set where the mode does not read, leaves it running
+    cfg = tmp_path / "unread.cfg"
+    cfg.write_text(setting + "\n")
+    assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
 def test_failed_fit_exits_3_leaving_no_out(tmp_path, capsys):
     # a 1e-12 rad resonance: the fit's guessed width outgrows the grid
     cfg = tmp_path / "faint.cfg"
@@ -981,6 +998,18 @@ def test_failed_fit_exits_3_leaving_no_out(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "FitError"
     assert not (tmp_path / "o").exists()
+
+
+def test_noise_scan_builds_its_power_grid_once(tmp_path, monkeypatch):
+    # both scans read the one grid, built before the background rule
+    grids, grid = [], amorsim.cli._power_grid
+    monkeypatch.setattr(amorsim.cli, "_power_grid",
+                        lambda cfg: grids.append(cfg) or grid(cfg))
+    config = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+    assert main(["noise-scan", "--config", str(config),
+                 "--out", str(tmp_path / "o")]) == 0
+    assert len(grids) == 1
+    assert (tmp_path / "o" / "noise_scan_high.csv").exists()
 
 
 def test_noise_scan_fits_both_scans_before_writing(tmp_path, monkeypatch):

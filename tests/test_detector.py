@@ -12,6 +12,7 @@ from amorsim.config import DetectorConfig, ExperimentConfig
 from amorsim.detector import (
     NoiseBudget,
     angle_gain_from_chain,
+    chain_at,
     detect,
     detected_to_csv,
     photocurrent,
@@ -195,6 +196,23 @@ def test_theory_budget_defaults_to_the_configured_gain():
     assert (budget.coef_elec, budget.coef_tech) == (1.35e-14, 1.8e-6)
     assert budget.coef_shot == pytest.approx(9.040529255430119e-10, rel=1e-12)
     assert budget.detection_freq == 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("power", [0.0, 80.5e-6, 1e150, 1e200])
+def test_chain_at_is_the_gain_and_the_budget_at_a_power(power):
+    # bit for bit the two expressions it replaces; past float64's range N
+    # reads inf (or NaN at a zero C) for a rule to refuse, with no warning
+    for coef_tech in (1.8e-6, 0.0):
+        cfg = ExperimentConfig(detector=DetectorConfig(
+            electronic_noise_floor=1.35e-14, technical_noise_coef=coef_tech))
+        gain, density = chain_at(cfg, power)
+        assert gain == angle_gain_from_chain(
+            cfg.detector, photon_flux(power, cfg.atom.probe_wavelength))
+        if power < 1e200:
+            assert density == theory_budget(cfg).eval(power)
+        else:
+            assert not density < math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from amorsim.signal_model import (
     shot_noise_angle_density,
     white_noise,
 )
-from conftest import mean_and_sem, noiseless_rotation
+from conftest import mean_and_sem, noiseless_rotation, pull_stats
 
 DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
 SEEDS = range(20)
@@ -391,6 +391,21 @@ def test_demod_sweep_quadrature_noise_is_the_budget_across_seeds():
         mean, sem = mean_and_sem(variance)
         assert sem < 0.1 * expected
         assert abs(mean - expected) < 4.0 * sem
+
+
+def test_demod_sweep_lorentzian_errors_are_calibrated():
+    # over seeds 0-199 each fitted parameter's pull (fit - truth)/error has
+    # a mean within 4 standard errors of 0 and a standard deviation near 1
+    cfg, res, freqs = demod_setup()
+    fits = [fit_lorentzian(sweep_resonance(
+        res, freqs, functools.partial(cli._demod_point, cfg, res, seed),
+        cfg.lockin.output_bandwidth)) for seed in range(200)]
+    for name in ("center_freq", "gamma_fwhm", "phi0"):
+        mean, sem, sd = pull_stats([getattr(fit, name) for fit in fits],
+                                   [getattr(fit, f"{name}_err") for fit in fits],
+                                   getattr(res, name))
+        assert abs(mean) < 4.0 * sem, (name, mean, sem)
+        assert 0.8 <= sd <= 1.2, (name, sd)
 
 
 def test_demod_sweep_reads_envelopes_near_dc():
