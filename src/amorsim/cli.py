@@ -279,9 +279,9 @@ def _require_analyzer_fits(cfg: ExperimentConfig, field: FieldConfig,
             f"{band_key} trace, (1 - pole) x bins = {movement!r}, is below "
             "1: every trace would stay near its first bins' level")
     power = _setting(cfg, power_key)
-    gain, density = chain_at(cfg, power)
     res = ResonanceParams(phi0, gamma, _center_freq(cfg, field))
     with np.errstate(over="ignore", invalid="ignore"):  # NaN or inf: refused
+        gain, density = chain_at(cfg, power)
         tone = math.hypot(*lorentzian_quadratures(
             2.0 * math.pi * (field.modulation_freq - res.center_freq), res))
     peak = 0.5 * gain * tone * float(window.sum())  # the envelope tone's bin
@@ -302,7 +302,8 @@ def _require_background(cfg: ExperimentConfig, key: str,
     that key adds): a trace with none has no background to read. Every
     term is >= 0, so N does not fall as P rises."""
     power = _setting(cfg, key) if power is None else power
-    density = float(chain_at(cfg, power)[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        density = float(chain_at(cfg, power)[1])
     if not density > 0.0:
         raise ConfigError(
             f"{key}: the analyzer's background at {power!r} W, N(P) = "
@@ -318,7 +319,8 @@ def _require_tone(cfg: ExperimentConfig, power_key: str, phi0: float,
     phi0_keys set phi0 there, the first its scale. Neither phi0 nor g
     falls as P rises."""
     power = _setting(cfg, power_key)
-    tone = phi0 * chain_at(cfg, power)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        tone = phi0 * chain_at(cfg, power)[0]
     if not tone > 0.0:
         key = phi0_keys[0] if _setting(cfg, phi0_keys[0]) == 0.0 else power_key
         raise ConfigError(
@@ -423,7 +425,9 @@ def _run_simulate(cfg: ExperimentConfig, spec: ScenarioSpec,
              cfg.sim.sample_rate,
              f"must exceed 4x the modulation frequency ({mod!r} Hz)")
     power = cfg.sim.probe_power
-    _require(all(v < math.inf for v in chain_at(cfg, power)), "sim.probe_power",
+    with np.errstate(over="ignore", invalid="ignore"):
+        chain = chain_at(cfg, power)
+    _require(all(v < math.inf for v in chain), "sim.probe_power",
              power, "the chain's angle gain g(P) and noise N(P) = A + B*P + "
              "C*P^2 at this power must be finite")
     res = ResonanceParams(cfg.resonance.phi0, cfg.resonance.gamma_fwhm,
@@ -475,8 +479,8 @@ def _run_demod_sweep(cfg: ExperimentConfig, spec: ScenarioSpec,
     res, freqs = _demod_grid(cfg)
     _require_tone(cfg, "sim.probe_power", res.phi0, "resonance.phi0")
     power = cfg.sim.probe_power
-    gain, density = chain_at(cfg, power)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        gain, density = chain_at(cfg, power)
         angle_noise = density / (gain * gain)
     if not (gain < math.inf and angle_noise < math.inf):
         raise ConfigError(
@@ -580,8 +584,8 @@ def _noise_scan_at_field(cfg: ExperimentConfig, spec: ScenarioSpec,
     scan = functools.partial(_noise_levels, cfg, (spec.seed, scan_index),
                              field)
     levels = _pmap(scan, list(enumerate(powers)), spec.workers)
-    # the dark trace fixes the electronic term
-    fixed = levels[0] if cfg.noisescan.include_zero else None
+    # a dark trace (0 W; sweep.power_min is > 0) fixes the electronic term
+    fixed = levels[0] if powers[0] == 0.0 else None
     return levels, fit_noise_polynomial(powers, levels, fixed_elec=fixed)
 
 
@@ -609,7 +613,8 @@ def _run_noise_scan(cfg: ExperimentConfig, spec: ScenarioSpec,
     # at the grid's ends (an infinite one stalls its SVD)
     for key in ("sweep.power_min", "sweep.power_max"):
         power = _setting(cfg, key)
-        entry = max(1.0, power * power) / float(chain_at(cfg, power)[1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            entry = max(1.0, power * power) / float(chain_at(cfg, power)[1])
         _require((points + dark) * entry * entry < math.inf, key, power,
                  "the noise fit's normal matrix, the point count times "
                  "(max(1, P^2)/N(P))^2 at this power, must be finite")

@@ -196,12 +196,11 @@ def angle_gain_from_chain(det: DetectorConfig, flux: float) -> float:
 def chain_at(cfg: ExperimentConfig, power: float) -> tuple:
     """(g, N) at an optical power P: the chain's angle gain g(P) and the
     analyzer rows' noise N(P) = A + B*P + C*P^2 of ``theory_budget(cfg)``,
-    a numpy float that overflows to inf (or NaN) without a warning, so the
-    rule that reads it can refuse it."""
+    a numpy float. A rule that reads a power past overflow calls it under
+    ``np.errstate``, so N reads inf (or NaN) without a warning."""
     gain = angle_gain_from_chain(cfg.detector,
                                  photon_flux(power, cfg.atom.probe_wavelength))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return gain, theory_budget(cfg).eval(power)
+    return gain, theory_budget(cfg).eval(power)
 
 
 def detect(rotation: RotationTimeSeries, det: DetectorConfig, *,

@@ -1009,7 +1009,10 @@ def test_noise_scan_builds_its_power_grid_once(tmp_path, monkeypatch):
     assert main(["noise-scan", "--config", str(config),
                  "--out", str(tmp_path / "o")]) == 0
     assert len(grids) == 1
-    assert (tmp_path / "o" / "noise_scan_high.csv").exists()
+    # default.cfg sets noisescan.include_zero: the dark point leads each scan
+    for stem in ("noise_scan", "noise_scan_high"):
+        _, (powers, _), _ = read_table(tmp_path / "o" / f"{stem}.csv")
+        assert powers.tolist() == [0.0, *grid(grids[0])]
 
 
 def test_noise_scan_fits_both_scans_before_writing(tmp_path, monkeypatch):
