@@ -1,5 +1,4 @@
-"""Derived magnetometer quantities: SNR, slope, sensitivity, SNL ranges,
-and the reports written from them.
+"""Derived magnetometer quantities: SNR, slope, sensitivity and SNL ranges.
 
 Conventions used throughout:
 
@@ -14,9 +13,7 @@ Conventions used throughout:
   that.
 * snl_map returns one grid: a row per budget in frequency order, each the
   budget's detection frequency and its SnlRange at every distinct margin k
-  in increasing order. snl-map's csv and figures are written from it.
-* make_sensitivity_report recomputes nothing: it copies a sweep's best row
-  (gamma, SNR, delta_B, power, SNL class) beside the projection-noise floor.
+  in increasing order. ``cli`` writes snl-map's csv and figures from it.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ from typing import Iterable, Sequence
 from .config import AtomConfig
 from .constants import CODATA
 from .detector import NoiseBudget
-from .tables import write_table
 
 __all__ = [
     "SnlRange",
@@ -40,8 +36,6 @@ __all__ = [
     "snl_range",
     "snl_map",
     "classify_operating_point",
-    "make_sensitivity_report",
-    "snl_map_to_csv",
 ]
 
 _NEVER_SNL = float("inf")
@@ -193,38 +187,3 @@ def classify_operating_point(budget: NoiseBudget, power: float,
     if power > rng.p_high:
         return "technical-limited"
     return f"SNL({k:g})"
-
-
-def make_sensitivity_report(best: dict, delta_b_atomic: float,
-                            detection_freq: float) -> dict:
-    """The report of a sensitivity sweep: its best row's gamma, SNR, delta_B,
-    power and SNL class beside the projection-noise floor delta_b_atomic.
-
-    The SNR is derived (from spectra, never measured directly) and quoted
-    per sqrt(Hz) of detection bandwidth.
-    """
-    positive = {"snr": best["snr"], "delta_B": best["delta_b_t_per_sqrt_hz"],
-                "delta_B_atomic": delta_b_atomic}
-    bad = {name: value for name, value in positive.items() if not value > 0}
-    if bad:
-        raise ValueError(f"report values must be > 0, got {bad!r}")
-    return {
-        "gamma_fwhm_hz": best["gamma_fwhm_hz"],
-        "snr": best["snr"],
-        "snr_provenance": "derived",
-        "snr_convention": "per-sqrt-hz",
-        "delta_b_t_per_sqrt_hz": best["delta_b_t_per_sqrt_hz"],
-        "delta_b_atomic_t_per_sqrt_hz": delta_b_atomic,
-        "operating_power_w": best["power_w"],
-        "detection_freq_hz": detection_freq,
-        "snl_class": best["snl_class"],
-    }
-
-
-def snl_map_to_csv(grid: Sequence[tuple[float, list[SnlRange]]], path,
-                   seed=None) -> None:
-    """One row per (frequency, k) cell of an snl_map grid."""
-    cells = [(freq, w.k, w.p_low, w.p_high, w.nonempty)
-             for freq, windows in grid for w in windows]
-    write_table(path, ["freq_hz", "k", "p_low_w", "p_high_w", "nonempty"],
-                list(zip(*cells)), {"seed": seed})

@@ -12,7 +12,10 @@ Subcommands map one-to-one to scenario modes::
 Every mode writes its data files plus ``manifest.json`` into ``--out``,
 all through ``tables.write_table`` and ``tables.write_json``, which create
 ``--out`` with its first file; ``tables.read_table`` reads any table back
-losslessly. ``config.validate_config`` checks each key and the rules that
+losslessly. This module is the only one that imports ``tables``: it fixes
+the columns and header keys of every output (the ``*_to_csv`` functions,
+``fit_report`` and ``make_sensitivity_report``), and the physics modules
+write nothing. ``config.validate_config`` checks each key and the rules that
 span keys, the same for every mode; the rules only one mode needs are
 checked by its handler before anything is written, so a refused run leaves
 no ``--out`` behind. Among them each failure of the chain at a power,
@@ -81,20 +84,19 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 import numpy.random  # noqa: F401 numpy 2 loads it lazily; load it here, not mid-run
 
 from . import __version__
 from .analysis import (
+    SnlRange,
     classify_operating_point,
     compute_snr,
-    make_sensitivity_report,
     projection_noise,
     sensitivity,
     snl_map,
-    snl_map_to_csv,
 )
 from .config import (
     ConfigError,
@@ -107,10 +109,11 @@ from .config import (
     load_config_file,
     validate_config,
 )
-from .detector import (DetectedTimeSeries, chain_at, detect, detected_to_csv,
+from .detector import (DetectedTimeSeries, NoiseBudget, chain_at, detect,
                        theory_budget)
 from .dsp import (
     PowerSpectrum,
+    ResonanceCurve,
     _analyzer_window,
     _envelope_grid,
     _flattop,
@@ -118,16 +121,15 @@ from .dsp import (
     _video_pole,
     peak_and_background,
     psd_estimate,
-    resonance_curve_to_csv,
-    spectrum_to_csv,
     sweep_resonance,
 )
-from .fitting import FitError, fit_lorentzian, fit_noise_polynomial, fit_report
+from .fitting import (FitError, LorentzianFit, fit_lorentzian,
+                      fit_noise_polynomial)
 from .signal_model import (
     ResonanceParams,
+    RotationTimeSeries,
     coherent_rotation,
     lorentzian_quadratures,
-    rotation_to_csv,
     synthesize_rotation,
     white_noise,
 )
@@ -242,9 +244,10 @@ def _require_analyzer_fits(cfg: ExperimentConfig, field: FieldConfig,
                            band: tuple, power_key: str, phi0: float,
                            gamma: float, band_key="spectrum.bg_window") -> None:
     """float64 must resolve the analyzer's bins at the top of band, around
-    field's carrier; its flat-top segment must fit band's envelope and
-    series, and a spectrum.vbw below spectrum.rbw must let the video filter
-    move across the trace: (1 - pole) times band's bins at least 1.
+    field's carrier, and band's two edges; its flat-top segment must fit
+    band's envelope and series, and a spectrum.vbw below spectrum.rbw must
+    let the video filter move across the trace: (1 - pole) times band's
+    bins at least 1.
 
     The periodogram must stay finite at the power power_key sets, the
     highest the mode reads: its tone, a resonance of phi0 rad and gamma Hz
@@ -253,8 +256,13 @@ def _require_analyzer_fits(cfg: ExperimentConfig, field: FieldConfig,
     width.
     """
     rbw, vbw, duration = cfg.spectrum.rbw, cfg.spectrum.vbw, cfg.sim.duration
+    width = getattr(cfg.spectrum, band_key.partition(".")[2])
     _require_resolved(_carrier_key(cfg, field), band[1],
                       rbw / _flattop(4096)[1], "analyzer bin spacing")
+    if not band[1] > band[0]:
+        raise ConfigError(f"{band_key}: {width!r} Hz is below float64's "
+                          f"resolution at {band[1]!r} Hz, so the band has "
+                          f"no width; widen {band_key}")
     _, rate, n = _series_grid(cfg, band)
     try:
         window, _ = _analyzer_window(rate, rbw, n)
@@ -265,7 +273,6 @@ def _require_analyzer_fits(cfg: ExperimentConfig, field: FieldConfig,
                 f"spectrum.rbw: {rbw!r} Hz needs sim.duration >= "
                 f"{nperseg / rate!r} s for one analyzer segment (got "
                 f"{duration!r})") from exc
-        width = getattr(cfg.spectrum, band_key.partition(".")[2])
         raise ConfigError(
             f"spectrum.rbw: {rbw!r} Hz is too coarse for {band_key} = "
             f"{width!r} Hz; lower spectrum.rbw or widen {band_key}") from exc
@@ -351,10 +358,11 @@ def _detected_stack(cfg: ExperimentConfig, mod: float,
     ``chain_at(cfg, power)``: N holds shot, electronic and technical noise
     at once (see the ``detector`` docstring). The stack, complex with a
     band, is allocated before the first row is built, a size numpy refuses
-    blamed on count_key. The rows share the band's sample rate and centre;
-    the other scalar fields describe the first row only. No mode passes
-    band=None: its real stack at sim.sample_rate is the full-rate reference
-    the tests compare the envelopes with.
+    blamed on sim.duration if one row is past it, else on count_key. The
+    rows share the band's sample rate and centre; the other scalar fields
+    describe the first row only. No mode passes band=None: its real stack
+    at sim.sample_rate is the full-rate reference the tests compare the
+    envelopes with.
 
     Each row's draw lands in the row itself, and the scaled coherent wave
     is added onto it. The wave, its gain and the density are worked out
@@ -363,9 +371,16 @@ def _detected_stack(cfg: ExperimentConfig, mod: float,
     deterministic part adds nothing.
     """
     center, rate, n = _series_grid(cfg, band)
-    samples = _allocate(count_key, f"{count!r} rows of {n!r} samples "
-                        f"(sim.duration = {cfg.sim.duration!r} s)", np.empty,
-                        (count, n), float if center is None else complex)
+    dtype = float if center is None else complex
+    try:
+        samples = np.empty((count, n), dtype)
+    except (MemoryError, ValueError):  # one row numpy refuses: sim.duration's
+        if count_key != "sim.duration":
+            _allocate("sim.duration", f"rows of {n!r} samples", np.empty, n,
+                      dtype)
+        samples = _allocate(count_key, f"{count!r} rows of {n!r} samples "
+                            f"(sim.duration = {cfg.sim.duration!r} s)",
+                            np.empty, (count, n), dtype)
     waves = {}  # (res fields, power) -> (gain, density, scaled wave or None)
     for row, (res, power, key) in enumerate(rows):
         point = (res.phi0, res.gamma_fwhm, res.center_freq, power)
@@ -417,6 +432,115 @@ def _bg_band(cfg: ExperimentConfig, field: FieldConfig) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# Output layouts: the columns and header keys of each file a mode writes
+# ---------------------------------------------------------------------------
+
+def rotation_to_csv(ts: RotationTimeSeries, path) -> None:
+    """Write a series with header rows carrying its metadata."""
+    write_table(path, ["sample_rad"], [ts.samples], {
+        "sample_rate_hz": ts.sample_rate,
+        "mean_optical_power_w": ts.mean_optical_power,
+        "photon_flux_per_s": ts.photon_flux,
+        "modulation_freq_hz": ts.modulation_freq,
+        "seed": ts.rng_seed,
+    })
+
+
+def detected_to_csv(ts: DetectedTimeSeries, path) -> None:
+    """Write a real detected series with header rows carrying its metadata."""
+    if ts.center_freq is not None:
+        raise ValueError("detected_to_csv writes real series only, "
+                         f"not an envelope around {ts.center_freq!r} Hz")
+    write_table(path, ["sample_sqrtw"], [ts.samples], {
+        "sample_rate_hz": ts.sample_rate,
+        "gain_used_v_per_a": ts.gain_used,
+        "mean_power_w": ts.mean_power,
+        "angle_gain_sqrtw_per_rad": ts.angle_gain,
+        "seed": ts.rng_seed,
+    })
+
+
+def spectrum_to_csv(spec: PowerSpectrum, path, seed=None) -> None:
+    write_table(path, ["freq_hz", "psd_w_per_hz"], [spec.freqs, spec.psd], {
+        "rbw_hz": spec.rbw, "vbw_hz": spec.vbw, "enbw_hz": spec.enbw,
+        "seed": seed,
+    })
+
+
+def resonance_curve_to_csv(curve: ResonanceCurve, path, seed=None) -> None:
+    write_table(
+        path, ["mod_freq_hz", "phi_p_rad", "phi_q_rad"],
+        [curve.mod_freqs, curve.phi_P_values, curve.phi_Q_values],
+        {"bracketed": curve.bracketed, "seed": seed},
+    )
+
+
+def snl_map_to_csv(grid: Sequence[tuple[float, list[SnlRange]]], path,
+                   seed=None) -> None:
+    """One row per (frequency, k) cell of an snl_map grid."""
+    cells = [(freq, w.k, w.p_low, w.p_high, w.nonempty)
+             for freq, windows in grid for w in windows]
+    write_table(path, ["freq_hz", "k", "p_low_w", "p_high_w", "nonempty"],
+                list(zip(*cells)), {"seed": seed})
+
+
+def make_sensitivity_report(best: dict, delta_b_atomic: float,
+                            detection_freq: float) -> dict:
+    """The report of a sensitivity sweep: its best row's gamma, SNR, delta_B,
+    power and SNL class beside the projection-noise floor delta_b_atomic.
+    It recomputes nothing.
+
+    The SNR is derived (from spectra, never measured directly) and quoted
+    per sqrt(Hz) of detection bandwidth.
+    """
+    positive = {"snr": best["snr"], "delta_B": best["delta_b_t_per_sqrt_hz"],
+                "delta_B_atomic": delta_b_atomic}
+    bad = {name: value for name, value in positive.items() if not value > 0}
+    if bad:
+        raise ValueError(f"report values must be > 0, got {bad!r}")
+    return {
+        "gamma_fwhm_hz": best["gamma_fwhm_hz"],
+        "snr": best["snr"],
+        "snr_provenance": "derived",
+        "snr_convention": "per-sqrt-hz",
+        "delta_b_t_per_sqrt_hz": best["delta_b_t_per_sqrt_hz"],
+        "delta_b_atomic_t_per_sqrt_hz": delta_b_atomic,
+        "operating_power_w": best["power_w"],
+        "detection_freq_hz": detection_freq,
+        "snl_class": best["snl_class"],
+    }
+
+
+def fit_report(fit) -> dict:
+    """A fit result as a JSON-ready document."""
+    if isinstance(fit, LorentzianFit):
+        return {
+            "kind": "lorentzian",
+            "params": fit.params(),
+            "errors": {
+                "center_freq": fit.center_freq_err,
+                "gamma_fwhm": fit.gamma_fwhm_err,
+                "phi0": fit.phi0_err,
+            },
+            "residual_rms": fit.residual_rms,
+            "n_points": fit.n_points,
+            "converged": fit.converged,
+            "extrapolated": fit.extrapolated,
+        }
+    if isinstance(fit, NoiseBudget):
+        terms = ("coef_elec", "coef_shot", "coef_tech")
+        return {
+            "kind": "noise_polynomial",
+            "params": {term: getattr(fit, term) for term in terms},
+            "errors": dict(zip(terms, fit.coef_errs)),
+            "residual_rel_rms": fit.residual_rel_rms,
+            "n_points": fit.n_points,
+            "fixed_elec": fit.fixed_elec,
+        }
+    raise TypeError(f"unsupported fit object {type(fit).__name__}")
+
+
+# ---------------------------------------------------------------------------
 # Mode handlers (each returns the list of files it wrote)
 # ---------------------------------------------------------------------------
 
@@ -426,6 +550,11 @@ def _run_simulate(cfg: ExperimentConfig, spec: ScenarioSpec,
     _require(cfg.sim.sample_rate > 4.0 * mod, "sim.sample_rate",
              cfg.sim.sample_rate,
              f"must exceed 4x the modulation frequency ({mod!r} Hz)")
+    _, rate, n = _series_grid(cfg, None)
+    _require(n >= 2, "sim.duration", cfg.sim.duration, f"must hold 2 "
+             f"samples at sim.sample_rate = {rate!r} Hz, not {n!r}")
+    _allocate("sim.duration", f"{n!r} samples at sim.sample_rate = {rate!r} "
+              "Hz", np.empty, n)  # before the series: numpy's limit, named
     power = cfg.sim.probe_power
     with np.errstate(over="ignore", invalid="ignore"):
         chain = chain_at(cfg, power)

@@ -25,7 +25,8 @@ holds with no gain or bandwidth dependence.
 ``detect`` takes the shot noise from the rotation series and injects
 electronic noise (white, PSD = A) and technical noise (white, PSD = C*P^2)
 at the output node as one white draw of PSD A + C*P^2. simulate detects
-this way, so that its rotation and detected files share one shot draw.
+this way, so that its rotation and detected files share one shot draw;
+``cli.detected_to_csv`` writes the detected one.
 
 The analyzer rows of the other modes (``cli._detected_stack``), those
 demod-sweep's lock-in reads included, draw all three terms at once. They
@@ -49,7 +50,6 @@ import numpy.random  # noqa: F401 numpy 2 loads it lazily; load it here, not mid
 from .config import DetectorConfig, ExperimentConfig
 from .constants import CODATA
 from .signal_model import RotationTimeSeries, Seed, photon_flux, white_noise
-from .tables import write_table
 
 __all__ = [
     "NoiseBudget",
@@ -61,7 +61,6 @@ __all__ = [
     "angle_gain_from_chain",
     "chain_at",
     "detect",
-    "detected_to_csv",
 ]
 
 
@@ -254,17 +253,3 @@ def detect(rotation: RotationTimeSeries, det: DetectorConfig, *,
         angle_gain=angle_gain,
         rng_seed=rng_seed,
     )
-
-
-def detected_to_csv(ts: DetectedTimeSeries, path) -> None:
-    """Write a real detected series with header rows carrying its metadata."""
-    if ts.center_freq is not None:
-        raise ValueError("detected_to_csv writes real series only, "
-                         f"not an envelope around {ts.center_freq!r} Hz")
-    write_table(path, ["sample_sqrtw"], [ts.samples], {
-        "sample_rate_hz": ts.sample_rate,
-        "gain_used_v_per_a": ts.gain_used,
-        "mean_power_w": ts.mean_power,
-        "angle_gain_sqrtw_per_rad": ts.angle_gain,
-        "seed": ts.rng_seed,
-    })

@@ -35,7 +35,7 @@ The lock-in's 4th-order Butterworth output filter is linear, so the mean
 of its settled output is a fixed weighting of its input: each point is
 one weighted sum, with weights built once per (rate, bandwidth, length)
 from the filter's closed-form step response. Everything here runs on
-numpy alone, the video filter included.
+numpy alone, the video filter included. It writes no file; ``cli`` does.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ import numpy.fft  # noqa: F401 numpy 2 loads it lazily; load it here, not mid-ru
 from .detector import DetectedTimeSeries
 from .signal_model import ResonanceParams, RotationTimeSeries, _tone
 from .signal_model import synthesize_rotation  # noqa: F401 perfbench wraps it here
-from .tables import write_table
 
 __all__ = [
     "ResonanceCurve",
@@ -61,8 +60,6 @@ __all__ = [
     "sweep_resonance",
     "psd_estimate",
     "peak_and_background",
-    "spectrum_to_csv",
-    "resonance_curve_to_csv",
 ]
 
 AnySeries = Union[RotationTimeSeries, DetectedTimeSeries]
@@ -518,22 +515,3 @@ def peak_and_background(spec_on: PowerSpectrum, spec_off: PowerSpectrum,
     s_bg = [float(off[sel].sum()) / count
             for off in np.atleast_2d(spec_off.psd)]
     return s_sig.tolist(), s_bg if spec_off.psd.ndim > 1 else s_bg[0]
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-def spectrum_to_csv(spec: PowerSpectrum, path, seed=None) -> None:
-    write_table(path, ["freq_hz", "psd_w_per_hz"], [spec.freqs, spec.psd], {
-        "rbw_hz": spec.rbw, "vbw_hz": spec.vbw, "enbw_hz": spec.enbw,
-        "seed": seed,
-    })
-
-
-def resonance_curve_to_csv(curve: ResonanceCurve, path, seed=None) -> None:
-    write_table(
-        path, ["mod_freq_hz", "phi_p_rad", "phi_q_rad"],
-        [curve.mod_freqs, curve.phi_P_values, curve.phi_Q_values],
-        {"bracketed": curve.bracketed, "seed": seed},
-    )

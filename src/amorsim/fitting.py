@@ -17,6 +17,7 @@ from |P + iQ|^2 = phi0^2 L, which does not depend on theta.
 The noise-budget fit is a weighted least-squares polynomial
 N(P) = A + B*P + C*P^2 with nonnegative coefficients, weighted by the
 inverse square of each measured level (equal relative weighting).
+``cli.fit_report`` turns either fit into the JSON document a mode writes.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "auto_initial_guess",
     "fit_lorentzian",
     "fit_noise_polynomial",
-    "fit_report",
 ]
 
 
@@ -367,41 +367,3 @@ def fit_noise_polynomial(powers, noise_levels,
         n_points=int(p.size),
         fixed_elec=fixed_elec,
     )
-
-
-def fit_report(fit) -> dict:
-    """A fit result as a JSON-ready document."""
-    if isinstance(fit, LorentzianFit):
-        doc = {
-            "kind": "lorentzian",
-            "params": fit.params(),
-            "errors": {
-                "center_freq": fit.center_freq_err,
-                "gamma_fwhm": fit.gamma_fwhm_err,
-                "phi0": fit.phi0_err,
-            },
-            "residual_rms": fit.residual_rms,
-            "n_points": fit.n_points,
-            "converged": fit.converged,
-            "extrapolated": fit.extrapolated,
-        }
-    elif isinstance(fit, NoiseBudget):
-        doc = {
-            "kind": "noise_polynomial",
-            "params": {
-                "coef_elec": fit.coef_elec,
-                "coef_shot": fit.coef_shot,
-                "coef_tech": fit.coef_tech,
-            },
-            "errors": {
-                "coef_elec": fit.coef_errs[0],
-                "coef_shot": fit.coef_errs[1],
-                "coef_tech": fit.coef_errs[2],
-            },
-            "residual_rel_rms": fit.residual_rel_rms,
-            "n_points": fit.n_points,
-            "fixed_elec": fit.fixed_elec,
-        }
-    else:
-        raise TypeError(f"unsupported fit object {type(fit).__name__}")
-    return doc

@@ -14,13 +14,13 @@ photon shot noise with one-sided PSD S_phi = 1/(2*Phi_ph), where Phi_ph is
 the photon flux arriving at the detector.
 
 ``synthesize_rotation`` is simulate's series: the real angle at the full
-rate, tone plus shot noise. ``coherent_rotation`` is the tone alone, real,
-or, given a centre f_c, its complex envelope around f_c: the
-positive-frequency part of the tone mixed down by f_c and sampled at a
-rate that covers only the band an analyzer or the lock-in reads. The
-analyzer rows of every other mode (``cli._detected_stack``) are built on
-that envelope. A band near DC gets an envelope whose lower edge sits at
-0 Hz (f_c = sample_rate/2).
+rate, tone plus shot noise, which ``cli.rotation_to_csv`` writes.
+``coherent_rotation`` is the tone alone, real, or, given a centre f_c, its
+complex envelope around f_c: the positive-frequency part of the tone mixed
+down by f_c and sampled at a rate that covers only the band an analyzer or
+the lock-in reads. The analyzer rows of every other mode
+(``cli._detected_stack``) are built on that envelope. A band near DC gets
+an envelope whose lower edge sits at 0 Hz (f_c = sample_rate/2).
 
 The resonance sits at the doubled Larmor frequency 2 g_F mu_B B / h
 (``larmor_doubled_freq``, defined in ``config`` next to the field it
@@ -43,7 +43,6 @@ import numpy.random  # noqa: F401 numpy 2 loads it lazily; load it here, not mid
 
 from .config import larmor_doubled_freq
 from .constants import CODATA
-from .tables import write_table
 
 __all__ = [
     "ResonanceParams",
@@ -55,7 +54,6 @@ __all__ = [
     "white_noise",
     "coherent_rotation",
     "synthesize_rotation",
-    "rotation_to_csv",
 ]
 
 # An RNG stream: an int, or a key such as (seed, *point coordinates, lane);
@@ -269,18 +267,3 @@ def synthesize_rotation(res: ResonanceParams, mod_freq: float,
 
     return RotationTimeSeries(noise if wave is None else wave, sample_rate,
                               power, flux, mod_freq, noise, rng_seed)
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-def rotation_to_csv(ts: RotationTimeSeries, path) -> None:
-    """Write a series with header rows carrying its metadata."""
-    write_table(path, ["sample_rad"], [ts.samples], {
-        "sample_rate_hz": ts.sample_rate,
-        "mean_optical_power_w": ts.mean_optical_power,
-        "photon_flux_per_s": ts.photon_flux,
-        "modulation_freq_hz": ts.modulation_freq,
-        "seed": ts.rng_seed,
-    })

@@ -5,6 +5,7 @@ Each row of ``FAULTS`` is ``(mode, config, code, keys, message)``:
 - ``config`` holds the config file's lines over the built-in defaults;
 - ``code`` is the exit status of ``amorsim <mode> --config <file>``;
 - ``keys`` is the key, or the tuple of keys, the stderr message must name;
+  a refusal's message leads with one of them (``<key>: ...``);
 - ``message``, where given, is that message exactly.
 
 A refused run (code 2, a ``ConfigError``; code 3, a numerical failure)
@@ -18,6 +19,7 @@ than it must.
 
 _FLOOR = "detector.electronic_noise_floor = 1.35e-14"
 _ANALYZER_MODES = ("spectrum", "noise-scan", "sensitivity-sweep")
+_TIME = "analysis.integration_time"
 
 FAULTS = [
     ("simulate", "atom.cell_radius = 1e300", 2, "atom.cell_radius", None),
@@ -55,8 +57,10 @@ FAULTS = [
      "detector.electronic_knee_freq", None),
     ("snl-map", "snlmap.second_gain_nominal = 1e200", 2,
      "snlmap.second_gain_nominal", None),
+    # the second gain's terms, relative to the nominal one, overflow
     ("snl-map", "detector.transimpedance_gain_nominal = 1e-160", 2,
-     "detector.transimpedance_gain_nominal", None),
+     ("detector.transimpedance_gain_nominal", "snlmap.second_gain_nominal"),
+     None),
     # an infinite margin would write nan p_low cells at a zero floor
     *[("snl-map", f"snlmap.k_values = 1,{k}\n"
        "detector.electronic_noise_floor = 0", 2, "snlmap.k_values", None)
@@ -137,8 +141,9 @@ FAULTS = [
       for config in ("noisescan.second_b_field = 1e-9",
                      f"noisescan.second_b_field = 1e-9\n{_FLOOR}")],
     # a carrier set by field.modulation_freq is the one to raise when the
-    # background window around it reaches 0 Hz
-    *[(mode, "field.modulation_freq = 100", 2, "field.modulation_freq", None)
+    # background window around it reaches 0 Hz (or the window to narrow)
+    *[(mode, "field.modulation_freq = 100", 2,
+       ("field.modulation_freq", "spectrum.bg_window"), None)
       for mode in _ANALYZER_MODES],
     # a vbw so far below rbw that the video filter moves less than one
     # level across the trace (its pole rounds to 1.0 at 1e-20 Hz): every
@@ -193,7 +198,7 @@ FAULTS = [
     # weight 1/N that overflows (the fit's SVD would not converge); 1e-300
     # is a floor the fit takes
     ("noise-scan", "noisescan.include_zero = true", 2,
-     "detector.electronic_noise_floor", None),
+     ("detector.electronic_noise_floor", "noisescan.include_zero"), None),
     *[("noise-scan", f"detector.electronic_noise_floor = {floor}\n"
        "noisescan.include_zero = true", 2,
        ("noisescan.include_zero", "detector.electronic_noise_floor"), None)
@@ -223,12 +228,13 @@ FAULTS = [
     ("sensitivity-sweep", "saturation.phi0_scale = 1e300", 2,
      "saturation.phi0_scale", None),
     # the projection-noise floor sensitivity_report.json quotes must be
-    # finite, or the report is not JSON, and > 0
-    *[("sensitivity-sweep", f"{key} = {value}", 2, key, None)
-      for key, value in (("atom.density_n", "1e-320"),
-                         ("analysis.integration_time", "5e-324"),
+    # finite, or the report is not JSON, and > 0; the rule leads with
+    # analysis.integration_time and lists the atom.* keys that set it too
+    *[("sensitivity-sweep", f"{key} = {value}", 2,
+       key if key == _TIME else (key, _TIME), None)
+      for key, value in (("atom.density_n", "1e-320"), (_TIME, "5e-324"),
                          ("atom.relaxation_gamma", "1e-320"),
-                         ("analysis.integration_time", "1e300"))],
+                         (_TIME, "1e300"))],
     # a grid of 1e15 points: numpy refuses it at allocation, noise-scan's
     # before the dark point's floor rule
     ("noise-scan", f"sweep.power_points = {10 ** 15}\n"
@@ -247,8 +253,23 @@ FAULTS = [
       for b_field in ("1e7", "1e10")],
     ("noise-scan", "noisescan.second_b_field = 1e7", 2,
      "noisescan.second_b_field", None),
-    # a series of 1e12 s is exabytes: numpy refuses it at allocation
+    # a series of 1e12 s is exabytes: numpy refuses one row of it at
+    # allocation, which sim.duration sized whatever the row count
     ("simulate", "sim.duration = 1e12", 2, "sim.duration", None),
     *[(mode, f"sim.duration = 1e12\n{_FLOOR}", 2, "sim.duration", None)
       for mode in ("simulate", "demod-sweep", *_ANALYZER_MODES)],
+    # 1e15 on/off pairs of 2000 samples: the rows together are past numpy
+    ("sensitivity-sweep", f"sweep.trace_avg = {10 ** 15}", 2,
+     "sweep.trace_avg", None),
+    # simulate's real series: under 2 samples, or past numpy's size limit
+    *[("simulate", f"sim.duration = {value}", 2, "sim.duration", None)
+      for value in ("1e-31", "1e30")],
+    ("simulate", "sim.sample_rate = 1e30", 2,
+     ("sim.sample_rate", "sim.duration"), None),
+    # a band narrower than float64 resolves at its carrier has no width
+    ("spectrum", "spectrum.span = 1e-31", 2, "spectrum.span", None),
+    ("noise-scan", f"spectrum.bg_window = 1e-31\n{_FLOOR}", 2,
+     "spectrum.bg_window", None),
+    ("sensitivity-sweep", "spectrum.bg_window = 1e-31", 2,
+     "spectrum.bg_window", None),
 ]

@@ -10,15 +10,14 @@ from amorsim.analysis import (
     SnlRange,
     classify_operating_point,
     compute_snr,
-    make_sensitivity_report,
     projection_noise,
     quadrature_slope,
     sensitivity,
     sensitivity_from_noise_density,
     snl_map,
-    snl_map_to_csv,
     snl_range,
 )
+from amorsim.cli import make_sensitivity_report, snl_map_to_csv
 from amorsim.config import AtomConfig
 from amorsim.detector import NoiseBudget
 from amorsim.dsp import lock_in_demodulate

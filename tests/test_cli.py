@@ -739,8 +739,8 @@ def _run_fault_row(mode, config, code, keys, message, tmp_path, capsys,
                    monkeypatch):
     # one row of the refusal contract: its exit code and, for a refusal,
     # the stderr JSON naming its keys (or its exact message) and no --out;
-    # a config refusal draws no analyzer row first, but for the one that
-    # reads spectrum's window off the traces
+    # a config refusal leads with one of its keys and draws no analyzer row
+    # first, but for the one that reads spectrum's window off the traces
     draws, draw = [], amorsim.cli.white_noise
     monkeypatch.setattr(amorsim.cli, "white_noise",
                         lambda *args, **kwargs: draws.append(args)
@@ -755,24 +755,28 @@ def _run_fault_row(mode, config, code, keys, message, tmp_path, capsys,
         assert not draws, "drew an analyzer row before the refusal"
     assert err["exit_code"] == code
     assert (err["error"] == "ConfigError") == (code == 2), err
-    for key in (keys,) if isinstance(keys, str) else keys or ():
+    keys = (keys,) if isinstance(keys, str) else keys or ()
+    for key in keys:
         assert key in err["message"]
+    if code == 2:
+        assert err["message"].startswith(tuple(f"{key}:" for key in keys))
     assert message is None or err["message"] == message
     assert not out.exists()
 
 
-_REFUSALS = [(mode, config, key, message)
+_REFUSALS = [pytest.param(mode, config, keys, message,
+                          id=f"{mode}-{config}\n-{key}")
              for mode, config, code, keys, message in FAULTS if code == 2
              for key in ((keys,) if isinstance(keys, str) else keys)]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("mode, config, key, message", _REFUSALS, ids=[
-    f"{mode}-{config}\n-{key}" for mode, config, key, _ in _REFUSALS])
-def test_config_faults_exit_2_naming_key(mode, config, key, message,
+@pytest.mark.parametrize("mode, config, keys, message", _REFUSALS)
+def test_config_faults_exit_2_naming_key(mode, config, keys, message,
                                          tmp_path, capsys, monkeypatch):
-    # each refusal row of the table, once per key its message must name
-    _run_fault_row(mode, config, 2, key, message, tmp_path, capsys,
+    # each refusal row of the table, once per key its message must name;
+    # each run checks the whole row, whose message leads with one of them
+    _run_fault_row(mode, config, 2, keys, message, tmp_path, capsys,
                    monkeypatch)
 
 

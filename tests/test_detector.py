@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.signal import periodogram
 
+from amorsim.cli import detected_to_csv
 from amorsim.config import DetectorConfig, ExperimentConfig
 from amorsim.detector import (
     NoiseBudget,
     angle_gain_from_chain,
     chain_at,
     detect,
-    detected_to_csv,
     photocurrent,
     photocurrent_from_flux,
     theoretical_shot_noise_level,

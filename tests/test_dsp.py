@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import signal
 
-from amorsim.cli import _pmap
+from amorsim.cli import _pmap, resonance_curve_to_csv, spectrum_to_csv
 from amorsim.config import DetectorConfig
 from amorsim.detector import DetectedTimeSeries, detect
 from amorsim.dsp import (
@@ -22,8 +22,6 @@ from amorsim.dsp import (
     lock_in_demodulate,
     peak_and_background,
     psd_estimate,
-    resonance_curve_to_csv,
-    spectrum_to_csv,
     sweep_resonance,
 )
 from amorsim.signal_model import (

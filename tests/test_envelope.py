@@ -13,6 +13,7 @@ import pytest
 
 from amorsim import cli
 from amorsim.analysis import compute_snr
+from amorsim.cli import detected_to_csv
 from amorsim.config import (
     ExperimentConfig,
     FieldConfig,
@@ -22,7 +23,6 @@ from amorsim.config import (
 from amorsim.detector import (
     DetectedTimeSeries,
     angle_gain_from_chain,
-    detected_to_csv,
     theory_budget,
 )
 from amorsim.dsp import (

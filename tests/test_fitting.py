@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from amorsim.cli import fit_report
 from amorsim.dsp import ResonanceCurve
 from amorsim.fitting import (
     FitError,
@@ -13,7 +14,6 @@ from amorsim.fitting import (
     auto_initial_guess,
     fit_lorentzian,
     fit_noise_polynomial,
-    fit_report,
 )
 from amorsim.tables import write_json
 

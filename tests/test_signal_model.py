@@ -9,7 +9,8 @@ from hypothesis.extra import numpy as hnp
 
 from amorsim import signal_model
 from amorsim.config import AtomConfig
-from amorsim.detector import DetectedTimeSeries, detected_to_csv
+from amorsim.cli import detected_to_csv, rotation_to_csv
+from amorsim.detector import DetectedTimeSeries
 from amorsim.signal_model import (
     ResonanceParams,
     RotationTimeSeries,
@@ -17,7 +18,6 @@ from amorsim.signal_model import (
     larmor_doubled_freq,
     lorentzian_quadratures,
     photon_flux,
-    rotation_to_csv,
     shot_noise_angle_density,
     synthesize_rotation,
     white_noise,

@@ -1,5 +1,6 @@
 """The shared table writer and reader."""
 
+import ast
 import math
 import re
 import subprocess
@@ -315,6 +316,33 @@ def test_importing_the_cli_builds_no_formatter_table():
                          text=True, timeout=120, env={"PYTHONPATH": src})
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "0"
+
+
+def _imports_tables(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(a.name == "amorsim.tables" for a in node.names)
+    if not isinstance(node, ast.ImportFrom):
+        return False
+    if node.module == "amorsim.tables" or (node.level, node.module) == (
+            1, "tables"):
+        return True
+    return ((node.level, node.module) in ((1, None), (0, "amorsim"))
+            and any(a.name == "tables" for a in node.names))
+
+
+def test_only_the_cli_imports_tables():
+    # cli fixes every output's layout; the physics modules write no file
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+               for path in Path(tables.__file__).parent.glob("*.py")}
+    importers = {name for name, tree in modules.items()
+                 if any(map(_imports_tables, ast.walk(tree)))}
+    assert importers == {"cli"}
+    for name in ("signal_model", "detector", "dsp", "analysis", "fitting"):
+        opens = [node.lineno for node in ast.walk(modules[name])
+                 if isinstance(node, ast.Call)
+                 and "open" in (getattr(node.func, "id", None),
+                                getattr(node.func, "attr", None))]
+        assert opens == [], name
 
 
 # ---------------------------------------------------------------------------
