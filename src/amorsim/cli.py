@@ -47,13 +47,17 @@ keys of one run all have one length: SeedSequence pads a key shorter than
 its 4-word pool with zeros, so ``(seed, 0)`` names ``(seed, 0, 0)``'s
 stream, while ``(1, 2, 3, 1)`` and ``(1, 2, 3, 1, 0)`` differ.
 
-The analyzer modes build their series as the rows of one array, each row
-on its own stream: ``_detected_stack`` allocates it from its row count,
-draws each row's noise straight into the row and adds the coherent wave,
-``coherent_rotation``'s envelope built once per distinct (resonance,
-power) of the stack: a sensitivity-sweep point's eight rows need two, its
-on and off sides, and a side with no deterministic part adds nothing.
-Each stack goes to one ``psd_estimate``: spectrum its on/off pair,
+The analyzer modes and demod-sweep build their series as the rows of one
+array, each row on its own stream: ``_detected_stack`` allocates it from
+its row count, draws each row's noise straight into the row and adds the
+coherent wave, ``coherent_rotation``'s envelope built once per distinct
+(resonance, carrier, centre, power) of the stack: a sensitivity-sweep
+point's eight rows need two, its on and off sides, and a side with no
+deterministic part adds nothing. demod-sweep's stack holds one carrier
+per row, each on its own centre (``_demod_rows``; one stack per run of
+carriers whose envelopes share a rate), and goes to one
+``lock_in_demodulate`` through ``sweep_resonance``. Each analyzer stack
+goes to one ``psd_estimate``: spectrum its on/off pair,
 sensitivity-sweep the ``trace_avg`` on/off pairs of one power, noise-scan
 one chunk of a scan's powers: ``_pmap`` cuts both sweeps into one
 contiguous chunk of powers per worker. A row's trace does not depend on
@@ -76,6 +80,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import locale  # noqa: F401 argparse loads it on its first parse; load it here
 import math
@@ -130,6 +135,8 @@ from .signal_model import (
     RotationTimeSeries,
     coherent_rotation,
     lorentzian_quadratures,
+    photon_flux,
+    shot_noise_angle_density,
     synthesize_rotation,
     white_noise,
 )
@@ -139,6 +146,10 @@ from .tables import write_json, write_table
 # each carrier, where the lock-in's 4th-order filter has left nothing the
 # weighted sum can resolve (its noise and DC gain match the full rate).
 _LOCKIN_HALFBAND = 20.0
+
+# the chance that the largest squared noise bin of an analyzer trace
+# exceeds the bound _require_analyzer_fits keeps finite
+_TAIL_CHANCE = 1e-12
 
 # the keys that set the chain's angle gain g and the shot term B of its
 # noise budget, besides the power
@@ -250,9 +261,13 @@ def _require_analyzer_fits(cfg: ExperimentConfig, field: FieldConfig,
     bins at least 1.
 
     The periodogram must stay finite at the power power_key sets, the
-    highest the mode reads: its tone, a resonance of phi0 rad and gamma Hz
-    FWHM at the chain's angle gain, plus the noise budget under it, summed
-    over the segments. band_key names the config key that sets the band's
+    highest the mode reads. Its largest bin is at most segments x (a +
+    sqrt(tail x m))^2: a the tone's amplitude in its bin (a resonance of
+    phi0 rad and gamma Hz FWHM at the chain's angle gain), m the noise
+    budget's mean squared bin, and tail = ln(segments x bins /
+    _TAIL_CHANCE). Squared noise bins are exponential about m, so the
+    largest of a trace's segments x bins exceeds tail x m with chance
+    _TAIL_CHANCE. band_key names the config key that sets the band's
     width.
     """
     rbw, vbw, duration = cfg.spectrum.rbw, cfg.spectrum.vbw, cfg.sim.duration
@@ -294,12 +309,18 @@ def _require_analyzer_fits(cfg: ExperimentConfig, field: FieldConfig,
     peak = 0.5 * gain * tone * float(window.sum())  # the envelope tone's bin
     noise = float(density) * rate * float(np.sum(window ** 2)) / 2.0
     segments = (n - window.size) // (window.size - window.size // 2) + 1
-    level = segments * (peak * peak + noise)
+    tail = math.log(segments * window.size / _TAIL_CHANCE)
+    largest = peak + math.sqrt(noise * tail)  # a segment's largest bin
+    level = segments * (largest * largest)
     if not level < math.inf:
         raise ConfigError(
-            f"{power_key}: the analyzer's periodogram at {power!r} W, the "
-            f"tone's bin summed over {segments} segments, must be finite "
-            f"(got {level!r}); lower {power_key}")
+            f"{power_key}: the analyzer's periodogram at {power!r} W, its "
+            f"largest bin summed over {segments} segments (the tone's plus "
+            f"{tail:.4g} times the noise's mean in each), must be finite "
+            f"(got {level!r}); lower {power_key}, or the noise N(P) = A + "
+            "B*P + C*P^2 set by " + _listed(
+                "detector.electronic_noise_floor", *_GAIN_KEYS,
+                "detector.technical_noise_coef"))
 
 
 def _require_background(cfg: ExperimentConfig, key: str,
@@ -338,17 +359,23 @@ def _require_tone(cfg: ExperimentConfig, power_key: str, phi0: float,
             "set by " + _listed(power_key, *phi0_keys, *_GAIN_KEYS))
 
 
-def _series_grid(cfg: ExperimentConfig, band: Optional[tuple]) -> tuple:
+def _series_grid(cfg: ExperimentConfig, band) -> tuple:
     """(centre, sample rate, sample count) of a series: the envelope of a
-    band (f_lo, f_hi), or without one the real series (centre None) at
-    sim.sample_rate."""
-    center, rate = ((None, cfg.sim.sample_rate) if band is None
-                    else _envelope_grid(band))
+    band (f_lo, f_hi), or of a list of bands whose envelopes share one
+    rate (a list of centres), or without one the real series (centre
+    None) at sim.sample_rate."""
+    if band is None:
+        center, rate = None, cfg.sim.sample_rate
+    elif isinstance(band, list):
+        centers, rates = zip(*map(_envelope_grid, band))
+        center, rate = list(centers), rates[0]
+    else:
+        center, rate = _envelope_grid(band)
     return center, rate, int(round(cfg.sim.duration * rate))
 
 
-def _detected_stack(cfg: ExperimentConfig, mod: float,
-                    band: Optional[tuple], rows: Iterable, count: int,
+def _detected_stack(cfg: ExperimentConfig, mod, band, rows: Iterable,
+                    count: int,
                     count_key: str = "sim.duration") -> DetectedTimeSeries:
     """The count (res, power, key) rows, modulated at mod Hz, as the
     analyzer input, written straight into one (count, n) stack.
@@ -360,15 +387,17 @@ def _detected_stack(cfg: ExperimentConfig, mod: float,
     band, is allocated before the first row is built, a size numpy refuses
     blamed on sim.duration if one row is past it, else on count_key. The
     rows share the band's sample rate and centre; the other scalar fields
-    describe the first row only. No mode passes band=None: its real stack
-    at sim.sample_rate is the full-rate reference the tests compare the
-    envelopes with.
+    describe the first row only. demod-sweep passes lists instead, one
+    carrier and one band per row, bands whose envelopes share one rate:
+    each row then sits on its own band's centre (``center_freq`` is their
+    list). No mode passes band=None: its real stack at sim.sample_rate is
+    the full-rate reference the tests compare the envelopes with.
 
     Each row's draw lands in the row itself, and the scaled coherent wave
-    is added onto it. The wave, its gain and the density are worked out
-    once per distinct (res, power), at most two held at a time: a
-    sensitivity-sweep point's on and off sides. A resonance with no
-    deterministic part adds nothing.
+    is added onto it. g and N are worked out once per distinct power, the
+    wave once per distinct (res, carrier, centre, power), at most two held
+    at a time: a sensitivity-sweep point's on and off sides. A resonance
+    with no deterministic part adds nothing.
     """
     center, rate, n = _series_grid(cfg, band)
     dtype = float if center is None else complex
@@ -381,17 +410,23 @@ def _detected_stack(cfg: ExperimentConfig, mod: float,
         samples = _allocate(count_key, f"{count!r} rows of {n!r} samples "
                             f"(sim.duration = {cfg.sim.duration!r} s)",
                             np.empty, (count, n), dtype)
-    waves = {}  # (res fields, power) -> (gain, density, scaled wave or None)
-    for row, (res, power, key) in enumerate(rows):
-        point = (res.phi0, res.gamma_fwhm, res.center_freq, power)
+    mods = mod if isinstance(mod, list) else itertools.repeat(mod)
+    centers = center if isinstance(center, list) else itertools.repeat(center)
+    chains = {}  # power -> (gain, density)
+    waves = {}  # (res fields, carrier, centre, power) -> scaled wave or None
+    for row, ((res, power, key), f, c) in enumerate(zip(rows, mods, centers)):
+        if power not in chains:
+            chains[power] = chain_at(cfg, power)
+        gain, density = chains[power]
+        point = (res.phi0, res.gamma_fwhm, res.center_freq, f, c, power)
         if point not in waves:
             if len(waves) == 2:
                 waves.clear()
-            wave = coherent_rotation(res, mod, rate, n, center)
-            gain, density = chain_at(cfg, power)
-            waves[point] = (gain, density,
-                            None if wave is None else wave * gain)
-        gain, density, wave = waves[point]
+            wave = coherent_rotation(res, f, rate, n, c)
+            # coherent_rotation returns a new array: scale it in place
+            waves[point] = (None if wave is None
+                            else np.multiply(wave, gain, out=wave))
+        wave = waves[point]
         white_noise(np.random.default_rng(key + (0,)), density, rate, n,
                     center is not None, out=samples[row])
         if wave is not None:
@@ -563,6 +598,18 @@ def _run_simulate(cfg: ExperimentConfig, spec: ScenarioSpec,
              "C*P^2 at this power must be finite")
     res = ResonanceParams(cfg.resonance.phi0, cfg.resonance.gamma_fwhm,
                           _center_freq(cfg, cfg.field))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        phi = lorentzian_quadratures(2.0 * math.pi * (mod - res.center_freq),
+                                     res)
+    _require(all(map(math.isfinite, phi)), "resonance.gamma_fwhm",
+             res.gamma_fwhm, f"the quadratures (phi_P, phi_Q) = {phi!r} at "
+             f"the carrier ({mod!r} Hz) must be finite; (pi * gamma_fwhm)^2 "
+             "must neither underflow to 0 nor overflow")
+    flux = photon_flux(power, cfg.atom.probe_wavelength)
+    _require(flux == 0.0 or shot_noise_angle_density(flux)
+             * cfg.sim.sample_rate / 2.0 < math.inf, "sim.probe_power", power,
+             "the shot noise's per-sample variance at this power, 1/(2 Phi) "
+             "* sim.sample_rate / 2, must be finite")
     ts = synthesize_rotation(res, mod, cfg.sim.duration,
                              cfg.sim.sample_rate, power, (spec.seed, 0),
                              wavelength=cfg.atom.probe_wavelength)
@@ -572,18 +619,28 @@ def _run_simulate(cfg: ExperimentConfig, spec: ScenarioSpec,
     return ["rotation.csv", "detected.csv"]
 
 
-def _demod_point(cfg: ExperimentConfig, res: ResonanceParams, seed: int,
-                 index: int, freq: float) -> DetectedTimeSeries:
-    """The detector row modulated at one sweep frequency.
+def _demod_rows(cfg: ExperimentConfig, res: ResonanceParams,
+                freqs: np.ndarray, seed: int) -> list[DetectedTimeSeries]:
+    """The detector rows modulated at the carriers freqs, in grid order.
 
-    The analyzer row of the lock-in's band around the carrier, on stream
-    (seed, index, 0); the lock-in refers it back to radians.
+    Each row is the envelope of the lock-in's band around its carrier, on
+    stream (seed, index, 0); the lock-in refers it back to radians. The
+    rows of consecutive carriers whose envelopes share a rate are one
+    stack (at the defaults every carrier's), each row on its own centre.
     """
     half = _LOCKIN_HALFBAND * cfg.lockin.output_bandwidth
-    row = _detected_stack(cfg, freq, (freq - half, freq + half),
-                          [(res, cfg.sim.probe_power, (seed, index))], 1)
-    row.samples = row.samples[0]
-    return row
+    carriers = freqs.tolist()
+    bands = [(f - half, f + half) for f in carriers]
+    rates = [_envelope_grid(band)[1] for band in bands]
+    power, stacks, start = cfg.sim.probe_power, [], 0
+    for _, group in itertools.groupby(rates):
+        stop = start + sum(1 for _ in group)
+        rows = [(res, power, (seed, index)) for index in range(start, stop)]
+        stacks.append(_detected_stack(cfg, carriers[start:stop],
+                                      bands[start:stop], rows, stop - start,
+                                      "sweep.freq_points"))
+        start = stop
+    return stacks
 
 
 def _demod_grid(cfg: ExperimentConfig) -> tuple[ResonanceParams, np.ndarray]:
@@ -619,8 +676,11 @@ def _run_demod_sweep(cfg: ExperimentConfig, spec: ScenarioSpec,
             f"gain g = {gain!r} at {power!r} W; g and the noise in radians, "
             f"N(P)/g^2 = {float(angle_noise)!r}, must be finite. g is set "
             "by " + _listed("sim.probe_power", *_GAIN_KEYS))
-    point = functools.partial(_demod_point, cfg, res, spec.seed)
-    curve = sweep_resonance(res, freqs, point, cfg.lockin.output_bandwidth)
+    # the stacks die with the sweep, before the fit and the writes, which
+    # set the run's peak memory
+    curve = sweep_resonance(res, freqs,
+                            _demod_rows(cfg, res, freqs, spec.seed),
+                            cfg.lockin.output_bandwidth)
     fit = fit_lorentzian(curve)  # before any write: a failed fit leaves none
     resonance_curve_to_csv(curve, outdir / "resonance_curve.csv", spec.seed)
     write_json(outdir / "resonance_fit.json", fit_report(fit))

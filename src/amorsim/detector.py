@@ -113,7 +113,9 @@ class DetectedTimeSeries:
     ``samples`` may also be a (rows, n) stack of series on one
     ``sample_rate`` and ``center_freq``, as ``dsp.psd_estimate`` reads it.
     The other scalar fields are then not per row: they describe the series
-    the stack was started from.
+    the stack was started from. An envelope stack's ``center_freq`` may
+    instead list one centre per row, as demod-sweep's stacks do for
+    ``dsp.lock_in_demodulate``; ``psd_estimate`` refuses such a stack.
     """
 
     samples: np.ndarray
@@ -122,7 +124,7 @@ class DetectedTimeSeries:
     mean_power: float            # W, mean optical power on the detector
     angle_gain: float            # amplitude per rad
     rng_seed: Optional[Seed] = None
-    center_freq: Optional[float] = None  # Hz, envelope centre; None = real
+    center_freq: Optional[float] = None  # Hz, envelope centre(s); None = real
 
     def __post_init__(self) -> None:
         self.samples = np.asarray(

@@ -25,11 +25,16 @@ The analyzer modes (spectrum, noise-scan, sensitivity-sweep) use it, and
 so does demod-sweep: the lock-in mixes an envelope down by f_mod - f_c
 with the same weighted sum it runs on a real series.
 
-The estimator also reads a stack, a series whose samples are (rows, n) on
-its one rate and centre: each Welch segment is one FFT over all rows, and
-the PowerSpectrum holds a trace per row on one grid (``rows`` splits it),
-each with the bits of a call on that row alone. A single series is the
-one-row case. The analyzer modes pay the per-call cost once per stack.
+The estimator and the lock-in also read a stack, a series whose samples
+are (rows, n) on one rate, and each row of their result has the bits of a
+call on that row alone; a single series is the one-row case. For the
+estimator the rows share one centre: each Welch segment is one FFT over
+all rows, and the PowerSpectrum holds a trace per row on one grid
+(``rows`` splits it). The lock-in reads each row at its own carrier and,
+on an envelope stack, around its own centre (demod-sweep's stacks list
+one per row), and ``sweep_resonance`` demodulates each stack of a sweep
+in one call. The analyzer modes and demod-sweep pay the per-call cost
+once per stack.
 
 The lock-in's 4th-order Butterworth output filter is linear, so the mean
 of its settled output is a fixed weighting of its input: each point is
@@ -44,7 +49,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 import numpy.fft  # noqa: F401 numpy 2 loads it lazily; load it here, not mid-run
@@ -212,8 +217,8 @@ def _lock_in_weights(fs: float, bw: float, n: int) -> np.ndarray:
     return weights
 
 
-def lock_in_demodulate(ts: AnySeries, mod_freq: float,
-                       output_bandwidth: float) -> tuple[float, float]:
+def lock_in_demodulate(ts: AnySeries, mod_freq,
+                       output_bandwidth: float) -> tuple:
     """Demodulate at mod_freq: returns (phi_P, phi_Q) in radians.
 
     phi_P = 2<x cos>, phi_Q = 2<x sin> after a 4th-order Butterworth
@@ -226,24 +231,34 @@ def lock_in_demodulate(ts: AnySeries, mod_freq: float,
     at -(f_mod - f_c). f_c is 0 for a real series, whose carrier must lie
     in (0, fs/2); an envelope's must lie within f_c +- fs/2. Detected
     series are scaled back to angle units via their recorded gain.
+
+    A stack, samples (rows, n), is read row by row: mod_freq holds one
+    carrier per row (a float serves every row) and an envelope's
+    ``center_freq`` may hold one centre per row. It gives a list per
+    quadrature, each row the bits of a call on that row alone.
     """
     fs, center = ts.sample_rate, getattr(ts, "center_freq", None)
-    if center is None and not 0.0 < mod_freq < fs / 2.0:
-        raise ValueError(
-            f"mod_freq {mod_freq!r} must lie in (0, Nyquist) for "
-            f"sample_rate {fs!r}"
-        )
-    if center is not None and not abs(mod_freq - center) < fs / 2.0:
-        raise ValueError(
-            f"mod_freq {mod_freq!r} lies outside the envelope band "
-            f"{center!r} +- {fs / 2.0!r} Hz"
-        )
+    rows = np.atleast_2d(ts.samples)
+    mods = np.broadcast_to(mod_freq, len(rows)).tolist()
+    centers = np.broadcast_to(0.0 if center is None else center,
+                              len(rows)).tolist()
+    for f, c in zip(mods, centers):
+        if center is None and not 0.0 < f < fs / 2.0:
+            raise ValueError(
+                f"mod_freq {f!r} must lie in (0, Nyquist) for "
+                f"sample_rate {fs!r}"
+            )
+        if center is not None and not abs(f - c) < fs / 2.0:
+            raise ValueError(
+                f"mod_freq {f!r} lies outside the envelope band "
+                f"{c!r} +- {fs / 2.0!r} Hz"
+            )
     if not 0.0 < output_bandwidth < fs / 2.0:
         raise ValueError(
             f"output_bandwidth {output_bandwidth!r} must lie in (0, Nyquist) "
             f"for sample_rate {fs!r}"
         )
-    n = ts.samples.size
+    n = rows.shape[-1]
     # synthesis rounds a duration to the nearest sample: allow half of one
     if (n + 0.5) / fs < 10.0 / output_bandwidth:
         raise ValueError(
@@ -251,21 +266,27 @@ def lock_in_demodulate(ts: AnySeries, mod_freq: float,
             f"{output_bandwidth!r} Hz (need >= {10.0 / output_bandwidth!r} s)"
         )
     weights = _lock_in_weights(float(fs), float(output_bandwidth), n)
-    weighted = ts.samples * (2.0 * _angle_scale(ts)) * weights
-    offset = mod_freq - (0.0 if center is None else center)
-    v = weighted @ _tone(-offset, fs, n)
-    return float(v.real), float(-v.imag)
+    scale = 2.0 * _angle_scale(ts)
+    phi_p, phi_q = [], []
+    for row, f, c in zip(rows, mods, centers):
+        v = row * scale * weights @ _tone(-(f - c), fs, n)
+        phi_p.append(float(v.real))
+        phi_q.append(float(-v.imag))
+    if ts.samples.ndim == 1:
+        return phi_p[0], phi_q[0]
+    return phi_p, phi_q
 
 
 def sweep_resonance(res: ResonanceParams, mod_freqs: Sequence[float],
-                    point: Callable[[int, float], AnySeries],
+                    rows: Sequence[AnySeries],
                     output_bandwidth: float) -> ResonanceCurve:
-    """Lock-in quadratures of ``point(index, freq)`` at each grid frequency.
+    """Lock-in quadratures of rows, the series modulated at the grid
+    frequencies in grid order.
 
-    ``point`` returns the series modulated at the index-th grid frequency;
-    the points are demodulated one after another. A grid that does not
-    bracket the resonance center yields bracketed=False rather than an
-    error.
+    rows holds stacks of consecutive points (samples (k, n)) or single
+    series, each demodulated in one ``lock_in_demodulate`` call. A grid
+    that does not bracket the resonance center yields bracketed=False
+    rather than an error.
     """
     res.validate()
     freqs = np.asarray(mod_freqs, dtype=float)
@@ -273,10 +294,15 @@ def sweep_resonance(res: ResonanceParams, mod_freqs: Sequence[float],
         raise ValueError("mod_freqs grid is empty")
     if freqs.size > 1 and not np.all(np.diff(freqs) > 0):
         raise ValueError("mod_freqs must be strictly increasing")
-    results = [lock_in_demodulate(point(i, f), f, output_bandwidth)
-               for i, f in enumerate(freqs.tolist())]
-    phi_p = np.array([r[0] for r in results])
-    phi_q = np.array([r[1] for r in results])
+    counts = [len(ts.samples) if ts.samples.ndim > 1 else 1 for ts in rows]
+    if sum(counts) != freqs.size:
+        raise ValueError(f"rows hold {sum(counts)} series for "
+                         f"{freqs.size} grid frequencies")
+    edges = np.cumsum([0] + counts).tolist()
+    phi_p, phi_q = np.concatenate([
+        np.reshape(lock_in_demodulate(ts, freqs[a:b], output_bandwidth),
+                   (2, b - a))
+        for ts, a, b in zip(rows, edges, edges[1:])], axis=1)
     bracketed = bool(freqs.min() <= res.center_freq <= freqs.max())
     return ResonanceCurve(freqs, phi_p, phi_q, bracketed=bracketed)
 
@@ -439,7 +465,7 @@ def psd_estimate(ts: AnySeries, rbw: float, vbw: Optional[float] = None,
     inside its centre +- sample_rate/2. PSD units follow the input series
     (W/Hz for detected series, rad^2/Hz for rotation series). A series
     whose samples are a (rows, n) stack gives a (rows, bins) psd, row by
-    row the trace of that row alone.
+    row the trace of that row alone; its rows share one centre.
     """
     if not rbw > 0:
         raise ValueError(f"rbw must be > 0, got {rbw!r}")
@@ -448,6 +474,9 @@ def psd_estimate(ts: AnySeries, rbw: float, vbw: Optional[float] = None,
     if not vbw > 0:
         raise ValueError(f"vbw must be > 0, got {vbw!r}")
     fs, center = ts.sample_rate, getattr(ts, "center_freq", None)
+    if np.ndim(center) > 0:
+        raise ValueError("psd_estimate reads a stack on one centre, "
+                         "not one centre per row")
     x = ts.samples
     window, enbw = _analyzer_window(fs, rbw, x.shape[-1])
     freqs, psd = _welch(x, fs, window)

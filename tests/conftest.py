@@ -1,9 +1,11 @@
 import math
 import os
+from dataclasses import replace
 
 import hypothesis
 import numpy as np
 
+from amorsim import cli
 from amorsim.signal_model import (
     RotationTimeSeries,
     coherent_rotation,
@@ -50,3 +52,11 @@ def noiseless_rotation(res, mod_freq, duration, sample_rate, power, *,
         samples=noise if wave is None else wave, sample_rate=sample_rate,
         mean_optical_power=power, photon_flux=photon_flux(power, wavelength),
         modulation_freq=mod_freq, noise_samples=noise)
+
+
+def demod_series(cfg, res, freqs, seed):
+    """demod-sweep's row at each carrier of freqs as a series of its own:
+    the rows of ``cli._demod_rows``' stacks, each on its own centre."""
+    return [replace(stack, samples=row, center_freq=center)
+            for stack in cli._demod_rows(cfg, res, freqs, seed)
+            for row, center in zip(stack.samples, stack.center_freq)]

@@ -225,6 +225,24 @@ FAULTS = [
      ("sweep.power_min", "atom.probe_wavelength"), None),
     # far past the small-angle range the analyzer's square overflows
     ("spectrum", "resonance.phi0 = 1e300", 2, "resonance.phi0", None),
+    # a noise floor whose largest squared bin would overflow though its
+    # mean summed over the segments does not; 3e298 is a floor spectrum
+    # reads, and the sweeps' narrower windows read 1e300
+    ("spectrum", "detector.electronic_noise_floor = 1e300", 2,
+     ("sim.probe_power", "detector.electronic_noise_floor"), None),
+    ("spectrum", "detector.electronic_noise_floor = 3e298", 0, None, None),
+    *[(mode, "detector.electronic_noise_floor = 1e300", 0, None, None)
+      for mode in ("noise-scan", "sensitivity-sweep")],
+    # simulate's wave and shot draw: (pi * gamma_fwhm)^2 underflows to 0
+    # or overflows (the quadratures read 0/0 or inf/inf), or 1/(2 Phi)
+    # times the rate overflows; 1e-150, 1e150 and 1e-300 W run
+    *[("simulate", f"resonance.gamma_fwhm = {gamma}", 2,
+       "resonance.gamma_fwhm", None) for gamma in ("5e-324", "1e-300",
+                                                   "1e300")],
+    ("simulate", "sim.probe_power = 5e-324", 2, "sim.probe_power", None),
+    *[("simulate", setting, 0, None, None) for setting in (
+        "resonance.gamma_fwhm = 1e-150", "resonance.gamma_fwhm = 1e150",
+        "sim.probe_power = 1e-300")],
     ("sensitivity-sweep", "saturation.phi0_scale = 1e300", 2,
      "saturation.phi0_scale", None),
     # the projection-noise floor sensitivity_report.json quotes must be

@@ -1,7 +1,6 @@
 """Lock-in demodulation and spectrum-analyzer emulation."""
 
 import concurrent.futures
-import functools
 import math
 import os
 
@@ -134,8 +133,8 @@ def test_lock_in_range_errors_name_their_argument(mod_freq, bandwidth, name):
 def test_sweep_traces_out_both_quadratures():
     res = ResonanceParams(phi0=2.5e-3, gamma_fwhm=60.0, center_freq=1000.0)
     grid = np.linspace(1000.0 - 180.0, 1000.0 + 180.0, 13)
-    point = functools.partial(sweep_point, res, 0.6)
-    curve = sweep_resonance(res, grid, point, output_bandwidth=25.0)
+    rows = [sweep_point(res, 0.6, i, f) for i, f in enumerate(grid)]
+    curve = sweep_resonance(res, grid, rows, output_bandwidth=25.0)
     assert curve.bracketed
     want_p, want_q = lorentzian_quadratures(
         2 * np.pi * (grid - res.center_freq), res)
@@ -148,8 +147,8 @@ def test_sweep_traces_out_both_quadratures():
 def test_sweep_flags_unbracketed_grid():
     res = ResonanceParams(phi0=1e-3, gamma_fwhm=60.0, center_freq=1000.0)
     grid = np.linspace(1200.0, 1400.0, 5)
-    point = functools.partial(sweep_point, res, 0.5)
-    assert sweep_resonance(res, grid, point, 25.0).bracketed is False
+    rows = [sweep_point(res, 0.5, i, f) for i, f in enumerate(grid)]
+    assert sweep_resonance(res, grid, rows, 25.0).bracketed is False
 
 
 @pytest.mark.parametrize("workers, tasks, cores, expected", [
@@ -195,11 +194,11 @@ def test_pmap_clamps_pool_size(workers, tasks, cores, expected, monkeypatch):
 
 def test_sweep_rejects_bad_grids():
     res = ResonanceParams(phi0=1e-3, gamma_fwhm=60.0, center_freq=1000.0)
-    point = functools.partial(sweep_point, res, 0.5)
+    rows = [sweep_point(res, 0.5, 0, 1000.0)]
     with pytest.raises(ValueError, match="empty"):
-        sweep_resonance(res, [], point, 25.0)
+        sweep_resonance(res, [], rows, 25.0)
     with pytest.raises(ValueError, match="increasing"):
-        sweep_resonance(res, [1000.0, 990.0, 1010.0], point, 25.0)
+        sweep_resonance(res, [1000.0, 990.0, 1010.0], rows, 25.0)
 
 
 def test_resonance_curve_validation():

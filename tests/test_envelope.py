@@ -3,7 +3,6 @@ built as ``coherent_rotation``'s envelope plus a circular draw in
 ``cli._detected_stack`` and transformed or demodulated around its centre,
 must read the same levels as the real full-rate rows."""
 
-import functools
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -11,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from amorsim import cli
+from amorsim import cli, dsp
 from amorsim.analysis import compute_snr
 from amorsim.cli import detected_to_csv
 from amorsim.config import (
@@ -42,7 +41,8 @@ from amorsim.signal_model import (
     shot_noise_angle_density,
     white_noise,
 )
-from conftest import mean_and_sem, noiseless_rotation, pull_stats
+from conftest import (demod_series, mean_and_sem, noiseless_rotation,
+                      pull_stats)
 
 DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
 SEEDS = range(20)
@@ -279,7 +279,7 @@ def test_envelope_lock_in_weights_keep_noise_and_dc_gain():
     # R sum(w_R^2) sets the lock-in's output noise, sum(w) its DC gain
     cfg, res, _ = demod_setup()
     bw = cfg.lockin.output_bandwidth
-    ts = cli._demod_point(cfg, res, 1, 0, res.center_freq)
+    ts, = demod_series(cfg, res, np.array([res.center_freq]), 1)
     rate, n = ts.sample_rate, ts.samples.size
     assert (ts.center_freq, rate, n) == (res.center_freq, 1250.0, 500)
     fs = cfg.sim.sample_rate
@@ -357,8 +357,8 @@ def test_envelope_resonance_fit_is_unbiased_across_seeds():
     cfg, res, freqs = demod_setup()
     fits = []
     for seed in SEEDS:
-        point = functools.partial(cli._demod_point, cfg, res, seed)
-        curve = sweep_resonance(res, freqs, point,
+        rows = cli._demod_rows(cfg, res, freqs, seed)
+        curve = sweep_resonance(res, freqs, rows,
                                 cfg.lockin.output_bandwidth)
         fits.append(fit_lorentzian(curve))
     for name, truth in (("center_freq", res.center_freq),
@@ -376,8 +376,8 @@ def test_demod_sweep_quadrature_noise_is_the_budget_across_seeds():
     bw, power = cfg.lockin.output_bandwidth, cfg.sim.probe_power
     residuals = []
     for seed in SEEDS:
-        for i, freq in enumerate(freqs.tolist()):
-            ts = cli._demod_point(cfg, res, seed, i, freq)
+        for freq, ts in zip(freqs.tolist(),
+                            demod_series(cfg, res, freqs, seed)):
             truth = lorentzian_quadratures(
                 2 * math.pi * (freq - res.center_freq), res)
             residuals.append(np.subtract(lock_in_demodulate(ts, freq, bw),
@@ -398,7 +398,7 @@ def test_demod_sweep_lorentzian_errors_are_calibrated():
     # a mean within 4 standard errors of 0 and a standard deviation near 1
     cfg, res, freqs = demod_setup()
     fits = [fit_lorentzian(sweep_resonance(
-        res, freqs, functools.partial(cli._demod_point, cfg, res, seed),
+        res, freqs, cli._demod_rows(cfg, res, freqs, seed),
         cfg.lockin.output_bandwidth)) for seed in range(200)]
     for name in ("center_freq", "gamma_fwhm", "phi0"):
         mean, sem, sd = pull_stats([getattr(fit, name) for fit in fits],
@@ -414,14 +414,94 @@ def test_demod_sweep_reads_envelopes_near_dc():
     cfg = default_config()
     cfg.field = FieldConfig(b_field=75e-9).resolve(cfg.atom)
     res, freqs = cli._demod_grid(cfg)
-    points = [cli._demod_point(cfg, res, 1, i, float(f))
-              for i, f in enumerate(freqs)]
+    points = demod_series(cfg, res, freqs, 1)
     assert all(ts.sample_rate == 1250.0 for ts in points)
     centers = [ts.center_freq for ts in points]
     assert centers == [max(float(f), 625.0) for f in freqs]
     assert 0 < sum(c == 625.0 for c in centers) < len(centers)
-    fit = fit_lorentzian(sweep_resonance(res, freqs, lambda i, f: points[i],
+    fit = fit_lorentzian(sweep_resonance(res, freqs, points,
                                          cfg.lockin.output_bandwidth))
     assert fit.center_freq == pytest.approx(res.center_freq, abs=0.01)
     assert fit.gamma_fwhm == pytest.approx(res.gamma_fwhm, rel=1e-3)
     assert fit.phi0 == pytest.approx(res.phi0, rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# The lock-in on a stack
+# ---------------------------------------------------------------------------
+
+def _one_call_per_row(stack, carriers, bw):
+    """lock_in_demodulate's lists for a stack, taken one row at a time."""
+    centers = stack.center_freq
+    if not isinstance(centers, list):
+        centers = [centers] * len(carriers)
+    reads = [lock_in_demodulate(replace(stack, samples=row, center_freq=c),
+                                f, bw)
+             for row, f, c in zip(stack.samples, carriers, centers)]
+    return tuple(list(quadrature) for quadrature in zip(*reads))
+
+
+@pytest.mark.parametrize("config, sizes", [
+    ("", [61]),
+    # the 1250 Hz envelopes of the first 9 carriers, 1280 Hz of the rest
+    ("field.b_field = 75 nT", [9, 52]),
+], ids=["defaults", "75nT"])
+def test_stacked_lock_in_has_the_bits_of_one_call_per_row(tmp_path, config,
+                                                          sizes):
+    path = tmp_path / "demod.cfg"
+    path.write_text(config + "\n")
+    cfg = cli._load_config(cli.ScenarioSpec("demod-sweep", str(path)))
+    res, freqs = cli._demod_grid(cfg)
+    bw = cfg.lockin.output_bandwidth
+    stacks = cli._demod_rows(cfg, res, freqs, 1)
+    assert [len(stack.samples) for stack in stacks] == sizes
+    edges = np.cumsum([0] + sizes)
+    for stack, a, b in zip(stacks, edges, edges[1:]):
+        carriers = freqs[a:b].tolist()
+        assert lock_in_demodulate(stack, carriers, bw) == _one_call_per_row(
+            stack, carriers, bw)
+    curve = sweep_resonance(res, freqs, stacks, bw)
+    rows = demod_series(cfg, res, freqs, 1)
+    assert [lock_in_demodulate(ts, f, bw) for ts, f in zip(rows, freqs)] \
+        == list(zip(curve.phi_P_values.tolist(), curve.phi_Q_values.tolist()))
+
+
+def test_stacked_lock_in_reads_a_real_stack_row_by_row():
+    # three real rows at sim.sample_rate, one carrier each or one for all
+    cfg, res, _ = demod_setup()
+    carriers = [res.center_freq + step for step in (-60.0, 0.0, 60.0)]
+    rows = [(res, cfg.sim.probe_power, (1, index)) for index in range(3)]
+    stack = cli._detected_stack(cfg, carriers, None, rows, 3)
+    assert stack.center_freq is None and stack.samples.dtype == float
+    bw = cfg.lockin.output_bandwidth
+    for mod in (carriers, carriers[1]):
+        mods = np.broadcast_to(mod, 3).tolist()
+        assert lock_in_demodulate(stack, mod, bw) == _one_call_per_row(
+            stack, mods, bw)
+
+
+def test_sweep_and_analyzer_refuse_what_a_stack_does_not_hold():
+    cfg, res, freqs = demod_setup()
+    stacks = cli._demod_rows(cfg, res, freqs, 1)
+    with pytest.raises(ValueError, match="rows hold 61 series for 60 grid"):
+        sweep_resonance(res, freqs[:-1], stacks, cfg.lockin.output_bandwidth)
+    with pytest.raises(ValueError, match="one centre per row"):
+        psd_estimate(stacks[0], cfg.spectrum.rbw)
+
+
+def test_demod_sweep_builds_and_demodulates_one_stack(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "_detected_stack",
+                        counted("stack", cli._detected_stack))
+    monkeypatch.setattr(dsp, "lock_in_demodulate",
+                        counted("lock-in", dsp.lock_in_demodulate))
+    assert cli.main(["demod-sweep", "--config", str(DEFAULT_CFG),
+                     "--out", str(tmp_path / "out"), "--seed", "1"]) == 0
+    assert calls == ["stack", "lock-in"]

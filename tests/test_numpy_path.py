@@ -31,6 +31,7 @@ from amorsim.dsp import (
     lock_in_demodulate,
 )
 from amorsim.fitting import _quadrature_model, auto_initial_guess, fit_lorentzian
+from conftest import demod_series
 from test_cli import FAST_CONFIG
 
 REPO = Path(__file__).resolve().parents[1]
@@ -165,8 +166,7 @@ def test_envelope_lock_in_matches_sosfilt_on_default_grid():
     cfg, res, freqs = default_demod_grid()
     bw = cfg.lockin.output_bandwidth
     worst = 0.0
-    for i, freq in enumerate(freqs):
-        ts = cli._demod_point(cfg, res, 1, i, float(freq))
+    for freq, ts in zip(freqs, demod_series(cfg, res, freqs, 1)):
         assert ts.center_freq == freq and ts.sample_rate == 1250.0
         got = lock_in_demodulate(ts, float(freq), bw)
         want = sosfilt_envelope_lock_in(ts, float(freq), bw)
