@@ -50,21 +50,16 @@ stream, while ``(1, 2, 3, 1)`` and ``(1, 2, 3, 1, 0)`` differ.
 The analyzer modes and demod-sweep build their series as the rows of one
 array, each row on its own stream: ``_detected_stack`` allocates it from
 its row count, draws each row's noise straight into the row and adds the
-coherent wave, ``coherent_rotation``'s envelope built once per distinct
-(resonance, carrier, centre, power) of the stack: a sensitivity-sweep
-point's eight rows need two, its on and off sides, and a side with no
-deterministic part adds nothing. demod-sweep's stack holds one carrier
-per row, each on its own centre (``_demod_rows``; one stack per run of
-carriers whose envelopes share a rate), and goes to one
-``lock_in_demodulate`` through ``sweep_resonance``. Each analyzer stack
-goes to one ``psd_estimate``: spectrum its on/off pair,
-sensitivity-sweep the ``trace_avg`` on/off pairs of one power, noise-scan
-one chunk of a scan's powers: ``_pmap`` cuts both sweeps into one
-contiguous chunk of powers per worker. A row's trace does not depend on
-the other rows, so the chunking leaves the bytes as is. All three read
-their traces with ``peak_and_background``, row by row: the peak at the
-modulation frequency and the background over ``spectrum.bg_window``
-around it.
+coherent wave. demod-sweep's stack holds one carrier per row, each on its
+own centre (``_demod_rows``), and goes to one ``lock_in_demodulate``
+through ``sweep_resonance``. Each analyzer stack goes to one
+``psd_estimate``: spectrum its on/off pair, sensitivity-sweep the
+``trace_avg`` on/off pairs of one power, noise-scan one chunk of a scan's
+powers: ``_pmap`` cuts both sweeps into one contiguous chunk of powers
+per worker. A row's trace does not depend on the other rows, so the
+chunking leaves the bytes as is. All three read their traces with
+``peak_and_background``, row by row: the peak at the modulation frequency
+and the background over ``spectrum.bg_window`` around it.
 
 Analyzer bands. Every mode but simulate builds only the band its analyzer
 or lock-in reads, as the complex envelope of that band at a rate just
@@ -80,7 +75,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import locale  # noqa: F401 argparse loads it on its first parse; load it here
 import math
@@ -304,7 +298,8 @@ def _require_analyzer_fits(cfg: ExperimentConfig, field: FieldConfig,
     res = ResonanceParams(phi0, gamma, _center_freq(cfg, field))
     with np.errstate(over="ignore", invalid="ignore"):  # NaN or inf: refused
         gain, density = chain_at(cfg, power)
-        tone = math.hypot(*lorentzian_quadratures(
+        # phi0 = 0 has no tone at any width, as coherent_rotation builds none
+        tone = 0.0 if phi0 == 0.0 else math.hypot(*lorentzian_quadratures(
             2.0 * math.pi * (field.modulation_freq - res.center_freq), res))
     peak = 0.5 * gain * tone * float(window.sum())  # the envelope tone's bin
     noise = float(density) * rate * float(np.sum(window ** 2)) / 2.0
@@ -359,11 +354,27 @@ def _require_tone(cfg: ExperimentConfig, power_key: str, phi0: float,
             "set by " + _listed(power_key, *phi0_keys, *_GAIN_KEYS))
 
 
+def _resonance(cfg: ExperimentConfig) -> ResonanceParams:
+    """The resonance of cfg's field, whose quadratures at its carrier must
+    be finite: on resonance (pi * gamma_fwhm)^2 underflows to 0 below about
+    5e-163 Hz, and overflows above about 4e153 Hz."""
+    mod = cfg.field.modulation_freq
+    res = ResonanceParams(cfg.resonance.phi0, cfg.resonance.gamma_fwhm,
+                          _center_freq(cfg, cfg.field))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        phi = lorentzian_quadratures(2.0 * math.pi * (mod - res.center_freq),
+                                     res)
+    _require(all(map(math.isfinite, phi)), "resonance.gamma_fwhm",
+             res.gamma_fwhm, f"the quadratures (phi_P, phi_Q) = {phi!r} at "
+             f"the carrier ({mod!r} Hz) must be finite; (pi * gamma_fwhm)^2 "
+             "must neither underflow to 0 nor overflow")
+    return res
+
+
 def _series_grid(cfg: ExperimentConfig, band) -> tuple:
     """(centre, sample rate, sample count) of a series: the envelope of a
-    band (f_lo, f_hi), or of a list of bands whose envelopes share one
-    rate (a list of centres), or without one the real series (centre
-    None) at sim.sample_rate."""
+    band (f_lo, f_hi) or of a list of bands of one width (a list of
+    centres), or without one the real series at sim.sample_rate."""
     if band is None:
         center, rate = None, cfg.sim.sample_rate
     elif isinstance(band, list):
@@ -387,11 +398,11 @@ def _detected_stack(cfg: ExperimentConfig, mod, band, rows: Iterable,
     band, is allocated before the first row is built, a size numpy refuses
     blamed on sim.duration if one row is past it, else on count_key. The
     rows share the band's sample rate and centre; the other scalar fields
-    describe the first row only. demod-sweep passes lists instead, one
-    carrier and one band per row, bands whose envelopes share one rate:
-    each row then sits on its own band's centre (``center_freq`` is their
-    list). No mode passes band=None: its real stack at sim.sample_rate is
-    the full-rate reference the tests compare the envelopes with.
+    describe the first row only. demod-sweep passes lists instead, a
+    carrier and a band of one width per row, each row on its own band's
+    centre (``center_freq`` is their list). No mode passes band=None: its
+    real stack at sim.sample_rate is the full-rate reference the tests
+    compare the envelopes with.
 
     Each row's draw lands in the row itself, and the scaled coherent wave
     is added onto it. g and N are worked out once per distinct power, the
@@ -410,8 +421,8 @@ def _detected_stack(cfg: ExperimentConfig, mod, band, rows: Iterable,
         samples = _allocate(count_key, f"{count!r} rows of {n!r} samples "
                             f"(sim.duration = {cfg.sim.duration!r} s)",
                             np.empty, (count, n), dtype)
-    mods = mod if isinstance(mod, list) else itertools.repeat(mod)
-    centers = center if isinstance(center, list) else itertools.repeat(center)
+    mods = mod if isinstance(mod, list) else [mod] * count
+    centers = center if isinstance(center, list) else [center] * count
     chains = {}  # power -> (gain, density)
     waves = {}  # (res fields, carrier, centre, power) -> scaled wave or None
     for row, ((res, power, key), f, c) in enumerate(zip(rows, mods, centers)):
@@ -596,15 +607,7 @@ def _run_simulate(cfg: ExperimentConfig, spec: ScenarioSpec,
     _require(all(v < math.inf for v in chain), "sim.probe_power",
              power, "the chain's angle gain g(P) and noise N(P) = A + B*P + "
              "C*P^2 at this power must be finite")
-    res = ResonanceParams(cfg.resonance.phi0, cfg.resonance.gamma_fwhm,
-                          _center_freq(cfg, cfg.field))
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        phi = lorentzian_quadratures(2.0 * math.pi * (mod - res.center_freq),
-                                     res)
-    _require(all(map(math.isfinite, phi)), "resonance.gamma_fwhm",
-             res.gamma_fwhm, f"the quadratures (phi_P, phi_Q) = {phi!r} at "
-             f"the carrier ({mod!r} Hz) must be finite; (pi * gamma_fwhm)^2 "
-             "must neither underflow to 0 nor overflow")
+    res = _resonance(cfg)
     flux = photon_flux(power, cfg.atom.probe_wavelength)
     _require(flux == 0.0 or shot_noise_angle_density(flux)
              * cfg.sim.sample_rate / 2.0 < math.inf, "sim.probe_power", power,
@@ -620,27 +623,17 @@ def _run_simulate(cfg: ExperimentConfig, spec: ScenarioSpec,
 
 
 def _demod_rows(cfg: ExperimentConfig, res: ResonanceParams,
-                freqs: np.ndarray, seed: int) -> list[DetectedTimeSeries]:
-    """The detector rows modulated at the carriers freqs, in grid order.
-
-    Each row is the envelope of the lock-in's band around its carrier, on
-    stream (seed, index, 0); the lock-in refers it back to radians. The
-    rows of consecutive carriers whose envelopes share a rate are one
-    stack (at the defaults every carrier's), each row on its own centre.
-    """
+                freqs: np.ndarray, seed: int) -> DetectedTimeSeries:
+    """The stack of detector rows modulated at the carriers freqs, in grid
+    order: each row the envelope of the lock-in's band around its carrier,
+    on stream (seed, index, 0); the lock-in refers it back to radians."""
     half = _LOCKIN_HALFBAND * cfg.lockin.output_bandwidth
     carriers = freqs.tolist()
-    bands = [(f - half, f + half) for f in carriers]
-    rates = [_envelope_grid(band)[1] for band in bands]
-    power, stacks, start = cfg.sim.probe_power, [], 0
-    for _, group in itertools.groupby(rates):
-        stop = start + sum(1 for _ in group)
-        rows = [(res, power, (seed, index)) for index in range(start, stop)]
-        stacks.append(_detected_stack(cfg, carriers[start:stop],
-                                      bands[start:stop], rows, stop - start,
-                                      "sweep.freq_points"))
-        start = stop
-    return stacks
+    rows = [(res, cfg.sim.probe_power, (seed, index))
+            for index in range(len(carriers))]
+    return _detected_stack(cfg, carriers,
+                           [(f - half, f + half) for f in carriers], rows,
+                           len(rows), "sweep.freq_points")
 
 
 def _demod_grid(cfg: ExperimentConfig) -> tuple[ResonanceParams, np.ndarray]:
@@ -650,6 +643,11 @@ def _demod_grid(cfg: ExperimentConfig) -> tuple[ResonanceParams, np.ndarray]:
              "must be >= 7 for the Lorentzian fit")
     center = _center_freq(cfg, cfg.field)
     halfspan = cfg.sweep.freq_halfspan_widths * cfg.resonance.gamma_fwhm
+    # the field leaves the lock-in's bandwidth resolved: the width is at fault
+    _require(not halfspan < math.ulp(center) < cfg.lockin.output_bandwidth,
+             "resonance.gamma_fwhm", cfg.resonance.gamma_fwhm, "the grid's "
+             f"half-span, sweep.freq_halfspan_widths x gamma = {halfspan!r} "
+             f"Hz, must exceed float64's spacing at the carrier {center!r} Hz")
     if center - halfspan <= 0.0:
         raise ConfigError(
             f"sweep.freq_halfspan_widths: the grid {center!r} +- {halfspan!r} "
@@ -676,7 +674,7 @@ def _run_demod_sweep(cfg: ExperimentConfig, spec: ScenarioSpec,
             f"gain g = {gain!r} at {power!r} W; g and the noise in radians, "
             f"N(P)/g^2 = {float(angle_noise)!r}, must be finite. g is set "
             "by " + _listed("sim.probe_power", *_GAIN_KEYS))
-    # the stacks die with the sweep, before the fit and the writes, which
+    # the stack dies with the sweep, before the fit and the writes, which
     # set the run's peak memory
     curve = sweep_resonance(res, freqs,
                             _demod_rows(cfg, res, freqs, spec.seed),
@@ -714,6 +712,7 @@ def _run_spectrum(cfg: ExperimentConfig, spec: ScenarioSpec,
     mod, sp = cfg.field.modulation_freq, cfg.spectrum
     _bg_band(cfg, cfg.field)  # the window peak_and_background averages
     span = (max(mod - sp.span / 2.0, 0.0), mod + sp.span / 2.0)
+    _resonance(cfg)  # the tone _require_analyzer_fits reads
     _require_analyzer_fits(cfg, cfg.field, span, "sim.probe_power",
                            cfg.resonance.phi0, cfg.resonance.gamma_fwhm,
                            "spectrum.span")

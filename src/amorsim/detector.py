@@ -114,7 +114,7 @@ class DetectedTimeSeries:
     ``sample_rate`` and ``center_freq``, as ``dsp.psd_estimate`` reads it.
     The other scalar fields are then not per row: they describe the series
     the stack was started from. An envelope stack's ``center_freq`` may
-    instead list one centre per row, as demod-sweep's stacks do for
+    instead list one centre per row, as demod-sweep's stack does for
     ``dsp.lock_in_demodulate``; ``psd_estimate`` refuses such a stack.
     """
 

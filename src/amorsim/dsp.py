@@ -31,10 +31,9 @@ call on that row alone; a single series is the one-row case. For the
 estimator the rows share one centre: each Welch segment is one FFT over
 all rows, and the PowerSpectrum holds a trace per row on one grid
 (``rows`` splits it). The lock-in reads each row at its own carrier and,
-on an envelope stack, around its own centre (demod-sweep's stacks list
-one per row), and ``sweep_resonance`` demodulates each stack of a sweep
-in one call. The analyzer modes and demod-sweep pay the per-call cost
-once per stack.
+on an envelope stack, around its own centre, so ``sweep_resonance``
+demodulates a sweep in one call. The analyzer modes and demod-sweep pay
+the per-call cost once per stack.
 
 The lock-in's 4th-order Butterworth output filter is linear, so the mean
 of its settled output is a fixed weighting of its input: each point is
@@ -278,15 +277,14 @@ def lock_in_demodulate(ts: AnySeries, mod_freq,
 
 
 def sweep_resonance(res: ResonanceParams, mod_freqs: Sequence[float],
-                    rows: Sequence[AnySeries],
+                    stack: AnySeries,
                     output_bandwidth: float) -> ResonanceCurve:
-    """Lock-in quadratures of rows, the series modulated at the grid
-    frequencies in grid order.
+    """Lock-in quadratures of stack, whose rows (samples (k, n)) are the
+    series modulated at the grid frequencies in grid order, demodulated in
+    one ``lock_in_demodulate`` call.
 
-    rows holds stacks of consecutive points (samples (k, n)) or single
-    series, each demodulated in one ``lock_in_demodulate`` call. A grid
-    that does not bracket the resonance center yields bracketed=False
-    rather than an error.
+    A grid that does not bracket the resonance center yields
+    bracketed=False rather than an error.
     """
     res.validate()
     freqs = np.asarray(mod_freqs, dtype=float)
@@ -294,15 +292,11 @@ def sweep_resonance(res: ResonanceParams, mod_freqs: Sequence[float],
         raise ValueError("mod_freqs grid is empty")
     if freqs.size > 1 and not np.all(np.diff(freqs) > 0):
         raise ValueError("mod_freqs must be strictly increasing")
-    counts = [len(ts.samples) if ts.samples.ndim > 1 else 1 for ts in rows]
-    if sum(counts) != freqs.size:
-        raise ValueError(f"rows hold {sum(counts)} series for "
+    rows = len(np.atleast_2d(stack.samples))
+    if rows != freqs.size:
+        raise ValueError(f"the stack's rows hold {rows} series for "
                          f"{freqs.size} grid frequencies")
-    edges = np.cumsum([0] + counts).tolist()
-    phi_p, phi_q = np.concatenate([
-        np.reshape(lock_in_demodulate(ts, freqs[a:b], output_bandwidth),
-                   (2, b - a))
-        for ts, a, b in zip(rows, edges, edges[1:])], axis=1)
+    phi_p, phi_q = lock_in_demodulate(stack, freqs, output_bandwidth)
     bracketed = bool(freqs.min() <= res.center_freq <= freqs.max())
     return ResonanceCurve(freqs, phi_p, phi_q, bracketed=bracketed)
 
@@ -314,14 +308,16 @@ def sweep_resonance(res: ResonanceParams, mod_freqs: Sequence[float],
 def _envelope_grid(band: tuple[float, float]) -> tuple[float, float]:
     """(centre, sample rate) of the complex envelope that covers band.
 
-    The rate is the 5-smooth length just above 1.25 times the band width,
-    so the band sits inside the envelope's +-rate/2 with a margin. Where
-    the centred envelope would reach below DC its centre moves up to
-    rate/2, so its lower edge sits at 0 Hz and its 0 Hz bin reads the
-    one-sided level.
+    The rate, at least 1 Hz, is the 5-smooth length just above 1.25 times
+    the band width less ulp(f_hi), the most that rounding the edges widens
+    it: one width has one rate at any carrier, and the band sits inside
+    the envelope's +-rate/2 with a margin. Where the centred envelope would
+    reach below DC its centre moves up to rate/2, so its lower edge sits
+    at 0 Hz and its 0 Hz bin reads the one-sided level.
     """
     f_lo, f_hi = band
-    rate = float(_smooth_bracket(math.ceil(1.25 * (f_hi - f_lo)))[1])
+    width = f_hi - f_lo - math.ulp(f_hi)
+    rate = float(_smooth_bracket(max(math.ceil(1.25 * width), 1))[1])
     return max(0.5 * (f_lo + f_hi), rate / 2.0), rate
 
 

@@ -213,6 +213,8 @@ def coherent_rotation(res: ResonanceParams, mod_freq: float,
             f"modulation_freq {mod_freq!r} lies outside the envelope band "
             f"{center_freq!r} +- {sample_rate / 2.0!r} Hz"
         )
+    if res.phi0 == 0.0:  # no resonance, whatever its width reads
+        return None
     phi_p, phi_q = lorentzian_quadratures(
         2.0 * math.pi * (mod_freq - res.center_freq), res)
     if phi_p == 0.0 and phi_q == 0.0:

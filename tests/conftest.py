@@ -56,7 +56,7 @@ def noiseless_rotation(res, mod_freq, duration, sample_rate, power, *,
 
 def demod_series(cfg, res, freqs, seed):
     """demod-sweep's row at each carrier of freqs as a series of its own:
-    the rows of ``cli._demod_rows``' stacks, each on its own centre."""
+    the rows of ``cli._demod_rows``' stack, each on its own centre."""
+    stack = cli._demod_rows(cfg, res, freqs, seed)
     return [replace(stack, samples=row, center_freq=center)
-            for stack in cli._demod_rows(cfg, res, freqs, seed)
             for row, center in zip(stack.samples, stack.center_freq)]

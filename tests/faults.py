@@ -243,6 +243,16 @@ FAULTS = [
     *[("simulate", setting, 0, None, None) for setting in (
         "resonance.gamma_fwhm = 1e-150", "resonance.gamma_fwhm = 1e150",
         "sim.probe_power = 1e-300")],
+    # spectrum's on-resonance tone shares simulate's rule; noise-scan's
+    # rows have no resonance (phi0 = 0), so they read no quadrature and
+    # run at any width
+    *[(mode, f"resonance.gamma_fwhm = {gamma}", code,
+       "resonance.gamma_fwhm" if code else None, None)
+      for mode, code in (("spectrum", 2), ("noise-scan", 0))
+      for gamma in ("5e-324", "1e-300", "1e300")],
+    # demod-sweep's grid half-span, 4 widths, rounds away at its carrier
+    *[("demod-sweep", f"resonance.gamma_fwhm = {gamma}", 2,
+       "resonance.gamma_fwhm", None) for gamma in ("5e-324", "1e-300")],
     ("sensitivity-sweep", "saturation.phi0_scale = 1e300", 2,
      "saturation.phi0_scale", None),
     # the projection-noise floor sensitivity_report.json quotes must be

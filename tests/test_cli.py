@@ -1,5 +1,6 @@
 """Batch CLI: modes, outputs, manifests, determinism, exit codes."""
 
+import importlib
 import json
 import math
 import subprocess
@@ -186,7 +187,8 @@ def test_noise_scan_outputs(mode_run):
     assert emit_plotdata(out) == ["fig4a_noise.dat"]
 
 
-@pytest.mark.parametrize("b_field", [5e-6, 7.6e-6, 20e-6, 40e-6, 75e-6])
+@pytest.mark.parametrize("b_field", [5e-6, 7e-6, 7.6e-6, 20e-6, 40e-6,
+                                     75e-6])
 def test_noise_scan_is_shot_noise_limited_from_5_to_75_uT(b_field):
     # The paper's claim: SNL operation from 5 uT to 75 uT. Over 20 seeds the
     # fitted shot coefficient agrees with theory within 4 standard errors
@@ -1072,6 +1074,5 @@ def test_traced_import_sites_resolve():
     exec(compile(path.read_text(), str(path), "exec"), spans.__dict__)
     assert spans.WRAPPED
     for module_name, attr, _name, _count in spans.WRAPPED:
-        module = {"amorsim.cli": amorsim.cli, "amorsim.dsp": amorsim.dsp}[
-            module_name]
+        module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), (module_name, attr)

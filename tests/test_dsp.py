@@ -50,10 +50,12 @@ def white_series(power=80.5e-6, duration=6.0, fs=FS, seed=2):
                                sample_rate=fs, power=power, rng_seed=seed)
 
 
-def sweep_point(res, duration, index, freq):
-    """Noiseless series modulated at one sweep frequency."""
-    return noiseless_rotation(res, freq, duration=duration, sample_rate=FS,
-                              power=80.5e-6)
+def sweep_stack(res, duration, grid):
+    """Noiseless series modulated at the sweep frequencies, one row each."""
+    rows = [noiseless_rotation(res, freq, duration=duration, sample_rate=FS,
+                               power=80.5e-6).samples for freq in grid]
+    return RotationTimeSeries(np.array(rows), FS, 80.5e-6,
+                              photon_flux(80.5e-6, 795e-9))
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +135,8 @@ def test_lock_in_range_errors_name_their_argument(mod_freq, bandwidth, name):
 def test_sweep_traces_out_both_quadratures():
     res = ResonanceParams(phi0=2.5e-3, gamma_fwhm=60.0, center_freq=1000.0)
     grid = np.linspace(1000.0 - 180.0, 1000.0 + 180.0, 13)
-    rows = [sweep_point(res, 0.6, i, f) for i, f in enumerate(grid)]
-    curve = sweep_resonance(res, grid, rows, output_bandwidth=25.0)
+    curve = sweep_resonance(res, grid, sweep_stack(res, 0.6, grid),
+                            output_bandwidth=25.0)
     assert curve.bracketed
     want_p, want_q = lorentzian_quadratures(
         2 * np.pi * (grid - res.center_freq), res)
@@ -147,8 +149,8 @@ def test_sweep_traces_out_both_quadratures():
 def test_sweep_flags_unbracketed_grid():
     res = ResonanceParams(phi0=1e-3, gamma_fwhm=60.0, center_freq=1000.0)
     grid = np.linspace(1200.0, 1400.0, 5)
-    rows = [sweep_point(res, 0.5, i, f) for i, f in enumerate(grid)]
-    assert sweep_resonance(res, grid, rows, 25.0).bracketed is False
+    stack = sweep_stack(res, 0.5, grid)
+    assert sweep_resonance(res, grid, stack, 25.0).bracketed is False
 
 
 @pytest.mark.parametrize("workers, tasks, cores, expected", [
@@ -194,11 +196,11 @@ def test_pmap_clamps_pool_size(workers, tasks, cores, expected, monkeypatch):
 
 def test_sweep_rejects_bad_grids():
     res = ResonanceParams(phi0=1e-3, gamma_fwhm=60.0, center_freq=1000.0)
-    rows = [sweep_point(res, 0.5, 0, 1000.0)]
+    stack = sweep_stack(res, 0.5, [1000.0])
     with pytest.raises(ValueError, match="empty"):
-        sweep_resonance(res, [], rows, 25.0)
+        sweep_resonance(res, [], stack, 25.0)
     with pytest.raises(ValueError, match="increasing"):
-        sweep_resonance(res, [1000.0, 990.0, 1010.0], rows, 25.0)
+        sweep_resonance(res, [1000.0, 990.0, 1010.0], stack, 25.0)
 
 
 def test_resonance_curve_validation():

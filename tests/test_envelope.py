@@ -17,6 +17,7 @@ from amorsim.config import (
     ExperimentConfig,
     FieldConfig,
     load_config_file,
+    parse_config_text,
     validate_config,
 )
 from amorsim.detector import (
@@ -48,9 +49,10 @@ DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
 SEEDS = range(20)
 
 
-def default_config() -> ExperimentConfig:
+def default_config(extra: str = "") -> ExperimentConfig:
+    """configs/default.cfg, with the config lines extra over it."""
     cfg = load_config_file(DEFAULT_CFG, base=ExperimentConfig())
-    return validate_config(cfg)
+    return validate_config(parse_config_text(extra, base=cfg))
 
 
 def envelope(density=1e-12, mod=10e3, center=10.3e3, fs=2000.0,
@@ -80,6 +82,21 @@ def test_envelope_grid_covers_band_with_5_smooth_rate():
     # lower edge sits at 0 Hz
     assert _envelope_grid((0.0, 8e3)) == (5000.0, 10000.0)
     assert _envelope_grid((5e3, 45e3)) == (25000.0, 50000.0)  # edge at 0 Hz
+
+
+@pytest.mark.parametrize("half, rate", [(500.0, 1250.0), (2000.0, 5000.0),
+                                        (20e3, 50000.0)])
+def test_envelope_rate_follows_the_band_width_at_every_carrier(half, rate):
+    # demod-sweep's +-500 Hz, the background's +-2 kHz and spectrum's
+    # +-20 kHz at 200 carriers within 1 Hz below each of 2^10 .. 2^17 Hz:
+    # there f + half rounds to the float above, and the band reads a hair
+    # wider than 2 half
+    carriers = [f for k in range(10, 18) for f in np.linspace(
+        2.0 ** k - 1.0, 2.0 ** k, 200, endpoint=False).tolist()]
+    assert [f for f in carriers
+            if _envelope_grid((f - half, f + half))[1] != rate] == []
+    # the rate stays positive however narrow the band
+    assert _envelope_grid((1e6, 1e6 + math.ulp(1e6)))[1] == 1.0
 
 
 def test_envelope_tone_is_half_the_quadratures_at_the_offset():
@@ -269,8 +286,8 @@ def test_envelope_snr_estimator_is_unbiased_across_seeds(power):
 # Lock-in on the envelope of its band (demod-sweep)
 # ---------------------------------------------------------------------------
 
-def demod_setup():
-    cfg = default_config()
+def demod_setup(extra: str = ""):
+    cfg = default_config(extra)
     res, freqs = cli._demod_grid(cfg)
     return cfg, res, freqs
 
@@ -357,8 +374,8 @@ def test_envelope_resonance_fit_is_unbiased_across_seeds():
     cfg, res, freqs = demod_setup()
     fits = []
     for seed in SEEDS:
-        rows = cli._demod_rows(cfg, res, freqs, seed)
-        curve = sweep_resonance(res, freqs, rows,
+        stack = cli._demod_rows(cfg, res, freqs, seed)
+        curve = sweep_resonance(res, freqs, stack,
                                 cfg.lockin.output_bandwidth)
         fits.append(fit_lorentzian(curve))
     for name, truth in (("center_freq", res.center_freq),
@@ -393,10 +410,13 @@ def test_demod_sweep_quadrature_noise_is_the_budget_across_seeds():
         assert abs(mean - expected) < 4.0 * sem
 
 
-def test_demod_sweep_lorentzian_errors_are_calibrated():
+@pytest.mark.parametrize("extra", ["", "field.b_field = 7 uT"],
+                         ids=["defaults", "7uT"])
+def test_demod_sweep_lorentzian_errors_are_calibrated(extra):
     # over seeds 0-199 each fitted parameter's pull (fit - truth)/error has
-    # a mean within 4 standard errors of 0 and a standard deviation near 1
-    cfg, res, freqs = demod_setup()
+    # a mean within 4 standard errors of 0 and a standard deviation near 1;
+    # at 7 uT half the carriers' envelopes once read 1280 Hz, not 1250 Hz
+    cfg, res, freqs = demod_setup(extra)
     fits = [fit_lorentzian(sweep_resonance(
         res, freqs, cli._demod_rows(cfg, res, freqs, seed),
         cfg.lockin.output_bandwidth)) for seed in range(200)]
@@ -414,12 +434,12 @@ def test_demod_sweep_reads_envelopes_near_dc():
     cfg = default_config()
     cfg.field = FieldConfig(b_field=75e-9).resolve(cfg.atom)
     res, freqs = cli._demod_grid(cfg)
-    points = demod_series(cfg, res, freqs, 1)
-    assert all(ts.sample_rate == 1250.0 for ts in points)
-    centers = [ts.center_freq for ts in points]
+    stack = cli._demod_rows(cfg, res, freqs, 1)
+    assert stack.sample_rate == 1250.0
+    centers = stack.center_freq
     assert centers == [max(float(f), 625.0) for f in freqs]
     assert 0 < sum(c == 625.0 for c in centers) < len(centers)
-    fit = fit_lorentzian(sweep_resonance(res, freqs, points,
+    fit = fit_lorentzian(sweep_resonance(res, freqs, stack,
                                          cfg.lockin.output_bandwidth))
     assert fit.center_freq == pytest.approx(res.center_freq, abs=0.01)
     assert fit.gamma_fwhm == pytest.approx(res.gamma_fwhm, rel=1e-3)
@@ -441,26 +461,24 @@ def _one_call_per_row(stack, carriers, bw):
     return tuple(list(quadrature) for quadrature in zip(*reads))
 
 
-@pytest.mark.parametrize("config, sizes", [
-    ("", [61]),
-    # the 1250 Hz envelopes of the first 9 carriers, 1280 Hz of the rest
-    ("field.b_field = 75 nT", [9, 52]),
+@pytest.mark.parametrize("config", [
+    "",
+    # the +-500 Hz bands of 52 of its 61 carriers once read 1.25 x 1000 Hz
+    # plus their edges' rounding, and a 1280 Hz envelope
+    "field.b_field = 75 nT",
 ], ids=["defaults", "75nT"])
-def test_stacked_lock_in_has_the_bits_of_one_call_per_row(tmp_path, config,
-                                                          sizes):
+def test_stacked_lock_in_has_the_bits_of_one_call_per_row(tmp_path, config):
     path = tmp_path / "demod.cfg"
     path.write_text(config + "\n")
     cfg = cli._load_config(cli.ScenarioSpec("demod-sweep", str(path)))
     res, freqs = cli._demod_grid(cfg)
     bw = cfg.lockin.output_bandwidth
-    stacks = cli._demod_rows(cfg, res, freqs, 1)
-    assert [len(stack.samples) for stack in stacks] == sizes
-    edges = np.cumsum([0] + sizes)
-    for stack, a, b in zip(stacks, edges, edges[1:]):
-        carriers = freqs[a:b].tolist()
-        assert lock_in_demodulate(stack, carriers, bw) == _one_call_per_row(
-            stack, carriers, bw)
-    curve = sweep_resonance(res, freqs, stacks, bw)
+    stack = cli._demod_rows(cfg, res, freqs, 1)
+    assert (stack.sample_rate, stack.samples.shape) == (1250.0, (61, 500))
+    carriers = freqs.tolist()
+    assert lock_in_demodulate(stack, carriers, bw) == _one_call_per_row(
+        stack, carriers, bw)
+    curve = sweep_resonance(res, freqs, stack, bw)
     rows = demod_series(cfg, res, freqs, 1)
     assert [lock_in_demodulate(ts, f, bw) for ts, f in zip(rows, freqs)] \
         == list(zip(curve.phi_P_values.tolist(), curve.phi_Q_values.tolist()))
@@ -482,14 +500,20 @@ def test_stacked_lock_in_reads_a_real_stack_row_by_row():
 
 def test_sweep_and_analyzer_refuse_what_a_stack_does_not_hold():
     cfg, res, freqs = demod_setup()
-    stacks = cli._demod_rows(cfg, res, freqs, 1)
+    stack = cli._demod_rows(cfg, res, freqs, 1)
     with pytest.raises(ValueError, match="rows hold 61 series for 60 grid"):
-        sweep_resonance(res, freqs[:-1], stacks, cfg.lockin.output_bandwidth)
+        sweep_resonance(res, freqs[:-1], stack, cfg.lockin.output_bandwidth)
     with pytest.raises(ValueError, match="one centre per row"):
-        psd_estimate(stacks[0], cfg.spectrum.rbw)
+        psd_estimate(stack, cfg.spectrum.rbw)
 
 
-def test_demod_sweep_builds_and_demodulates_one_stack(tmp_path, monkeypatch):
+@pytest.mark.parametrize("extra", ["", "field.b_field = 7 uT"],
+                         ids=["defaults", "7uT"])
+def test_demod_sweep_builds_and_demodulates_one_stack(tmp_path, monkeypatch,
+                                                      extra):
+    # at 7 uT the carriers' envelopes once split between two rates
+    path = tmp_path / "demod.cfg"
+    path.write_text(DEFAULT_CFG.read_text() + extra + "\n")
     calls = []
 
     def counted(name, fn):
@@ -502,6 +526,6 @@ def test_demod_sweep_builds_and_demodulates_one_stack(tmp_path, monkeypatch):
                         counted("stack", cli._detected_stack))
     monkeypatch.setattr(dsp, "lock_in_demodulate",
                         counted("lock-in", dsp.lock_in_demodulate))
-    assert cli.main(["demod-sweep", "--config", str(DEFAULT_CFG),
+    assert cli.main(["demod-sweep", "--config", str(path),
                      "--out", str(tmp_path / "out"), "--seed", "1"]) == 0
     assert calls == ["stack", "lock-in"]
