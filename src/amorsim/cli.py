@@ -9,16 +9,18 @@ Subcommands map one-to-one to scenario modes::
     amorsim snl-map            shot-noise-limited windows vs detection freq
     amorsim sensitivity-sweep  field sensitivity vs optical power
 
-Every mode writes its data files plus ``manifest.json`` into ``--out``,
-all through ``tables.write_table`` and ``tables.write_json``, which create
-``--out`` with its first file; ``tables.read_table`` reads any table back
+A mode's handler writes nothing: it returns each output as a (file name,
+writer) pair, and ``run_scenario`` writes them into ``--out``, then
+``manifest.json``, only once the handler has returned, so a refused or
+failed run leaves no ``--out`` behind. Every write goes through
+``tables.write_table`` or ``tables.write_json``, which create ``--out``
+with its first file; ``tables.read_table`` reads any table back
 losslessly. This module is the only one that imports ``tables``: it fixes
 the columns and header keys of every output (the ``*_to_csv`` functions,
 ``fit_report`` and ``make_sensitivity_report``), and the physics modules
 write nothing. ``config.validate_config`` checks each key and the rules that
-span keys, the same for every mode; the rules only one mode needs are
-checked by its handler before anything is written, so a refused run leaves
-no ``--out`` behind. Among them each failure of the chain at a power,
+span keys, the same for every mode; a handler checks the rules only its
+mode needs. Among them each failure of the chain at a power,
 g(P) and N(P) from ``detector.chain_at``, has one rule that a mode calls
 at the powers it reads: a dark background (``_require_background``) or a
 missing tone (``_require_tone``) at the lowest, an overflow at the top.
@@ -74,7 +76,6 @@ at 0 Hz. Only simulate builds the real series at ``sim.sample_rate``.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import locale  # noqa: F401 argparse loads it on its first parse; load it here
 import math
@@ -82,6 +83,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -458,13 +460,16 @@ def _carrier_key(cfg: ExperimentConfig, field: FieldConfig) -> str:
     return "field.b_field" if on_resonance else "field.modulation_freq"
 
 
-def _require_resolved(key: str, top: float, spacing: float, what: str) -> None:
+def _require_resolved(key: str, top: float, spacing: float, what: str,
+                      rule: str = "") -> None:
     """float64 must resolve the spacing a mode reads at top Hz, the top of
-    its band, before any envelope is built; key set the carrier."""
+    its band, before any envelope is built; key set the carrier, and rule,
+    if given, says which keys set the spacing."""
     if math.ulp(top) >= spacing:
+        widen = f", or widen the {what}, {rule}" if rule else ""
         raise ConfigError(f"{key}: float64 values near {top!r} Hz lie "
                           f"{math.ulp(top)!r} Hz apart, not finer than the "
-                          f"{spacing!r} Hz {what}; lower {key}")
+                          f"{spacing!r} Hz {what}; lower {key}{widen}")
 
 
 def _bg_band(cfg: ExperimentConfig, field: FieldConfig) -> tuple:
@@ -587,11 +592,10 @@ def fit_report(fit) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Mode handlers (each returns the list of files it wrote)
+# Mode handlers: each returns its (file name, writer) pairs, in write order
 # ---------------------------------------------------------------------------
 
-def _run_simulate(cfg: ExperimentConfig, spec: ScenarioSpec,
-                  outdir: Path) -> list[str]:
+def _run_simulate(cfg: ExperimentConfig, spec: ScenarioSpec) -> list:
     mod = cfg.field.modulation_freq  # only simulate samples at the rate
     _require(cfg.sim.sample_rate > 4.0 * mod, "sim.sample_rate",
              cfg.sim.sample_rate,
@@ -617,9 +621,8 @@ def _run_simulate(cfg: ExperimentConfig, spec: ScenarioSpec,
                              cfg.sim.sample_rate, power, (spec.seed, 0),
                              wavelength=cfg.atom.probe_wavelength)
     det_ts = detect(ts, cfg.detector, rng_seed=(spec.seed, 1))
-    rotation_to_csv(ts, outdir / "rotation.csv")
-    detected_to_csv(det_ts, outdir / "detected.csv")
-    return ["rotation.csv", "detected.csv"]
+    return [("rotation.csv", partial(rotation_to_csv, ts)),
+            ("detected.csv", partial(detected_to_csv, det_ts))]
 
 
 def _demod_rows(cfg: ExperimentConfig, res: ResonanceParams,
@@ -656,12 +659,13 @@ def _demod_grid(cfg: ExperimentConfig) -> tuple[ResonanceParams, np.ndarray]:
     freqs = _allocate("sweep.freq_points", f"{points!r} carriers", np.linspace,
                       center - halfspan, center + halfspan, points)
     _require_resolved("field.b_field", center + halfspan,
-                      2.0 * halfspan / (points - 1), "carrier grid step")
+                      2.0 * halfspan / (points - 1), "carrier grid step",
+                      "2 x sweep.freq_halfspan_widths x resonance.gamma_fwhm"
+                      " / (sweep.freq_points - 1)")
     return ResonanceParams(phi0, cfg.resonance.gamma_fwhm, center), freqs
 
 
-def _run_demod_sweep(cfg: ExperimentConfig, spec: ScenarioSpec,
-                     outdir: Path) -> list[str]:
+def _run_demod_sweep(cfg: ExperimentConfig, spec: ScenarioSpec) -> list:
     res, freqs = _demod_grid(cfg)
     _require_tone(cfg, "sim.probe_power", res.phi0, "resonance.phi0")
     power = cfg.sim.probe_power
@@ -679,14 +683,14 @@ def _run_demod_sweep(cfg: ExperimentConfig, spec: ScenarioSpec,
     curve = sweep_resonance(res, freqs,
                             _demod_rows(cfg, res, freqs, spec.seed),
                             cfg.lockin.output_bandwidth)
-    fit = fit_lorentzian(curve)  # before any write: a failed fit leaves none
-    resonance_curve_to_csv(curve, outdir / "resonance_curve.csv", spec.seed)
-    write_json(outdir / "resonance_fit.json", fit_report(fit))
-    write_table(outdir / "fig2_resonance.dat",
-                ["mod_freq_hz", "phi_p_rad", "phi_q_rad"],
-                [curve.mod_freqs, curve.phi_P_values, curve.phi_Q_values],
-                {"seed": spec.seed})
-    return ["resonance_curve.csv", "resonance_fit.json", "fig2_resonance.dat"]
+    fit = fit_lorentzian(curve)
+    return [("resonance_curve.csv",
+             partial(resonance_curve_to_csv, curve, seed=spec.seed)),
+            ("resonance_fit.json", partial(write_json, doc=fit_report(fit))),
+            ("fig2_resonance.dat", partial(
+                write_table, columns=["mod_freq_hz", "phi_p_rad", "phi_q_rad"],
+                data=[curve.mod_freqs, curve.phi_P_values,
+                      curve.phi_Q_values], meta={"seed": spec.seed}))]
 
 
 def _spectrum_stack(cfg: ExperimentConfig, keys: Iterable, count: int,
@@ -707,8 +711,7 @@ def _spectrum_stack(cfg: ExperimentConfig, keys: Iterable, count: int,
     return psd_estimate(stack, cfg.spectrum.rbw, cfg.spectrum.vbw, span=span)
 
 
-def _run_spectrum(cfg: ExperimentConfig, spec: ScenarioSpec,
-                  outdir: Path) -> list[str]:
+def _run_spectrum(cfg: ExperimentConfig, spec: ScenarioSpec) -> list:
     mod, sp = cfg.field.modulation_freq, cfg.spectrum
     _bg_band(cfg, cfg.field)  # the window peak_and_background averages
     span = (max(mod - sp.span / 2.0, 0.0), mod + sp.span / 2.0)
@@ -730,24 +733,19 @@ def _run_spectrum(cfg: ExperimentConfig, spec: ScenarioSpec,
                           f"({sp.bg_window!r} Hz), and the window must hold "
                           "a trace bin") from exc
     snr = compute_snr(s_sig, s_bg, spec_on.enbw)
-    spectrum_to_csv(spec_on, outdir / "spectrum_on.csv", spec.seed)
-    spectrum_to_csv(spec_off, outdir / "spectrum_off.csv", spec.seed)
-    write_json(outdir / "snr.json", {
-        "seed": spec.seed,
-        "modulation_freq_hz": mod,
-        "s_sig_w_per_hz": s_sig,
-        "s_bg_w_per_hz": s_bg,
-        "rbw_hz": spec_on.rbw,
-        "vbw_hz": spec_on.vbw,
-        "enbw_hz": spec_on.enbw,
-        "snr": snr,
-        "snr_provenance": "derived",
-        "snr_convention": "per-sqrt-hz",
-    })
-    write_table(outdir / "fig3_spectrum.dat", ["freq_hz", "psd_w_per_hz"],
-                [spec_on.freqs, spec_on.psd], {"seed": spec.seed})
-    return ["spectrum_on.csv", "spectrum_off.csv", "snr.json",
-            "fig3_spectrum.dat"]
+    doc = {"seed": spec.seed, "modulation_freq_hz": mod,
+           "s_sig_w_per_hz": s_sig, "s_bg_w_per_hz": s_bg,
+           "rbw_hz": spec_on.rbw, "vbw_hz": spec_on.vbw,
+           "enbw_hz": spec_on.enbw, "snr": snr,
+           "snr_provenance": "derived", "snr_convention": "per-sqrt-hz"}
+    return [("spectrum_on.csv",
+             partial(spectrum_to_csv, spec_on, seed=spec.seed)),
+            ("spectrum_off.csv",
+             partial(spectrum_to_csv, spec_off, seed=spec.seed)),
+            ("snr.json", partial(write_json, doc=doc)),
+            ("fig3_spectrum.dat", partial(
+                write_table, columns=["freq_hz", "psd_w_per_hz"],
+                data=[spec_on.freqs, spec_on.psd], meta={"seed": spec.seed}))]
 
 
 def _noise_levels(cfg: ExperimentConfig, key: tuple, field: FieldConfig,
@@ -771,16 +769,14 @@ def _noise_scan_at_field(cfg: ExperimentConfig, spec: ScenarioSpec,
     """The noise levels at the powers (led by the dark point at 0 W, if
     noisescan.include_zero adds it) at one detection frequency, and their
     budget fit."""
-    scan = functools.partial(_noise_levels, cfg, (spec.seed, scan_index),
-                             field)
+    scan = partial(_noise_levels, cfg, (spec.seed, scan_index), field)
     levels = _pmap(scan, list(enumerate(powers)), spec.workers)
     # a dark trace (0 W; sweep.power_min is > 0) fixes the electronic term
     fixed = levels[0] if powers[0] == 0.0 else None
     return levels, fit_noise_polynomial(powers, levels, fixed_elec=fixed)
 
 
-def _run_noise_scan(cfg: ExperimentConfig, spec: ScenarioSpec,
-                    outdir: Path) -> list[str]:
+def _run_noise_scan(cfg: ExperimentConfig, spec: ScenarioSpec) -> list:
     points, dark = cfg.sweep.power_points, cfg.noisescan.include_zero
     _require(points + dark >= 4, "sweep.power_points", points,
              f"must be >= {4 - dark} with noisescan.include_zero = "
@@ -808,23 +804,23 @@ def _run_noise_scan(cfg: ExperimentConfig, spec: ScenarioSpec,
         _require((points + dark) * entry * entry < math.inf, key, power,
                  "the noise fit's normal matrix, the point count times "
                  "(max(1, P^2)/N(P))^2 at this power, must be finite")
-    # every scan is fitted before the first write: a failed fit leaves none
-    results = [_noise_scan_at_field(cfg, spec, field, scan, powers)
-               for scan, (_, _, field) in enumerate(scans)]
     outputs = []
-    for (stem, fig_name, field), (levels, fit) in zip(scans, results):
+    for scan, (stem, fig_name, field) in enumerate(scans):
+        levels, fit = _noise_scan_at_field(cfg, spec, field, scan, powers)
         mod = field.modulation_freq
-        write_table(outdir / f"{stem}.csv", ["power_w", "noise_w_per_hz"],
-                    [powers, levels],
-                    {"seed": spec.seed, "detection_freq_hz": mod})
-        doc = fit_report(fit)
-        doc.update({"seed": spec.seed, "detection_freq_hz": mod,
-                    "coef_shot_theory": theory_budget(cfg).coef_shot})
-        write_json(outdir / f"{stem}_budget.json", doc)
-        write_table(outdir / fig_name,
-                    ["power_w", "noise_w_per_hz", "model_w_per_hz"],
-                    [powers, levels, fit.eval(powers)], {"seed": spec.seed})
-        outputs += [f"{stem}.csv", f"{stem}_budget.json", fig_name]
+        doc = {**fit_report(fit), "seed": spec.seed, "detection_freq_hz": mod,
+               "coef_shot_theory": theory_budget(cfg).coef_shot}
+        outputs += [
+            (f"{stem}.csv", partial(
+                write_table, columns=["power_w", "noise_w_per_hz"],
+                data=[powers, levels],
+                meta={"seed": spec.seed, "detection_freq_hz": mod})),
+            (f"{stem}_budget.json", partial(write_json, doc=doc)),
+            (fig_name, partial(
+                write_table,
+                columns=["power_w", "noise_w_per_hz", "model_w_per_hz"],
+                data=[powers, levels, fit.eval(powers)],
+                meta={"seed": spec.seed}))]
     return outputs
 
 
@@ -838,8 +834,7 @@ def _snl_map_rows(cfg: ExperimentConfig, gain_nominal: float) -> list:
                     for freq in freqs.tolist()], sm.k_list())
 
 
-def _run_snl_map(cfg: ExperimentConfig, spec: ScenarioSpec,
-                 outdir: Path) -> list[str]:
+def _run_snl_map(cfg: ExperimentConfig, spec: ScenarioSpec) -> list:
     maps = [("snl_map", "fig6_snl.dat",
              cfg.detector.transimpedance_gain_nominal),
             ("snl_map_alt_gain", "fig7_snl.dat",
@@ -847,15 +842,16 @@ def _run_snl_map(cfg: ExperimentConfig, spec: ScenarioSpec,
     outputs = []
     for stem, fig_name, gain_nominal in maps:
         grid = _snl_map_rows(cfg, gain_nominal)
-        snl_map_to_csv(grid, outdir / f"{stem}.csv", spec.seed)
         freqs, rows = zip(*grid)
         columns, data = ["freq_hz"], [list(freqs)]
         for windows in zip(*rows):  # one margin, in frequency order
             k = windows[0].k
             columns += [f"p_low_k{k:g}_w", f"p_high_k{k:g}_w"]
             data += [[w.p_low for w in windows], [w.p_high for w in windows]]
-        write_table(outdir / fig_name, columns, data, {"seed": spec.seed})
-        outputs += [f"{stem}.csv", fig_name]
+        outputs += [
+            (f"{stem}.csv", partial(snl_map_to_csv, grid, seed=spec.seed)),
+            (fig_name, partial(write_table, columns=columns, data=data,
+                               meta={"seed": spec.seed}))]
     return outputs
 
 
@@ -889,8 +885,8 @@ def _sweep_rows(cfg: ExperimentConfig, seed: int, chunk: list) -> list[dict]:
     return [_sweep_point_sensitivity((cfg, seed, *point)) for point in chunk]
 
 
-def _run_sensitivity_sweep(cfg: ExperimentConfig, spec: ScenarioSpec,
-                           outdir: Path) -> list[str]:
+def _run_sensitivity_sweep(cfg: ExperimentConfig,
+                           spec: ScenarioSpec) -> list:
     powers = _power_grid(cfg)
     top, sat = cfg.sweep.power_max, cfg.saturation
     _require_analyzer_fits(cfg, cfg.field, _bg_band(cfg, cfg.field),
@@ -907,7 +903,7 @@ def _run_sensitivity_sweep(cfg: ExperimentConfig, spec: ScenarioSpec,
                  "atom.cell_radius", "atom.relaxation_gamma"))
     mod = cfg.field.modulation_freq
     budget = theory_budget(cfg, detection_freq=mod)
-    rows = _pmap(functools.partial(_sweep_rows, cfg, spec.seed),
+    rows = _pmap(partial(_sweep_rows, cfg, spec.seed),
                  list(enumerate(powers.tolist())), spec.workers)
     for row in rows:
         row["snl_class"] = classify_operating_point(
@@ -917,20 +913,17 @@ def _run_sensitivity_sweep(cfg: ExperimentConfig, spec: ScenarioSpec,
     columns = ["power_w", "phi0_rad", "gamma_fwhm_hz", "s_sig_w_per_hz",
                "s_bg_w_per_hz", "snr", "delta_b_t_per_sqrt_hz", "snl_class"]
     table = {c: [row[c] for row in rows] for c in columns}
-    write_table(outdir / "sensitivity_sweep.csv", columns,
-                [table[c] for c in columns],
-                {"seed": spec.seed, "detection_freq_hz": mod})
-
     best = min(rows, key=lambda r: r["delta_b_t_per_sqrt_hz"])
-    report = make_sensitivity_report(best, floor, mod)
-    write_json(outdir / "sensitivity_report.json",
-               {**report, "seed": spec.seed})
-
+    report = {**make_sensitivity_report(best, floor, mod), "seed": spec.seed}
     fig_columns = ["power_w", "delta_b_t_per_sqrt_hz"]
-    write_table(outdir / "fig8_sensitivity.dat", fig_columns,
-                [table[c] for c in fig_columns], {"seed": spec.seed})
-    return ["sensitivity_sweep.csv", "sensitivity_report.json",
-            "fig8_sensitivity.dat"]
+    return [("sensitivity_sweep.csv", partial(
+                write_table, columns=columns, data=[table[c] for c in columns],
+                meta={"seed": spec.seed, "detection_freq_hz": mod})),
+            ("sensitivity_report.json", partial(write_json, doc=report)),
+            ("fig8_sensitivity.dat", partial(
+                write_table, columns=fig_columns,
+                data=[table[c] for c in fig_columns],
+                meta={"seed": spec.seed}))]
 
 
 _HANDLERS = {
@@ -957,11 +950,14 @@ def emit_plotdata(outdir: str | os.PathLike) -> list[str]:
 
 
 def run_scenario(spec: ScenarioSpec) -> int:
-    """Run one batch mode; writes data files plus manifest.json, returns 0."""
+    """Run one batch mode's handler, then write each output it returned,
+    writer(output_dir / name), and manifest.json; returns 0."""
     started = time.monotonic()
     cfg = _load_config(spec)
     outdir = Path(spec.output_dir)
-    outputs = _HANDLERS[spec.mode](cfg, spec, outdir)
+    outputs = _HANDLERS[spec.mode](cfg, spec)
+    for name, write in outputs:
+        write(outdir / name)
     manifest = {
         "mode": spec.mode,
         "seed": spec.seed,
@@ -971,7 +967,7 @@ def run_scenario(spec: ScenarioSpec) -> int:
         "versions": {"python": sys.version.split()[0],
                      "numpy": np.__version__, "amorsim": __version__},
         "wall_time_s": time.monotonic() - started,
-        "outputs": outputs,
+        "outputs": [name for name, _ in outputs],
     }
     write_json(outdir / "manifest.json", manifest)
     return 0

@@ -279,6 +279,10 @@ FAULTS = [
     *[(mode, f"field.b_field = {b_field}", 2, "field.b_field", None)
       for mode in ("demod-sweep", *_ANALYZER_MODES)
       for b_field in ("1e7", "1e10")],
+    # a width that makes demod-sweep's grid step too fine at an ordinary
+    # carrier: the rule leads with the field and names the width too
+    ("demod-sweep", "resonance.gamma_fwhm = 1e-11", 2,
+     ("field.b_field", "resonance.gamma_fwhm"), None),
     ("noise-scan", "noisescan.second_b_field = 1e7", 2,
      "noisescan.second_b_field", None),
     # a series of 1e12 s is exabytes: numpy refuses one row of it at

@@ -501,6 +501,36 @@ def test_manifest_records_run(mode_run, fast_config):
     assert doc["wall_time_s"] >= 0.0
 
 
+_WRITERS = ("write_table", "write_json", "rotation_to_csv", "detected_to_csv",
+            "spectrum_to_csv", "resonance_curve_to_csv", "snl_map_to_csv")
+
+
+def _refuse_write(*args, **kwargs):
+    raise AssertionError(f"a handler wrote an output: {args!r}")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_handlers_return_outputs_that_run_scenario_writes(mode, fast_config,
+                                                          tmp_path,
+                                                          monkeypatch):
+    # a handler calls no writer and names each output once; run_scenario
+    # writes exactly those outputs, in order, and then the manifest
+    out = tmp_path / "o"
+    spec = ScenarioSpec(mode, config_path=fast_config, output_dir=str(out))
+    cfg = amorsim.cli._load_config(spec)
+    with monkeypatch.context() as patch:
+        for name in _WRITERS:
+            patch.setattr(amorsim.cli, name, _refuse_write)
+        names = [name for name, _ in amorsim.cli._HANDLERS[mode](cfg, spec)]
+    assert names and len(set(names)) == len(names)
+    assert not out.exists()
+    assert run_scenario(spec) == 0
+    doc = json.loads((out / "manifest.json").read_text())
+    assert doc["outputs"] == names
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [*names, "manifest.json"])
+
+
 # ---------------------------------------------------------------------------
 # Determinism
 # ---------------------------------------------------------------------------
@@ -1066,13 +1096,37 @@ def test_demo_suite_script_prints_summary(fast_config, tmp_path):
     assert "uW .. " in summary[3] and "(empty)" not in summary[3]
 
 
-def test_traced_import_sites_resolve():
-    # perfbench/spans.py wraps these (module, attribute) pairs; a rename
-    # would break the traced benchmark pass without failing anything else.
+def _perfbench_spans() -> types.ModuleType:
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spans = types.ModuleType("spans")
     exec(compile(path.read_text(), str(path), "exec"), spans.__dict__)
+    return spans
+
+
+def test_traced_import_sites_resolve():
+    # perfbench/spans.py wraps these (module, attribute) pairs; a rename
+    # would break the traced benchmark pass without failing anything else.
+    spans = _perfbench_spans()
     assert spans.WRAPPED
     for module_name, attr, _name, _count in spans.WRAPPED:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), (module_name, attr)
+
+
+def test_traced_writers_count_the_bytes_they_write(fast_config, tmp_path):
+    # the traced pass reads each *_to_csv writer's path from its second
+    # argument; these three modes write their .csv files through them only
+    spans = _perfbench_spans()
+    tracer = spans.Tracer("writers")
+    tracer.install()
+    try:
+        for mode in ("simulate", "spectrum", "snl-map"):
+            assert main([mode, "--config", fast_config,
+                         "--out", str(tmp_path / mode)]) == 0
+    finally:
+        tracer.uninstall()
+    counted = [span["bytes"] for span in tracer.spans
+               if span["name"] == spans.WRITERS]
+    written = [path.stat().st_size for path in tmp_path.glob("*/*.csv")]
+    assert len(counted) == 6 and min(counted) > 0
+    assert sorted(counted) == sorted(written)

@@ -156,7 +156,11 @@ def test_sample_rate_must_clear_modulation(tmp_path):
     cfg = parse_config_text("sim.sample_rate = 100 kHz")  # 4x 70.9 kHz > 100k
     validate_config(cfg)  # only simulate samples the real series
     with pytest.raises(ConfigError, match="sim.sample_rate"):
-        _run_simulate(cfg, ScenarioSpec("simulate"), tmp_path / "o")
+        _run_simulate(cfg, ScenarioSpec("simulate"))
+    path = tmp_path / "run.cfg"
+    path.write_text("sim.sample_rate = 100 kHz\n")
+    assert main(["simulate", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
 
 
