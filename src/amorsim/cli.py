@@ -41,9 +41,15 @@ snl-map draws nothing: its rows are the theory budget at each bin.
 
 simulate synthesizes its real series (shot noise, lane 0) and detects it
 (detector noise, lane 1), so ``rotation.csv`` and ``detected.csv`` share
-one shot draw. Every other series, demod-sweep's included, is an analyzer
-row: one draw on lane 0 at the density ``theory_budget`` predicts for its
-power (see ``_detected_stack``). Each point owns its streams, so outputs
+one shot draw; it seeds each with ``np.random.default_rng(key + (lane,))``.
+Every other series, demod-sweep's included, is an analyzer row: one draw
+on lane 0 at the density ``theory_budget`` predicts for its power (see
+``_detected_stack``). Analyzer rows are seeded in one batch
+(``signal_model.seed_lanes``, through ``_lanes``): each row draws the bits
+of ``default_rng(key + (0,))`` from one reseeded ``PCG64``. demod-sweep
+and noise-scan seed a batch per stack, sensitivity-sweep one per ``_pmap``
+chunk once the chunk's first stack is allocated, so a size refusal
+seeds nothing. Each point owns its streams, so outputs
 are byte-identical for a fixed ``--seed`` regardless of ``--workers``. The
 keys of one run all have one length: SeedSequence pads a key shorter than
 its 4-word pool with zeros, so ``(seed, 0)`` names ``(seed, 0, 0)``'s
@@ -85,7 +91,7 @@ import time
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 import numpy.random  # noqa: F401 numpy 2 loads it lazily; load it here, not mid-run
@@ -132,6 +138,7 @@ from .signal_model import (
     coherent_rotation,
     lorentzian_quadratures,
     photon_flux,
+    seed_lanes,
     shot_noise_angle_density,
     synthesize_rotation,
     white_noise,
@@ -387,9 +394,22 @@ def _series_grid(cfg: ExperimentConfig, band) -> tuple:
     return center, rate, int(round(cfg.sim.duration * rate))
 
 
+def _lanes(keys: Iterable) -> Iterator[np.random.Generator]:
+    """The generator of stream key + (0,) for each key, in order: one
+    ``PCG64`` reseeded to each ``seed_lanes`` state in turn, so a row draws
+    from its lane before it takes the next. The streams are seeded as one
+    batch at the first next(), and keys is read only then: a caller
+    allocates its first stack before it asks for a lane."""
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    for state in seed_lanes([key + (0,) for key in keys]):
+        bits.state = state
+        yield rng
+
+
 def _detected_stack(cfg: ExperimentConfig, mod, band, rows: Iterable,
-                    count: int,
-                    count_key: str = "sim.duration") -> DetectedTimeSeries:
+                    count: int, count_key: str = "sim.duration",
+                    lanes: Optional[Iterator] = None) -> DetectedTimeSeries:
     """The count (res, power, key) rows, modulated at mod Hz, as the
     analyzer input, written straight into one (count, n) stack.
 
@@ -406,7 +426,11 @@ def _detected_stack(cfg: ExperimentConfig, mod, band, rows: Iterable,
     real stack at sim.sample_rate is the full-rate reference the tests
     compare the envelopes with.
 
-    Each row's draw lands in the row itself, and the scaled coherent wave
+    Each row draws from the next of lanes, a ``_lanes`` iterator over the
+    rows' keys that the caller may share with the stacks after this one
+    (sensitivity-sweep's ``_pmap`` chunk seeds one batch); by default the
+    stack seeds its own rows as one batch once it is allocated. Each
+    row's draw lands in the row itself, and the scaled coherent wave
     is added onto it. g and N are worked out once per distinct power, the
     wave once per distinct (res, carrier, centre, power), at most two held
     at a time: a sensitivity-sweep point's on and off sides. A resonance
@@ -423,11 +447,16 @@ def _detected_stack(cfg: ExperimentConfig, mod, band, rows: Iterable,
         samples = _allocate(count_key, f"{count!r} rows of {n!r} samples "
                             f"(sim.duration = {cfg.sim.duration!r} s)",
                             np.empty, (count, n), dtype)
+    if lanes is None:
+        rows = list(rows)
+        lanes = _lanes(key for _, _, key in rows)
     mods = mod if isinstance(mod, list) else [mod] * count
     centers = center if isinstance(center, list) else [center] * count
     chains = {}  # power -> (gain, density)
     waves = {}  # (res fields, carrier, centre, power) -> scaled wave or None
-    for row, ((res, power, key), f, c) in enumerate(zip(rows, mods, centers)):
+    # zip reads rows first, so it takes no lane past the stack's last row
+    for row, ((res, power, key), f, c, rng) in enumerate(
+            zip(rows, mods, centers, lanes)):
         if power not in chains:
             chains[power] = chain_at(cfg, power)
         gain, density = chains[power]
@@ -440,8 +469,8 @@ def _detected_stack(cfg: ExperimentConfig, mod, band, rows: Iterable,
             waves[point] = (None if wave is None
                             else np.multiply(wave, gain, out=wave))
         wave = waves[point]
-        white_noise(np.random.default_rng(key + (0,)), density, rate, n,
-                    center is not None, out=samples[row])
+        white_noise(rng, density, rate, n, center is not None,
+                    out=samples[row])
         if wave is not None:
             samples[row] += wave
         if row == 0:
@@ -683,7 +712,25 @@ def _run_demod_sweep(cfg: ExperimentConfig, spec: ScenarioSpec) -> list:
     curve = sweep_resonance(res, freqs,
                             _demod_rows(cfg, res, freqs, spec.seed),
                             cfg.lockin.output_bandwidth)
-    fit = fit_lorentzian(curve)
+    try:
+        fit = fit_lorentzian(curve)
+    except FitError as exc:
+        # a tone no larger than the angle noise in the lock-in's output
+        # bandwidth: the fit read noise, which a wider sweep reads too
+        with np.errstate(over="ignore", divide="ignore"):
+            ratio = float(res.phi0 / np.sqrt(
+                angle_noise * cfg.lockin.output_bandwidth))
+        if not ratio <= 1.0:
+            raise
+        raise FitError(
+            "resonance.phi0: the Lorentzian fit read noise, not the "
+            "resonance: the tone-to-noise ratio on the grid, phi0 / "
+            "sqrt(N(P)/g(P)^2 * lockin.output_bandwidth) = "
+            f"{ratio!r} at {power!r} W, is at most 1. "
+            "It is set by " + _listed(
+                "resonance.phi0", "sim.probe_power",
+                "detector.electronic_noise_floor", *_GAIN_KEYS,
+                "detector.technical_noise_coef")) from exc
     return [("resonance_curve.csv",
              partial(resonance_curve_to_csv, curve, seed=spec.seed)),
             ("resonance_fit.json", partial(write_json, doc=fit_report(fit))),
@@ -693,21 +740,26 @@ def _run_demod_sweep(cfg: ExperimentConfig, spec: ScenarioSpec) -> list:
                       curve.phi_Q_values], meta={"seed": spec.seed}))]
 
 
+def _side_keys(keys: Iterable) -> Iterator[tuple]:
+    """The row keys of a spectrum stack over keys: on, off key by key."""
+    return (key + (side,) for key in keys for side in (0, 1))
+
+
 def _spectrum_stack(cfg: ExperimentConfig, keys: Iterable, count: int,
                     power: float, phi0: float, gamma_fwhm: float,
                     band: Optional[tuple], span: Optional[tuple] = None,
-                    count_key: str = "sim.duration") -> PowerSpectrum:
+                    count_key: str = "sim.duration",
+                    lanes: Optional[Iterator] = None) -> PowerSpectrum:
     """The on- and off-resonance analyzer traces of the band, sliced to
     span, for each of the count keys: one stacked estimate whose rows
-    alternate on, off key by key."""
+    alternate on, off key by key, drawn from lanes if given."""
     field = cfg.field
     center = _center_freq(cfg, field)
     sides = [ResonanceParams(amplitude, gamma_fwhm, center)
              for amplitude in (phi0, 0.0)]
-    rows = ((res, power, key + (side,))
-            for key in keys for side, res in enumerate(sides))
+    rows = ((sides[key[-1]], power, key) for key in _side_keys(keys))
     stack = _detected_stack(cfg, field.modulation_freq, band, rows, 2 * count,
-                            count_key)
+                            count_key, lanes)
     return psd_estimate(stack, cfg.spectrum.rbw, cfg.spectrum.vbw, span=span)
 
 
@@ -855,8 +907,14 @@ def _run_snl_map(cfg: ExperimentConfig, spec: ScenarioSpec) -> list:
     return outputs
 
 
-def _sweep_point_sensitivity(args):
-    """(cfg, seed, power index, power) -> one sensitivity-sweep row."""
+def _trace_keys(cfg: ExperimentConfig, seed: int, index: int):
+    """The keys of a sensitivity-sweep point's traces."""
+    return ((seed, index, trace) for trace in range(cfg.sweep.trace_avg))
+
+
+def _sweep_point_sensitivity(args, lanes: Optional[Iterator] = None):
+    """(cfg, seed, power index, power) -> one sensitivity-sweep row, its
+    rows drawn from lanes if given."""
     cfg, spec_seed, index, power = args
     sat = cfg.saturation
     phi0 = sat.phi0_at(power)
@@ -864,9 +922,9 @@ def _sweep_point_sensitivity(args):
     mod = cfg.field.modulation_freq
     band = _bg_band(cfg, cfg.field)
     traces = cfg.sweep.trace_avg
-    keys = ((spec_seed, index, trace) for trace in range(traces))
-    spectra = _spectrum_stack(cfg, keys, traces, power, phi0, gamma, band,
-                              count_key="sweep.trace_avg")
+    spectra = _spectrum_stack(cfg, _trace_keys(cfg, spec_seed, index), traces,
+                              power, phi0, gamma, band,
+                              count_key="sweep.trace_avg", lanes=lanes)
     on, off = spectra.rows(2)  # the stack alternates on, off
     peaks, backgrounds = peak_and_background(on, off, mod,
                                              cfg.spectrum.bg_window)
@@ -881,8 +939,13 @@ def _sweep_point_sensitivity(args):
 
 
 def _sweep_rows(cfg: ExperimentConfig, seed: int, chunk: list) -> list[dict]:
-    """The rows of a chunk of (index, power) points, one ``_pmap`` chunk."""
-    return [_sweep_point_sensitivity((cfg, seed, *point)) for point in chunk]
+    """The rows of a chunk of (index, power) points, one ``_pmap`` chunk,
+    whose streams are seeded as one batch once the first point's stack is
+    allocated."""
+    lanes = _lanes(key for index, _ in chunk
+                   for key in _side_keys(_trace_keys(cfg, seed, index)))
+    return [_sweep_point_sensitivity((cfg, seed, *point), lanes)
+            for point in chunk]
 
 
 def _run_sensitivity_sweep(cfg: ExperimentConfig,

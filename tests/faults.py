@@ -101,9 +101,18 @@ FAULTS = [
     ("demod-sweep", f"detector.gain_headroom_factor = 1e-300\n{_FLOOR}", 2,
      ("detector.gain_headroom_factor", "sim.probe_power"), None),
     # a tone buried in noise: the Lorentzian fit fails on noise alone, a
-    # numerical failure (the fit's guessed width outgrows the grid)
-    ("demod-sweep", "resonance.phi0 = 1e-12", 3, None,
-     "grid span 480.0 Hz under two linewidths (848.0 Hz); widen the sweep"),
+    # numerical failure (the fit's guessed width outgrows the grid), told
+    # by the tone-to-noise ratio that its keys set, not by the grid
+    ("demod-sweep", "resonance.phi0 = 1e-12", 3,
+     ("resonance.phi0", "sim.probe_power"),
+     "resonance.phi0: the Lorentzian fit read noise, not the resonance: the "
+     "tone-to-noise ratio on the grid, phi0 / sqrt(N(P)/g(P)^2 * "
+     "lockin.output_bandwidth) = 7.179647624014032e-06 at 8.05e-05 W, is at "
+     "most 1. It is set by resonance.phi0, sim.probe_power, "
+     "detector.electronic_noise_floor, atom.probe_wavelength, "
+     "detector.quantum_efficiency, detector.transimpedance_gain_nominal, "
+     "detector.gain_headroom_factor, detector.analyzer_impedance and "
+     "detector.technical_noise_coef"),
     # a 47 Hz resonance with a +-240 Hz grid would sweep negative carriers
     ("demod-sweep", "field.b_field = 5 nT", 2, "sweep.freq_halfspan_widths",
      None),

@@ -290,11 +290,13 @@ def _reference_row(cfg, mod, band, res, power, key):
 @given(sides=st.lists(st.sampled_from([0, 1]), min_size=1, max_size=9),
        powers=st.lists(st.sampled_from([0.0, 20e-6, 80.5e-6, 200e-6]),
                        min_size=9, max_size=9),
-       band=st.sampled_from(["real", "bg_window", "offset"]))
+       band=st.sampled_from(["real", "bg_window", "offset"]),
+       seed=st.sampled_from([3, 5_000_000_000]))
 def test_detected_stack_rows_are_chain_series_bit_for_bit(fast_config, sides,
-                                                         powers, band):
+                                                         powers, band, seed):
     # each row written in place equals the row built alone; real and
-    # envelope stacks, on and off resonance, dark rows
+    # envelope stacks, on and off resonance, dark rows, and a seed of two
+    # 32-bit words
     cfg = amorsim.cli._load_config(ScenarioSpec("sensitivity-sweep",
                                                 fast_config))
     field = cfg.field
@@ -304,7 +306,7 @@ def test_detected_stack_rows_are_chain_series_bit_for_bit(fast_config, sides,
     center = amorsim.cli._center_freq(cfg, field)
     rows = [(ResonanceParams(cfg.resonance.phi0 if side == 0 else 0.0,
                              cfg.resonance.gamma_fwhm, center),
-             power, (3, row, side))
+             power, (seed, row, side))
             for row, (side, power) in enumerate(zip(sides, powers))]
     stack = amorsim.cli._detected_stack(cfg, mod, band, rows, len(rows))
     center, rate, n = amorsim.cli._series_grid(cfg, band)
@@ -574,22 +576,28 @@ def test_worker_count_does_not_change_outputs(mode, fast_config, tmp_path,
 
 
 def _generator_keys(argv, monkeypatch):
-    """The seed of every numpy generator a run of argv builds, in order."""
+    """The key of every stream a run of argv seeds, in order: each seed of a
+    numpy generator it builds and each key of a batch it seeds."""
     keys = []
-    default_rng = np.random.default_rng
+    default_rng, seed_lanes = np.random.default_rng, amorsim.cli.seed_lanes
 
     def recording(seed=None):
         keys.append(seed)
         return default_rng(seed)
 
+    def recording_batch(batch):
+        keys.extend(batch)
+        return seed_lanes(batch)
+
     monkeypatch.setattr(np.random, "default_rng", recording)
+    monkeypatch.setattr(amorsim.cli, "seed_lanes", recording_batch)
     assert main(argv) == 0
     return keys
 
 
-# generators a fast-config run builds: simulate one for the shot and one
-# for the detector noise, demod-sweep one per carrier, each analyzer row
-# one, and snl-map, which maps the theory budget, none
+# streams a fast-config run seeds: simulate one for the shot and one for
+# the detector noise, demod-sweep one per carrier, each analyzer row one,
+# and snl-map, which maps the theory budget, none
 FAST_GENERATORS = {"simulate": 2, "demod-sweep": 9, "spectrum": 2,
                    "noise-scan": 5, "snl-map": 0, "sensitivity-sweep": 8}
 
@@ -771,12 +779,16 @@ def _run_fault_row(mode, config, code, keys, message, tmp_path, capsys,
                    monkeypatch):
     # one row of the refusal contract: its exit code and, for a refusal,
     # the stderr JSON naming its keys (or its exact message) and no --out;
-    # a config refusal leads with one of its keys and draws no analyzer row
-    # first, but for the one that reads spectrum's window off the traces
+    # a config refusal leads with one of its keys and neither seeds a
+    # stream nor draws an analyzer row first, but for the one that reads
+    # spectrum's window off the traces
     draws, draw = [], amorsim.cli.white_noise
     monkeypatch.setattr(amorsim.cli, "white_noise",
                         lambda *args, **kwargs: draws.append(args)
                         or draw(*args, **kwargs))
+    seeded, seed = [], amorsim.cli.seed_lanes
+    monkeypatch.setattr(amorsim.cli, "seed_lanes",
+                        lambda keys: seeded.append(keys) or seed(keys))
     path, out = tmp_path / "fault.cfg", tmp_path / "o"
     path.write_text(config + "\n")
     assert main([mode, "--config", str(path), "--out", str(out)]) == code
@@ -785,6 +797,7 @@ def _run_fault_row(mode, config, code, keys, message, tmp_path, capsys,
     err = json.loads(capsys.readouterr().err)
     if code == 2 and "must reach a trace bin" not in err["message"]:
         assert not draws, "drew an analyzer row before the refusal"
+        assert not seeded, "seeded a stream before the refusal"
     assert err["exit_code"] == code
     assert (err["error"] == "ConfigError") == (code == 2), err
     keys = (keys,) if isinstance(keys, str) else keys or ()
@@ -837,6 +850,20 @@ def test_noise_scan_builds_its_power_grid_once(tmp_path, monkeypatch):
     for stem in ("noise_scan", "noise_scan_high"):
         _, (powers, _), _ = read_table(tmp_path / "o" / f"{stem}.csv")
         assert powers.tolist() == [0.0, *grid(grids[0])]
+
+
+def test_demod_sweep_blames_noise_only_at_a_tone_below_it(
+        fast_config, tmp_path, capsys, monkeypatch):
+    # a fit that fails on a tone above the noise keeps fit_lorentzian's
+    # message; the tone-to-noise rule has its row in tests/faults.py
+    def fails(curve):
+        raise FitError("resonance fit did not converge")
+
+    monkeypatch.setattr(amorsim.cli, "fit_lorentzian", fails)
+    assert main(["demod-sweep", "--config", fast_config,
+                 "--out", str(tmp_path / "o")]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["message"] == "resonance fit did not converge"
 
 
 def test_noise_scan_fits_both_scans_before_writing(tmp_path, monkeypatch):
