@@ -28,46 +28,41 @@ Exit codes: 0 success, 2 configuration error (an array too large to
 allocate counts as one, blamed on the key that sized it), 3 numerical
 failure, 4 I/O error; failures print a single JSON object to stderr.
 
-Random streams. Every draw comes from stream ``key + (lane,)``, where ``key
-= (seed, *point coordinates)``:
+Random streams. Every draw comes from stream ``key + (lane,)``, seeded by
+``np.random.default_rng``, where ``key`` names one series or one stack:
 
-    simulate           (seed,)                       lane 0 shot, 1 detector
-    spectrum           (seed, side)                  side 0 on, 1 off resonance
-    noise-scan         (seed, scan, power_index)     scan 1 is the second field
-    sensitivity-sweep  (seed, power_index, trace, side)
-    demod-sweep        (seed, freq_index)
+    simulate           (seed,)               lane 0 shot, 1 detector
+    spectrum           (seed,)               its on/off pair
+    noise-scan         (seed, scan)          scan 1 is the second field
+    sensitivity-sweep  (seed, power_index)   its trace_avg on/off pairs
+    demod-sweep        (seed,)               its carrier grid
 
 snl-map draws nothing: its rows are the theory budget at each bin.
 
 simulate synthesizes its real series (shot noise, lane 0) and detects it
 (detector noise, lane 1), so ``rotation.csv`` and ``detected.csv`` share
-one shot draw; it seeds each with ``np.random.default_rng(key + (lane,))``.
-Every other series, demod-sweep's included, is an analyzer row: one draw
-on lane 0 at the density ``theory_budget`` predicts for its power (see
-``_detected_stack``). Analyzer rows are seeded in one batch
-(``signal_model.seed_lanes``, through ``_lanes``): each row draws the bits
-of ``default_rng(key + (0,))`` from one reseeded ``PCG64``. demod-sweep
-and noise-scan seed a batch per stack, sensitivity-sweep one per ``_pmap``
-chunk once the chunk's first stack is allocated, so a size refusal
-seeds nothing. Each point owns its streams, so outputs
-are byte-identical for a fixed ``--seed`` regardless of ``--workers``. The
-keys of one run all have one length: SeedSequence pads a key shorter than
-its 4-word pool with zeros, so ``(seed, 0)`` names ``(seed, 0, 0)``'s
-stream, while ``(1, 2, 3, 1)`` and ``(1, 2, 3, 1, 0)`` differ.
+one shot draw. Every other mode builds analyzer stacks (see
+``_detected_stack``): each row is white noise at the density
+``theory_budget`` predicts for its power, and a stack's rows are one draw
+from its stream, on lane 0, in stack order. noise-scan and demod-sweep run
+serially; sensitivity-sweep's powers each own their stream, so ``_pmap``
+may split them into any chunks, and outputs are byte-identical for a fixed
+``--seed`` regardless of ``--workers``. The keys of one run all have one
+length: SeedSequence pads a key shorter than its 4-word pool with zeros,
+so ``(seed, 0)`` names ``(seed, 0, 0)``'s stream, while ``(1, 2, 3, 1)``
+and ``(1, 2, 3, 1, 0)`` differ.
 
 The analyzer modes and demod-sweep build their series as the rows of one
-array, each row on its own stream: ``_detected_stack`` allocates it from
-its row count, draws each row's noise straight into the row and adds the
-coherent wave. demod-sweep's stack holds one carrier per row, each on its
-own centre (``_demod_rows``), and goes to one ``lock_in_demodulate``
-through ``sweep_resonance``. Each analyzer stack goes to one
-``psd_estimate``: spectrum its on/off pair, sensitivity-sweep the
-``trace_avg`` on/off pairs of one power, noise-scan one chunk of a scan's
-powers: ``_pmap`` cuts both sweeps into one contiguous chunk of powers
-per worker. A row's trace does not depend on the other rows, so the
-chunking leaves the bytes as is. All three read their traces with
-``peak_and_background``, row by row: the peak at the modulation frequency
-and the background over ``spectrum.bg_window`` around it.
+array: ``_detected_stack`` allocates it from its row count, draws the
+stack's noise straight into it and adds each row's coherent wave.
+demod-sweep's stack holds one carrier per row, each on its own centre
+(``_demod_rows``), and goes to one ``lock_in_demodulate`` through
+``sweep_resonance``. Each analyzer stack goes to one ``psd_estimate``:
+spectrum its on/off pair, sensitivity-sweep the ``trace_avg`` on/off pairs
+of one power, noise-scan all of a scan's powers. All three read their
+traces with ``peak_and_background``, row by row: the peak at the
+modulation frequency and the background over ``spectrum.bg_window``
+around it.
 
 Analyzer bands. Every mode but simulate builds only the band its analyzer
 or lock-in reads, as the complex envelope of that band at a rate just
@@ -91,7 +86,7 @@ import time
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 import numpy.random  # noqa: F401 numpy 2 loads it lazily; load it here, not mid-run
@@ -138,7 +133,6 @@ from .signal_model import (
     coherent_rotation,
     lorentzian_quadratures,
     photon_flux,
-    seed_lanes,
     shot_noise_angle_density,
     synthesize_rotation,
     white_noise,
@@ -394,30 +388,17 @@ def _series_grid(cfg: ExperimentConfig, band) -> tuple:
     return center, rate, int(round(cfg.sim.duration * rate))
 
 
-def _lanes(keys: Iterable) -> Iterator[np.random.Generator]:
-    """The generator of stream key + (0,) for each key, in order: one
-    ``PCG64`` reseeded to each ``seed_lanes`` state in turn, so a row draws
-    from its lane before it takes the next. The streams are seeded as one
-    batch at the first next(), and keys is read only then: a caller
-    allocates its first stack before it asks for a lane."""
-    bits = np.random.PCG64(0)
-    rng = np.random.Generator(bits)
-    for state in seed_lanes([key + (0,) for key in keys]):
-        bits.state = state
-        yield rng
-
-
 def _detected_stack(cfg: ExperimentConfig, mod, band, rows: Iterable,
-                    count: int, count_key: str = "sim.duration",
-                    lanes: Optional[Iterator] = None) -> DetectedTimeSeries:
-    """The count (res, power, key) rows, modulated at mod Hz, as the
-    analyzer input, written straight into one (count, n) stack.
+                    count: int, key: tuple,
+                    count_key: str = "sim.duration") -> DetectedTimeSeries:
+    """The count (res, power) rows, modulated at mod Hz, as the analyzer
+    input, written straight into one (count, n) stack on stream key+(0,).
 
-    A row is the coherent rotation at the chain's angle gain g(P) plus one
-    white draw from stream key+(0,) at the noise density N(P), both
-    ``chain_at(cfg, power)``: N holds shot, electronic and technical noise
-    at once (see the ``detector`` docstring). The stack, complex with a
-    band, is allocated before the first row is built, a size numpy refuses
+    A row is the coherent rotation at the chain's angle gain g(P) plus a
+    white draw at the noise density N(P), both ``chain_at(cfg, power)``: N
+    holds shot, electronic and technical noise at once (see the
+    ``detector`` docstring). The stack, complex with a band, is allocated
+    before its rows are read or its stream is seeded, a size numpy refuses
     blamed on sim.duration if one row is past it, else on count_key. The
     rows share the band's sample rate and centre; the other scalar fields
     describe the first row only. demod-sweep passes lists instead, a
@@ -426,15 +407,13 @@ def _detected_stack(cfg: ExperimentConfig, mod, band, rows: Iterable,
     real stack at sim.sample_rate is the full-rate reference the tests
     compare the envelopes with.
 
-    Each row draws from the next of lanes, a ``_lanes`` iterator over the
-    rows' keys that the caller may share with the stacks after this one
-    (sensitivity-sweep's ``_pmap`` chunk seeds one batch); by default the
-    stack seeds its own rows as one batch once it is allocated. Each
-    row's draw lands in the row itself, and the scaled coherent wave
-    is added onto it. g and N are worked out once per distinct power, the
-    wave once per distinct (res, carrier, centre, power), at most two held
-    at a time: a sensitivity-sweep point's on and off sides. A resonance
-    with no deterministic part adds nothing.
+    The stack's noise is one ``white_noise`` draw from
+    ``np.random.default_rng(key + (0,))``, row after row at each row's N,
+    straight into the stack; the scaled coherent wave is added onto each
+    row. g and N are worked out once per distinct power, the wave once per
+    distinct (res, carrier, centre, power), at most two held at a time: a
+    sensitivity-sweep point's on and off sides. A resonance with no
+    deterministic part adds nothing.
     """
     center, rate, n = _series_grid(cfg, band)
     dtype = float if center is None else complex
@@ -447,37 +426,29 @@ def _detected_stack(cfg: ExperimentConfig, mod, band, rows: Iterable,
         samples = _allocate(count_key, f"{count!r} rows of {n!r} samples "
                             f"(sim.duration = {cfg.sim.duration!r} s)",
                             np.empty, (count, n), dtype)
-    if lanes is None:
-        rows = list(rows)
-        lanes = _lanes(key for _, _, key in rows)
+    rows = list(rows)
+    chains = {power: chain_at(cfg, power)  # power -> (gain, density)
+              for power in dict.fromkeys(power for _, power in rows)}
+    white_noise(np.random.default_rng(key + (0,)),
+                [chains[power][1] for _, power in rows], rate, n,
+                center is not None, out=samples)
     mods = mod if isinstance(mod, list) else [mod] * count
     centers = center if isinstance(center, list) else [center] * count
-    chains = {}  # power -> (gain, density)
     waves = {}  # (res fields, carrier, centre, power) -> scaled wave or None
-    # zip reads rows first, so it takes no lane past the stack's last row
-    for row, ((res, power, key), f, c, rng) in enumerate(
-            zip(rows, mods, centers, lanes)):
-        if power not in chains:
-            chains[power] = chain_at(cfg, power)
-        gain, density = chains[power]
+    for row, ((res, power), f, c) in enumerate(zip(rows, mods, centers)):
         point = (res.phi0, res.gamma_fwhm, res.center_freq, f, c, power)
         if point not in waves:
             if len(waves) == 2:
                 waves.clear()
             wave = coherent_rotation(res, f, rate, n, c)
             # coherent_rotation returns a new array: scale it in place
-            waves[point] = (None if wave is None
-                            else np.multiply(wave, gain, out=wave))
-        wave = waves[point]
-        white_noise(rng, density, rate, n, center is not None,
-                    out=samples[row])
-        if wave is not None:
-            samples[row] += wave
-        if row == 0:
-            first = DetectedTimeSeries(samples, rate,
-                                       cfg.detector.gain_effective,
-                                       power, gain, key + (0,), center)
-    return first
+            waves[point] = (None if wave is None else
+                            np.multiply(wave, chains[power][0], out=wave))
+        if waves[point] is not None:
+            samples[row] += waves[point]
+    power = rows[0][1]
+    return DetectedTimeSeries(samples, rate, cfg.detector.gain_effective,
+                              power, chains[power][0], key + (0,), center)
 
 
 def _carrier_key(cfg: ExperimentConfig, field: FieldConfig) -> str:
@@ -657,15 +628,14 @@ def _run_simulate(cfg: ExperimentConfig, spec: ScenarioSpec) -> list:
 def _demod_rows(cfg: ExperimentConfig, res: ResonanceParams,
                 freqs: np.ndarray, seed: int) -> DetectedTimeSeries:
     """The stack of detector rows modulated at the carriers freqs, in grid
-    order: each row the envelope of the lock-in's band around its carrier,
-    on stream (seed, index, 0); the lock-in refers it back to radians."""
+    order, on stream (seed, 0): each row the envelope of the lock-in's band
+    around its carrier; the lock-in refers it back to radians."""
     half = _LOCKIN_HALFBAND * cfg.lockin.output_bandwidth
     carriers = freqs.tolist()
-    rows = [(res, cfg.sim.probe_power, (seed, index))
-            for index in range(len(carriers))]
     return _detected_stack(cfg, carriers,
-                           [(f - half, f + half) for f in carriers], rows,
-                           len(rows), "sweep.freq_points")
+                           [(f - half, f + half) for f in carriers],
+                           [(res, cfg.sim.probe_power)] * len(carriers),
+                           len(carriers), (seed,), "sweep.freq_points")
 
 
 def _demod_grid(cfg: ExperimentConfig) -> tuple[ResonanceParams, np.ndarray]:
@@ -740,26 +710,20 @@ def _run_demod_sweep(cfg: ExperimentConfig, spec: ScenarioSpec) -> list:
                       curve.phi_Q_values], meta={"seed": spec.seed}))]
 
 
-def _side_keys(keys: Iterable) -> Iterator[tuple]:
-    """The row keys of a spectrum stack over keys: on, off key by key."""
-    return (key + (side,) for key in keys for side in (0, 1))
-
-
-def _spectrum_stack(cfg: ExperimentConfig, keys: Iterable, count: int,
+def _spectrum_stack(cfg: ExperimentConfig, key: tuple, count: int,
                     power: float, phi0: float, gamma_fwhm: float,
                     band: Optional[tuple], span: Optional[tuple] = None,
-                    count_key: str = "sim.duration",
-                    lanes: Optional[Iterator] = None) -> PowerSpectrum:
-    """The on- and off-resonance analyzer traces of the band, sliced to
-    span, for each of the count keys: one stacked estimate whose rows
-    alternate on, off key by key, drawn from lanes if given."""
+                    count_key: str = "sim.duration") -> PowerSpectrum:
+    """count on- and off-resonance analyzer traces of the band, sliced to
+    span: one stacked estimate, on stream key+(0,), whose rows alternate
+    on, off."""
     field = cfg.field
     center = _center_freq(cfg, field)
     sides = [ResonanceParams(amplitude, gamma_fwhm, center)
              for amplitude in (phi0, 0.0)]
-    rows = ((sides[key[-1]], power, key) for key in _side_keys(keys))
+    rows = ((res, power) for _ in range(count) for res in sides)
     stack = _detected_stack(cfg, field.modulation_freq, band, rows, 2 * count,
-                            count_key, lanes)
+                            key, count_key)
     return psd_estimate(stack, cfg.spectrum.rbw, cfg.spectrum.vbw, span=span)
 
 
@@ -774,7 +738,7 @@ def _run_spectrum(cfg: ExperimentConfig, spec: ScenarioSpec) -> list:
     _require_background(cfg, "sim.probe_power")
     _require_tone(cfg, "sim.probe_power", cfg.resonance.phi0, "resonance.phi0")
     spec_on, spec_off = _spectrum_stack(
-        cfg, [(spec.seed,)], 1, cfg.sim.probe_power, cfg.resonance.phi0,
+        cfg, (spec.seed,), 1, cfg.sim.probe_power, cfg.resonance.phi0,
         cfg.resonance.gamma_fwhm, span, span,
     ).rows()
     try:
@@ -800,29 +764,21 @@ def _run_spectrum(cfg: ExperimentConfig, spec: ScenarioSpec) -> list:
                 data=[spec_on.freqs, spec_on.psd], meta={"seed": spec.seed}))]
 
 
-def _noise_levels(cfg: ExperimentConfig, key: tuple, field: FieldConfig,
-                  chunk: list) -> list[float]:
-    """Measured background densities at a chunk of (index, power) points
-    of the scan keyed key, one ``_pmap`` chunk: one stacked estimate, each
-    row's background read over spectrum.bg_window around the carrier."""
-    res = ResonanceParams(0.0, cfg.resonance.gamma_fwhm,
-                          _center_freq(cfg, field))
-    band = _bg_band(cfg, field)
-    rows = [(res, power, key + (index,)) for index, power in chunk]
-    stack = _detected_stack(cfg, field.modulation_freq, band, rows, len(rows),
-                            "sweep.power_points")
-    traces = psd_estimate(stack, cfg.spectrum.rbw, cfg.spectrum.vbw)
-    return peak_and_background(traces, traces, field.modulation_freq,
-                               cfg.spectrum.bg_window)[1]
-
-
 def _noise_scan_at_field(cfg: ExperimentConfig, spec: ScenarioSpec,
                          field: FieldConfig, scan_index: int, powers: list):
     """The noise levels at the powers (led by the dark point at 0 W, if
-    noisescan.include_zero adds it) at one detection frequency, and their
-    budget fit."""
-    scan = partial(_noise_levels, cfg, (spec.seed, scan_index), field)
-    levels = _pmap(scan, list(enumerate(powers)), spec.workers)
+    noisescan.include_zero adds it) at one detection frequency, on stream
+    (seed, scan_index, 0), and their budget fit. One stacked estimate
+    gives the levels, each row's background read over spectrum.bg_window
+    around the carrier."""
+    res = ResonanceParams(0.0, cfg.resonance.gamma_fwhm,
+                          _center_freq(cfg, field))
+    stack = _detected_stack(cfg, field.modulation_freq, _bg_band(cfg, field),
+                            [(res, power) for power in powers], len(powers),
+                            (spec.seed, scan_index), "sweep.power_points")
+    traces = psd_estimate(stack, cfg.spectrum.rbw, cfg.spectrum.vbw)
+    levels = peak_and_background(traces, traces, field.modulation_freq,
+                                 cfg.spectrum.bg_window)[1]
     # a dark trace (0 W; sweep.power_min is > 0) fixes the electronic term
     fixed = levels[0] if powers[0] == 0.0 else None
     return levels, fit_noise_polynomial(powers, levels, fixed_elec=fixed)
@@ -907,14 +863,9 @@ def _run_snl_map(cfg: ExperimentConfig, spec: ScenarioSpec) -> list:
     return outputs
 
 
-def _trace_keys(cfg: ExperimentConfig, seed: int, index: int):
-    """The keys of a sensitivity-sweep point's traces."""
-    return ((seed, index, trace) for trace in range(cfg.sweep.trace_avg))
-
-
-def _sweep_point_sensitivity(args, lanes: Optional[Iterator] = None):
+def _sweep_point_sensitivity(args):
     """(cfg, seed, power index, power) -> one sensitivity-sweep row, its
-    rows drawn from lanes if given."""
+    traces on stream (seed, power index, 0)."""
     cfg, spec_seed, index, power = args
     sat = cfg.saturation
     phi0 = sat.phi0_at(power)
@@ -922,9 +873,8 @@ def _sweep_point_sensitivity(args, lanes: Optional[Iterator] = None):
     mod = cfg.field.modulation_freq
     band = _bg_band(cfg, cfg.field)
     traces = cfg.sweep.trace_avg
-    spectra = _spectrum_stack(cfg, _trace_keys(cfg, spec_seed, index), traces,
-                              power, phi0, gamma, band,
-                              count_key="sweep.trace_avg", lanes=lanes)
+    spectra = _spectrum_stack(cfg, (spec_seed, index), traces, power, phi0,
+                              gamma, band, count_key="sweep.trace_avg")
     on, off = spectra.rows(2)  # the stack alternates on, off
     peaks, backgrounds = peak_and_background(on, off, mod,
                                              cfg.spectrum.bg_window)
@@ -939,13 +889,8 @@ def _sweep_point_sensitivity(args, lanes: Optional[Iterator] = None):
 
 
 def _sweep_rows(cfg: ExperimentConfig, seed: int, chunk: list) -> list[dict]:
-    """The rows of a chunk of (index, power) points, one ``_pmap`` chunk,
-    whose streams are seeded as one batch once the first point's stack is
-    allocated."""
-    lanes = _lanes(key for index, _ in chunk
-                   for key in _side_keys(_trace_keys(cfg, seed, index)))
-    return [_sweep_point_sensitivity((cfg, seed, *point), lanes)
-            for point in chunk]
+    """The rows of a chunk of (index, power) points, one ``_pmap`` chunk."""
+    return [_sweep_point_sensitivity((cfg, seed, *point)) for point in chunk]
 
 
 def _run_sensitivity_sweep(cfg: ExperimentConfig,

@@ -11,11 +11,9 @@ Delta = Omega_m - 2*Omega_L (rad/s):
 
 with Gamma = 2*pi*gamma_fwhm. The stochastic term dphi(t) is white Gaussian
 photon shot noise with one-sided PSD S_phi = 1/(2*Phi_ph), where Phi_ph is
-the photon flux arriving at the detector.
-
-``seed_lanes`` seeds the streams of many analyzer rows as one batch: each
-lane is the PCG64 state ``np.random.default_rng(key)`` builds for its key,
-worked out for the whole batch at once (see its docstring).
+the photon flux arriving at the detector. ``white_noise`` is the one home
+of a draw's variance: it fills a series, or a stack of rows at one density
+each, from one generator in one call.
 
 ``synthesize_rotation`` is simulate's series: the real angle at the full
 rate, tone plus shot noise, which ``cli.rotation_to_csv`` writes.
@@ -39,9 +37,8 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 import numpy.random  # noqa: F401 numpy 2 loads it lazily; load it here, not mid-run
@@ -57,12 +54,11 @@ __all__ = [
     "photon_flux",
     "shot_noise_angle_density",
     "white_noise",
-    "seed_lanes",
     "coherent_rotation",
     "synthesize_rotation",
 ]
 
-# An RNG stream: an int, or a key such as (seed, *point coordinates, lane);
+# An RNG stream: an int, or a key such as (seed, *stack coordinates, lane);
 # numpy's SeedSequence accepts either.
 Seed = Union[int, tuple[int, ...]]
 
@@ -162,115 +158,31 @@ def shot_noise_angle_density(flux: float) -> float:
     return 1.0 / (2.0 * flux)
 
 
-def white_noise(rng: np.random.Generator, density: float,
+def white_noise(rng: np.random.Generator, density,
                 sample_rate: float, n: int, envelope: bool,
                 out: Optional[np.ndarray] = None) -> np.ndarray:
-    """n samples of white Gaussian noise of one-sided PSD density.
+    """n samples of white Gaussian noise of one-sided PSD density, or a
+    (rows, n) stack of them given a sequence of densities, one per row.
 
-    Real with variance density * sample_rate / 2; for an envelope, one draw
-    of 2n values viewed as circular complex noise with variance
+    Real with variance density * sample_rate / 2; for an envelope, a row's
+    2n values viewed as circular complex noise with variance
     density * sample_rate / 4 per component (two-sided density density/2).
 
-    Written into out (n contiguous samples, complex for an envelope) when
-    given, else into a new array, and returned. The standard normals are
-    drawn in place and scaled by sigma: the bits of
-    ``rng.normal(0.0, sigma, n)`` (2n viewed as complex for an envelope),
-    but for the sign of a zero, which normal's ``0.0 + sigma * z`` makes +0.
+    Written into out (contiguous, complex for an envelope) when given, else
+    into a new array, and returned. The standard normals are drawn in
+    place in one call, row after row, and each row is scaled by its sigma:
+    a row holds the bits of ``rng.normal(0.0, sigma, n)`` (2n viewed as
+    complex for an envelope) drawn after the rows above it, but for the
+    sign of a zero, which normal's ``0.0 + sigma * z`` makes +0.
     """
+    sigma = np.sqrt(np.multiply(density, sample_rate)
+                    / (4.0 if envelope else 2.0))
     if out is None:
-        out = np.empty(n, complex if envelope else float)
+        out = np.empty(sigma.shape + (n,), complex if envelope else float)
     draws = out.view(float)
     rng.standard_normal(out=draws)
-    draws *= math.sqrt(density * sample_rate / (4.0 if envelope else 2.0))
+    draws *= sigma[..., None]
     return out
-
-
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's
-# 128-bit LCG multiplier (O'Neill, "PCG", HMC-CS-2014-0905, 2014)
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-
-
-@functools.lru_cache(maxsize=16)
-def _hash_consts(init: int, mult: int, count: int) -> tuple:
-    """The (xor, multiplier) words of SeedSequence's first count hashes
-    from init: the k-th hash xors with h_k and multiplies by h_{k+1} =
-    h_k * mult mod 2^32. They are the same for every key, so read-only."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    xors, muls = (np.array(c, np.uint32) for c in (consts[:-1], consts[1:]))
-    xors.flags.writeable = muls.flags.writeable = False
-    return xors, muls
-
-
-def _hashed(words: np.ndarray, xors: np.ndarray,
-            muls: np.ndarray) -> np.ndarray:
-    out = (words ^ xors) * muls
-    return out ^ (out >> 16)
-
-
-def _mixed(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
-    return out ^ (out >> 16)
-
-
-def seed_lanes(keys: Sequence[tuple[int, ...]]) -> list[dict]:
-    """The PCG64 state ``np.random.default_rng(key)`` builds, per key.
-
-    Each key's entries become little-endian 32-bit words, as SeedSequence
-    splits them (0 is one word; a negative entry raises ValueError). Its
-    hash, a 4-word pool that every word mixes into and the 8 words
-    ``generate_state(4, np.uint64)`` draws from it, runs as uint32 array
-    arithmetic over the whole batch; PCG64's two-step seeding of each key
-    then runs in Python ints. Reseeding one ``PCG64`` through ``.state``
-    with a lane draws the bits of ``default_rng(key)``, for a fraction of
-    its cost per key once a batch holds tens of keys.
-    """
-    flat, lengths = [], []
-    for key in keys:
-        start = len(flat)
-        for entry in key:
-            entry = operator.index(entry)
-            if entry < 0:
-                raise ValueError(f"expected non-negative integer, got "
-                                 f"{entry!r} in the key {key!r}")
-            flat.append(entry & _MASK32)
-            entry >>= 32
-            while entry:
-                flat.append(entry & _MASK32)
-                entry >>= 32
-        lengths.append(len(flat) - start)
-    width = max([4, *lengths])
-    lengths = np.array(lengths)[:, None]
-    words = np.zeros((len(lengths), width), np.uint32)
-    words[np.arange(width) < lengths] = flat  # zeros pad a key to the pool
-    xors, muls = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * (width - 4))
-    pool = _hashed(words[:, :4], xors[:4], muls[:4])
-    for src in range(4):  # each pool word into the other three
-        dst, at = [d for d in range(4) if d != src], 4 + 3 * src
-        pool[:, dst] = _mixed(pool[:, dst], _hashed(
-            pool[:, src:src + 1], xors[at:at + 3], muls[at:at + 3]))
-    for src in range(4, width):  # each word past the pool into all four
-        at = 16 + 4 * (src - 4)
-        pool = np.where(lengths > src, _mixed(pool, _hashed(
-            words[:, src:src + 1], xors[at:at + 4], muls[at:at + 4])), pool)
-    xors, muls = _hash_consts(_INIT_B, _MULT_B, 8)
-    state = _hashed(pool[:, [0, 1, 2, 3, 0, 1, 2, 3]], xors, muls)
-    state = state.astype(np.uint64)
-    lanes = []
-    for s_hi, s_lo, i_hi, i_lo in (state[:, 0::2]
-                                   | state[:, 1::2] << np.uint64(32)).tolist():
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        lcg = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        lanes.append({"bit_generator": "PCG64",
-                      "state": {"state": lcg, "inc": inc},
-                      "has_uint32": 0, "uinteger": 0})
-    return lanes
 
 
 @functools.lru_cache(maxsize=8)

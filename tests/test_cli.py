@@ -27,7 +27,8 @@ from amorsim.config import (
     FieldConfig,
     larmor_doubled_freq,
 )
-from amorsim.detector import angle_gain_from_chain, theory_budget
+from amorsim.detector import (DetectedTimeSeries, angle_gain_from_chain,
+                              chain_at, theory_budget)
 from amorsim.dsp import peak_and_background, psd_estimate
 from amorsim.fitting import FitError
 from amorsim.signal_model import (
@@ -225,43 +226,68 @@ def test_noise_scan_background_matches_the_budget_across_seeds():
         assert abs(mean - budget.eval(powers[i])) < 4.0 * stderr, powers[i]
 
 
+SWEEP_SEEDS = range(20)
+
+
+def test_sensitivity_sweep_reads_the_budget_across_seeds():
+    # Each default power's stack is drawn at N(P) with a tone of g(P) *
+    # phi0(P): over 20 seeds, at every power, the mean of s_bg / N(P) and
+    # the mean of snr / (g * phi0 / sqrt(2 N)) lie within 4 standard
+    # errors of 1
+    config = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+    cfg = amorsim.cli._load_config(ScenarioSpec("sensitivity-sweep",
+                                                str(config)))
+    points = list(enumerate(amorsim.cli._power_grid(cfg).tolist()))
+    runs = [amorsim.cli._sweep_rows(cfg, seed, points) for seed in SWEEP_SEEDS]
+    assert len(points) == 21
+    for index, power in points:
+        gain, density = chain_at(cfg, power)
+        tone = gain * cfg.saturation.phi0_at(power)
+        rows = [run[index] for run in runs]
+        for column, truth in (("s_bg_w_per_hz", density),
+                              ("snr", tone / math.sqrt(2.0 * density))):
+            mean, stderr = mean_and_sem([row[column] / truth for row in rows])
+            assert abs(mean - 1.0) < 4.0 * stderr, (power, column)
+
+
 def test_stacked_analyzer_matches_per_point_estimates(mode_run, fast_config):
-    # the levels and the s_sig/s_bg that one psd_estimate call per trace,
-    # each a stack of one row on its own (seed, *point, side) stream,
-    # would give; noise-scan reads its levels over spectrum.bg_window with
-    # peak_and_background, so the mean of each trace sliced to the window
-    # cross-checks that read
+    # the levels and the s_sig/s_bg that one psd_estimate call per trace
+    # would give, each trace a row rebuilt from its stack's stream in row
+    # order: noise-scan's scan on (seed, 0, 0), each sensitivity-sweep
+    # power on (seed, index, 0); noise-scan reads its levels over
+    # spectrum.bg_window with peak_and_background, so the mean of each
+    # trace sliced to the window cross-checks that read
     seed = 11
     cfg = amorsim.cli._load_config(ScenarioSpec("noise-scan", fast_config))
     field, sp = cfg.field, cfg.spectrum
     band = amorsim.cli._bg_band(cfg, field)
     center = amorsim.cli._center_freq(cfg, field)
 
-    def trace(res, power, key, span=None):
-        alone = amorsim.cli._detected_stack(cfg, field.modulation_freq, band,
-                                            [(res, power, key)], 1)
-        return psd_estimate(replace(alone, samples=alone.samples[0]),
-                            sp.rbw, sp.vbw, span=span)
+    def traces(rows, key, span=None):
+        return [psd_estimate(row, sp.rbw, sp.vbw, span=span)
+                for row in _reference_stack(cfg, field.modulation_freq, band,
+                                            rows, key)]
 
     dark = ResonanceParams(0.0, cfg.resonance.gamma_fwhm, center)
     powers = [0.0, *amorsim.cli._power_grid(cfg)]
-    levels = [float(trace(dark, p, (seed, 0, i), band).psd.mean())
-              for i, p in enumerate(powers)]
+    levels = [float(trace.psd.mean()) for trace in traces(
+        [(dark, p) for p in powers], (seed, 0), band)]
     _, (_, written), _ = read_table(mode_run("noise-scan", seed)
                                     / "noise_scan.csv")
     assert written.tolist() == levels
 
-    sat = cfg.saturation
+    sat, count = cfg.saturation, cfg.sweep.trace_avg
     s_sig, s_bg = [], []
     for i, p in enumerate(amorsim.cli._power_grid(cfg)):
         sides = [ResonanceParams(phi0, sat.gamma_at(p), center)
                  for phi0 in (sat.phi0_at(p), 0.0)]
-        parts = [peak_and_background(
-            *(trace(res, p, (seed, i, t, side)) for side, res in enumerate(sides)),
-            field.modulation_freq, sp.bg_window)
-            for t in range(cfg.sweep.trace_avg)]
-        s_sig.append(sum(part[0] for part in parts) / cfg.sweep.trace_avg)
-        s_bg.append(sum(part[1] for part in parts) / cfg.sweep.trace_avg)
+        rows = traces([(res, p) for _ in range(count) for res in sides],
+                      (seed, i))
+        parts = [peak_and_background(on, off, field.modulation_freq,
+                                     sp.bg_window)
+                 for on, off in zip(rows[0::2], rows[1::2])]
+        s_sig.append(sum(part[0] for part in parts) / count)
+        s_bg.append(sum(part[1] for part in parts) / count)
     columns, data, _ = read_table(mode_run("sensitivity-sweep", seed)
                                   / "sensitivity_sweep.csv")
     table = dict(zip(columns, data))
@@ -269,32 +295,39 @@ def test_stacked_analyzer_matches_per_point_estimates(mode_run, fast_config):
     assert table["s_bg_w_per_hz"].tolist() == s_bg
 
 
-def _reference_row(cfg, mod, band, res, power, key):
-    """One analyzer row built alone, modulated at mod Hz: the coherent
-    rotation at the chain's angle gain plus numpy's normal draw from stream
-    key+(0,) at the budget's density."""
+def _reference_stack(cfg, mod, band, rows, key):
+    """A stack's (res, power) rows rebuilt one by one as series of their
+    own, modulated at mod Hz: each the coherent rotation at the chain's
+    angle gain plus numpy's normal draw at the budget's density, the draws
+    taken in row order from the one stream key+(0,)."""
     center, rate, n = amorsim.cli._series_grid(cfg, band)
-    wave = coherent_rotation(res, mod, rate, n, center)
-    gain = angle_gain_from_chain(cfg.detector, photon_flux(
-        power, cfg.atom.probe_wavelength))
     envelope = center is not None
-    sigma = math.sqrt(theory_budget(cfg).eval(power) * rate
-                      / (4.0 if envelope else 2.0))
-    noise = np.random.default_rng(key + (0,)).normal(
-        0.0, sigma, 2 * n if envelope else n)
-    if envelope:
-        noise = noise.view(complex)
-    return noise if wave is None else wave * gain + noise
+    rng = np.random.default_rng(key + (0,))
+    series = []
+    for res, power in rows:
+        wave = coherent_rotation(res, mod, rate, n, center)
+        gain = angle_gain_from_chain(cfg.detector, photon_flux(
+            power, cfg.atom.probe_wavelength))
+        sigma = math.sqrt(theory_budget(cfg).eval(power) * rate
+                          / (4.0 if envelope else 2.0))
+        noise = rng.normal(0.0, sigma, 2 * n if envelope else n)
+        if envelope:
+            noise = noise.view(complex)
+        series.append(DetectedTimeSeries(
+            noise if wave is None else wave * gain + noise, rate,
+            cfg.detector.gain_effective, power, gain, None, center))
+    return series
 
 
 @given(sides=st.lists(st.sampled_from([0, 1]), min_size=1, max_size=9),
        powers=st.lists(st.sampled_from([0.0, 20e-6, 80.5e-6, 200e-6]),
                        min_size=9, max_size=9),
        band=st.sampled_from(["real", "bg_window", "offset"]),
-       seed=st.sampled_from([3, 5_000_000_000]))
+       key=st.sampled_from([(3,), (5_000_000_000, 2)]))
 def test_detected_stack_rows_are_chain_series_bit_for_bit(fast_config, sides,
-                                                         powers, band, seed):
-    # each row written in place equals the row built alone; real and
+                                                         powers, band, key):
+    # each row written in place equals the row rebuilt from the stack's
+    # stream, and a stack of the first row alone holds that row; real and
     # envelope stacks, on and off resonance, dark rows, and a seed of two
     # 32-bit words
     cfg = amorsim.cli._load_config(ScenarioSpec("sensitivity-sweep",
@@ -305,18 +338,18 @@ def test_detected_stack_rows_are_chain_series_bit_for_bit(fast_config, sides,
             "offset": (mod - 1500.0, mod + 2500.0)}[band]  # tone off centre
     center = amorsim.cli._center_freq(cfg, field)
     rows = [(ResonanceParams(cfg.resonance.phi0 if side == 0 else 0.0,
-                             cfg.resonance.gamma_fwhm, center),
-             power, (seed, row, side))
-            for row, (side, power) in enumerate(zip(sides, powers))]
-    stack = amorsim.cli._detected_stack(cfg, mod, band, rows, len(rows))
+                             cfg.resonance.gamma_fwhm, center), power)
+            for side, power in zip(sides, powers)]
+    stack = amorsim.cli._detected_stack(cfg, mod, band, rows, len(rows), key)
     center, rate, n = amorsim.cli._series_grid(cfg, band)
     assert stack.samples.shape == (len(rows), n)
     assert (stack.sample_rate, stack.center_freq) == (rate, center)
-    for row, (res, power, key) in enumerate(rows):
-        expected = _reference_row(cfg, mod, band, res, power, key)
-        assert stack.samples[row].tobytes() == expected.tobytes(), row
-        alone = amorsim.cli._detected_stack(cfg, mod, band, [rows[row]], 1)
-        assert alone.samples.tobytes() == expected.tobytes(), row
+    assert stack.rng_seed == key + (0,)
+    expected = _reference_stack(cfg, mod, band, rows, key)
+    for row, series in enumerate(expected):
+        assert stack.samples[row].tobytes() == series.samples.tobytes(), row
+    first = amorsim.cli._detected_stack(cfg, mod, band, rows[:1], 1, key)
+    assert first.samples.tobytes() == expected[0].samples.tobytes()
 
 
 def test_noise_scan_writes_the_theory_shot_coefficient(mode_run,
@@ -554,7 +587,7 @@ def test_same_seed_reproduces_bytes(fast_config, tmp_path):
 def test_worker_count_does_not_change_outputs(mode, fast_config, tmp_path,
                                               monkeypatch):
     # 4 powers, and 5 where a sweep reads them: two chunks then split the
-    # sensitivity sweep (and noise-scan's 6 points at 3 chunks) unevenly
+    # sensitivity sweep unevenly (noise-scan runs serially at any count)
     counts = [4, 5] if mode in ("noise-scan", "sensitivity-sweep") else [4]
     for points in counts:
         monkeypatch.setenv("AMORSIM_SWEEP__POWER_POINTS", str(points))
@@ -576,30 +609,26 @@ def test_worker_count_does_not_change_outputs(mode, fast_config, tmp_path,
 
 
 def _generator_keys(argv, monkeypatch):
-    """The key of every stream a run of argv seeds, in order: each seed of a
-    numpy generator it builds and each key of a batch it seeds."""
+    """The key of every stream a run of argv seeds, in order: the seed of
+    each numpy generator it builds."""
     keys = []
-    default_rng, seed_lanes = np.random.default_rng, amorsim.cli.seed_lanes
+    default_rng = np.random.default_rng
 
     def recording(seed=None):
         keys.append(seed)
         return default_rng(seed)
 
-    def recording_batch(batch):
-        keys.extend(batch)
-        return seed_lanes(batch)
-
     monkeypatch.setattr(np.random, "default_rng", recording)
-    monkeypatch.setattr(amorsim.cli, "seed_lanes", recording_batch)
     assert main(argv) == 0
     return keys
 
 
 # streams a fast-config run seeds: simulate one for the shot and one for
-# the detector noise, demod-sweep one per carrier, each analyzer row one,
-# and snl-map, which maps the theory budget, none
-FAST_GENERATORS = {"simulate": 2, "demod-sweep": 9, "spectrum": 2,
-                   "noise-scan": 5, "snl-map": 0, "sensitivity-sweep": 8}
+# the detector noise, each analyzer stack one (spectrum's on/off pair,
+# noise-scan's scan, demod-sweep's carrier grid, each sensitivity-sweep
+# power), and snl-map, which maps the theory budget, none
+FAST_GENERATORS = {"simulate": 2, "demod-sweep": 1, "spectrum": 1,
+                   "noise-scan": 1, "snl-map": 0, "sensitivity-sweep": 4}
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -619,22 +648,22 @@ def test_stream_keys_start_with_seed_and_never_repeat(mode, fast_config,
     assert len(states) == len(keys)
 
 
-def test_default_sensitivity_sweep_builds_one_generator_per_row(tmp_path,
-                                                                monkeypatch):
+def test_default_sensitivity_sweep_builds_one_generator_per_power(
+        tmp_path, monkeypatch):
     config = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
     cfg = amorsim.cli._load_config(ScenarioSpec("sensitivity-sweep",
                                                 str(config)))
     keys = _generator_keys(["sensitivity-sweep", "--config", str(config),
                             "--out", str(tmp_path), "--seed", "7"],
                            monkeypatch)
-    rows = cfg.sweep.power_points * cfg.sweep.trace_avg * 2  # on and off
-    assert len(keys) == rows == 168
+    assert keys == [(7, index, 0) for index in range(21)]
+    assert len(keys) == cfg.sweep.power_points == 21
 
 
 def test_default_sweep_point_synthesizes_once_per_side(monkeypatch):
     # a default point's 8 rows, trace_avg on/off pairs of one power, take
     # one coherent wave per distinct (resonance, power), not one per row,
-    # and each row is still the row built alone
+    # and each row is the row rebuilt from the point's stream (7, index, 0)
     config = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
     cfg = amorsim.cli._load_config(ScenarioSpec("sensitivity-sweep",
                                                 str(config)))
@@ -663,11 +692,11 @@ def test_default_sweep_point_synthesizes_once_per_side(monkeypatch):
     sides = [ResonanceParams(phi0, sat.gamma_at(power),
                              amorsim.cli._center_freq(cfg, field))
              for phi0 in (sat.phi0_at(power), 0.0)]
-    for trace in range(traces):
-        for side, res in enumerate(sides):
-            expected = _reference_row(cfg, field.modulation_freq, band, res,
-                                      power, (7, index, trace, side))
-            assert stack[2 * trace + side].tobytes() == expected.tobytes()
+    expected = _reference_stack(cfg, field.modulation_freq, band,
+                                [(res, power) for _ in range(traces)
+                                 for res in sides], (7, index))
+    for row, series in enumerate(expected):
+        assert stack[row].tobytes() == series.samples.tobytes(), row
 
 
 # ---------------------------------------------------------------------------
@@ -786,9 +815,9 @@ def _run_fault_row(mode, config, code, keys, message, tmp_path, capsys,
     monkeypatch.setattr(amorsim.cli, "white_noise",
                         lambda *args, **kwargs: draws.append(args)
                         or draw(*args, **kwargs))
-    seeded, seed = [], amorsim.cli.seed_lanes
-    monkeypatch.setattr(amorsim.cli, "seed_lanes",
-                        lambda keys: seeded.append(keys) or seed(keys))
+    seeded, seed = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda key=None: seeded.append(key) or seed(key))
     path, out = tmp_path / "fault.cfg", tmp_path / "o"
     path.write_text(config + "\n")
     assert main([mode, "--config", str(path), "--out", str(out)]) == code

@@ -135,7 +135,7 @@ def test_envelope_draws_one_stream_per_stage():
     band = cli._bg_band(cfg, cfg.field)
     dark = ResonanceParams(0.0, 60.0, cfg.field.modulation_freq)
     a, b = (cli._detected_stack(cfg, cfg.field.modulation_freq, band,
-                                [(dark, 80.5e-6, (3,))], 1).samples[0]
+                                [(dark, 80.5e-6)], 1, (3,)).samples[0]
             for _ in range(2))
     np.testing.assert_array_equal(a, b)
     draw = np.random.default_rng((3, 0)).normal(0.0, 1.0, 2 * a.size)
@@ -198,7 +198,7 @@ def _peak_and_background(cfg, band, power, phi0, span=None, low_band=None):
     gamma = cfg.resonance.gamma_fwhm
     rows = []
     for seed in SEEDS:
-        on, off = cli._spectrum_stack(cfg, [(seed,)], 1, power, phi0,
+        on, off = cli._spectrum_stack(cfg, (seed,), 1, power, phi0,
                                       gamma, band, span).rows()
         row = list(peak_and_background(on, off, mod, cfg.spectrum.bg_window))
         if low_band is not None:
@@ -271,7 +271,7 @@ def test_envelope_snr_estimator_is_unbiased_across_seeds(power):
     phi0 = cfg.resonance.phi0
     snrs = []
     for seed in SEEDS:
-        on, off = cli._spectrum_stack(cfg, [(seed,)], 1, power, phi0,
+        on, off = cli._spectrum_stack(cfg, (seed,), 1, power, phi0,
                                       cfg.resonance.gamma_fwhm, band).rows()
         s_sig, s_bg = peak_and_background(on, off, mod, cfg.spectrum.bg_window)
         snrs.append(compute_snr(s_sig, s_bg, on.enbw))
@@ -332,8 +332,8 @@ def _lock_in_means(cfg, res, freq, index, band):
     pq = []
     for seed in SEEDS:
         row = cli._detected_stack(cfg, freq, band,
-                                  [(res, cfg.sim.probe_power, (seed, index))],
-                                  1)
+                                  [(res, cfg.sim.probe_power)], 1,
+                                  (seed, index))
         row.samples = row.samples[0]
         pq.append(lock_in_demodulate(row, freq, bw))
     pq = np.array(pq)
@@ -488,8 +488,8 @@ def test_stacked_lock_in_reads_a_real_stack_row_by_row():
     # three real rows at sim.sample_rate, one carrier each or one for all
     cfg, res, _ = demod_setup()
     carriers = [res.center_freq + step for step in (-60.0, 0.0, 60.0)]
-    rows = [(res, cfg.sim.probe_power, (1, index)) for index in range(3)]
-    stack = cli._detected_stack(cfg, carriers, None, rows, 3)
+    rows = [(res, cfg.sim.probe_power)] * 3
+    stack = cli._detected_stack(cfg, carriers, None, rows, 3, (1,))
     assert stack.center_freq is None and stack.samples.dtype == float
     bw = cfg.lockin.output_bandwidth
     for mod in (carriers, carriers[1]):

@@ -315,41 +315,29 @@ def test_white_noise_is_rng_normal_bit_for_bit(envelope, density, rate, n):
     assert out.tobytes() == expected.tobytes()
 
 
-# key entries as SeedSequence splits them: one 32-bit word, the edges of
-# two, and up to four words
-_ENTRIES = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64, 2**96]),
-                     st.integers(0, 2**96))
-
-
-@given(keys=st.lists(st.lists(_ENTRIES, min_size=1, max_size=8).map(tuple),
-                     max_size=12),
-       seed=st.one_of(st.none(), st.integers(2**32, 2**96)))
-def test_seed_lanes_draw_the_bits_of_default_rng(keys, seed):
-    # each lane is the state default_rng(key) builds, and one PCG64
-    # reseeded to it draws that generator's bits; a batch mixes keys of
-    # 1-8 entries (zero-padded up to SeedSequence's 4-word pool, every word
-    # counting past it), and a run's keys may all lead with a seed of two
-    # or more words
-    if seed is not None:
-        keys = [(seed, *key[1:]) for key in keys]
-    lanes = signal_model.seed_lanes(keys)
-    assert len(lanes) == len(keys)
-    bits = np.random.PCG64(0)
-    rng = np.random.Generator(bits)
-    for key, lane in zip(keys, lanes):
-        reference = np.random.default_rng(key)
-        assert lane == reference.bit_generator.state, key
-        bits.state = lane
-        assert rng.standard_normal(7).tobytes() == \
-            reference.standard_normal(7).tobytes(), key
-
-
-@pytest.mark.parametrize("key", [(-1,), (7, 0, -1), (2**32, -2**40)])
-def test_seed_lanes_refuse_a_negative_entry_as_seed_sequence_does(key):
-    with pytest.raises(ValueError):
-        np.random.SeedSequence(key)
-    with pytest.raises(ValueError, match="non-negative"):
-        signal_model.seed_lanes([(1, 2), key])
+@pytest.mark.parametrize("envelope", [False, True])
+def test_white_noise_stack_is_one_stream_row_after_row(envelope):
+    # a stack's rows, one density each, hold the bits of numpy's normal
+    # drawn from one generator in row order, whether it fills a new array
+    # or the out it is given
+    densities, rate, n = [2.3e-14, 1e-10, 7.5e-20, 2.3e-14], 5000.0, 37
+    reference = np.random.default_rng((3, 5, 0))
+    rows = []
+    for density in densities:
+        row = reference.normal(0.0, math.sqrt(density * rate / (
+            4.0 if envelope else 2.0)), 2 * n if envelope else n)
+        rows.append(row.view(complex) if envelope else row)
+    expected = np.array(rows)
+    fresh = white_noise(np.random.default_rng((3, 5, 0)), densities, rate,
+                        n, envelope)
+    out = np.full((len(densities), n), np.nan,
+                  complex if envelope else float)
+    filled = white_noise(np.random.default_rng((3, 5, 0)), densities, rate,
+                         n, envelope, out=out)
+    assert filled is out
+    assert fresh.dtype == expected.dtype and fresh.shape == expected.shape
+    assert fresh.tobytes() == expected.tobytes()
+    assert out.tobytes() == expected.tobytes()
 
 
 def test_synthesize_zero_power_is_silent():
