@@ -20,8 +20,11 @@ the columns and header keys of every output (the ``*_to_csv`` functions,
 ``fit_report`` and ``make_sensitivity_report``), and the physics modules
 write nothing. ``config.validate_config`` checks each key and the rules that
 span keys, the same for every mode; a handler checks the rules only its
-mode needs. Among them each failure of the chain at a power,
-g(P) and N(P) from ``detector.chain_at``, has one rule that a mode calls
+mode needs. A mode's tone is the resonance at its power, from
+``_resonance``: ``resonance.*`` at ``sim.probe_power``, which
+``saturation.*`` scale to the other powers sensitivity-sweep reads.
+Each failure of the chain at a power, g(P) and N(P) from
+``detector.chain_at``, has one rule that a mode calls
 at the powers it reads: a dark background (``_require_background``) or a
 missing tone (``_require_tone``) at the lowest, an overflow at the top.
 Exit codes: 0 success, 2 configuration error (an array too large to
@@ -83,7 +86,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -249,8 +252,9 @@ def _require_lockin_fits(cfg: ExperimentConfig, lowest: float) -> None:
 
 
 def _require_analyzer_fits(cfg: ExperimentConfig, field: FieldConfig,
-                           band: tuple, power_key: str, phi0: float,
-                           gamma: float, band_key="spectrum.bg_window") -> None:
+                           band: tuple, power_key: str,
+                           res: Optional[ResonanceParams],
+                           band_key="spectrum.bg_window") -> None:
     """float64 must resolve the analyzer's bins at the top of band, around
     field's carrier, and band's two edges; its flat-top segment must fit
     band's envelope and series, and a spectrum.vbw below spectrum.rbw must
@@ -259,8 +263,8 @@ def _require_analyzer_fits(cfg: ExperimentConfig, field: FieldConfig,
 
     The periodogram must stay finite at the power power_key sets, the
     highest the mode reads. Its largest bin is at most segments x (a +
-    sqrt(tail x m))^2: a the tone's amplitude in its bin (a resonance of
-    phi0 rad and gamma Hz FWHM at the chain's angle gain), m the noise
+    sqrt(tail x m))^2: a the tone's amplitude in its bin (the resonance
+    res, or none where res is None, at the chain's angle gain), m the noise
     budget's mean squared bin, and tail = ln(segments x bins /
     _TAIL_CHANCE). Squared noise bins are exponential about m, so the
     largest of a trace's segments x bins exceeds tail x m with chance
@@ -298,11 +302,9 @@ def _require_analyzer_fits(cfg: ExperimentConfig, field: FieldConfig,
             f"{band_key} trace, (1 - pole) x bins = {movement!r}, is below "
             "1: every trace would stay near its first bins' level")
     power = _setting(cfg, power_key)
-    res = ResonanceParams(phi0, gamma, _center_freq(cfg, field))
     with np.errstate(over="ignore", invalid="ignore"):  # NaN or inf: refused
         gain, density = chain_at(cfg, power)
-        # phi0 = 0 has no tone at any width, as coherent_rotation builds none
-        tone = 0.0 if phi0 == 0.0 else math.hypot(*lorentzian_quadratures(
+        tone = 0.0 if res is None else math.hypot(*lorentzian_quadratures(
             2.0 * math.pi * (field.modulation_freq - res.center_freq), res))
     peak = 0.5 * gain * tone * float(window.sum())  # the envelope tone's bin
     noise = float(density) * rate * float(np.sum(window ** 2)) / 2.0
@@ -357,21 +359,39 @@ def _require_tone(cfg: ExperimentConfig, power_key: str, phi0: float,
             "set by " + _listed(power_key, *phi0_keys, *_GAIN_KEYS))
 
 
-def _resonance(cfg: ExperimentConfig) -> ResonanceParams:
-    """The resonance of cfg's field, whose quadratures at its carrier must
-    be finite: on resonance (pi * gamma_fwhm)^2 underflows to 0 below about
-    5e-163 Hz, and overflows above about 4e153 Hz."""
-    mod = cfg.field.modulation_freq
-    res = ResonanceParams(cfg.resonance.phi0, cfg.resonance.gamma_fwhm,
-                          _center_freq(cfg, cfg.field))
+def _resonance(cfg: ExperimentConfig, power: float) -> ResonanceParams:
+    """The resonance of cfg's field at power, which every mode reads:
+    resonance.* bit for bit at sim.probe_power P0 (0 W included), else
+    its phi0 times s(P)/s(P0), s(P) = P / (P + saturation.p_sat), refused
+    at s(P0) = 0, and its gamma_fwhm times (p_broad + P) / (p_broad + P0),
+    p_broad = saturation.p_broad."""
+    phi0, gamma = cfg.resonance.phi0, cfg.resonance.gamma_fwhm
+    sat, p0 = cfg.saturation, cfg.sim.probe_power
+    if power != p0:
+        s0 = p0 / (p0 + sat.p_sat)
+        _require(s0 > 0.0, "sim.probe_power", p0, "the saturation s(P0) = "
+                 "P0 / (P0 + saturation.p_sat), which scales resonance.phi0 "
+                 "to other powers as s(P)/s(P0), must be > 0")
+        phi0 *= (power / (power + sat.p_sat)) / s0
+        gamma *= (sat.p_broad + power) / (sat.p_broad + p0)
+    return ResonanceParams(phi0, gamma, _center_freq(cfg, cfg.field))
+
+
+def _require_quadratures(cfg: ExperimentConfig, res: ResonanceParams,
+                         key="resonance.gamma_fwhm", width="") -> None:
+    """res's quadratures at cfg's carrier must be finite, or key is refused:
+    on resonance (pi * gamma_fwhm)^2 underflows to 0 below about 5e-163
+    Hz, and overflows above about 4e153 Hz; width names the keys that set
+    res's width, if key is not the width's own."""
+    mod, gamma = cfg.field.modulation_freq, res.gamma_fwhm
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        phi = lorentzian_quadratures(2.0 * math.pi * (mod - res.center_freq),
-                                     res)
-    _require(all(map(math.isfinite, phi)), "resonance.gamma_fwhm",
-             res.gamma_fwhm, f"the quadratures (phi_P, phi_Q) = {phi!r} at "
-             f"the carrier ({mod!r} Hz) must be finite; (pi * gamma_fwhm)^2 "
-             "must neither underflow to 0 nor overflow")
-    return res
+        phi = (lorentzian_quadratures(2.0 * math.pi * (mod - res.center_freq),
+                                      res) if 0.0 < gamma < math.inf
+               else (math.nan, math.nan))  # a width that rounded away
+    _require(all(map(math.isfinite, phi)), key, gamma, "the quadratures "
+             f"(phi_P, phi_Q) = {phi!r} at the carrier ({mod!r} Hz) must be "
+             "finite; (pi * gamma_fwhm)^2 must neither underflow to 0 nor "
+             "overflow" + width)
 
 
 def _series_grid(cfg: ExperimentConfig, band) -> tuple:
@@ -611,7 +631,8 @@ def _run_simulate(cfg: ExperimentConfig, spec: ScenarioSpec) -> list:
     _require(all(v < math.inf for v in chain), "sim.probe_power",
              power, "the chain's angle gain g(P) and noise N(P) = A + B*P + "
              "C*P^2 at this power must be finite")
-    res = _resonance(cfg)
+    res = _resonance(cfg, power)
+    _require_quadratures(cfg, res)
     flux = photon_flux(power, cfg.atom.probe_wavelength)
     _require(flux == 0.0 or shot_noise_angle_density(flux)
              * cfg.sim.sample_rate / 2.0 < math.inf, "sim.probe_power", power,
@@ -639,15 +660,16 @@ def _demod_rows(cfg: ExperimentConfig, res: ResonanceParams,
 
 
 def _demod_grid(cfg: ExperimentConfig) -> tuple[ResonanceParams, np.ndarray]:
-    """The resonance demod-sweep measures and its carrier grid, above 0 Hz."""
-    points, phi0 = cfg.sweep.freq_points, cfg.resonance.phi0
+    """The resonance demod-sweep measures, at sim.probe_power, and its
+    carrier grid, above 0 Hz."""
+    points, res = cfg.sweep.freq_points, _resonance(cfg, cfg.sim.probe_power)
     _require(points >= 7, "sweep.freq_points", points,
              "must be >= 7 for the Lorentzian fit")
-    center = _center_freq(cfg, cfg.field)
-    halfspan = cfg.sweep.freq_halfspan_widths * cfg.resonance.gamma_fwhm
+    center = res.center_freq
+    halfspan = cfg.sweep.freq_halfspan_widths * res.gamma_fwhm
     # the field leaves the lock-in's bandwidth resolved: the width is at fault
     _require(not halfspan < math.ulp(center) < cfg.lockin.output_bandwidth,
-             "resonance.gamma_fwhm", cfg.resonance.gamma_fwhm, "the grid's "
+             "resonance.gamma_fwhm", res.gamma_fwhm, "the grid's "
              f"half-span, sweep.freq_halfspan_widths x gamma = {halfspan!r} "
              f"Hz, must exceed float64's spacing at the carrier {center!r} Hz")
     if center - halfspan <= 0.0:
@@ -661,7 +683,7 @@ def _demod_grid(cfg: ExperimentConfig) -> tuple[ResonanceParams, np.ndarray]:
                       2.0 * halfspan / (points - 1), "carrier grid step",
                       "2 x sweep.freq_halfspan_widths x resonance.gamma_fwhm"
                       " / (sweep.freq_points - 1)")
-    return ResonanceParams(phi0, cfg.resonance.gamma_fwhm, center), freqs
+    return res, freqs
 
 
 def _run_demod_sweep(cfg: ExperimentConfig, spec: ScenarioSpec) -> list:
@@ -711,19 +733,16 @@ def _run_demod_sweep(cfg: ExperimentConfig, spec: ScenarioSpec) -> list:
 
 
 def _spectrum_stack(cfg: ExperimentConfig, key: tuple, count: int,
-                    power: float, phi0: float, gamma_fwhm: float,
+                    power: float, res: ResonanceParams,
                     band: Optional[tuple], span: Optional[tuple] = None,
                     count_key: str = "sim.duration") -> PowerSpectrum:
-    """count on- and off-resonance analyzer traces of the band, sliced to
-    span: one stacked estimate, on stream key+(0,), whose rows alternate
-    on, off."""
-    field = cfg.field
-    center = _center_freq(cfg, field)
-    sides = [ResonanceParams(amplitude, gamma_fwhm, center)
-             for amplitude in (phi0, 0.0)]
-    rows = ((res, power) for _ in range(count) for res in sides)
-    stack = _detected_stack(cfg, field.modulation_freq, band, rows, 2 * count,
-                            key, count_key)
+    """count on- and off-resonance analyzer traces of the band at power,
+    on res and on res without its tone, sliced to span: one stacked
+    estimate, on stream key+(0,), whose rows alternate on, off."""
+    sides = (res, replace(res, phi0=0.0))
+    rows = ((side, power) for _ in range(count) for side in sides)
+    stack = _detected_stack(cfg, cfg.field.modulation_freq, band, rows,
+                            2 * count, key, count_key)
     return psd_estimate(stack, cfg.spectrum.rbw, cfg.spectrum.vbw, span=span)
 
 
@@ -731,16 +750,15 @@ def _run_spectrum(cfg: ExperimentConfig, spec: ScenarioSpec) -> list:
     mod, sp = cfg.field.modulation_freq, cfg.spectrum
     _bg_band(cfg, cfg.field)  # the window peak_and_background averages
     span = (max(mod - sp.span / 2.0, 0.0), mod + sp.span / 2.0)
-    _resonance(cfg)  # the tone _require_analyzer_fits reads
-    _require_analyzer_fits(cfg, cfg.field, span, "sim.probe_power",
-                           cfg.resonance.phi0, cfg.resonance.gamma_fwhm,
+    power = cfg.sim.probe_power
+    res = _resonance(cfg, power)
+    _require_quadratures(cfg, res)
+    _require_analyzer_fits(cfg, cfg.field, span, "sim.probe_power", res,
                            "spectrum.span")
     _require_background(cfg, "sim.probe_power")
-    _require_tone(cfg, "sim.probe_power", cfg.resonance.phi0, "resonance.phi0")
-    spec_on, spec_off = _spectrum_stack(
-        cfg, (spec.seed,), 1, cfg.sim.probe_power, cfg.resonance.phi0,
-        cfg.resonance.gamma_fwhm, span, span,
-    ).rows()
+    _require_tone(cfg, "sim.probe_power", res.phi0, "resonance.phi0")
+    spec_on, spec_off = _spectrum_stack(cfg, (spec.seed,), 1, power, res,
+                                        span, span).rows()
     try:
         s_sig, s_bg = peak_and_background(spec_on, spec_off, mod, sp.bg_window)
     except ValueError as exc:  # the window overruns the trace or skips its bins
@@ -796,7 +814,7 @@ def _run_noise_scan(cfg: ExperimentConfig, spec: ScenarioSpec) -> list:
         scans.append(("noise_scan_high", "fig4b_noise.dat", field2))
     for _, _, field in scans:
         _require_analyzer_fits(cfg, field, _bg_band(cfg, field),
-                               "sweep.power_max", 0.0, cfg.resonance.gamma_fwhm)
+                               "sweep.power_max", None)
     powers = [0.0] * dark + list(_power_grid(cfg))
     if dark:
         _require_background(cfg, "noisescan.include_zero", 0.0)
@@ -867,22 +885,21 @@ def _sweep_point_sensitivity(args):
     """(cfg, seed, power index, power) -> one sensitivity-sweep row, its
     traces on stream (seed, power index, 0)."""
     cfg, spec_seed, index, power = args
-    sat = cfg.saturation
-    phi0 = sat.phi0_at(power)
-    gamma = sat.gamma_at(power)
+    res = _resonance(cfg, power)
     mod = cfg.field.modulation_freq
     band = _bg_band(cfg, cfg.field)
     traces = cfg.sweep.trace_avg
-    spectra = _spectrum_stack(cfg, (spec_seed, index), traces, power, phi0,
-                              gamma, band, count_key="sweep.trace_avg")
+    spectra = _spectrum_stack(cfg, (spec_seed, index), traces, power, res,
+                              band, count_key="sweep.trace_avg")
     on, off = spectra.rows(2)  # the stack alternates on, off
     peaks, backgrounds = peak_and_background(on, off, mod,
                                              cfg.spectrum.bg_window)
     s_sig, s_bg = sum(peaks) / traces, sum(backgrounds) / traces
     snr = compute_snr(s_sig, s_bg, spectra.enbw)
-    delta_b = sensitivity(gamma, snr, cfg.atom.g_f)
+    delta_b = sensitivity(res.gamma_fwhm, snr, cfg.atom.g_f)
     return {
-        "power_w": power, "phi0_rad": phi0, "gamma_fwhm_hz": gamma,
+        "power_w": power, "phi0_rad": res.phi0,
+        "gamma_fwhm_hz": res.gamma_fwhm,
         "s_sig_w_per_hz": s_sig, "s_bg_w_per_hz": s_bg, "snr": snr,
         "delta_b_t_per_sqrt_hz": delta_b,
     }
@@ -896,13 +913,21 @@ def _sweep_rows(cfg: ExperimentConfig, seed: int, chunk: list) -> list[dict]:
 def _run_sensitivity_sweep(cfg: ExperimentConfig,
                            spec: ScenarioSpec) -> list:
     powers = _power_grid(cfg)
-    top, sat = cfg.sweep.power_max, cfg.saturation
+    sw = cfg.sweep
+    low, top = (_resonance(cfg, p) for p in (sw.power_min, sw.power_max))
+    _require(top.phi0 < 1.0, "sweep.power_max", sw.power_max, "phi0(P) = "
+             "resonance.phi0 * s(P)/s(P0), s set by saturation.p_sat and "
+             f"sim.probe_power, is {top.phi0!r} rad at this power and must "
+             "be < 1 rad (small-angle rotation)")
+    for key, res in (("sweep.power_min", low), ("sweep.power_max", top)):
+        _require_quadratures(cfg, res, key, " at this power's width gamma(P),"
+                             " set by resonance.gamma_fwhm, saturation.p_broad"
+                             " and sim.probe_power")
     _require_analyzer_fits(cfg, cfg.field, _bg_band(cfg, cfg.field),
-                           "sweep.power_max", sat.phi0_at(top),
-                           sat.gamma_at(top))
+                           "sweep.power_max", top)
     _require_background(cfg, "sweep.power_min")
-    _require_tone(cfg, "sweep.power_min", sat.phi0_at(cfg.sweep.power_min),
-                  "saturation.phi0_scale", "saturation.p_sat")
+    _require_tone(cfg, "sweep.power_min", low.phi0, "resonance.phi0",
+                  "saturation.p_sat", "sim.probe_power")
     floor = projection_noise(cfg.atom, cfg.analysis.integration_time)
     _require(0.0 < floor < math.inf, "analysis.integration_time", floor,
              "the projection-noise floor in T/sqrt(Hz) must be finite and "

@@ -25,7 +25,7 @@ A key is a field of an ``ExperimentConfig`` section, named
 field, and ``_KEY_TABLE`` is derived from the dataclasses. The table drives
 the parser, the environment overrides, ``serialize_config``, the manifest
 and ``validate_config``; only the rules that span keys, and the
-small-angle ceiling on the two rotation amplitudes, are written out.
+small-angle ceiling on ``resonance.phi0``, are written out.
 ``validate_config`` is the same for every mode: a rule that only one mode
 needs sits with that mode's handler in ``cli``.
 
@@ -176,7 +176,7 @@ class FieldConfig:
 
 @dataclass
 class ResonanceSettings:
-    """Operated resonance shape: peak rotation amplitude and FWHM width."""
+    """The operated resonance at ``sim.probe_power``: peak rotation, FWHM."""
 
     phi0: float = _key(2.5e-3, ">=0")    # rad
     gamma_fwhm: float = _key(60.0, ">0", "Hz")
@@ -233,23 +233,14 @@ class SnlMapSettings:
 
 @dataclass
 class SaturationModel:
-    """Configurable power response of the operated resonance.
-
-    Amplitude saturates as phi0_scale * P / (P + p_sat); the width broadens
-    linearly as gamma0 * (1 + P / p_broad). Both are placeholders for a
-    pump/probe response that is measured, not derived.
+    """The shape of the resonance's power response, scaled to ``resonance.*``
+    at ``sim.probe_power`` (``cli._resonance``): amplitude saturates as
+    P / (P + p_sat), the width broadens as p_broad + P. Both are
+    placeholders for a pump/probe response that is measured, not derived.
     """
 
-    phi0_scale: float = _key(3e-3, ">=0")   # rad
     p_sat: float = _key(15e-6, ">0", "W")
-    gamma0: float = _key(20.0, ">0", "Hz")
     p_broad: float = _key(40e-6, ">0", "W")
-
-    def phi0_at(self, power: float) -> float:
-        return self.phi0_scale * power / (power + self.p_sat)
-
-    def gamma_at(self, power: float) -> float:
-        return self.gamma0 * (1.0 + power / self.p_broad)
 
 
 @dataclass
@@ -322,9 +313,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
 
     # the polarimeter reads rotations in its small-angle range, where the
     # chain's gain is linear; far past it the synthesized series overflows
-    for key, phi in (("resonance.phi0", cfg.resonance.phi0),
-                     ("saturation.phi0_scale", cfg.saturation.phi0_scale)):
-        _require(phi < 1.0, key, phi, "must be < 1 rad (small-angle rotation)")
+    _require(cfg.resonance.phi0 < 1.0, "resonance.phi0", cfg.resonance.phi0,
+             "must be < 1 rad (small-angle rotation)")
 
     a = cfg.atom
     n_atoms = _or_inf(lambda: a.atom_number)

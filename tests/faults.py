@@ -36,7 +36,8 @@ FAULTS = [
       for key in ("resonance.phi_zero", "detector.gain_uncertainty_rel",
                   "detector.electronic_noise_table",
                   "detector.photocurrent_convention", "snlmap.jitter_rel",
-                  "snlmap.elec_knee_freq", "field.detuning_delta")],
+                  "snlmap.elec_knee_freq", "field.detuning_delta",
+                  "saturation.phi0_scale", "saturation.gamma0")],
     ("simulate", "field.detuning_delta = 0", 2, "field.detuning_delta", None),
     *[("simulate", f"{key} = {value}", 2, key, None)
       for key, value in (("sim.duration", "inf"), ("sim.probe_power", "inf"),
@@ -66,7 +67,8 @@ FAULTS = [
        "detector.electronic_noise_floor = 0", 2, "snlmap.k_values", None)
       for k in ("inf", "1e400")],
     # powers ** 2 in the budget overflow where the power is read: P^2 at
-    # 1e200; at 1e150 the analyzer's periodogram, or noise-scan's fit matrix
+    # 1e200; at 1e150 the analyzer's periodogram, noise-scan's fit matrix,
+    # or sensitivity-sweep's resonance width (its rule is below)
     ("sensitivity-sweep", "sweep.power_max = 1e300", 2, "sweep.power_max",
      None),
     *[(mode, "sim.probe_power = 1e200", 2, "sim.probe_power", None)
@@ -87,12 +89,13 @@ FAULTS = [
         ("noise-scan", "sweep.power_min = 1e-144"))],
     # a mode refuses only the powers it reads: snl-map none, simulate,
     # spectrum and demod-sweep sim.probe_power, the sweeps their grid
+    # (sensitivity-sweep reads sim.probe_power too, as its resonance's
+    # anchor; its rules are below)
     *[("snl-map", f"{key} = 1e300", 0, None, None)
       for key in ("sim.probe_power", "sweep.power_max")],
     *[(mode, "sweep.power_max = 1e300", 0, None, None)
       for mode in ("simulate", "spectrum", "demod-sweep")],
-    *[(mode, "sim.probe_power = 1e300", 0, None, None)
-      for mode in ("noise-scan", "sensitivity-sweep")],
+    ("noise-scan", "sim.probe_power = 1e300", 0, None, None),
     # the lock-in cannot refer rows to radians: g = 0 (nu = c/lambda
     # overflows), or N(P)/g^2 overflows; the message names the chain keys
     ("demod-sweep", "atom.probe_wavelength = 1e-300", 2,
@@ -216,7 +219,7 @@ FAULTS = [
      "noisescan.include_zero = true", 0, None, None),
     # no resonance to fit, or for spectrum an SNR read off noise alone
     *[(mode, "resonance.phi0 = 0", 2, "resonance.phi0", None)
-      for mode in ("demod-sweep", "spectrum")],
+      for mode in ("demod-sweep", "spectrum", "sensitivity-sweep")],
     # no background at the lowest power an analyzer mode reads: nu = c/lambda
     # overflows, so B and g are 0 on the built-in zero electronic floor; or
     # spectrum's probe is dark
@@ -227,8 +230,6 @@ FAULTS = [
                               ("sensitivity-sweep", "sweep.power_min"))],
     ("spectrum", "sim.probe_power = 0", 2, "sim.probe_power", None),
     # no tone above the background: every reading would be noise alone
-    ("sensitivity-sweep", "saturation.phi0_scale = 0", 2,
-     "saturation.phi0_scale", None),
     ("sensitivity-sweep", "detector.electronic_noise_floor = 1e-14\n"
      "atom.probe_wavelength = 1e-300", 2,
      ("sweep.power_min", "atom.probe_wavelength"), None),
@@ -262,8 +263,33 @@ FAULTS = [
     # demod-sweep's grid half-span, 4 widths, rounds away at its carrier
     *[("demod-sweep", f"resonance.gamma_fwhm = {gamma}", 2,
        "resonance.gamma_fwhm", None) for gamma in ("5e-324", "1e-300")],
-    ("sensitivity-sweep", "saturation.phi0_scale = 1e300", 2,
-     "saturation.phi0_scale", None),
+    # sensitivity-sweep scales resonance.* at sim.probe_power P0 to each
+    # swept power P by the saturation s(P)/s(P0), s(P) = P / (P + p_sat):
+    # s(P0) = 0 at a dark P0 or where s underflows; phi0 at the top power
+    # past the small-angle range (5e-324 W reads an s(P0) so small that
+    # the scale overflows); or the width (p_broad + P) / (p_broad + P0)
+    # times resonance.gamma_fwhm whose quadratures are not finite, too
+    # narrow at sweep.power_min below a huge P0 or too wide at the top
+    ("sensitivity-sweep", "sim.probe_power = 0", 2,
+     ("sim.probe_power", "saturation.p_sat"),
+     "sim.probe_power: the saturation s(P0) = P0 / (P0 + saturation.p_sat), "
+     "which scales resonance.phi0 to other powers as s(P)/s(P0), must be "
+     "> 0 (got 0.0)"),
+    ("sensitivity-sweep", "saturation.p_sat = 1e300\nsim.probe_power = 1e-30",
+     2, ("sim.probe_power", "saturation.p_sat"), None),
+    *[("sensitivity-sweep", setting, 2, ("sweep.power_max", "resonance.phi0",
+                                         "saturation.p_sat", "sim.probe_power"),
+       None) for setting in ("resonance.phi0 = 0.9", "sim.probe_power = 1e-8",
+                             "sim.probe_power = 5e-324")],
+    ("sensitivity-sweep", "resonance.phi0 = 0.8", 0, None, None),
+    *[("sensitivity-sweep", setting, 2, (key, "resonance.gamma_fwhm",
+                                         "saturation.p_broad", "sim.probe_power"),
+       None) for key, setting in (
+           ("sweep.power_min", "sim.probe_power = 1e300"),
+           ("sweep.power_max", "resonance.gamma_fwhm = 1e153"))],
+    # simulate reads resonance.* as it is at its P0, a dark one included
+    ("simulate", "sim.probe_power = 0", 0, None, None),
+    ("simulate", "resonance.gamma_fwhm = 1e153", 0, None, None),
     # the projection-noise floor sensitivity_report.json quotes must be
     # finite, or the report is not JSON, and > 0; the rule leads with
     # analysis.integration_time and lists the atom.* keys that set it too

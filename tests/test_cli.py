@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 import types
 from dataclasses import replace
 from pathlib import Path
@@ -24,8 +25,10 @@ from amorsim.cli import MODES, ScenarioSpec, emit_plotdata, main, run_scenario
 from amorsim.config import (
     _KEY_TABLE,
     ConfigError,
+    ExperimentConfig,
     FieldConfig,
     larmor_doubled_freq,
+    validate_config,
 )
 from amorsim.detector import (DetectedTimeSeries, angle_gain_from_chain,
                               chain_at, theory_budget)
@@ -242,12 +245,83 @@ def test_sensitivity_sweep_reads_the_budget_across_seeds():
     assert len(points) == 21
     for index, power in points:
         gain, density = chain_at(cfg, power)
-        tone = gain * cfg.saturation.phi0_at(power)
+        tone = gain * amorsim.cli._resonance(cfg, power).phi0
         rows = [run[index] for run in runs]
         for column, truth in (("s_bg_w_per_hz", density),
                               ("snr", tone / math.sqrt(2.0 * density))):
             mean, stderr = mean_and_sem([row[column] / truth for row in rows])
             assert abs(mean - 1.0) < 4.0 * stderr, (power, column)
+
+
+_POSITIVE = st.floats(min_value=5e-324, allow_infinity=False)
+
+
+@given(phi0=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+       gamma=_POSITIVE, p_sat=_POSITIVE, p_broad=_POSITIVE,
+       p0=st.one_of(st.just(0.0), st.floats(min_value=0.0,
+                                            allow_infinity=False)))
+def test_resonance_at_the_probe_power_is_the_resonance_keys(phi0, gamma,
+                                                           p_sat, p_broad,
+                                                           p0):
+    # every mode's resonance at sim.probe_power is resonance.* bit for bit,
+    # a dark probe included
+    cfg = ExperimentConfig()
+    cfg.resonance = replace(cfg.resonance, phi0=phi0, gamma_fwhm=gamma)
+    cfg.saturation = replace(cfg.saturation, p_sat=p_sat, p_broad=p_broad)
+    cfg.sim = replace(cfg.sim, probe_power=p0)
+    res = amorsim.cli._resonance(validate_config(cfg), p0)
+    assert (res.phi0.hex(), res.gamma_fwhm.hex()) == (phi0.hex(), gamma.hex())
+
+
+@given(phi0=st.floats(min_value=1e-4, max_value=0.45),
+       gamma=st.floats(min_value=1.0, max_value=1e3),
+       p0=st.floats(min_value=1e-6, max_value=1e-3),
+       p_sat=st.floats(min_value=1e-7, max_value=1e-2),
+       p_broad=st.floats(min_value=1e-7, max_value=1e-2))
+def test_sensitivity_sweep_writes_the_resonance_keys_at_the_probe_power(
+        phi0, gamma, p0, p_sat, p_broad):
+    # a grid that starts at sim.probe_power (geomspace returns its start
+    # exactly) writes resonance.* in its first row
+    config = (f"resonance.phi0 = {phi0!r}\nresonance.gamma_fwhm = {gamma!r}\n"
+              f"sim.probe_power = {p0!r}\nsweep.power_min = {p0!r}\n"
+              f"sweep.power_max = {2.0 * p0!r}\nsweep.power_points = 2\n"
+              f"sweep.trace_avg = 1\nsaturation.p_sat = {p_sat!r}\n"
+              f"saturation.p_broad = {p_broad!r}\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "anchor.cfg", Path(tmp) / "o"
+        path.write_text(config)
+        assert main(["sensitivity-sweep", "--config", str(path),
+                     "--out", str(out)]) == 0
+        columns, data, _ = read_table(out / "sensitivity_sweep.csv")
+    table = dict(zip(columns, data))
+    assert table["power_w"][0] == p0
+    assert (table["phi0_rad"][0], table["gamma_fwhm_hz"][0]) == (phi0, gamma)
+
+
+def test_spectrum_and_sensitivity_sweep_read_one_snr_across_seeds(tmp_path):
+    # with sim.probe_power on the sweep's grid, spectrum's SNR and the
+    # sweep's SNR at that power are one estimate of one resonance: over
+    # 20 seeds their means agree within 4 standard errors
+    config = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+    path = tmp_path / "anchor.cfg"
+    path.write_text(config.read_text() + "sweep.power_min = 80.5 uW\n"
+                    "sweep.power_points = 2\n")
+    probe = amorsim.cli._load_config(ScenarioSpec(
+        "spectrum", str(path))).sim.probe_power
+    spectrum, sweep = [], []
+    for seed in SWEEP_SEEDS:
+        for mode in ("spectrum", "sensitivity-sweep"):
+            out = tmp_path / f"{mode}-{seed}"
+            assert run_scenario(ScenarioSpec(mode, str(path), str(out),
+                                             seed)) == 0
+        spectrum.append(json.loads((out.parent / f"spectrum-{seed}"
+                                    / "snr.json").read_text())["snr"])
+        columns, data, _ = read_table(out / "sensitivity_sweep.csv")
+        table = dict(zip(columns, data))
+        assert table["power_w"][0] == probe
+        sweep.append(float(table["snr"][0]))
+    (mean_a, sem_a), (mean_b, sem_b) = map(mean_and_sem, (spectrum, sweep))
+    assert abs(mean_a - mean_b) < 4.0 * math.hypot(sem_a, sem_b)
 
 
 def test_stacked_analyzer_matches_per_point_estimates(mode_run, fast_config):
@@ -276,11 +350,11 @@ def test_stacked_analyzer_matches_per_point_estimates(mode_run, fast_config):
                                     / "noise_scan.csv")
     assert written.tolist() == levels
 
-    sat, count = cfg.saturation, cfg.sweep.trace_avg
+    count = cfg.sweep.trace_avg
     s_sig, s_bg = [], []
     for i, p in enumerate(amorsim.cli._power_grid(cfg)):
-        sides = [ResonanceParams(phi0, sat.gamma_at(p), center)
-                 for phi0 in (sat.phi0_at(p), 0.0)]
+        res = amorsim.cli._resonance(cfg, p)
+        sides = [res, replace(res, phi0=0.0)]
         rows = traces([(res, p) for _ in range(count) for res in sides],
                       (seed, i))
         parts = [peak_and_background(on, off, field.modulation_freq,
@@ -687,11 +761,9 @@ def test_default_sweep_point_synthesizes_once_per_side(monkeypatch):
     assert len(calls) <= 2 < 2 * traces
     [stack] = stacks
     assert stack.shape[0] == 2 * traces
-    field, sat = cfg.field, cfg.saturation
+    field, res = cfg.field, amorsim.cli._resonance(cfg, power)
     band = amorsim.cli._bg_band(cfg, field)
-    sides = [ResonanceParams(phi0, sat.gamma_at(power),
-                             amorsim.cli._center_freq(cfg, field))
-             for phi0 in (sat.phi0_at(power), 0.0)]
+    sides = [res, replace(res, phi0=0.0)]
     expected = _reference_stack(cfg, field.modulation_freq, band,
                                 [(res, power) for _ in range(traces)
                                  for res in sides], (7, index))

@@ -270,12 +270,8 @@ BOUND_VIOLATIONS = [
      'snlmap.freq_bins: must be >= 1 (got 0)'),
     ('snlmap.second_gain_nominal', '0 V/A',
      'snlmap.second_gain_nominal: must be > 0 (got 0.0)'),
-    ('saturation.phi0_scale', '-3e-3',
-     'saturation.phi0_scale: must be >= 0 (got -0.003)'),
     ('saturation.p_sat', '0 uW',
      'saturation.p_sat: must be > 0 (got 0.0)'),
-    ('saturation.gamma0', '0 Hz',
-     'saturation.gamma0: must be > 0 (got 0.0)'),
     ('saturation.p_broad', '0',
      'saturation.p_broad: must be > 0 (got 0.0)'),
     ('analysis.snl_k', '0.5',
@@ -286,9 +282,6 @@ BOUND_VIOLATIONS = [
      'noisescan.second_b_field: must be > 0 (or none) (got 0.0)'),
     ('resonance.phi0', '1',
      'resonance.phi0: must be < 1 rad (small-angle rotation) (got 1.0)'),
-    ('saturation.phi0_scale', '1e300',
-     'saturation.phi0_scale: must be < 1 rad (small-angle rotation) '
-     '(got 1e+300)'),
     ('atom.cell_radius', '1e-110',
      'atom.density_n: derived atom number must be > 0 (got 1.27e+16)'),
     ('atom.cell_radius', '1e100',

@@ -195,11 +195,11 @@ def _peak_and_background(cfg, band, power, phi0, span=None, low_band=None):
     """Mean and standard error over SEEDS of one chain's peak, background
     and, with low_band (f_lo, f_hi), its off-resonance level there."""
     mod = cfg.field.modulation_freq
-    gamma = cfg.resonance.gamma_fwhm
+    res = replace(cli._resonance(cfg, cfg.sim.probe_power), phi0=phi0)
     rows = []
     for seed in SEEDS:
-        on, off = cli._spectrum_stack(cfg, (seed,), 1, power, phi0,
-                                      gamma, band, span).rows()
+        on, off = cli._spectrum_stack(cfg, (seed,), 1, power, res, band,
+                                      span).rows()
         row = list(peak_and_background(on, off, mod, cfg.spectrum.bg_window))
         if low_band is not None:
             sel = (off.freqs >= low_band[0]) & (off.freqs <= low_band[1])
@@ -268,11 +268,12 @@ def test_envelope_snr_estimator_is_unbiased_across_seeds(power):
                            technical_noise_coef=0.0)
     mod = cfg.field.modulation_freq
     band = cli._bg_band(cfg, cfg.field)
-    phi0 = cfg.resonance.phi0
+    res = cli._resonance(cfg, cfg.sim.probe_power)  # resonance.* at any power
+    phi0 = res.phi0
     snrs = []
     for seed in SEEDS:
-        on, off = cli._spectrum_stack(cfg, (seed,), 1, power, phi0,
-                                      cfg.resonance.gamma_fwhm, band).rows()
+        on, off = cli._spectrum_stack(cfg, (seed,), 1, power, res,
+                                      band).rows()
         s_sig, s_bg = peak_and_background(on, off, mod, cfg.spectrum.bg_window)
         snrs.append(compute_snr(s_sig, s_bg, on.enbw))
     mean, sem = mean_and_sem(snrs)
