@@ -304,6 +304,8 @@ def _require_analyzer_fits(cfg: ExperimentConfig, field: FieldConfig,
     power = _setting(cfg, power_key)
     with np.errstate(over="ignore", invalid="ignore"):  # NaN or inf: refused
         gain, density = chain_at(cfg, power)
+        # None (noise-scan's rows) reads no Lorentzian. A caller passing a res
+        # must first run _require_quadratures on it, so phi0 = 0 reads 0 here.
         tone = 0.0 if res is None else math.hypot(*lorentzian_quadratures(
             2.0 * math.pi * (field.modulation_freq - res.center_freq), res))
     peak = 0.5 * gain * tone * float(window.sum())  # the envelope tone's bin
