@@ -56,16 +56,18 @@ so ``(seed, 0)`` names ``(seed, 0, 0)``'s stream, while ``(1, 2, 3, 1)``
 and ``(1, 2, 3, 1, 0)`` differ.
 
 The analyzer modes and demod-sweep build their series as the rows of one
-array: ``_detected_stack`` allocates it from its row count, draws the
-stack's noise straight into it and adds each row's coherent wave.
-demod-sweep's stack holds one carrier per row, each on its own centre
-(``_demod_rows``), and goes to one ``lock_in_demodulate`` through
-``sweep_resonance``. Each analyzer stack goes to one ``psd_estimate``:
-spectrum its on/off pair, sensitivity-sweep the ``trace_avg`` on/off pairs
-of one power, noise-scan all of a scan's powers. All three read their
-traces with ``peak_and_background``, row by row: the peak at the
-modulation frequency and the background over ``spectrum.bg_window``
-around it.
+array, each row (res or None, power, carrier): the resonance whose tone
+it carries (None: no tone), the power that sets its chain, its carrier.
+``_detected_stack`` allocates the array from the row list's length, draws
+the stack's noise straight into it and adds each tone row's coherent wave.
+demod-sweep's rows each sit on their own carrier's centre (``_demod_rows``)
+and go to one ``lock_in_demodulate`` through ``sweep_resonance``. Each
+analyzer stack goes to one ``psd_estimate``: spectrum its on/off pair and
+sensitivity-sweep the ``trace_avg`` on/off pairs of one power, the off
+rows None, and noise-scan all of a scan's powers, every row None. All
+three read their traces with ``peak_and_background``, row by row: the
+peak at the modulation frequency and the background over
+``spectrum.bg_window`` around it.
 
 Analyzer bands. Every mode but simulate builds only the band its analyzer
 or lock-in reads, as the complex envelope of that band at a rate just
@@ -86,10 +88,10 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import numpy.random  # noqa: F401 numpy 2 loads it lazily; load it here, not mid-run
@@ -156,6 +158,9 @@ _TAIL_CHANCE = 1e-12
 _GAIN_KEYS = ("atom.probe_wavelength", "detector.quantum_efficiency",
               "detector.transimpedance_gain_nominal",
               "detector.gain_headroom_factor", "detector.analyzer_impedance")
+# the keys that set the noise N(P) = A + B*P + C*P^2, besides the power
+_NOISE_KEYS = ("detector.electronic_noise_floor", *_GAIN_KEYS,
+               "detector.technical_noise_coef")
 
 MODES = ("simulate", "demod-sweep", "spectrum", "noise-scan", "snl-map",
          "sensitivity-sweep")
@@ -209,13 +214,14 @@ def _center_freq(cfg: ExperimentConfig, field: FieldConfig) -> float:
 
 
 def _allocate(key: str, what: str, make, *args) -> np.ndarray:
-    """make(*args), an array numpy refuses (MemoryError, or ValueError past
-    its size limit) blamed on the config key that sized it."""
+    """make(*args), an array or list that does not fit (MemoryError, or
+    numpy's ValueError past its size limit) blamed on the config key that
+    sized it."""
     try:
         return make(*args)
     except (MemoryError, ValueError) as exc:
-        raise ConfigError(f"{key}: {what} do not fit in memory ({exc})"
-                          ) from exc
+        raise ConfigError(f"{key}: {what} do not fit in memory "
+                          f"({str(exc) or type(exc).__name__})") from exc
 
 
 def _setting(cfg: ExperimentConfig, key: str):
@@ -320,9 +326,7 @@ def _require_analyzer_fits(cfg: ExperimentConfig, field: FieldConfig,
             f"largest bin summed over {segments} segments (the tone's plus "
             f"{tail:.4g} times the noise's mean in each), must be finite "
             f"(got {level!r}); lower {power_key}, or the noise N(P) = A + "
-            "B*P + C*P^2 set by " + _listed(
-                "detector.electronic_noise_floor", *_GAIN_KEYS,
-                "detector.technical_noise_coef"))
+            "B*P + C*P^2 set by " + _listed(*_NOISE_KEYS))
 
 
 def _require_background(cfg: ExperimentConfig, key: str,
@@ -340,8 +344,7 @@ def _require_background(cfg: ExperimentConfig, key: str,
         raise ConfigError(
             f"{key}: the analyzer's background at {power!r} W, N(P) = "
             f"A + B*P + C*P^2 = {density!r} W/Hz, must be > 0{weight}. N is "
-            "set by " + _listed(key, "detector.electronic_noise_floor",
-                                *_GAIN_KEYS, "detector.technical_noise_coef"))
+            "set by " + _listed(key, *_NOISE_KEYS))
 
 
 def _require_tone(cfg: ExperimentConfig, power_key: str, phi0: float,
@@ -410,35 +413,36 @@ def _series_grid(cfg: ExperimentConfig, band) -> tuple:
     return center, rate, int(round(cfg.sim.duration * rate))
 
 
-def _detected_stack(cfg: ExperimentConfig, mod, band, rows: Iterable,
-                    count: int, key: tuple,
+def _detected_stack(cfg: ExperimentConfig, band, rows: list, key: tuple,
                     count_key: str = "sim.duration") -> DetectedTimeSeries:
-    """The count (res, power) rows, modulated at mod Hz, as the analyzer
-    input, written straight into one (count, n) stack on stream key+(0,).
+    """The rows, each (res or None, power, carrier Hz), as the analyzer
+    input, written straight into one (len(rows), n) stack on stream
+    key+(0,).
 
-    A row is the coherent rotation at the chain's angle gain g(P) plus a
-    white draw at the noise density N(P), both ``chain_at(cfg, power)``: N
-    holds shot, electronic and technical noise at once (see the
-    ``detector`` docstring). The stack, complex with a band, is allocated
-    before its rows are read or its stream is seeded, a size numpy refuses
-    blamed on sim.duration if one row is past it, else on count_key. The
-    rows share the band's sample rate and centre; the other scalar fields
-    describe the first row only. demod-sweep passes lists instead, a
-    carrier and a band of one width per row, each row on its own band's
-    centre (``center_freq`` is their list). No mode passes band=None: its
-    real stack at sim.sample_rate is the full-rate reference the tests
-    compare the envelopes with.
+    A row is the coherent rotation of res at its carrier, at the chain's
+    angle gain g(P), plus a white draw at the noise density N(P), both
+    ``chain_at(cfg, power)``: N holds shot, electronic and technical noise
+    at once (see the ``detector`` docstring). A None row has no tone: it is
+    the draw alone. The stack, complex with a band, is allocated before its
+    stream is seeded, a size numpy refuses blamed on sim.duration if one
+    row is past it, else on count_key. The rows share the band's sample
+    rate and centre; the other scalar fields describe row 0. demod-sweep
+    passes a list of bands of one width instead, one per row, each row on
+    its own band's centre (``center_freq`` is their list). No mode passes
+    band=None: its real stack at sim.sample_rate is the full-rate
+    reference the tests compare the envelopes with.
 
     The stack's noise is one ``white_noise`` draw from
     ``np.random.default_rng(key + (0,))``, row after row at each row's N,
     straight into the stack; the scaled coherent wave is added onto each
-    row. g and N are worked out once per distinct power, the wave once per
-    distinct (res, carrier, centre, power), at most two held at a time: a
-    sensitivity-sweep point's on and off sides. A resonance with no
-    deterministic part adds nothing.
+    row with a tone. g and N are worked out once per distinct power; a row
+    reuses the last wave built when its (res, carrier, centre, power)
+    match, as a sensitivity-sweep point's on rows do, and otherwise builds
+    its own.
     """
     center, rate, n = _series_grid(cfg, band)
     dtype = float if center is None else complex
+    count = len(rows)
     try:
         samples = np.empty((count, n), dtype)
     except (MemoryError, ValueError):  # one row numpy refuses: sim.duration's
@@ -448,26 +452,23 @@ def _detected_stack(cfg: ExperimentConfig, mod, band, rows: Iterable,
         samples = _allocate(count_key, f"{count!r} rows of {n!r} samples "
                             f"(sim.duration = {cfg.sim.duration!r} s)",
                             np.empty, (count, n), dtype)
-    rows = list(rows)
     chains = {power: chain_at(cfg, power)  # power -> (gain, density)
-              for power in dict.fromkeys(power for _, power in rows)}
+              for power in dict.fromkeys(power for _, power, _ in rows)}
     white_noise(np.random.default_rng(key + (0,)),
-                [chains[power][1] for _, power in rows], rate, n,
+                [chains[power][1] for _, power, _ in rows], rate, n,
                 center is not None, out=samples)
-    mods = mod if isinstance(mod, list) else [mod] * count
     centers = center if isinstance(center, list) else [center] * count
-    waves = {}  # (res fields, carrier, centre, power) -> scaled wave or None
-    for row, ((res, power), f, c) in enumerate(zip(rows, mods, centers)):
-        point = (res.phi0, res.gamma_fwhm, res.center_freq, f, c, power)
-        if point not in waves:
-            if len(waves) == 2:
-                waves.clear()
+    built = wave = None  # the (res, f, c, power) of the last wave, and it
+    for row, ((res, power, f), c) in enumerate(zip(rows, centers)):
+        if res is None:
+            continue
+        if built != (res, f, c, power):
+            built = (res, f, c, power)
             wave = coherent_rotation(res, f, rate, n, c)
-            # coherent_rotation returns a new array: scale it in place
-            waves[point] = (None if wave is None else
-                            np.multiply(wave, chains[power][0], out=wave))
-        if waves[point] is not None:
-            samples[row] += waves[point]
+            if wave is not None:  # a new array: scale it in place
+                wave *= chains[power][0]
+        if wave is not None:
+            samples[row] += wave
     power = rows[0][1]
     return DetectedTimeSeries(samples, rate, cfg.detector.gain_effective,
                               power, chains[power][0], key + (0,), center)
@@ -654,11 +655,10 @@ def _demod_rows(cfg: ExperimentConfig, res: ResonanceParams,
     order, on stream (seed, 0): each row the envelope of the lock-in's band
     around its carrier; the lock-in refers it back to radians."""
     half = _LOCKIN_HALFBAND * cfg.lockin.output_bandwidth
-    carriers = freqs.tolist()
-    return _detected_stack(cfg, carriers,
-                           [(f - half, f + half) for f in carriers],
-                           [(res, cfg.sim.probe_power)] * len(carriers),
-                           len(carriers), (seed,), "sweep.freq_points")
+    carriers, power = freqs.tolist(), cfg.sim.probe_power
+    return _detected_stack(cfg, [(f - half, f + half) for f in carriers],
+                           [(res, power, f) for f in carriers], (seed,),
+                           "sweep.freq_points")
 
 
 def _demod_grid(cfg: ExperimentConfig) -> tuple[ResonanceParams, np.ndarray]:
@@ -721,10 +721,8 @@ def _run_demod_sweep(cfg: ExperimentConfig, spec: ScenarioSpec) -> list:
             "resonance: the tone-to-noise ratio on the grid, phi0 / "
             "sqrt(N(P)/g(P)^2 * lockin.output_bandwidth) = "
             f"{ratio!r} at {power!r} W, is at most 1. "
-            "It is set by " + _listed(
-                "resonance.phi0", "sim.probe_power",
-                "detector.electronic_noise_floor", *_GAIN_KEYS,
-                "detector.technical_noise_coef")) from exc
+            "It is set by " + _listed("resonance.phi0", "sim.probe_power",
+                                      *_NOISE_KEYS)) from exc
     return [("resonance_curve.csv",
              partial(resonance_curve_to_csv, curve, seed=spec.seed)),
             ("resonance_fit.json", partial(write_json, doc=fit_report(fit))),
@@ -739,12 +737,12 @@ def _spectrum_stack(cfg: ExperimentConfig, key: tuple, count: int,
                     band: Optional[tuple], span: Optional[tuple] = None,
                     count_key: str = "sim.duration") -> PowerSpectrum:
     """count on- and off-resonance analyzer traces of the band at power,
-    on res and on res without its tone, sliced to span: one stacked
-    estimate, on stream key+(0,), whose rows alternate on, off."""
-    sides = (res, replace(res, phi0=0.0))
-    rows = ((side, power) for _ in range(count) for side in sides)
-    stack = _detected_stack(cfg, cfg.field.modulation_freq, band, rows,
-                            2 * count, key, count_key)
+    on res and on no tone, sliced to span: one stacked estimate, on stream
+    key+(0,), whose rows alternate on, off."""
+    mod = cfg.field.modulation_freq
+    rows = _allocate(count_key, f"{2 * count!r} rows", list.__mul__,
+                     [(res, power, mod), (None, power, mod)], count)
+    stack = _detected_stack(cfg, band, rows, key, count_key)
     return psd_estimate(stack, cfg.spectrum.rbw, cfg.spectrum.vbw, span=span)
 
 
@@ -791,13 +789,12 @@ def _noise_scan_at_field(cfg: ExperimentConfig, spec: ScenarioSpec,
     (seed, scan_index, 0), and their budget fit. One stacked estimate
     gives the levels, each row's background read over spectrum.bg_window
     around the carrier."""
-    res = ResonanceParams(0.0, cfg.resonance.gamma_fwhm,
-                          _center_freq(cfg, field))
-    stack = _detected_stack(cfg, field.modulation_freq, _bg_band(cfg, field),
-                            [(res, power) for power in powers], len(powers),
+    mod = field.modulation_freq
+    stack = _detected_stack(cfg, _bg_band(cfg, field),
+                            [(None, power, mod) for power in powers],
                             (spec.seed, scan_index), "sweep.power_points")
     traces = psd_estimate(stack, cfg.spectrum.rbw, cfg.spectrum.vbw)
-    levels = peak_and_background(traces, traces, field.modulation_freq,
+    levels = peak_and_background(traces, traces, mod,
                                  cfg.spectrum.bg_window)[1]
     # a dark trace (0 W; sweep.power_min is > 0) fixes the electronic term
     fixed = levels[0] if powers[0] == 0.0 else None
@@ -930,12 +927,12 @@ def _run_sensitivity_sweep(cfg: ExperimentConfig,
     _require_background(cfg, "sweep.power_min")
     _require_tone(cfg, "sweep.power_min", low.phi0, "resonance.phi0",
                   "saturation.p_sat", "sim.probe_power")
-    floor = projection_noise(cfg.atom, cfg.analysis.integration_time)
-    _require(0.0 < floor < math.inf, "analysis.integration_time", floor,
+    floor = projection_noise(cfg.atom, 1.0)  # at 1 s: a density, T/sqrt(Hz)
+    _require(0.0 < floor < math.inf, "atom.relaxation_gamma", floor,
              "the projection-noise floor in T/sqrt(Hz) must be finite and "
              "> 0. It is set by " + _listed(
-                 "analysis.integration_time", "atom.g_f", "atom.density_n",
-                 "atom.cell_radius", "atom.relaxation_gamma"))
+                 "atom.relaxation_gamma", "atom.g_f", "atom.density_n",
+                 "atom.cell_radius"))
     mod = cfg.field.modulation_freq
     budget = theory_budget(cfg, detection_freq=mod)
     rows = _pmap(partial(_sweep_rows, cfg, spec.seed),

@@ -246,7 +246,6 @@ class SaturationModel:
 @dataclass
 class AnalysisSettings:
     snl_k: float = _key(4.0, ">=1")
-    integration_time: float = _key(1.0, ">0")  # s, projection-noise estimate
 
 
 @dataclass

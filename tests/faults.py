@@ -19,7 +19,6 @@ than it must.
 
 _FLOOR = "detector.electronic_noise_floor = 1.35e-14"
 _ANALYZER_MODES = ("spectrum", "noise-scan", "sensitivity-sweep")
-_TIME = "analysis.integration_time"
 
 FAULTS = [
     ("simulate", "atom.cell_radius = 1e300", 2, "atom.cell_radius", None),
@@ -37,7 +36,12 @@ FAULTS = [
                   "detector.electronic_noise_table",
                   "detector.photocurrent_convention", "snlmap.jitter_rel",
                   "snlmap.elec_knee_freq", "field.detuning_delta",
-                  "saturation.phi0_scale", "saturation.gamma0")],
+                  "saturation.phi0_scale", "saturation.gamma0",
+                  "analysis.integration_time")],
+    # sensitivity-sweep once read analysis.integration_time; a density in
+    # T/sqrt(Hz) has none, so its config refuses the key too
+    ("sensitivity-sweep", "analysis.integration_time = 1.0", 2,
+     "analysis.integration_time", None),
     ("simulate", "field.detuning_delta = 0", 2, "field.detuning_delta", None),
     *[("simulate", f"{key} = {value}", 2, key, None)
       for key, value in (("sim.duration", "inf"), ("sim.probe_power", "inf"),
@@ -254,8 +258,8 @@ FAULTS = [
         "resonance.gamma_fwhm = 1e-150", "resonance.gamma_fwhm = 1e150",
         "sim.probe_power = 1e-300")],
     # spectrum's on-resonance tone shares simulate's rule; noise-scan's
-    # rows have no resonance (phi0 = 0), so they read no quadrature and
-    # run at any width
+    # rows are None rows with no tone, so they read no quadrature and run
+    # at any width
     *[(mode, f"resonance.gamma_fwhm = {gamma}", code,
        "resonance.gamma_fwhm" if code else None, None)
       for mode, code in (("spectrum", 2), ("noise-scan", 0))
@@ -292,12 +296,14 @@ FAULTS = [
     ("simulate", "resonance.gamma_fwhm = 1e153", 0, None, None),
     # the projection-noise floor sensitivity_report.json quotes must be
     # finite, or the report is not JSON, and > 0; the rule leads with
-    # analysis.integration_time and lists the atom.* keys that set it too
-    *[("sensitivity-sweep", f"{key} = {value}", 2,
-       key if key == _TIME else (key, _TIME), None)
-      for key, value in (("atom.density_n", "1e-320"), (_TIME, "5e-324"),
-                         ("atom.relaxation_gamma", "1e-320"),
-                         (_TIME, "1e300"))],
+    # atom.relaxation_gamma and lists the other atom.* keys that set it
+    ("sensitivity-sweep", "atom.density_n = 1e-320", 2,
+     ("atom.density_n", "atom.relaxation_gamma"), None),
+    ("sensitivity-sweep", "atom.relaxation_gamma = 1e-320", 2,
+     "atom.relaxation_gamma", None),
+    # at the other end of either key the floor stays finite and > 0
+    *[("sensitivity-sweep", f"{key} = 1e300", 0, None, None)
+      for key in ("atom.density_n", "atom.relaxation_gamma")],
     # a grid of 1e15 points: numpy refuses it at allocation, noise-scan's
     # before the dark point's floor rule
     ("noise-scan", f"sweep.power_points = {10 ** 15}\n"

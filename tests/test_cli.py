@@ -34,11 +34,7 @@ from amorsim.detector import (DetectedTimeSeries, angle_gain_from_chain,
                               chain_at, theory_budget)
 from amorsim.dsp import peak_and_background, psd_estimate
 from amorsim.fitting import FitError
-from amorsim.signal_model import (
-    ResonanceParams,
-    coherent_rotation,
-    photon_flux,
-)
+from amorsim.signal_model import coherent_rotation, photon_flux
 from amorsim.tables import read_table, write_json, write_table
 from conftest import mean_and_sem
 from faults import FAULTS
@@ -335,17 +331,15 @@ def test_stacked_analyzer_matches_per_point_estimates(mode_run, fast_config):
     cfg = amorsim.cli._load_config(ScenarioSpec("noise-scan", fast_config))
     field, sp = cfg.field, cfg.spectrum
     band = amorsim.cli._bg_band(cfg, field)
-    center = amorsim.cli._center_freq(cfg, field)
 
     def traces(rows, key, span=None):
         return [psd_estimate(row, sp.rbw, sp.vbw, span=span)
-                for row in _reference_stack(cfg, field.modulation_freq, band,
-                                            rows, key)]
+                for row in _reference_stack(cfg, band, rows, key)]
 
-    dark = ResonanceParams(0.0, cfg.resonance.gamma_fwhm, center)
+    mod = field.modulation_freq
     powers = [0.0, *amorsim.cli._power_grid(cfg)]
     levels = [float(trace.psd.mean()) for trace in traces(
-        [(dark, p) for p in powers], (seed, 0), band)]
+        [(None, p, mod) for p in powers], (seed, 0), band)]
     _, (_, written), _ = read_table(mode_run("noise-scan", seed)
                                     / "noise_scan.csv")
     assert written.tolist() == levels
@@ -354,11 +348,9 @@ def test_stacked_analyzer_matches_per_point_estimates(mode_run, fast_config):
     s_sig, s_bg = [], []
     for i, p in enumerate(amorsim.cli._power_grid(cfg)):
         res = amorsim.cli._resonance(cfg, p)
-        sides = [res, replace(res, phi0=0.0)]
-        rows = traces([(res, p) for _ in range(count) for res in sides],
-                      (seed, i))
-        parts = [peak_and_background(on, off, field.modulation_freq,
-                                     sp.bg_window)
+        rows = traces([(side, p, mod) for _ in range(count)
+                       for side in (res, None)], (seed, i))
+        parts = [peak_and_background(on, off, mod, sp.bg_window)
                  for on, off in zip(rows[0::2], rows[1::2])]
         s_sig.append(sum(part[0] for part in parts) / count)
         s_bg.append(sum(part[1] for part in parts) / count)
@@ -369,17 +361,19 @@ def test_stacked_analyzer_matches_per_point_estimates(mode_run, fast_config):
     assert table["s_bg_w_per_hz"].tolist() == s_bg
 
 
-def _reference_stack(cfg, mod, band, rows, key):
-    """A stack's (res, power) rows rebuilt one by one as series of their
-    own, modulated at mod Hz: each the coherent rotation at the chain's
-    angle gain plus numpy's normal draw at the budget's density, the draws
-    taken in row order from the one stream key+(0,)."""
+def _reference_stack(cfg, band, rows, key):
+    """A stack's (res or None, power, carrier) rows rebuilt one by one as
+    series of their own: each the coherent rotation at its carrier (none
+    for a None row) at the chain's angle gain plus numpy's normal draw at
+    the budget's density, the draws taken in row order from the one
+    stream key+(0,)."""
     center, rate, n = amorsim.cli._series_grid(cfg, band)
     envelope = center is not None
     rng = np.random.default_rng(key + (0,))
     series = []
-    for res, power in rows:
-        wave = coherent_rotation(res, mod, rate, n, center)
+    for res, power, mod in rows:
+        wave = (None if res is None
+                else coherent_rotation(res, mod, rate, n, center))
         gain = angle_gain_from_chain(cfg.detector, photon_flux(
             power, cfg.atom.probe_wavelength))
         sigma = math.sqrt(theory_budget(cfg).eval(power) * rate
@@ -396,33 +390,50 @@ def _reference_stack(cfg, mod, band, rows, key):
 @given(sides=st.lists(st.sampled_from([0, 1]), min_size=1, max_size=9),
        powers=st.lists(st.sampled_from([0.0, 20e-6, 80.5e-6, 200e-6]),
                        min_size=9, max_size=9),
+       offsets=st.lists(st.sampled_from([0.0, -400.0, 600.0]),
+                        min_size=9, max_size=9),
        band=st.sampled_from(["real", "bg_window", "offset"]),
        key=st.sampled_from([(3,), (5_000_000_000, 2)]))
-def test_detected_stack_rows_are_chain_series_bit_for_bit(fast_config, sides,
-                                                         powers, band, key):
+def test_detected_stack_rows_are_chain_series_bit_for_bit(
+        fast_config, sides, powers, offsets, band, key):
     # each row written in place equals the row rebuilt from the stack's
     # stream, and a stack of the first row alone holds that row; real and
-    # envelope stacks, on and off resonance, dark rows, and a seed of two
-    # 32-bit words
+    # envelope stacks, tone and None rows, a carrier per row, dark rows,
+    # and a seed of two 32-bit words. A None row reaches no
+    # coherent_rotation, and a tone row builds a wave only where its
+    # (res, power, carrier) differs from the last tone row's
     cfg = amorsim.cli._load_config(ScenarioSpec("sensitivity-sweep",
                                                 fast_config))
     field = cfg.field
     mod = field.modulation_freq
     band = {"real": None, "bg_window": amorsim.cli._bg_band(cfg, field),
             "offset": (mod - 1500.0, mod + 2500.0)}[band]  # tone off centre
-    center = amorsim.cli._center_freq(cfg, field)
-    rows = [(ResonanceParams(cfg.resonance.phi0 if side == 0 else 0.0,
-                             cfg.resonance.gamma_fwhm, center), power)
-            for side, power in zip(sides, powers)]
-    stack = amorsim.cli._detected_stack(cfg, mod, band, rows, len(rows), key)
+    res = amorsim.cli._resonance(cfg, cfg.sim.probe_power)
+    rows = [(res if side == 0 else None, power, mod + offset)
+            for side, power, offset in zip(sides, powers, offsets)]
+    calls, coherent = [], amorsim.cli.coherent_rotation
+
+    def counted(res, *args):
+        calls.append(res)
+        return coherent(res, *args)
+
+    amorsim.cli.coherent_rotation = counted
+    try:
+        stack = amorsim.cli._detected_stack(cfg, band, rows, key)
+    finally:
+        amorsim.cli.coherent_rotation = coherent
+    assert None not in calls
+    tones = [row for row in rows if row[0] is not None]
+    assert len(calls) == sum(
+        1 for i, row in enumerate(tones) if i == 0 or row != tones[i - 1])
     center, rate, n = amorsim.cli._series_grid(cfg, band)
     assert stack.samples.shape == (len(rows), n)
     assert (stack.sample_rate, stack.center_freq) == (rate, center)
     assert stack.rng_seed == key + (0,)
-    expected = _reference_stack(cfg, mod, band, rows, key)
+    expected = _reference_stack(cfg, band, rows, key)
     for row, series in enumerate(expected):
         assert stack.samples[row].tobytes() == series.samples.tobytes(), row
-    first = amorsim.cli._detected_stack(cfg, mod, band, rows[:1], 1, key)
+    first = amorsim.cli._detected_stack(cfg, band, rows[:1], key)
     assert first.samples.tobytes() == expected[0].samples.tobytes()
 
 
@@ -569,8 +580,7 @@ def test_sensitivity_report_is_the_best_row(mode_run, fast_config):
         "snr_provenance": "derived",
         "snr_convention": "per-sqrt-hz",
         "delta_b_t_per_sqrt_hz": table["delta_b_t_per_sqrt_hz"][best],
-        "delta_b_atomic_t_per_sqrt_hz": projection_noise(
-            cfg.atom, cfg.analysis.integration_time),
+        "delta_b_atomic_t_per_sqrt_hz": projection_noise(cfg.atom, 1.0),
         "operating_power_w": table["power_w"][best],
         "detection_freq_hz": meta["detection_freq_hz"],
         "snl_class": table["snl_class"][best],
@@ -736,8 +746,9 @@ def test_default_sensitivity_sweep_builds_one_generator_per_power(
 
 def test_default_sweep_point_synthesizes_once_per_side(monkeypatch):
     # a default point's 8 rows, trace_avg on/off pairs of one power, take
-    # one coherent wave per distinct (resonance, power), not one per row,
-    # and each row is the row rebuilt from the point's stream (7, index, 0)
+    # one coherent wave in all: the on rows share it and the off rows have
+    # no tone. Each row is the row rebuilt from the point's stream
+    # (7, index, 0)
     config = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
     cfg = amorsim.cli._load_config(ScenarioSpec("sensitivity-sweep",
                                                 str(config)))
@@ -758,15 +769,15 @@ def test_default_sweep_point_synthesizes_once_per_side(monkeypatch):
     power = float(amorsim.cli._power_grid(cfg)[index])
     amorsim.cli._sweep_point_sensitivity((cfg, 7, index, power))
     traces = cfg.sweep.trace_avg
-    assert len(calls) <= 2 < 2 * traces
+    assert len(calls) == 1
     [stack] = stacks
     assert stack.shape[0] == 2 * traces
     field, res = cfg.field, amorsim.cli._resonance(cfg, power)
-    band = amorsim.cli._bg_band(cfg, field)
-    sides = [res, replace(res, phi0=0.0)]
-    expected = _reference_stack(cfg, field.modulation_freq, band,
-                                [(res, power) for _ in range(traces)
-                                 for res in sides], (7, index))
+    band, mod = amorsim.cli._bg_band(cfg, field), field.modulation_freq
+    expected = _reference_stack(cfg, band, [(side, power, mod)
+                                            for _ in range(traces)
+                                            for side in (res, None)],
+                                (7, index))
     for row, series in enumerate(expected):
         assert stack[row].tobytes() == series.samples.tobytes(), row
 
@@ -951,6 +962,29 @@ def test_noise_scan_builds_its_power_grid_once(tmp_path, monkeypatch):
     for stem in ("noise_scan", "noise_scan_high"):
         _, (powers, _), _ = read_table(tmp_path / "o" / f"{stem}.csv")
         assert powers.tolist() == [0.0, *grid(grids[0])]
+
+
+@pytest.mark.parametrize("setting", [
+    "resonance.phi0 = 0", "resonance.phi0 = 0.5",
+    "resonance.gamma_fwhm = 5e-324", "resonance.gamma_fwhm = 1e300"])
+def test_noise_scan_reads_no_resonance(setting, mode_run, fast_config,
+                                       tmp_path, monkeypatch):
+    # noise-scan's rows are None rows: no row reaches coherent_rotation,
+    # and resonance.* moves none of its data bytes, only the manifest
+    def no_wave(*args):
+        raise AssertionError("noise-scan built a coherent wave")
+
+    monkeypatch.setattr(amorsim.cli, "coherent_rotation", no_wave)
+    base = mode_run("noise-scan")
+    config, out = tmp_path / "c.cfg", tmp_path / "o"
+    config.write_text(Path(fast_config).read_text() + setting + "\n")
+    assert main(["noise-scan", "--config", str(config), "--out", str(out),
+                 "--seed", "11"]) == 0
+    names = sorted(path.name for path in base.iterdir())
+    assert sorted(path.name for path in out.iterdir()) == names
+    for name in names:
+        if name != "manifest.json":
+            assert (out / name).read_bytes() == (base / name).read_bytes(), name
 
 
 def test_demod_sweep_blames_noise_only_at_a_tone_below_it(

@@ -133,9 +133,8 @@ def test_envelope_draws_one_stream_per_stage():
     # its interleaved normals the real and imaginary parts
     cfg = default_config()
     band = cli._bg_band(cfg, cfg.field)
-    dark = ResonanceParams(0.0, 60.0, cfg.field.modulation_freq)
-    a, b = (cli._detected_stack(cfg, cfg.field.modulation_freq, band,
-                                [(dark, 80.5e-6)], 1, (3,)).samples[0]
+    row = (None, 80.5e-6, cfg.field.modulation_freq)
+    a, b = (cli._detected_stack(cfg, band, [row], (3,)).samples[0]
             for _ in range(2))
     np.testing.assert_array_equal(a, b)
     draw = np.random.default_rng((3, 0)).normal(0.0, 1.0, 2 * a.size)
@@ -332,8 +331,8 @@ def _lock_in_means(cfg, res, freq, index, band):
     bw = cfg.lockin.output_bandwidth
     pq = []
     for seed in SEEDS:
-        row = cli._detected_stack(cfg, freq, band,
-                                  [(res, cfg.sim.probe_power)], 1,
+        row = cli._detected_stack(cfg, band,
+                                  [(res, cfg.sim.probe_power, freq)],
                                   (seed, index))
         row.samples = row.samples[0]
         pq.append(lock_in_demodulate(row, freq, bw))
@@ -489,8 +488,8 @@ def test_stacked_lock_in_reads_a_real_stack_row_by_row():
     # three real rows at sim.sample_rate, one carrier each or one for all
     cfg, res, _ = demod_setup()
     carriers = [res.center_freq + step for step in (-60.0, 0.0, 60.0)]
-    rows = [(res, cfg.sim.probe_power)] * 3
-    stack = cli._detected_stack(cfg, carriers, None, rows, 3, (1,))
+    rows = [(res, cfg.sim.probe_power, f) for f in carriers]
+    stack = cli._detected_stack(cfg, None, rows, (1,))
     assert stack.center_freq is None and stack.samples.dtype == float
     bw = cfg.lockin.output_bandwidth
     for mod in (carriers, carriers[1]):

@@ -34,9 +34,9 @@ MENDED = [
     # Infinity in sensitivity_report.json, and "report values must be > 0":
     # the projection-noise floor must be finite and > 0
     ("sensitivity-sweep", "atom.density_n", 1e-320, "exit 2",
-     "analysis.integration_time"),
+     "atom.relaxation_gamma"),
     ("sensitivity-sweep", "atom.relaxation_gamma", 1e-320, "exit 2",
-     "analysis.integration_time"),
+     "atom.relaxation_gamma"),
     # exit 3 on a subnormal dark floor: the background must be > 0
     ("noise-scan", "detector.electronic_noise_floor", 5e-324, "exit 2",
      "noisescan.include_zero"),
