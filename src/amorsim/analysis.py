@@ -48,13 +48,14 @@ class SnlRange:
     k: float
     p_low: float    # W; k*A/B
     p_high: float   # W; B/(k*C), inf when C = 0
-    nonempty: bool
 
     def __post_init__(self) -> None:
         if not self.k >= 1.0:
             raise ValueError(f"k must be >= 1, got {self.k!r}")
-        if self.nonempty != (self.p_low < self.p_high):
-            raise ValueError("nonempty flag inconsistent with bounds")
+
+    @property
+    def nonempty(self) -> bool:
+        return self.p_low < self.p_high
 
 
 def compute_snr(s_sig: float, s_bg: float, rbw: float) -> float:
@@ -146,11 +147,10 @@ def snl_range(budget: NoiseBudget, k: float) -> SnlRange:
     budget.validate()
     a, b, c = budget.coef_elec, budget.coef_shot, budget.coef_tech
     if b == 0.0:
-        return SnlRange(k=k, p_low=_NEVER_SNL, p_high=0.0, nonempty=False)
+        return SnlRange(k=k, p_low=_NEVER_SNL, p_high=0.0)
     p_low = k * a / b
     p_high = math.inf if c == 0.0 else b / (k * c)
-    return SnlRange(k=k, p_low=p_low, p_high=p_high,
-                    nonempty=p_low < p_high)
+    return SnlRange(k=k, p_low=p_low, p_high=p_high)
 
 
 def snl_map(budgets: Sequence[NoiseBudget], k_values: Iterable[float]

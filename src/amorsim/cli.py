@@ -62,12 +62,13 @@ it carries (None: no tone), the power that sets its chain, its carrier.
 the stack's noise straight into it and adds each tone row's coherent wave.
 demod-sweep's rows each sit on their own carrier's centre (``_demod_rows``)
 and go to one ``lock_in_demodulate`` through ``sweep_resonance``. Each
-analyzer stack goes to one ``psd_estimate``: spectrum its on/off pair and
-sensitivity-sweep the ``trace_avg`` on/off pairs of one power, the off
-rows None, and noise-scan all of a scan's powers, every row None. All
-three read their traces with ``peak_and_background``, row by row: the
-peak at the modulation frequency and the background over
-``spectrum.bg_window`` around it.
+analyzer stack goes through ``_analyzer``: one ``psd_estimate`` and one
+``peak_and_background`` read every row's peak at the modulation frequency
+and its background over ``spectrum.bg_window`` around it. spectrum keeps
+the on peak and off background of its on/off pair; sensitivity-sweep
+averages those of the ``trace_avg`` on/off pairs of one power, the off
+rows None; noise-scan's levels are the backgrounds of a scan's powers,
+every row None.
 
 Analyzer bands. Every mode but simulate builds only the band its analyzer
 or lock-in reads, as the complex envelope of that band at a rate just
@@ -119,13 +120,15 @@ from .config import (
 from .detector import (DetectedTimeSeries, NoiseBudget, chain_at, detect,
                        theory_budget)
 from .dsp import (
+    _ENBW_BINS,
+    _MIN_SEGMENT,
     PowerSpectrum,
     ResonanceCurve,
     _analyzer_window,
     _envelope_grid,
-    _flattop,
     _segment_length,
     _video_pole,
+    _welch_segments,
     peak_and_background,
     psd_estimate,
     sweep_resonance,
@@ -161,9 +164,6 @@ _GAIN_KEYS = ("atom.probe_wavelength", "detector.quantum_efficiency",
 # the keys that set the noise N(P) = A + B*P + C*P^2, besides the power
 _NOISE_KEYS = ("detector.electronic_noise_floor", *_GAIN_KEYS,
                "detector.technical_noise_coef")
-
-MODES = ("simulate", "demod-sweep", "spectrum", "noise-scan", "snl-map",
-         "sensitivity-sweep")
 
 __all__ = ["ScenarioSpec", "run_scenario", "emit_plotdata", "main", "MODES"]
 
@@ -207,10 +207,6 @@ def _load_config(spec: ScenarioSpec) -> ExperimentConfig:
         cfg = load_config_file(spec.config_path, base=cfg)
     apply_env_overrides(cfg)
     return validate_config(cfg)
-
-
-def _center_freq(cfg: ExperimentConfig, field: FieldConfig) -> float:
-    return larmor_doubled_freq(field.b_field, cfg.atom)
 
 
 def _allocate(key: str, what: str, make, *args) -> np.ndarray:
@@ -280,7 +276,7 @@ def _require_analyzer_fits(cfg: ExperimentConfig, field: FieldConfig,
     rbw, vbw, duration = cfg.spectrum.rbw, cfg.spectrum.vbw, cfg.sim.duration
     width = getattr(cfg.spectrum, band_key.partition(".")[2])
     _require_resolved(_carrier_key(cfg, field), band[1],
-                      rbw / _flattop(4096)[1], "analyzer bin spacing")
+                      rbw / _ENBW_BINS, "analyzer bin spacing")
     if not band[1] > band[0]:
         raise ConfigError(f"{band_key}: {width!r} Hz is below float64's "
                           f"resolution at {band[1]!r} Hz, so the band has "
@@ -290,7 +286,7 @@ def _require_analyzer_fits(cfg: ExperimentConfig, field: FieldConfig,
         window, _ = _analyzer_window(rate, rbw, n)
     except ValueError as exc:
         nperseg = _segment_length(rate, rbw, n)
-        if nperseg >= 16 and nperseg > n:
+        if nperseg >= _MIN_SEGMENT and nperseg > n:
             raise ConfigError(
                 f"spectrum.rbw: {rbw!r} Hz needs sim.duration >= "
                 f"{nperseg / rate!r} s for one analyzer segment (got "
@@ -316,7 +312,7 @@ def _require_analyzer_fits(cfg: ExperimentConfig, field: FieldConfig,
             2.0 * math.pi * (field.modulation_freq - res.center_freq), res))
     peak = 0.5 * gain * tone * float(window.sum())  # the envelope tone's bin
     noise = float(density) * rate * float(np.sum(window ** 2)) / 2.0
-    segments = (n - window.size) // (window.size - window.size // 2) + 1
+    segments = _welch_segments(n, window.size)[1]
     tail = math.log(segments * window.size / _TAIL_CHANCE)
     largest = peak + math.sqrt(noise * tail)  # a segment's largest bin
     level = segments * (largest * largest)
@@ -379,7 +375,8 @@ def _resonance(cfg: ExperimentConfig, power: float) -> ResonanceParams:
                  "to other powers as s(P)/s(P0), must be > 0")
         phi0 *= (power / (power + sat.p_sat)) / s0
         gamma *= (sat.p_broad + power) / (sat.p_broad + p0)
-    return ResonanceParams(phi0, gamma, _center_freq(cfg, cfg.field))
+    return ResonanceParams(phi0, gamma,
+                           larmor_doubled_freq(cfg.field.b_field, cfg.atom))
 
 
 def _require_quadratures(cfg: ExperimentConfig, res: ResonanceParams,
@@ -474,12 +471,33 @@ def _detected_stack(cfg: ExperimentConfig, band, rows: list, key: tuple,
                               power, chains[power][0], key + (0,), center)
 
 
+def _analyzer(cfg: ExperimentConfig, band, rows: list, key: tuple,
+              count_key: str = "sim.duration", span=None) -> tuple:
+    """(traces, peaks, backgrounds) of the rows' ``_detected_stack``: its
+    one ``psd_estimate``, sliced to span, and each row's peak at the rows'
+    carrier and background over spectrum.bg_window around it. A mode keeps
+    the peaks of its tone rows and the backgrounds of the others."""
+    sp = cfg.spectrum
+    traces = psd_estimate(_detected_stack(cfg, band, rows, key, count_key),
+                          sp.rbw, sp.vbw, span=span)
+    try:
+        peaks, backgrounds = peak_and_background(traces, traces, rows[0][2],
+                                                 sp.bg_window)
+    except ValueError as exc:  # only spectrum's span can cut the window
+        raise ConfigError(f"spectrum.span: {sp.span!r} Hz must reach a trace "
+                          "bin past each edge of spectrum.bg_window "
+                          f"({sp.bg_window!r} Hz), and the window must hold "
+                          "a trace bin") from exc
+    return traces, peaks, backgrounds
+
+
 def _carrier_key(cfg: ExperimentConfig, field: FieldConfig) -> str:
     """The key that set field's carrier: a field.modulation_freq off the
     field's resonance, the field itself, or noise-scan's second field."""
     if field != cfg.field:
         return "noisescan.second_b_field"
-    on_resonance = field.modulation_freq == _center_freq(cfg, field)
+    on_resonance = (field.modulation_freq
+                    == larmor_doubled_freq(field.b_field, cfg.atom))
     return "field.b_field" if on_resonance else "field.modulation_freq"
 
 
@@ -732,20 +750,6 @@ def _run_demod_sweep(cfg: ExperimentConfig, spec: ScenarioSpec) -> list:
                       curve.phi_Q_values], meta={"seed": spec.seed}))]
 
 
-def _spectrum_stack(cfg: ExperimentConfig, key: tuple, count: int,
-                    power: float, res: ResonanceParams,
-                    band: Optional[tuple], span: Optional[tuple] = None,
-                    count_key: str = "sim.duration") -> PowerSpectrum:
-    """count on- and off-resonance analyzer traces of the band at power,
-    on res and on no tone, sliced to span: one stacked estimate, on stream
-    key+(0,), whose rows alternate on, off."""
-    mod = cfg.field.modulation_freq
-    rows = _allocate(count_key, f"{2 * count!r} rows", list.__mul__,
-                     [(res, power, mod), (None, power, mod)], count)
-    stack = _detected_stack(cfg, band, rows, key, count_key)
-    return psd_estimate(stack, cfg.spectrum.rbw, cfg.spectrum.vbw, span=span)
-
-
 def _run_spectrum(cfg: ExperimentConfig, spec: ScenarioSpec) -> list:
     mod, sp = cfg.field.modulation_freq, cfg.spectrum
     _bg_band(cfg, cfg.field)  # the window peak_and_background averages
@@ -757,15 +761,11 @@ def _run_spectrum(cfg: ExperimentConfig, spec: ScenarioSpec) -> list:
                            "spectrum.span")
     _require_background(cfg, "sim.probe_power")
     _require_tone(cfg, "sim.probe_power", res.phi0, "resonance.phi0")
-    spec_on, spec_off = _spectrum_stack(cfg, (spec.seed,), 1, power, res,
-                                        span, span).rows()
-    try:
-        s_sig, s_bg = peak_and_background(spec_on, spec_off, mod, sp.bg_window)
-    except ValueError as exc:  # the window overruns the trace or skips its bins
-        raise ConfigError(f"spectrum.span: {sp.span!r} Hz must reach a trace "
-                          "bin past each edge of spectrum.bg_window "
-                          f"({sp.bg_window!r} Hz), and the window must hold "
-                          "a trace bin") from exc
+    traces, peaks, backgrounds = _analyzer(
+        cfg, span, [(res, power, mod), (None, power, mod)], (spec.seed,),
+        span=span)
+    spec_on, spec_off = traces.rows()
+    s_sig, s_bg = peaks[0], backgrounds[1]
     snr = compute_snr(s_sig, s_bg, spec_on.enbw)
     doc = {"seed": spec.seed, "modulation_freq_hz": mod,
            "s_sig_w_per_hz": s_sig, "s_bg_w_per_hz": s_bg,
@@ -790,12 +790,9 @@ def _noise_scan_at_field(cfg: ExperimentConfig, spec: ScenarioSpec,
     gives the levels, each row's background read over spectrum.bg_window
     around the carrier."""
     mod = field.modulation_freq
-    stack = _detected_stack(cfg, _bg_band(cfg, field),
-                            [(None, power, mod) for power in powers],
-                            (spec.seed, scan_index), "sweep.power_points")
-    traces = psd_estimate(stack, cfg.spectrum.rbw, cfg.spectrum.vbw)
-    levels = peak_and_background(traces, traces, mod,
-                                 cfg.spectrum.bg_window)[1]
+    _, _, levels = _analyzer(cfg, _bg_band(cfg, field),
+                             [(None, power, mod) for power in powers],
+                             (spec.seed, scan_index), "sweep.power_points")
     # a dark trace (0 W; sweep.power_min is > 0) fixes the electronic term
     fixed = levels[0] if powers[0] == 0.0 else None
     return levels, fit_noise_polynomial(powers, levels, fixed_elec=fixed)
@@ -885,15 +882,14 @@ def _sweep_point_sensitivity(args):
     traces on stream (seed, power index, 0)."""
     cfg, spec_seed, index, power = args
     res = _resonance(cfg, power)
-    mod = cfg.field.modulation_freq
-    band = _bg_band(cfg, cfg.field)
-    traces = cfg.sweep.trace_avg
-    spectra = _spectrum_stack(cfg, (spec_seed, index), traces, power, res,
-                              band, count_key="sweep.trace_avg")
-    on, off = spectra.rows(2)  # the stack alternates on, off
-    peaks, backgrounds = peak_and_background(on, off, mod,
-                                             cfg.spectrum.bg_window)
-    s_sig, s_bg = sum(peaks) / traces, sum(backgrounds) / traces
+    mod, traces = cfg.field.modulation_freq, cfg.sweep.trace_avg
+    rows = _allocate("sweep.trace_avg", f"{2 * traces!r} rows", list.__mul__,
+                     [(res, power, mod), (None, power, mod)], traces)
+    spectra, peaks, backgrounds = _analyzer(
+        cfg, _bg_band(cfg, cfg.field), rows, (spec_seed, index),
+        "sweep.trace_avg")
+    # the rows alternate on, off: the on rows' peaks, the off rows' levels
+    s_sig, s_bg = sum(peaks[::2]) / traces, sum(backgrounds[1::2]) / traces
     snr = compute_snr(s_sig, s_bg, spectra.enbw)
     delta_b = sensitivity(res.gamma_fwhm, snr, cfg.atom.g_f)
     return {
@@ -958,14 +954,22 @@ def _run_sensitivity_sweep(cfg: ExperimentConfig,
                 meta={"seed": spec.seed}))]
 
 
+# each mode's handler and its --help line, in the order --help lists them
 _HANDLERS = {
-    "simulate": _run_simulate,
-    "demod-sweep": _run_demod_sweep,
-    "spectrum": _run_spectrum,
-    "noise-scan": _run_noise_scan,
-    "snl-map": _run_snl_map,
-    "sensitivity-sweep": _run_sensitivity_sweep,
+    "simulate": (_run_simulate,
+                 "synthesize one rotation + detected time series"),
+    "demod-sweep": (_run_demod_sweep, "lock-in quadratures across a "
+                    "modulation-frequency grid"),
+    "spectrum": (_run_spectrum,
+                 "analyzer traces on/off resonance and the derived SNR"),
+    "noise-scan": (_run_noise_scan,
+                   "background level vs optical power with a budget fit"),
+    "snl-map": (_run_snl_map,
+                "shot-noise-limited power windows vs detection frequency"),
+    "sensitivity-sweep": (_run_sensitivity_sweep,
+                          "field sensitivity vs optical power"),
 }
+MODES = tuple(_HANDLERS)
 
 
 def emit_plotdata(outdir: str | os.PathLike) -> list[str]:
@@ -987,7 +991,7 @@ def run_scenario(spec: ScenarioSpec) -> int:
     started = time.monotonic()
     cfg = _load_config(spec)
     outdir = Path(spec.output_dir)
-    outputs = _HANDLERS[spec.mode](cfg, spec)
+    outputs = _HANDLERS[spec.mode][0](cfg, spec)
     for name, write in outputs:
         write(outdir / name)
     manifest = {
@@ -1016,16 +1020,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "magnetometer signal chain.",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    help_lines = {
-        "simulate": "synthesize one rotation + detected time series",
-        "demod-sweep": "lock-in quadratures across a modulation-frequency grid",
-        "spectrum": "analyzer traces on/off resonance and the derived SNR",
-        "noise-scan": "background level vs optical power with a budget fit",
-        "snl-map": "shot-noise-limited power windows vs detection frequency",
-        "sensitivity-sweep": "field sensitivity vs optical power",
-    }
-    for mode in MODES:
-        p = sub.add_parser(mode, help=help_lines[mode])
+    for mode, (_, help_line) in _HANDLERS.items():
+        p = sub.add_parser(mode, help=help_line)
         p.add_argument("--config", default=None,
                        help="config file (key = value [unit] lines)")
         p.add_argument("--out", default="amorsim-out",

@@ -47,7 +47,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -124,20 +124,10 @@ class PowerSpectrum:
         if not self.rbw > 0 or not self.vbw > 0:
             raise ValueError(f"rbw and vbw must be > 0, got {self.rbw!r}, {self.vbw!r}")
 
-    def rows(self, step: Optional[int] = None) -> list["PowerSpectrum"]:
-        """One PowerSpectrum per trace of the psd, or given a step, one
-        stack per offset below it: the rows offset::step.
-
-        Each row passed the checks above as part of the stack, so the parts
-        are copies made without running them again.
-        """
-        psd, traces = np.atleast_2d(self.psd), []
-        parts = psd if step is None else [psd[i::step] for i in range(step)]
-        for part in parts:
-            trace = object.__new__(type(self))
-            trace.__dict__.update(vars(self), psd=part)
-            traces.append(trace)
-        return traces
+    def rows(self) -> list["PowerSpectrum"]:
+        """One PowerSpectrum per trace of the psd, each a view of its row
+        on the shared grid and bandwidths."""
+        return [replace(self, psd=row) for row in np.atleast_2d(self.psd)]
 
 
 def _angle_scale(ts: AnySeries) -> float:
@@ -340,6 +330,18 @@ def _flattop(nperseg: int) -> tuple[np.ndarray, float]:
     return window, nperseg * float(np.sum(window ** 2) / np.sum(window) ** 2)
 
 
+# the flat-top's ENBW in bins, settled at 4096 samples: a segment whose
+# ENBW is rbw at fs is about _ENBW_BINS * fs / rbw long
+_ENBW_BINS = _flattop(4096)[1]
+_MIN_SEGMENT = 16  # the fewest samples an analyzer segment may hold
+
+
+def _welch_segments(n: int, nperseg: int) -> tuple[int, int]:
+    """(step, count) of the 50%-overlapped Welch segments of n samples."""
+    step = nperseg - nperseg // 2
+    return step, (n - nperseg) // step + 1
+
+
 def _segment_length(fs: float, rbw: float, n: int) -> int:
     """Welch segment length whose flat-top ENBW matches rbw.
 
@@ -348,8 +350,8 @@ def _segment_length(fs: float, rbw: float, n: int) -> int:
     kept when the snapped one would breach the 5% ENBW gate or outgrow the
     n-sample series, so snapping never rejects a pair the raw length serves.
     """
-    raw = int(round(_flattop(4096)[1] * fs / rbw))
-    if raw < 16:  # would snap to < 16 as well (15 is 5-smooth): rejected
+    raw = int(round(_ENBW_BINS * fs / rbw))
+    if raw < _MIN_SEGMENT:  # snaps below it too (15 is 5-smooth): rejected
         return raw
     down, up = _smooth_bracket(raw)
     smooth = down if raw - down <= up - raw else up
@@ -368,7 +370,7 @@ def _analyzer_window(fs: float, rbw: float, n: int
     the window.
     """
     nperseg = _segment_length(fs, rbw, n)
-    if nperseg < 16:
+    if nperseg < _MIN_SEGMENT:
         raise ValueError(
             f"rbw {rbw!r} too coarse for sample_rate {fs!r} "
             f"(window of {nperseg} samples)"
@@ -405,15 +407,14 @@ def _welch(x: np.ndarray, fs: float, window: np.ndarray
     density per row, each segment one FFT over all rows.
     """
     nperseg = window.size
-    step = nperseg - nperseg // 2
     real = not np.iscomplexobj(x)
     transform = np.fft.rfft if real else np.fft.fft
     acc = np.zeros(x.shape[:-1] + (nperseg // 2 + 1 if real else nperseg,))
-    starts = range(0, x.shape[-1] - nperseg + 1, step)
-    for start in starts:
+    step, count = _welch_segments(x.shape[-1], nperseg)
+    for start in range(0, count * step, step):
         spec = transform(x[..., start:start + nperseg] * window)
         acc += spec.real ** 2 + spec.imag ** 2
-    psd = acc / (len(starts) * fs * float(np.sum(window ** 2)))
+    psd = acc / (count * fs * float(np.sum(window ** 2)))
     if not real:  # fftshift's order: the negative offsets come first
         neg = nperseg // 2
         shifted = np.empty_like(psd)
@@ -441,8 +442,6 @@ def _video_smooth(psd: np.ndarray, rbw: float, vbw: float,
     level (scipy's lfilter_zi(b, a) * x[0]), so flat levels stay flat.
     """
     alpha = _video_pole(rbw, vbw, bin_spacing)
-    if alpha <= 0.0:
-        return psd
     out = psd.tolist()
     for trace in out if psd.ndim > 1 else [out]:
         for order in (range(len(trace)), range(len(trace) - 1, -1, -1)):
@@ -509,7 +508,9 @@ def peak_and_background(spec_on: PowerSpectrum, spec_off: PowerSpectrum,
     mean of the off-spectrum over mod_freq +- bg_window/2. A single trace
     gives a float, a (rows, bins) stack a list with each row's read, the
     bits of a call on that row alone. Refuses a grid that does not cover
-    what is read, or a window holding no bin, once for all rows.
+    what is read, or a window holding no bin, once for all rows. ``cli``
+    passes one stack as both arguments and keeps, row by row, the peak of
+    a tone row and the background of a row without one.
     """
     on_freqs, off_freqs = spec_on.freqs, spec_off.freqs
     if not bg_window > 0:

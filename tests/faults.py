@@ -331,6 +331,10 @@ FAULTS = [
     ("simulate", "sim.duration = 1e12", 2, "sim.duration", None),
     *[(mode, f"sim.duration = 1e12\n{_FLOOR}", 2, "sim.duration", None)
       for mode in ("simulate", "demod-sweep", *_ANALYZER_MODES)],
+    # 1e30 s: sample counts past C's ssize_t, which the analyzer rule's
+    # Welch segment count must take as Python ints before the stack is refused
+    *[(mode, f"sim.duration = 1e30\n{_FLOOR}", 2, "sim.duration", None)
+      for mode in _ANALYZER_MODES],
     # 1e15 on/off pairs of 2000 samples: the rows together are past numpy
     ("sensitivity-sweep", f"sweep.trace_avg = {10 ** 15}", 2,
      "sweep.trace_avg", None),

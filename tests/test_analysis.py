@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from amorsim.analysis import (
-    SnlRange,
     classify_operating_point,
     compute_snr,
     projection_noise,
@@ -205,8 +204,6 @@ def test_snl_range_degenerate_coefficients():
 def test_snl_range_rejects_bad_k():
     with pytest.raises(ValueError, match="k must be"):
         snl_range(default_budget(), 0.5)
-    with pytest.raises(ValueError, match="nonempty"):
-        SnlRange(k=1.0, p_low=1.0, p_high=2.0, nonempty=False)
 
 
 def test_snl_window_boundaries_balance_budget_terms():

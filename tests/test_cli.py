@@ -640,7 +640,8 @@ def test_handlers_return_outputs_that_run_scenario_writes(mode, fast_config,
     with monkeypatch.context() as patch:
         for name in _WRITERS:
             patch.setattr(amorsim.cli, name, _refuse_write)
-        names = [name for name, _ in amorsim.cli._HANDLERS[mode](cfg, spec)]
+        handler = amorsim.cli._HANDLERS[mode][0]
+        names = [name for name, _ in handler(cfg, spec)]
     assert names and len(set(names)) == len(names)
     assert not out.exists()
     assert run_scenario(spec) == 0
@@ -780,6 +781,28 @@ def test_default_sweep_point_synthesizes_once_per_side(monkeypatch):
                                 (7, index))
     for row, series in enumerate(expected):
         assert stack[row].tobytes() == series.samples.tobytes(), row
+
+
+@pytest.mark.parametrize("mode, stacks", [
+    ("spectrum", [2]),                 # its on/off pair
+    ("noise-scan", [22, 22]),          # a dark point and 21 powers, 2 fields
+    ("sensitivity-sweep", [8] * 21),   # 4 on/off pairs at each of 21 powers
+])
+def test_analyzer_modes_estimate_each_stack_once(mode, stacks, tmp_path,
+                                                 monkeypatch):
+    # one cli.psd_estimate call per stack on configs/default.cfg: the name
+    # perfbench wraps for its dsp.psd_estimate.calls metric
+    config = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+    rows, estimate = [], psd_estimate
+
+    def counted(ts, *args, **kwargs):
+        rows.append(ts.samples.shape[0])
+        return estimate(ts, *args, **kwargs)
+
+    monkeypatch.setattr(amorsim.cli, "psd_estimate", counted)
+    assert main([mode, "--config", str(config), "--out",
+                 str(tmp_path / "o"), "--seed", "1"]) == 0
+    assert rows == stacks
 
 
 # ---------------------------------------------------------------------------
@@ -1058,7 +1081,7 @@ def test_each_failure_class_maps_to_its_exit_code(exc, code, error, message,
     def fail(*args):
         raise exc
 
-    monkeypatch.setitem(amorsim.cli._HANDLERS, "snl-map", fail)
+    monkeypatch.setitem(amorsim.cli._HANDLERS, "snl-map", (fail, "fails"))
     assert main(["snl-map", "--out", str(tmp_path / "o")]) == code
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": error, "message": message, "exit_code": code}

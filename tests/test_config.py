@@ -6,7 +6,7 @@ from typing import Optional, get_type_hints
 import numpy as np
 import pytest
 
-from amorsim.cli import ScenarioSpec, _center_freq, _run_simulate, main
+from amorsim.cli import ScenarioSpec, _run_simulate, main
 from amorsim.config import (
     _KEY_TABLE,
     AtomConfig,
@@ -140,7 +140,8 @@ def test_field_resolution_detuning_from_modulation():
     cfg.field.modulation_freq = larmor_doubled_freq(
         cfg.field.b_field, cfg.atom) + 100.0
     field = validate_config(cfg).field
-    res = ResonanceParams(2.5e-3, 60.0, _center_freq(cfg, field))
+    res = ResonanceParams(2.5e-3, 60.0,
+                          larmor_doubled_freq(field.b_field, cfg.atom))
     wave = coherent_rotation(res, field.modulation_freq, 1000.0, 10,
                              field.modulation_freq)
     phi_p, phi_q = lorentzian_quadratures(2 * math.pi * 100.0, res)

@@ -511,8 +511,8 @@ def test_peak_and_background_rejects_a_window_between_bins():
 @pytest.mark.parametrize("center", [None, 3000.0])
 def test_peak_and_background_of_a_stack_is_each_row_bit_for_bit(center):
     # real and envelope grids: each row's reads, from the whole stack and
-    # from the on and off stacks rows(2) splits it into, are those of the
-    # row's trace estimated and read alone
+    # from the single traces rows() splits it into, are those of the row's
+    # trace estimated and read alone
     rng = np.random.default_rng(5)
     samples = rng.standard_normal((6, 2500))
     if center is not None:
@@ -528,14 +528,14 @@ def test_peak_and_background_of_a_stack_is_each_row_bit_for_bit(center):
              for row in samples]
     stack = spectrum(samples)
     peaks, backgrounds = peak_and_background(stack, stack, mod, 400.0)
-    on, off = stack.rows(2)
-    on_peaks, off_backgrounds = peak_and_background(on, off, mod, 400.0)
+    split = [peak_and_background(trace, trace, mod, 400.0)
+             for trace in stack.rows()]
     assert isinstance(alone[0][0], float) and isinstance(alone[0][1], float)
     assert np.array(peaks).tobytes() == np.array(
         [s_sig for s_sig, _ in alone]).tobytes()
     assert np.array(backgrounds).tobytes() == np.array(
         [s_bg for _, s_bg in alone]).tobytes()
-    assert on_peaks == peaks[0::2] and off_backgrounds == backgrounds[1::2]
+    assert split == list(zip(peaks, backgrounds))
     for row, (_, s_bg) in zip(samples, alone):  # the window's mean()
         trace = spectrum(row)
         assert s_bg == float(trace.psd[np.abs(trace.freqs - mod) <= 200.0]

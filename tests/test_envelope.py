@@ -29,7 +29,6 @@ from amorsim.dsp import (
     _envelope_grid,
     _lock_in_weights,
     lock_in_demodulate,
-    peak_and_background,
     psd_estimate,
     sweep_resonance,
 )
@@ -197,9 +196,11 @@ def _peak_and_background(cfg, band, power, phi0, span=None, low_band=None):
     res = replace(cli._resonance(cfg, cfg.sim.probe_power), phi0=phi0)
     rows = []
     for seed in SEEDS:
-        on, off = cli._spectrum_stack(cfg, (seed,), 1, power, res, band,
-                                      span).rows()
-        row = list(peak_and_background(on, off, mod, cfg.spectrum.bg_window))
+        traces, peaks, backgrounds = cli._analyzer(
+            cfg, band, [(res, power, mod), (None, power, mod)], (seed,),
+            span=span)
+        off = traces.rows()[1]
+        row = [peaks[0], backgrounds[1]]
         if low_band is not None:
             sel = (off.freqs >= low_band[0]) & (off.freqs <= low_band[1])
             row.append(off.psd[sel].mean())
@@ -271,10 +272,9 @@ def test_envelope_snr_estimator_is_unbiased_across_seeds(power):
     phi0 = res.phi0
     snrs = []
     for seed in SEEDS:
-        on, off = cli._spectrum_stack(cfg, (seed,), 1, power, res,
-                                      band).rows()
-        s_sig, s_bg = peak_and_background(on, off, mod, cfg.spectrum.bg_window)
-        snrs.append(compute_snr(s_sig, s_bg, on.enbw))
+        traces, peaks, backgrounds = cli._analyzer(
+            cfg, band, [(res, power, mod), (None, power, mod)], (seed,))
+        snrs.append(compute_snr(peaks[0], backgrounds[1], traces.enbw))
     mean, sem = mean_and_sem(snrs)
     expected = phi0 / math.sqrt(shot_noise_angle_density(
         photon_flux(power, cfg.atom.probe_wavelength)))
