@@ -71,13 +71,17 @@ rows None; noise-scan's levels are the backgrounds of a scan's powers,
 every row None.
 
 Analyzer bands. Every mode but simulate builds only the band its analyzer
-or lock-in reads, as the complex envelope of that band at a rate just
-above its width (``dsp._envelope_grid``). spectrum reads its
-``spectrum.span``; noise-scan and sensitivity-sweep read
-``spectrum.bg_window`` around the modulation frequency; demod-sweep reads
-``_LOCKIN_HALFBAND`` output bandwidths either side of each carrier. A band
-whose centred envelope would reach below DC gets one whose lower edge sits
-at 0 Hz. Only simulate builds the real series at ``sim.sample_rate``.
+or lock-in reads, as the complex envelope of that band at the smallest
+5-smooth rate at or above its width (``dsp._envelope_grid``). spectrum
+reads its ``spectrum.span``; noise-scan and sensitivity-sweep read
+``spectrum.bg_window`` around the modulation frequency; both bands are
+first widened by one analyzer bin past each edge (``_series_grid``), so
+each trace holds a bin beyond the window it reads. demod-sweep reads
+``_LOCKIN_HALFBAND`` output bandwidths either side of each carrier, as
+they are. At the defaults that is 4050 Hz for the 4 kHz window, 40500 Hz
+for the 40 kHz span and 1000 Hz for each lock-in band. A band whose
+centred envelope would reach below DC gets one whose lower edge sits at
+0 Hz. Only simulate builds the real series at ``sim.sample_rate``.
 """
 
 from __future__ import annotations
@@ -151,6 +155,12 @@ from .tables import write_json, write_table
 # each carrier, where the lock-in's 4th-order filter has left nothing the
 # weighted sum can resolve (its noise and DC gain match the full rate).
 _LOCKIN_HALFBAND = 20.0
+
+# an analyzer band's pad past each edge, in bins of rbw / _ENBW_BINS: a
+# segment that passes the 5% ENBW gate has bins at most 1.05 rbw /
+# _ENBW_BINS apart (its flat-top's ENBW in bins is never 0.03% below
+# _ENBW_BINS), so the pad always holds one trace bin
+_EDGE_BINS = 1.1
 
 # the chance that the largest squared noise bin of an analyzer trace
 # exceeds the bound _require_analyzer_fits keeps finite
@@ -397,16 +407,21 @@ def _require_quadratures(cfg: ExperimentConfig, res: ResonanceParams,
 
 
 def _series_grid(cfg: ExperimentConfig, band) -> tuple:
-    """(centre, sample rate, sample count) of a series: the envelope of a
-    band (f_lo, f_hi) or of a list of bands of one width (a list of
-    centres), or without one the real series at sim.sample_rate."""
+    """(centre, sample rate, sample count) of a series: the envelope of an
+    analyzer band (f_lo, f_hi), widened by _EDGE_BINS analyzer bins past
+    each edge so that its trace holds a bin beyond both, or of a list of
+    lock-in bands of one width, as they are (a list of centres), or
+    without one the real series at sim.sample_rate. At the defaults the
+    +-2 kHz background window reads a 4050 Hz envelope, spectrum's 40 kHz
+    span 40500 Hz and each +-500 Hz lock-in band 1000 Hz."""
     if band is None:
         center, rate = None, cfg.sim.sample_rate
     elif isinstance(band, list):
         centers, rates = zip(*map(_envelope_grid, band))
         center, rate = list(centers), rates[0]
     else:
-        center, rate = _envelope_grid(band)
+        pad = _EDGE_BINS * cfg.spectrum.rbw / _ENBW_BINS
+        center, rate = _envelope_grid((band[0] - pad, band[1] + pad))
     return center, rate, int(round(cfg.sim.duration * rate))
 
 

@@ -298,16 +298,18 @@ def sweep_resonance(res: ResonanceParams, mod_freqs: Sequence[float],
 def _envelope_grid(band: tuple[float, float]) -> tuple[float, float]:
     """(centre, sample rate) of the complex envelope that covers band.
 
-    The rate, at least 1 Hz, is the 5-smooth length just above 1.25 times
+    The rate, at least 1 Hz, is the smallest 5-smooth length at or above
     the band width less ulp(f_hi), the most that rounding the edges widens
-    it: one width has one rate at any carrier, and the band sits inside
-    the envelope's +-rate/2 with a margin. Where the centred envelope would
-    reach below DC its centre moves up to rate/2, so its lower edge sits
-    at 0 Hz and its 0 Hz bin reads the one-sided level.
+    it: one width has one rate at any carrier, and the band lies within
+    the envelope's +-rate/2. A caller that reads bins at the band's edges
+    widens the band first (``cli._series_grid`` adds one analyzer bin
+    past each). Where the centred envelope would reach below DC its
+    centre moves up to rate/2, so its lower edge sits at 0 Hz and its
+    0 Hz bin reads the one-sided level.
     """
     f_lo, f_hi = band
     width = f_hi - f_lo - math.ulp(f_hi)
-    rate = float(_smooth_bracket(max(math.ceil(1.25 * width), 1))[1])
+    rate = float(_smooth_bracket(max(math.ceil(width), 1))[1])
     return max(0.5 * (f_lo + f_hi), rate / 2.0), rate
 
 

@@ -156,6 +156,7 @@ def auto_initial_guess(curve: ResonanceCurve) -> LorentzianGuess:
                            phase_offset=float(np.angle(signal[idx_peak])))
 
 
+@np.errstate(over="raise", invalid="raise")
 def _solve(freqs: np.ndarray, data: np.ndarray, x0: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Levenberg-Marquardt fit of the stacked model to the stacked data.
@@ -168,7 +169,8 @@ def _solve(freqs: np.ndarray, data: np.ndarray, x0: np.ndarray
     relative cost reductions fall under ftol, the scaled step under xtol
     times the scaled parameters, or the cosine between the residuals and
     every Jacobian column under gtol (all 1e-14). More than 200 (n + 1)
-    model evaluations raise FitError.
+    model evaluations raise FitError, and so, as FloatingPointError, does
+    a norm, product or cost past float64, as on quadratures near 1e150.
     """
     tol = 1e-14
     max_nfev = 200 * (x0.size + 1)
@@ -247,11 +249,14 @@ def fit_lorentzian(curve: ResonanceCurve,
     x0 = np.array([guess.center_freq, guess.gamma_fwhm, guess.phi0,
                    guess.phase_offset, guess.baseline_p, guess.baseline_q])
     data = np.concatenate([phi_p, phi_q])
-    x, resid, jac = _solve(freqs, data, x0)
-    if x[1] < 0.0:
-        restart = x.copy()
-        restart[1] = abs(restart[1])
-        x, resid, jac = _solve(freqs, data, restart)
+    try:
+        x, resid, jac = _solve(freqs, data, x0)
+        if x[1] < 0.0:
+            restart = x.copy()
+            restart[1] = abs(restart[1])
+            x, resid, jac = _solve(freqs, data, restart)
+    except FloatingPointError as exc:
+        raise FitError(f"resonance fit left float64's range: {exc}") from exc
 
     f_c, gamma_fwhm, phi0, theta, b_p, b_q = x
     # Gauge fix: a negative amplitude with theta shifted by pi is the same

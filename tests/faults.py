@@ -180,8 +180,8 @@ FAULTS = [
      "spectrum.span: 40000.0 Hz must reach a trace bin past each edge of "
      "spectrum.bg_window (0.5 Hz), and the window must hold a trace bin"),
     # the analyzer's flat-top segment would not fit the band's envelope
-    # (rbw too coarse for it) or the series (sim.duration too short; an
-    # 18856-sample segment at the 4 kHz window's 5 kHz envelope rate)
+    # (rbw too coarse for it) or the series (sim.duration too short; a
+    # 15273-sample segment at the 4 kHz window's 4050 Hz envelope rate)
     ("noise-scan", f"spectrum.bg_window = 20\n{_FLOOR}", 2,
      ("spectrum.rbw", "spectrum.bg_window"),
      "spectrum.rbw: 30.0 Hz is too coarse for spectrum.bg_window = 20.0 Hz; "
@@ -194,8 +194,8 @@ FAULTS = [
      "lower spectrum.rbw or widen spectrum.span"),
     ("sensitivity-sweep", f"spectrum.rbw = 1\n{_FLOOR}", 2,
      ("spectrum.rbw", "sim.duration"),
-     "spectrum.rbw: 1.0 Hz needs sim.duration >= 3.7712 s for one analyzer "
-     "segment (got 0.4)"),
+     "spectrum.rbw: 1.0 Hz needs sim.duration >= 3.7711111111111113 s for one "
+     "analyzer segment (got 0.4)"),
     *[(mode, config, 2, ("spectrum.rbw", "sim.duration"), None)
       for mode, config in (("noise-scan", f"spectrum.rbw = 1\n{_FLOOR}"),
                            ("spectrum", f"spectrum.rbw = 1\n{_FLOOR}"),
@@ -335,7 +335,7 @@ FAULTS = [
     # Welch segment count must take as Python ints before the stack is refused
     *[(mode, f"sim.duration = 1e30\n{_FLOOR}", 2, "sim.duration", None)
       for mode in _ANALYZER_MODES],
-    # 1e15 on/off pairs of 2000 samples: the rows together are past numpy
+    # 1e15 on/off pairs of 1620 samples: the rows together are past numpy
     ("sensitivity-sweep", f"sweep.trace_avg = {10 ** 15}", 2,
      "sweep.trace_avg", None),
     # simulate's real series: under 2 samples, or past numpy's size limit

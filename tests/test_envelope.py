@@ -3,6 +3,7 @@ built as ``coherent_rotation``'s envelope plus a circular draw in
 ``cli._detected_stack`` and transformed or demodulated around its centre,
 must read the same levels as the real full-rate rows."""
 
+import itertools
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -74,17 +75,17 @@ def envelope(density=1e-12, mod=10e3, center=10.3e3, fs=2000.0,
 def test_envelope_grid_covers_band_with_5_smooth_rate():
     center, rate = _envelope_grid((68e3, 72e3))
     assert center == 70e3
-    assert rate == 5000.0  # 1.25 x 4 kHz, already 5-smooth
+    assert rate == 4000.0  # 4 kHz, already 5-smooth
     center, rate = _envelope_grid((1000.0, 2001.0))
-    assert rate == 1280.0  # ceil(1251.25) = 1252 -> next 2^a 3^b 5^c
+    assert rate == 1024.0  # ceil(1001 - ulp) = 1001 -> next 2^a 3^b 5^c
     # a band whose centred envelope would reach below DC gets one whose
     # lower edge sits at 0 Hz
-    assert _envelope_grid((0.0, 8e3)) == (5000.0, 10000.0)
-    assert _envelope_grid((5e3, 45e3)) == (25000.0, 50000.0)  # edge at 0 Hz
+    assert _envelope_grid((0.0, 7.9e3)) == (4000.0, 8000.0)
+    assert _envelope_grid((5e3, 45e3)) == (25000.0, 40000.0)  # centred
 
 
-@pytest.mark.parametrize("half, rate", [(500.0, 1250.0), (2000.0, 5000.0),
-                                        (20e3, 50000.0)])
+@pytest.mark.parametrize("half, rate", [(500.0, 1000.0), (2000.0, 4000.0),
+                                        (20e3, 40000.0)])
 def test_envelope_rate_follows_the_band_width_at_every_carrier(half, rate):
     # demod-sweep's +-500 Hz, the background's +-2 kHz and spectrum's
     # +-20 kHz at 200 carriers within 1 Hz below each of 2^10 .. 2^17 Hz:
@@ -96,6 +97,48 @@ def test_envelope_rate_follows_the_band_width_at_every_carrier(half, rate):
             if _envelope_grid((f - half, f + half))[1] != rate] == []
     # the rate stays positive however narrow the band
     assert _envelope_grid((1e6, 1e6 + math.ulp(1e6)))[1] == 1.0
+
+
+def _next_5_smooth(width: float) -> int:
+    """The smallest 2^a 3^b 5^c at or above width."""
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+    return next(m for m in itertools.count(math.ceil(width)) if smooth(m))
+
+
+@pytest.mark.parametrize("half", [500.0, 2000.0, 20e3])
+@pytest.mark.parametrize("rbw", [1.0, 30.0, 300.0, 1000.0])
+def test_analyzer_band_reads_one_rate_with_a_bin_past_each_edge(half, rbw):
+    # on the carrier grid of the rate test above, an analyzer band widened
+    # by _EDGE_BINS bins of rbw past each edge has one rate at every
+    # carrier, the smallest 5-smooth one at or above the padded width, and
+    # wherever the analyzer's segment fits, its trace holds a bin past both
+    # edges of the window (where spectrum's span stops at 0 Hz, the trace
+    # starts within a bin of 0 Hz)
+    carriers = [f for k in range(10, 18) for f in np.linspace(
+        2.0 ** k - 1.0, 2.0 ** k, 200, endpoint=False).tolist()]
+    cfg = default_config(f"spectrum.rbw = {rbw!r}\nsim.duration = 4")
+    padded = 2.0 * (half + cli._EDGE_BINS * rbw / dsp._ENBW_BINS)
+    rates, fits = set(), 0
+    for f in carriers:
+        band = (max(f - half, 0.0), f + half)
+        center, rate, n = cli._series_grid(cfg, band)
+        if band[0] > 0.0:
+            rates.add(rate)
+        try:
+            window, _ = dsp._analyzer_window(rate, rbw, n)
+        except ValueError:  # rbw too coarse for this band
+            continue
+        fits += 1
+        first, last = dsp._offset_freqs(window.size, rate)[[0, -1]] + center
+        assert first < band[0] or 0.0 == band[0] <= first < rate / window.size
+        assert last > band[1]
+    assert rates == {float(_next_5_smooth(padded))}
+    if rbw <= 30.0:  # the segment fits every band
+        assert fits == len(carriers)
 
 
 def test_envelope_tone_is_half_the_quadratures_at_the_offset():
@@ -251,12 +294,36 @@ def test_spectrum_envelope_at_dc_agrees_with_full_rate_across_seeds():
     mod = cfg.field.modulation_freq
     span = (max(mod - cfg.spectrum.span / 2.0, 0.0),
             mod + cfg.spectrum.span / 2.0)
-    assert span[0] == 0.0 and _envelope_grid(span) == (18432.0, 36864.0)
+    assert span[0] == 0.0 and cli._series_grid(cfg, span)[:2] == (15000.0,
+                                                                   30000.0)
     power = cfg.sim.probe_power
     phi0 = _tone_phi0(cfg, power)
     real = _peak_and_background(cfg, None, power, phi0, span, (10.0, 1e3))
     env = _peak_and_background(cfg, span, power, phi0, span, (10.0, 1e3))
     _assert_chains_agree(real, env)
+
+
+def test_envelope_edge_bins_read_the_budget_across_seeds():
+    # a read window's outer bins sit about one bin inside its envelope's
+    # +-rate/2: over SEEDS the off rows' bins nearest each edge of
+    # spectrum.bg_window (noise-scan's and sensitivity-sweep's band) and of
+    # spectrum.span (spectrum's) read the budget N(P)
+    cfg = default_config()
+    mod, power = cfg.field.modulation_freq, cfg.sim.probe_power
+    span = (mod - cfg.spectrum.span / 2.0, mod + cfg.spectrum.span / 2.0)
+    expected = theory_budget(cfg).eval(power)
+    for band, sliced in ((cli._bg_band(cfg, cfg.field), None), (span, span)):
+        edges = []
+        for seed in SEEDS:
+            traces, _, _ = cli._analyzer(cfg, band, [(None, power, mod)] * 4,
+                                         (seed,), span=sliced)
+            inside = np.flatnonzero((traces.freqs >= band[0])
+                                    & (traces.freqs <= band[1]))
+            edges.append(traces.psd[:, inside[[0, -1]]].mean(axis=0))
+        for column in np.transpose(edges):
+            mean, sem = mean_and_sem(column)
+            assert sem < 0.1 * expected
+            assert abs(mean - expected) < 4.0 * sem
 
 
 @pytest.mark.parametrize("power", [20e-6, 80.5e-6, 300e-6])
@@ -298,7 +365,7 @@ def test_envelope_lock_in_weights_keep_noise_and_dc_gain():
     bw = cfg.lockin.output_bandwidth
     ts, = demod_series(cfg, res, np.array([res.center_freq]), 1)
     rate, n = ts.sample_rate, ts.samples.size
-    assert (ts.center_freq, rate, n) == (res.center_freq, 1250.0, 500)
+    assert (ts.center_freq, rate, n) == (res.center_freq, 1000.0, 400)
     fs = cfg.sim.sample_rate
     w_env = _lock_in_weights(rate, bw, n)
     w_full = _lock_in_weights(fs, bw, round(cfg.sim.duration * fs))
@@ -361,12 +428,12 @@ def test_envelope_lock_in_agrees_with_full_rate_across_seeds(fwhms):
 
 
 def test_envelope_lock_in_at_dc_agrees_with_full_rate_across_seeds():
-    # a 300 Hz carrier: the +-500 Hz band's envelope moves up to 625 Hz
+    # a 300 Hz carrier: the +-500 Hz band's envelope moves up to 500 Hz
     cfg, res, _ = demod_setup()
     res = replace(res, center_freq=320.0)
     half = cli._LOCKIN_HALFBAND * cfg.lockin.output_bandwidth
     band = (300.0 - half, 300.0 + half)
-    assert _envelope_grid(band) == (625.0, 1250.0)
+    assert _envelope_grid(band) == (500.0, 1000.0)
     _assert_lock_in_agrees(cfg, res, 300.0, band)
 
 
@@ -429,16 +496,16 @@ def test_demod_sweep_lorentzian_errors_are_calibrated(extra):
 
 
 def test_demod_sweep_reads_envelopes_near_dc():
-    # a 700 Hz resonance: every point is a 1250 Hz envelope, and those of
-    # carriers at or below 1250/2 Hz sit with their lower edge at 0 Hz
+    # a 700 Hz resonance: every point is a 1000 Hz envelope, and those of
+    # carriers at or below 1000/2 Hz sit with their lower edge at 0 Hz
     cfg = default_config()
     cfg.field = FieldConfig(b_field=75e-9).resolve(cfg.atom)
     res, freqs = cli._demod_grid(cfg)
     stack = cli._demod_rows(cfg, res, freqs, 1)
-    assert stack.sample_rate == 1250.0
+    assert stack.sample_rate == 1000.0
     centers = stack.center_freq
-    assert centers == [max(float(f), 625.0) for f in freqs]
-    assert 0 < sum(c == 625.0 for c in centers) < len(centers)
+    assert centers == [max(float(f), 500.0) for f in freqs]
+    assert 0 < sum(c == 500.0 for c in centers) < len(centers)
     fit = fit_lorentzian(sweep_resonance(res, freqs, stack,
                                          cfg.lockin.output_bandwidth))
     assert fit.center_freq == pytest.approx(res.center_freq, abs=0.01)
@@ -474,7 +541,7 @@ def test_stacked_lock_in_has_the_bits_of_one_call_per_row(tmp_path, config):
     res, freqs = cli._demod_grid(cfg)
     bw = cfg.lockin.output_bandwidth
     stack = cli._demod_rows(cfg, res, freqs, 1)
-    assert (stack.sample_rate, stack.samples.shape) == (1250.0, (61, 500))
+    assert (stack.sample_rate, stack.samples.shape) == (1000.0, (61, 400))
     carriers = freqs.tolist()
     assert lock_in_demodulate(stack, carriers, bw) == _one_call_per_row(
         stack, carriers, bw)

@@ -100,6 +100,13 @@ def test_fit_reports_non_convergence():
         fit_lorentzian(curve)
 
 
+def test_fit_reports_arithmetic_past_float64():
+    # a curve near 1e152 rad: the solver's scaled step norm squares past
+    # float64, which fails the fit rather than warning on the way to NaN
+    with pytest.raises(FitError, match="left float64's range"):
+        fit_lorentzian(synth_curve(phi0=1e152))
+
+
 def test_fit_requires_enough_points():
     curve = synth_curve(freqs=np.linspace(CENTER - 200, CENTER + 200, 6))
     with pytest.raises(FitError, match="at least 7"):

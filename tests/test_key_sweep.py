@@ -42,6 +42,10 @@ MENDED = [
      "noisescan.include_zero"),
     # a fit on noise alone: exit 3, saying the fit read noise
     ("demod-sweep", "resonance.phi0", 1e-30, "exit 3", "resonance.phi0"),
+    # a RuntimeWarning in the fit on noise near 1e150 rad: its arithmetic
+    # past float64 fails the fit, which read noise
+    ("demod-sweep", "detector.electronic_noise_floor", 1e300, "exit 3",
+     "resonance.phi0"),
 ]
 
 
@@ -52,6 +56,23 @@ def test_key_sweep_finds_each_mended_class_mended(mode, key, value, outcome,
     assert result["fault"] is None, result
     assert result["outcome"] == outcome
     assert result["message"].startswith(f"{lead}:")
+
+
+# each key that sizes an array, with the modes that read it: the full
+# sweep's values of these keys reach refusals no other tier-1 test runs
+SIZE_KEYS = [
+    ("sim.duration", key_sweep.MODES),
+    ("sweep.power_points", ("noise-scan", "sensitivity-sweep")),
+    ("sweep.freq_points", ("demod-sweep",)),
+    ("sweep.trace_avg", ("sensitivity-sweep",)),
+    ("snlmap.freq_bins", ("snl-map",)),
+]
+
+
+@pytest.mark.parametrize("key, modes", SIZE_KEYS)
+def test_key_sweep_keeps_the_contract_at_array_size_extremes(key, modes):
+    results = key_sweep.sweep({key: key_sweep.KEYS[key]}, modes)
+    assert [r for r in results if r["fault"]] == []
 
 
 def _nan_output(argv):

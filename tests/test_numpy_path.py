@@ -167,7 +167,7 @@ def test_envelope_lock_in_matches_sosfilt_on_default_grid():
     bw = cfg.lockin.output_bandwidth
     worst = 0.0
     for freq, ts in zip(freqs, demod_series(cfg, res, freqs, 1)):
-        assert ts.center_freq == freq and ts.sample_rate == 1250.0
+        assert ts.center_freq == freq and ts.sample_rate == 1000.0
         got = lock_in_demodulate(ts, float(freq), bw)
         want = sosfilt_envelope_lock_in(ts, float(freq), bw)
         worst = max(worst, *(abs(g - w) for g, w in zip(got, want)))
