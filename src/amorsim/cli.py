@@ -37,7 +37,8 @@ Random streams. Every draw comes from stream ``key + (lane,)``, seeded by
     simulate           (seed,)               lane 0 shot, 1 detector
     spectrum           (seed,)               its on/off pair
     noise-scan         (seed, scan)          scan 1 is the second field
-    sensitivity-sweep  (seed, power_index)   its trace_avg on/off pairs
+    sensitivity-sweep  (seed, power_index)   lane 0 its trace_avg tone-free
+                                             rows, 1 its trace_avg tone rows
     demod-sweep        (seed,)               its carrier grid
 
 snl-map draws nothing: its rows are the theory budget at each bin.
@@ -47,8 +48,10 @@ simulate synthesizes its real series (shot noise, lane 0) and detects it
 one shot draw. Every other mode builds analyzer stacks (see
 ``_detected_stack``): each row is white noise at the density
 ``theory_budget`` predicts for its power, and a stack's rows are one draw
-from its stream, on lane 0, in stack order. noise-scan and demod-sweep run
-serially; sensitivity-sweep's powers each own their stream, so ``_pmap``
+from its stream, on lane 0, in stack order. A sensitivity-sweep chunk's
+tone stack holds the tone rows of several powers, each power's run of
+rows drawn from its own stream on lane 1. noise-scan and demod-sweep run
+serially; sensitivity-sweep's powers each own their streams, so ``_pmap``
 may split them into any chunks, and outputs are byte-identical for a fixed
 ``--seed`` regardless of ``--workers``. The keys of one run all have one
 length: SeedSequence pads a key shorter than its 4-word pool with zeros,
@@ -61,14 +64,18 @@ it carries (None: no tone), the power that sets its chain, its carrier.
 ``_detected_stack`` allocates the array from the row list's length, draws
 the stack's noise straight into it and adds each tone row's coherent wave.
 demod-sweep's rows each sit on their own carrier's centre (``_demod_rows``)
-and go to one ``lock_in_demodulate`` through ``sweep_resonance``. Each
-analyzer stack goes through ``_analyzer``: one ``psd_estimate`` and one
-``peak_and_background`` read every row's peak at the modulation frequency
-and its background over ``spectrum.bg_window`` around it. spectrum keeps
-the on peak and off background of its on/off pair; sensitivity-sweep
-averages those of the ``trace_avg`` on/off pairs of one power, the off
-rows None; noise-scan's levels are the backgrounds of a scan's powers,
-every row None.
+and go to one ``lock_in_demodulate`` through ``sweep_resonance``. Every
+analyzer stack that holds a background row goes through ``_analyzer``:
+one ``psd_estimate`` and one ``peak_and_background`` read every row's
+peak at the modulation frequency and its background over
+``spectrum.bg_window`` around it. spectrum keeps the on peak and off
+background of its on/off pair; noise-scan's levels are the backgrounds of
+a scan's powers, every row None; sensitivity-sweep averages the
+backgrounds of the ``trace_avg`` None rows of one power. Its tone rows
+read one bin, the carrier's, so they go to ``_tone_peaks`` instead: one
+stack for the tone rows of a chunk's powers on a narrower band, one
+``psd_estimate``, and each row's bin nearest the carrier, whose mean over
+a power's rows is that power's peak.
 
 Analyzer bands. Every mode but simulate builds only the band its analyzer
 or lock-in reads, as the complex envelope of that band at the smallest
@@ -76,17 +83,22 @@ or lock-in reads, as the complex envelope of that band at the smallest
 reads its ``spectrum.span``; noise-scan and sensitivity-sweep read
 ``spectrum.bg_window`` around the modulation frequency; both bands are
 first widened by one analyzer bin past each edge (``_series_grid``), so
-each trace holds a bin beyond the window it reads. demod-sweep reads
+each trace holds a bin beyond the window it reads. sensitivity-sweep's
+tone rows read ``_tone_band``, the narrowest band around the carrier
+whose envelope holds one analyzer segment, capped at the window, which
+they read whenever ``spectrum.vbw < spectrum.rbw``. demod-sweep reads
 ``_LOCKIN_HALFBAND`` output bandwidths either side of each carrier, as
-they are. At the defaults that is 4050 Hz for the 4 kHz window, 40500 Hz
-for the 40 kHz span and 1000 Hz for each lock-in band. A band whose
-centred envelope would reach below DC gets one whose lower edge sits at
-0 Hz. Only simulate builds the real series at ``sim.sample_rate``.
+they are. At the defaults that is 4050 Hz for the 4 kHz window, 125 Hz
+for the tone band, 40500 Hz for the 40 kHz span and 1000 Hz for each
+lock-in band. A band whose centred envelope would reach below DC gets
+one whose lower edge sits at 0 Hz. Only simulate builds the real series
+at ``sim.sample_rate``.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import locale  # noqa: F401 argparse loads it on its first parse; load it here
 import math
@@ -131,6 +143,7 @@ from .dsp import (
     _analyzer_window,
     _envelope_grid,
     _segment_length,
+    _smooth_bracket,
     _video_pole,
     _welch_segments,
     peak_and_background,
@@ -425,18 +438,20 @@ def _series_grid(cfg: ExperimentConfig, band) -> tuple:
     return center, rate, int(round(cfg.sim.duration * rate))
 
 
-def _detected_stack(cfg: ExperimentConfig, band, rows: list, key: tuple,
-                    count_key: str = "sim.duration") -> DetectedTimeSeries:
+def _detected_stack(cfg: ExperimentConfig, band, rows: list, key,
+                    count_key: str = "sim.duration",
+                    lane: int = 0) -> DetectedTimeSeries:
     """The rows, each (res or None, power, carrier Hz), as the analyzer
     input, written straight into one (len(rows), n) stack on stream
-    key+(0,).
+    key+(lane,), or, where key is a list of one key per row, each run of
+    rows that share a key on that key's stream.
 
     A row is the coherent rotation of res at its carrier, at the chain's
     angle gain g(P), plus a white draw at the noise density N(P), both
     ``chain_at(cfg, power)``: N holds shot, electronic and technical noise
     at once (see the ``detector`` docstring). A None row has no tone: it is
     the draw alone. The stack, complex with a band, is allocated before its
-    stream is seeded, a size numpy refuses blamed on sim.duration if one
+    streams are seeded, a size numpy refuses blamed on sim.duration if one
     row is past it, else on count_key. The rows share the band's sample
     rate and centre; the other scalar fields describe row 0. demod-sweep
     passes a list of bands of one width instead, one per row, each row on
@@ -444,13 +459,14 @@ def _detected_stack(cfg: ExperimentConfig, band, rows: list, key: tuple,
     band=None: its real stack at sim.sample_rate is the full-rate
     reference the tests compare the envelopes with.
 
-    The stack's noise is one ``white_noise`` draw from
-    ``np.random.default_rng(key + (0,))``, row after row at each row's N,
-    straight into the stack; the scaled coherent wave is added onto each
-    row with a tone. g and N are worked out once per distinct power; a row
-    reuses the last wave built when its (res, carrier, centre, power)
-    match, as a sensitivity-sweep point's on rows do, and otherwise builds
-    its own.
+    Each run's noise is one ``white_noise`` draw from
+    ``np.random.default_rng(key + (lane,))``, row after row at each row's
+    N, straight into the run's slice of the stack, so a run holds the same
+    bytes whatever stack it sits in; a one-key stack is one run. The
+    scaled coherent wave is added onto each row with a tone. g and N are
+    worked out once per distinct power; a row reuses the last wave built
+    when its (res, carrier, centre, power) match, as the tone rows of a
+    sensitivity-sweep point do, and otherwise builds its own.
     """
     center, rate, n = _series_grid(cfg, band)
     dtype = float if center is None else complex
@@ -466,9 +482,15 @@ def _detected_stack(cfg: ExperimentConfig, band, rows: list, key: tuple,
                             np.empty, (count, n), dtype)
     chains = {power: chain_at(cfg, power)  # power -> (gain, density)
               for power in dict.fromkeys(power for _, power, _ in rows)}
-    white_noise(np.random.default_rng(key + (0,)),
-                [chains[power][1] for _, power, _ in rows], rate, n,
-                center is not None, out=samples)
+    densities = [chains[power][1] for _, power, _ in rows]
+    runs = ([(key, count)] if isinstance(key, tuple) else
+            [(k, len(list(run))) for k, run in itertools.groupby(key)])
+    start = 0
+    for stream, size in runs:
+        white_noise(np.random.default_rng(stream + (lane,)),
+                    densities[start:start + size], rate, n,
+                    center is not None, out=samples[start:start + size])
+        start += size
     centers = center if isinstance(center, list) else [center] * count
     built = wave = None  # the (res, f, c, power) of the last wave, and it
     for row, ((res, power, f), c) in enumerate(zip(rows, centers)):
@@ -483,7 +505,8 @@ def _detected_stack(cfg: ExperimentConfig, band, rows: list, key: tuple,
             samples[row] += wave
     power = rows[0][1]
     return DetectedTimeSeries(samples, rate, cfg.detector.gain_effective,
-                              power, chains[power][0], key + (0,), center)
+                              power, chains[power][0], runs[0][0] + (lane,),
+                              center)
 
 
 def _analyzer(cfg: ExperimentConfig, band, rows: list, key: tuple,
@@ -536,6 +559,38 @@ def _bg_band(cfg: ExperimentConfig, field: FieldConfig) -> tuple:
                           f"{mod!r} Hz reaches 0 Hz; narrow it or raise "
                           f"{_carrier_key(cfg, field)}")
     return (mod - half, mod + half)
+
+
+def _tone_band(cfg: ExperimentConfig, field: FieldConfig) -> tuple:
+    """The band sensitivity-sweep's tone rows are estimated on, around
+    field's carrier, for the one bin they read: the narrowest whose
+    envelope holds one flat-top segment at spectrum.rbw inside the 5% ENBW
+    gate. It walks the 5-smooth envelope rates up from a 16-sample
+    segment's and takes the background window, which caps it, where none
+    serves, and whenever spectrum.vbw < spectrum.rbw: the video filter
+    smooths the carrier's bin with its neighbours by a weight that the
+    trace's bin spacing sets, so the tone rows keep the window's. At the
+    defaults: +-53.75 Hz, a 125 Hz envelope of 50 samples a row, 16-point
+    segments (ENBW 31.43 Hz, where the window's is 29.88 Hz) and 5 Welch
+    segments, as on the window."""
+    sp, mod = cfg.spectrum, field.modulation_freq
+    window = _bg_band(cfg, field)
+    top = _series_grid(cfg, window)[1]
+    spacing = sp.rbw / _ENBW_BINS  # about one trace bin
+    least = (_MIN_SEGMENT - 0.5) * spacing  # a segment rounds to 16 samples
+    if sp.vbw < sp.rbw or not least < top:
+        return window
+    rate = _smooth_bracket(math.ceil(least))[1]
+    while rate < top:
+        half = rate / 2.0 - _EDGE_BINS * spacing
+        band = (mod - half, mod + half)
+        _, fs, n = _series_grid(cfg, band)
+        try:
+            _analyzer_window(fs, sp.rbw, n)
+            return band
+        except ValueError:
+            rate = _smooth_bracket(rate + 1)[1]
+    return window
 
 
 # ---------------------------------------------------------------------------
@@ -892,32 +947,75 @@ def _run_snl_map(cfg: ExperimentConfig, spec: ScenarioSpec) -> list:
     return outputs
 
 
-def _sweep_point_sensitivity(args):
-    """(cfg, seed, power index, power) -> one sensitivity-sweep row, its
-    traces on stream (seed, power index, 0)."""
-    cfg, spec_seed, index, power = args
-    res = _resonance(cfg, power)
+def _tone_peaks(cfg: ExperimentConfig, band: tuple, seed: int,
+                points: list) -> tuple:
+    """(ENBW, peaks) of the sweep.trace_avg tone rows of the points, each
+    (index, power, resonance): one stack on band, each point's rows on its
+    stream (seed, index, 1), one ``psd_estimate``, and each row's bin
+    nearest the carrier."""
     mod, traces = cfg.field.modulation_freq, cfg.sweep.trace_avg
-    rows = _allocate("sweep.trace_avg", f"{2 * traces!r} rows", list.__mul__,
-                     [(res, power, mod), (None, power, mod)], traces)
-    spectra, peaks, backgrounds = _analyzer(
-        cfg, _bg_band(cfg, cfg.field), rows, (spec_seed, index),
-        "sweep.trace_avg")
-    # the rows alternate on, off: the on rows' peaks, the off rows' levels
-    s_sig, s_bg = sum(peaks[::2]) / traces, sum(backgrounds[1::2]) / traces
-    snr = compute_snr(s_sig, s_bg, spectra.enbw)
-    delta_b = sensitivity(res.gamma_fwhm, snr, cfg.atom.g_f)
-    return {
-        "power_w": power, "phi0_rad": res.phi0,
-        "gamma_fwhm_hz": res.gamma_fwhm,
-        "s_sig_w_per_hz": s_sig, "s_bg_w_per_hz": s_bg, "snr": snr,
-        "delta_b_t_per_sqrt_hz": delta_b,
-    }
+    rows, keys = [], []
+    for index, power, res in points:
+        rows += _allocate("sweep.trace_avg", f"{traces!r} rows", list.__mul__,
+                          [(res, power, mod)], traces)
+        keys += [(seed, index)] * traces
+    sp = cfg.spectrum
+    spectra = psd_estimate(_detected_stack(cfg, band, rows, keys,
+                                           "sweep.trace_avg", lane=1),
+                           sp.rbw, sp.vbw)
+    peak = int(np.argmin(np.abs(spectra.freqs - mod)))
+    return spectra.enbw, spectra.psd[:, peak].tolist()
 
 
 def _sweep_rows(cfg: ExperimentConfig, seed: int, chunk: list) -> list[dict]:
-    """The rows of a chunk of (index, power) points, one ``_pmap`` chunk."""
-    return [_sweep_point_sensitivity((cfg, seed, *point)) for point in chunk]
+    """The sensitivity-sweep rows of a chunk of (index, power) points, one
+    ``_pmap`` chunk.
+
+    The tone rows of every point are one ``_tone_peaks`` stack on
+    ``_tone_band``, split into stacks of as many points as hold no
+    more samples than two background stacks; each point's tone-free rows
+    are one ``_analyzer`` stack on the background window, on stream (seed,
+    index, 0). A point reads the mean of its tone rows' peaks and of its
+    tone-free rows' backgrounds, and its SNR at the tone trace's ENBW,
+    which its row carries as enbw_hz. Every stream is one point's, so a
+    row holds the same bytes in a chunk of any size.
+    """
+    field, traces = cfg.field, cfg.sweep.trace_avg
+    band, window = _tone_band(cfg, field), _bg_band(cfg, field)
+    points = [(index, power, _resonance(cfg, power)) for index, power in chunk]
+    per_stack = max(1, 2 * _series_grid(cfg, window)[2]
+                    // max(1, _series_grid(cfg, band)[2]))
+    peaks = []
+    for start in range(0, len(points), per_stack):
+        enbw, part = _tone_peaks(cfg, band, seed,
+                                 points[start:start + per_stack])
+        peaks += part
+    mod = field.modulation_freq
+    sweep = []
+    for point, (index, power, res) in enumerate(points):
+        _, _, backgrounds = _analyzer(
+            cfg, window, _allocate("sweep.trace_avg", f"{traces!r} rows",
+                                   list.__mul__, [(None, power, mod)], traces),
+            (seed, index), "sweep.trace_avg")
+        s_sig = sum(peaks[point * traces:(point + 1) * traces]) / traces
+        s_bg = sum(backgrounds) / traces
+        snr = compute_snr(s_sig, s_bg, enbw)
+        sweep.append({
+            "power_w": power, "phi0_rad": res.phi0,
+            "gamma_fwhm_hz": res.gamma_fwhm,
+            "s_sig_w_per_hz": s_sig, "s_bg_w_per_hz": s_bg, "snr": snr,
+            "delta_b_t_per_sqrt_hz": sensitivity(res.gamma_fwhm, snr,
+                                                 cfg.atom.g_f),
+            "enbw_hz": enbw,
+        })
+    return sweep
+
+
+def _sweep_point_sensitivity(args):
+    """(cfg, seed, power index, power) -> one sensitivity-sweep row: the
+    one-point chunk of ``_sweep_rows``."""
+    cfg, seed, index, power = args
+    return _sweep_rows(cfg, seed, [(index, power)])[0]
 
 
 def _run_sensitivity_sweep(cfg: ExperimentConfig,
@@ -934,6 +1032,8 @@ def _run_sensitivity_sweep(cfg: ExperimentConfig,
                              " set by resonance.gamma_fwhm, saturation.p_broad"
                              " and sim.probe_power")
     _require_analyzer_fits(cfg, cfg.field, _bg_band(cfg, cfg.field),
+                           "sweep.power_max", None)
+    _require_analyzer_fits(cfg, cfg.field, _tone_band(cfg, cfg.field),
                            "sweep.power_max", top)
     _require_background(cfg, "sweep.power_min")
     _require_tone(cfg, "sweep.power_min", low.phi0, "resonance.phi0",
@@ -961,7 +1061,8 @@ def _run_sensitivity_sweep(cfg: ExperimentConfig,
     fig_columns = ["power_w", "delta_b_t_per_sqrt_hz"]
     return [("sensitivity_sweep.csv", partial(
                 write_table, columns=columns, data=[table[c] for c in columns],
-                meta={"seed": spec.seed, "detection_freq_hz": mod})),
+                meta={"seed": spec.seed, "detection_freq_hz": mod,
+                      "enbw_hz": rows[0]["enbw_hz"]})),
             ("sensitivity_report.json", partial(write_json, doc=report)),
             ("fig8_sensitivity.dat", partial(
                 write_table, columns=fig_columns,

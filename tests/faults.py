@@ -91,6 +91,20 @@ FAULTS = [
         ("sensitivity-sweep", "sweep.power_max = 5e147"),
         ("noise-scan", "sweep.power_max = 1e144"),
         ("noise-scan", "sweep.power_min = 1e-144"))],
+    # sensitivity-sweep reads its tone rows on its narrow tone band and its
+    # background on the window with no tone: with neither width broadening
+    # nor technical noise, 1e150 W overflows neither periodogram (the
+    # window's with the tone once did), and 1e152 W the tone band's
+    *[("sensitivity-sweep", "saturation.p_broad = 1e300\n"
+       f"detector.technical_noise_coef = 0\nsweep.power_max = {power}", code,
+       "sweep.power_max" if code else None, None)
+      for power, code in (("1e150", 0), ("1e152", 2))],
+    # the tone band refuses nothing the window runs: a video filter (vbw
+    # 0.3 or 10 Hz, or rbw 300 Hz over the 30 Hz vbw) takes the window,
+    # and rbw = vbw = 100 Hz a 500 Hz band past three refused ones
+    *[("sensitivity-sweep", setting, 0, None, None) for setting in (
+        "spectrum.vbw = 0.3", "spectrum.rbw = 300", "spectrum.vbw = 10",
+        "spectrum.rbw = 100\nspectrum.vbw = 100")],
     # a mode refuses only the powers it reads: snl-map none, simulate,
     # spectrum and demod-sweep sim.probe_power, the sweeps their grid
     # (sensitivity-sweep reads sim.probe_power too, as its resonance's

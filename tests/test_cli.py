@@ -18,6 +18,7 @@ import amorsim.cli
 import amorsim.dsp
 from amorsim.analysis import (
     classify_operating_point,
+    compute_snr,
     projection_noise,
     snl_range,
 )
@@ -249,6 +250,47 @@ def test_sensitivity_sweep_reads_the_budget_across_seeds():
             assert abs(mean - 1.0) < 4.0 * stderr, (power, column)
 
 
+@pytest.mark.parametrize("extra, stacks", [
+    ("", 1),
+    # a video filter takes the window for the tone rows: 2 points' tone
+    # rows hold two background stacks' samples, so 21 points take 11 tone
+    # stacks
+    ("spectrum.vbw = 10", 11),
+], ids=["defaults", "vbw10"])
+def test_sweep_rows_do_not_depend_on_chunking(tmp_path, monkeypatch, extra,
+                                              stacks):
+    # the default 21 points split into two contiguous chunks at every cut,
+    # and each point alone, give every row the bytes of the one-chunk run:
+    # a chunk's tone stacks draw each point's rows from that point's own
+    # stream
+    config = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+    path = tmp_path / "sweep.cfg"
+    path.write_text(config.read_text() + extra + "\n")
+    cfg = amorsim.cli._load_config(ScenarioSpec("sensitivity-sweep",
+                                                str(path)))
+    points = list(enumerate(amorsim.cli._power_grid(cfg).tolist()))
+    calls, estimate = [], psd_estimate
+
+    def counted(ts, *args, **kwargs):
+        calls.append(ts.samples.shape[0])
+        return estimate(ts, *args, **kwargs)
+
+    monkeypatch.setattr(amorsim.cli, "psd_estimate", counted)
+
+    def hexed(rows):
+        return [{column: value.hex() for column, value in row.items()}
+                for row in rows]
+
+    whole = hexed(amorsim.cli._sweep_rows(cfg, 5, points))
+    assert len(calls) == stacks + len(points)
+    for cut in range(1, len(points)):
+        assert hexed(amorsim.cli._sweep_rows(cfg, 5, points[:cut])
+                     + amorsim.cli._sweep_rows(cfg, 5, points[cut:])) \
+            == whole, cut
+    assert hexed(amorsim.cli._sweep_point_sensitivity((cfg, 5, *point))
+                 for point in points) == whole
+
+
 _POSITIVE = st.floats(min_value=5e-324, allow_infinity=False)
 
 
@@ -324,36 +366,38 @@ def test_stacked_analyzer_matches_per_point_estimates(mode_run, fast_config):
     # the levels and the s_sig/s_bg that one psd_estimate call per trace
     # would give, each trace a row rebuilt from its stack's stream in row
     # order: noise-scan's scan on (seed, 0, 0), each sensitivity-sweep
-    # power on (seed, index, 0); noise-scan reads its levels over
-    # spectrum.bg_window with peak_and_background, so the mean of each
-    # trace sliced to the window cross-checks that read
+    # power's tone rows on (seed, index, 1) over its tone band and its
+    # tone-free rows on (seed, index, 0) over the window; noise-scan reads
+    # its levels over spectrum.bg_window with peak_and_background, so the
+    # mean of each trace sliced to the window cross-checks that read
     seed = 11
     cfg = amorsim.cli._load_config(ScenarioSpec("noise-scan", fast_config))
     field, sp = cfg.field, cfg.spectrum
-    band = amorsim.cli._bg_band(cfg, field)
+    window = amorsim.cli._bg_band(cfg, field)
 
-    def traces(rows, key, span=None):
+    def traces(rows, key, span=None, band=window, lane=0):
         return [psd_estimate(row, sp.rbw, sp.vbw, span=span)
-                for row in _reference_stack(cfg, band, rows, key)]
+                for row in _reference_stack(cfg, band, rows, key, lane)]
 
     mod = field.modulation_freq
     powers = [0.0, *amorsim.cli._power_grid(cfg)]
     levels = [float(trace.psd.mean()) for trace in traces(
-        [(None, p, mod) for p in powers], (seed, 0), band)]
+        [(None, p, mod) for p in powers], (seed, 0), window)]
     _, (_, written), _ = read_table(mode_run("noise-scan", seed)
                                     / "noise_scan.csv")
     assert written.tolist() == levels
 
-    count = cfg.sweep.trace_avg
+    count, band = cfg.sweep.trace_avg, amorsim.cli._tone_band(cfg, field)
+    assert band[1] - band[0] < window[1] - window[0]
     s_sig, s_bg = [], []
     for i, p in enumerate(amorsim.cli._power_grid(cfg)):
         res = amorsim.cli._resonance(cfg, p)
-        rows = traces([(side, p, mod) for _ in range(count)
-                       for side in (res, None)], (seed, i))
-        parts = [peak_and_background(on, off, mod, sp.bg_window)
-                 for on, off in zip(rows[0::2], rows[1::2])]
-        s_sig.append(sum(part[0] for part in parts) / count)
-        s_bg.append(sum(part[1] for part in parts) / count)
+        ons = traces([(res, p, mod)] * count, (seed, i), band=band, lane=1)
+        offs = traces([(None, p, mod)] * count, (seed, i))
+        s_sig.append(sum(float(on.psd[np.argmin(np.abs(on.freqs - mod))])
+                         for on in ons) / count)
+        s_bg.append(sum(peak_and_background(off, off, mod, sp.bg_window)[1]
+                        for off in offs) / count)
     columns, data, _ = read_table(mode_run("sensitivity-sweep", seed)
                                   / "sensitivity_sweep.csv")
     table = dict(zip(columns, data))
@@ -361,17 +405,20 @@ def test_stacked_analyzer_matches_per_point_estimates(mode_run, fast_config):
     assert table["s_bg_w_per_hz"].tolist() == s_bg
 
 
-def _reference_stack(cfg, band, rows, key):
+def _reference_stack(cfg, band, rows, key, lane=0):
     """A stack's (res or None, power, carrier) rows rebuilt one by one as
     series of their own: each the coherent rotation at its carrier (none
     for a None row) at the chain's angle gain plus numpy's normal draw at
     the budget's density, the draws taken in row order from the one
-    stream key+(0,)."""
+    stream key+(lane,), or, for a list of one key per row, from a stream
+    seeded anew where the key changes."""
     center, rate, n = amorsim.cli._series_grid(cfg, band)
     envelope = center is not None
-    rng = np.random.default_rng(key + (0,))
-    series = []
-    for res, power, mod in rows:
+    keys = key if isinstance(key, list) else [key] * len(rows)
+    series, rng = [], None
+    for row, (res, power, mod) in enumerate(rows):
+        if row == 0 or keys[row] != keys[row - 1]:
+            rng = np.random.default_rng(keys[row] + (lane,))
         wave = (None if res is None
                 else coherent_rotation(res, mod, rate, n, center))
         gain = angle_gain_from_chain(cfg.detector, photon_flux(
@@ -393,15 +440,18 @@ def _reference_stack(cfg, band, rows, key):
        offsets=st.lists(st.sampled_from([0.0, -400.0, 600.0]),
                         min_size=9, max_size=9),
        band=st.sampled_from(["real", "bg_window", "offset"]),
-       key=st.sampled_from([(3,), (5_000_000_000, 2)]))
+       key=st.sampled_from([(3,), (5_000_000_000, 2)]),
+       split=st.one_of(st.none(), st.integers(min_value=1, max_value=9)),
+       lane=st.sampled_from([0, 1]))
 def test_detected_stack_rows_are_chain_series_bit_for_bit(
-        fast_config, sides, powers, offsets, band, key):
+        fast_config, sides, powers, offsets, band, key, split, lane):
     # each row written in place equals the row rebuilt from the stack's
     # stream, and a stack of the first row alone holds that row; real and
     # envelope stacks, tone and None rows, a carrier per row, dark rows,
-    # and a seed of two 32-bit words. A None row reaches no
-    # coherent_rotation, and a tone row builds a wave only where its
-    # (res, power, carrier) differs from the last tone row's
+    # a seed of two 32-bit words, either lane, and a list of one key per
+    # row whose two runs each draw from their own stream. A None row
+    # reaches no coherent_rotation, and a tone row builds a wave only
+    # where its (res, power, carrier) differs from the last tone row's
     cfg = amorsim.cli._load_config(ScenarioSpec("sensitivity-sweep",
                                                 fast_config))
     field = cfg.field
@@ -411,6 +461,9 @@ def test_detected_stack_rows_are_chain_series_bit_for_bit(
     res = amorsim.cli._resonance(cfg, cfg.sim.probe_power)
     rows = [(res if side == 0 else None, power, mod + offset)
             for side, power, offset in zip(sides, powers, offsets)]
+    keys = key if split is None else [
+        key if row < split else key[:-1] + (key[-1] + 1,)
+        for row in range(len(rows))]
     calls, coherent = [], amorsim.cli.coherent_rotation
 
     def counted(res, *args):
@@ -419,7 +472,7 @@ def test_detected_stack_rows_are_chain_series_bit_for_bit(
 
     amorsim.cli.coherent_rotation = counted
     try:
-        stack = amorsim.cli._detected_stack(cfg, band, rows, key)
+        stack = amorsim.cli._detected_stack(cfg, band, rows, keys, lane=lane)
     finally:
         amorsim.cli.coherent_rotation = coherent
     assert None not in calls
@@ -429,11 +482,11 @@ def test_detected_stack_rows_are_chain_series_bit_for_bit(
     center, rate, n = amorsim.cli._series_grid(cfg, band)
     assert stack.samples.shape == (len(rows), n)
     assert (stack.sample_rate, stack.center_freq) == (rate, center)
-    assert stack.rng_seed == key + (0,)
-    expected = _reference_stack(cfg, band, rows, key)
+    assert stack.rng_seed == key + (lane,)
+    expected = _reference_stack(cfg, band, rows, keys, lane)
     for row, series in enumerate(expected):
         assert stack.samples[row].tobytes() == series.samples.tobytes(), row
-    first = amorsim.cli._detected_stack(cfg, band, rows[:1], key)
+    first = amorsim.cli._detected_stack(cfg, band, rows[:1], key, lane=lane)
     assert first.samples.tobytes() == expected[0].samples.tobytes()
 
 
@@ -570,6 +623,11 @@ def test_sensitivity_report_is_the_best_row(mode_run, fast_config):
     out = mode_run("sensitivity-sweep")
     names, cells, meta = read_table(out / "sensitivity_sweep.csv")
     table = dict(zip(names, cells))
+    # each row's SNR is its peak over its background at the ENBW the
+    # header names, the tone trace's
+    assert table["snr"].tolist() == [
+        compute_snr(sig, bg, meta["enbw_hz"])
+        for sig, bg in zip(table["s_sig_w_per_hz"], table["s_bg_w_per_hz"])]
     best = int(np.argmin(table["delta_b_t_per_sqrt_hz"]))
     cfg = amorsim.cli._load_config(ScenarioSpec("sensitivity-sweep",
                                                 fast_config))
@@ -591,11 +649,13 @@ def test_sensitivity_report_is_the_best_row(mode_run, fast_config):
 def test_sensitivity_sweep_outputs(mode_run):
     out = mode_run("sensitivity-sweep")
     lines = (out / "sensitivity_sweep.csv").read_text().splitlines()
-    header = lines[2].split(",")
+    assert [line.split(" = ")[0] for line in lines[:3]] == [
+        "# seed", "# detection_freq_hz", "# enbw_hz"]
+    header = lines[3].split(",")
     assert header == ["power_w", "phi0_rad", "gamma_fwhm_hz", "s_sig_w_per_hz",
                       "s_bg_w_per_hz", "snr", "delta_b_t_per_sqrt_hz",
                       "snl_class"]
-    body = lines[3:]
+    body = lines[4:]
     assert len(body) == 4
     classes = {row.split(",")[-1] for row in body}
     assert classes <= {"electronic-limited", "SNL(4)", "technical-limited"}
@@ -710,10 +770,11 @@ def _generator_keys(argv, monkeypatch):
 
 # streams a fast-config run seeds: simulate one for the shot and one for
 # the detector noise, each analyzer stack one (spectrum's on/off pair,
-# noise-scan's scan, demod-sweep's carrier grid, each sensitivity-sweep
-# power), and snl-map, which maps the theory budget, none
+# noise-scan's scan, demod-sweep's carrier grid), each sensitivity-sweep
+# power two (its tone rows and its tone-free rows), and snl-map, which
+# maps the theory budget, none
 FAST_GENERATORS = {"simulate": 2, "demod-sweep": 1, "spectrum": 1,
-                   "noise-scan": 1, "snl-map": 0, "sensitivity-sweep": 4}
+                   "noise-scan": 1, "snl-map": 0, "sensitivity-sweep": 8}
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -741,15 +802,18 @@ def test_default_sensitivity_sweep_builds_one_generator_per_power(
     keys = _generator_keys(["sensitivity-sweep", "--config", str(config),
                             "--out", str(tmp_path), "--seed", "7"],
                            monkeypatch)
-    assert keys == [(7, index, 0) for index in range(21)]
-    assert len(keys) == cfg.sweep.power_points == 21
+    # the chunk's tone rows first, each power's on its lane 1, then each
+    # power's tone-free stack on its lane 0
+    assert keys == ([(7, index, 1) for index in range(21)]
+                    + [(7, index, 0) for index in range(21)])
+    assert len(keys) == 2 * cfg.sweep.power_points == 42
 
 
 def test_default_sweep_point_synthesizes_once_per_side(monkeypatch):
-    # a default point's 8 rows, trace_avg on/off pairs of one power, take
-    # one coherent wave in all: the on rows share it and the off rows have
-    # no tone. Each row is the row rebuilt from the point's stream
-    # (7, index, 0)
+    # a default point's trace_avg tone rows take one coherent wave in all,
+    # and its trace_avg tone-free rows none. Its tone rows are the rows
+    # rebuilt from the point's stream (7, index, 1) on its tone band, and
+    # its tone-free rows those from (7, index, 0) on the window
     config = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
     cfg = amorsim.cli._load_config(ScenarioSpec("sensitivity-sweep",
                                                 str(config)))
@@ -771,22 +835,24 @@ def test_default_sweep_point_synthesizes_once_per_side(monkeypatch):
     amorsim.cli._sweep_point_sensitivity((cfg, 7, index, power))
     traces = cfg.sweep.trace_avg
     assert len(calls) == 1
-    [stack] = stacks
-    assert stack.shape[0] == 2 * traces
+    tones, backgrounds = stacks
+    assert tones.shape[0] == backgrounds.shape[0] == traces
     field, res = cfg.field, amorsim.cli._resonance(cfg, power)
-    band, mod = amorsim.cli._bg_band(cfg, field), field.modulation_freq
-    expected = _reference_stack(cfg, band, [(side, power, mod)
-                                            for _ in range(traces)
-                                            for side in (res, None)],
-                                (7, index))
-    for row, series in enumerate(expected):
-        assert stack[row].tobytes() == series.samples.tobytes(), row
+    mod = field.modulation_freq
+    for stack, band, side, lane in (
+            (tones, amorsim.cli._tone_band(cfg, field), res, 1),
+            (backgrounds, amorsim.cli._bg_band(cfg, field), None, 0)):
+        expected = _reference_stack(cfg, band, [(side, power, mod)] * traces,
+                                    (7, index), lane)
+        for row, series in enumerate(expected):
+            assert stack[row].tobytes() == series.samples.tobytes(), row
 
 
 @pytest.mark.parametrize("mode, stacks", [
     ("spectrum", [2]),                 # its on/off pair
     ("noise-scan", [22, 22]),          # a dark point and 21 powers, 2 fields
-    ("sensitivity-sweep", [8] * 21),   # 4 on/off pairs at each of 21 powers
+    # the 4 tone rows of each of 21 powers, then each power's 4 tone-free
+    ("sensitivity-sweep", [84] + [4] * 21),
 ])
 def test_analyzer_modes_estimate_each_stack_once(mode, stacks, tmp_path,
                                                  monkeypatch):
@@ -1138,10 +1204,10 @@ def test_lock_in_bandwidth_keeps_60_db_at_twice_the_lowest_carrier():
 
 
 def test_oversized_trace_average_exits_2_naming_its_key(tmp_path):
-    # the stack is allocated from its row count before any row's key is
-    # built, so numpy refuses 2e15 rows at once; the child's address space
-    # is capped, so a run that builds the keys first fails here instead of
-    # exhausting the host's memory
+    # a point's 1e15 tone rows are refused as one list before any stack or
+    # row's key is built; the child's address space is capped, so a run
+    # that builds the keys first fails here instead of exhausting the
+    # host's memory
     cfg = tmp_path / "huge.cfg"
     cfg.write_text(f"sweep.trace_avg = {10 ** 15}\n")
     child = (
@@ -1157,7 +1223,7 @@ def test_oversized_trace_average_exits_2_naming_its_key(tmp_path):
     assert run.returncode == 2, run.stderr
     err = json.loads(run.stderr)
     assert err["error"] == "ConfigError"
-    assert err["message"].startswith(f"sweep.trace_avg: {2 * 10 ** 15} rows")
+    assert err["message"].startswith(f"sweep.trace_avg: {10 ** 15} rows")
 
 
 def test_demod_sweep_runs_at_the_lock_in_duration_limit(tmp_path):

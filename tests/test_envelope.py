@@ -141,6 +141,45 @@ def test_analyzer_band_reads_one_rate_with_a_bin_past_each_edge(half, rbw):
         assert fits == len(carriers)
 
 
+@pytest.mark.parametrize("extra, rate", [
+    ("", 125.0),                     # a 16-sample segment
+    # the 432, 450 and 480 Hz envelopes miss the 5% ENBW gate
+    ("spectrum.rbw = 100\nspectrum.vbw = 100", 500.0),
+    ("spectrum.vbw = 10", 4050.0),   # a video filter: the window
+    ("spectrum.vbw = 0.3", 4050.0),
+    ("spectrum.rbw = 300", 4320.0),  # over the default 30 Hz vbw
+])
+def test_tone_band_is_the_narrowest_that_holds_a_segment(extra, rate):
+    # sensitivity-sweep's tone band lies in the background window around
+    # the carrier. With a video filter (vbw < rbw) it is the window;
+    # otherwise its envelope holds a segment the analyzer accepts and no
+    # narrower 5-smooth envelope, from the 16-sample segment's up, does
+    cfg = default_config(extra)
+    sp, mod = cfg.spectrum, cfg.field.modulation_freq
+    band, window = cli._tone_band(cfg, cfg.field), cli._bg_band(cfg, cfg.field)
+    assert window[0] <= band[0] < mod < band[1] <= window[1]
+    assert cli._series_grid(cfg, band)[1] == rate
+    assert (band == window) == (sp.vbw < sp.rbw)
+    if band == window:
+        return
+
+    def holds(band):
+        _, fs, n = cli._series_grid(cfg, band)
+        try:
+            dsp._analyzer_window(fs, sp.rbw, n)
+        except ValueError:
+            return False
+        return True
+
+    assert holds(band)
+    spacing = sp.rbw / dsp._ENBW_BINS
+    narrower = _next_5_smooth(math.ceil((dsp._MIN_SEGMENT - 0.5) * spacing))
+    while narrower < rate:
+        half = narrower / 2.0 - cli._EDGE_BINS * spacing
+        assert not holds((mod - half, mod + half)), narrower
+        narrower = _next_5_smooth(narrower + 1)
+
+
 def test_envelope_tone_is_half_the_quadratures_at_the_offset():
     res = ResonanceParams(phi0=1e-3, gamma_fwhm=60.0, center_freq=10e3)
     wave = coherent_rotation(res, 10.05e3, 2000.0, 200, 10.3e3)
