@@ -5,10 +5,16 @@ Runs the six modes on ``configs/default.cfg`` at each ``--seeds`` value
 (by default 1, 2 and 4294967297, a seed of two 32-bit words),
 once in the working tree and once in a ``git archive`` of ``--ref``, and
 compares the sha256 of every file each run wrote. ``manifest.json`` is
-compared without ``wall_time_s``. Prints one line per file and exits 1 on
-any difference or on any mode that fails in either tree::
+compared without ``wall_time_s`` and ``workers``. Prints one line per file
+and exits 1 on any difference or on any mode that fails in either tree::
 
     python3 scripts/compare_outputs.py --ref HEAD~1 --seeds 1 2
+
+With ``--workers N`` the working tree runs each mode at ``--workers N``
+and the revision at 1, so one command checks that the outputs do not
+depend on the pool size::
+
+    python3 scripts/compare_outputs.py --ref HEAD --workers 3
 
 With ``--faults`` it runs the rows of ``tests/faults.py`` instead, the
 working tree's table in both trees, and compares each row's exit status,
@@ -70,6 +76,7 @@ def _digest(path: Path) -> str:
     if path.name == "manifest.json":
         doc = json.loads(data)
         doc.pop("wall_time_s", None)
+        doc.pop("workers", None)
         data = json.dumps(doc, sort_keys=True).encode()
     return hashlib.sha256(data).hexdigest()
 
@@ -118,6 +125,9 @@ def main() -> int:
     parser.add_argument("--faults", action="store_true",
                         help="compare the rows of tests/faults.py, not the "
                         "outputs")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="pool size of the working tree's runs (the "
+                        "revision's run at 1)")
     args = parser.parse_args()
 
     failed = False
@@ -130,11 +140,12 @@ def main() -> int:
         for seed in args.seeds:
             for mode in MODES:
                 outs = {}
-                for side, tree in (("ref", ref_tree), ("work", REPO_ROOT)):
+                for side, tree, workers in (("ref", ref_tree, 1),
+                                            ("work", REPO_ROOT, args.workers)):
                     out = tmp / "out" / side / f"{mode}-{seed}"
                     status, stderr = _run(tree, [
                         mode, "--config", CONFIG, "--out", str(out),
-                        "--seed", str(seed)])
+                        "--seed", str(seed), "--workers", str(workers)])
                     if status != "exit 0":
                         failed = True
                         print(f"FAILED  seed {seed} {mode} ({side}): "

@@ -31,51 +31,46 @@ Exit codes: 0 success, 2 configuration error (an array too large to
 allocate counts as one, blamed on the key that sized it), 3 numerical
 failure, 4 I/O error; failures print a single JSON object to stderr.
 
-Random streams. Every draw comes from stream ``key + (lane,)``, seeded by
-``np.random.default_rng``, where ``key`` names one series or one stack:
+Random streams. Every draw comes from one stream, seeded by
+``np.random.default_rng`` with its full key:
 
-    simulate           (seed,)               lane 0 shot, 1 detector
-    spectrum           (seed,)               its on/off pair
-    noise-scan         (seed, scan)          scan 1 is the second field
-    sensitivity-sweep  (seed, power_index)   lane 0 its trace_avg tone-free
-                                             rows, 1 its trace_avg tone rows
-    demod-sweep        (seed,)               its carrier grid
+    simulate           (seed, 0), (seed, 1)    shot noise, detector noise
+    spectrum           (seed, 0)               its on/off pair
+    noise-scan         (seed, scan, 0)         scan 1 is the second field
+    sensitivity-sweep  (seed, power_index, 1)  a power's trace_avg tone rows
+                       (seed, power_index, 0)  its trace_avg tone-free rows
+    demod-sweep        (seed, 0)               its carrier grid
 
-snl-map draws nothing: its rows are the theory budget at each bin.
+snl-map draws nothing: its rows are the theory budget at each bin. The
+keys of one run all have one length: SeedSequence pads a key shorter than
+its 4-word pool with zeros, so ``(seed, 0)`` names ``(seed, 0, 0)``'s
+stream, while ``(1, 2, 3, 1)`` and ``(1, 2, 3, 1, 0)`` differ.
 
-simulate synthesizes its real series (shot noise, lane 0) and detects it
-(detector noise, lane 1), so ``rotation.csv`` and ``detected.csv`` share
-one shot draw. Every other mode builds analyzer stacks (see
-``_detected_stack``): each row is white noise at the density
-``theory_budget`` predicts for its power, and a stack's rows are one draw
-from its stream, on lane 0, in stack order. A sensitivity-sweep chunk's
-tone stack holds the tone rows of several powers, each power's run of
-rows drawn from its own stream on lane 1. noise-scan and demod-sweep run
+simulate's ``rotation.csv`` and ``detected.csv`` share one shot draw.
+Every other mode builds its series as the rows of one array (see
+``_detected_stack``), each row (res or None, power, carrier, stream): the
+resonance whose tone it carries (None: no tone), the power that sets its
+chain, its carrier and its stream. A row is white noise at the density
+``theory_budget`` predicts for its power plus its tone's coherent wave,
+and each run of rows that share a stream is one draw from it, so a run
+holds the same bytes in any stack. noise-scan and demod-sweep run
 serially; sensitivity-sweep's powers each own their streams, so ``_pmap``
-may split them into any chunks, and outputs are byte-identical for a fixed
-``--seed`` regardless of ``--workers``. The keys of one run all have one
-length: SeedSequence pads a key shorter than its 4-word pool with zeros,
-so ``(seed, 0)`` names ``(seed, 0, 0)``'s stream, while ``(1, 2, 3, 1)``
-and ``(1, 2, 3, 1, 0)`` differ.
+may split them into any chunks, and outputs are byte-identical for a
+fixed ``--seed`` regardless of ``--workers``.
 
-The analyzer modes and demod-sweep build their series as the rows of one
-array, each row (res or None, power, carrier): the resonance whose tone
-it carries (None: no tone), the power that sets its chain, its carrier.
-``_detected_stack`` allocates the array from the row list's length, draws
-the stack's noise straight into it and adds each tone row's coherent wave.
-demod-sweep's rows each sit on their own carrier's centre (``_demod_rows``)
-and go to one ``lock_in_demodulate`` through ``sweep_resonance``. Every
-analyzer stack that holds a background row goes through ``_analyzer``:
-one ``psd_estimate`` and one ``peak_and_background`` read every row's
-peak at the modulation frequency and its background over
-``spectrum.bg_window`` around it. spectrum keeps the on peak and off
-background of its on/off pair; noise-scan's levels are the backgrounds of
-a scan's powers, every row None; sensitivity-sweep averages the
-backgrounds of the ``trace_avg`` None rows of one power. Its tone rows
-read one bin, the carrier's, so they go to ``_tone_peaks`` instead: one
-stack for the tone rows of a chunk's powers on a narrower band, one
-``psd_estimate``, and each row's bin nearest the carrier, whose mean over
-a power's rows is that power's peak.
+demod-sweep's rows each sit on their own carrier's centre
+(``_demod_rows``) and go to one ``lock_in_demodulate`` through
+``sweep_resonance``. Every analyzer stack that holds a background row goes
+through ``_analyzer``: one ``psd_estimate`` and one
+``peak_and_background`` read every row's peak at the modulation frequency
+and its background over ``spectrum.bg_window`` around it. spectrum keeps
+the on peak and off background of its on/off pair; noise-scan's levels
+are the backgrounds of a scan's powers, every row None;
+sensitivity-sweep averages the backgrounds of a power's ``trace_avg``
+None rows. Its tone rows read one bin, the carrier's, so they go to
+``_tone_peaks`` on a narrower band instead, and a power's peak is the
+mean of its rows' bins nearest the carrier. ``_sweep_stacks`` cuts both
+kinds of rows into stacks of at most two powers' tone-free samples.
 
 Analyzer bands. Every mode but simulate builds only the band its analyzer
 or lock-in reads, as the complex envelope of that band at the smallest
@@ -213,8 +208,11 @@ class ScenarioSpec:
 
 def _pmap(fn, points: list, workers: int) -> list:
     """fn(chunk), one result per point, over min(workers, len(points), cores)
-    contiguous chunks of points: one per worker, or fn(points) in-process."""
-    chunks = min(workers, len(points), os.cpu_count() or 1)
+    contiguous chunks of points: one per worker, or fn(points) in-process.
+    cores counts the CPUs this process may run on, where the OS says."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    chunks = min(workers, len(points), cores)
     if chunks < 2:
         return fn(points)
     from concurrent import futures
@@ -438,13 +436,10 @@ def _series_grid(cfg: ExperimentConfig, band) -> tuple:
     return center, rate, int(round(cfg.sim.duration * rate))
 
 
-def _detected_stack(cfg: ExperimentConfig, band, rows: list, key,
-                    count_key: str = "sim.duration",
-                    lane: int = 0) -> DetectedTimeSeries:
-    """The rows, each (res or None, power, carrier Hz), as the analyzer
-    input, written straight into one (len(rows), n) stack on stream
-    key+(lane,), or, where key is a list of one key per row, each run of
-    rows that share a key on that key's stream.
+def _detected_stack(cfg: ExperimentConfig, band, rows: list,
+                    count_key: str = "sim.duration") -> DetectedTimeSeries:
+    """The rows, each (res or None, power, carrier Hz, stream), as the
+    analyzer input, written straight into one (len(rows), n) stack.
 
     A row is the coherent rotation of res at its carrier, at the chain's
     angle gain g(P), plus a white draw at the noise density N(P), both
@@ -459,14 +454,14 @@ def _detected_stack(cfg: ExperimentConfig, band, rows: list, key,
     band=None: its real stack at sim.sample_rate is the full-rate
     reference the tests compare the envelopes with.
 
-    Each run's noise is one ``white_noise`` draw from
-    ``np.random.default_rng(key + (lane,))``, row after row at each row's
-    N, straight into the run's slice of the stack, so a run holds the same
-    bytes whatever stack it sits in; a one-key stack is one run. The
-    scaled coherent wave is added onto each row with a tone. g and N are
-    worked out once per distinct power; a row reuses the last wave built
-    when its (res, carrier, centre, power) match, as the tone rows of a
-    sensitivity-sweep point do, and otherwise builds its own.
+    Each run of rows that share a stream is one ``white_noise`` draw from
+    ``np.random.default_rng(stream)``, row after row at each row's N,
+    straight into the run's slice of the stack, so a run holds the same
+    bytes whatever stack it sits in. The scaled coherent wave is added onto
+    each row with a tone. g and N are worked out once per distinct power;
+    a row reuses the last wave built when its (res, carrier, centre, power)
+    match, as the tone rows of a sensitivity-sweep point do, and otherwise
+    builds its own.
     """
     center, rate, n = _series_grid(cfg, band)
     dtype = float if center is None else complex
@@ -481,19 +476,17 @@ def _detected_stack(cfg: ExperimentConfig, band, rows: list, key,
                             f"(sim.duration = {cfg.sim.duration!r} s)",
                             np.empty, (count, n), dtype)
     chains = {power: chain_at(cfg, power)  # power -> (gain, density)
-              for power in dict.fromkeys(power for _, power, _ in rows)}
-    densities = [chains[power][1] for _, power, _ in rows]
-    runs = ([(key, count)] if isinstance(key, tuple) else
-            [(k, len(list(run))) for k, run in itertools.groupby(key)])
+              for power in dict.fromkeys(row[1] for row in rows)}
     start = 0
-    for stream, size in runs:
-        white_noise(np.random.default_rng(stream + (lane,)),
-                    densities[start:start + size], rate, n,
-                    center is not None, out=samples[start:start + size])
-        start += size
+    for stream, run in itertools.groupby(rows, key=lambda row: row[3]):
+        densities = [chains[power][1] for _, power, _, _ in run]
+        end = start + len(densities)
+        white_noise(np.random.default_rng(stream), densities, rate, n,
+                    center is not None, out=samples[start:end])
+        start = end
     centers = center if isinstance(center, list) else [center] * count
     built = wave = None  # the (res, f, c, power) of the last wave, and it
-    for row, ((res, power, f), c) in enumerate(zip(rows, centers)):
+    for row, ((res, power, f, _), c) in enumerate(zip(rows, centers)):
         if res is None:
             continue
         if built != (res, f, c, power):
@@ -503,20 +496,19 @@ def _detected_stack(cfg: ExperimentConfig, band, rows: list, key,
                 wave *= chains[power][0]
         if wave is not None:
             samples[row] += wave
-    power = rows[0][1]
+    _, power, _, stream = rows[0]
     return DetectedTimeSeries(samples, rate, cfg.detector.gain_effective,
-                              power, chains[power][0], runs[0][0] + (lane,),
-                              center)
+                              power, chains[power][0], stream, center)
 
 
-def _analyzer(cfg: ExperimentConfig, band, rows: list, key: tuple,
+def _analyzer(cfg: ExperimentConfig, band, rows: list,
               count_key: str = "sim.duration", span=None) -> tuple:
     """(traces, peaks, backgrounds) of the rows' ``_detected_stack``: its
     one ``psd_estimate``, sliced to span, and each row's peak at the rows'
     carrier and background over spectrum.bg_window around it. A mode keeps
     the peaks of its tone rows and the backgrounds of the others."""
     sp = cfg.spectrum
-    traces = psd_estimate(_detected_stack(cfg, band, rows, key, count_key),
+    traces = psd_estimate(_detected_stack(cfg, band, rows, count_key),
                           sp.rbw, sp.vbw, span=span)
     try:
         peaks, backgrounds = peak_and_background(traces, traces, rows[0][2],
@@ -745,7 +737,7 @@ def _demod_rows(cfg: ExperimentConfig, res: ResonanceParams,
     half = _LOCKIN_HALFBAND * cfg.lockin.output_bandwidth
     carriers, power = freqs.tolist(), cfg.sim.probe_power
     return _detected_stack(cfg, [(f - half, f + half) for f in carriers],
-                           [(res, power, f) for f in carriers], (seed,),
+                           [(res, power, f, (seed, 0)) for f in carriers],
                            "sweep.freq_points")
 
 
@@ -831,8 +823,9 @@ def _run_spectrum(cfg: ExperimentConfig, spec: ScenarioSpec) -> list:
                            "spectrum.span")
     _require_background(cfg, "sim.probe_power")
     _require_tone(cfg, "sim.probe_power", res.phi0, "resonance.phi0")
+    stream = (spec.seed, 0)
     traces, peaks, backgrounds = _analyzer(
-        cfg, span, [(res, power, mod), (None, power, mod)], (spec.seed,),
+        cfg, span, [(res, power, mod, stream), (None, power, mod, stream)],
         span=span)
     spec_on, spec_off = traces.rows()
     s_sig, s_bg = peaks[0], backgrounds[1]
@@ -859,10 +852,10 @@ def _noise_scan_at_field(cfg: ExperimentConfig, spec: ScenarioSpec,
     (seed, scan_index, 0), and their budget fit. One stacked estimate
     gives the levels, each row's background read over spectrum.bg_window
     around the carrier."""
-    mod = field.modulation_freq
+    mod, stream = field.modulation_freq, (spec.seed, scan_index, 0)
     _, _, levels = _analyzer(cfg, _bg_band(cfg, field),
-                             [(None, power, mod) for power in powers],
-                             (spec.seed, scan_index), "sweep.power_points")
+                             [(None, power, mod, stream) for power in powers],
+                             "sweep.power_points")
     # a dark trace (0 W; sweep.power_min is > 0) fixes the electronic term
     fixed = levels[0] if powers[0] == 0.0 else None
     return levels, fit_noise_polynomial(powers, levels, fixed_elec=fixed)
@@ -947,58 +940,60 @@ def _run_snl_map(cfg: ExperimentConfig, spec: ScenarioSpec) -> list:
     return outputs
 
 
-def _tone_peaks(cfg: ExperimentConfig, band: tuple, seed: int,
-                points: list) -> tuple:
-    """(ENBW, peaks) of the sweep.trace_avg tone rows of the points, each
-    (index, power, resonance): one stack on band, each point's rows on its
-    stream (seed, index, 1), one ``psd_estimate``, and each row's bin
+def _tone_peaks(cfg: ExperimentConfig, band: tuple, rows: list) -> tuple:
+    """(ENBW, peaks) of sensitivity-sweep tone rows: their
+    ``_detected_stack`` on band, one ``psd_estimate``, and each row's bin
     nearest the carrier."""
-    mod, traces = cfg.field.modulation_freq, cfg.sweep.trace_avg
-    rows, keys = [], []
-    for index, power, res in points:
-        rows += _allocate("sweep.trace_avg", f"{traces!r} rows", list.__mul__,
-                          [(res, power, mod)], traces)
-        keys += [(seed, index)] * traces
-    sp = cfg.spectrum
-    spectra = psd_estimate(_detected_stack(cfg, band, rows, keys,
-                                           "sweep.trace_avg", lane=1),
+    sp, mod = cfg.spectrum, rows[0][2]
+    spectra = psd_estimate(_detected_stack(cfg, band, rows, "sweep.trace_avg"),
                            sp.rbw, sp.vbw)
     peak = int(np.argmin(np.abs(spectra.freqs - mod)))
     return spectra.enbw, spectra.psd[:, peak].tolist()
+
+
+def _sweep_stacks(cfg: ExperimentConfig, band: tuple, rows: list):
+    """sensitivity-sweep's stacks on band, in order: each of rows, one a
+    point, sweep.trace_avg times, cut into stacks of as many points as hold
+    no more samples than two points' tone-free rows on the background
+    window, max(1, 2 n_window // n_band) points: at the defaults 64 on the
+    tone band and 2 on the window."""
+    traces = cfg.sweep.trace_avg
+    per_stack = max(1, 2 * _series_grid(cfg, _bg_band(cfg, cfg.field))[2]
+                    // max(1, _series_grid(cfg, band)[2]))
+    for start in range(0, len(rows), per_stack):
+        yield [copy for row in rows[start:start + per_stack]
+               for copy in _allocate("sweep.trace_avg", f"{traces!r} rows",
+                                     list.__mul__, [row], traces)]
 
 
 def _sweep_rows(cfg: ExperimentConfig, seed: int, chunk: list) -> list[dict]:
     """The sensitivity-sweep rows of a chunk of (index, power) points, one
     ``_pmap`` chunk.
 
-    The tone rows of every point are one ``_tone_peaks`` stack on
-    ``_tone_band``, split into stacks of as many points as hold no
-    more samples than two background stacks; each point's tone-free rows
-    are one ``_analyzer`` stack on the background window, on stream (seed,
-    index, 0). A point reads the mean of its tone rows' peaks and of its
-    tone-free rows' backgrounds, and its SNR at the tone trace's ENBW,
-    which its row carries as enbw_hz. Every stream is one point's, so a
-    row holds the same bytes in a chunk of any size.
+    A point's tone rows are drawn on ``_tone_band`` from its stream (seed,
+    index, 1) and read by ``_tone_peaks``, its tone-free rows on the
+    background window from (seed, index, 0) and read by ``_analyzer``, each
+    kind in the stacks of ``_sweep_stacks``. A point reads the mean of its
+    tone rows' peaks and of its tone-free rows' backgrounds, and its SNR at
+    the tone trace's ENBW, which its row carries as enbw_hz. Every stream
+    is one point's, so a row holds the same bytes in a chunk of any size.
     """
     field, traces = cfg.field, cfg.sweep.trace_avg
     band, window = _tone_band(cfg, field), _bg_band(cfg, field)
-    points = [(index, power, _resonance(cfg, power)) for index, power in chunk]
-    per_stack = max(1, 2 * _series_grid(cfg, window)[2]
-                    // max(1, _series_grid(cfg, band)[2]))
-    peaks = []
-    for start in range(0, len(points), per_stack):
-        enbw, part = _tone_peaks(cfg, band, seed,
-                                 points[start:start + per_stack])
-        peaks += part
     mod = field.modulation_freq
+    points = [(index, power, _resonance(cfg, power)) for index, power in chunk]
+    peaks, backgrounds = [], []
+    for rows in _sweep_stacks(cfg, band, [(res, power, mod, (seed, i, 1))
+                                          for i, power, res in points]):
+        enbw, part = _tone_peaks(cfg, band, rows)
+        peaks += part
+    for rows in _sweep_stacks(cfg, window, [(None, power, mod, (seed, i, 0))
+                                            for i, power, _ in points]):
+        backgrounds += _analyzer(cfg, window, rows, "sweep.trace_avg")[2]
     sweep = []
     for point, (index, power, res) in enumerate(points):
-        _, _, backgrounds = _analyzer(
-            cfg, window, _allocate("sweep.trace_avg", f"{traces!r} rows",
-                                   list.__mul__, [(None, power, mod)], traces),
-            (seed, index), "sweep.trace_avg")
-        s_sig = sum(peaks[point * traces:(point + 1) * traces]) / traces
-        s_bg = sum(backgrounds) / traces
+        s_sig, s_bg = (sum(read[point * traces:(point + 1) * traces]) / traces
+                       for read in (peaks, backgrounds))
         snr = compute_snr(s_sig, s_bg, enbw)
         sweep.append({
             "power_w": power, "phi0_rad": res.phi0,

@@ -112,9 +112,9 @@ class DetectedTimeSeries:
 
     ``samples`` may also be a (rows, n) stack of series on one
     ``sample_rate`` and ``center_freq``, as ``dsp.psd_estimate`` reads it.
-    ``rng_seed`` is then the stack's one stream, whose draws fill its rows
-    in order. The other scalar fields are not per row: they describe row
-    0 (``mean_power`` and ``angle_gain`` at its power). An envelope
+    ``rng_seed`` and the other scalar fields are then not per row: they
+    describe row 0 (its stream, ``mean_power`` and ``angle_gain`` at its
+    power). An envelope
     stack's ``center_freq`` may instead list one centre per row, as
     demod-sweep's stack does for ``dsp.lock_in_demodulate``;
     ``psd_estimate`` refuses such a stack.

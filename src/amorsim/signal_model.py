@@ -58,8 +58,8 @@ __all__ = [
     "synthesize_rotation",
 ]
 
-# An RNG stream: an int, or a key such as (seed, *stack coordinates, lane);
-# numpy's SeedSequence accepts either.
+# An RNG stream's full key, as numpy's SeedSequence takes it: an int, or a
+# tuple such as (seed, power_index, 1), a sweep power's tone rows' stream.
 Seed = Union[int, tuple[int, ...]]
 
 

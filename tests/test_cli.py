@@ -251,18 +251,19 @@ def test_sensitivity_sweep_reads_the_budget_across_seeds():
 
 
 @pytest.mark.parametrize("extra, stacks", [
-    ("", 1),
+    # one tone stack, then the tone-free rows of 2 points a stack
+    ("", 1 + 11),
     # a video filter takes the window for the tone rows: 2 points' tone
     # rows hold two background stacks' samples, so 21 points take 11 tone
     # stacks
-    ("spectrum.vbw = 10", 11),
+    ("spectrum.vbw = 10", 11 + 11),
 ], ids=["defaults", "vbw10"])
 def test_sweep_rows_do_not_depend_on_chunking(tmp_path, monkeypatch, extra,
                                               stacks):
     # the default 21 points split into two contiguous chunks at every cut,
     # and each point alone, give every row the bytes of the one-chunk run:
-    # a chunk's tone stacks draw each point's rows from that point's own
-    # stream
+    # a chunk's stacks draw each point's rows from that point's own
+    # streams
     config = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
     path = tmp_path / "sweep.cfg"
     path.write_text(config.read_text() + extra + "\n")
@@ -282,13 +283,43 @@ def test_sweep_rows_do_not_depend_on_chunking(tmp_path, monkeypatch, extra,
                 for row in rows]
 
     whole = hexed(amorsim.cli._sweep_rows(cfg, 5, points))
-    assert len(calls) == stacks + len(points)
+    assert len(calls) == stacks
     for cut in range(1, len(points)):
         assert hexed(amorsim.cli._sweep_rows(cfg, 5, points[:cut])
                      + amorsim.cli._sweep_rows(cfg, 5, points[cut:])) \
             == whole, cut
     assert hexed(amorsim.cli._sweep_point_sensitivity((cfg, 5, *point))
                  for point in points) == whole
+
+
+@pytest.mark.parametrize("extra", ["", "spectrum.vbw = 10"],
+                         ids=["defaults", "vbw10"])
+def test_sweep_stacks_hold_at_most_two_points_background_rows(
+        tmp_path, monkeypatch, extra):
+    # the memory rule behind a sweep's peak memory: at every two-chunk cut
+    # of the default 21 points, no stack holds more samples than the
+    # tone-free rows of two points on the background window, so a chunk's
+    # stacks never grow with the chunk
+    config = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+    path = tmp_path / "sweep.cfg"
+    path.write_text(config.read_text() + extra + "\n")
+    cfg = amorsim.cli._load_config(ScenarioSpec("sensitivity-sweep",
+                                                str(path)))
+    points = list(enumerate(amorsim.cli._power_grid(cfg).tolist()))
+    window = amorsim.cli._bg_band(cfg, cfg.field)
+    bound = 2 * cfg.sweep.trace_avg * amorsim.cli._series_grid(cfg, window)[2]
+    sizes, estimate = [], psd_estimate
+
+    def measured(ts, *args, **kwargs):
+        sizes.append(ts.samples.size)
+        return estimate(ts, *args, **kwargs)
+
+    monkeypatch.setattr(amorsim.cli, "psd_estimate", measured)
+    for cut in range(1, len(points)):
+        for chunk in (points[:cut], points[cut:]):
+            sizes.clear()
+            amorsim.cli._sweep_rows(cfg, 5, chunk)
+            assert sizes and max(sizes) <= bound, (cut, sizes)
 
 
 _POSITIVE = st.floats(min_value=5e-324, allow_infinity=False)
@@ -375,14 +406,14 @@ def test_stacked_analyzer_matches_per_point_estimates(mode_run, fast_config):
     field, sp = cfg.field, cfg.spectrum
     window = amorsim.cli._bg_band(cfg, field)
 
-    def traces(rows, key, span=None, band=window, lane=0):
+    def traces(rows, span=None, band=window):
         return [psd_estimate(row, sp.rbw, sp.vbw, span=span)
-                for row in _reference_stack(cfg, band, rows, key, lane)]
+                for row in _reference_stack(cfg, band, rows)]
 
     mod = field.modulation_freq
     powers = [0.0, *amorsim.cli._power_grid(cfg)]
     levels = [float(trace.psd.mean()) for trace in traces(
-        [(None, p, mod) for p in powers], (seed, 0), window)]
+        [(None, p, mod, (seed, 0, 0)) for p in powers], window)]
     _, (_, written), _ = read_table(mode_run("noise-scan", seed)
                                     / "noise_scan.csv")
     assert written.tolist() == levels
@@ -392,8 +423,8 @@ def test_stacked_analyzer_matches_per_point_estimates(mode_run, fast_config):
     s_sig, s_bg = [], []
     for i, p in enumerate(amorsim.cli._power_grid(cfg)):
         res = amorsim.cli._resonance(cfg, p)
-        ons = traces([(res, p, mod)] * count, (seed, i), band=band, lane=1)
-        offs = traces([(None, p, mod)] * count, (seed, i))
+        ons = traces([(res, p, mod, (seed, i, 1))] * count, band=band)
+        offs = traces([(None, p, mod, (seed, i, 0))] * count)
         s_sig.append(sum(float(on.psd[np.argmin(np.abs(on.freqs - mod))])
                          for on in ons) / count)
         s_bg.append(sum(peak_and_background(off, off, mod, sp.bg_window)[1]
@@ -405,20 +436,18 @@ def test_stacked_analyzer_matches_per_point_estimates(mode_run, fast_config):
     assert table["s_bg_w_per_hz"].tolist() == s_bg
 
 
-def _reference_stack(cfg, band, rows, key, lane=0):
-    """A stack's (res or None, power, carrier) rows rebuilt one by one as
-    series of their own: each the coherent rotation at its carrier (none
-    for a None row) at the chain's angle gain plus numpy's normal draw at
-    the budget's density, the draws taken in row order from the one
-    stream key+(lane,), or, for a list of one key per row, from a stream
-    seeded anew where the key changes."""
+def _reference_stack(cfg, band, rows):
+    """A stack's (res or None, power, carrier, stream) rows rebuilt one by
+    one as series of their own: each the coherent rotation at its carrier
+    (none for a None row) at the chain's angle gain plus numpy's normal
+    draw at the budget's density, the draws taken in row order from a
+    stream seeded anew where the row's stream changes."""
     center, rate, n = amorsim.cli._series_grid(cfg, band)
     envelope = center is not None
-    keys = key if isinstance(key, list) else [key] * len(rows)
     series, rng = [], None
-    for row, (res, power, mod) in enumerate(rows):
-        if row == 0 or keys[row] != keys[row - 1]:
-            rng = np.random.default_rng(keys[row] + (lane,))
+    for row, (res, power, mod, stream) in enumerate(rows):
+        if row == 0 or stream != rows[row - 1][3]:
+            rng = np.random.default_rng(stream)
         wave = (None if res is None
                 else coherent_rotation(res, mod, rate, n, center))
         gain = angle_gain_from_chain(cfg.detector, photon_flux(
@@ -445,13 +474,13 @@ def _reference_stack(cfg, band, rows, key, lane=0):
        lane=st.sampled_from([0, 1]))
 def test_detected_stack_rows_are_chain_series_bit_for_bit(
         fast_config, sides, powers, offsets, band, key, split, lane):
-    # each row written in place equals the row rebuilt from the stack's
-    # stream, and a stack of the first row alone holds that row; real and
-    # envelope stacks, tone and None rows, a carrier per row, dark rows,
-    # a seed of two 32-bit words, either lane, and a list of one key per
-    # row whose two runs each draw from their own stream. A None row
-    # reaches no coherent_rotation, and a tone row builds a wave only
-    # where its (res, power, carrier) differs from the last tone row's
+    # each row written in place equals the row rebuilt from its stream,
+    # and a stack of the first row alone holds that row; real and envelope
+    # stacks, tone and None rows, a carrier per row, dark rows, a seed of
+    # two 32-bit words, either last stream word, and rows whose two runs
+    # each draw from their own stream. A None row reaches no
+    # coherent_rotation, and a tone row builds a wave only where its (res,
+    # power, carrier) differs from the last tone row's
     cfg = amorsim.cli._load_config(ScenarioSpec("sensitivity-sweep",
                                                 fast_config))
     field = cfg.field
@@ -459,11 +488,12 @@ def test_detected_stack_rows_are_chain_series_bit_for_bit(
     band = {"real": None, "bg_window": amorsim.cli._bg_band(cfg, field),
             "offset": (mod - 1500.0, mod + 2500.0)}[band]  # tone off centre
     res = amorsim.cli._resonance(cfg, cfg.sim.probe_power)
-    rows = [(res if side == 0 else None, power, mod + offset)
-            for side, power, offset in zip(sides, powers, offsets)]
-    keys = key if split is None else [
-        key if row < split else key[:-1] + (key[-1] + 1,)
-        for row in range(len(rows))]
+    streams = [key + (lane,) if split is None or row < split
+               else key[:-1] + (key[-1] + 1, lane)
+               for row in range(len(sides))]
+    rows = [(res if side == 0 else None, power, mod + offset, stream)
+            for side, power, offset, stream in zip(sides, powers, offsets,
+                                                    streams)]
     calls, coherent = [], amorsim.cli.coherent_rotation
 
     def counted(res, *args):
@@ -472,21 +502,21 @@ def test_detected_stack_rows_are_chain_series_bit_for_bit(
 
     amorsim.cli.coherent_rotation = counted
     try:
-        stack = amorsim.cli._detected_stack(cfg, band, rows, keys, lane=lane)
+        stack = amorsim.cli._detected_stack(cfg, band, rows)
     finally:
         amorsim.cli.coherent_rotation = coherent
     assert None not in calls
-    tones = [row for row in rows if row[0] is not None]
+    tones = [row[:3] for row in rows if row[0] is not None]
     assert len(calls) == sum(
         1 for i, row in enumerate(tones) if i == 0 or row != tones[i - 1])
     center, rate, n = amorsim.cli._series_grid(cfg, band)
     assert stack.samples.shape == (len(rows), n)
     assert (stack.sample_rate, stack.center_freq) == (rate, center)
     assert stack.rng_seed == key + (lane,)
-    expected = _reference_stack(cfg, band, rows, keys, lane)
+    expected = _reference_stack(cfg, band, rows)
     for row, series in enumerate(expected):
         assert stack.samples[row].tobytes() == series.samples.tobytes(), row
-    first = amorsim.cli._detected_stack(cfg, band, rows[:1], key, lane=lane)
+    first = amorsim.cli._detected_stack(cfg, band, rows[:1])
     assert first.samples.tobytes() == expected[0].samples.tobytes()
 
 
@@ -802,8 +832,8 @@ def test_default_sensitivity_sweep_builds_one_generator_per_power(
     keys = _generator_keys(["sensitivity-sweep", "--config", str(config),
                             "--out", str(tmp_path), "--seed", "7"],
                            monkeypatch)
-    # the chunk's tone rows first, each power's on its lane 1, then each
-    # power's tone-free stack on its lane 0
+    # the chunk's tone rows first, each power's on its stream (7, index,
+    # 1), then each power's tone-free rows on (7, index, 0)
     assert keys == ([(7, index, 1) for index in range(21)]
                     + [(7, index, 0) for index in range(21)])
     assert len(keys) == 2 * cfg.sweep.power_points == 42
@@ -842,8 +872,8 @@ def test_default_sweep_point_synthesizes_once_per_side(monkeypatch):
     for stack, band, side, lane in (
             (tones, amorsim.cli._tone_band(cfg, field), res, 1),
             (backgrounds, amorsim.cli._bg_band(cfg, field), None, 0)):
-        expected = _reference_stack(cfg, band, [(side, power, mod)] * traces,
-                                    (7, index), lane)
+        expected = _reference_stack(
+            cfg, band, [(side, power, mod, (7, index, lane))] * traces)
         for row, series in enumerate(expected):
             assert stack[row].tobytes() == series.samples.tobytes(), row
 
@@ -851,8 +881,9 @@ def test_default_sweep_point_synthesizes_once_per_side(monkeypatch):
 @pytest.mark.parametrize("mode, stacks", [
     ("spectrum", [2]),                 # its on/off pair
     ("noise-scan", [22, 22]),          # a dark point and 21 powers, 2 fields
-    # the 4 tone rows of each of 21 powers, then each power's 4 tone-free
-    ("sensitivity-sweep", [84] + [4] * 21),
+    # the 4 tone rows of each of 21 powers, then the 4 tone-free rows of
+    # 2 powers a stack
+    ("sensitivity-sweep", [84] + [8] * 10 + [4]),
 ])
 def test_analyzer_modes_estimate_each_stack_once(mode, stacks, tmp_path,
                                                  monkeypatch):

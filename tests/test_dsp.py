@@ -181,6 +181,8 @@ def test_pmap_clamps_pool_size(workers, tasks, cores, expected, monkeypatch):
         return [-point for point in chunk]
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
+    # an OS that reports no affinity: the CPU count sizes the pool
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
     points = list(range(-tasks, 0))
     assert _pmap(negate, points, workers) == list(range(tasks, 0, -1))
@@ -192,6 +194,27 @@ def test_pmap_clamps_pool_size(workers, tasks, cores, expected, monkeypatch):
     assert len(calls) == expected
     assert [point for chunk in calls for point in chunk] == points
     assert max(map(len, calls)) - min(map(len, calls)) <= 1
+
+
+def test_pmap_counts_the_cpus_it_may_run_on(monkeypatch):
+    # pinned to one CPU of eight (taskset -c 0), a pool of 4 runs fn once,
+    # in-process, and starts no pool
+    def refuse(max_workers):
+        raise AssertionError(f"started a pool of {max_workers}")
+
+    calls = []
+
+    def negate(chunk):
+        calls.append(chunk)
+        return [-point for point in chunk]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    points = list(range(-22, 0))
+    assert _pmap(negate, points, 4) == list(range(22, 0, -1))
+    assert len(calls) == 1 and calls[0] is points
 
 
 def test_sweep_rejects_bad_grids():

@@ -210,12 +210,12 @@ def test_envelope_noise_is_circular_at_a_quarter_density_per_component():
 
 
 def test_envelope_draws_one_stream_per_stage():
-    # an analyzer row with no tone is its one draw from stream key+(0,),
-    # its interleaved normals the real and imaginary parts
+    # an analyzer row with no tone is its one draw from its stream, its
+    # interleaved normals the real and imaginary parts
     cfg = default_config()
     band = cli._bg_band(cfg, cfg.field)
-    row = (None, 80.5e-6, cfg.field.modulation_freq)
-    a, b = (cli._detected_stack(cfg, band, [row], (3,)).samples[0]
+    row = (None, 80.5e-6, cfg.field.modulation_freq, (3, 0))
+    a, b = (cli._detected_stack(cfg, band, [row]).samples[0]
             for _ in range(2))
     np.testing.assert_array_equal(a, b)
     draw = np.random.default_rng((3, 0)).normal(0.0, 1.0, 2 * a.size)
@@ -279,8 +279,8 @@ def _peak_and_background(cfg, band, power, phi0, span=None, low_band=None):
     rows = []
     for seed in SEEDS:
         traces, peaks, backgrounds = cli._analyzer(
-            cfg, band, [(res, power, mod), (None, power, mod)], (seed,),
-            span=span)
+            cfg, band, [(res, power, mod, (seed, 0)),
+                        (None, power, mod, (seed, 0))], span=span)
         off = traces.rows()[1]
         row = [peaks[0], backgrounds[1]]
         if low_band is not None:
@@ -354,8 +354,8 @@ def test_envelope_edge_bins_read_the_budget_across_seeds():
     for band, sliced in ((cli._bg_band(cfg, cfg.field), None), (span, span)):
         edges = []
         for seed in SEEDS:
-            traces, _, _ = cli._analyzer(cfg, band, [(None, power, mod)] * 4,
-                                         (seed,), span=sliced)
+            traces, _, _ = cli._analyzer(
+                cfg, band, [(None, power, mod, (seed, 0))] * 4, span=sliced)
             inside = np.flatnonzero((traces.freqs >= band[0])
                                     & (traces.freqs <= band[1]))
             edges.append(traces.psd[:, inside[[0, -1]]].mean(axis=0))
@@ -379,7 +379,8 @@ def test_envelope_snr_estimator_is_unbiased_across_seeds(power):
     snrs = []
     for seed in SEEDS:
         traces, peaks, backgrounds = cli._analyzer(
-            cfg, band, [(res, power, mod), (None, power, mod)], (seed,))
+            cfg, band, [(res, power, mod, (seed, 0)),
+                        (None, power, mod, (seed, 0))])
         snrs.append(compute_snr(peaks[0], backgrounds[1], traces.enbw))
     mean, sem = mean_and_sem(snrs)
     expected = phi0 / math.sqrt(shot_noise_angle_density(
@@ -437,9 +438,8 @@ def _lock_in_means(cfg, res, freq, index, band):
     bw = cfg.lockin.output_bandwidth
     pq = []
     for seed in SEEDS:
-        row = cli._detected_stack(cfg, band,
-                                  [(res, cfg.sim.probe_power, freq)],
-                                  (seed, index))
+        row = cli._detected_stack(
+            cfg, band, [(res, cfg.sim.probe_power, freq, (seed, index, 0))])
         row.samples = row.samples[0]
         pq.append(lock_in_demodulate(row, freq, bw))
     pq = np.array(pq)
@@ -594,8 +594,8 @@ def test_stacked_lock_in_reads_a_real_stack_row_by_row():
     # three real rows at sim.sample_rate, one carrier each or one for all
     cfg, res, _ = demod_setup()
     carriers = [res.center_freq + step for step in (-60.0, 0.0, 60.0)]
-    rows = [(res, cfg.sim.probe_power, f) for f in carriers]
-    stack = cli._detected_stack(cfg, None, rows, (1,))
+    rows = [(res, cfg.sim.probe_power, f, (1, 0)) for f in carriers]
+    stack = cli._detected_stack(cfg, None, rows)
     assert stack.center_freq is None and stack.samples.dtype == float
     bw = cfg.lockin.output_bandwidth
     for mod in (carriers, carriers[1]):
